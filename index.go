@@ -221,10 +221,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 
 	// The cache is valid only within one hit-determining config epoch: any
 	// knob that changes the PSG flushes it (machine-shape knobs do not).
-	epoch := fmt.Sprintf("%d/%d/%d/%s/%d/%d/%v/%v/%d/%d/%d/%v/%v",
-		cfg.K, cfg.SubstituteKmers, cfg.MaxKmerFrequency, cfg.Align, cfg.Weight,
-		cfg.CommonKmerThreshold, cfg.MinIdentity, cfg.MinCoverage,
-		cfg.GapOpen, cfg.GapExtend, cfg.XDropValue, cfg.NaiveTriangle, cfg.UseHeapKernel)
+	epoch := core.PSGKey(cfg)
 	if e.cacheKey != epoch {
 		e.cache.flush()
 		e.cacheKey = epoch

@@ -17,9 +17,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// chaosRun is one pipeline execution with the config's fault plan actually
-// armed on the cluster (runPipeline leaves arming to the caller layer, the
-// way pastis.BuildGraph does).
+// chaosRun is the read-out of one execution — the pipeline or a query batch
+// — with the config's fault plan actually armed on the cluster.
 type chaosRun struct {
 	edges   []Edge
 	stats   Stats
@@ -31,16 +30,95 @@ type chaosRun struct {
 	fstats  mpi.FaultStats
 }
 
-func runChaosPipeline(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
-	var out chaosRun
-	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
-	if cfg.Faults != nil {
-		cl.ArmFaults(*cfg.Faults)
-	}
-	err := cl.Run(func(c *mpi.Comm) error {
+// rankBody is one rank's share of a run under test: the all-vs-all pipeline
+// or one query batch. The chaos runners wrap it with the cluster set-up,
+// the edge gather and the clock read-out.
+type rankBody func(c *mpi.Comm) (*Result, error)
+
+// pipelineBody runs the all-vs-all pipeline on the rank's slice of recs.
+func pipelineBody(recs []fasta.Record, p int, cfg Config) rankBody {
+	return func(c *mpi.Comm) (*Result, error) {
 		n := len(recs)
 		lo, hi := n*c.Rank()/p, n*(c.Rank()+1)/p
-		res, err := Run(c, recs[lo:hi], cfg)
+		return Run(c, recs[lo:hi], cfg)
+	}
+}
+
+// queryBody cold-loads the rank's artifact from dir and serves the rank's
+// slice of the batch.
+func queryBody(dir string, queries []fasta.Record, p int, cfg Config) rankBody {
+	return func(c *mpi.Comm) (*Result, error) {
+		rd, err := LoadRankData(dir, c.Rank(), p, cfg)
+		if err != nil {
+			return nil, err
+		}
+		n := len(queries)
+		lo, hi := n*c.Rank()/p, n*(c.Rank()+1)/p
+		return Query(c, rd, queries[lo:hi], cfg, rd.Bytes)
+	}
+}
+
+func runChaosPipeline(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
+	return runChaos(p, cfg.Faults, pipelineBody(recs, p, cfg))
+}
+
+func runChaosPipelineTCP(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
+	return runChaosTCP(p, cfg.Faults, pipelineBody(recs, p, cfg))
+}
+
+// runChaosQuery serves one batch from the index in dir on the in-process
+// (tcp false) or loopback-tcp cluster, with cfg's fault plan armed.
+func runChaosQuery(dir string, queries []fasta.Record, p int, cfg Config, tcp bool) (chaosRun, error) {
+	if tcp {
+		return runChaosTCP(p, cfg.Faults, queryBody(dir, queries, p, cfg))
+	}
+	return runChaos(p, cfg.Faults, queryBody(dir, queries, p, cfg))
+}
+
+// buildTestIndex persists an index of recs on p ranks into a fresh
+// directory, over loopback tcp when cfg.Transport says so.
+func buildTestIndex(t testing.TB, recs []fasta.Record, p int, cfg Config) string {
+	t.Helper()
+	dir := t.TempDir()
+	body := func(c *mpi.Comm) error {
+		n := len(recs)
+		lo, hi := n*c.Rank()/p, n*(c.Rank()+1)/p
+		_, err := BuildIndex(c, recs[lo:hi], cfg, dir)
+		return err
+	}
+	var err error
+	if cfg.Transport == "tcp" {
+		err = mpi.RunTCPLocal(p, mpi.DefaultCostModel(), nil, body)
+	} else {
+		err = mpi.NewCluster(p, mpi.DefaultCostModel()).Run(body)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// everyThird is the query batch the differential tests serve: database
+// members, so every batch has hits.
+func everyThird(recs []fasta.Record) []fasta.Record {
+	var out []fasta.Record
+	for i := 0; i < len(recs); i += 3 {
+		out = append(out, recs[i])
+	}
+	return out
+}
+
+// runChaos executes body on an in-process cluster with the fault plan
+// actually armed (the drivers leave arming to the caller layer, the way
+// pastis.BuildGraph does).
+func runChaos(p int, faults *mpi.FaultPlan, body rankBody) (chaosRun, error) {
+	var out chaosRun
+	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
+	if faults != nil {
+		cl.ArmFaults(*faults)
+	}
+	err := cl.Run(func(c *mpi.Comm) error {
+		res, err := body(c)
 		if err != nil {
 			return err
 		}
@@ -76,24 +154,22 @@ func sortChaosEdges(out *chaosRun) {
 	})
 }
 
-// runChaosPipelineTCP is runChaosPipeline on the tcp transport: p tcp-backed
-// single-rank clusters over real loopback sockets (mpi.RunTCPLocal). No
-// address space sees every rank's clock, so the cluster-wide totals are
-// reduced with collectives from per-rank snapshots taken right after the
-// gather — the exact read point of the whole-cluster accessors above, which
-// keeps the two runners bit-comparable.
-func runChaosPipelineTCP(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
+// runChaosTCP is runChaos on the tcp transport: p tcp-backed single-rank
+// clusters over real loopback sockets (mpi.RunTCPLocal). No address space
+// sees every rank's clock, so the cluster-wide totals are reduced with
+// collectives from per-rank snapshots taken right after the gather — the
+// exact read point of the whole-cluster accessors above, which keeps the two
+// runners bit-comparable.
+func runChaosTCP(p int, faults *mpi.FaultPlan, body rankBody) (chaosRun, error) {
 	var out chaosRun
 	clusters := make([]*mpi.Cluster, p)
 	err := mpi.RunTCPLocal(p, mpi.DefaultCostModel(), func(rank int, cl *mpi.Cluster) {
 		clusters[rank] = cl
-		if cfg.Faults != nil {
-			cl.ArmFaults(*cfg.Faults)
+		if faults != nil {
+			cl.ArmFaults(*faults)
 		}
 	}, func(c *mpi.Comm) error {
-		n := len(recs)
-		lo, hi := n*c.Rank()/p, n*(c.Rank()+1)/p
-		res, err := Run(c, recs[lo:hi], cfg)
+		res, err := body(c)
 		if err != nil {
 			return err
 		}
@@ -202,10 +278,16 @@ func sameGraph(t *testing.T, name string, got, want chaosRun) {
 // any combination, on either transport backend, at any thread and wave
 // count — the pipeline must converge to the exact fault-free similarity
 // graph and Stats, with all recovery traffic segregated so that
-// TotalBytes - RetryBytes equals the fault-free communication bill.
+// TotalBytes - RetryBytes equals the fault-free communication bill. The
+// query sweep — one batch against a persisted index — runs under the same
+// matrix and must converge to the fault-free hits the same way.
 func TestChaosBitIdentical(t *testing.T) {
 	defer testutil.Watchdog(t, 8*time.Minute)()
 	data := familyDataset(t, 5, 67)
+	indexCfg := DefaultConfig()
+	indexCfg.SubstituteKmers = 5
+	indexDir := buildTestIndex(t, data.Records, 4, indexCfg)
+	queries := everyThird(data.Records)
 	plans := []struct {
 		name string
 		plan mpi.FaultPlan
@@ -228,7 +310,7 @@ func TestChaosBitIdentical(t *testing.T) {
 			}{"delay", mpi.FaultPlan{Seed: 79, DelayProb: 0.2}},
 		)
 	}
-	var injected int64
+	var injected, queryInjected int64
 	for _, transport := range []string{"shared", "codec", "tcp"} {
 		// The tcp rows run on real multi-process-shaped clusters (one per
 		// rank, loopback sockets); faults stack on top of the TCP backend.
@@ -247,6 +329,13 @@ func TestChaosBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cleanQuery, err := runChaosQuery(indexDir, queries, 4, cfg, transport == "tcp")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cleanQuery.edges) == 0 {
+					t.Fatal("query batch found no hits (weak test)")
+				}
 				for _, pl := range plans {
 					name := fmt.Sprintf("%s transport=%s blocks=%d threads=%d",
 						pl.name, transport, blocks, threads)
@@ -264,12 +353,24 @@ func TestChaosBitIdentical(t *testing.T) {
 					}
 					fs := got.fstats
 					injected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
+
+					gotQuery, err := runChaosQuery(indexDir, queries, 4, faulty, transport == "tcp")
+					if err != nil {
+						t.Fatalf("query %s: %v", name, err)
+					}
+					sameGraph(t, "query "+name, gotQuery, cleanQuery)
+					if billed := gotQuery.total - gotQuery.retry; billed != cleanQuery.total {
+						t.Errorf("query %s: TotalBytes-RetryBytes = %d, want clean %d (retry %d)",
+							name, billed, cleanQuery.total, gotQuery.retry)
+					}
+					fs = gotQuery.fstats
+					queryInjected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
 				}
 			}
 		}
 	}
-	if injected == 0 {
-		t.Fatal("no faults were injected across the whole matrix (weak test)")
+	if injected == 0 || queryInjected == 0 {
+		t.Fatalf("faults injected: %d into the pipeline, %d into the query sweep (weak test)", injected, queryInjected)
 	}
 }
 
@@ -343,59 +444,72 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 }
 
 // TestMemBudgetDegrades: when a wave sweep exceeds the per-rank memory
-// budget the pipeline must not abort — it retries the whole sweep at a
-// doubled wave count until it fits, and the degraded run's similarity graph
-// and Stats stay bitwise identical. An impossible budget must fail with
-// ErrMemBudget once the ladder is exhausted.
+// budget the run must not abort — it retries the whole sweep at a doubled
+// wave count until it fits, and the degraded run's similarity graph and
+// Stats stay bitwise identical. An impossible budget must fail with
+// ErrMemBudget once the ladder is exhausted. Both callers of the sweep are
+// held to it: the all-vs-all pipeline and a query batch.
 func TestMemBudgetDegrades(t *testing.T) {
 	// Large families so the candidate matrix B dominates memory (the regime
-	// where the budget check inside the multiply sees the true peak).
+	// where the budget check inside the multiply sees the true peak). The
+	// query batch is the whole database for the same reason.
 	data := wavyDataset(t)
 	cfg := DefaultConfig()
 	cfg.CommonKmerThreshold = 1
 	cfg.Blocks = 1
-	clean, err := runChaosPipeline(data.Records, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.blocks != 1 {
-		t.Fatalf("unbudgeted run degraded: EffectiveBlocks = %d", clean.blocks)
-	}
+	indexDir := buildTestIndex(t, data.Records, 4, cfg)
+	for _, sw := range []struct {
+		name string
+		run  func(cfg Config) (chaosRun, error)
+	}{
+		{"all-vs-all", func(cfg Config) (chaosRun, error) { return runChaosPipeline(data.Records, 4, cfg) }},
+		{"query", func(cfg Config) (chaosRun, error) { return runChaosQuery(indexDir, data.Records, 4, cfg, false) }},
+	} {
+		t.Run(sw.name, func(t *testing.T) {
+			clean, err := sw.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean.blocks != 1 {
+				t.Fatalf("unbudgeted run degraded: EffectiveBlocks = %d", clean.blocks)
+			}
 
-	// The budget probe samples live+transient bytes at SUMMA stage
-	// boundaries, which sit below the run-wide PeakBytes; scan downward from
-	// the peak until a budget actually trips the ladder. The simulator is
-	// deterministic, so the scan is too.
-	peak := pipelinePeak(t, data.Records, cfg)
-	var got chaosRun
-	degraded := false
-	for _, frac := range []float64{0.875, 0.75, 0.625, 0.5, 0.375} {
-		budgeted := cfg
-		budgeted.MemBudget = int64(float64(peak) * frac)
-		r, err := runChaosPipeline(data.Records, 4, budgeted)
-		if errors.Is(err, dmat.ErrMemBudget) {
-			break // ladder exhausted: lower budgets only fail harder
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.blocks > 1 {
-			got, degraded = r, true
-			t.Logf("budget %d (%.0f%% of peak %d) degraded to %d waves",
-				budgeted.MemBudget, frac*100, peak, r.blocks)
-			break
-		}
-	}
-	if !degraded {
-		t.Fatalf("no budget below peak %d triggered degradation", peak)
-	}
-	sameGraph(t, fmt.Sprintf("degraded to %d waves", got.blocks), got, clean)
+			// The budget probe samples live+transient bytes at SUMMA stage
+			// boundaries, which sit below the run-wide PeakBytes; scan downward
+			// from the peak until a budget actually trips the ladder. The
+			// simulator is deterministic, so the scan is too.
+			peak := clean.peak
+			var got chaosRun
+			degraded := false
+			for _, frac := range []float64{0.875, 0.75, 0.625, 0.5, 0.375} {
+				budgeted := cfg
+				budgeted.MemBudget = int64(float64(peak) * frac)
+				r, err := sw.run(budgeted)
+				if errors.Is(err, dmat.ErrMemBudget) {
+					break // ladder exhausted: lower budgets only fail harder
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.blocks > 1 {
+					got, degraded = r, true
+					t.Logf("budget %d (%.0f%% of peak %d) degraded to %d waves",
+						budgeted.MemBudget, frac*100, peak, r.blocks)
+					break
+				}
+			}
+			if !degraded {
+				t.Fatalf("no budget below peak %d triggered degradation", peak)
+			}
+			sameGraph(t, fmt.Sprintf("degraded to %d waves", got.blocks), got, clean)
 
-	impossible := cfg
-	impossible.MemBudget = 4096 // smaller than any operand block
-	_, err = runChaosPipeline(data.Records, 4, impossible)
-	if !errors.Is(err, dmat.ErrMemBudget) {
-		t.Fatalf("impossible budget: error %v does not wrap ErrMemBudget", err)
+			impossible := cfg
+			impossible.MemBudget = 4096 // smaller than any operand block
+			_, err = sw.run(impossible)
+			if !errors.Is(err, dmat.ErrMemBudget) {
+				t.Fatalf("impossible budget: error %v does not wrap ErrMemBudget", err)
+			}
+		})
 	}
 }
 
@@ -411,22 +525,6 @@ func wavyDataset(t *testing.T) *synth.Labeled {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// pipelinePeak measures the per-rank PeakBytes of a clean run.
-func pipelinePeak(t *testing.T, recs []fasta.Record, cfg Config) int64 {
-	t.Helper()
-	cl := mpi.NewCluster(4, mpi.DefaultCostModel())
-	err := cl.Run(func(c *mpi.Comm) error {
-		n := len(recs)
-		lo, hi := n*c.Rank()/4, n*(c.Rank()+1)/4
-		_, err := Run(c, recs[lo:hi], cfg)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl.PeakBytes()
 }
 
 // Checkpoint files must survive crashes of the writer midway: the write

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/align"
+	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
 
@@ -56,38 +57,53 @@ func ckptChecksum(b []byte) uint64 {
 	return h
 }
 
-// configFingerprint hashes the PSG-determining parameters of a run: the
-// grid size, the input size, and every Config field the similarity graph
-// depends on. Threads, BatchSize, Blocks and Transport are excluded — the
-// graph is bit-identical across them by construction, so a checkpoint may
-// be resumed under different machine-shape knobs.
-func configFingerprint(cfg Config, p int, total spmat.Index) uint64 {
-	var buf []byte
-	buf = appendU64b(buf, uint64(p))
-	buf = appendU64b(buf, uint64(total))
-	buf = appendU64b(buf, uint64(cfg.K))
-	buf = appendU64b(buf, uint64(cfg.SubstituteKmers))
-	buf = appendU64b(buf, uint64(len(cfg.Align)))
-	buf = append(buf, cfg.Align...)
-	buf = appendU64b(buf, uint64(cfg.Weight))
-	buf = appendU64b(buf, uint64(cfg.CommonKmerThreshold))
-	buf = appendU64b(buf, uint64(cfg.MaxKmerFrequency))
-	buf = appendF64(buf, cfg.MinIdentity)
-	buf = appendF64(buf, cfg.MinCoverage)
-	buf = appendU64b(buf, uint64(cfg.GapOpen))
-	buf = appendU64b(buf, uint64(cfg.GapExtend))
-	buf = appendU64b(buf, uint64(cfg.XDropValue))
-	var naive uint64
-	if cfg.NaiveTriangle {
-		naive = 1
+// checkpointer is a sweep's checkpoint policy: where its waves are saved,
+// the run identity they are saved under, and — on a resumed run — the state
+// to restart from.
+type checkpointer struct {
+	dir         string
+	fingerprint uint64           // configFingerprint of this run
+	resume      *checkpointState // nil: start at panel 0
+}
+
+// resolveResume sets c.resume to the state every rank can restart from.
+// Each rank scans the directory for its newest valid checkpoint of this
+// exact run, the cluster agrees on min(newest wave) — the deepest wave every
+// rank completed; keep-2 pruning plus the one-wave collective skew guarantee
+// each rank still holds a file for that wave — and each rank loads that
+// wave. It stays nil, a full restart, when some rank has nothing to resume.
+// Collective.
+func (c *checkpointer) resolveResume(comm *mpi.Comm) error {
+	ck := newestCheckpoint(c.dir, c.fingerprint, comm.Rank(), comm.Size())
+	local := int64(-1)
+	if ck != nil {
+		local = int64(ck.Wave)
 	}
-	buf = appendU64b(buf, naive)
-	var heap uint64
-	if cfg.UseHeapKernel {
-		heap = 1
+	agreed, err := comm.TryAllreduceInt64("min", local)
+	if err != nil || agreed < 0 {
+		return err
 	}
-	buf = appendU64b(buf, heap)
-	return ckptChecksum(buf)
+	if ck.Wave != int(agreed) {
+		ck, err = loadCheckpointWave(c.dir, c.fingerprint, comm.Rank(), comm.Size(), int(agreed))
+		if err != nil {
+			return err
+		}
+	}
+	// Every rank must resume the same split; checkpoints are cleared whenever
+	// the split changes, so a mix means a torn directory.
+	bmin, err := comm.TryAllreduceInt64("min", int64(ck.Blocks))
+	if err != nil {
+		return err
+	}
+	bmax, err := comm.TryAllreduceInt64("max", int64(ck.Blocks))
+	if err != nil {
+		return err
+	}
+	if bmin != bmax {
+		return fmt.Errorf("core: checkpoint block splits disagree across ranks (%d vs %d)", bmin, bmax)
+	}
+	c.resume = ck
+	return nil
 }
 
 // checkpointState is one rank's merged wave-driver state after wave Wave of

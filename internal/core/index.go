@@ -36,137 +36,33 @@ const (
 	metaMaxFreq = "maxfreq"
 )
 
-// IndexFingerprint hashes the parameters that shape the persisted artifact:
-// the cluster size (which fixes the 2D block decomposition) and the Config
-// fields the A/S matrices depend on. Alignment knobs — kernel, thresholds,
-// gap costs — are deliberately excluded: they act after the matrix stages,
-// so one index serves any of them at query time.
-func IndexFingerprint(cfg Config, p int) uint64 {
-	var buf []byte
-	buf = appendU64b(buf, uint64(p))
-	buf = appendU64b(buf, uint64(cfg.K))
-	buf = appendU64b(buf, uint64(cfg.SubstituteKmers))
-	buf = appendU64b(buf, uint64(cfg.MaxKmerFrequency))
-	return ckptChecksum(buf)
-}
-
-// BuildIndex runs the build-once half of the pipeline — sequence exchange,
-// A formation, frequency pre-filter, substitute expansion — and persists
-// this rank's share as an index artifact in dir. Collective; every rank
-// writes its own file (the manifest is the caller's to write, from data it
-// already holds). The returned stats mirror the matrix-stage counters of a
-// full run.
+// BuildIndex runs the build-once half of the pipeline — the target-build
+// stages every all-vs-all run starts with — and persists this rank's share
+// as an index artifact in dir. Collective; every rank writes its own file
+// (the manifest is the caller's to write, from data it already holds). The
+// returned stats mirror the matrix-stage counters of a full run.
 func BuildIndex(comm *mpi.Comm, owned []fasta.Record, cfg Config, dir string) (*Stats, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	grid, err := dmat.NewGrid(comm)
+	r, err := openRun(comm, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Transport == "codec" {
-		grid.Backend = dmat.BackendCodec
-	}
-	clock := comm.Clock()
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	clock.SetThreads(threads)
-	defer clock.SetThreads(1)
-	var stats Stats
-
-	store, err := stageInput(grid, owned, cfg)
+	defer r.close()
+	// The query sweep's dual product needs Aᵀ and (AS)ᵀ, never A or AS.
+	t, err := buildTarget(r, owned, true)
 	if err != nil {
 		return nil, err
 	}
-	// The build has no alignment stage to hide the exchange under; complete
-	// it here so every in-flight message is consumed before the run ends.
+	t.a.Release()
+	if t.as != nil {
+		t.as.Release()
+	}
+	// The owned partition is persisted as-is, but every in-flight message
+	// must be consumed before the run ends.
 	if !cfg.BlockingExchange {
-		clock.Section(SectionWait, func() { err = store.Wait() })
+		r.clock.Section(SectionWait, func() { err = t.store.Wait() })
 		if err != nil {
 			return nil, err
 		}
-	}
-	stats.NumSeqs = int64(store.Total)
-
-	kmerSpace := spmat.Index(kmer.SpaceSize(cfg.K))
-	var a *dmat.Mat[int32]
-	var distinct map[kmer.ID]struct{}
-	clock.StartSection(SectionFormA)
-	a, distinct, err = formA(grid, store, cfg, kmerSpace, &stats)
-	clock.EndSection()
-	if err != nil {
-		return nil, err
-	}
-	if stats.NNZA, err = a.TryNNZ(); err != nil {
-		return nil, err
-	}
-
-	var banned []spmat.Index
-	if cfg.MaxKmerFrequency > 0 {
-		clock.Section(SectionFormA, func() { a, banned, err = prefilterA(a, cfg) })
-		if err != nil {
-			return nil, err
-		}
-		if stats.NNZAFiltered, err = a.TryNNZ(); err != nil {
-			return nil, err
-		}
-	} else {
-		stats.NNZAFiltered = stats.NNZA
-	}
-
-	gemmOpts := dmat.DefaultSpGEMMOpts()
-	gemmOpts.UseHeapKernel = cfg.UseHeapKernel
-	gemmOpts.Threads = threads
-
-	// Substitute path: enumerate the neighbor table once (it is persisted —
-	// queries reuse it instead of re-running the k-mer search), assemble S,
-	// and keep only (AS)ᵀ: the query sweep's dual product needs Aᵀ and
-	// (AS)ᵀ, never AS itself.
-	var table map[kmer.ID][]subkmer.Neighbor
-	var ast *dmat.Mat[PosDist]
-	if cfg.SubstituteKmers > 0 {
-		clock.StartSection(SectionFormS)
-		table, err = formSTable(distinct, cfg)
-		var s *dmat.Mat[int32]
-		if err == nil {
-			s, err = formSFromTable(grid, table, kmerSpace)
-		}
-		clock.EndSection()
-		if err != nil {
-			return nil, err
-		}
-		if stats.NNZS, err = s.TryNNZ(); err != nil {
-			return nil, err
-		}
-		var as *dmat.Mat[PosDist]
-		clock.StartSection(SectionAS)
-		if blocks := cfg.Blocks; blocks > 1 {
-			as, err = dmat.SpGEMMStreamed(a, s, ASSemiring, PosDistCodec, gemmOpts, blocks)
-		} else {
-			as, err = dmat.SpGEMM(a, s, ASSemiring, PosDistCodec, gemmOpts)
-		}
-		clock.EndSection()
-		if err != nil {
-			return nil, err
-		}
-		s.Release()
-		if stats.NNZAS, err = as.TryNNZ(); err != nil {
-			return nil, err
-		}
-		clock.Section(SectionSym, func() { ast, err = as.Transpose() })
-		as.Release()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var at *dmat.Mat[int32]
-	clock.Section(SectionTrA, func() { at, err = a.Transpose() })
-	a.Release()
-	if err != nil {
-		return nil, err
 	}
 
 	f := &index.File{
@@ -174,39 +70,39 @@ func BuildIndex(comm *mpi.Comm, owned []fasta.Record, cfg Config, dir string) (*
 		Rank:        comm.Rank(),
 		Ranks:       comm.Size(),
 		Meta: map[string]uint64{
-			metaTotal:   uint64(store.Total),
+			metaTotal:   uint64(t.store.Total),
 			metaK:       uint64(cfg.K),
 			metaSubs:    uint64(cfg.SubstituteKmers),
 			metaMaxFreq: uint64(cfg.MaxKmerFrequency),
 		},
 		Sections: []index.Section{
-			{Name: secAT, Payload: dmat.EncodeBlock(at.Local, dmat.Int32Codec)},
-			{Name: secSeq, Payload: seqstore.AppendSequences(nil, store.Owned)},
+			{Name: secAT, Payload: dmat.EncodeBlock(t.at.Local, dmat.Int32Codec)},
+			{Name: secSeq, Payload: seqstore.AppendSequences(nil, t.store.Owned)},
 		},
 	}
-	if ast != nil {
-		f.Sections = append(f.Sections, index.Section{Name: secAST, Payload: dmat.EncodeBlock(ast.Local, PosDistCodec)})
+	if t.ast != nil {
+		f.Sections = append(f.Sections, index.Section{Name: secAST, Payload: dmat.EncodeBlock(t.ast.Local, PosDistCodec)})
 	}
-	if table != nil {
-		f.Sections = append(f.Sections, index.Section{Name: secNbr, Payload: encodeNeighborTable(table)})
+	if t.table != nil {
+		f.Sections = append(f.Sections, index.Section{Name: secNbr, Payload: encodeNeighborTable(t.table)})
 	}
-	if banned != nil {
-		f.Sections = append(f.Sections, index.Section{Name: secBan, Payload: encodeBanned(banned)})
+	if t.banned != nil {
+		f.Sections = append(f.Sections, index.Section{Name: secBan, Payload: encodeBanned(t.banned)})
 	}
 	size, err := index.Save(dir, f)
 	if err != nil {
 		return nil, err
 	}
-	clock.IOBytes(size)
-	at.Release()
-	if ast != nil {
-		ast.Release()
+	r.clock.IOBytes(size)
+	t.at.Release()
+	if t.ast != nil {
+		t.ast.Release()
 	}
 
-	if stats.KmersTotal, err = comm.TryAllreduceInt64("sum", stats.KmersTotal); err != nil {
+	if t.stats.KmersTotal, err = comm.TryAllreduceInt64("sum", t.stats.KmersTotal); err != nil {
 		return nil, err
 	}
-	return &stats, nil
+	return &t.stats, nil
 }
 
 // RankData is one rank's decoded index artifact: the grid-independent

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -38,23 +37,24 @@ const (
 	opsPerDPCell      = 4   // vectorized alignment kernel per DP cell
 )
 
-// maxDegradeBlocks caps the graceful-degradation ladder: a sweep that still
-// breaches Config.MemBudget at this split cannot be saved by finer panels
-// (the resident operands, not the panel transients, dominate) and fails with
-// the budget error instead of doubling forever.
-const maxDegradeBlocks = 4096
+// run is the context every driver — Run, BuildIndex, Query — opens first:
+// the validated config, the process grid on the block backend
+// Config.Transport selects, and the rank clock with the intra-rank thread
+// count declared (parallel stages charge compute as ops/min(threads,
+// CoresPerNode); paper follow-up: one rank per node, threads inside).
+type run struct {
+	comm      *mpi.Comm
+	grid      *dmat.Grid
+	clock     *mpi.Clock
+	cfg       Config
+	blocks    int // cfg.Blocks, at least 1
+	kmerSpace spmat.Index
+	gemm      dmat.SpGEMMOpts // matrix-stage multiply options (no MemBudget)
+}
 
-// Run executes the PASTIS pipeline on this rank's share of the input.
-// owned must be the rank's consecutive run of records from the byte-balanced
-// FASTA partition (fasta.ParseChunk provides exactly that). Collective: all
-// ranks of comm must call Run with the same Config.
-//
-// The pipeline is organized as memory-bounded waves (stage_overlap.go +
-// wave.go): the candidate matrix streams through cfg.Blocks column panels,
-// and each panel's pruning, symmetrization and batched alignment overlap
-// the next panel's SUMMA stages. The similarity graph is bit-identical for
-// every Blocks × Threads × rank-count combination.
-func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
+// openRun is the shared prelude. Collective (the grid splits comm). Callers
+// defer close.
+func openRun(comm *mpi.Comm, cfg Config) (*run, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -67,281 +67,50 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 		// block path can cross the wire.
 		grid.Backend = dmat.BackendCodec
 	}
-	clock := comm.Clock()
-	// Declare the rank's intra-rank thread count: parallel stages charge
-	// compute as ops/min(threads, CoresPerNode) (paper follow-up: one rank
-	// per node, threads inside).
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	clock.SetThreads(threads)
-	defer clock.SetThreads(1)
-	blocks := cfg.Blocks
-	if blocks < 1 {
-		blocks = 1
-	}
-	var stats Stats
-
-	// --- fasta read/process + launch the overlapped sequence exchange ---
-	store, err := stageInput(grid, owned, cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := store.Total
-
-	// --- resume resolution (collective) ---
-	// Each rank scans CheckpointDir for its newest valid checkpoint of this
-	// exact run, the cluster agrees on min(newest wave) — the deepest wave
-	// every rank completed; keep-2 pruning plus the one-wave collective skew
-	// guarantee each rank still holds a file for that wave — and the sweep
-	// restarts from the next panel at the checkpoint's block split.
-	fp := configFingerprint(cfg, comm.Size(), n)
-	attemptBlocks := blocks
-	startPanel := 0
-	var ck *checkpointState
-	if cfg.Resume {
-		ck = newestCheckpoint(cfg.CheckpointDir, fp, comm.Rank(), comm.Size())
-		local := int64(-1)
-		if ck != nil {
-			local = int64(ck.Wave)
-		}
-		agreed, err := comm.TryAllreduceInt64("min", local)
-		if err != nil {
-			return nil, err
-		}
-		if agreed < 0 {
-			ck = nil // some rank has nothing to resume: full restart
-		} else {
-			if ck.Wave != int(agreed) {
-				ck, err = loadCheckpointWave(cfg.CheckpointDir, fp, comm.Rank(), comm.Size(), int(agreed))
-				if err != nil {
-					return nil, err
-				}
-			}
-			// Every rank must resume the same split; checkpoints are cleared
-			// whenever the split changes, so a mix means a torn directory.
-			bmin, err := comm.TryAllreduceInt64("min", int64(ck.Blocks))
-			if err != nil {
-				return nil, err
-			}
-			bmax, err := comm.TryAllreduceInt64("max", int64(ck.Blocks))
-			if err != nil {
-				return nil, err
-			}
-			if bmin != bmax {
-				return nil, fmt.Errorf("core: checkpoint block splits disagree across ranks (%d vs %d)", bmin, bmax)
-			}
-			attemptBlocks = ck.Blocks
-			startPanel = int(agreed) + 1
-		}
-	}
-
-	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions ---
-	kmerSpace := spmat.Index(kmer.SpaceSize(cfg.K))
-	var a *dmat.Mat[int32]
-	var distinct map[kmer.ID]struct{}
-	clock.StartSection(SectionFormA)
-	a, distinct, err = formA(grid, store, cfg, kmerSpace, &stats)
-	clock.EndSection()
-	if err != nil {
-		return nil, err
-	}
-	if stats.NNZA, err = a.TryNNZ(); err != nil {
-		return nil, err
-	}
-
-	// --- k-mer frequency pre-filter (paper future work) ---
-	if cfg.MaxKmerFrequency > 0 {
-		clock.Section(SectionFormA, func() { a, _, err = prefilterA(a, cfg) })
-		if err != nil {
-			return nil, err
-		}
-		if stats.NNZAFiltered, err = a.TryNNZ(); err != nil {
-			return nil, err
-		}
-	} else {
-		stats.NNZAFiltered = stats.NNZA
-	}
-
-	// --- transpose A ---
-	ops := overlapOperands{a: a}
-	clock.Section(SectionTrA, func() { ops.at, err = a.Transpose() })
-	if err != nil {
-		return nil, err
-	}
-
-	gemmOpts := dmat.DefaultSpGEMMOpts()
-	gemmOpts.UseHeapKernel = cfg.UseHeapKernel
-	gemmOpts.Threads = threads
-
-	// --- substitute k-mer expansion: S and AS (paper Section IV-C) ---
-	if cfg.SubstituteKmers > 0 {
-		var s *dmat.Mat[int32]
-		clock.StartSection(SectionFormS)
-		s, err = formS(grid, distinct, cfg, kmerSpace, &stats)
-		clock.EndSection()
-		if err != nil {
-			return nil, err
-		}
-		if stats.NNZS, err = s.TryNNZ(); err != nil {
-			return nil, err
-		}
-
-		clock.StartSection(SectionAS)
-		if attemptBlocks > 1 {
-			// Multi-wave runs stream AS through column panels as well: the
-			// full product must stay resident (it is the left operand of
-			// every B panel), but assembling it panel-by-panel keeps only
-			// one panel's SUMMA transients and triple accumulation live at
-			// a time, so AS no longer bounds substitute-path peak memory.
-			ops.as, err = dmat.SpGEMMStreamed(a, s, ASSemiring, PosDistCodec, gemmOpts, attemptBlocks)
-		} else {
-			ops.as, err = dmat.SpGEMM(a, s, ASSemiring, PosDistCodec, gemmOpts)
-		}
-		clock.EndSection()
-		if err != nil {
-			return nil, err
-		}
-		s.Release()
-		if stats.NNZAS, err = ops.as.TryNNZ(); err != nil {
-			return nil, err
-		}
-		if attemptBlocks > 1 {
-			// (AS)ᵀ feeds the per-panel transpose contribution; building it
-			// is symmetrization work.
-			clock.Section(SectionSym, func() { ops.ast, err = ops.as.Transpose() })
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// --- overlap detection + alignment, streamed as memory-bounded waves ---
-	// The degradation ladder: a sweep that breaches Config.MemBudget fails
-	// cluster-wide with dmat.ErrMemBudget (the budget check is itself a
-	// collective, so every rank fails the same SUMMA stage together) and
-	// restarts from panel 0 at double the block count — smaller panels,
-	// smaller transients — until it fits or the ladder caps out.
-	sweepOpts := gemmOpts
-	sweepOpts.MemBudget = cfg.MemBudget
-	var w *wave
-	for {
-		w = newWave(grid, store, cfg, attemptBlocks, fp)
-		if ck != nil {
-			w.restore(ck)
-			ck = nil // only the first attempt resumes; retries start over
-		}
-		err := overlapPanels(ops, cfg, sweepOpts, attemptBlocks, startPanel, w.yield)
-		if err == nil {
-			err = w.drain()
-		}
-		if err == nil {
-			break
-		}
-		if errors.Is(err, dmat.ErrMemBudget) && attemptBlocks < maxDegradeBlocks {
-			// Join the in-flight wave (its local work still completes) and
-			// drop the partial sweep: wave indices are meaningless at the new
-			// split, so its checkpoints go too. Everything up to here — the
-			// wasted panels included — stays on the clock; degradation costs
-			// time, never correctness.
-			w.abortDrain()
-			if cfg.CheckpointDir != "" {
-				clearCheckpoints(cfg.CheckpointDir, comm.Rank())
-			}
-			attemptBlocks *= 2
-			startPanel = 0
-			if cfg.SubstituteKmers > 0 && ops.ast == nil {
-				// First degradation out of a single-wave plan: the multi-wave
-				// path needs (AS)ᵀ, which the monolithic sweep never built.
-				clock.Section(SectionSym, func() { ops.ast, err = ops.as.Transpose() })
-				if err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		// Unrecoverable: finish the in-flight wave's local work so its
-		// checkpoint lands on disk, then surface the original cause.
-		if cfg.CheckpointDir != "" {
-			w.abortDrain()
-		}
-		return nil, err
-	}
-	ops.release()
-	if cfg.CheckpointDir != "" {
-		clearCheckpoints(cfg.CheckpointDir, comm.Rank())
-	}
-	if stats.NNZB, err = comm.TryAllreduceInt64("sum", w.nnzB); err != nil {
-		return nil, err
-	}
-	if stats.NNZBPruned, err = comm.TryAllreduceInt64("sum", w.nnzPruned); err != nil {
-		return nil, err
-	}
-	stats.PairsAligned = w.aligned
-	if stats.CellsComputed, err = comm.TryAllreduceInt64("sum", w.cells); err != nil {
-		return nil, err
-	}
-	if err := reduceStageStats(comm, cfg, w.stages, &stats); err != nil {
-		return nil, err
-	}
-
-	res := &Result{Edges: w.edges, EffectiveBlocks: attemptBlocks}
-
-	// --- aggregate counters so every rank reports identical stats ---
-	stats.NumSeqs = int64(n)
-	if stats.KmersTotal, err = comm.TryAllreduceInt64("sum", stats.KmersTotal); err != nil {
-		return nil, err
-	}
-	if stats.PairsAligned, err = comm.TryAllreduceInt64("sum", stats.PairsAligned); err != nil {
-		return nil, err
-	}
-	if stats.EdgesKept, err = comm.TryAllreduceInt64("sum", int64(len(res.Edges))); err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
+	r := &run{comm: comm, grid: grid, clock: comm.Clock(), cfg: cfg,
+		blocks: max(cfg.Blocks, 1), kmerSpace: spmat.Index(kmer.SpaceSize(cfg.K))}
+	r.gemm = dmat.DefaultSpGEMMOpts()
+	r.gemm.UseHeapKernel = cfg.UseHeapKernel
+	r.gemm.Threads = max(cfg.Threads, 1)
+	r.clock.SetThreads(r.gemm.Threads)
+	return r, nil
 }
 
-// reduceStageStats fills Stats.PairsPerStage/CellsPerStage with the
-// cluster-wide per-stage breakdown of a cascade run (no-op for primitive
-// kernels and AlignNone). The stage template — names and count — is derived
-// from cfg alone so every rank issues the same Allreduce sequence even when
-// some ranks aligned no pairs at all (their local tallies are empty).
-func reduceStageStats(comm *mpi.Comm, cfg Config, local []align.StageStats, stats *Stats) error {
-	if cfg.Align == AlignNone {
-		return nil
-	}
-	factory, err := align.KernelFactory(string(cfg.Align))
+func (r *run) close() { r.clock.SetThreads(1) }
+
+// Run executes the PASTIS pipeline on this rank's share of the input.
+// owned must be the rank's consecutive run of records from the byte-balanced
+// FASTA partition (fasta.ParseChunk provides exactly that). Collective: all
+// ranks of comm must call Run with the same Config.
+//
+// All-vs-all is the many-against-many sweep with the query panel equal to
+// the database (arXiv:2303.01845): build the target operands, then sweep A
+// (or AS) against Aᵀ in the symmetric mode — upper-triangle assignment,
+// lower-index-first orientation. The candidate matrix streams through
+// cfg.Blocks column panels as memory-bounded waves (sweep.go + wave.go);
+// the similarity graph is bit-identical for every Blocks × Threads ×
+// rank-count combination.
+func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
+	r, err := openRun(comm, cfg)
 	if err != nil {
-		return nil // unreachable after validate; stage stats are best-effort
+		return nil, err
 	}
-	staged, ok := factory().(align.StagedKernel)
-	if !ok {
-		return nil
+	defer r.close()
+	t, err := buildTarget(r, owned, false)
+	if err != nil {
+		return nil, err
 	}
-	template := staged.StageStats() // fresh instance: zero counters, names set
-	stats.PairsPerStage = make([]StagePairs, len(template))
-	stats.CellsPerStage = make([]int64, len(template))
-	for i, st := range template {
-		var examined, passed, cells int64
-		if i < len(local) {
-			examined, passed, cells = local[i].Examined, local[i].Passed, local[i].Cells
-		}
-		sp := StagePairs{Name: st.Name}
-		if sp.Examined, err = comm.TryAllreduceInt64("sum", examined); err != nil {
-			return err
-		}
-		if sp.Passed, err = comm.TryAllreduceInt64("sum", passed); err != nil {
-			return err
-		}
-		sp.Rejected = sp.Examined - sp.Passed
-		stats.PairsPerStage[i] = sp
-		if stats.CellsPerStage[i], err = comm.TryAllreduceInt64("sum", cells); err != nil {
-			return err
+	var ckpt *checkpointer
+	if cfg.CheckpointDir != "" {
+		ckpt = &checkpointer{dir: cfg.CheckpointDir, fingerprint: configFingerprint(cfg, comm.Size(), t.store.Total)}
+		if cfg.Resume {
+			if err := ckpt.resolveResume(comm); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return nil
+	ops := &operands{rows: t.a, rowsS: t.as, at: t.at, ast: t.ast}
+	return sweep(r, ops, t.store, true, ckpt, t.stats)
 }
 
 func validate(cfg Config) error {

@@ -13,19 +13,13 @@ import (
 	"repro/internal/subkmer"
 )
 
-// QueryResult is one many-vs-DB batch: edges keyed (query index within the
-// batch, database target index), plus the batch's stage counters.
-type QueryResult struct {
-	Edges []Edge
-	Stats Stats
-}
-
 // Query answers one batch of queries against a loaded index: the batch
 // forms a narrow panel Q (query rows × k-mer space), is pruned by the
 // database's banned-k-mer list, expanded through the memoized substitute
-// neighbors, and multiplied against the resident Aᵀ/(AS)ᵀ blocks through
-// the same blocked-wave engine as the all-vs-all pipeline. Edges come out
-// query-first: R is the query's index in the batch, C the database target.
+// neighbors, and swept against the resident Aᵀ/(AS)ᵀ blocks by the same
+// blocked-wave driver as the all-vs-all pipeline, in its rectangular mode.
+// Edges come out query-first: R is the query's index in the batch, C the
+// database target.
 //
 // Collective; queries is this rank's share of the batch (any split works —
 // globals come from the prefix sum). coldBytes is the artifact size to
@@ -33,35 +27,21 @@ type QueryResult struct {
 // disk for this run, 0 on warm calls where they were already in memory.
 // The output is bit-identical for every Threads × Blocks × transport
 // combination, and — restricted to the query rows — to the all-vs-all
-// pipeline over the same data.
-func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, coldBytes int64) (*QueryResult, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
+// pipeline over the same data. Config.CheckpointDir is ignored: a batch is
+// cheap to re-run, and the checkpoint identity does not cover its content.
+func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, coldBytes int64) (*Result, error) {
 	if cfg.SubstituteKmers != rd.Subs {
 		return nil, fmt.Errorf("core: index built with %d substitute k-mers, queried with %d", rd.Subs, cfg.SubstituteKmers)
 	}
 	if cfg.MaxKmerFrequency != rd.MaxFreq {
 		return nil, fmt.Errorf("core: index built with frequency limit %d, queried with %d", rd.MaxFreq, cfg.MaxKmerFrequency)
 	}
-	grid, err := dmat.NewGrid(comm)
+	r, err := openRun(comm, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Transport == "codec" {
-		grid.Backend = dmat.BackendCodec
-	}
-	clock := comm.Clock()
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	clock.SetThreads(threads)
-	defer clock.SetThreads(1)
-	blocks := cfg.Blocks
-	if blocks < 1 {
-		blocks = 1
-	}
+	defer r.close()
+	clock, grid := r.clock, r.grid
 	var stats Stats
 
 	// Cold runs pay for reading the artifact; warm runs skip it — that gap
@@ -91,31 +71,28 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 	if err != nil {
 		return nil, err
 	}
-	nq := qstore.Total
+	stats.NumSeqs = int64(qstore.Total)
 
-	// Per-run matrix views over the resident blocks. The wrappers are
-	// released at the end of the run; the underlying blocks live on in rd.
-	kmerSpace := spmat.Index(kmer.SpaceSize(cfg.K))
-	at, err := dmat.NewFromLocal(grid, kmerSpace, rd.Total, rd.AT, dmat.Int32Codec)
-	if err != nil {
+	// Per-run matrix views over the resident blocks. The sweep releases the
+	// wrappers; the underlying blocks live on in rd.
+	ops := &operands{}
+	if ops.at, err = dmat.NewFromLocal(grid, r.kmerSpace, rd.Total, rd.AT, dmat.Int32Codec); err != nil {
 		return nil, err
 	}
-	var ast *dmat.Mat[PosDist]
 	if rd.AST != nil {
-		if ast, err = dmat.NewFromLocal(grid, kmerSpace, rd.Total, rd.AST, PosDistCodec); err != nil {
+		if ops.ast, err = dmat.NewFromLocal(grid, r.kmerSpace, rd.Total, rd.AST, PosDistCodec); err != nil {
 			return nil, err
 		}
 	}
 
 	// --- form Q: |batch| × |k-mer space|, exactly formA over the batch ---
-	var q *dmat.Mat[int32]
 	clock.StartSection(SectionFormA)
-	q, _, err = formA(grid, qstore, cfg, kmerSpace, &stats)
+	ops.rows, _, err = formA(grid, qstore, cfg, r.kmerSpace, &stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
 	}
-	if stats.NNZA, err = q.TryNNZ(); err != nil {
+	if stats.NNZA, err = ops.rows.TryNNZ(); err != nil {
 		return nil, err
 	}
 
@@ -123,88 +100,44 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 	// The banned list was computed from the database's global k-mer counts
 	// at build time; applying it to Q reproduces exactly the filter the
 	// all-vs-all pipeline would have applied to these rows.
+	stats.NNZAFiltered = stats.NNZA
 	if cfg.MaxKmerFrequency > 0 {
 		clock.Section(SectionFormA, func() {
-			pruned := q.Prune(func(r, c spmat.Index, v int32) bool {
+			pruned := ops.rows.Prune(func(r, c spmat.Index, v int32) bool {
 				_, bad := rd.Banned[c]
 				return !bad
 			})
-			q.Release()
-			q = pruned
+			ops.rows.Release()
+			ops.rows = pruned
 		})
-		if stats.NNZAFiltered, err = q.TryNNZ(); err != nil {
+		if stats.NNZAFiltered, err = ops.rows.TryNNZ(); err != nil {
 			return nil, err
 		}
-	} else {
-		stats.NNZAFiltered = stats.NNZA
 	}
-
-	gemmOpts := dmat.DefaultSpGEMMOpts()
-	gemmOpts.UseHeapKernel = cfg.UseHeapKernel
-	gemmOpts.Threads = threads
-	gemmOpts.MemBudget = cfg.MemBudget
 
 	// --- QS: substitute expansion of the query panel (paper Section IV-C).
 	// Equivalent to SpGEMM(Q, S) but computed by expanding each local Q
 	// nonzero through the memoized neighbor lists: the contribution multiset
 	// is identical and the min-merge is order-free, so the result is bitwise
 	// the same — without materializing any S block.
-	var qs *dmat.Mat[PosDist]
 	if rd.Subs > 0 {
 		clock.StartSection(SectionAS)
-		qs, err = expandQS(grid, q, cfg, kmerSpace)
+		ops.rowsS, err = expandQS(grid, ops.rows, cfg, r.kmerSpace)
 		clock.EndSection()
 		if err != nil {
 			return nil, err
 		}
-		if stats.NNZAS, err = qs.TryNNZ(); err != nil {
+		if stats.NNZAS, err = ops.rowsS.TryNNZ(); err != nil {
 			return nil, err
 		}
 	}
 
-	// --- blocked-wave sweep: Q·Aᵀ (exact) or QS·Aᵀ ⊕ (Q·(AS)ᵀ)ᵀ-style merge ---
-	w := newQueryWave(grid, qstore, tstore, cfg, blocks)
-	err = queryPanels(q, qs, at, ast, cfg, gemmOpts, blocks, w.yield)
-	if err == nil {
-		err = w.drain()
-	}
-	if err != nil {
-		w.abortDrain()
-		return nil, err
-	}
-	q.Release()
-	if qs != nil {
-		qs.Release()
-	}
-	at.Release()
-	if ast != nil {
-		ast.Release()
-	}
-
-	// --- aggregate counters so every rank reports identical stats ---
-	if stats.NNZB, err = comm.TryAllreduceInt64("sum", w.nnzB); err != nil {
-		return nil, err
-	}
-	if stats.NNZBPruned, err = comm.TryAllreduceInt64("sum", w.nnzPruned); err != nil {
-		return nil, err
-	}
-	if stats.CellsComputed, err = comm.TryAllreduceInt64("sum", w.cells); err != nil {
-		return nil, err
-	}
-	if err := reduceStageStats(comm, cfg, w.stages, &stats); err != nil {
-		return nil, err
-	}
-	stats.NumSeqs = int64(nq)
-	if stats.KmersTotal, err = comm.TryAllreduceInt64("sum", stats.KmersTotal); err != nil {
-		return nil, err
-	}
-	if stats.PairsAligned, err = comm.TryAllreduceInt64("sum", w.aligned); err != nil {
-		return nil, err
-	}
-	if stats.EdgesKept, err = comm.TryAllreduceInt64("sum", int64(len(w.edges))); err != nil {
-		return nil, err
-	}
-	return &QueryResult{Edges: w.edges, Stats: stats}, nil
+	// --- blocked-wave sweep: Q·Aᵀ (exact) or the dual product QS·Aᵀ ⊕
+	// Q·(AS)ᵀ, which a rectangular panel runs every wave — even a single one —
+	// because it has no transpose to symmetrize with. The align stage's
+	// transpose-merge combines the two bitwise identically to the all-vs-all
+	// symmetrization.
+	return sweep(r, ops, pairSeqs{rows: qstore, cols: tstore}, false, nil, stats)
 }
 
 // expandQS builds QS = Q·S by local expansion: every local Q nonzero
@@ -233,65 +166,4 @@ func expandQS(g *dmat.Grid, q *dmat.Mat[int32], cfg Config, kmerSpace spmat.Inde
 	}
 	clock.Ops(float64(len(triples)) * opsPerSubNeighbor)
 	return dmat.NewFromTriples(g, q.Rows, kmerSpace, triples, PosDistCodec, ASSemiring.Add)
-}
-
-// queryPanels streams the candidate panels of one query batch, mirroring
-// overlapPanels: exact mode is a panel sweep of Q·Aᵀ; substitute mode runs
-// the dual product every wave — QS·Aᵀ for query-side substitutions plus
-// Q·(AS)ᵀ for target-side ones — because a rectangular query panel has no
-// transpose to symmetrize with, even in a single wave. The align stage's
-// existing transpose-merge combines the two bitwise identically to the
-// all-vs-all symmetrization.
-func queryPanels(q *dmat.Mat[int32], qs *dmat.Mat[PosDist], at *dmat.Mat[int32], ast *dmat.Mat[PosDist],
-	cfg Config, gemmOpts dmat.SpGEMMOpts, blocks int,
-	yield func(panel int, colLo, colHi spmat.Index, bp, btp *dmat.Mat[Overlap]) error) error {
-
-	clock := q.Grid.Comm.Clock()
-	if blocks < 1 {
-		blocks = 1
-	}
-	if qs == nil {
-		for k := 0; k < blocks; k++ {
-			lo, hi := at.PanelRange(blocks, k)
-			var p *dmat.Mat[Overlap]
-			var err error
-			clock.Section(SectionB, func() {
-				p, err = dmat.SpGEMMPanel(q, at, ExactSemiring, OverlapCodec, gemmOpts, blocks, k)
-			})
-			if err != nil {
-				return err
-			}
-			if err := yield(k, lo, hi, p, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Cache only Q's broadcast blocks across panels (the narrow exact
-	// operand, as in the all-vs-all sweep); QS is the wide one.
-	if blocks > 1 && q.EnableStageCache() {
-		defer q.ReleaseStageCache()
-	}
-	for k := 0; k < blocks; k++ {
-		lo, hi := at.PanelRange(blocks, k)
-		var bp, btp *dmat.Mat[Overlap]
-		var err error
-		clock.Section(SectionB, func() {
-			bp, err = dmat.SpGEMMPanel(qs, at, SubstituteSemiring, OverlapCodec, gemmOpts, blocks, k)
-		})
-		if err != nil {
-			return err
-		}
-		clock.Section(SectionSym, func() {
-			btp, err = dmat.SpGEMMPanel(q, ast, btSemiring, OverlapCodec, gemmOpts, blocks, k)
-		})
-		if err != nil {
-			return err
-		}
-		if err := yield(k, lo, hi, bp, btp); err != nil {
-			return err
-		}
-	}
-	return nil
 }

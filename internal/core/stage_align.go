@@ -20,10 +20,12 @@ const (
 	opsPerVisitNNZ  = dmat.VisitOps
 )
 
-// seqSource resolves a panel nonzero's row and column indices to sequences.
-// The all-vs-all pipeline uses one Store for both sides; the query path
-// pairs a query-batch store (rows) with the resident target store (columns).
+// seqSource resolves a panel nonzero's row and column indices to sequences,
+// once Wait has completed the exchange that fetches them. The all-vs-all
+// pipeline uses one Store for both sides; the query path pairs a query-batch
+// store (rows) with the resident target store (columns).
 type seqSource interface {
+	Wait() error
 	RowSeq(g spmat.Index) (seqstore.Sequence, error)
 	ColSeq(g spmat.Index) (seqstore.Sequence, error)
 }
@@ -34,6 +36,12 @@ type pairSeqs struct {
 	rows, cols *seqstore.Store
 }
 
+func (p pairSeqs) Wait() error {
+	if err := p.rows.Wait(); err != nil {
+		return err
+	}
+	return p.cols.Wait()
+}
 func (p pairSeqs) RowSeq(g spmat.Index) (seqstore.Sequence, error) { return p.rows.RowSeq(g) }
 func (p pairSeqs) ColSeq(g spmat.Index) (seqstore.Sequence, error) { return p.cols.ColSeq(g) }
 
@@ -61,7 +69,7 @@ type panelResult struct {
 // Output is deterministic — batch boundaries depend only on the candidate
 // count, and batches merge in order — so the edge list is bit-identical for
 // any thread count and any wave count.
-func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, query bool, cfg Config) panelResult {
+func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, symmetric bool, cfg Config) panelResult {
 	var res panelResult
 	local := bp.Local
 	if btp != nil {
@@ -92,18 +100,19 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, query bool, cfg Con
 		return res
 	}
 
-	edges, aligned, cells, stages, err := alignPanel(bp.Grid, pruned, bp.RowOffset(), bp.ColOffset(), src, query, cfg)
+	edges, aligned, cells, stages, err := alignPanel(bp.Grid, pruned, bp.RowOffset(), bp.ColOffset(), src, symmetric, cfg)
 	res.edges, res.aligned, res.cells, res.stages, res.err = edges, aligned, cells, stages, err
 	res.parOps += float64(cells) * opsPerDPCell
 	return res
 }
 
-// alignPanel aligns the candidate pairs of one panel assigned to this rank
-// by the computation-to-data scheme (paper Fig. 11): each block computes its
-// own local upper triangle, block diagonals are taken by processes on or
-// above the grid diagonal, and the union covers every global pair exactly
-// once. Panels partition the local columns, so per-panel candidate lists
-// concatenate — in panel order — to exactly the monolithic candidate list.
+// alignPanel aligns the candidate pairs of one panel assigned to this rank.
+// A symmetric (all-vs-all) panel uses the computation-to-data scheme (paper
+// Fig. 11): each block computes its own local upper triangle, block
+// diagonals are taken by processes on or above the grid diagonal, and the
+// union covers every global pair exactly once. Panels partition the local
+// columns, so per-panel candidate lists concatenate — in panel order — to
+// exactly the monolithic candidate list.
 //
 // Pairs are aligned in bounded batches streamed onto a worker pool (the
 // follow-up paper's batched hybrid design): each batch holds at most
@@ -120,7 +129,7 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, query bool, cfg Con
 // worker instance are additionally summed into one per-stage breakdown for
 // the panel (plain integer sums, so the result is thread-count oblivious).
 func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
-	src seqSource, query bool, cfg Config) ([]Edge, int64, int64, []align.StageStats, error) {
+	src seqSource, symmetric bool, cfg Config) ([]Edge, int64, int64, []align.StageStats, error) {
 
 	kernelFor, err := align.KernelFactory(string(cfg.Align))
 	if err != nil {
@@ -129,15 +138,15 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 	onOrAboveDiag := g.MyRow <= g.MyCol
 
 	// Ownership filtering is cheap and serial; it yields the candidate list
-	// the batches are cut from. In query mode the panel is rectangular —
-	// query rows against database columns — so every nonzero is a distinct
-	// pair owned by exactly one rank and no triangle or diagonal filtering
-	// applies (row and column indices live in different spaces).
+	// the batches are cut from. A many-vs-DB panel is rectangular — query
+	// rows against database columns — so every nonzero is a distinct pair
+	// owned by exactly one rank and no triangle or diagonal filtering applies
+	// (row and column indices live in different spaces).
 	var cands []spmat.Triple[Overlap]
 	for _, t := range b.ToTriples() {
 		lr, lc := t.Row, t.Col
 		r, c := rowOff+lr, colOff+lc
-		if !query {
+		if symmetric {
 			if r == c {
 				continue // self pair
 			}
@@ -196,7 +205,7 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 		out := &outs[chunk]
 		startCells := ws.kernel.CellsComputed()
 		for _, t := range cands[lo:hi] {
-			edge, err := alignPair(ws.kernel, params, ws.seeds, t, rowOff, colOff, src, query, cfg)
+			edge, err := alignPair(ws.kernel, params, ws.seeds, t, rowOff, colOff, src, symmetric, cfg)
 			if err != nil {
 				out.err = err
 				break
@@ -238,7 +247,7 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 // seed bound, so appending never allocates).
 func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 	t spmat.Triple[Overlap], rowOff, colOff spmat.Index,
-	src seqSource, query bool, cfg Config) (edge *Edge, err error) {
+	src seqSource, symmetric bool, cfg Config) (edge *Edge, err error) {
 
 	r, c := rowOff+t.Row, colOff+t.Col
 	seqR, err := src.RowSeq(r)
@@ -256,7 +265,7 @@ func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 	// reproducibility property). Query pairs have no mirror block — each
 	// (query, target) pair exists once — so they always align query-first.
 	aCodes, bCodes := seqR.Codes, seqC.Codes
-	swapped := !query && r > c
+	swapped := symmetric && r > c
 	if swapped {
 		aCodes, bCodes = bCodes, aCodes
 	}
@@ -297,7 +306,7 @@ func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 		weight = ns
 	}
 	lo, hi := r, c
-	if !query && lo > hi {
+	if symmetric && lo > hi {
 		lo, hi = hi, lo
 	}
 	return &Edge{

@@ -6,12 +6,126 @@ import (
 	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/kmer"
+	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/scoring"
 	"repro/internal/seqstore"
 	"repro/internal/spmat"
 	"repro/internal/subkmer"
 )
+
+// target is the database side of a sweep, as the build stages leave it in
+// memory: what BuildIndex persists and what all-vs-all sweeps against.
+type target struct {
+	store   *seqstore.Store // owned sequences; the exchange may still be in flight
+	a, at   *dmat.Mat[int32]
+	as, ast *dmat.Mat[PosDist]             // nil in exact mode; ast only when built for an index
+	banned  []spmat.Index                  // k-mers the frequency pre-filter dropped (this rank's column range)
+	table   map[kmer.ID][]subkmer.Neighbor // substitute enumeration of every distinct local k-mer; index builds only
+	stats   Stats                          // matrix-stage counters; KmersTotal is still rank-local
+}
+
+// buildTarget runs the target-side stages — input, A, the frequency
+// pre-filter, Aᵀ, S, AS — and returns the operands resident. forIndex keeps
+// what only a persisted index needs: the substitute-neighbor table (an
+// all-vs-all run drops it before the AS product, where it would sit on the
+// heap at the memory peak) and (AS)ᵀ at any wave count (an all-vs-all sweep
+// builds it itself, and only for a multi-wave split). It does not wait for
+// the sequence exchange stageInput launched: the caller completes it where
+// sequence data is first needed, so the transfer hides under these stages
+// (paper Section V-C).
+func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
+	clock, cfg := r.clock, r.cfg
+	store, err := stageInput(r.grid, owned, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &target{store: store}
+	t.stats.NumSeqs = int64(store.Total)
+
+	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions ---
+	var distinct map[kmer.ID]struct{}
+	clock.StartSection(SectionFormA)
+	t.a, distinct, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats)
+	clock.EndSection()
+	if err != nil {
+		return nil, err
+	}
+	if t.stats.NNZA, err = t.a.TryNNZ(); err != nil {
+		return nil, err
+	}
+
+	// --- k-mer frequency pre-filter (paper future work) ---
+	t.stats.NNZAFiltered = t.stats.NNZA
+	if cfg.MaxKmerFrequency > 0 {
+		clock.Section(SectionFormA, func() { t.a, t.banned, err = prefilterA(t.a, cfg) })
+		if err != nil {
+			return nil, err
+		}
+		if t.stats.NNZAFiltered, err = t.a.TryNNZ(); err != nil {
+			return nil, err
+		}
+	}
+
+	clock.Section(SectionTrA, func() { t.at, err = t.a.Transpose() })
+	if err != nil {
+		return nil, err
+	}
+	if cfg.SubstituteKmers == 0 {
+		return t, nil
+	}
+
+	// --- substitute k-mer expansion: S and AS (paper Section IV-C) ---
+	var s *dmat.Mat[int32]
+	clock.StartSection(SectionFormS)
+	table, err := formSTable(distinct, cfg)
+	if err == nil {
+		s, err = formSFromTable(r.grid, table, r.kmerSpace)
+	}
+	clock.EndSection()
+	if err != nil {
+		return nil, err
+	}
+	if forIndex {
+		t.table = table
+	}
+	if t.stats.NNZS, err = s.TryNNZ(); err != nil {
+		return nil, err
+	}
+
+	clock.StartSection(SectionAS)
+	if r.blocks > 1 {
+		// Multi-wave runs stream AS through column panels as well: the full
+		// product must stay resident (it is the left operand of every B
+		// panel), but assembling it panel-by-panel keeps only one panel's
+		// SUMMA transients and triple accumulation live at a time, so AS no
+		// longer bounds substitute-path peak memory.
+		t.as, err = dmat.SpGEMMStreamed(t.a, s, ASSemiring, PosDistCodec, r.gemm, r.blocks)
+	} else {
+		t.as, err = dmat.SpGEMM(t.a, s, ASSemiring, PosDistCodec, r.gemm)
+	}
+	clock.EndSection()
+	if err != nil {
+		return nil, err
+	}
+	s.Release()
+	if t.stats.NNZAS, err = t.as.TryNNZ(); err != nil {
+		return nil, err
+	}
+	if forIndex {
+		if t.ast, err = transposeAS(clock, t.as); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// transposeAS builds (AS)ᵀ, the operand of the per-panel transpose
+// contribution; it is symmetrization work (Fig. 15 "sym.").
+func transposeAS(clock *mpi.Clock, as *dmat.Mat[PosDist]) (ast *dmat.Mat[PosDist], err error) {
+	clock.Section(SectionSym, func() { ast, err = as.Transpose() })
+	return ast, err
+}
 
 // stageInput reads this rank's FASTA share and launches the overlapped
 // sequence exchange (paper Section V-C). With BlockingExchange the exchange
@@ -172,16 +286,4 @@ func formSFromTable(g *dmat.Grid, table map[kmer.ID][]subkmer.Neighbor,
 			}
 			return x
 		})
-}
-
-// formS generates the substitute k-mer matrix S in one step (the all-vs-all
-// pipeline path, which has no reason to keep the table around).
-func formS(g *dmat.Grid, distinct map[kmer.ID]struct{}, cfg Config,
-	kmerSpace spmat.Index, stats *Stats) (*dmat.Mat[int32], error) {
-
-	table, err := formSTable(distinct, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return formSFromTable(g, table, kmerSpace)
 }

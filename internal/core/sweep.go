@@ -1,0 +1,278 @@
+package core
+
+import (
+	"errors"
+
+	"repro/internal/align"
+	"repro/internal/dmat"
+	"repro/internal/mpi"
+)
+
+// maxDegradeBlocks caps the graceful-degradation ladder: a sweep that still
+// breaches Config.MemBudget at this split cannot be saved by finer panels
+// (the resident operands, not the panel transients, dominate) and fails with
+// the budget error instead of doubling forever.
+const maxDegradeBlocks = 4096
+
+// operands are the distributed matrices one sweep multiplies: a row side —
+// A and AS for all-vs-all, the batch panel Q and its expansion QS for a
+// query — against the column side Aᵀ and (AS)ᵀ of the target. rowsS and ast
+// are nil in exact mode. Only the symmetric sweep may leave ast nil with
+// rowsS set: a single wave then takes the transpose-based symmetrization,
+// and a multi-wave split transposes rowsS itself (a rectangular panel has no
+// transpose to symmetrize with, so a query always brings (AS)ᵀ).
+type operands struct {
+	rows  *dmat.Mat[int32]
+	rowsS *dmat.Mat[PosDist]
+	at    *dmat.Mat[int32]
+	ast   *dmat.Mat[PosDist]
+}
+
+// release frees every operand once the wave loop has consumed all panels.
+func (o *operands) release() {
+	o.rows.Release()
+	o.at.Release()
+	if o.rowsS != nil {
+		o.rowsS.Release()
+	}
+	if o.ast != nil {
+		o.ast.Release()
+	}
+}
+
+// panels streams the candidate matrix B = rows·Aᵀ (exact) or the
+// symmetrization-ready pair for B = rowsS·Aᵀ (substitute) in `blocks` column
+// panels, invoking yield as each panel's SUMMA stages complete. yield
+// receives the panel plus, on the dual-product path, the matching column
+// panel of Bᵀ (still in B[j,i] orientation; the align stage applies
+// transposeOverlap before merging). Every panel is bit-identical to the
+// corresponding column slice of the monolithic computation.
+//
+// startPanel skips the panels a resumed run already merged from checkpoint
+// (0 for a fresh sweep): the sweep runs panels [startPanel, blocks).
+//
+// Cost shape: each wave re-broadcasts the row operand's block columns (the
+// follow-up paper's memory-for-broadcast trade). The symmetric single-wave
+// substitute plan (ast == nil) keeps the SC20 transpose-based
+// symmetrization, which is cheaper than the dual product when the whole
+// matrix is resident anyway; every other substitute sweep computes the Bᵀ
+// panels directly as rows·(AS)ᵀ, because a column panel of Bᵀ is not a slice
+// of B's column panels.
+func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
+	yield func(panel int, bp, btp *dmat.Mat[Overlap]) error) error {
+
+	clock := o.rows.Grid.Comm.Clock()
+	if startPanel >= blocks {
+		return nil // resumed past the final wave: nothing left to compute
+	}
+	if o.rowsS != nil && o.ast == nil {
+		// Single wave: monolithic product plus the SC20 transpose-based
+		// symmetrization B ⊕ Bᵀ with seed positions swapped.
+		var b *dmat.Mat[Overlap]
+		var err error
+		clock.Section(SectionB, func() {
+			b, err = dmat.SpGEMM(o.rowsS, o.at, SubstituteSemiring, OverlapCodec, gemmOpts)
+		})
+		if err != nil {
+			return err
+		}
+		var sym *dmat.Mat[Overlap]
+		clock.Section(SectionSym, func() {
+			mapped := b.Map(transposeOverlap)
+			var bt *dmat.Mat[Overlap]
+			bt, err = mapped.Transpose()
+			mapped.Release()
+			if err != nil {
+				b.Release()
+				return
+			}
+			sym, err = dmat.EWiseAdd(b, bt, overlapAdd)
+			bt.Release()
+			b.Release()
+		})
+		if err != nil {
+			return err
+		}
+		return yield(0, sym, nil)
+	}
+
+	// Both substitute products re-broadcast their left operand's block
+	// columns every panel. The stage cache keeps each block resident after
+	// its first trip so later panels skip those broadcasts — but each cached
+	// operand also holds a full block row on every rank, which eats into the
+	// memory headroom that blocked waves exist to create. Caching only the
+	// narrow exact operand keeps multi-wave peak below the single-wave
+	// baseline; caching the wide substitute operand tips it over.
+	if o.rowsS != nil && blocks > 1 && o.rows.EnableStageCache() {
+		defer o.rows.ReleaseStageCache()
+	}
+	for k := startPanel; k < blocks; k++ {
+		// The sections close across yields so pipeline bookkeeping
+		// (collecting the previous wave, launching this one) is not billed
+		// as SpGEMM time.
+		var bp, btp *dmat.Mat[Overlap]
+		var err error
+		clock.Section(SectionB, func() {
+			if o.rowsS == nil {
+				bp, err = dmat.SpGEMMPanel(o.rows, o.at, ExactSemiring, OverlapCodec, gemmOpts, blocks, k)
+			} else {
+				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, SubstituteSemiring, OverlapCodec, gemmOpts, blocks, k)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if o.rowsS != nil {
+			// The transpose contribution is symmetrization work (Fig. 15
+			// "sym."). ast's blocks have the same local widths as at's, so
+			// panel k of rows·(AS)ᵀ covers exactly bp's local columns.
+			clock.Section(SectionSym, func() {
+				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, btSemiring, OverlapCodec, gemmOpts, blocks, k)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if err := yield(k, bp, btp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweep is the one blocked-wave driver: it streams ops through the wave
+// pipeline, aligns the surviving candidates, and reduces the counters into
+// stats so every rank reports identical numbers. It consumes ops. src
+// resolves panel indices to sequences; its exchange is completed right
+// before the first alignment needs it. symmetric marks the Q = DB panel of
+// all-vs-all: upper-triangle assignment and lower-index-first orientation
+// instead of every-nonzero, query-first. ckpt, when non-nil, checkpoints
+// every collected wave and carries the state to resume from.
+//
+// The degradation ladder: a sweep that breaches Config.MemBudget fails
+// cluster-wide with dmat.ErrMemBudget (the budget check is itself a
+// collective, so every rank fails the same SUMMA stage together) and
+// restarts from panel 0 at double the block count — smaller panels, smaller
+// transients — until it fits or the ladder caps out.
+func sweep(r *run, ops *operands, src seqSource, symmetric bool, ckpt *checkpointer, stats Stats) (*Result, error) {
+
+	blocks, startPanel := r.blocks, 0
+	var resume *checkpointState
+	if ckpt != nil && ckpt.resume != nil {
+		// Wave indices are only meaningful at the split that produced them.
+		resume = ckpt.resume
+		blocks, startPanel = resume.Blocks, resume.Wave+1
+	}
+	gemmOpts := r.gemm
+	gemmOpts.MemBudget = r.cfg.MemBudget
+	var w *wave
+	for {
+		if ops.rowsS != nil && ops.ast == nil && blocks > 1 {
+			// A multi-wave all-vs-all split — configured, resumed from a
+			// checkpoint, or the first rung of the ladder out of a
+			// single-wave plan: the dual product needs (AS)ᵀ, which the
+			// monolithic sweep never does. Built once; later rungs reuse it.
+			var err error
+			if ops.ast, err = transposeAS(r.clock, ops.rowsS); err != nil {
+				return nil, err
+			}
+		}
+		w = newWave(r.grid, src, symmetric, r.cfg, blocks, ckpt)
+		if resume != nil {
+			w.restore(resume)
+			resume = nil // only the first attempt resumes; retries start over
+		}
+		err := ops.panels(gemmOpts, blocks, startPanel, w.yield)
+		if err == nil {
+			err = w.drain()
+		}
+		if err == nil {
+			break
+		}
+		// Join the in-flight wave: its work is purely local and still
+		// completes, and collecting it lands its checkpoint on disk.
+		w.abortDrain()
+		if !errors.Is(err, dmat.ErrMemBudget) || blocks >= maxDegradeBlocks {
+			return nil, err
+		}
+		// Drop the partial sweep: wave indices are meaningless at the new
+		// split, so its checkpoints go too. Everything up to here — the
+		// wasted panels included — stays on the clock; degradation costs
+		// time, never correctness.
+		if ckpt != nil {
+			clearCheckpoints(ckpt.dir, r.comm.Rank())
+		}
+		blocks *= 2
+		startPanel = 0
+	}
+	ops.release()
+	if ckpt != nil {
+		clearCheckpoints(ckpt.dir, r.comm.Rank())
+	}
+	if err := w.reduceStats(r.comm, &stats); err != nil {
+		return nil, err
+	}
+	return &Result{Edges: w.edges, Stats: stats, EffectiveBlocks: blocks}, nil
+}
+
+// reduceStats sums the wave driver's rank-local tallies (and the caller's
+// rank-local KmersTotal) across ranks into stats.
+func (w *wave) reduceStats(comm *mpi.Comm, stats *Stats) error {
+	var err error
+	sum := func(dst *int64, local int64) {
+		if err == nil {
+			*dst, err = comm.TryAllreduceInt64("sum", local)
+		}
+	}
+	sum(&stats.NNZB, w.nnzB)
+	sum(&stats.NNZBPruned, w.nnzPruned)
+	sum(&stats.CellsComputed, w.cells)
+	if err == nil {
+		err = reduceStageStats(comm, w.cfg, w.stages, stats)
+	}
+	sum(&stats.KmersTotal, stats.KmersTotal)
+	sum(&stats.PairsAligned, w.aligned)
+	sum(&stats.EdgesKept, int64(len(w.edges)))
+	return err
+}
+
+// reduceStageStats fills Stats.PairsPerStage/CellsPerStage with the
+// cluster-wide per-stage breakdown of a cascade run (no-op for primitive
+// kernels and AlignNone). The stage template — names and count — is derived
+// from cfg alone so every rank issues the same Allreduce sequence even when
+// some ranks aligned no pairs at all (their local tallies are empty).
+func reduceStageStats(comm *mpi.Comm, cfg Config, local []align.StageStats, stats *Stats) error {
+	if cfg.Align == AlignNone {
+		return nil
+	}
+	factory, err := align.KernelFactory(string(cfg.Align))
+	if err != nil {
+		return nil // unreachable after validate; stage stats are best-effort
+	}
+	staged, ok := factory().(align.StagedKernel)
+	if !ok {
+		return nil
+	}
+	template := staged.StageStats() // fresh instance: zero counters, names set
+	stats.PairsPerStage = make([]StagePairs, len(template))
+	stats.CellsPerStage = make([]int64, len(template))
+	for i, st := range template {
+		var examined, passed, cells int64
+		if i < len(local) {
+			examined, passed, cells = local[i].Examined, local[i].Passed, local[i].Cells
+		}
+		sp := StagePairs{Name: st.Name}
+		if sp.Examined, err = comm.TryAllreduceInt64("sum", examined); err != nil {
+			return err
+		}
+		if sp.Passed, err = comm.TryAllreduceInt64("sum", passed); err != nil {
+			return err
+		}
+		sp.Rejected = sp.Examined - sp.Passed
+		stats.PairsPerStage[i] = sp
+		if stats.CellsPerStage[i], err = comm.TryAllreduceInt64("sum", cells); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/testutil"
 )
 
@@ -17,10 +20,14 @@ import (
 // cluster sizes. The shared path charges the analytically computed size of
 // the encoding it skips, and the tcp relay reconstructs the simulator's
 // rendezvous state, so neither the clocks nor the graphs can drift apart
-// without this test failing.
+// without this test failing. The other two drivers are held to the same
+// standard: BuildIndex must write byte-identical rank files on every
+// backend, and a query batch served from them must return the same hits,
+// Stats and clock totals.
 func TestTransportBackendsEquivalent(t *testing.T) {
 	defer testutil.Watchdog(t, 8*time.Minute)()
 	data := familyDataset(t, 5, 53)
+	queries := everyThird(data.Records)
 	for _, subs := range []int{0, 5} {
 		for _, variant := range []struct{ p, blocks, threads int }{
 			{1, 1, 1}, {4, 1, 1}, {4, 4, 1}, {4, 2, 4}, {9, 3, 2},
@@ -59,6 +66,46 @@ func TestTransportBackendsEquivalent(t *testing.T) {
 				t.Fatalf("%s tcp: %v", name, err)
 			}
 			sameTransportRun(t, name+" tcp", tcp, shared)
+
+			var sharedDir string
+			var sharedQuery chaosRun
+			for _, transport := range []string{"shared", "codec", "tcp"} {
+				cfg.Transport = transport
+				dir := buildTestIndex(t, data.Records, variant.p, cfg)
+				got, err := runChaosQuery(dir, queries, variant.p, cfg, transport == "tcp")
+				if err != nil {
+					t.Fatalf("%s query %s: %v", name, transport, err)
+				}
+				if transport == "shared" {
+					if len(got.edges) == 0 {
+						t.Fatalf("%s: query batch found no hits (weak test)", name)
+					}
+					sharedDir, sharedQuery = dir, got
+					continue
+				}
+				sameIndexFiles(t, name+" index "+transport, dir, sharedDir, variant.p)
+				sameTransportRun(t, name+" query "+transport, got, sharedQuery)
+			}
+		}
+	}
+}
+
+// sameIndexFiles asserts two index directories hold byte-identical rank
+// artifacts.
+func sameIndexFiles(t *testing.T, name, gotDir, wantDir string, p int) {
+	t.Helper()
+	for rank := 0; rank < p; rank++ {
+		got, err := os.ReadFile(index.Path(gotDir, rank))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := os.ReadFile(index.Path(wantDir, rank))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: rank %d artifact differs from the shared-transport build (%d vs %d bytes)",
+				name, rank, len(got), len(want))
 		}
 	}
 }

@@ -4,10 +4,14 @@
 // pairwise alignment with the computation-to-data upper-triangle assignment,
 // and the similarity filter that yields the protein similarity graph.
 //
-// The pipeline is organized as memory-bounded waves (stage_overlap.go +
-// wave.go): the candidate matrix streams through Config.Blocks column
-// panels, and each panel's pruning, symmetrization and batched alignment
-// (stage_align.go) overlap the next panel's SUMMA stages. Alignment
+// There is one computation with three callers (pipeline.go, index.go,
+// query.go): the target build (stage_input.go) forms the database operands,
+// and one blocked-wave sweep (sweep.go + wave.go) streams the candidate
+// matrix through Config.Blocks column panels while each panel's pruning,
+// symmetrization and batched alignment (stage_align.go) overlap the next
+// panel's SUMMA stages. All-vs-all is build + sweep with the query panel
+// equal to the database; BuildIndex is build + persist; Query sweeps a
+// batch panel against a loaded index. Alignment
 // dispatches through the align package's kernel registry — Config.Align
 // names a primitive kernel ("sw", "xd", "wfa", "ug") or a staged cascade
 // spec ("ug+wfa"); cascade runs surface per-stage pair and cell

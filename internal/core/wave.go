@@ -4,8 +4,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/mpi"
-	"repro/internal/seqstore"
-	"repro/internal/spmat"
 )
 
 // wave drives the memory-bounded overlap/align pipeline: panel i's local
@@ -28,10 +26,11 @@ import (
 type wave struct {
 	grid  *dmat.Grid
 	clock *mpi.Clock
-	src   seqSource         // sequence lookup for alignment (store, or query/target pair)
-	waits []*seqstore.Store // exchanges to complete before the first alignment
-	query bool              // many-vs-DB panel semantics (no triangle filter, no swap)
-	cfg   Config
+	src   seqSource // sequence lookup for alignment (store, or query/target pair)
+	// symmetric marks the Q = DB panel of all-vs-all (triangle filter,
+	// lower-index-first orientation); false is the many-vs-DB panel.
+	symmetric bool
+	cfg       Config
 
 	pending *panelFuture
 	edges   []Edge
@@ -41,12 +40,12 @@ type wave struct {
 	nnzB, nnzPruned, aligned, cells int64
 	stages                          []align.StageStats // cascade kernels only
 
-	// Checkpointing (cfg.CheckpointDir != ""): every collected wave
-	// serializes the merged accumulators above, so an aborted run can
-	// restart from the newest wave all ranks completed.
-	blocks      int    // the sweep's panel count (recorded per checkpoint)
-	fingerprint uint64 // configFingerprint of this run
-	started     bool   // first yield seen (sequence exchange drained)
+	// Checkpointing (ckpt != nil): every collected wave serializes the
+	// merged accumulators above, so an aborted run can restart from the
+	// newest wave all ranks completed.
+	ckpt    *checkpointer
+	blocks  int  // the sweep's panel count (recorded per checkpoint)
+	started bool // first yield seen (sequence exchange drained)
 }
 
 // panelFuture is one in-flight wave.
@@ -57,21 +56,9 @@ type panelFuture struct {
 	done    chan panelResult
 }
 
-func newWave(g *dmat.Grid, store *seqstore.Store, cfg Config, blocks int, fingerprint uint64) *wave {
-	return &wave{grid: g, clock: g.Comm.Clock(), src: store, waits: []*seqstore.Store{store},
-		cfg: cfg, blocks: blocks, fingerprint: fingerprint}
-}
-
-// newQueryWave drives the many-vs-DB sweep: panel rows are query sequences
-// (from qstore) and columns are database targets (from tstore), every
-// nonzero is a candidate, and checkpointing is off (query batches are cheap
-// to re-run; the expensive state is the persistent index itself).
-func newQueryWave(g *dmat.Grid, qstore, tstore *seqstore.Store, cfg Config, blocks int) *wave {
-	cfg.CheckpointDir = ""
-	return &wave{grid: g, clock: g.Comm.Clock(),
-		src:   pairSeqs{rows: qstore, cols: tstore},
-		waits: []*seqstore.Store{qstore, tstore},
-		query: true, cfg: cfg, blocks: blocks}
+func newWave(g *dmat.Grid, src seqSource, symmetric bool, cfg Config, blocks int, ckpt *checkpointer) *wave {
+	return &wave{grid: g, clock: g.Comm.Clock(), src: src, symmetric: symmetric,
+		cfg: cfg, blocks: blocks, ckpt: ckpt}
 }
 
 // restore seeds the driver with a checkpoint's merged state; the caller
@@ -83,19 +70,13 @@ func (w *wave) restore(ck *checkpointState) {
 	w.edges = ck.Edges
 }
 
-// yield is the overlapPanels callback: it completes the sequence exchange
+// yield is the operands.panels callback: it completes the sequence exchange
 // before the first wave needs sequence data, collects the previous wave,
 // and launches this panel's local work in the background.
-func (w *wave) yield(panel int, colLo, colHi spmat.Index, bp, btp *dmat.Mat[Overlap]) error {
+func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
 	if !w.started && !w.cfg.BlockingExchange {
 		var err error
-		w.clock.Section(SectionWait, func() {
-			for _, st := range w.waits {
-				if err = st.Wait(); err != nil {
-					return
-				}
-			}
-		})
+		w.clock.Section(SectionWait, func() { err = w.src.Wait() })
 		if err != nil {
 			return err
 		}
@@ -106,7 +87,7 @@ func (w *wave) yield(panel int, colLo, colHi spmat.Index, bp, btp *dmat.Mat[Over
 	}
 	f := &panelFuture{panel: panel, bp: bp, btp: btp, start: w.clock.Now(), done: make(chan panelResult, 1)}
 	w.pending = f
-	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.query, w.cfg) }()
+	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.symmetric, w.cfg) }()
 	return nil
 }
 
@@ -160,9 +141,9 @@ func (w *wave) collect() error {
 	// Persist the merged state. The write is local (no collectives), so it
 	// also succeeds during an abort drain, leaving a resumable file even
 	// when the cluster is already failing.
-	if w.cfg.CheckpointDir != "" {
+	if w.ckpt != nil {
 		comm := w.grid.Comm
-		return writeCheckpoint(w.cfg.CheckpointDir, w.fingerprint, comm.Rank(), comm.Size(),
+		return writeCheckpoint(w.ckpt.dir, w.ckpt.fingerprint, comm.Rank(), comm.Size(),
 			checkpointState{
 				Wave: f.panel, Blocks: w.blocks,
 				NnzB: w.nnzB, NnzPruned: w.nnzPruned,

@@ -31,7 +31,7 @@ type Backend int
 const (
 	// BackendShared is the zero-copy shared-memory transport: ranks are
 	// goroutines in one address space, so collectives hand blocks to
-	// receivers by reference (mpi.BcastShared and friends) and charge the
+	// receivers by reference (mpi.TryBcastShared and friends) and charge the
 	// virtual clock with the analytically computed wire size of the codec
 	// encoding. Blocks received this way alias the sender's memory and are
 	// read-only by contract. The default.

@@ -269,11 +269,13 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 			return all[i].C < all[j].C
 		})
 	}
-	stats.KmersIndexed = comm.AllreduceInt64("sum", stats.KmersIndexed) / int64(comm.Size())
-	stats.SimilarKmers = comm.AllreduceInt64("sum", stats.SimilarKmers)
-	stats.CandidatePairs = comm.AllreduceInt64("sum", stats.CandidatePairs)
-	stats.Ungapped = comm.AllreduceInt64("sum", stats.Ungapped)
-	stats.Gapped = comm.AllreduceInt64("sum", stats.Gapped)
+	for _, v := range []*int64{&stats.KmersIndexed, &stats.SimilarKmers,
+		&stats.CandidatePairs, &stats.Ungapped, &stats.Gapped} {
+		if *v, err = comm.TryAllreduceInt64("sum", *v); err != nil {
+			return nil, stats, err
+		}
+	}
+	stats.KmersIndexed /= int64(comm.Size())
 	stats.Edges = int64(len(all))
 	return all, stats, nil
 }

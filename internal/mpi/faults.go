@@ -316,7 +316,7 @@ func (inj *faultInjector) collective(c *Comm, run func() error) error {
 
 // --- fault-decorated public API ---
 
-// TrySend is Send through the fault decorator: dropped attempts charge the
+// TrySend is sendE through the fault decorator: dropped attempts charge the
 // wire (bytes land in the retry ledger) without delivering, then back off
 // and resend; delayed sends arrive late at no cost to the sender. Without
 // an active plan it is exactly sendE. Sender-side only — the receiver needs
@@ -364,12 +364,12 @@ func (c *Comm) TryRecv(src, tag int) ([]byte, error) {
 	return c.recvE(src, tag)
 }
 
-// TryBarrier is Barrier through the fault decorator.
+// TryBarrier is barrierE through the fault decorator.
 func (c *Comm) TryBarrier() error {
 	return c.withFaults(func() error { return c.barrierE() })
 }
 
-// TryBcast is Bcast through the fault decorator.
+// TryBcast is bcastE through the fault decorator.
 func (c *Comm) TryBcast(root int, data []byte) (out []byte, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.bcastE(root, data)
@@ -378,7 +378,7 @@ func (c *Comm) TryBcast(root int, data []byte) (out []byte, err error) {
 	return out, err
 }
 
-// TryAllgather is Allgather through the fault decorator.
+// TryAllgather is allgatherE through the fault decorator.
 func (c *Comm) TryAllgather(data []byte) (out [][]byte, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.allgatherE(data)
@@ -387,7 +387,7 @@ func (c *Comm) TryAllgather(data []byte) (out [][]byte, err error) {
 	return out, err
 }
 
-// TryAlltoallv is Alltoallv through the fault decorator.
+// TryAlltoallv is alltoallvE through the fault decorator.
 func (c *Comm) TryAlltoallv(bufs [][]byte) (out [][]byte, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.alltoallvE(bufs)
@@ -396,7 +396,7 @@ func (c *Comm) TryAlltoallv(bufs [][]byte) (out [][]byte, err error) {
 	return out, err
 }
 
-// TryAllreduceInt64 is AllreduceInt64 through the fault decorator.
+// TryAllreduceInt64 is allreduceInt64E through the fault decorator.
 func (c *Comm) TryAllreduceInt64(op string, v int64) (out int64, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.allreduceInt64E(op, v)
@@ -405,7 +405,7 @@ func (c *Comm) TryAllreduceInt64(op string, v int64) (out int64, err error) {
 	return out, err
 }
 
-// TryExscanInt64 is ExscanInt64 through the fault decorator.
+// TryExscanInt64 is exscanInt64E through the fault decorator.
 func (c *Comm) TryExscanInt64(v int64) (out int64, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.exscanInt64E(v)
@@ -414,7 +414,7 @@ func (c *Comm) TryExscanInt64(v int64) (out int64, err error) {
 	return out, err
 }
 
-// TryGatherv is Gatherv through the fault decorator.
+// TryGatherv is gathervE through the fault decorator.
 func (c *Comm) TryGatherv(root int, data []byte) (out [][]byte, err error) {
 	err = c.withFaults(func() error {
 		out, err = c.gathervE(root, data)

@@ -26,15 +26,6 @@ import (
 	"sync/atomic"
 )
 
-// panicOn turns an abort-path error into the legacy panicking behavior of
-// the non-Try communication methods. Run recovers the typed panic and
-// reports the underlying cause.
-func panicOn(err error) {
-	if err != nil {
-		panic(abortPanic{err})
-	}
-}
-
 // CostModel holds the machine constants of the virtual-time model.
 // Defaults approximate one Cori-class node per rank (the paper runs one MPI
 // rank per node with OpenMP inside; rates fold the intra-node threading in).
@@ -427,13 +418,7 @@ func (cl *Cluster) Run(fn func(*Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					if ap, ok := p.(abortPanic); ok {
-						// A legacy (panicking) communication wrapper hit the
-						// abort: keep the cause, not the panic dressing.
-						errs[rank] = ap.err
-					} else {
-						errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					}
+					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 					cl.abort(errs[rank])
 				}
 			}()
@@ -466,12 +451,6 @@ func (cl *Cluster) Run(fn func(*Comm) error) error {
 	}
 	return nil
 }
-
-// abortPanic carries an abort error through the legacy panicking collective
-// wrappers so Run can surface the cause instead of a generic panic message.
-type abortPanic struct{ err error }
-
-func (p abortPanic) String() string { return p.err.Error() }
 
 // MaxTime returns the virtual makespan: the maximum clock over ranks.
 func (cl *Cluster) MaxTime() float64 {
@@ -568,15 +547,11 @@ func (c *Comm) WorldRank() int { return c.world }
 // Clock returns the caller's virtual clock.
 func (c *Comm) Clock() *Clock { return c.clock }
 
-// Send transmits data to rank dst with the given tag (eager, buffered:
-// it never blocks). The sender is charged the latency overhead.
-func (c *Comm) Send(dst, tag int, data []byte) {
-	panicOn(c.sendE(dst, tag, data, 0))
-}
-
-// sendE is the error-returning send behind Send and TrySend. extraLatency
-// models in-flight delay injected by a fault plan: it is added to the
-// message's arrival time without charging the sender.
+// sendE transmits data to rank dst with the given tag (eager, buffered: it
+// never blocks); the sender is charged the latency overhead. It is the send
+// behind TrySend. extraLatency models in-flight delay injected by a fault
+// plan: it is added to the message's arrival time without charging the
+// sender.
 func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("mpi: send to rank %d of %d", dst, c.size)
@@ -597,17 +572,10 @@ func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 	return nil
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. The receiver's clock advances to at least the
-// message arrival time.
-func (c *Comm) Recv(src, tag int) []byte {
-	data, err := c.recvE(src, tag)
-	panicOn(err)
-	return data
-}
-
-// recvE is the error-returning receive behind Recv and TryRecv: it fails
-// instead of blocking forever when the cluster aborts.
+// recvE blocks until a message from src with the given tag arrives and
+// returns its payload; the receiver's clock advances to at least the message
+// arrival time. It is the receive behind TryRecv and fails instead of
+// blocking forever when the cluster aborts.
 func (c *Comm) recvE(src, tag int) ([]byte, error) {
 	if src < 0 || src >= c.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d of %d", src, c.size)
@@ -638,15 +606,6 @@ type Request struct {
 	done bool
 }
 
-// Wait completes the operation and returns the received payload
-// (nil for sends). Panics if the cluster aborted; use TryWait to observe
-// the error instead.
-func (r *Request) Wait() []byte {
-	data, err := r.TryWait()
-	panicOn(err)
-	return data
-}
-
 // TryWait completes the operation, returning the received payload (nil for
 // sends) or the abort error that ended the wait.
 func (r *Request) TryWait() ([]byte, error) {
@@ -657,15 +616,9 @@ func (r *Request) TryWait() ([]byte, error) {
 	return r.data, r.err
 }
 
-// Isend starts a nonblocking send. With the eager protocol the data is
-// buffered immediately; the returned request completes instantly.
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	c.Send(dst, tag, data)
-	return &Request{done: true}
-}
-
-// TryIsend is Isend through the fault decorator: dropped attempts are
-// re-sent with backoff (TrySend) before the request completes.
+// TryIsend starts a nonblocking send through the fault decorator: dropped
+// attempts are re-sent with backoff (TrySend). With the eager protocol the
+// data is buffered immediately; the returned request completes instantly.
 func (c *Comm) TryIsend(dst, tag int, data []byte) (*Request, error) {
 	if err := c.TrySend(dst, tag, data); err != nil {
 		return nil, err
@@ -674,20 +627,11 @@ func (c *Comm) TryIsend(dst, tag int, data []byte) (*Request, error) {
 }
 
 // Irecv starts a nonblocking receive. The matching message is claimed at
-// Wait time; because mailboxes are keyed by (src, tag) and FIFO per key,
+// TryWait time; because mailboxes are keyed by (src, tag) and FIFO per key,
 // this matches MPI ordering semantics for a single outstanding
 // receive per key.
 func (c *Comm) Irecv(src, tag int) *Request {
 	return &Request{wait: func() ([]byte, error) { return c.recvE(src, tag) }}
-}
-
-// Waitall completes every request and returns their payloads in order.
-func (c *Comm) Waitall(reqs []*Request) [][]byte {
-	out := make([][]byte, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.Wait()
-	}
-	return out
 }
 
 // --- collectives ---
@@ -706,7 +650,7 @@ type collState struct {
 	data     [][]byte
 	extra    []int64
 	// vals carries in-memory values for the zero-copy shared collectives
-	// (BcastShared and friends): the deposited value is handed to every
+	// (TryBcastShared and friends): the deposited value is handed to every
 	// rank by reference, never serialized. nil on byte collectives.
 	vals  []any
 	ready bool
@@ -806,11 +750,7 @@ func log2Ceil(p int) float64 {
 	return math.Ceil(math.Log2(float64(p)))
 }
 
-// Barrier synchronizes all ranks; its cost is a latency tree.
-func (c *Comm) Barrier() {
-	panicOn(c.barrierE())
-}
-
+// barrierE synchronizes all ranks; its cost is a latency tree.
 func (c *Comm) barrierE() error {
 	st, err := c.rendezvous(nil, 0)
 	if err != nil {
@@ -823,13 +763,7 @@ func (c *Comm) barrierE() error {
 	return nil
 }
 
-// Bcast distributes root's buffer to every rank (binomial tree cost).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	out, err := c.bcastE(root, data)
-	panicOn(err)
-	return out
-}
-
+// bcastE distributes root's buffer to every rank (binomial tree cost).
 func (c *Comm) bcastE(root int, data []byte) ([]byte, error) {
 	var mine []byte
 	if c.rank == root {
@@ -854,14 +788,8 @@ func (c *Comm) bcastE(root int, data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Allgather collects each rank's buffer on every rank
+// allgatherE collects each rank's buffer on every rank
 // (recursive-doubling cost).
-func (c *Comm) Allgather(data []byte) [][]byte {
-	out, err := c.allgatherE(data)
-	panicOn(err)
-	return out
-}
-
 func (c *Comm) allgatherE(data []byte) ([][]byte, error) {
 	st, err := c.rendezvous(data, 0)
 	if err != nil {
@@ -884,14 +812,8 @@ func (c *Comm) allgatherE(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Alltoallv sends bufs[j] to rank j and returns what every rank sent to the
-// caller. Cost: pairwise exchanges charged by per-rank volume.
-func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
-	out, err := c.alltoallvE(bufs)
-	panicOn(err)
-	return out
-}
-
+// alltoallvE sends bufs[j] to rank j and returns what every rank sent to
+// the caller. Cost: pairwise exchanges charged by per-rank volume.
 func (c *Comm) alltoallvE(bufs [][]byte) ([][]byte, error) {
 	if len(bufs) != c.size {
 		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers on comm of size %d", len(bufs), c.size)
@@ -929,14 +851,8 @@ func (c *Comm) alltoallvE(bufs [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// AllreduceInt64 combines one int64 per rank with op ("sum", "max", "min")
+// allreduceInt64E combines one int64 per rank with op ("sum", "max", "min")
 // and returns the result on every rank.
-func (c *Comm) AllreduceInt64(op string, v int64) int64 {
-	out, err := c.allreduceInt64E(op, v)
-	panicOn(err)
-	return out
-}
-
 func (c *Comm) allreduceInt64E(op string, v int64) (int64, error) {
 	st, err := c.rendezvous(nil, v)
 	if err != nil {
@@ -967,14 +883,8 @@ func (c *Comm) allreduceInt64E(op string, v int64) (int64, error) {
 	return out, nil
 }
 
-// ExscanInt64 returns the exclusive prefix sum of v by rank order
+// exscanInt64E returns the exclusive prefix sum of v by rank order
 // (rank 0 receives 0), the primitive behind the distributed sequence index.
-func (c *Comm) ExscanInt64(v int64) int64 {
-	out, err := c.exscanInt64E(v)
-	panicOn(err)
-	return out
-}
-
 func (c *Comm) exscanInt64E(v int64) (int64, error) {
 	st, err := c.rendezvous(nil, v)
 	if err != nil {
@@ -992,13 +902,7 @@ func (c *Comm) exscanInt64E(v int64) (int64, error) {
 	return sum, nil
 }
 
-// Gatherv collects every rank's buffer at root (others receive nil).
-func (c *Comm) Gatherv(root int, data []byte) [][]byte {
-	out, err := c.gathervE(root, data)
-	panicOn(err)
-	return out
-}
-
+// gathervE collects every rank's buffer at root (others receive nil).
 func (c *Comm) gathervE(root int, data []byte) ([][]byte, error) {
 	st, err := c.rendezvous(data, 0)
 	if err != nil {
@@ -1027,16 +931,9 @@ func (c *Comm) gathervE(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Split partitions the communicator by color; ranks within each new
-// communicator are ordered by (key, old rank), as in MPI_Comm_split.
-func (c *Comm) Split(color, key int) *Comm {
-	out, err := c.TrySplit(color, key)
-	panicOn(err)
-	return out
-}
-
-// TrySplit is the error-returning Split: it fails instead of blocking when
-// the cluster aborts mid-rendezvous.
+// TrySplit partitions the communicator by color; ranks within each new
+// communicator are ordered by (key, old rank), as in MPI_Comm_split. It
+// fails instead of blocking when the cluster aborts mid-rendezvous.
 func (c *Comm) TrySplit(color, key int) (*Comm, error) {
 	payload := make([]byte, 24)
 	putU64(payload[0:], uint64(int64(color)))

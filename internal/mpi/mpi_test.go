@@ -10,10 +10,12 @@ func TestSendRecv(t *testing.T) {
 	cl := NewCluster(2, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []byte("hello"))
-			return nil
+			return c.TrySend(1, 7, []byte("hello"))
 		}
-		got := c.Recv(0, 7)
+		got, err := c.TryRecv(0, 7)
+		if err != nil {
+			return err
+		}
 		if string(got) != "hello" {
 			return fmt.Errorf("got %q", got)
 		}
@@ -30,12 +32,18 @@ func TestSendRecvOrderingPerKey(t *testing.T) {
 		const n = 50
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 0, []byte{byte(i)})
+				if err := c.TrySend(1, 0, []byte{byte(i)}); err != nil {
+					return err
+				}
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			if got := c.Recv(0, 0); got[0] != byte(i) {
+			got, err := c.TryRecv(0, 0)
+			if err != nil {
+				return err
+			}
+			if got[0] != byte(i) {
 				return fmt.Errorf("message %d arrived as %d", i, got[0])
 			}
 		}
@@ -50,13 +58,20 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	cl := NewCluster(2, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Isend(1, 3, make([]byte, 1000)).Wait()
-			return nil
+			req, err := c.TryIsend(1, 3, make([]byte, 1000))
+			if err != nil {
+				return err
+			}
+			_, err = req.TryWait()
+			return err
 		}
 		req := c.Irecv(0, 3)
 		// Overlap: do compute before waiting.
 		c.Clock().Ops(1e6)
-		data := req.Wait()
+		data, err := req.TryWait()
+		if err != nil {
+			return err
+		}
 		if len(data) != 1000 {
 			return fmt.Errorf("got %d bytes", len(data))
 		}
@@ -75,7 +90,9 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 		if c.Rank() == 2 {
 			c.Clock().Advance(5.0)
 		}
-		c.Barrier()
+		if err := c.TryBarrier(); err != nil {
+			return err
+		}
 		if c.Clock().Now() < 5.0 {
 			return fmt.Errorf("rank %d clock %f after barrier", c.Rank(), c.Clock().Now())
 		}
@@ -93,7 +110,10 @@ func TestBcast(t *testing.T) {
 		if c.Rank() == 3 {
 			data = []byte("payload")
 		}
-		got := c.Bcast(3, data)
+		got, err := c.TryBcast(3, data)
+		if err != nil {
+			return err
+		}
 		if string(got) != "payload" {
 			return fmt.Errorf("rank %d got %q", c.Rank(), got)
 		}
@@ -107,7 +127,10 @@ func TestBcast(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	cl := NewCluster(4, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
-		got := c.Allgather([]byte{byte(c.Rank() * 10)})
+		got, err := c.TryAllgather([]byte{byte(c.Rank() * 10)})
+		if err != nil {
+			return err
+		}
 		for i, d := range got {
 			if len(d) != 1 || d[0] != byte(i*10) {
 				return fmt.Errorf("rank %d slot %d = %v", c.Rank(), i, d)
@@ -132,7 +155,10 @@ func TestAlltoallv(t *testing.T) {
 				bufs[j] = append(bufs[j], '!')
 			}
 		}
-		got := c.Alltoallv(bufs)
+		got, err := c.TryAlltoallv(bufs)
+		if err != nil {
+			return err
+		}
 		for i, d := range got {
 			want := fmt.Sprintf("%d->%d", i, c.Rank())
 			if c.Rank()%2 == 0 {
@@ -154,18 +180,17 @@ func TestAllreduceAndExscan(t *testing.T) {
 	cl := NewCluster(p, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
 		v := int64(c.Rank() + 1)
-		if got := c.AllreduceInt64("sum", v); got != 21 {
-			return fmt.Errorf("sum = %d", got)
-		}
-		if got := c.AllreduceInt64("max", v); got != 6 {
-			return fmt.Errorf("max = %d", got)
-		}
-		if got := c.AllreduceInt64("min", v); got != 1 {
-			return fmt.Errorf("min = %d", got)
+		for _, tc := range []struct {
+			op   string
+			want int64
+		}{{"sum", 21}, {"max", 6}, {"min", 1}} {
+			if got, err := c.TryAllreduceInt64(tc.op, v); err != nil || got != tc.want {
+				return fmt.Errorf("%s = %d (err %v), want %d", tc.op, got, err, tc.want)
+			}
 		}
 		want := int64(c.Rank() * (c.Rank() + 1) / 2) // sum of 1..rank
-		if got := c.ExscanInt64(v); got != want {
-			return fmt.Errorf("exscan = %d, want %d", got, want)
+		if got, err := c.TryExscanInt64(v); err != nil || got != want {
+			return fmt.Errorf("exscan = %d (err %v), want %d", got, err, want)
 		}
 		return nil
 	})
@@ -177,7 +202,10 @@ func TestAllreduceAndExscan(t *testing.T) {
 func TestGatherv(t *testing.T) {
 	cl := NewCluster(3, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
-		got := c.Gatherv(1, []byte{byte('a' + c.Rank())})
+		got, err := c.TryGatherv(1, []byte{byte('a' + c.Rank())})
+		if err != nil {
+			return err
+		}
 		if c.Rank() != 1 {
 			if got != nil {
 				return fmt.Errorf("non-root got %v", got)
@@ -200,8 +228,14 @@ func TestSplitGrid(t *testing.T) {
 	cl := NewCluster(q*q, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
 		row, col := c.Rank()/q, c.Rank()%q
-		rowComm := c.Split(row, col)
-		colComm := c.Split(col, row)
+		rowComm, err := c.TrySplit(row, col)
+		if err != nil {
+			return err
+		}
+		colComm, err := c.TrySplit(col, row)
+		if err != nil {
+			return err
+		}
 		if rowComm.Size() != q || colComm.Size() != q {
 			return fmt.Errorf("split sizes %d,%d", rowComm.Size(), colComm.Size())
 		}
@@ -210,17 +244,20 @@ func TestSplitGrid(t *testing.T) {
 				rowComm.Rank(), colComm.Rank(), col, row)
 		}
 		// Collectives on the sub-communicators must stay within the group.
-		sum := rowComm.AllreduceInt64("sum", int64(c.Rank()))
+		sum, err := rowComm.TryAllreduceInt64("sum", int64(c.Rank()))
+		if err != nil {
+			return err
+		}
 		wantSum := int64(row*q*q) + int64(q*(q-1)/2) // sum of row*q+0..row*q+q-1
 		if sum != wantSum {
 			return fmt.Errorf("row sum = %d, want %d", sum, wantSum)
 		}
 		// Point-to-point on sub-communicator.
 		if rowComm.Rank() == 0 {
-			rowComm.Send(1, 9, []byte{byte(row)})
+			return rowComm.TrySend(1, 9, []byte{byte(row)})
 		} else if rowComm.Rank() == 1 {
-			if got := rowComm.Recv(0, 9); got[0] != byte(row) {
-				return fmt.Errorf("row p2p got %d", got[0])
+			if got, err := rowComm.TryRecv(0, 9); err != nil || got[0] != byte(row) {
+				return fmt.Errorf("row p2p got %v (err %v)", got, err)
 			}
 		}
 		return nil
@@ -235,15 +272,20 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		cl := NewCluster(4, DefaultCostModel())
 		err := cl.Run(func(c *Comm) error {
 			c.Clock().Ops(float64(c.Rank()+1) * 1e7)
-			c.Allgather(make([]byte, 100*(c.Rank()+1)))
+			if _, err := c.TryAllgather(make([]byte, 100*(c.Rank()+1))); err != nil {
+				return err
+			}
 			if c.Rank() == 0 {
-				c.Send(3, 0, make([]byte, 12345))
+				if err := c.TrySend(3, 0, make([]byte, 12345)); err != nil {
+					return err
+				}
 			}
 			if c.Rank() == 3 {
-				c.Recv(0, 0)
+				if _, err := c.TryRecv(0, 0); err != nil {
+					return err
+				}
 			}
-			c.Barrier()
-			return nil
+			return c.TryBarrier()
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -266,12 +308,11 @@ func TestMessageArrivalDelaysReceiver(t *testing.T) {
 	err := cl.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Clock().Advance(1.0) // busy sender
-			c.Send(1, 0, make([]byte, 8))
-		} else {
-			c.Recv(0, 0)
-			recvClock = c.Clock().Now()
+			return c.TrySend(1, 0, make([]byte, 8))
 		}
-		return nil
+		_, err := c.TryRecv(0, 0)
+		recvClock = c.Clock().Now()
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,13 +378,13 @@ func TestCommunicationCounters(t *testing.T) {
 	var sent, recvd int64
 	err := cl.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]byte, 512))
+			err := c.TrySend(1, 0, make([]byte, 512))
 			atomic.StoreInt64(&sent, c.Clock().BytesSent())
-		} else {
-			c.Recv(0, 0)
-			atomic.StoreInt64(&recvd, c.Clock().BytesReceived())
+			return err
 		}
-		return nil
+		_, err := c.TryRecv(0, 0)
+		atomic.StoreInt64(&recvd, c.Clock().BytesReceived())
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,8 +403,8 @@ func TestCollectiveCostScalesWithP(t *testing.T) {
 	timeFor := func(p int) float64 {
 		cl := NewCluster(p, DefaultCostModel())
 		if err := cl.Run(func(c *Comm) error {
-			c.Bcast(0, make([]byte, 1<<20))
-			return nil
+			_, err := c.TryBcast(0, make([]byte, 1<<20))
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -378,22 +419,32 @@ func TestNestedSplitIDsDistinct(t *testing.T) {
 	// Two successive splits with identical colors must not cross-deliver.
 	cl := NewCluster(4, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
-		a := c.Split(c.Rank()%2, c.Rank())
-		b := c.Split(c.Rank()%2, c.Rank())
-		if a.Rank() == 0 {
-			a.Send(1, 0, []byte("A"))
+		a, err := c.TrySplit(c.Rank()%2, c.Rank())
+		if err != nil {
+			return err
 		}
-		if b.Rank() == 0 {
-			b.Send(1, 0, []byte("B"))
+		b, err := c.TrySplit(c.Rank()%2, c.Rank())
+		if err != nil {
+			return err
 		}
-		if a.Rank() == 1 {
-			if got := a.Recv(0, 0); string(got) != "A" {
-				return fmt.Errorf("comm a received %q", got)
+		for _, tc := range []struct {
+			comm *Comm
+			msg  string
+		}{{a, "A"}, {b, "B"}} {
+			if tc.comm.Rank() == 0 {
+				if err := tc.comm.TrySend(1, 0, []byte(tc.msg)); err != nil {
+					return err
+				}
 			}
 		}
-		if b.Rank() == 1 {
-			if got := b.Recv(0, 0); string(got) != "B" {
-				return fmt.Errorf("comm b received %q", got)
+		for _, tc := range []struct {
+			comm *Comm
+			msg  string
+		}{{a, "A"}, {b, "B"}} {
+			if tc.comm.Rank() == 1 {
+				if got, err := tc.comm.TryRecv(0, 0); err != nil || string(got) != tc.msg {
+					return fmt.Errorf("comm %s received %q (err %v)", tc.msg, got, err)
+				}
 			}
 		}
 		return nil

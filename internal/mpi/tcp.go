@@ -152,7 +152,7 @@ func appendU64(dst []byte, v uint64) []byte {
 // cause, so a lost peer fails the run instead of hanging it.
 var ErrTCPTimeout = errors.New("mpi: tcp deadline exceeded")
 
-// ErrSharedOverTCP rejects the zero-copy shared collectives (BcastShared
+// ErrSharedOverTCP rejects the zero-copy shared collectives (TryBcastShared
 // and friends) on a tcp-backed cluster: they hand values across ranks by
 // reference, which requires one address space. Callers fall back to the
 // byte-codec path (dmat does this by running tcp clusters with
@@ -824,11 +824,7 @@ func (cl *Cluster) runTCP(fn func(*Comm) error) error {
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
-				if ap, ok := p.(abortPanic); ok {
-					err = ap.err
-				} else {
-					err = fmt.Errorf("mpi: rank %d panicked: %v", t.rank, p)
-				}
+				err = fmt.Errorf("mpi: rank %d panicked: %v", t.rank, p)
 			}
 		}()
 		err = fn(&Comm{

@@ -287,7 +287,7 @@ func TestTCPSharedCollectivesRefused(t *testing.T) {
 	err := RunTCPLocal(2, DefaultCostModel(), nil, func(c *Comm) error {
 		_, err := TryBcastShared(c, 0, []int{1, 2, 3}, 24)
 		if err == nil {
-			return fmt.Errorf("BcastShared succeeded over tcp")
+			return fmt.Errorf("TryBcastShared succeeded over tcp")
 		}
 		return err
 	})

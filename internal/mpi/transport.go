@@ -5,7 +5,7 @@
 // receivers a reference to the root's value. What must NOT change is the
 // virtual-time story: the simulated machine still moves bytes over a wire,
 // so the shared collectives charge every clock exactly as their byte-codec
-// twins (Bcast, Alltoallv) would for a payload of the analytically computed
+// twins (TryBcast, TryAlltoallv) would for a payload of the analytically computed
 // wire size. A caller that can state its payload's encoded size gets the
 // codec path's accounting — MaxTime, BytesSent/Received, TotalBytes — bit
 // for bit, without encoding anything.
@@ -18,29 +18,22 @@
 // for matrix blocks (receivers treat broadcast blocks as read-only);
 // ad-hoc callers must do the same.
 //
-// Each collective comes in three forms, mirroring the byte API: the legacy
-// panicking form (BcastShared), the error-returning form that fails cleanly
-// on cluster abort (bcastSharedE), and the fault-decorated form
-// (TryBcastShared) that additionally retries injected drop/corrupt faults
-// with deterministic backoff when a fault plan is armed.
+// Each collective comes in two forms, mirroring the byte API: the
+// error-returning form that fails cleanly on cluster abort (bcastSharedE),
+// and the exported fault-decorated form (TryBcastShared) that additionally
+// retries injected drop/corrupt faults with deterministic backoff when a
+// fault plan is armed.
 package mpi
 
-// BcastShared hands root's value v to every rank of the communicator by
+// TryBcastShared hands root's value v to every rank of the communicator by
 // reference — no serialization, no copy — while charging each rank's clock
-// exactly as Bcast would for a wire payload of wireBytes bytes (binomial
+// exactly as TryBcast would for a wire payload of wireBytes bytes (binomial
 // tree: log2(p) rounds of alpha + n*beta; root charges sent, others
 // received). Only root's v and wireBytes are consulted; other ranks pass
 // the zero value. The returned value aliases root's v on every rank: it
-// must be treated as immutable by all parties.
-func BcastShared[T any](c *Comm, root int, v T, wireBytes int64) T {
-	out, err := bcastSharedE(c, root, v, wireBytes)
-	panicOn(err)
-	return out
-}
-
-// TryBcastShared is BcastShared through the fault decorator: with a fault
-// plan armed, dropped or corrupted attempts re-broadcast with backoff, the
-// re-sent wire bytes charged to the retry ledger.
+// must be treated as immutable by all parties. With a fault plan armed,
+// dropped or corrupted attempts re-broadcast with backoff, the re-sent wire
+// bytes charged to the retry ledger.
 func TryBcastShared[T any](c *Comm, root int, v T, wireBytes int64) (out T, err error) {
 	err = c.withFaults(func() error {
 		out, err = bcastSharedE(c, root, v, wireBytes)
@@ -80,19 +73,13 @@ func bcastSharedE[T any](c *Comm, root int, v T, wireBytes int64) (T, error) {
 	return out, nil
 }
 
-// AlltoallvShared sends vals[j] to rank j by reference and returns what
-// every rank sent to the caller, charging clocks exactly as Alltoallv would
-// for per-destination payloads of wire[j] bytes (pairwise exchanges charged
-// by per-rank volume). vals and wire must both have communicator-size
-// length; unused slots carry the zero value and 0. Received values alias
-// the sender's — immutable by contract.
-func AlltoallvShared[T any](c *Comm, vals []T, wire []int64) []T {
-	out, err := alltoallvSharedE(c, vals, wire)
-	panicOn(err)
-	return out
-}
-
-// TryAlltoallvShared is AlltoallvShared through the fault decorator.
+// TryAlltoallvShared sends vals[j] to rank j by reference and returns what
+// every rank sent to the caller, charging clocks exactly as TryAlltoallv
+// would for per-destination payloads of wire[j] bytes (pairwise exchanges
+// charged by per-rank volume). vals and wire must both have
+// communicator-size length; unused slots carry the zero value and 0.
+// Received values alias the sender's — immutable by contract. Runs through
+// the fault decorator.
 func TryAlltoallvShared[T any](c *Comm, vals []T, wire []int64) (out []T, err error) {
 	err = c.withFaults(func() error {
 		out, err = alltoallvSharedE(c, vals, wire)
@@ -141,17 +128,10 @@ func alltoallvSharedE[T any](c *Comm, vals []T, wire []int64) ([]T, error) {
 	return out, nil
 }
 
-// GathervShared collects every rank's value at root by reference (other
-// ranks receive nil), charging clocks exactly as Gatherv would for per-rank
-// payloads of wireBytes bytes. Received values alias the senders' —
-// immutable by contract.
-func GathervShared[T any](c *Comm, root int, v T, wireBytes int64) []T {
-	out, err := gathervSharedE(c, root, v, wireBytes)
-	panicOn(err)
-	return out
-}
-
-// TryGathervShared is GathervShared through the fault decorator.
+// TryGathervShared collects every rank's value at root by reference (other
+// ranks receive nil), charging clocks exactly as TryGatherv would for
+// per-rank payloads of wireBytes bytes. Received values alias the senders' —
+// immutable by contract. Runs through the fault decorator.
 func TryGathervShared[T any](c *Comm, root int, v T, wireBytes int64) (out []T, err error) {
 	err = c.withFaults(func() error {
 		out, err = gathervSharedE(c, root, v, wireBytes)

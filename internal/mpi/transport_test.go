@@ -11,7 +11,7 @@ type blockVal struct {
 	data []byte
 }
 
-// BcastShared must hand every rank the root's value by reference — the
+// TryBcastShared must hand every rank the root's value by reference — the
 // zero-copy contract — not a copy of it.
 func TestBcastSharedAliasesRootValue(t *testing.T) {
 	cl := NewCluster(4, DefaultCostModel())
@@ -20,7 +20,10 @@ func TestBcastSharedAliasesRootValue(t *testing.T) {
 		if c.Rank() == 2 {
 			mine = &blockVal{id: 2, data: make([]byte, 1000)}
 		}
-		got := BcastShared(c, 2, mine, 1000)
+		got, err := TryBcastShared(c, 2, mine, 1000)
+		if err != nil {
+			return err
+		}
 		if got == nil || got.id != 2 {
 			return fmt.Errorf("rank %d got %+v", c.Rank(), got)
 		}
@@ -28,7 +31,11 @@ func TestBcastSharedAliasesRootValue(t *testing.T) {
 			return fmt.Errorf("root received a different pointer")
 		}
 		// Every rank must observe the same backing array (pointer handoff).
-		if &got.data[0] != &BcastShared(c, 2, got, 1000).data[0] {
+		again, err := TryBcastShared(c, 2, got, 1000)
+		if err != nil {
+			return err
+		}
+		if &got.data[0] != &again.data[0] {
 			return fmt.Errorf("rank %d: broadcast copied the value", c.Rank())
 		}
 		return nil
@@ -84,8 +91,8 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 		if c.Rank() == 3 {
 			data = payload(3, 0)
 		}
-		c.Bcast(3, data)
-		return nil
+		_, err := c.TryBcast(3, data)
+		return err
 	})
 	shared := capture(func(c *Comm) error {
 		c.Clock().Advance(float64(c.Rank()) * 1e-3)
@@ -95,8 +102,8 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 			v = &blockVal{}
 			wire = int64(len(payload(3, 0)))
 		}
-		BcastShared(c, 3, v, wire)
-		return nil
+		_, err := TryBcastShared(c, 3, v, wire)
+		return err
 	})
 	compare("bcast", codec, shared)
 
@@ -106,8 +113,8 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 		for j := range bufs {
 			bufs[j] = payload(c.Rank(), j)
 		}
-		c.Alltoallv(bufs)
-		return nil
+		_, err := c.TryAlltoallv(bufs)
+		return err
 	})
 	shared = capture(func(c *Comm) error {
 		vals := make([]*blockVal, c.Size())
@@ -116,7 +123,10 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 			vals[j] = &blockVal{id: j}
 			wire[j] = int64(len(payload(c.Rank(), j)))
 		}
-		got := AlltoallvShared(c, vals, wire)
+		got, err := TryAlltoallvShared(c, vals, wire)
+		if err != nil {
+			return err
+		}
 		for i, v := range got {
 			if v.id != c.Rank() {
 				return fmt.Errorf("rank %d slot %d routed wrong value %d", c.Rank(), i, v.id)
@@ -128,11 +138,14 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 
 	// Gatherv at a non-zero root.
 	codec = capture(func(c *Comm) error {
-		c.Gatherv(4, payload(c.Rank(), 0))
-		return nil
+		_, err := c.TryGatherv(4, payload(c.Rank(), 0))
+		return err
 	})
 	shared = capture(func(c *Comm) error {
-		got := GathervShared(c, 4, &blockVal{id: c.Rank()}, int64(len(payload(c.Rank(), 0))))
+		got, err := TryGathervShared(c, 4, &blockVal{id: c.Rank()}, int64(len(payload(c.Rank(), 0))))
+		if err != nil {
+			return err
+		}
 		if c.Rank() == 4 {
 			for i, v := range got {
 				if v.id != i {
@@ -153,13 +166,13 @@ func TestSharedAndCodecCollectivesInterleave(t *testing.T) {
 	cl := NewCluster(4, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {
 		for round := 0; round < 3; round++ {
-			v := BcastShared(c, 0, round*10+c.Rank(), 8)
-			if v != round*10 {
-				return fmt.Errorf("round %d: shared bcast got %d", round, v)
+			v, err := TryBcastShared(c, 0, round*10+c.Rank(), 8)
+			if err != nil || v != round*10 {
+				return fmt.Errorf("round %d: shared bcast got %d (err %v)", round, v, err)
 			}
-			b := c.Bcast(1, []byte{byte(round)})
-			if b[0] != byte(round) {
-				return fmt.Errorf("round %d: codec bcast got %d", round, b[0])
+			b, err := c.TryBcast(1, []byte{byte(round)})
+			if err != nil || b[0] != byte(round) {
+				return fmt.Errorf("round %d: codec bcast got %v (err %v)", round, b, err)
 			}
 		}
 		return nil

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/index"
 	"repro/internal/mpi"
+	"repro/internal/wire"
 )
 
 // IndexInfo describes a persisted target index.
@@ -67,11 +68,9 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 	// The manifest carries what only the driver holds in one place: the
 	// global name table (hits resolve targets by name) and the build
 	// parameters an engine needs before it can fingerprint the rank files.
-	var names []byte
-	names = appendU64(names, uint64(len(records)))
+	names := wire.AppendU64(nil, uint64(len(records)))
 	for _, rec := range records {
-		names = appendU64(names, uint64(len(rec.ID)))
-		names = append(names, rec.ID...)
+		names = wire.AppendString(names, rec.ID)
 	}
 	_, err = index.Save(dir, &index.File{
 		Fingerprint: core.IndexFingerprint(cfg, nodes),
@@ -381,40 +380,13 @@ func (c *resultCache) flush() {
 }
 
 func decodeNames(buf []byte) ([]string, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("pastis: truncated name table")
+	r := wire.NewReader(buf)
+	out := make([]string, r.Count(8))
+	for i := range out {
+		out[i] = r.String()
 	}
-	n := getU64(buf)
-	buf = buf[8:]
-	if n > uint64(len(buf))+1 {
-		return nil, fmt.Errorf("pastis: implausible name count %d", n)
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("pastis: truncated name table at entry %d", i)
-		}
-		l := getU64(buf)
-		buf = buf[8:]
-		if l > uint64(len(buf)) {
-			return nil, fmt.Errorf("pastis: name of %d bytes overruns table at entry %d", l, i)
-		}
-		out = append(out, string(buf[:l]))
-		buf = buf[l:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("pastis: %d trailing bytes after name table", len(buf))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("pastis: name table: %w", err)
 	}
 	return out, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

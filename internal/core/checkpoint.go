@@ -1,14 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/align"
 	"repro/internal/mpi"
-	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // Per-wave checkpoint/restart (ISSUE: fault-tolerant wave engine).
@@ -33,29 +32,12 @@ import (
 // resumed sweep runs at the checkpoint's block count regardless of
 // Config.Blocks.
 
-const (
-	ckptMagic   = "PASTISCK"
-	ckptVersion = 1
-)
-
-const (
-	ckptFNVOffset = 14695981039346656037
-	ckptFNVPrime  = 1099511628211
-)
-
-func ckptChecksum(b []byte) uint64 {
-	h := uint64(ckptFNVOffset)
-	for len(b) >= 8 {
-		h = (h ^ getU64b(b)) * ckptFNVPrime
-		b = b[8:]
-	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		h = (h ^ getU64b(tail[:])) * ckptFNVPrime
-	}
-	return h
-}
+// ckptFormat makes a checkpoint a wire container under its own magic: the
+// header, trailer checksum, exact-length decode, identity checks and atomic
+// writer are the container's. Version 1 was a private layout under the same
+// magic; the container rejects it by version, so a v1 file is simply not
+// resumable and the run restarts in full.
+var ckptFormat = wire.Format{Magic: "PASTISCK", Version: 2}
 
 // checkpointer is a sweep's checkpoint policy: where its waves are saved,
 // the run identity they are saved under, and — on a resumed run — the state
@@ -84,9 +66,9 @@ func (c *checkpointer) resolveResume(comm *mpi.Comm) error {
 		return err
 	}
 	if ck.Wave != int(agreed) {
-		ck, err = loadCheckpointWave(c.dir, c.fingerprint, comm.Rank(), comm.Size(), int(agreed))
-		if err != nil {
-			return err
+		path := checkpointPath(c.dir, comm.Rank(), int(agreed))
+		if ck, err = openCheckpoint(path, c.fingerprint, comm.Rank(), comm.Size()); err != nil {
+			return fmt.Errorf("core: resume checkpoint: %w", err)
 		}
 	}
 	// Every rank must resume the same split; checkpoints are cleared whenever
@@ -123,169 +105,106 @@ func checkpointPath(dir string, rank, wave int) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-r%d-w%d.ckpt", rank, wave))
 }
 
-// encodeCheckpoint renders the state with header, fingerprint and trailer
-// checksum. Edges use the same 56-byte records as GatherEdges.
-func encodeCheckpoint(fp uint64, rank, p int, st checkpointState) []byte {
-	buf := []byte(ckptMagic)
-	buf = appendU64b(buf, ckptVersion)
-	buf = appendU64b(buf, fp)
-	buf = appendU64b(buf, uint64(rank))
-	buf = appendU64b(buf, uint64(p))
-	buf = appendU64b(buf, uint64(st.Blocks))
-	buf = appendU64b(buf, uint64(st.Wave))
-	buf = appendU64b(buf, uint64(st.NnzB))
-	buf = appendU64b(buf, uint64(st.NnzPruned))
-	buf = appendU64b(buf, uint64(st.Aligned))
-	buf = appendU64b(buf, uint64(st.Cells))
-	buf = appendU64b(buf, uint64(len(st.Stages)))
+// Checkpoint meta keys (the wave driver's counters) and section names.
+const (
+	ckptBlocks    = "blocks"
+	ckptWave      = "wave"
+	ckptNnzB      = "nnzb"
+	ckptNnzPruned = "nnzpruned"
+	ckptAligned   = "aligned"
+	ckptCells     = "cells"
+
+	ckptSecStages = "stages"
+	ckptSecEdges  = "edges"
+)
+
+// checkpointFile lays st out as a container file: counters in Meta, the
+// per-stage alignment counters and the edges (GatherEdges' records) as
+// sections.
+func checkpointFile(fp uint64, rank, p int, st checkpointState) *wire.File {
+	stages := wire.AppendU64(nil, uint64(len(st.Stages)))
 	for _, sg := range st.Stages {
-		buf = appendU64b(buf, uint64(len(sg.Name)))
-		buf = append(buf, sg.Name...)
-		buf = appendU64b(buf, uint64(sg.Examined))
-		buf = appendU64b(buf, uint64(sg.Passed))
-		buf = appendU64b(buf, uint64(sg.Cells))
+		stages = wire.AppendString(stages, sg.Name)
+		stages = wire.AppendU64(stages, uint64(sg.Examined))
+		stages = wire.AppendU64(stages, uint64(sg.Passed))
+		stages = wire.AppendU64(stages, uint64(sg.Cells))
 	}
-	buf = appendU64b(buf, uint64(len(st.Edges)))
-	for _, e := range st.Edges {
-		buf = appendU64b(buf, uint64(e.R))
-		buf = appendU64b(buf, uint64(e.C))
-		buf = appendF64(buf, e.Weight)
-		buf = appendF64(buf, e.Ident)
-		buf = appendF64(buf, e.Cov)
-		buf = appendF64(buf, e.NS)
-		buf = appendU64b(buf, uint64(int64(e.Score)))
+	return &wire.File{
+		Fingerprint: fp,
+		Rank:        rank,
+		Ranks:       p,
+		Meta: map[string]uint64{
+			ckptBlocks:    uint64(st.Blocks),
+			ckptWave:      uint64(st.Wave),
+			ckptNnzB:      uint64(st.NnzB),
+			ckptNnzPruned: uint64(st.NnzPruned),
+			ckptAligned:   uint64(st.Aligned),
+			ckptCells:     uint64(st.Cells),
+		},
+		Sections: []wire.Section{
+			{Name: ckptSecStages, Payload: stages},
+			{Name: ckptSecEdges, Payload: appendEdges(nil, st.Edges)},
+		},
 	}
-	return appendU64b(buf, ckptChecksum(buf))
 }
 
-// ckptReader walks an encoded checkpoint with bounds checking; any
-// truncation surfaces as an error naming the offset rather than a panic
-// (checkpoint files arrive from disk and may be torn).
-type ckptReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *ckptReader) u64() uint64 {
-	if r.err != nil {
-		return 0
+// checkpointFromFile is checkpointFile's inverse. It admits exactly that
+// layout — the six counters, the two sections in order — so every file it
+// accepts re-encodes byte for byte (FuzzCheckpointRoundTrip).
+func checkpointFromFile(f *wire.File) (*checkpointState, error) {
+	if len(f.Meta) != 6 || len(f.Sections) != 2 ||
+		f.Sections[0].Name != ckptSecStages || f.Sections[1].Name != ckptSecEdges {
+		return nil, fmt.Errorf("not a checkpoint layout: %d counters, sections %v", len(f.Meta), f.Sections)
 	}
-	if len(r.buf)-r.off < 8 {
-		r.err = fmt.Errorf("truncated at offset %d", r.off)
-		return 0
-	}
-	v := getU64b(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *ckptReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.err = fmt.Errorf("truncated at offset %d", r.off)
-		return 0
-	}
-	v := getF64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *ckptReader) str(n uint64) string {
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.err = fmt.Errorf("string of %d bytes at offset %d overruns buffer", n, r.off)
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func decodeCheckpoint(buf []byte, fp uint64, rank, p int) (*checkpointState, error) {
-	if len(buf) < len(ckptMagic)+16 || string(buf[:len(ckptMagic)]) != ckptMagic {
-		return nil, errors.New("not a checkpoint file")
-	}
-	stored := getU64b(buf[len(buf)-8:])
-	if got := ckptChecksum(buf[:len(buf)-8]); stored != got {
-		return nil, fmt.Errorf("checksum mismatch (stored %#x, computed %#x)", stored, got)
-	}
-	r := &ckptReader{buf: buf[:len(buf)-8], off: len(ckptMagic)}
-	if v := r.u64(); v != ckptVersion {
-		return nil, fmt.Errorf("version %d, want %d", v, ckptVersion)
-	}
-	if f := r.u64(); f != fp {
-		return nil, fmt.Errorf("fingerprint %#x does not match this run's %#x (different input or config)", f, fp)
-	}
-	if rk := r.u64(); rk != uint64(rank) {
-		return nil, fmt.Errorf("written by rank %d, loaded on rank %d", rk, rank)
-	}
-	if np := r.u64(); np != uint64(p) {
-		return nil, fmt.Errorf("written on %d ranks, resuming on %d", np, p)
+	for _, key := range []string{ckptBlocks, ckptWave, ckptNnzB, ckptNnzPruned, ckptAligned, ckptCells} {
+		if _, ok := f.Meta[key]; !ok {
+			return nil, fmt.Errorf("checkpoint counter %q missing", key)
+		}
 	}
 	st := &checkpointState{
-		Blocks:    int(r.u64()),
-		Wave:      int(r.u64()),
-		NnzB:      int64(r.u64()),
-		NnzPruned: int64(r.u64()),
-		Aligned:   int64(r.u64()),
-		Cells:     int64(r.u64()),
+		Blocks:    int(f.Meta[ckptBlocks]),
+		Wave:      int(f.Meta[ckptWave]),
+		NnzB:      int64(f.Meta[ckptNnzB]),
+		NnzPruned: int64(f.Meta[ckptNnzPruned]),
+		Aligned:   int64(f.Meta[ckptAligned]),
+		Cells:     int64(f.Meta[ckptCells]),
 	}
-	nstages := r.u64()
-	if r.err == nil && nstages > uint64(len(buf)) {
-		return nil, fmt.Errorf("implausible stage count %d", nstages)
+	r := wire.NewReader(f.Sections[0].Payload)
+	for i, n := 0, r.Count(32); i < n; i++ {
+		st.Stages = append(st.Stages, align.StageStats{
+			Name: r.String(), Examined: int64(r.U64()), Passed: int64(r.U64()), Cells: int64(r.U64()),
+		})
 	}
-	for i := uint64(0); i < nstages && r.err == nil; i++ {
-		var sg align.StageStats
-		sg.Name = r.str(r.u64())
-		sg.Examined = int64(r.u64())
-		sg.Passed = int64(r.u64())
-		sg.Cells = int64(r.u64())
-		st.Stages = append(st.Stages, sg)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("checkpoint stages: %w", err)
 	}
-	nedges := r.u64()
-	if r.err == nil && nedges > uint64(len(buf)) {
-		return nil, fmt.Errorf("implausible edge count %d", nedges)
-	}
-	if r.err == nil {
-		st.Edges = make([]Edge, 0, nedges)
-	}
-	for i := uint64(0); i < nedges && r.err == nil; i++ {
-		e := Edge{
-			R:      spmat.Index(r.u64()),
-			C:      spmat.Index(r.u64()),
-			Weight: r.f64(),
-			Ident:  r.f64(),
-			Cov:    r.f64(),
-			NS:     r.f64(),
-			Score:  int(int64(r.u64())),
-		}
-		st.Edges = append(st.Edges, e)
-	}
-	if r.err != nil {
-		return nil, r.err
+	var err error
+	if st.Edges, err = decodeEdges(nil, f.Sections[1].Payload); err != nil {
+		return nil, fmt.Errorf("checkpoint edges: %w", err)
 	}
 	return st, nil
 }
 
-// writeCheckpoint persists st atomically (temp file + rename into place)
+// openCheckpoint loads the checkpoint at path if it is this run's, this
+// rank's, and intact.
+func openCheckpoint(path string, fp uint64, rank, p int) (*checkpointState, error) {
+	f, _, err := ckptFormat.Open(path, rank, p, fp)
+	if err != nil {
+		return nil, err
+	}
+	st, err := checkpointFromFile(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return st, nil
+}
+
+// writeCheckpoint persists st atomically (the container's temp + rename)
 // and prunes this rank's file from two waves back — the newest two always
 // remain, which covers the one-wave skew collectives allow between ranks.
 func writeCheckpoint(dir string, fp uint64, rank, p int, st checkpointState) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: checkpoint dir: %w", err)
-	}
-	final := checkpointPath(dir, rank, st.Wave)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, encodeCheckpoint(fp, rank, p, st), 0o644); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("core: checkpoint rename: %w", err)
+	if _, err := ckptFormat.Save(checkpointPath(dir, rank, st.Wave), checkpointFile(fp, rank, p, st)); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if st.Wave >= 2 {
 		_ = os.Remove(checkpointPath(dir, rank, st.Wave-2))
@@ -293,23 +212,22 @@ func writeCheckpoint(dir string, fp uint64, rank, p int, st checkpointState) err
 	return nil
 }
 
+// checkpointPaths lists this rank's checkpoint files in dir, every wave. A
+// dir that is not a valid glob pattern lists nothing: no resume, nothing to
+// clear.
+func checkpointPaths(dir string, rank int) []string {
+	paths, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("ckpt-r%d-w*.ckpt", rank)))
+	return paths
+}
+
 // newestCheckpoint scans dir for this rank's valid checkpoints of this run
 // and returns the one with the highest wave, or nil if none load.
 func newestCheckpoint(dir string, fp uint64, rank, p int) *checkpointState {
-	pattern := filepath.Join(dir, fmt.Sprintf("ckpt-r%d-w*.ckpt", rank))
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil
-	}
 	var best *checkpointState
-	for _, path := range paths {
-		buf, err := os.ReadFile(path)
+	for _, path := range checkpointPaths(dir, rank) {
+		st, err := openCheckpoint(path, fp, rank, p)
 		if err != nil {
-			continue
-		}
-		st, err := decodeCheckpoint(buf, fp, rank, p)
-		if err != nil {
-			continue // torn, stale or foreign file: not resumable
+			continue // torn, stale, foreign or old-format file: not resumable
 		}
 		if best == nil || st.Wave > best.Wave {
 			best = st
@@ -318,30 +236,11 @@ func newestCheckpoint(dir string, fp uint64, rank, p int) *checkpointState {
 	return best
 }
 
-// loadCheckpointWave loads this rank's checkpoint for exactly the given
-// wave (the cluster-agreed resume point).
-func loadCheckpointWave(dir string, fp uint64, rank, p, wave int) (*checkpointState, error) {
-	buf, err := os.ReadFile(checkpointPath(dir, rank, wave))
-	if err != nil {
-		return nil, fmt.Errorf("core: resume checkpoint: %w", err)
-	}
-	st, err := decodeCheckpoint(buf, fp, rank, p)
-	if err != nil {
-		return nil, fmt.Errorf("core: resume checkpoint %s: %w", checkpointPath(dir, rank, wave), err)
-	}
-	return st, nil
-}
-
 // clearCheckpoints removes this rank's checkpoint files — called when a
 // sweep restarts at a different block split (old wave indices are
 // meaningless at the new split) and after a successful run.
 func clearCheckpoints(dir string, rank int) {
-	pattern := filepath.Join(dir, fmt.Sprintf("ckpt-r%d-w*.ckpt", rank))
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return
-	}
-	for _, path := range paths {
+	for _, path := range checkpointPaths(dir, rank) {
 		_ = os.Remove(path)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // fieldClass says what a Config field can change, from most to least
@@ -72,18 +73,17 @@ func appendFields(buf []byte, cfg Config, upTo fieldClass) []byte {
 		fv := v.FieldByName(f.name)
 		switch fv.Kind() {
 		case reflect.Int, reflect.Int64:
-			buf = appendU64b(buf, uint64(fv.Int()))
+			buf = wire.AppendU64(buf, uint64(fv.Int()))
 		case reflect.Float64:
-			buf = appendF64(buf, fv.Float())
+			buf = wire.AppendF64(buf, fv.Float())
 		case reflect.String:
-			buf = appendU64b(buf, uint64(fv.Len()))
-			buf = append(buf, fv.String()...)
+			buf = wire.AppendString(buf, fv.String())
 		case reflect.Bool:
 			var b uint64
 			if fv.Bool() {
 				b = 1
 			}
-			buf = appendU64b(buf, b)
+			buf = wire.AppendU64(buf, b)
 		default:
 			panic(fmt.Sprintf("core: Config.%s has no fingerprint encoding", f.name))
 		}
@@ -97,16 +97,16 @@ func appendFields(buf []byte, cfg Config, upTo fieldClass) []byte {
 // costs — act after the matrix stages, so one index serves any of them at
 // query time.
 func IndexFingerprint(cfg Config, p int) uint64 {
-	return ckptChecksum(appendFields(appendU64b(nil, uint64(p)), cfg, classIndexShape))
+	return wire.Checksum(wire.ChecksumInit, appendFields(wire.AppendU64(nil, uint64(p)), cfg, classIndexShape))
 }
 
 // configFingerprint hashes what determines a run's similarity graph: the
 // grid size, the input size, and every index-shape and PSG Config field. It
 // guards a checkpoint against being resumed into a different run.
 func configFingerprint(cfg Config, p int, total spmat.Index) uint64 {
-	buf := appendU64b(nil, uint64(p))
-	buf = appendU64b(buf, uint64(total))
-	return ckptChecksum(appendFields(buf, cfg, classPSG))
+	buf := wire.AppendU64(nil, uint64(p))
+	buf = wire.AppendU64(buf, uint64(total))
+	return wire.Checksum(wire.ChecksumInit, appendFields(buf, cfg, classPSG))
 }
 
 // PSGKey is the exact (unhashed) encoding of every graph-determining Config

@@ -13,6 +13,7 @@ import (
 	"repro/internal/seqstore"
 	"repro/internal/spmat"
 	"repro/internal/subkmer"
+	"repro/internal/wire"
 )
 
 // Persistent-index section names. Each rank's artifact carries its block of
@@ -190,15 +191,14 @@ func encodeNeighborTable(table map[kmer.ID][]subkmer.Neighbor) []byte {
 		roots = append(roots, id)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	var buf []byte
-	buf = appendU64b(buf, uint64(len(roots)))
+	buf := wire.AppendU64(nil, uint64(len(roots)))
 	for _, root := range roots {
 		nbrs := table[root]
-		buf = appendU64b(buf, uint64(root))
-		buf = appendU64b(buf, uint64(len(nbrs)))
+		buf = wire.AppendU64(buf, uint64(root))
+		buf = wire.AppendU64(buf, uint64(len(nbrs)))
 		for _, nb := range nbrs {
-			buf = appendU64b(buf, uint64(nb.ID))
-			buf = appendU64b(buf, uint64(nb.Dist))
+			buf = wire.AppendU64(buf, uint64(nb.ID))
+			buf = wire.AppendU64(buf, uint64(nb.Dist))
 		}
 	}
 	return buf
@@ -208,83 +208,40 @@ func encodeNeighborTable(table map[kmer.ID][]subkmer.Neighbor) []byte {
 // every list in the subkmer cache under the scoring matrix the pipeline
 // uses (the enumeration is BLOSUM62-specific, like formSTable's).
 func seedNeighborTable(buf []byte, k int) error {
-	r := &reader{buf: buf}
-	nroots := r.u64()
-	if r.err == nil && nroots > uint64(len(buf)) {
-		return fmt.Errorf("core: implausible neighbor-table root count %d", nroots)
-	}
-	for i := uint64(0); i < nroots && r.err == nil; i++ {
-		root := kmer.ID(r.u64())
-		n := r.u64()
-		if r.err == nil && n > uint64(len(buf)) {
-			return fmt.Errorf("core: implausible neighbor count %d for root %d", n, root)
+	r := wire.NewReader(buf)
+	for i, nroots := 0, r.Count(16); i < nroots; i++ {
+		root := kmer.ID(r.U64())
+		nbrs := make([]subkmer.Neighbor, r.Count(16))
+		for j := range nbrs {
+			nbrs[j] = subkmer.Neighbor{ID: kmer.ID(r.U64()), Dist: int(r.U64())}
 		}
-		nbrs := make([]subkmer.Neighbor, 0, n)
-		for j := uint64(0); j < n && r.err == nil; j++ {
-			id := kmer.ID(r.u64())
-			dist := int(r.u64())
-			if r.err == nil {
-				nbrs = append(nbrs, subkmer.Neighbor{ID: id, Dist: dist})
-			}
-		}
-		if r.err == nil {
+		if r.Err() == nil {
 			subkmer.Seed(root, k, scoring.BLOSUM62.Name, nbrs)
 		}
 	}
-	if r.err != nil {
-		return fmt.Errorf("core: neighbor table: %w", r.err)
-	}
-	if r.off != len(buf) {
-		return fmt.Errorf("core: neighbor table has %d trailing bytes", len(buf)-r.off)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("core: neighbor table: %w", err)
 	}
 	return nil
 }
 
 func encodeBanned(banned []spmat.Index) []byte {
-	var buf []byte
-	buf = appendU64b(buf, uint64(len(banned)))
+	buf := wire.AppendU64(nil, uint64(len(banned)))
 	for _, id := range banned {
-		buf = appendU64b(buf, uint64(id))
+		buf = wire.AppendU64(buf, uint64(id))
 	}
 	return buf
 }
 
 func decodeBanned(buf []byte) (map[spmat.Index]struct{}, error) {
-	r := &reader{buf: buf}
-	n := r.u64()
-	if r.err == nil && n > uint64(len(buf)) {
-		return nil, fmt.Errorf("core: implausible banned-k-mer count %d", n)
-	}
+	r := wire.NewReader(buf)
+	n := r.Count(8)
 	out := make(map[spmat.Index]struct{}, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out[spmat.Index(r.u64())] = struct{}{}
+	for i := 0; i < n; i++ {
+		out[spmat.Index(r.U64())] = struct{}{}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("core: banned k-mers: %w", r.err)
-	}
-	if r.off != len(buf) {
-		return nil, fmt.Errorf("core: banned k-mers have %d trailing bytes", len(buf)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: banned k-mers: %w", err)
 	}
 	return out, nil
-}
-
-// reader mirrors the index package's bounds-checked cursor for the
-// core-level section payloads.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.err = fmt.Errorf("truncated at offset %d", r.off)
-		return 0
-	}
-	v := getU64b(r.buf[r.off:])
-	r.off += 8
-	return v
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/align"
 	"repro/internal/dmat"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // Section names, matching the component labels of the paper's dissection
@@ -151,18 +151,7 @@ func validate(cfg Config) error {
 // GatherEdges collects every rank's edges on rank 0 (nil elsewhere).
 // Collective; used for output writing and the relevance evaluation.
 func GatherEdges(comm *mpi.Comm, edges []Edge) ([]Edge, error) {
-	const edgeRec = 56
-	var buf []byte
-	for _, e := range edges {
-		buf = appendU64b(buf, uint64(e.R))
-		buf = appendU64b(buf, uint64(e.C))
-		buf = appendF64(buf, e.Weight)
-		buf = appendF64(buf, e.Ident)
-		buf = appendF64(buf, e.Cov)
-		buf = appendF64(buf, e.NS)
-		buf = appendU64b(buf, uint64(int64(e.Score)))
-	}
-	parts, err := comm.TryGatherv(0, buf)
+	parts, err := comm.TryGatherv(0, appendEdges(nil, edges))
 	if err != nil {
 		return nil, err
 	}
@@ -171,38 +160,44 @@ func GatherEdges(comm *mpi.Comm, edges []Edge) ([]Edge, error) {
 	}
 	var out []Edge
 	for r, part := range parts {
-		if len(part)%edgeRec != 0 {
-			return nil, fmt.Errorf("core: gathered edge buffer from rank %d is %d bytes, not a multiple of %d",
-				r, len(part), edgeRec)
-		}
-		for len(part) > 0 {
-			e := Edge{
-				R:      spmat.Index(getU64b(part)),
-				C:      spmat.Index(getU64b(part[8:])),
-				Weight: getF64(part[16:]),
-				Ident:  getF64(part[24:]),
-				Cov:    getF64(part[32:]),
-				NS:     getF64(part[40:]),
-				Score:  int(int64(getU64b(part[48:]))),
-			}
-			part = part[edgeRec:]
-			out = append(out, e)
+		if out, err = decodeEdges(out, part); err != nil {
+			return nil, fmt.Errorf("core: gathered edges from rank %d: %w", r, err)
 		}
 	}
 	return out, nil
 }
 
-func appendU64b(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// appendEdges appends one 56-byte record per edge to dst (R, C, four float
+// bit patterns and the score, 8 bytes each) — the one edge encoding, shared
+// by the gather above and the wave checkpoints.
+func appendEdges(dst []byte, edges []Edge) []byte {
+	for _, e := range edges {
+		dst = wire.AppendU64(dst, uint64(e.R))
+		dst = wire.AppendU64(dst, uint64(e.C))
+		dst = wire.AppendF64(dst, e.Weight)
+		dst = wire.AppendF64(dst, e.Ident)
+		dst = wire.AppendF64(dst, e.Cov)
+		dst = wire.AppendF64(dst, e.NS)
+		dst = wire.AppendU64(dst, uint64(int64(e.Score)))
+	}
+	return dst
 }
 
-func getU64b(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+// decodeEdges appends the records packed in buf onto out; a buffer that is
+// not a whole number of records is rejected (the slice returned beside the
+// error then ends in a partly-zero record and is for discarding).
+func decodeEdges(out []Edge, buf []byte) ([]Edge, error) {
+	r := wire.NewReader(buf)
+	for r.More() {
+		out = append(out, Edge{
+			R:      spmat.Index(r.U64()),
+			C:      spmat.Index(r.U64()),
+			Weight: r.F64(),
+			Ident:  r.F64(),
+			Cov:    r.F64(),
+			NS:     r.F64(),
+			Score:  int(int64(r.U64())),
+		})
+	}
+	return out, r.Err()
 }
-
-func appendF64(dst []byte, v float64) []byte { return appendU64b(dst, math.Float64bits(v)) }
-
-func getF64(b []byte) float64 { return math.Float64frombits(getU64b(b)) }

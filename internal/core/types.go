@@ -29,6 +29,7 @@ import (
 	"repro/internal/dmat"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // AlignMode selects the pairwise alignment kernel by name (paper Section
@@ -411,23 +412,25 @@ var btSemiring = spmat.Semiring[int32, PosDist, Overlap]{
 // OverlapCodec serializes Overlap values for block transfers.
 var OverlapCodec = dmat.Codec[Overlap]{
 	Append: func(dst []byte, v Overlap) []byte {
-		dst = appendI32(dst, v.Count)
-		dst = appendI32(dst, v.NumSeeds)
+		dst = wire.AppendU32(dst, uint32(v.Count))
+		dst = wire.AppendU32(dst, uint32(v.NumSeeds))
 		for _, s := range v.Seeds {
-			dst = appendI32(dst, s.PosR)
-			dst = appendI32(dst, s.PosC)
-			dst = appendI32(dst, s.Dist)
+			dst = wire.AppendU32(dst, uint32(s.PosR))
+			dst = wire.AppendU32(dst, uint32(s.PosC))
+			dst = wire.AppendU32(dst, uint32(s.Dist))
 		}
 		return dst
 	},
 	Decode: func(src []byte) (Overlap, int) {
 		var v Overlap
-		v.Count = getI32(src)
-		v.NumSeeds = getI32(src[4:])
+		v.Count = int32(wire.U32(src))
+		v.NumSeeds = int32(wire.U32(src[4:]))
 		off := 8
 		for i := range v.Seeds {
 			v.Seeds[i] = SeedPos{
-				PosR: getI32(src[off:]), PosC: getI32(src[off+4:]), Dist: getI32(src[off+8:]),
+				PosR: int32(wire.U32(src[off:])),
+				PosC: int32(wire.U32(src[off+4:])),
+				Dist: int32(wire.U32(src[off+8:])),
 			}
 			off += 12
 		}
@@ -439,10 +442,10 @@ var OverlapCodec = dmat.Codec[Overlap]{
 // PosDistCodec serializes AS values.
 var PosDistCodec = dmat.Codec[PosDist]{
 	Append: func(dst []byte, v PosDist) []byte {
-		return appendI32(appendI32(dst, v.Pos), v.Dist)
+		return wire.AppendU32(wire.AppendU32(dst, uint32(v.Pos)), uint32(v.Dist))
 	},
 	Decode: func(src []byte) (PosDist, int) {
-		return PosDist{Pos: getI32(src), Dist: getI32(src[4:])}, 8
+		return PosDist{Pos: int32(wire.U32(src)), Dist: int32(wire.U32(src[4:]))}, 8
 	},
 	Width: 8,
 }
@@ -509,12 +512,4 @@ type Result struct {
 	// split (or a resumed checkpoint pinned the sweep's split). Deliberately
 	// not part of Stats, which stays bit-identical across Blocks values.
 	EffectiveBlocks int
-}
-
-func appendI32(dst []byte, v int32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func getI32(b []byte) int32 {
-	return int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 }

@@ -3,9 +3,12 @@ package dmat
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/spmat"
+	"repro/internal/testutil"
 )
 
 func buildBlock(t testing.TB, seed int64, rows, cols spmat.Index, nnz int) *spmat.DCSC[float64] {
@@ -18,50 +21,28 @@ func buildBlock(t testing.TB, seed int64, rows, cols spmat.Index, nnz int) *spma
 	return b
 }
 
-// Every truncation of a valid encoding must fail with an error, never a
-// panic: wire payloads arrive from a transport the fault layer can cut
-// mid-message.
-func TestDecodeBlockTruncation(t *testing.T) {
-	full := EncodeBlock(buildBlock(t, 21, 40, 40, 120), Float64Codec)
-	if _, err := DecodeBlock(full, Float64Codec); err != nil {
-		t.Fatalf("valid payload rejected: %v", err)
-	}
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeBlock(full[:cut], Float64Codec); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded without error", cut, len(full))
-		}
-	}
-}
-
-// Every single-byte corruption must be caught by the wire checksum.
-func TestDecodeBlockCorruption(t *testing.T) {
-	full := EncodeBlock(buildBlock(t, 22, 30, 30, 90), Float64Codec)
-	buf := make([]byte, len(full))
-	for i := 0; i < len(full); i++ {
-		copy(buf, full)
-		buf[i] ^= 0x5a
-		if _, err := DecodeBlock(buf, Float64Codec); err == nil {
-			t.Fatalf("flip at byte %d of %d decoded without error", i, len(full))
-		}
-	}
-}
-
-// Variable-width codecs take the per-value decode path; its bounds checks
-// must also hold under truncation.
-func TestDecodeBlockTruncationVariableWidth(t *testing.T) {
+// The block frame under the shared hardening contract — wire payloads
+// arrive from a transport the fault layer can cut or corrupt mid-message —
+// for a fixed-width codec and for a variable-width one, which takes the
+// per-value decode path with its own bounds checks.
+func TestBlockCodecHardening(t *testing.T) {
 	varCodec := Codec[float64]{
 		Width:  0, // variable-width: per-value append/decode
 		Append: Float64Codec.Append,
 		Decode: Float64Codec.Decode,
 	}
-	full := EncodeBlock(buildBlock(t, 23, 20, 20, 60), varCodec)
-	if _, err := DecodeBlock(full, varCodec); err != nil {
-		t.Fatalf("valid payload rejected: %v", err)
-	}
-	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := DecodeBlock(full[:cut], varCodec); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded without error", cut, len(full))
-		}
+	for name, codec := range map[string]Codec[float64]{"fixed": Float64Codec, "variable": varCodec} {
+		t.Run(name, func(t *testing.T) {
+			for _, nnz := range []int{0, 120} {
+				testutil.Hardening(t, EncodeBlock(buildBlock(t, 21, 40, 40, nnz), codec), func(buf []byte) ([]byte, error) {
+					blk, err := DecodeBlock(buf, codec)
+					if err != nil {
+						return nil, err
+					}
+					return EncodeBlock(blk, codec), nil
+				})
+			}
+		})
 	}
 }
 
@@ -118,6 +99,27 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		if dec.NumRows != b.NumRows || dec.NumCols != b.NumCols || dec.NNZ() != b.NNZ() {
 			t.Errorf("case %d: shape/nnz drifted: %dx%d/%d vs %dx%d/%d", i,
 				dec.NumRows, dec.NumCols, dec.NNZ(), b.NumRows, b.NumCols, b.NNZ())
+		}
+	}
+}
+
+// The triple-record decoder, bare (as redistribution hands it a peer's
+// part): a part that stops inside a record — word-aligned or not — is an
+// error naming the sending rank, never a hang.
+func TestDecodeTriplesRejectsPartialRecords(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	var enc []byte
+	want := []spmat.Triple[int32]{{Row: 1, Col: 2, Val: -3}, {Row: 4, Col: 5, Val: 6}, {Row: 7, Col: 8, Val: 9}}
+	for _, tr := range want {
+		enc = appendTriple(enc, tr.Row, tr.Col, tr.Val, Int32Codec)
+	}
+	for cut := 0; cut <= len(enc); cut++ {
+		got, err := decodeTriples([][]byte{nil, enc[:cut:cut]}, Int32Codec, 0, 0)
+		if (err == nil) != (cut%20 == 0) || (err != nil && !strings.Contains(err.Error(), "rank 1")) {
+			t.Fatalf("decodeTriples over %d bytes: err %v", cut, err)
+		}
+		if err == nil && !reflect.DeepEqual(got, want[:cut/20]) && cut > 0 {
+			t.Fatalf("decodeTriples over %d bytes: %v", cut, got)
 		}
 	}
 }

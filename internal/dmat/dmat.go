@@ -7,7 +7,6 @@
 package dmat
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // ErrMemBudget is returned by the SUMMA engine when SpGEMMOpts.MemBudget is
@@ -119,25 +119,21 @@ type Codec[T any] struct {
 
 // Int64Codec, Int32Codec and Float64Codec cover the common value types.
 var Int64Codec = Codec[int64]{
-	Append: func(dst []byte, v int64) []byte { return appendU64(dst, uint64(v)) },
-	Decode: func(src []byte) (int64, int) { return int64(getU64(src)), 8 },
+	Append: func(dst []byte, v int64) []byte { return wire.AppendU64(dst, uint64(v)) },
+	Decode: func(src []byte) (int64, int) { return int64(wire.U64(src)), 8 },
 	Width:  8,
 }
 
 var Float64Codec = Codec[float64]{
-	Append: func(dst []byte, v float64) []byte { return appendU64(dst, math.Float64bits(v)) },
-	Decode: func(src []byte) (float64, int) { return math.Float64frombits(getU64(src)), 8 },
+	Append: wire.AppendF64,
+	Decode: func(src []byte) (float64, int) { return math.Float64frombits(wire.U64(src)), 8 },
 	Width:  8,
 }
 
 var Int32Codec = Codec[int32]{
-	Append: func(dst []byte, v int32) []byte {
-		return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	},
-	Decode: func(src []byte) (int32, int) {
-		return int32(uint32(src[0]) | uint32(src[1])<<8 | uint32(src[2])<<16 | uint32(src[3])<<24), 4
-	},
-	Width: 4,
+	Append: func(dst []byte, v int32) []byte { return wire.AppendU32(dst, uint32(v)) },
+	Decode: func(src []byte) (int32, int) { return int32(wire.U32(src)), 4 },
+	Width:  4,
 }
 
 // Mat is a 2D block-distributed sparse matrix. Process (i,j) stores the
@@ -307,28 +303,14 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 			}
 		}
 		for i, t := range ts {
-			b := bufs[owners[i]]
-			b = appendU64(b, uint64(t.Row))
-			b = appendU64(b, uint64(t.Col))
-			b = codec.Append(b, t.Val)
-			bufs[owners[i]] = b
+			bufs[owners[i]] = appendTriple(bufs[owners[i]], t.Row, t.Col, t.Val, codec)
 		}
 		parts, err := g.Comm.TryAlltoallv(bufs)
 		if err != nil {
 			return nil, err
 		}
-		if codec.Width > 0 {
-			total := 0
-			for _, p := range parts {
-				total += len(p) / rec
-			}
-			local = make([]spmat.Triple[T], 0, total)
-		}
-		for src, part := range parts {
-			var err error
-			if local, err = decodeTriples(part, codec, -rowOff, -colOff, local); err != nil {
-				return nil, fmt.Errorf("dmat: triples from rank %d: %w", src, err)
-			}
+		if local, err = decodeTriples(parts, codec, -rowOff, -colOff); err != nil {
+			return nil, err
 		}
 	}
 	clock.Ops(float64(len(local)) * buildOps)
@@ -361,46 +343,53 @@ func NewFromLocal[T any](g *Grid, rows, cols spmat.Index, local *spmat.DCSC[T], 
 	return m, nil
 }
 
-// decodeTriples appends the (row, col, value) records packed in part onto
-// out, shifting indices by (rowShift, colShift). Every record is
-// bounds-checked; malformed input returns a wrapped error naming the byte
+// appendTriple appends one (row, col, value) record: two u64 indices and the
+// value under codec.
+func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) []byte {
+	dst = wire.AppendU64(dst, uint64(row))
+	dst = wire.AppendU64(dst, uint64(col))
+	return codec.Append(dst, v)
+}
+
+// decodeTriples decodes the appendTriple records of every rank's part,
+// shifting indices by (rowShift, colShift). Every record is bounds-checked;
+// malformed input returns an error naming the sending rank and the byte
 // offset instead of panicking — these buffers cross the transport, so a
 // corrupted or truncated payload must surface as a retryable error.
-func decodeTriples[T any](part []byte, codec Codec[T], rowShift, colShift spmat.Index,
-	out []spmat.Triple[T]) ([]spmat.Triple[T], error) {
-
-	off := 0
-	for off < len(part) {
-		if len(part)-off < 16 {
-			return out, fmt.Errorf("truncated triple indices at offset %d (%d bytes remain)", off, len(part)-off)
+func decodeTriples[T any](parts [][]byte, codec Codec[T], rowShift, colShift spmat.Index) ([]spmat.Triple[T], error) {
+	var out []spmat.Triple[T]
+	if codec.Width > 0 {
+		total := 0
+		for _, p := range parts {
+			total += len(p) / (16 + codec.Width)
 		}
-		r := spmat.Index(getU64(part[off:]))
-		c := spmat.Index(getU64(part[off+8:]))
-		if codec.Width > 0 && len(part)-off-16 < codec.Width {
-			return out, fmt.Errorf("truncated triple value at offset %d (%d bytes remain, width %d)",
-				off+16, len(part)-off-16, codec.Width)
+		out = make([]spmat.Triple[T], 0, total)
+	}
+	need := max(codec.Width, 1) // a variable-width value is at least one byte
+	for src, part := range parts {
+		r := wire.NewReader(part)
+		for r.More() {
+			row, col := spmat.Index(r.U64()), spmat.Index(r.U64())
+			val := r.Peek()
+			if len(val) < need {
+				r.Take(uint64(need)) // records the truncation with its offset
+				break
+			}
+			v, n := codec.Decode(val)
+			if n <= 0 || r.Take(uint64(n)) == nil {
+				return nil, fmt.Errorf("dmat: triples from rank %d: value decode consumed %d of %d bytes", src, n, len(val))
+			}
+			out = append(out, spmat.Triple[T]{Row: row + rowShift, Col: col + colShift, Val: v})
 		}
-		v, n := codec.Decode(part[off+16:])
-		if n <= 0 || len(part)-off-16 < n {
-			return out, fmt.Errorf("triple value decode overran buffer at offset %d", off+16)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("dmat: triples from rank %d: %w", src, err)
 		}
-		off += 16 + n
-		out = append(out, spmat.Triple[T]{Row: r + rowShift, Col: c + colShift, Val: v})
 	}
 	return out, nil
 }
 
-// NNZ returns the global nonzero count (collective).
-func (m *Mat[T]) NNZ() int64 {
-	n, err := m.TryNNZ()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// TryNNZ is the error-returning NNZ: it fails with the abort cause instead
-// of panicking when the cluster aborts mid-reduce.
+// TryNNZ returns the global nonzero count (collective); it fails with the
+// abort cause when the cluster aborts mid-reduce.
 func (m *Mat[T]) TryNNZ() (int64, error) {
 	return m.Grid.Comm.TryAllreduceInt64("sum", int64(m.Local.NNZ()))
 }
@@ -415,31 +404,13 @@ func (m *Mat[T]) GatherTriples() ([]spmat.Triple[T], error) {
 	}
 	rowOff, colOff := m.RowOffset(), m.ColOffset()
 	for _, t := range ts {
-		buf = appendU64(buf, uint64(t.Row+rowOff))
-		buf = appendU64(buf, uint64(t.Col+colOff))
-		buf = m.codec.Append(buf, t.Val)
+		buf = appendTriple(buf, t.Row+rowOff, t.Col+colOff, t.Val, m.codec)
 	}
 	parts, err := m.Grid.Comm.TryGatherv(0, buf)
-	if err != nil {
+	if err != nil || parts == nil {
 		return nil, err
 	}
-	if parts == nil {
-		return nil, nil
-	}
-	var out []spmat.Triple[T]
-	if rec := 16 + m.codec.Width; m.codec.Width > 0 {
-		total := 0
-		for _, p := range parts {
-			total += len(p) / rec
-		}
-		out = make([]spmat.Triple[T], 0, total)
-	}
-	for src, part := range parts {
-		if out, err = decodeTriples(part, m.codec, 0, 0, out); err != nil {
-			return nil, fmt.Errorf("dmat: gathered triples from rank %d: %w", src, err)
-		}
-	}
-	return out, nil
+	return decodeTriples(parts, m.codec, 0, 0)
 }
 
 // BlockWireBytes is the exact byte length encodeBlock produces for a block
@@ -462,25 +433,10 @@ func BlockWireBytes[T any](b *spmat.DCSC[T], width int) int64 {
 // free.
 const blockHeaderLen = 40
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// chainChecksum folds b into h eight bytes at a time (FNV-1a over words:
-// an order of magnitude cheaper than byte-wise FNV, and detection strength
-// is ample for transport corruption).
-func chainChecksum(h uint64, b []byte) uint64 {
-	for len(b) >= 8 {
-		h = (h ^ getU64(b)) * fnvPrime64
-		b = b[8:]
-	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		h = (h ^ getU64(tail[:])) * fnvPrime64
-	}
-	return h
+// blockChecksum chains the shape header and the payload, skipping the
+// checksum slot between them.
+func blockChecksum(buf []byte) uint64 {
+	return wire.Checksum(wire.Checksum(wire.ChecksumInit, buf[:32]), buf[blockHeaderLen:])
 }
 
 // encodeBlock serializes a local DCSC for broadcast within SUMMA by writing
@@ -497,29 +453,27 @@ func encodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
 	}
 	fixed := blockHeaderLen + ncols*16 + 8 + nnz*8
 	buf := make([]byte, fixed, fixed+nnz*width)
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:], uint64(b.NumRows))
-	le.PutUint64(buf[8:], uint64(b.NumCols))
-	le.PutUint64(buf[16:], uint64(ncols))
-	le.PutUint64(buf[24:], uint64(nnz))
+	wire.PutU64(buf[0:], uint64(b.NumRows))
+	wire.PutU64(buf[8:], uint64(b.NumCols))
+	wire.PutU64(buf[16:], uint64(ncols))
+	wire.PutU64(buf[24:], uint64(nnz))
 	off := blockHeaderLen
 	for _, c := range b.JC {
-		le.PutUint64(buf[off:], uint64(c))
+		wire.PutU64(buf[off:], uint64(c))
 		off += 8
 	}
 	for _, p := range b.CP {
-		le.PutUint64(buf[off:], uint64(p))
+		wire.PutU64(buf[off:], uint64(p))
 		off += 8
 	}
 	for _, r := range b.IR {
-		le.PutUint64(buf[off:], uint64(r))
+		wire.PutU64(buf[off:], uint64(r))
 		off += 8
 	}
 	for _, v := range b.Vals {
 		buf = codec.Append(buf, v)
 	}
-	sum := chainChecksum(chainChecksum(fnvOffset64, buf[:32]), buf[blockHeaderLen:])
-	le.PutUint64(buf[32:], sum)
+	wire.PutU64(buf[32:], blockChecksum(buf))
 	return buf
 }
 
@@ -527,69 +481,51 @@ func decodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	if len(buf) < blockHeaderLen {
 		return nil, fmt.Errorf("dmat: truncated block header: %d bytes, need %d", len(buf), blockHeaderLen)
 	}
-	le := binary.LittleEndian
-	if want, got := le.Uint64(buf[32:]),
-		chainChecksum(chainChecksum(fnvOffset64, buf[:32]), buf[blockHeaderLen:]); want != got {
+	r := wire.NewReader(buf)
+	m := &spmat.DCSC[T]{NumRows: spmat.Index(r.U64()), NumCols: spmat.Index(r.U64())}
+	ncols64, nnz64 := r.U64(), r.U64()
+	if want, got := r.U64(), blockChecksum(buf); want != got {
 		return nil, fmt.Errorf("dmat: block checksum mismatch (stored %#x, computed %#x): corrupt payload", want, got)
 	}
-	m := &spmat.DCSC[T]{
-		NumRows: spmat.Index(le.Uint64(buf)),
-		NumCols: spmat.Index(le.Uint64(buf[8:])),
-	}
-	ncols64 := le.Uint64(buf[16:])
-	nnz64 := le.Uint64(buf[24:])
-	body := buf[blockHeaderLen:]
 	// Each column entry costs >= 16 bytes and each nonzero >= 8, so counts
-	// larger than the payload itself are malformed regardless of overflow.
-	if ncols64 > uint64(len(body)) || nnz64 > uint64(len(body)) {
+	// larger than the payload itself are malformed regardless of overflow —
+	// checked before they size an allocation.
+	if ncols64 > uint64(r.Len()) || nnz64 > uint64(r.Len()) ||
+		(ncols64*2+1+nnz64)*8 > uint64(r.Len()) {
 		return nil, fmt.Errorf("dmat: block header claims %d columns / %d nonzeros in %d payload bytes",
-			ncols64, nnz64, len(body))
+			ncols64, nnz64, r.Len())
 	}
-	ncols := int(ncols64)
-	nnz := int(nnz64)
-	if want := (ncols*2 + 1 + nnz) * 8; len(body) < want {
-		return nil, fmt.Errorf("dmat: block payload %d bytes at offset %d, need at least %d",
-			len(body), blockHeaderLen, want)
-	}
-	off := 0
+	ncols, nnz := int(ncols64), int(nnz64)
 	m.JC = make([]spmat.Index, ncols)
-	for i := range m.JC {
-		m.JC[i] = spmat.Index(le.Uint64(body[off:]))
-		off += 8
-	}
+	wire.U64s(r, m.JC)
 	m.CP = make([]int, ncols+1)
-	for i := range m.CP {
-		m.CP[i] = int(le.Uint64(body[off:]))
-		off += 8
-	}
+	wire.U64s(r, m.CP)
 	if ncols > 0 && (m.CP[0] != 0 || m.CP[ncols] != nnz) {
 		return nil, fmt.Errorf("dmat: block column pointers [%d..%d] inconsistent with %d nonzeros",
 			m.CP[0], m.CP[ncols], nnz)
 	}
 	m.IR = make([]spmat.Index, nnz)
-	for i := range m.IR {
-		m.IR[i] = spmat.Index(le.Uint64(body[off:]))
-		off += 8
-	}
-	if codec.Width > 0 && len(body)-off < nnz*codec.Width {
-		return nil, fmt.Errorf("dmat: block values truncated at offset %d: %d bytes for %d nonzeros of width %d",
-			blockHeaderLen+off, len(body)-off, nnz, codec.Width)
+	wire.U64s(r, m.IR)
+	vals := r.Peek()
+	if codec.Width > 0 && len(vals) < nnz*codec.Width {
+		return nil, fmt.Errorf("dmat: block values truncated: %d bytes for %d nonzeros of width %d",
+			len(vals), nnz, codec.Width)
 	}
 	m.Vals = make([]T, nnz)
+	off := 0
 	for i := range m.Vals {
-		if off >= len(body) {
-			return nil, fmt.Errorf("dmat: block values truncated at offset %d: %d of %d decoded",
-				blockHeaderLen+off, i, nnz)
+		if off >= len(vals) {
+			return nil, fmt.Errorf("dmat: block values truncated: %d of %d decoded", i, nnz)
 		}
-		v, n := codec.Decode(body[off:])
+		v, n := codec.Decode(vals[off:])
 		m.Vals[i] = v
 		off += n
 	}
 	// A block message carries exactly one block; leftover bytes mean the
 	// header undercounted and the payload is not the codec's own encoding.
-	if off != len(body) {
-		return nil, fmt.Errorf("dmat: %d trailing bytes after block payload at offset %d",
-			len(body)-off, blockHeaderLen+off)
+	r.Take(uint64(off))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dmat: block payload: %w", err)
 	}
 	return m, nil
 }
@@ -1026,8 +962,8 @@ func (m *Mat[T]) ColumnCounts() (map[spmat.Index]int64, error) {
 	}
 	sortIndices(cols)
 	for _, col := range cols {
-		buf = appendU64(buf, uint64(col))
-		buf = appendU64(buf, uint64(local[col]))
+		buf = wire.AppendU64(buf, uint64(col))
+		buf = wire.AppendU64(buf, uint64(local[col]))
 	}
 	parts, err := m.Grid.ColComm.TryAllgather(buf)
 	if err != nil {
@@ -1035,15 +971,8 @@ func (m *Mat[T]) ColumnCounts() (map[spmat.Index]int64, error) {
 	}
 	total := make(map[spmat.Index]int64, len(local)*2)
 	for src, part := range parts {
-		if len(part)%16 != 0 {
-			return nil, fmt.Errorf("dmat: column counts from rank %d: %d bytes is not a whole number of records",
-				src, len(part))
-		}
-		for len(part) > 0 {
-			col := spmat.Index(getU64(part))
-			cnt := int64(getU64(part[8:]))
-			part = part[16:]
-			total[col] += cnt
+		if err := wire.Pairs(part, func(col, n uint64) { total[spmat.Index(col)] += int64(n) }); err != nil {
+			return nil, fmt.Errorf("dmat: column counts from rank %d: %w", src, err)
 		}
 	}
 	m.Grid.Comm.Clock().Ops(float64(len(total)) * 4)
@@ -1088,15 +1017,4 @@ func (m *Mat[T]) derived(local *spmat.DCSC[T], opsPerNNZ float64) *Mat[T] {
 	out := &Mat[T]{Grid: m.Grid, Rows: m.Rows, Cols: m.Cols, Local: local, codec: m.codec}
 	clock.AllocBytes(out.LocalBytes())
 	return out
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

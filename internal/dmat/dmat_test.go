@@ -116,8 +116,8 @@ func TestNewFromTriplesAndGather(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if nnz := m.NNZ(); nnz != 300 {
-				return fmt.Errorf("NNZ = %d, want 300", nnz)
+			if nnz, err := m.TryNNZ(); err != nil || nnz != 300 {
+				return fmt.Errorf("NNZ = %d (%v), want 300", nnz, err)
 			}
 			got, err := m.GatherTriples()
 			if err != nil {

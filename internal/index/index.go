@@ -1,30 +1,17 @@
-// Package index implements the persistent target-index artifact: a generic
-// checksum-framed container of named byte sections, written per rank with
-// the same atomic temp+rename discipline as the wave checkpoints and decoded
-// with full validation (magic, version, trailer checksum, fingerprint, rank
-// identity, exact length). The container is deliberately oblivious to what
-// the sections hold — internal/core packs matrix blocks, sequences and
-// neighbor tables into it — so the framing can be fuzzed in isolation
-// (FuzzIndexCodecRoundTrip) and reused for future artifacts.
-//
-// On-disk layout of one file (all integers little-endian u64):
-//
-//	magic "PASTISIX" | version | fingerprint | rank (two's complement;
-//	ManifestRank = -1) | ranks | nmeta | nmeta × (keyLen, key, value) |
-//	nsections | nsections × (nameLen, name, payloadLen, payload) |
-//	checksum (word-wise FNV-1a of everything before it)
-//
-// A build writes one file per rank (`index-r<rank>.pidx`) plus one manifest
+// Package index names the persistent target-index artifact: a wire
+// container (internal/wire: checksum-framed named sections, atomic save,
+// fingerprint/rank/ranks identity checks) under the index magic. A build
+// writes one file per rank (`index-r<rank>.pidx`) plus one manifest
 // (`index-manifest.pidx`, rank = ManifestRank) carrying the global sequence
-// names and the build parameters.
+// names and the build parameters; internal/core decides what the sections
+// hold.
 package index
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
+
+	"repro/internal/wire"
 )
 
 const (
@@ -38,175 +25,19 @@ const (
 	ManifestRank = -1
 )
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+var format = wire.Format{Magic: Magic, Version: Version}
+
+// File is one decoded index artifact and Section one of its named payloads.
+type (
+	File    = wire.File
+	Section = wire.Section
 )
 
-// Section is one named payload of an index file.
-type Section struct {
-	Name    string
-	Payload []byte
-}
+// Encode renders f as an index file.
+func Encode(f *File) []byte { return format.Encode(f) }
 
-// File is the decoded form of one per-rank index artifact.
-type File struct {
-	Fingerprint uint64 // config fingerprint of the build that wrote it
-	Rank        int    // owning rank, or ManifestRank
-	Ranks       int    // cluster size of the build
-	Meta        map[string]uint64
-	Sections    []Section
-}
-
-// Section returns the payload of the named section.
-func (f *File) Section(name string) ([]byte, bool) {
-	for i := range f.Sections {
-		if f.Sections[i].Name == name {
-			return f.Sections[i].Payload, true
-		}
-	}
-	return nil, false
-}
-
-// Meta keys are encoded in sorted order so Encode is deterministic.
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func checksum(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for len(b) >= 8 {
-		h = (h ^ getU64(b)) * fnvPrime64
-		b = b[8:]
-	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		h = (h ^ getU64(tail[:])) * fnvPrime64
-	}
-	return h
-}
-
-// Encode renders f with the trailing checksum.
-func Encode(f *File) []byte {
-	buf := []byte(Magic)
-	buf = appendU64(buf, Version)
-	buf = appendU64(buf, f.Fingerprint)
-	buf = appendU64(buf, uint64(int64(f.Rank)))
-	buf = appendU64(buf, uint64(f.Ranks))
-	buf = appendU64(buf, uint64(len(f.Meta)))
-	for _, k := range sortedKeys(f.Meta) {
-		buf = appendU64(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = appendU64(buf, f.Meta[k])
-	}
-	buf = appendU64(buf, uint64(len(f.Sections)))
-	for _, s := range f.Sections {
-		buf = appendU64(buf, uint64(len(s.Name)))
-		buf = append(buf, s.Name...)
-		buf = appendU64(buf, uint64(len(s.Payload)))
-		buf = append(buf, s.Payload...)
-	}
-	return appendU64(buf, checksum(buf))
-}
-
-// reader walks an encoded file with bounds checking; truncation surfaces as
-// an error naming the offset rather than a panic (files arrive from disk
-// and may be torn or bit-flipped).
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.err = fmt.Errorf("truncated at offset %d", r.off)
-		return 0
-	}
-	v := getU64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.err = fmt.Errorf("%d bytes at offset %d overrun buffer", n, r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// Decode parses and validates an encoded index file: magic, trailer
-// checksum (verified first, so every later field is trustworthy), version,
-// and exact length — trailing bytes after the last section are rejected, as
-// is any count that overruns the buffer.
-func Decode(buf []byte) (*File, error) {
-	if len(buf) < len(Magic)+16 || string(buf[:len(Magic)]) != Magic {
-		return nil, errors.New("index: not an index file")
-	}
-	stored := getU64(buf[len(buf)-8:])
-	if got := checksum(buf[: len(buf)-8 : len(buf)-8]); stored != got {
-		return nil, fmt.Errorf("index: checksum mismatch (stored %#x, computed %#x)", stored, got)
-	}
-	r := &reader{buf: buf[:len(buf)-8], off: len(Magic)}
-	if v := r.u64(); r.err == nil && v != Version {
-		return nil, fmt.Errorf("index: version %d, want %d", v, Version)
-	}
-	f := &File{
-		Fingerprint: r.u64(),
-		Rank:        int(int64(r.u64())),
-		Ranks:       int(r.u64()),
-	}
-	nmeta := r.u64()
-	if r.err == nil && nmeta > uint64(len(buf)) {
-		return nil, fmt.Errorf("index: implausible meta count %d", nmeta)
-	}
-	if r.err == nil && nmeta > 0 {
-		f.Meta = make(map[string]uint64, nmeta)
-	}
-	for i := uint64(0); i < nmeta && r.err == nil; i++ {
-		key := string(r.bytes(r.u64()))
-		val := r.u64()
-		if r.err == nil {
-			if _, dup := f.Meta[key]; dup {
-				return nil, fmt.Errorf("index: duplicate meta key %q", key)
-			}
-			f.Meta[key] = val
-		}
-	}
-	nsec := r.u64()
-	if r.err == nil && nsec > uint64(len(buf)) {
-		return nil, fmt.Errorf("index: implausible section count %d", nsec)
-	}
-	for i := uint64(0); i < nsec && r.err == nil; i++ {
-		name := string(r.bytes(r.u64()))
-		payload := r.bytes(r.u64())
-		if r.err == nil {
-			f.Sections = append(f.Sections, Section{Name: name, Payload: payload})
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("index: %w", r.err)
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("index: %d trailing bytes after last section", len(r.buf)-r.off)
-	}
-	return f, nil
-}
+// Decode parses and fully validates an encoded index file.
+func Decode(buf []byte) (*File, error) { return format.Decode(buf) }
 
 // Path returns the file path of rank's artifact in dir (the manifest for
 // ManifestRank).
@@ -217,70 +48,17 @@ func Path(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("index-r%d.pidx", rank))
 }
 
-// Save writes f atomically into dir (temp file + rename, the checkpoint
-// discipline: a torn write never replaces a good artifact). Returns the
-// encoded size, which callers charge to the virtual IO clock.
-func Save(dir string, f *File) (int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("index: dir: %w", err)
-	}
-	buf := Encode(f)
-	final := Path(dir, f.Rank)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return 0, fmt.Errorf("index: write: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return 0, fmt.Errorf("index: rename: %w", err)
-	}
-	return int64(len(buf)), nil
-}
+// Save writes f atomically into dir and returns the encoded size.
+func Save(dir string, f *File) (int64, error) { return format.Save(Path(dir, f.Rank), f) }
 
 // Load reads and decodes rank's artifact from dir without identity checks
 // (the manifest is loaded this way, before the expected fingerprint is
 // known). Returns the file and its on-disk size.
-func Load(dir string, rank int) (*File, int64, error) {
-	buf, err := os.ReadFile(Path(dir, rank))
-	if err != nil {
-		return nil, 0, fmt.Errorf("index: %w", err)
-	}
-	f, err := Decode(buf)
-	if err != nil {
-		return nil, 0, fmt.Errorf("index: %s: %w", Path(dir, rank), err)
-	}
-	return f, int64(len(buf)), nil
-}
+func Load(dir string, rank int) (*File, int64, error) { return format.Load(Path(dir, rank)) }
 
 // Open is Load plus the identity checks a rank performs before trusting an
-// artifact: the stored fingerprint, rank and cluster size must match this
-// run's. A mismatched fingerprint means the directory holds an index built
-// with different parameters (or different data) and must be rejected, not
-// reinterpreted.
+// artifact: a directory holding an index built with different parameters,
+// on a different grid, or with its rank files shuffled is rejected.
 func Open(dir string, rank, ranks int, fingerprint uint64) (*File, int64, error) {
-	f, size, err := Load(dir, rank)
-	if err != nil {
-		return nil, 0, err
-	}
-	if f.Fingerprint != fingerprint {
-		return nil, 0, fmt.Errorf("index: fingerprint %#x does not match this run's %#x (different build parameters or grid)",
-			f.Fingerprint, fingerprint)
-	}
-	if f.Rank != rank {
-		return nil, 0, fmt.Errorf("index: written by rank %d, opened as rank %d", f.Rank, rank)
-	}
-	if f.Ranks != ranks {
-		return nil, 0, fmt.Errorf("index: built on %d ranks, opened on %d", f.Ranks, ranks)
-	}
-	return f, size, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return format.Open(Path(dir, rank), rank, ranks, fingerprint)
 }

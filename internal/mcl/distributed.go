@@ -8,6 +8,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/dmat"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // ClusterDistributed runs Markov Clustering on the 2D process grid, the way
@@ -137,23 +138,18 @@ func normalizeColumnsDist(m *dmat.Mat[float64]) (*dmat.Mat[float64], error) {
 	sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
 	buf := make([]byte, 0, len(cols)*16)
 	for _, col := range cols {
-		buf = appendU64(buf, uint64(col))
-		buf = appendU64(buf, math.Float64bits(local[col]))
+		buf = wire.AppendU64(buf, uint64(col))
+		buf = wire.AppendF64(buf, local[col])
 	}
 	parts, err := m.Grid.ColComm.TryAllgather(buf)
 	if err != nil {
 		return nil, err
 	}
 	sums := map[spmat.Index]float64{}
-	for r, part := range parts {
-		if len(part)%16 != 0 {
-			return nil, fmt.Errorf("mcl: column-sum buffer from grid-column rank %d is %d bytes, not a multiple of 16",
-				r, len(part))
-		}
-		for len(part) > 0 {
-			col := spmat.Index(getU64(part))
-			sums[col] += math.Float64frombits(getU64(part[8:]))
-			part = part[16:]
+	for src, part := range parts {
+		add := func(col, bits uint64) { sums[spmat.Index(col)] += math.Float64frombits(bits) }
+		if err := wire.Pairs(part, add); err != nil {
+			return nil, fmt.Errorf("mcl: column sums from grid-column rank %d: %w", src, err)
 		}
 	}
 	return m.Map2(func(r, c spmat.Index, v float64) float64 {
@@ -178,15 +174,4 @@ func localDelta(a, b *dmat.Mat[float64]) float64 {
 		}
 	}
 	return worst
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

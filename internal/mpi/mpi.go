@@ -24,6 +24,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // CostModel holds the machine constants of the virtual-time model.
@@ -935,10 +937,9 @@ func (c *Comm) gathervE(root int, data []byte) ([][]byte, error) {
 // communicator are ordered by (key, old rank), as in MPI_Comm_split. It
 // fails instead of blocking when the cluster aborts mid-rendezvous.
 func (c *Comm) TrySplit(color, key int) (*Comm, error) {
-	payload := make([]byte, 24)
-	putU64(payload[0:], uint64(int64(color)))
-	putU64(payload[8:], uint64(int64(key)))
-	putU64(payload[16:], uint64(int64(c.world)))
+	payload := wire.AppendU64(make([]byte, 0, 24), uint64(int64(color)))
+	payload = wire.AppendU64(payload, uint64(int64(key)))
+	payload = wire.AppendU64(payload, uint64(int64(c.world)))
 	st, err := c.rendezvous(payload, 0)
 	if err != nil {
 		return nil, err
@@ -947,11 +948,15 @@ func (c *Comm) TrySplit(color, key int) (*Comm, error) {
 	type member struct{ color, key, oldRank, world int }
 	members := make([]member, c.size)
 	for i, d := range st.data {
+		r := wire.NewReader(d)
 		members[i] = member{
-			color:   int(int64(getU64(d[0:]))),
-			key:     int(int64(getU64(d[8:]))),
+			color:   int(int64(r.U64())),
+			key:     int(int64(r.U64())),
 			oldRank: i,
-			world:   int(int64(getU64(d[16:]))),
+			world:   int(int64(r.U64())),
+		}
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("mpi: Split deposit from rank %d: %w", i, err)
 		}
 	}
 	var group []member
@@ -1020,41 +1025,19 @@ func flatten(bufs [][]byte) []byte {
 		total += len(b)
 	}
 	out := make([]byte, 0, total)
-	var hdr [8]byte
 	for _, b := range bufs {
-		putU64(hdr[:], uint64(len(b)))
-		out = append(out, hdr[:]...)
-		out = append(out, b...)
+		out = wire.AppendBytes(out, b)
 	}
 	return out
 }
 
+// unflatten splits a flatten image back into its n parts; each part aliases
+// flat with its capacity clipped.
 func unflatten(flat []byte, n int) ([][]byte, error) {
+	r := wire.NewReader(flat)
 	out := make([][]byte, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		if off+8 > len(flat) {
-			return nil, fmt.Errorf("truncated length header for part %d at offset %d (have %d bytes)", i, off, len(flat))
-		}
-		l := int(getU64(flat[off:]))
-		off += 8
-		if l < 0 || off+l > len(flat) {
-			return nil, fmt.Errorf("part %d claims %d bytes at offset %d, only %d remain", i, l, off, len(flat)-off)
-		}
-		out[i] = flat[off : off+l : off+l]
-		off += l
+	for i := range out {
+		out[i] = r.Bytes()
 	}
-	return out, nil
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return out, r.Done()
 }

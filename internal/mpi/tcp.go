@@ -36,23 +36,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // --- frame codec ---
 
-// A tcp frame is magic ("PTF1"), a little-endian u32 body length, the body,
-// and a little-endian u64 FNV-1a checksum of the body. The encoding is
-// canonical: any byte string DecodeTCPFrame accepts re-encodes to exactly
-// the bytes consumed (FuzzTCPFrameRoundTrip holds the codec to this).
+// A tcp frame is magic ("PTF2"), a little-endian u32 body length, the body,
+// and a little-endian u64 wire.Checksum of the body ("PTF1" sealed the same
+// layout with a byte-wise FNV-1a). The encoding is canonical: any byte
+// string DecodeTCPFrame accepts re-encodes to exactly the bytes consumed
+// (FuzzTCPFrameRoundTrip holds the codec to this).
 const (
-	tcpFrameMagic   = "PTF1"
+	tcpFrameMagic   = "PTF2"
 	tcpHeaderLen    = 8 // magic + u32 body length
-	tcpTrailerLen   = 8 // FNV-1a checksum of the body
+	tcpTrailerLen   = 8 // checksum of the body
 	maxTCPFrameBody = 1 << 30
 )
 
@@ -66,50 +68,57 @@ const (
 	tcpKindBye   byte = 6 // clean shutdown notice
 )
 
-func fnv64a(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // AppendTCPFrame appends one framed body to dst and returns the result.
 func AppendTCPFrame(dst, body []byte) []byte {
 	if len(body) > maxTCPFrameBody {
 		panic(fmt.Sprintf("mpi: tcp frame body %d bytes exceeds limit %d", len(body), maxTCPFrameBody))
 	}
-	n := uint32(len(body))
 	dst = append(dst, tcpFrameMagic...)
-	dst = append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	dst = wire.AppendU32(dst, uint32(len(body)))
 	dst = append(dst, body...)
-	var sum [8]byte
-	putU64(sum[:], fnv64a(body))
-	return append(dst, sum[:]...)
+	return wire.AppendU64(dst, wire.Checksum(wire.ChecksumInit, body))
+}
+
+// tcpFrameSize validates a frame header (magic, length limit) and returns
+// the body length it announces.
+func tcpFrameSize(hdr []byte) (int, error) {
+	if len(hdr) < tcpHeaderLen {
+		return 0, fmt.Errorf("mpi: tcp frame truncated: %d header bytes of %d", len(hdr), tcpHeaderLen)
+	}
+	if string(hdr[:4]) != tcpFrameMagic {
+		return 0, fmt.Errorf("mpi: bad tcp frame magic % x", hdr[:4])
+	}
+	size := int(wire.U32(hdr[4:]))
+	if size > maxTCPFrameBody {
+		return 0, fmt.Errorf("mpi: tcp frame body %d bytes exceeds limit %d", size, maxTCPFrameBody)
+	}
+	return size, nil
+}
+
+// tcpFrameBody checks the trailer of rest (a size-byte body followed by its
+// checksum) and returns the body.
+func tcpFrameBody(rest []byte, size int) ([]byte, error) {
+	body := rest[:size:size]
+	if got, want := wire.U64(rest[size:]), wire.Checksum(wire.ChecksumInit, body); got != want {
+		return nil, fmt.Errorf("mpi: tcp frame checksum %016x, want %016x", got, want)
+	}
+	return body, nil
 }
 
 // DecodeTCPFrame parses one frame from the front of buf, returning the body
 // and the bytes consumed. Truncated input, bad magic, an oversized length
 // prefix, and checksum mismatches are all rejected.
 func DecodeTCPFrame(buf []byte) (body []byte, n int, err error) {
-	if len(buf) < tcpHeaderLen {
-		return nil, 0, fmt.Errorf("mpi: tcp frame truncated: %d header bytes of %d", len(buf), tcpHeaderLen)
-	}
-	if string(buf[:4]) != tcpFrameMagic {
-		return nil, 0, fmt.Errorf("mpi: bad tcp frame magic % x", buf[:4])
-	}
-	size := int(uint32(buf[4]) | uint32(buf[5])<<8 | uint32(buf[6])<<16 | uint32(buf[7])<<24)
-	if size > maxTCPFrameBody {
-		return nil, 0, fmt.Errorf("mpi: tcp frame body %d bytes exceeds limit %d", size, maxTCPFrameBody)
+	size, err := tcpFrameSize(buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	total := tcpHeaderLen + size + tcpTrailerLen
 	if len(buf) < total {
 		return nil, 0, fmt.Errorf("mpi: tcp frame truncated: %d bytes of %d", len(buf), total)
 	}
-	body = buf[tcpHeaderLen : tcpHeaderLen+size]
-	if got, want := getU64(buf[tcpHeaderLen+size:]), fnv64a(body); got != want {
-		return nil, 0, fmt.Errorf("mpi: tcp frame checksum %016x, want %016x", got, want)
+	if body, err = tcpFrameBody(buf[tcpHeaderLen:total], size); err != nil {
+		return nil, 0, err
 	}
 	return body, total, nil
 }
@@ -121,27 +130,15 @@ func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
-	if string(hdr[:4]) != tcpFrameMagic {
-		return nil, fmt.Errorf("mpi: bad tcp frame magic % x", hdr[:4])
-	}
-	size := int(uint32(hdr[4]) | uint32(hdr[5])<<8 | uint32(hdr[6])<<16 | uint32(hdr[7])<<24)
-	if size > maxTCPFrameBody {
-		return nil, fmt.Errorf("mpi: tcp frame body %d bytes exceeds limit %d", size, maxTCPFrameBody)
+	size, err := tcpFrameSize(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	rest := make([]byte, size+tcpTrailerLen)
 	if _, err := io.ReadFull(br, rest); err != nil {
 		return nil, fmt.Errorf("mpi: tcp frame body: %w", err)
 	}
-	body := rest[:size:size]
-	if got, want := getU64(rest[size:]), fnv64a(body); got != want {
-		return nil, fmt.Errorf("mpi: tcp frame checksum %016x, want %016x", got, want)
-	}
-	return body, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	return tcpFrameBody(rest, size)
 }
 
 // --- errors ---
@@ -346,7 +343,7 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 	cl.tcp = t
 
 	deadline := time.Now().Add(hs)
-	hello := appendU64([]byte{tcpKindHello}, uint64(o.Rank))
+	hello := wire.AppendU64([]byte{tcpKindHello}, uint64(o.Rank))
 	for peer := 0; peer < o.Rank; peer++ {
 		conn, err := dialUntil(o.Peers[peer], deadline)
 		if err != nil {
@@ -379,7 +376,7 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 			t.closePartial()
 			return nil, fmt.Errorf("mpi: tcp rank %d: bad hello (%v)", o.Rank, err)
 		}
-		peer := int(int64(getU64(body[1:])))
+		peer := int(int64(wire.U64(body[1:])))
 		if peer <= o.Rank || peer >= o.Size || t.conns[peer] != nil {
 			conn.Close()
 			t.closePartial()
@@ -480,33 +477,31 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 	if len(body) == 0 {
 		return false, fmt.Errorf("empty frame body")
 	}
+	r := wire.NewReader(body[1:])
 	switch body[0] {
 	case tcpKindP2P:
-		if len(body) < 41 {
-			return false, fmt.Errorf("short p2p frame: %d bytes", len(body))
+		key := mailKey{
+			comm: r.U64(),
+			src:  int(int64(r.U64())),
+			dst:  int(int64(r.U64())),
+			tag:  int(int64(r.U64())),
 		}
-		comm := getU64(body[1:])
-		src := int(int64(getU64(body[9:])))
-		dst := int(int64(getU64(body[17:])))
-		tag := int(int64(getU64(body[25:])))
-		arrival := math.Float64frombits(getU64(body[33:]))
-		payload := body[41:]
-		if len(payload) == 0 {
-			payload = nil
+		msg := message{arrival: r.F64()}
+		if err := r.Err(); err != nil {
+			return false, fmt.Errorf("short p2p frame: %w", err)
 		}
-		t.cluster.router.box(mailKey{comm: comm, src: src, dst: dst, tag: tag}).
-			put(message{data: payload, arrival: arrival})
+		if payload := r.Peek(); len(payload) > 0 {
+			msg.data = payload
+		}
+		t.cluster.router.box(key).put(msg)
 	case tcpKindColl:
-		if len(body) < 41 {
-			return false, fmt.Errorf("short collective frame: %d bytes", len(body))
+		key := tcpCollKey{comm: r.U64(), seq: r.U64()}
+		member := int(int64(r.U64()))
+		dep := tcpDeposit{clock: r.F64(), extra: int64(r.U64())}
+		if err := r.Err(); err != nil {
+			return false, fmt.Errorf("short collective frame: %w", err)
 		}
-		key := tcpCollKey{comm: getU64(body[1:]), seq: getU64(body[9:])}
-		member := int(int64(getU64(body[17:])))
-		dep := tcpDeposit{
-			clock: math.Float64frombits(getU64(body[25:])),
-			extra: int64(getU64(body[33:])),
-		}
-		if payload := body[41:]; len(payload) > 0 {
+		if payload := r.Peek(); len(payload) > 0 {
 			dep.data = payload
 		}
 		t.mu.Lock()
@@ -524,12 +519,12 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 		t.cond.Broadcast()
 		t.mu.Unlock()
 	case tcpKindReply:
-		if len(body) < 25 {
-			return false, fmt.Errorf("short collective reply: %d bytes", len(body))
+		key := tcpCollKey{comm: r.U64(), seq: r.U64()}
+		if err := r.Err(); err != nil {
+			return false, fmt.Errorf("short collective reply: %w", err)
 		}
-		key := tcpCollKey{comm: getU64(body[1:]), seq: getU64(body[9:])}
 		t.mu.Lock()
-		t.replies[key] = body
+		t.replies[key] = r.Peek()
 		t.cond.Broadcast()
 		t.mu.Unlock()
 	case tcpKindAbort:
@@ -635,11 +630,11 @@ func (c *Comm) tcpRendezvous(data []byte, extra int64) (*collState, error) {
 	}
 	body := make([]byte, 0, 41+len(data))
 	body = append(body, tcpKindColl)
-	body = appendU64(body, c.id)
-	body = appendU64(body, seq)
-	body = appendU64(body, uint64(c.rank))
-	body = appendU64(body, math.Float64bits(c.clock.now))
-	body = appendU64(body, uint64(extra))
+	body = wire.AppendU64(body, c.id)
+	body = wire.AppendU64(body, seq)
+	body = wire.AppendU64(body, uint64(c.rank))
+	body = wire.AppendF64(body, c.clock.now)
+	body = wire.AppendU64(body, uint64(extra))
 	body = append(body, data...)
 	if err := t.writeFrame(c.worldOf(0), body); err != nil {
 		c.cluster.abort(err)
@@ -661,33 +656,31 @@ func (c *Comm) tcpRendezvous(data []byte, extra int64) (*collState, error) {
 func encodeTCPReply(comm, seq uint64, st *collState) []byte {
 	body := make([]byte, 0, 25+16*len(st.clocks))
 	body = append(body, tcpKindReply)
-	body = appendU64(body, comm)
-	body = appendU64(body, seq)
-	body = appendU64(body, uint64(len(st.clocks)))
+	body = wire.AppendU64(body, comm)
+	body = wire.AppendU64(body, seq)
+	body = wire.AppendU64(body, uint64(len(st.clocks)))
 	for i := range st.clocks {
-		body = appendU64(body, math.Float64bits(st.clocks[i]))
-		body = appendU64(body, uint64(st.extra[i]))
+		body = wire.AppendF64(body, st.clocks[i])
+		body = wire.AppendU64(body, uint64(st.extra[i]))
 	}
 	return append(body, flatten(st.data)...)
 }
 
-// decodeTCPReply fills st from a reply body (kind/comm/seq already
-// validated by the dispatcher that keyed it).
+// decodeTCPReply fills st from the part of a reply body that follows
+// kind/comm/seq (which the dispatcher consumed to key it).
 func decodeTCPReply(raw []byte, size int, st *collState) error {
-	count := int(int64(getU64(raw[17:])))
-	if count != size {
+	r := wire.NewReader(raw)
+	if count := r.U64(); r.Err() == nil && count != uint64(size) {
 		return fmt.Errorf("mpi: collective reply for %d ranks on a comm of %d", count, size)
 	}
-	off := 25
-	if len(raw) < off+16*size {
-		return fmt.Errorf("mpi: short collective reply: %d bytes for %d ranks", len(raw), size)
-	}
 	for i := 0; i < size; i++ {
-		st.clocks[i] = math.Float64frombits(getU64(raw[off:]))
-		st.extra[i] = int64(getU64(raw[off+8:]))
-		off += 16
+		st.clocks[i] = r.F64()
+		st.extra[i] = int64(r.U64())
 	}
-	parts, err := unflatten(raw[off:], size)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("mpi: short collective reply: %w", err)
+	}
+	parts, err := unflatten(r.Peek(), size)
 	if err != nil {
 		return fmt.Errorf("mpi: collective reply payload: %w", err)
 	}
@@ -759,11 +752,11 @@ func (t *tcpTransport) awaitReply(key tcpCollKey, aborted func() error) ([]byte,
 func (t *tcpTransport) sendP2P(world int, comm uint64, src, dst, tag int, arrival float64, data []byte) error {
 	body := make([]byte, 0, 41+len(data))
 	body = append(body, tcpKindP2P)
-	body = appendU64(body, comm)
-	body = appendU64(body, uint64(src))
-	body = appendU64(body, uint64(dst))
-	body = appendU64(body, uint64(int64(tag)))
-	body = appendU64(body, math.Float64bits(arrival))
+	body = wire.AppendU64(body, comm)
+	body = wire.AppendU64(body, uint64(src))
+	body = wire.AppendU64(body, uint64(dst))
+	body = wire.AppendU64(body, uint64(int64(tag)))
+	body = wire.AppendF64(body, arrival)
 	body = append(body, data...)
 	if err := t.writeFrame(world, body); err != nil {
 		t.cluster.abort(err)

@@ -10,6 +10,7 @@
 package seqstore
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/alphabet"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
 
 // Sequence is one protein sequence with its global index.
@@ -125,7 +127,7 @@ func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, erro
 	}
 
 	// Everyone learns all owned ranges (counts are 8 bytes per rank).
-	counts, err := comm.TryAllgather(encodeI64(myCount))
+	counts, err := comm.TryAllgather(wire.AppendU64(nil, uint64(myCount)))
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +138,7 @@ func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, erro
 			return nil, fmt.Errorf("seqstore: count from rank %d is %d bytes, want 8", r, len(buf))
 		}
 		own.start[r] = spmat.Index(acc)
-		acc += decodeI64(buf)
+		acc += int64(wire.U64(buf))
 	}
 
 	st := &Store{
@@ -263,15 +265,11 @@ func (st *Store) encodeRange(lo, hi spmat.Index) []byte {
 // row/column prefetch puts on the transport, reused verbatim as the "seq"
 // section of the persistent index artifact.
 func AppendSequences(dst []byte, seqs []Sequence) []byte {
-	dst = appendU64(dst, uint64(len(seqs)))
+	dst = wire.AppendU64(dst, uint64(len(seqs)))
 	for _, s := range seqs {
-		dst = appendU64(dst, uint64(s.Global))
-		dst = appendU64(dst, uint64(len(s.Name)))
-		dst = append(dst, s.Name...)
-		dst = appendU64(dst, uint64(len(s.Codes)))
-		for _, c := range s.Codes {
-			dst = append(dst, byte(c))
-		}
+		dst = wire.AppendU64(dst, uint64(s.Global))
+		dst = wire.AppendString(dst, s.Name)
+		dst = wire.AppendBytes(dst, s.Codes)
 	}
 	return dst
 }
@@ -279,59 +277,15 @@ func AppendSequences(dst []byte, seqs []Sequence) []byte {
 // DecodeSequences parses an AppendSequences encoding, validating every
 // length against the remaining buffer.
 func DecodeSequences(buf []byte) ([]Sequence, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("seqstore: truncated message")
+	r := wire.NewReader(buf)
+	n := r.Count(24) // global index + two length prefixes
+	out := make([]Sequence, n)
+	for i := range out {
+		// The codes outlive the message buffer: copy, do not alias.
+		out[i] = Sequence{Global: spmat.Index(r.U64()), Name: r.String(), Codes: bytes.Clone(r.Bytes())}
 	}
-	n := int(getU64(buf))
-	buf = buf[8:]
-	if n < 0 || n > len(buf)/16+1 {
-		return nil, fmt.Errorf("seqstore: implausible record count %d for %d payload bytes", n, len(buf))
-	}
-	out := make([]Sequence, 0, n)
-	for i := 0; i < n; i++ {
-		if len(buf) < 16 {
-			return nil, fmt.Errorf("seqstore: truncated sequence header (record %d)", i)
-		}
-		g := spmat.Index(getU64(buf))
-		nameLen := int(getU64(buf[8:]))
-		buf = buf[16:]
-		if nameLen < 0 || nameLen > len(buf) {
-			return nil, fmt.Errorf("seqstore: name of %d bytes overruns record %d", nameLen, i)
-		}
-		name := string(buf[:nameLen])
-		buf = buf[nameLen:]
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("seqstore: truncated sequence length (record %d)", i)
-		}
-		seqLen := int(getU64(buf))
-		buf = buf[8:]
-		if seqLen < 0 || seqLen > len(buf) {
-			return nil, fmt.Errorf("seqstore: sequence of %d codes overruns record %d", seqLen, i)
-		}
-		codes := make([]alphabet.Code, seqLen)
-		for j := 0; j < seqLen; j++ {
-			codes[j] = alphabet.Code(buf[j])
-		}
-		buf = buf[seqLen:]
-		out = append(out, Sequence{Global: g, Name: name, Codes: codes})
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("seqstore: %d trailing bytes after %d records", len(buf), n)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("seqstore: sequence message: %w", err)
 	}
 	return out, nil
-}
-
-func encodeI64(v int64) []byte { return appendU64(nil, uint64(v)) }
-
-func decodeI64(b []byte) int64 { return int64(getU64(b)) }
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

@@ -74,6 +74,7 @@ import (
 	"repro/internal/mmseqs"
 	"repro/internal/mpi"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 // Re-exported pipeline types; see the internal/core documentation for the
@@ -316,11 +317,10 @@ func reduceSectionsMax(c *mpi.Comm, local map[string]float64) (map[string]float6
 	}
 	sort.Strings(names)
 	buf := make([]byte, 0, 16+24*len(names))
-	buf = appendU64s(buf, uint64(len(names)))
+	buf = wire.AppendU64(buf, uint64(len(names)))
 	for _, name := range names {
-		buf = appendU64s(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = appendU64s(buf, math.Float64bits(local[name]))
+		buf = wire.AppendString(buf, name)
+		buf = wire.AppendF64(buf, local[name])
 	}
 	parts, err := c.TryAllgather(buf)
 	if err != nil {
@@ -328,44 +328,28 @@ func reduceSectionsMax(c *mpi.Comm, local map[string]float64) (map[string]float6
 	}
 	out := map[string]float64{}
 	for rank, p := range parts {
-		off := 0
-		count, off, err := getU64s(p, off)
-		if err != nil {
-			return nil, fmt.Errorf("pastis: sections from rank %d: %w", rank, err)
-		}
-		for i := uint64(0); i < count; i++ {
-			var n uint64
-			n, off, err = getU64s(p, off)
-			if err != nil || off+int(n) > len(p) {
-				return nil, fmt.Errorf("pastis: sections from rank %d: truncated name", rank)
-			}
-			name := string(p[off : off+int(n)])
-			off += int(n)
-			var bits uint64
-			bits, off, err = getU64s(p, off)
-			if err != nil {
-				return nil, fmt.Errorf("pastis: sections from rank %d: %w", rank, err)
-			}
-			if v := math.Float64frombits(bits); v > out[name] {
-				out[name] = v
-			}
+		if err := mergeSectionsMax(out, rank, p); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func appendU64s(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU64s(b []byte, off int) (uint64, int, error) {
-	if off+8 > len(b) {
-		return 0, off, fmt.Errorf("truncated u64 at offset %d of %d", off, len(b))
+// mergeSectionsMax folds rank's encoded section ledger into out, keeping the
+// larger time per name. The payload is a peer's: every length is checked
+// against the bytes that remain before it is used.
+func mergeSectionsMax(out map[string]float64, rank int, payload []byte) error {
+	r := wire.NewReader(payload)
+	for i, n := 0, r.Count(16); i < n; i++ {
+		name, v := r.String(), r.F64()
+		if r.Err() == nil && v > out[name] {
+			out[name] = v
+		}
 	}
-	v := uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 | uint64(b[off+3])<<24 |
-		uint64(b[off+4])<<32 | uint64(b[off+5])<<40 | uint64(b[off+6])<<48 | uint64(b[off+7])<<56
-	return v, off + 8, nil
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("pastis: sections from rank %d: %w", rank, err)
+	}
+	return nil
 }
 
 // MMseqs2Config configures the MMseqs2-like baseline.

@@ -153,10 +153,13 @@ func stageInput(g *dmat.Grid, owned []fasta.Record, cfg Config) (*seqstore.Store
 // distributed |seqs|×|k-mer space| position matrix (paper Section IV-A).
 //
 // Extraction is chunk-parallel over the owned sequences: chunk boundaries
-// depend only on the sequence count, each worker reuses one firstPos map
-// (cleared per sequence), and per-chunk triple lists merge in chunk order —
-// so the assembled matrix is bit-identical for every thread count. The
-// extraction cost is charged as thread-parallel work (Clock.ParOps).
+// depend only on the sequence count, each worker reuses one seen-set
+// (cleared per sequence), a sequence's triples are emitted in k-mer position
+// order and per-chunk lists merge in chunk order — so the triple list itself,
+// not just the assembled matrix, is the same for every thread count and run.
+// The extraction cost is charged as thread-parallel work (Clock.ParOps). The
+// second result, the set of k-mers on this rank's sequences, is what the
+// substitute enumeration runs over; it is nil for exact matching.
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
 	stats *Stats) (*dmat.Mat[int32], map[kmer.ID]struct{}, error) {
 
@@ -173,39 +176,41 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 		kmers   int64
 	}
 	outs := make([]chunkOut, nchunks)
-	firstPos := make([]map[kmer.ID]int32, workers)
+	seenBy := make([]map[kmer.ID]struct{}, workers)
 	parallel.ForChunks(threads, n, nchunks, func(w, chunk, lo, hi int) {
-		fp := firstPos[w]
-		if fp == nil {
-			fp = make(map[kmer.ID]int32)
-			firstPos[w] = fp
+		seen := seenBy[w]
+		if seen == nil {
+			seen = make(map[kmer.ID]struct{})
+			seenBy[w] = seen
 		}
 		out := &outs[chunk]
 		for _, seq := range store.Owned[lo:hi] {
 			kms := kmer.ExtractCodes(seq.Codes, cfg.K, true)
 			out.kmers += int64(len(kms))
-			clear(fp)
-			for _, km := range kms {
-				if _, dup := fp[km.ID]; !dup {
-					fp[km.ID] = int32(km.Pos)
+			clear(seen)
+			for _, km := range kms { // first occurrence of each k-mer wins
+				if _, dup := seen[km.ID]; dup {
+					continue
 				}
-			}
-			for id, pos := range fp {
+				seen[km.ID] = struct{}{}
 				out.triples = append(out.triples, spmat.Triple[int32]{
-					Row: seq.Global, Col: spmat.Index(id), Val: pos,
+					Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos),
 				})
 			}
 		}
 	})
 
-	distinct := make(map[kmer.ID]struct{})
 	var triples []spmat.Triple[int32]
 	for i := range outs {
 		stats.KmersTotal += outs[i].kmers
 		triples = append(triples, outs[i].triples...)
 	}
-	for _, t := range triples {
-		distinct[kmer.ID(t.Col)] = struct{}{}
+	var distinct map[kmer.ID]struct{}
+	if cfg.SubstituteKmers > 0 {
+		distinct = make(map[kmer.ID]struct{})
+		for _, t := range triples {
+			distinct[kmer.ID(t.Col)] = struct{}{}
+		}
 	}
 	clock.ParOps(float64(stats.KmersTotal) * opsPerKmer)
 	mat, err := dmat.NewFromTriples(g, store.Total, kmerSpace, triples, dmat.Int32Codec, nil)

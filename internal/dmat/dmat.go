@@ -239,8 +239,8 @@ const buildOps = BuildOps
 // NewFromTriples builds a distributed matrix from triples scattered across
 // ranks with arbitrary global indices: one Alltoallv routes each triple to
 // its owner block, which assembles its local DCSC. Duplicates accumulate
-// via add (nil add panics on duplicates). Collective: every grid rank must
-// call it.
+// via add (a duplicate with nil add is an error). Collective: every grid
+// rank must call it.
 func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T],
 	codec Codec[T], add func(T, T) T) (*Mat[T], error) {
 
@@ -662,10 +662,12 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	localLo = clampIndex(localLo, 0, b.Local.NumCols)
 	localHi = clampIndex(localHi, localLo, b.Local.NumCols)
 
+	// The modeled machine accumulates stage products as a triple buffer and
+	// the ledger charges that; here they stay DCSC and are merged once.
 	var tripleC spmat.Triple[C]
 	tripleBytes := int64(unsafe.Sizeof(tripleC))
-	var accum []spmat.Triple[C]
-	var accumBytes int64
+	prods := make([]*spmat.DCSC[C], 0, g.Q)
+	var accumNNZ int64
 	for s := 0; s < g.Q; s++ {
 		// A's block column s travels along each grid row — unless an armed
 		// stage cache already holds it from an earlier panel, in which case
@@ -726,11 +728,11 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		if opts.MemBudget > 0 {
 			would, err := g.Comm.TryAllreduceInt64("max", clock.LiveBytes()+transient)
 			if err != nil {
-				clock.FreeBytes(accumBytes)
+				clock.FreeBytes(accumNNZ * tripleBytes)
 				return nil, err
 			}
 			if would > opts.MemBudget {
-				clock.FreeBytes(accumBytes)
+				clock.FreeBytes(accumNNZ * tripleBytes)
 				return nil, fmt.Errorf("%w: %d live bytes at SUMMA stage %d (budget %d)",
 					ErrMemBudget, would, s, opts.MemBudget)
 			}
@@ -743,9 +745,9 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 			return nil, fmt.Errorf("dmat: stage %d multiply: %w", s, err)
 		}
 		clock.ParOps(float64(stats.Flops) * opts.FlopOps)
-		accum = append(accum, prod.ToTriples()...)
+		prods = append(prods, prod)
+		accumNNZ += int64(prod.NNZ())
 		clock.AllocBytes(int64(prod.NNZ()) * tripleBytes)
-		accumBytes += int64(prod.NNZ()) * tripleBytes
 		clock.FreeBytes(transient)
 		if lastUse && a.cache != nil && a.cache.blocks[s] != nil {
 			// Final panel: stage s is this block's last trip through the
@@ -760,11 +762,9 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	// The stage-product multiway merge is threaded in the modeled
 	// implementation (CombBLAS's hybrid SpGEMM), so its cost parallelizes
 	// with the same thread count as the multiplies.
-	clock.ParOps(float64(len(accum)) * buildOps)
+	clock.ParOps(float64(accumNNZ) * buildOps)
 
-	rLo, rHi := BlockRange(a.Rows, g.Q, g.MyRow)
-	cLo, cHi := BlockRange(b.Cols, g.Q, g.MyCol)
-	local, err := spmat.FromTriples(rHi-rLo, cHi-cLo, accum, sr.Add)
+	local, err := spmat.MergeAdd(prods, sr.Add)
 	if err != nil {
 		return nil, err
 	}
@@ -775,7 +775,7 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	// exists to shrink).
 	m := &Mat[C]{Grid: g, Rows: a.Rows, Cols: b.Cols, Local: local, codec: codecC}
 	clock.AllocBytes(m.LocalBytes())
-	clock.FreeBytes(accumBytes)
+	clock.FreeBytes(accumNNZ * tripleBytes)
 	return m, nil
 }
 

@@ -2,7 +2,6 @@ package spmat
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -16,36 +15,54 @@ import (
 
 // aColLookup resolves a column id of A to its compressed slot. When A's
 // nonempty columns are dense inside their span, a flat offset array answers
-// in one indexed load; otherwise a map does (hypersparse blocks, where the
-// span can be |Σ|^k while len(JC) is tiny).
+// in one indexed load; otherwise a flat open-addressing table does
+// (hypersparse blocks, where the span can be |Σ|^k while len(JC) is tiny).
+// Both store slot+1, so a zeroed array is an empty one.
 type aColLookup struct {
 	base  Index
-	dense []int32 // dense[col-base] = slot, -1 = empty; nil when using m
-	m     map[Index]int
+	dense []int32 // dense[col-base] = slot+1; nil when probing
+	keys  []Index // the probe table: column ids ...
+	slots []int32 // ... and their slot+1, 0 = empty
+	shift uint
 }
 
 // aColDenseFactor bounds the dense table at this multiple of the nonempty
-// column count: past it the wasted -1 slots cost more cache traffic than
-// the map lookups they replace.
+// column count: past it the wasted empty slots cost more cache traffic than
+// the probes they replace.
 const aColDenseFactor = 8
 
 // newAColLookup builds the lookup; shared read-only across chunk workers.
+// len(a.JC) must be below MaxInt32 (SpGEMM checks).
 func newAColLookup[A any](a *DCSC[A]) aColLookup {
 	n := len(a.JC)
-	if n > 0 && n <= math.MaxInt32 {
+	if n > 0 {
 		span := a.JC[n-1] - a.JC[0] + 1
 		if span <= Index(aColDenseFactor*n) {
 			dense := make([]int32, span)
-			for i := range dense {
-				dense[i] = -1
-			}
 			for c, col := range a.JC {
-				dense[col-a.JC[0]] = int32(c)
+				dense[col-a.JC[0]] = int32(c + 1)
 			}
 			return aColLookup{base: a.JC[0], dense: dense}
 		}
 	}
-	return aColLookup{m: aColIndex(a)}
+	// Load factor <= 1/2, the same Fibonacci probe as hashScratch.
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	l := aColLookup{
+		keys:  make([]Index, size),
+		slots: make([]int32, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+	}
+	for c, col := range a.JC {
+		s := uint64(col) * fibMul >> l.shift
+		for l.slots[s] != 0 {
+			s = (s + 1) & uint64(size-1)
+		}
+		l.keys[s], l.slots[s] = col, int32(c+1)
+	}
+	return l
 }
 
 // get returns A's compressed slot for col.
@@ -56,10 +73,14 @@ func (l *aColLookup) get(col Index) (int, bool) {
 			return 0, false
 		}
 		s := l.dense[d]
-		return int(s), s >= 0
+		return int(s) - 1, s > 0
 	}
-	c, ok := l.m[col]
-	return c, ok
+	for s := uint64(col) * fibMul >> l.shift; l.slots[s] != 0; s = (s + 1) & uint64(len(l.slots)-1) {
+		if l.keys[s] == col {
+			return int(l.slots[s]) - 1, true
+		}
+	}
+	return 0, false
 }
 
 // colProduct is one (A column, B nonzero) pairing contributing to the
@@ -193,6 +214,15 @@ func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 		}
 	}
 	return out
+}
+
+// aColIndex is the map the frozen kernel below resolves A's columns with.
+func aColIndex[A any](a *DCSC[A]) map[Index]int {
+	aCol := make(map[Index]int, len(a.JC))
+	for c, col := range a.JC {
+		aCol[col] = c
+	}
+	return aCol
 }
 
 // hashRangeMap is the frozen pre-open-addressing hash kernel (per-column

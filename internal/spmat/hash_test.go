@@ -19,7 +19,7 @@ func capNNZ(nnz int, rows, cols Index) int {
 // Stats.Flops must be identical on every trial. Shapes sweep from dense-ish
 // squares to hypersparse blocks (the DCSC regime where the k-mer dimension
 // dwarfs the nonzeros), which also exercises both sides of the aColLookup
-// dense/map split.
+// dense/probe-table split.
 func TestHashOpenMatchesMapFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	trials := 60

@@ -14,8 +14,8 @@
 package spmat
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -74,48 +74,89 @@ func (m *DCSC[T]) NNZ() int { return len(m.IR) }
 func (m *DCSC[T]) NonemptyCols() int { return len(m.JC) }
 
 // FromTriples builds a DCSC from an unordered triple list, accumulating
-// duplicates with add (add == nil panics on duplicates, which turns silent
-// data corruption into a loud bug during development).
+// duplicates with add in input order (a duplicate with add == nil is an
+// error naming the entry). The one assembly rule: unordered input is
+// radix-sorted once, here; input already in column-major order is not sorted
+// at all. ts is reordered in place — the caller hands the slice over and
+// must not rely on its order, or reuse it, afterwards.
 func FromTriples[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[T], error) {
-	for _, t := range ts {
+	var rowVar, colVar uint64
+	sorted := true
+	for i, t := range ts {
 		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			return nil, fmt.Errorf("spmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
 		}
+		rowVar |= uint64(t.Row ^ ts[0].Row)
+		colVar |= uint64(t.Col ^ ts[0].Col)
+		if i > 0 && (t.Col < ts[i-1].Col || t.Col == ts[i-1].Col && t.Row < ts[i-1].Row) {
+			sorted = false
+		}
 	}
-	sorted := make([]Triple[T], len(ts))
-	copy(sorted, ts)
-	// Stable sort: duplicates accumulate in input order, so results are
-	// deterministic even for non-commutative-looking adds (e.g. seed lists).
-	slices.SortStableFunc(sorted, func(a, b Triple[T]) int {
-		if c := cmp.Compare(a.Col, b.Col); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
-	m := &DCSC[T]{NumRows: rows, NumCols: cols}
-	for _, t := range sorted {
-		n := len(m.IR)
-		if n > 0 && m.JC[len(m.JC)-1] == t.Col && m.IR[n-1] == t.Row {
-			if add == nil {
-				panic(fmt.Sprintf("spmat: duplicate entry (%d,%d) with nil add", t.Row, t.Col))
-			}
-			m.Vals[n-1] = add(m.Vals[n-1], t.Val)
-			continue
-		}
-		if len(m.JC) == 0 || m.JC[len(m.JC)-1] != t.Col {
-			m.JC = append(m.JC, t.Col)
-			m.CP = append(m.CP, n)
-		}
-		m.IR = append(m.IR, t.Row)
-		m.Vals = append(m.Vals, t.Val)
+	if !sorted {
+		ts = sortTriples(ts, rowVar, colVar)
 	}
-	m.CP = append(m.CP, len(m.IR))
-	return m, nil
+	return compress(rows, cols, ts, add)
 }
 
 // Empty returns a DCSC with no nonzeros.
 func Empty[T any](rows, cols Index) *DCSC[T] {
 	return &DCSC[T]{NumRows: rows, NumCols: cols, CP: []int{0}}
+}
+
+// sized returns an empty matrix under construction — CP still lacks its
+// closing entry — with room for ncols nonempty columns and nnz nonzeros.
+func sized[T any](rows, cols Index, ncols, nnz int) *DCSC[T] {
+	return &DCSC[T]{
+		NumRows: rows, NumCols: cols,
+		JC:   make([]Index, 0, ncols),
+		CP:   make([]int, 0, ncols+1),
+		IR:   make([]Index, 0, nnz),
+		Vals: make([]T, 0, nnz),
+	}
+}
+
+// push appends one nonzero to a matrix under construction. Calls arrive in
+// column-major order; a position equal to the last one pushed folds into it
+// with add, and is an error naming the entry when add is nil.
+func (m *DCSC[T]) push(row, col Index, v T, add func(T, T) T) error {
+	n := len(m.IR)
+	switch {
+	case len(m.JC) == 0 || m.JC[len(m.JC)-1] != col:
+		m.JC = append(m.JC, col)
+		m.CP = append(m.CP, n)
+	case m.IR[n-1] == row:
+		if add == nil {
+			return fmt.Errorf("spmat: duplicate entry (%d,%d) with nil add", row, col)
+		}
+		m.Vals[n-1] = add(m.Vals[n-1], v)
+		return nil
+	}
+	m.IR = append(m.IR, row)
+	m.Vals = append(m.Vals, v)
+	return nil
+}
+
+// compress folds a (Col, Row)-ordered triple list into a DCSC whose arrays
+// are sized once, combining runs of equal position with add in list order.
+// A duplicate with add == nil is the only error.
+func compress[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[T], error) {
+	ncols, nnz := 0, 0
+	for i := range ts {
+		if i == 0 || ts[i].Col != ts[i-1].Col {
+			ncols++
+			nnz++
+		} else if ts[i].Row != ts[i-1].Row {
+			nnz++
+		}
+	}
+	m := sized[T](rows, cols, ncols, nnz)
+	for i := range ts {
+		if err := m.push(ts[i].Row, ts[i].Col, ts[i].Val, add); err != nil {
+			return nil, err
+		}
+	}
+	m.CP = append(m.CP, len(m.IR))
+	return m, nil
 }
 
 // AppendCols appends src's nonzeros to dst in place. The shapes must match
@@ -214,18 +255,20 @@ func (m *DCSC[T]) At(row, col Index) (T, bool) {
 	return zero, false
 }
 
-// Transpose returns the transposed matrix.
+// Transpose returns the transposed matrix. The swapped triples come out
+// ordered by their new row, so a stable sort on the new column alone
+// (rowVar = 0) puts them in column-major order.
 func (m *DCSC[T]) Transpose() *DCSC[T] {
 	ts := make([]Triple[T], 0, m.NNZ())
+	var colVar uint64
 	for c, col := range m.JC {
 		for k := m.CP[c]; k < m.CP[c+1]; k++ {
 			ts = append(ts, Triple[T]{Row: col, Col: m.IR[k], Val: m.Vals[k]})
+			colVar |= uint64(m.IR[k] ^ m.IR[0])
 		}
 	}
-	out, err := FromTriples(m.NumCols, m.NumRows, ts, nil)
-	if err != nil {
-		panic(err) // transposing valid indices cannot go out of range
-	}
+	// compress fails only on a duplicate position, which a DCSC cannot hold.
+	out, _ := compress(m.NumCols, m.NumRows, sortTriples(ts, 0, colVar), nil)
 	return out
 }
 
@@ -267,15 +310,62 @@ func Apply[T, U any](m *DCSC[T], f func(row, col Index, v T) U) *DCSC[U] {
 }
 
 // EWiseAdd merges two equally-shaped matrices, combining coincident
-// nonzeros with add. It is the kernel of the distributed symmetrization
-// B + Bᵀ (paper Section VI-A "symmetricize").
+// nonzeros with add(a's, b's). It is the kernel of the distributed
+// symmetrization B + Bᵀ (paper Section VI-A "symmetricize").
 func EWiseAdd[T any](a, b *DCSC[T], add func(T, T) T) (*DCSC[T], error) {
-	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
-		return nil, fmt.Errorf("spmat: EWiseAdd shape mismatch %dx%d vs %dx%d",
-			a.NumRows, a.NumCols, b.NumRows, b.NumCols)
+	return MergeAdd([]*DCSC[T]{a, b}, add)
+}
+
+// MergeAdd sums equally-shaped matrices by a multiway merge of their
+// column-major nonzero streams. The other half of the assembly rule: inputs
+// that are already ordered are merged, never re-sorted. Coincident nonzeros
+// fold with add in part order, parts[0] first — the order FromTriples gives
+// the concatenation of the parts' triples — so order-sensitive adds see the
+// same operand sequence (a coincidence with add == nil is an error). The
+// result shares no array with its parts.
+func MergeAdd[T any](parts []*DCSC[T], add func(T, T) T) (*DCSC[T], error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("spmat: MergeAdd of no parts")
 	}
-	ts := append(a.ToTriples(), b.ToTriples()...)
-	return FromTriples(a.NumRows, a.NumCols, ts, add)
+	rows, cols := parts[0].NumRows, parts[0].NumCols
+	ncols, nnz := 0, 0
+	for _, p := range parts {
+		if p.NumRows != rows || p.NumCols != cols {
+			return nil, fmt.Errorf("spmat: MergeAdd shape mismatch %dx%d vs %dx%d",
+				rows, cols, p.NumRows, p.NumCols)
+		}
+		ncols += len(p.JC)
+		nnz += p.NNZ()
+	}
+	// Upper bounds, allocated once: the slack is what the parts overlap by.
+	out := sized[T](rows, cols, ncols, nnz)
+	slot := make([]int, len(parts)) // per part: column slot and position of
+	pos := make([]int, len(parts))  // its next unmerged nonzero
+	for {
+		// The smallest pending position; among equals the earliest part.
+		first := -1
+		var col, row Index
+		for i, p := range parts {
+			if pos[i] == p.NNZ() {
+				continue
+			}
+			if c, r := p.JC[slot[i]], p.IR[pos[i]]; first < 0 || c < col || c == col && r < row {
+				first, col, row = i, c, r
+			}
+		}
+		if first < 0 {
+			break
+		}
+		p := parts[first]
+		if err := out.push(row, col, p.Vals[pos[first]], add); err != nil {
+			return nil, err
+		}
+		if pos[first]++; pos[first] == p.CP[slot[first]+1] {
+			slot[first]++
+		}
+	}
+	out.CP = append(out.CP, len(out.IR))
+	return out, nil
 }
 
 // Stats reports the work performed by an SpGEMM call, used to charge the
@@ -307,16 +397,6 @@ type segment[C any] struct {
 	ir    []Index
 	vals  []C
 	flops int64
-}
-
-// aColIndex maps a column id to A's compressed column slot for O(1) access
-// per multiply; built once and shared read-only across chunk workers.
-func aColIndex[A any](a *DCSC[A]) map[Index]int {
-	aCol := make(map[Index]int, len(a.JC))
-	for c, col := range a.JC {
-		aCol[col] = c
-	}
-	return aCol
 }
 
 // heapRange multiplies B's nonempty-column range [lo,hi) by k-way merging
@@ -422,13 +502,7 @@ func assemble[C any](rows, cols Index, segs []segment[C]) (*DCSC[C], Stats) {
 		nnz += len(s.ir)
 		stats.Flops += s.flops
 	}
-	out := &DCSC[C]{
-		NumRows: rows, NumCols: cols,
-		JC:   make([]Index, 0, ncols),
-		CP:   make([]int, 0, ncols+1),
-		IR:   make([]Index, 0, nnz),
-		Vals: make([]C, 0, nnz),
-	}
+	out := sized[C](rows, cols, ncols, nnz)
 	for _, s := range segs {
 		base := len(out.IR)
 		out.JC = append(out.JC, s.jc...)
@@ -453,6 +527,9 @@ func SpGEMM[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C],
 
 	if a.NumCols != b.NumRows {
 		return nil, Stats{}, fmt.Errorf("spmat: SpGEMM inner dim %d vs %d", a.NumCols, b.NumRows)
+	}
+	if len(a.JC) >= math.MaxInt32 {
+		return nil, Stats{}, fmt.Errorf("spmat: SpGEMM left operand has %d nonempty columns", len(a.JC))
 	}
 	ncols := len(b.JC)
 	if ncols == 0 {

@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -82,13 +83,11 @@ func TestFromTriplesAccumulates(t *testing.T) {
 	}
 }
 
-func TestFromTriplesDuplicatePanicsWithNilAdd(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	_, _ = FromTriples(1, 1, []Triple[float64]{{0, 0, 1}, {0, 0, 2}}, nil)
+func TestFromTriplesDuplicateReturnsError(t *testing.T) {
+	_, err := FromTriples(3, 3, []Triple[float64]{{1, 2, 1}, {0, 0, 5}, {1, 2, 2}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "(1,2)") {
+		t.Errorf("duplicate with nil add: err = %v, want one naming entry (1,2)", err)
+	}
 }
 
 func TestFromTriplesOutOfRange(t *testing.T) {
@@ -470,6 +469,108 @@ func BenchmarkSpGEMMHeap(b *testing.B) {
 		}
 	}
 }
+
+// kmerLikeTriples is the shape matrix assembly sees in the pipeline: seqs
+// rows in row-major order, each holding perRow k-mers drawn from a pool
+// scattered over 24^6, so that a k-mer is shared by about 15 sequences.
+func kmerLikeTriples(seqs, perRow int) (Index, Index, []Triple[int32]) {
+	rng := rand.New(rand.NewSource(53))
+	cols := pow24(6)
+	pool := make([]Index, seqs*perRow/15+1)
+	for i := range pool {
+		pool[i] = rng.Int63n(cols)
+	}
+	ts := make([]Triple[int32], 0, seqs*perRow)
+	for r := 0; r < seqs; r++ {
+		for p := 0; p < perRow; p++ {
+			ts = append(ts, Triple[int32]{Row: Index(r), Col: pool[rng.Intn(len(pool))], Val: int32(p)})
+		}
+	}
+	return Index(seqs), cols, ts
+}
+
+func keepFirst(x, _ int32) int32 { return x }
+
+// TestFromTriplesAllocationStable bounds FromTriples at a constant number
+// of allocations — the sort scratch, the DCSC and its four arrays, each
+// sized once, with slack for a stray runtime allocation — however many
+// triples it is handed.
+func TestFromTriplesAllocationStable(t *testing.T) {
+	for _, seqs := range []int{20, 400} {
+		rows, cols, ts := kmerLikeTriples(seqs, 50)
+		work := make([]Triple[int32], len(ts))
+		got := testing.AllocsPerRun(5, func() {
+			copy(work, ts)
+			if _, err := FromTriples(rows, cols, work, keepFirst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 8 {
+			t.Errorf("%d triples: %.0f allocations per FromTriples, want <= 8", len(ts), got)
+		}
+	}
+}
+
+func BenchmarkFromTriples(b *testing.B) {
+	rows, cols, ts := kmerLikeTriples(2000, 150)
+	work := make([]Triple[int32], len(ts))
+	b.SetBytes(int64(len(ts)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, ts)
+		if _, err := FromTriples(rows, cols, work, keepFirst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTranspose(b *testing.B) {
+	rows, cols, ts := kmerLikeTriples(2000, 150)
+	m, err := FromTriples(rows, cols, ts, keepFirst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(m.NNZ()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = m.Transpose()
+	}
+}
+
+func BenchmarkMergeAdd(b *testing.B) {
+	// Four "stage products": the k-mer matrix dealt by k-mer range, times
+	// its transpose, as SUMMA on a 4-wide grid would form them.
+	rows, cols, ts := kmerLikeTriples(2000, 150)
+	var parts []*DCSC[int64]
+	nnz := 0
+	for s := Index(0); s < 4; s++ {
+		var mine []Triple[int32]
+		for _, t := range ts {
+			if t.Col*4/cols == s {
+				mine = append(mine, t)
+			}
+		}
+		a, err := FromTriples(rows, cols, mine, keepFirst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, _, err := SpGEMMHash(a, a.Transpose(), Counting[int32, int32]())
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts = append(parts, p)
+		nnz += p.NNZ()
+	}
+	b.SetBytes(int64(nnz))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MergeAdd(parts, func(x, y int64) int64 { return x + y }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var benchSink any
 
 // ColRange panels must cover exactly the requested columns, preserve the
 // matrix shape, and concatenate back to the original across any ragged

@@ -99,9 +99,9 @@ func BenchmarkClaims(b *testing.B) { runExperiment(b, "claims") }
 // assignment vs the naive idle-processes strawman.
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
 
-// benchThreadCounts parameterizes the hybrid-parallelism benchmarks; the
-// BENCH_*.json trajectory tracks wall-clock speedup across these on
-// multi-core hosts and virtual-clock speedup everywhere.
+// benchThreadCounts parameterizes the hybrid-parallelism benchmarks: ns/op
+// shows wall-clock speedup across these on multi-core hosts, the reported
+// virtual-time metrics show the clock's speedup everywhere.
 var benchThreadCounts = []int{1, 2, 4, 8}
 
 // BenchmarkSpGEMMParallel measures the chunked parallel local SpGEMM kernel

@@ -7,18 +7,13 @@
 //	pastis-bench                          # run everything at small scale
 //	pastis-bench -experiment fig14strong  # one experiment
 //	pastis-bench -scale full -csv out/    # full suite with CSV output
-//	pastis-bench -wallclock -json .       # wall-clock layer: BENCH_*.json
-//	pastis-bench -wallclock -suite comm   # one wall-clock suite only
 //
 // Experiment ids: fig12 fig13 table1 fig14strong fig14weak fig15 fig16
 // fig17 table2 claims ablations threads blocked kernels.
 //
-// -wallclock switches from the virtual-clock experiment harness to the
-// wall-clock performance layer (internal/bench): it measures the local
-// SpGEMM kernels, every registered alignment kernel and the end-to-end
-// pipeline in real nanoseconds and writes BENCH_spgemm.json,
-// BENCH_kernels.json and BENCH_pipeline.json into the -json directory.
-// -cpuprofile and -memprofile write pprof profiles of whichever mode ran.
+// The tables are virtual-clock reproduction, not measurement: wall-clock
+// performance is measured by the repository benchmark (benchmark/README.md).
+// -cpuprofile and -memprofile write pprof profiles of the run.
 package main
 
 import (
@@ -26,42 +21,32 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/profile"
 )
 
 func main() {
 	var (
-		expID     = flag.String("experiment", "all", "experiment id or 'all'")
-		scaleFl   = flag.String("scale", "small", "dataset scale: tiny, small or full")
-		csvDir    = flag.String("csv", "", "directory for CSV output (optional)")
-		wallclock = flag.Bool("wallclock", false, "run the wall-clock benchmark layer instead of the experiments")
-		suiteFl   = flag.String("suite", "all", "with -wallclock: one suite (spgemm, kernels, pipeline, comm, query) or 'all'")
-		jsonDir   = flag.String("json", ".", "directory for BENCH_*.json output (with -wallclock)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file")
+		expID   = flag.String("experiment", "all", "experiment id or 'all'")
+		scaleFl = flag.String("scale", "small", "dataset scale: tiny, small or full")
+		csvDir  = flag.String("csv", "", "directory for CSV output (optional)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
 
-	if *cpuProf != "" || *memProf != "" {
-		stop, err := bench.StartProfiles(*cpuProf, *memProf)
-		if err != nil {
+	stop, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if err := stop(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-
-	if *wallclock {
-		runWallclock(*scaleFl, *suiteFl, *jsonDir)
-		return
-	}
+	}()
 
 	var sc experiments.Scale
 	switch *scaleFl {
@@ -113,73 +98,15 @@ func main() {
 	}
 }
 
-// runWallclock runs the wall-clock suites, writes BENCH_*.json into dir
-// and prints each report as an aligned table with before/after speedups.
-func runWallclock(scale, suite, dir string) {
-	size, err := bench.SizeFor(scale)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
-	}
-	all := []struct {
-		name string
-		fn   func(bench.Size) (*bench.Report, error)
-	}{
-		{"spgemm", bench.SpGEMM},
-		{"kernels", bench.Kernels},
-		{"pipeline", bench.Pipeline},
-		{"comm", bench.Comm},
-		{"query", bench.Query},
-	}
-	suites := all[:0]
-	for _, s := range all {
-		if suite == "all" || suite == s.name {
-			suites = append(suites, s)
-		}
-	}
-	if len(suites) == 0 {
-		fatal(fmt.Errorf("unknown -suite %q (want spgemm, kernels, pipeline, comm, query or all)", suite))
-	}
-	for _, s := range suites {
-		start := time.Now()
-		fmt.Fprintf(os.Stderr, "pastis-bench: measuring %s at %s scale...\n", s.name, size.Name)
-		r, err := s.fn(size)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", s.name, err))
-		}
-		path, err := r.WriteFile(dir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pastis-bench: %s done in %.1fs -> %s\n",
-			s.name, time.Since(start).Seconds(), path)
-		printReport(r)
-	}
-}
-
-func printReport(r *bench.Report) {
-	fmt.Printf("%s (%s scale)\n", r.Area, r.Scale)
-	fmt.Printf("  %-32s %-8s %12s %12s %10s %14s %14s\n",
-		"name", "phase", "ns/op", "B/op", "allocs/op", "cells/s", "flops/s")
-	for _, e := range r.Entries {
-		fmt.Printf("  %-32s %-8s %12.0f %12d %10d %14.3g %14.3g\n",
-			e.Name, e.Phase, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.CellsPerSec, e.FlopsPerSec)
-	}
-	sp := r.Speedups()
-	names := make([]string, 0, len(sp))
-	for name := range sp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %-32s %.2fx speedup (before/after)\n", name, sp[name])
-	}
-	fmt.Println()
-}
+// stopProfiles flushes the -cpuprofile/-memprofile output; idempotent. It
+// runs deferred when main returns and from fatal, whose os.Exit would skip
+// the deferred call and lose the profile of exactly the run that failed.
+var stopProfiles = func() error { return nil }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pastis-bench:", err)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "pastis-bench:", err)
+	}
 	os.Exit(1)
 }

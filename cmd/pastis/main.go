@@ -50,9 +50,9 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/bench"
 	"repro/internal/mpi"
 	"repro/internal/parallel"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -378,17 +378,8 @@ func allVsAll(args []string) {
 		launchTCPRun(o, args)
 		return
 	}
-	if *o.cpuProf != "" || *o.memProf != "" {
-		stop, err := bench.StartProfiles(*o.cpuProf, *o.memProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
+	startProfiles(*o.cpuProf, *o.memProf)
+	defer finishProfiles()
 
 	recs := readFASTA(*o.inPath)
 	cfg := o.config()
@@ -405,7 +396,7 @@ func allVsAll(args []string) {
 			if *o.ckptDir != "" {
 				fmt.Fprintf(os.Stderr, "pastis: resume with -checkpoint %s -resume\n", *o.ckptDir)
 			}
-			os.Exit(130)
+			exit(130)
 		}
 		fatal(err)
 	}
@@ -445,7 +436,7 @@ func launchTCPRun(o *avOptions, args []string) {
 		// the worker's exit status — 130 keeps interruption observable.
 		if code := mpi.ExitCode(err); code > 0 {
 			fmt.Fprintf(os.Stderr, "pastis: %v\n", err)
-			os.Exit(code)
+			exit(code)
 		}
 		fatal(err)
 	}
@@ -464,25 +455,16 @@ func runTCPRank(args []string) {
 	if *o.inPath == "" {
 		fatal(fmt.Errorf("pastis-rank %d: -in is required", *rank))
 	}
-	if *o.cpuProf != "" || *o.memProf != "" {
-		// Each worker is its own process: suffix the profile paths per rank
-		// so the fleet does not clobber one file.
-		suffix := func(p string) string {
-			if p == "" {
-				return ""
-			}
-			return fmt.Sprintf("%s.rank-%d", p, *rank)
+	// Each worker is its own process: suffix the profile paths per rank so
+	// the fleet does not clobber one file.
+	suffix := func(p string) string {
+		if p == "" {
+			return ""
 		}
-		stop, err := bench.StartProfiles(suffix(*o.cpuProf), suffix(*o.memProf))
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fatal(err)
-			}
-		}()
+		return fmt.Sprintf("%s.rank-%d", p, *rank)
 	}
+	startProfiles(suffix(*o.cpuProf), suffix(*o.memProf))
+	defer finishProfiles()
 	recs := readFASTA(*o.inPath)
 	cfg := o.config()
 
@@ -521,7 +503,7 @@ func runTCPRank(args []string) {
 			if *o.ckptDir != "" {
 				fmt.Fprintf(os.Stderr, "pastis: resume with -checkpoint %s -resume\n", *o.ckptDir)
 			}
-			os.Exit(130)
+			exit(130)
 		}
 		fatal(err)
 	}
@@ -536,7 +518,36 @@ func runTCPRank(args []string) {
 	}
 }
 
+// stopProfiles flushes the -cpuprofile/-memprofile output; idempotent.
+// os.Exit skips deferred calls, so every exit taken after startProfiles goes
+// through exit: the runs one most wants a profile of (a -mem breach, an
+// interrupt mid-wave) are the ones that do not return from main.
+var stopProfiles = func() error { return nil }
+
+func startProfiles(cpuPath, memPath string) {
+	stop, err := profile.Start(cpuPath, memPath)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+}
+
+// finishProfiles is the deferred stop of a run that returns normally: a
+// profile that cannot be written fails the run.
+func finishProfiles() {
+	if err := stopProfiles(); err != nil {
+		fatal(err)
+	}
+}
+
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "pastis:", err)
+	}
+	os.Exit(code)
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pastis:", err)
-	os.Exit(1)
+	exit(1)
 }

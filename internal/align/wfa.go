@@ -39,9 +39,8 @@ import (
 // columns, BLOSUM score — live interleaved in ONE []int32 at stride 4, so
 // a diagonal is one cache line instead of four, a wave is one arena
 // allocation instead of four, and prune/clamp reslice a single slice. The
-// frozen four-slice kernel this replaced lives in wfa_unpacked.go as the
-// differential baseline (TestWFAPackedMatchesUnpacked, the wall-clock
-// benchmark's "before" entries); the two are bit-identical by test.
+// four-slice kernel this replaced lives in wfa_unpacked_test.go as the
+// reference TestWFAPackedMatchesUnpacked holds it bit-identical to.
 //
 // The penalties are the WFA paper's defaults (mismatch 4 / open 6 /
 // extend 2) divided by their gcd: a uniform scaling preserves the optimal

@@ -8,14 +8,14 @@ import (
 )
 
 // TestWFAPackedMatchesUnpacked proves the packed stride-4 wavefront kernel
-// bit-identical to the frozen four-slice reference across random pairs
+// bit-identical to the four-slice reference across random pairs
 // spanning identity, length, and indel structure: every Result field and
 // the cumulative CellsComputed must agree call for call on the same
 // instance (which also exercises arena reuse on both sides).
 func TestWFAPackedMatchesUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	packed, _ := NewKernel("wfa")
-	unpacked := NewWFAUnpacked()
+	unpacked := newWFAUnpacked()
 	p := DefaultParams()
 
 	type pairCase struct {

@@ -7,12 +7,11 @@ import (
 	"repro/internal/scoring"
 )
 
-// This file is the frozen pre-packing wavefront kernel: four parallel
+// This file is the reference wavefront kernel: four parallel
 // off/mt/al/sc []int32 slices per wavefront, exactly as the kernel shipped
-// before wfa.go folded them into one stride-4 slice. It is NOT registered;
-// it exists as the baseline that TestWFAPackedMatchesUnpacked proves the
-// packed kernel bit-identical to, and that the wall-clock benchmark's
-// "before" entries measure. Behavior changes belong in wfa.go only.
+// before wfa.go folded them into one stride-4 slice. It exists only as the
+// reference that TestWFAPackedMatchesUnpacked proves the packed kernel
+// bit-identical to. Behavior changes belong in wfa.go only.
 
 // uwfWave is one wavefront with the unpacked four-slice layout.
 type uwfWave struct {
@@ -43,10 +42,8 @@ type wfaUnpackedKernel struct {
 	cells   int64
 }
 
-// NewWFAUnpacked returns the frozen unpacked wavefront kernel. It is the
-// differential-test and benchmark baseline; the pipeline always runs the
-// packed "wfa" kernel from the registry.
-func NewWFAUnpacked() Kernel { return &wfaUnpackedKernel{} }
+// newWFAUnpacked returns the unpacked reference wavefront kernel.
+func newWFAUnpacked() Kernel { return &wfaUnpackedKernel{} }
 
 func (w *wfaUnpackedKernel) Name() string { return "wfa-unpacked" }
 

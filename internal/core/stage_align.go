@@ -77,7 +77,7 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, symmetric bool, cfg
 			return transposeOverlap(v)
 		})
 		res.parOps += float64(btp.Local.NNZ()) * opsPerVisitNNZ
-		merged, err := spmat.EWiseAdd(local, bt, overlapAdd)
+		merged, err := spmat.EWiseAdd(local, bt, MergeOverlap)
 		if err != nil {
 			res.err = err
 			return res

@@ -86,7 +86,7 @@ func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 				b.Release()
 				return
 			}
-			sym, err = dmat.EWiseAdd(b, bt, overlapAdd)
+			sym, err = dmat.EWiseAdd(b, bt, MergeOverlap)
 			bt.Release()
 			b.Release()
 		})

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/align"
@@ -262,9 +261,8 @@ func seedLess(a, b SeedPos) bool {
 // seed, transposeOverlap re-sorts, this function preserves it), so the
 // best two are a two-way merge of two sorted lists — no slice, no
 // sort.Slice: this runs once per accumulated nonzero inside the SpGEMM
-// hot loop, where it used to be the pipeline's dominant allocator.
-// mergeOverlapSort is the frozen pre-rewrite twin held bit-identical by
-// TestMergeOverlapMatchesSort.
+// hot loop. TestMergeOverlapMatchesSort holds it bit-identical to a
+// concatenate-sort-dedup reference in merge_test.go.
 func MergeOverlap(x, y Overlap) Overlap {
 	out := Overlap{Count: x.Count + y.Count}
 	var i, j int32
@@ -289,51 +287,6 @@ func MergeOverlap(x, y Overlap) Overlap {
 		}
 		out.Seeds[out.NumSeeds] = s
 		out.NumSeeds++
-	}
-	return out
-}
-
-// overlapAdd is the live overlap addition used by the B-building semirings
-// and the symmetrization merges — MergeOverlap unless SetFrozenMerge has
-// swapped in the frozen twin.
-var overlapAdd = MergeOverlap
-
-// SetFrozenMerge routes every overlap addition through the frozen
-// sort-based twin (true) or the live allocation-free merge (false). Bench
-// harness use only: it lets the frozen-baseline pipeline phase run the
-// pre-rewrite semiring from the same binary. Not safe to call while a
-// pipeline is running.
-func SetFrozenMerge(frozen bool) {
-	add := MergeOverlap
-	if frozen {
-		add = MergeOverlapSort
-	}
-	overlapAdd = add
-	ExactSemiring.Add = add
-	SubstituteSemiring.Add = add
-	btSemiring.Add = add
-}
-
-// MergeOverlapSort is the pre-rewrite MergeOverlap kept as the frozen
-// differential twin: concatenate, sort, take the first two distinct.
-// TestMergeOverlapMatchesSort holds it bit-identical to MergeOverlap; the
-// bench harness's frozen-baseline pipeline phase swaps it in via
-// SetFrozenMerge to measure the allocation-free merge's win.
-func MergeOverlapSort(x, y Overlap) Overlap {
-	out := Overlap{Count: x.Count + y.Count}
-	var all []SeedPos
-	all = append(all, x.Seeds[:x.NumSeeds]...)
-	all = append(all, y.Seeds[:y.NumSeeds]...)
-	sort.Slice(all, func(i, j int) bool { return seedLess(all[i], all[j]) })
-	for _, s := range all {
-		if out.NumSeeds > 0 && out.Seeds[out.NumSeeds-1] == s {
-			continue // duplicate seed
-		}
-		out.Seeds[out.NumSeeds] = s
-		out.NumSeeds++
-		if out.NumSeeds == 2 {
-			break
-		}
 	}
 	return out
 }

@@ -26,11 +26,6 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 // Len returns the number of elements in the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Items exposes the backing slice in heap order (not sorted). It is intended
-// for draining or iteration when order does not matter; mutating elements in
-// a way that changes their ordering invalidates the heap.
-func (h *Heap[T]) Items() []T { return h.items }
-
 // level returns the depth of index i; even depths are min levels.
 func level(i int) int { return bits.Len(uint(i)+1) - 1 }
 

@@ -543,9 +543,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.size }
 
-// WorldRank returns the caller's rank in the original cluster.
-func (c *Comm) WorldRank() int { return c.world }
-
 // Clock returns the caller's virtual clock.
 func (c *Comm) Clock() *Clock { return c.clock }
 

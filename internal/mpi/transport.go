@@ -127,48 +127,3 @@ func alltoallvSharedE[T any](c *Comm, vals []T, wire []int64) ([]T, error) {
 	c.clock.messages += int64(c.size - 1)
 	return out, nil
 }
-
-// TryGathervShared collects every rank's value at root by reference (other
-// ranks receive nil), charging clocks exactly as TryGatherv would for
-// per-rank payloads of wireBytes bytes. Received values alias the senders' —
-// immutable by contract. Runs through the fault decorator.
-func TryGathervShared[T any](c *Comm, root int, v T, wireBytes int64) (out []T, err error) {
-	err = c.withFaults(func() error {
-		out, err = gathervSharedE(c, root, v, wireBytes)
-		return err
-	})
-	return out, err
-}
-
-func gathervSharedE[T any](c *Comm, root int, v T, wireBytes int64) ([]T, error) {
-	if c.cluster.tcp != nil {
-		return nil, ErrSharedOverTCP
-	}
-	st, err := c.rendezvousVal(nil, wireBytes, v)
-	if err != nil {
-		return nil, err
-	}
-	m := c.cluster.model
-	var total int64
-	for _, w := range st.extra {
-		total += w
-	}
-	t := maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha
-	if c.rank == root {
-		t += float64(total-wireBytes) * m.Beta
-		c.clock.received += total - wireBytes
-	} else {
-		c.clock.sent += wireBytes
-	}
-	if t > c.clock.now {
-		c.clock.now = t
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	out := make([]T, c.size)
-	for i := range out {
-		out[i] = st.vals[i].(T)
-	}
-	return out, nil
-}

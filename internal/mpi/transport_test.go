@@ -135,29 +135,6 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 		return nil
 	})
 	compare("alltoallv", codec, shared)
-
-	// Gatherv at a non-zero root.
-	codec = capture(func(c *Comm) error {
-		_, err := c.TryGatherv(4, payload(c.Rank(), 0))
-		return err
-	})
-	shared = capture(func(c *Comm) error {
-		got, err := TryGathervShared(c, 4, &blockVal{id: c.Rank()}, int64(len(payload(c.Rank(), 0))))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 4 {
-			for i, v := range got {
-				if v.id != i {
-					return fmt.Errorf("root slot %d holds %d", i, v.id)
-				}
-			}
-		} else if got != nil {
-			return fmt.Errorf("non-root received data")
-		}
-		return nil
-	})
-	compare("gatherv", codec, shared)
 }
 
 // Shared and byte collectives interleave on one communicator: the sequence

@@ -1,17 +1,14 @@
 package spmat
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // This file holds the open-addressing hash accumulator behind the hash
 // SpGEMM kernel (CombBLAS-style: a flat power-of-two probe table sized per
-// output column by its flop count, generation tags instead of clearing) and
-// the frozen map-based kernel it replaced, kept as the differential-test
-// and wall-clock-benchmark baseline.
+// output column by its flop count, generation tags instead of clearing).
+// hash_test.go holds the map-based reference kernel it is fuzzed against.
 
 // aColLookup resolves a column id of A to its compressed slot. When A's
 // nonempty columns are dense inside their span, a flat offset array answers
@@ -145,9 +142,9 @@ func (h *hashScratch[C]) nextGen() {
 
 // hashRange multiplies B's nonempty-column range [lo,hi) with the
 // open-addressing accumulator (one of the two local kernels CombBLAS
-// mixes). Structure, values and flop count are bit-identical to the frozen
-// map kernel: contributions accumulate in the same iteration order and
-// output rows are emitted sorted.
+// mixes). Structure, values and flop count are bit-identical to the map
+// reference in hash_test.go: contributions accumulate in the same
+// iteration order and output rows are emitted sorted.
 func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 	sr Semiring[A, B, C], lo, hi int) segment[C] {
 
@@ -214,79 +211,4 @@ func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 		}
 	}
 	return out
-}
-
-// aColIndex is the map the frozen kernel below resolves A's columns with.
-func aColIndex[A any](a *DCSC[A]) map[Index]int {
-	aCol := make(map[Index]int, len(a.JC))
-	for c, col := range a.JC {
-		aCol[col] = c
-	}
-	return aCol
-}
-
-// hashRangeMap is the frozen pre-open-addressing hash kernel (per-column
-// map[Index]C + clear + sort.Slice), kept verbatim as the reference the
-// fuzz differential test and the wall-clock benchmark's "before" entries
-// run against. Not reachable from SpGEMM.
-func hashRangeMap[A, B, C any](a *DCSC[A], b *DCSC[B], aCol map[Index]int,
-	sr Semiring[A, B, C], lo, hi int) segment[C] {
-
-	var out segment[C]
-	acc := make(map[Index]C)
-	var rows []Index
-	for cb := lo; cb < hi; cb++ {
-		j := b.JC[cb]
-		clear(acc)
-		rows = rows[:0]
-		for kb := b.CP[cb]; kb < b.CP[cb+1]; kb++ {
-			k := b.IR[kb]
-			ca, ok := aCol[k]
-			if !ok {
-				continue
-			}
-			bv := b.Vals[kb]
-			for ka := a.CP[ca]; ka < a.CP[ca+1]; ka++ {
-				i := a.IR[ka]
-				contrib := sr.Multiply(a.Vals[ka], bv)
-				out.flops++
-				if old, seen := acc[i]; seen {
-					acc[i] = sr.Add(old, contrib)
-				} else {
-					acc[i] = contrib
-					rows = append(rows, i)
-				}
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		sort.Slice(rows, func(x, y int) bool { return rows[x] < rows[y] })
-		out.jc = append(out.jc, j)
-		out.cp = append(out.cp, len(out.ir))
-		for _, i := range rows {
-			out.ir = append(out.ir, i)
-			out.vals = append(out.vals, acc[i])
-		}
-	}
-	return out
-}
-
-// SpGEMMHashMap computes A·B serially with the frozen map-based hash
-// kernel. It exists as the before-rewrite baseline: differential tests
-// assert SpGEMM's open-addressing output is bit-identical to it, and the
-// wall-clock benchmark reports its ns/op as the "before" entry.
-func SpGEMMHashMap[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C]) (*DCSC[C], Stats, error) {
-	if a.NumCols != b.NumRows {
-		return nil, Stats{}, fmt.Errorf("spmat: SpGEMM inner dim %d vs %d", a.NumCols, b.NumRows)
-	}
-	if len(b.JC) == 0 {
-		return Empty[C](a.NumRows, b.NumCols), Stats{}, nil
-	}
-	seg := hashRangeMap(a, b, aColIndex(a), sr, 0, len(b.JC))
-	out := &DCSC[C]{
-		NumRows: a.NumRows, NumCols: b.NumCols,
-		JC: seg.jc, CP: append(seg.cp, len(seg.ir)), IR: seg.ir, Vals: seg.vals,
-	}
-	return out, Stats{Flops: seg.flops}, nil
 }

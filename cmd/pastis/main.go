@@ -375,6 +375,11 @@ func allVsAll(args []string) {
 		os.Exit(2)
 	}
 	if *o.transp == "tcp" {
+		// The in-process path checks inside BuildGraph; here the count sizes
+		// a fork loop first.
+		if err := pastis.CheckNodes(*o.nodes); err != nil {
+			fatal(err)
+		}
 		launchTCPRun(o, args)
 		return
 	}

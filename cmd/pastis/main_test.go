@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,8 +48,9 @@ func runPastis(t *testing.T, dir string, args ...string) (int, string) {
 	return 0, ""
 }
 
-func TestCLI(t *testing.T) {
-	dir := t.TempDir()
+// writeInput leaves a small family-structured FASTA file in dir.
+func writeInput(t *testing.T, dir string) string {
+	t.Helper()
 	data, err := pastis.GenerateScopeLike(6, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +66,12 @@ func TestCLI(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return fasta
+}
+
+func TestCLI(t *testing.T) {
+	dir := t.TempDir()
+	fasta := writeInput(t, dir)
 
 	ranks := func(path string, n int) []string {
 		var out []string
@@ -84,6 +93,11 @@ func TestCLI(t *testing.T) {
 		{"failed run keeps its profiles",
 			[]string{"-in", "missing.fa", "-cpuprofile", "c", "-memprofile", "m"},
 			1, []string{"c", "m"}},
+		// A rank count that cannot form the grid was a panic in cluster
+		// construction: exit status 2 and a goroutine dump.
+		{"0 ranks", []string{"-in", fasta, "-nodes", "0"}, 1, nil},
+		{"0 ranks over tcp", []string{"-in", fasta, "-nodes", "0", "-transport", "tcp"}, 1, nil},
+		{"build-index on 0 ranks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "0"}, 1, nil},
 		{"4 ranks",
 			[]string{"-in", fasta, "-nodes", "4", "-out", "g.tsv", "-cpuprofile", "c", "-memprofile", "m"},
 			0, []string{"c", "m", "g.tsv"}},
@@ -116,5 +130,60 @@ func TestCLI(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The same dataset through -transport shared, codec and tcp (one OS process
+// per rank) must leave byte-identical edge lists and the same analytic
+// ledger: the transports differ in how bytes move, never in what is computed
+// or billed.
+func TestCLITransportsAgree(t *testing.T) {
+	dir := t.TempDir()
+	fasta := writeInput(t, dir)
+	ledger := []string{"virtual time:", "bytes on wire:", "peak bytes:"}
+	var refGraph []byte
+	var refStats []string
+	for _, transport := range []string{"shared", "codec", "tcp"} {
+		caseDir := filepath.Join(dir, transport)
+		if err := os.Mkdir(caseDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		code, out := runPastis(t, caseDir, "-in", fasta, "-nodes", "4", "-subs", "3", "-blocks", "2", "-threads", "2",
+			"-transport", transport, "-tcp-logdir", "logs", "-stats", "-out", "g.tsv")
+		if code != 0 {
+			// The per-rank worker logs die with the temp dir: put them where
+			// CI's upload of this test's output finds them.
+			logs, _ := filepath.Glob(filepath.Join(caseDir, "logs", "*"))
+			for _, path := range logs {
+				text, _ := os.ReadFile(path)
+				out += fmt.Sprintf("\n--- %s\n%s", filepath.Base(path), text)
+			}
+			t.Fatalf("-transport %s: exit status %d\n%s", transport, code, out)
+		}
+		graph, err := os.ReadFile(filepath.Join(caseDir, "g.tsv"))
+		if err != nil || len(graph) == 0 {
+			t.Fatalf("-transport %s: edge list: %d bytes, %v\n%s", transport, len(graph), err, out)
+		}
+		var stats []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, prefix := range ledger {
+				if strings.HasPrefix(line, prefix) {
+					stats = append(stats, line)
+				}
+			}
+		}
+		if len(stats) != len(ledger) {
+			t.Fatalf("-transport %s: -stats printed %d of the %d ledger lines\n%s", transport, len(stats), len(ledger), out)
+		}
+		if refGraph == nil {
+			refGraph, refStats = graph, stats
+			continue
+		}
+		if !bytes.Equal(graph, refGraph) {
+			t.Errorf("-transport %s: edge list differs from -transport shared", transport)
+		}
+		if !slices.Equal(stats, refStats) {
+			t.Errorf("-transport %s: ledger %q, -transport shared has %q", transport, stats, refStats)
+		}
 	}
 }

@@ -40,6 +40,9 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 	if len(records) == 0 {
 		return nil, fmt.Errorf("pastis: empty input")
 	}
+	if err := CheckNodes(nodes); err != nil {
+		return nil, err
+	}
 	data := fasta.Bytes(records, 0)
 	chunks := fasta.SplitBytes(int64(len(data)), nodes)
 
@@ -157,6 +160,9 @@ func OpenIndex(dir string) (*QueryEngine, error) {
 	}
 	if f.Rank != index.ManifestRank {
 		return nil, fmt.Errorf("pastis: %s is not an index manifest", index.Path(dir, index.ManifestRank))
+	}
+	if err := CheckNodes(f.Ranks); err != nil {
+		return nil, fmt.Errorf("%s: %w", index.Path(dir, index.ManifestRank), err)
 	}
 	payload, ok := f.Section("names")
 	if !ok {

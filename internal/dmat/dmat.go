@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -31,15 +32,15 @@ type Backend int
 const (
 	// BackendShared is the zero-copy shared-memory transport: ranks are
 	// goroutines in one address space, so collectives hand blocks to
-	// receivers by reference (mpi.TryBcastShared and friends) and charge the
-	// virtual clock with the analytically computed wire size of the codec
-	// encoding. Blocks received this way alias the sender's memory and are
-	// read-only by contract. The default.
+	// receivers by reference (mpi's typed API) and charge the virtual clock
+	// with the analytically computed wire size of the codec encoding.
+	// Blocks received this way alias the sender's memory and are read-only
+	// by contract. The default.
 	BackendShared Backend = iota
 	// BackendCodec serializes every block through the byte codecs — the
-	// deterministic reference transport, and the wire format a future
-	// multi-process backend would speak. Clock charges are identical to
-	// BackendShared by construction (the shared path charges exactly the
+	// deterministic reference transport, and the one a tcp-backed cluster
+	// runs on, where a part must cross a socket. Clock charges are identical
+	// to BackendShared by construction (the shared path states exactly the
 	// codec payload's size); differential tests hold the two equivalent.
 	BackendCodec
 )
@@ -107,14 +108,25 @@ func BlockOf(x, n spmat.Index, q int) int {
 }
 
 // Codec serializes matrix values for communication. Width is the encoded
-// size of one value in bytes; every codec in the tree is fixed-width, and a
-// positive Width is what lets the shared-memory backend compute a payload's
-// wire size analytically (and the codec backend preallocate exactly). A
-// zero Width forces the byte path with conservative capacity estimates.
+// size of one value in bytes and must be positive: values are fixed-width,
+// which is what lets the shared backend compute a payload's wire size
+// analytically and the codec backend allocate every buffer exactly.
 type Codec[T any] struct {
 	Append func(dst []byte, v T) []byte
 	Decode func(src []byte) (T, int)
 	Width  int
+}
+
+var errCodecWidth = errors.New("dmat: codec Width must be positive (values are fixed-width)")
+
+// check rejects a codec the transports cannot size. Every way a codec
+// enters the package — the matrix constructors, SpGEMM's result codec,
+// BcastBlock — calls it, so a Mat's own codec needs no second look.
+func (c Codec[T]) check() error {
+	if c.Width <= 0 {
+		return fmt.Errorf("%w, not %d", errCodecWidth, c.Width)
+	}
+	return nil
 }
 
 // Int64Codec, Int32Codec and Float64Codec cover the common value types.
@@ -244,6 +256,9 @@ const buildOps = BuildOps
 func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T],
 	codec Codec[T], add func(T, T) T) (*Mat[T], error) {
 
+	if err := codec.check(); err != nil {
+		return nil, err
+	}
 	clock := g.Comm.Clock()
 	size := g.Comm.Size()
 	owners := make([]int, len(ts))
@@ -258,59 +273,43 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 	}
 	clock.Ops(float64(len(ts)) * buildOps)
 
+	// The shuffle: each owner gets its bucket of triples, whose wire form is
+	// 16 bytes of indices + Width per triple.
+	rec := 16 + codec.Width
+	buckets := make([][]spmat.Triple[T], size)
+	for owner, n := range counts {
+		if n > 0 {
+			buckets[owner] = make([]spmat.Triple[T], 0, n)
+		}
+	}
+	for i, t := range ts {
+		buckets[owners[i]] = append(buckets[owners[i]], t)
+	}
+	parts, err := alltoall(g, buckets,
+		func(b []spmat.Triple[T]) int64 { return int64(len(b) * rec) },
+		func(b []spmat.Triple[T]) []byte {
+			buf := make([]byte, 0, len(b)*rec)
+			for _, t := range b {
+				buf = appendTriple(buf, t.Row, t.Col, t.Val, codec)
+			}
+			return buf
+		},
+		func(buf []byte) ([]spmat.Triple[T], error) { return decodeTriples(nil, buf, codec) })
+	if err != nil {
+		return nil, err
+	}
+	// Received buckets may alias their senders'; the block-local copy is
+	// this rank's to reorder.
 	m := &Mat[T]{Grid: g, Rows: rows, Cols: cols, codec: codec}
 	rowOff, colOff := m.RowOffset(), m.ColOffset()
-	var local []spmat.Triple[T]
-
-	if g.Backend == BackendShared && codec.Width > 0 {
-		// Zero-copy shuffle: hand each owner its bucket of triples by
-		// reference, charging the wire with the byte encoding's exact size
-		// (16 bytes of indices + Width per triple).
-		rec := int64(16 + codec.Width)
-		buckets := make([][]spmat.Triple[T], size)
-		wire := make([]int64, size)
-		for owner, n := range counts {
-			if n > 0 {
-				buckets[owner] = make([]spmat.Triple[T], 0, n)
-			}
-			wire[owner] = int64(n) * rec
-		}
-		for i, t := range ts {
-			buckets[owners[i]] = append(buckets[owners[i]], t)
-		}
-		parts, err := mpi.TryAlltoallvShared(g.Comm, buckets, wire)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, p := range parts {
-			total += len(p)
-		}
-		local = make([]spmat.Triple[T], 0, total)
-		for _, part := range parts {
-			for _, t := range part {
-				local = append(local, spmat.Triple[T]{Row: t.Row - rowOff, Col: t.Col - colOff, Val: t.Val})
-			}
-		}
-	} else {
-		rec := 16 + codec.Width
-		bufs := make([][]byte, size)
-		if codec.Width > 0 {
-			for owner, n := range counts {
-				if n > 0 {
-					bufs[owner] = make([]byte, 0, n*rec)
-				}
-			}
-		}
-		for i, t := range ts {
-			bufs[owners[i]] = appendTriple(bufs[owners[i]], t.Row, t.Col, t.Val, codec)
-		}
-		parts, err := g.Comm.TryAlltoallv(bufs)
-		if err != nil {
-			return nil, err
-		}
-		if local, err = decodeTriples(parts, codec, -rowOff, -colOff); err != nil {
-			return nil, err
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	local := make([]spmat.Triple[T], 0, total)
+	for _, part := range parts {
+		for _, t := range part {
+			local = append(local, spmat.Triple[T]{Row: t.Row - rowOff, Col: t.Col - colOff, Val: t.Val})
 		}
 	}
 	clock.Ops(float64(len(local)) * buildOps)
@@ -332,6 +331,9 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 // misindexed. Local (no collectives); the block's bytes are charged to the
 // live-bytes ledger like every constructor's.
 func NewFromLocal[T any](g *Grid, rows, cols spmat.Index, local *spmat.DCSC[T], codec Codec[T]) (*Mat[T], error) {
+	if err := codec.check(); err != nil {
+		return nil, err
+	}
 	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
 	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
 	if local.NumRows != rHi-rLo || local.NumCols != cHi-cLo {
@@ -351,41 +353,62 @@ func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) 
 	return codec.Append(dst, v)
 }
 
-// decodeTriples decodes the appendTriple records of every rank's part,
-// shifting indices by (rowShift, colShift). Every record is bounds-checked;
-// malformed input returns an error naming the sending rank and the byte
-// offset instead of panicking — these buffers cross the transport, so a
-// corrupted or truncated payload must surface as a retryable error.
-func decodeTriples[T any](parts [][]byte, codec Codec[T], rowShift, colShift spmat.Index) ([]spmat.Triple[T], error) {
-	var out []spmat.Triple[T]
-	if codec.Width > 0 {
-		total := 0
-		for _, p := range parts {
-			total += len(p) / (16 + codec.Width)
+// alltoall is dmat's one all-to-all: parts[j] goes to rank j of the grid and
+// the result holds what every rank sent here (the zero P where a rank sent
+// nothing). On the shared backend parts move by reference, charged size(p)
+// wire bytes each; on the codec backend they travel as encode(p) — exactly
+// size(p) bytes, so the two backends bill alike — and come back through
+// decode. A part of size 0 is absent, and a rank's part for itself is not
+// traffic: it is handed back as is on either backend.
+func alltoall[P any](g *Grid, parts []P, size func(P) int64,
+	encode func(P) []byte, decode func([]byte) (P, error)) ([]P, error) {
+
+	me := g.Comm.Rank()
+	if g.Backend == BackendShared {
+		sizes := make([]int64, len(parts))
+		for j, p := range parts {
+			sizes[j] = size(p)
 		}
-		out = make([]spmat.Triple[T], 0, total)
+		return mpi.TryAlltoallvShared(g.Comm, parts, sizes)
 	}
-	need := max(codec.Width, 1) // a variable-width value is at least one byte
-	for src, part := range parts {
-		r := wire.NewReader(part)
-		for r.More() {
-			row, col := spmat.Index(r.U64()), spmat.Index(r.U64())
-			val := r.Peek()
-			if len(val) < need {
-				r.Take(uint64(need)) // records the truncation with its offset
-				break
-			}
-			v, n := codec.Decode(val)
-			if n <= 0 || r.Take(uint64(n)) == nil {
-				return nil, fmt.Errorf("dmat: triples from rank %d: value decode consumed %d of %d bytes", src, n, len(val))
-			}
-			out = append(out, spmat.Triple[T]{Row: row + rowShift, Col: col + colShift, Val: v})
+	bufs := make([][]byte, len(parts))
+	for j, p := range parts {
+		if j != me && size(p) > 0 {
+			bufs[j] = encode(p)
 		}
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("dmat: triples from rank %d: %w", src, err)
+	}
+	got, err := g.Comm.TryAlltoallv(bufs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]P, len(got))
+	out[me] = parts[me]
+	for src, buf := range got {
+		if len(buf) == 0 {
+			continue
+		}
+		if out[src], err = decode(buf); err != nil {
+			return nil, fmt.Errorf("dmat: part from rank %d: %w", src, err)
 		}
 	}
 	return out, nil
+}
+
+// decodeTriples appends the appendTriple records of one part to dst. Every
+// record is bounds-checked; malformed input returns an error naming the
+// byte offset instead of panicking — these buffers cross the transport, so
+// a corrupted or truncated payload must surface as a retryable error.
+func decodeTriples[T any](dst []spmat.Triple[T], part []byte, codec Codec[T]) ([]spmat.Triple[T], error) {
+	dst = slices.Grow(dst, len(part)/(16+codec.Width))
+	r := wire.NewReader(part)
+	for r.More() {
+		row, col := spmat.Index(r.U64()), spmat.Index(r.U64())
+		if val := r.Take(uint64(codec.Width)); val != nil {
+			v, _ := codec.Decode(val)
+			dst = append(dst, spmat.Triple[T]{Row: row, Col: col, Val: v})
+		}
+	}
+	return dst, r.Err()
 }
 
 // TryNNZ returns the global nonzero count (collective); it fails with the
@@ -398,10 +421,7 @@ func (m *Mat[T]) TryNNZ() (int64, error) {
 // rank 0 (nil elsewhere). Collective; for tests, output and small data.
 func (m *Mat[T]) GatherTriples() ([]spmat.Triple[T], error) {
 	ts := m.Local.ToTriples()
-	var buf []byte
-	if m.codec.Width > 0 {
-		buf = make([]byte, 0, len(ts)*(16+m.codec.Width))
-	}
+	buf := make([]byte, 0, len(ts)*(16+m.codec.Width))
 	rowOff, colOff := m.RowOffset(), m.ColOffset()
 	for _, t := range ts {
 		buf = appendTriple(buf, t.Row+rowOff, t.Col+colOff, t.Val, m.codec)
@@ -410,10 +430,16 @@ func (m *Mat[T]) GatherTriples() ([]spmat.Triple[T], error) {
 	if err != nil || parts == nil {
 		return nil, err
 	}
-	return decodeTriples(parts, m.codec, 0, 0)
+	var out []spmat.Triple[T]
+	for src, part := range parts {
+		if out, err = decodeTriples(out, part, m.codec); err != nil {
+			return nil, fmt.Errorf("dmat: triples from rank %d: %w", src, err)
+		}
+	}
+	return out, nil
 }
 
-// BlockWireBytes is the exact byte length encodeBlock produces for a block
+// BlockWireBytes is the exact byte length EncodeBlock produces for a block
 // under a fixed-width codec: a 32-byte header, an 8-byte checksum frame,
 // 8 bytes per nonempty column for JC, 8 per CP entry (ncols+1), 8 per
 // nonzero for IR, and width per value. The shared-memory backend charges
@@ -439,20 +465,17 @@ func blockChecksum(buf []byte) uint64 {
 	return wire.Checksum(wire.Checksum(wire.ChecksumInit, buf[:32]), buf[blockHeaderLen:])
 }
 
-// encodeBlock serializes a local DCSC for broadcast within SUMMA by writing
+// EncodeBlock serializes a local DCSC — for broadcast within SUMMA, for the
+// transpose exchange and for the persistent index's sections — by writing
 // the compressed arrays directly (CombBLAS ships CSC arrays the same way);
 // no re-sorting is needed on the receiving side. The buffer is sized
 // exactly up front (BlockWireBytes) and the index arrays are written by
 // offset rather than element-at-a-time appends.
-func encodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
+func EncodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
 	ncols := len(b.JC)
 	nnz := b.NNZ()
-	width := codec.Width
-	if width <= 0 {
-		width = 8 // capacity guess only; variable-width values still append
-	}
 	fixed := blockHeaderLen + ncols*16 + 8 + nnz*8
-	buf := make([]byte, fixed, fixed+nnz*width)
+	buf := make([]byte, fixed, fixed+nnz*codec.Width)
 	wire.PutU64(buf[0:], uint64(b.NumRows))
 	wire.PutU64(buf[8:], uint64(b.NumCols))
 	wire.PutU64(buf[16:], uint64(ncols))
@@ -477,7 +500,10 @@ func encodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
 	return buf
 }
 
-func decodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
+// DecodeBlock is EncodeBlock's inverse. The payload crossed a transport or a
+// disk: every count is checked against the bytes present before it sizes an
+// allocation, and anything but the encoder's exact image is an error.
+func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	if len(buf) < blockHeaderLen {
 		return nil, fmt.Errorf("dmat: truncated block header: %d bytes, need %d", len(buf), blockHeaderLen)
 	}
@@ -506,39 +532,17 @@ func decodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	}
 	m.IR = make([]spmat.Index, nnz)
 	wire.U64s(r, m.IR)
-	vals := r.Peek()
-	if codec.Width > 0 && len(vals) < nnz*codec.Width {
-		return nil, fmt.Errorf("dmat: block values truncated: %d bytes for %d nonzeros of width %d",
-			len(vals), nnz, codec.Width)
+	// A block message carries exactly one block: nnz values of the codec's
+	// width and not a byte more.
+	vals := r.Take(uint64(nnz) * uint64(codec.Width))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dmat: block values (%d nonzeros of width %d): %w", nnz, codec.Width, err)
 	}
 	m.Vals = make([]T, nnz)
-	off := 0
 	for i := range m.Vals {
-		if off >= len(vals) {
-			return nil, fmt.Errorf("dmat: block values truncated: %d of %d decoded", i, nnz)
-		}
-		v, n := codec.Decode(vals[off:])
-		m.Vals[i] = v
-		off += n
-	}
-	// A block message carries exactly one block; leftover bytes mean the
-	// header undercounted and the payload is not the codec's own encoding.
-	r.Take(uint64(off))
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("dmat: block payload: %w", err)
+		m.Vals[i], _ = codec.Decode(vals[i*codec.Width:])
 	}
 	return m, nil
-}
-
-// EncodeBlock and DecodeBlock expose the block wire codec for benchmarks
-// and differential tests; SUMMA reaches it through BcastBlock's codec
-// backend.
-func EncodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
-	return encodeBlock(b, codec)
-}
-
-func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
-	return decodeBlock(buf, codec)
 }
 
 // BcastBlock broadcasts blk (non-nil on the root rank of comm only) with
@@ -548,7 +552,10 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 // root reuses its own block without a decode round-trip. Clock charges are
 // identical either way. Exported for the comm benchmark suite.
 func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], codec Codec[T]) (*spmat.DCSC[T], error) {
-	if g.Backend == BackendShared && codec.Width > 0 {
+	if err := codec.check(); err != nil {
+		return nil, err
+	}
+	if g.Backend == BackendShared {
 		var wire int64
 		if comm.Rank() == root {
 			wire = BlockWireBytes(blk, codec.Width)
@@ -557,7 +564,7 @@ func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], co
 	}
 	var payload []byte
 	if comm.Rank() == root {
-		payload = encodeBlock(blk, codec)
+		payload = EncodeBlock(blk, codec)
 	}
 	payload, err := comm.TryBcast(root, payload)
 	if err != nil {
@@ -568,7 +575,7 @@ func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], co
 		// re-decoding its own payload would only clone it.
 		return blk, nil
 	}
-	return decodeBlock(payload, codec)
+	return DecodeBlock(payload, codec)
 }
 
 // SpGEMMOpts tunes the distributed multiply.
@@ -653,6 +660,9 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	}
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("dmat: SpGEMM inner dimension %d vs %d", a.Cols, b.Rows)
+	}
+	if err := codecC.check(); err != nil {
+		return nil, err
 	}
 	g := a.Grid
 	clock := g.Comm.Clock()
@@ -879,37 +889,25 @@ func (m *Mat[T]) Transpose() (*Mat[T], error) {
 	tBlock := m.Local.Transpose()
 	clock.ParOps(float64(m.Local.NNZ()) * buildOps)
 
+	// The transposed block goes to the mirror rank, which adopts it: the
+	// sender gives it up (its own new block arrives from the partner; a
+	// diagonal rank's comes right back).
 	partner := g.RankOf(g.MyCol, g.MyRow)
-	var local *spmat.DCSC[T]
-	if g.Backend == BackendShared && m.codec.Width > 0 {
-		// Hand the transposed block to the mirror rank by reference; the
-		// sender gives it up (its own new block arrives from the partner),
-		// so adoption by the receiver is safe.
-		vals := make([]*spmat.DCSC[T], g.Comm.Size())
-		wire := make([]int64, g.Comm.Size())
-		vals[partner] = tBlock
-		wire[partner] = BlockWireBytes(tBlock, m.codec.Width)
-		parts, err := mpi.TryAlltoallvShared(g.Comm, vals, wire)
-		if err != nil {
-			return nil, err
-		}
-		local = parts[partner]
-	} else {
-		bufs := make([][]byte, g.Comm.Size())
-		bufs[partner] = encodeBlock(tBlock, m.codec)
-		parts, err := g.Comm.TryAlltoallv(bufs)
-		if err != nil {
-			return nil, err
-		}
-		if partner == g.Comm.Rank() {
-			local = tBlock // diagonal rank: its own transpose comes right back
-		} else {
-			local, err = decodeBlock(parts[partner], m.codec)
-			if err != nil {
-				return nil, fmt.Errorf("dmat: transpose decode: %w", err)
+	parts := make([]*spmat.DCSC[T], g.Comm.Size())
+	parts[partner] = tBlock
+	parts, err := alltoall(g, parts,
+		func(b *spmat.DCSC[T]) int64 {
+			if b == nil {
+				return 0
 			}
-		}
+			return BlockWireBytes(b, m.codec.Width)
+		},
+		func(b *spmat.DCSC[T]) []byte { return EncodeBlock(b, m.codec) },
+		func(buf []byte) (*spmat.DCSC[T], error) { return DecodeBlock(buf, m.codec) })
+	if err != nil {
+		return nil, err
 	}
+	local := parts[partner]
 	out := &Mat[T]{Grid: g, Rows: m.Cols, Cols: m.Rows, Local: local, codec: m.codec}
 	clock.AllocBytes(out.LocalBytes())
 	return out, nil

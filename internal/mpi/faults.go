@@ -1,8 +1,8 @@
 // Fault injection and retry: the chaos layer of the transport.
 //
 // A FaultPlan armed on a Cluster turns the Try* communication methods into
-// a fault-injecting decorator around whichever backend (byte codec or
-// zero-copy shared) the caller uses. Faults are drawn from a deterministic
+// a fault-injecting decorator around whichever API (byte or typed) and
+// backend the caller uses. Faults are drawn from a deterministic
 // hash of (seed, communicator id, collective sequence number) — a pure
 // function every rank can evaluate without communicating — so all ranks of
 // a communicator always agree on each collective's verdict, retry together,
@@ -241,14 +241,18 @@ func CollFaultKey(seed int64, comm, seq uint64) uint64 {
 // --- the decorator ---
 
 // withFaults wraps one collective operation (run performs exactly one
-// rendezvous) in the injector's verdict/retry loop. With no active plan it
-// is a direct call.
-func (c *Comm) withFaults(run func() error) error {
+// rendezvous) in the injector's verdict/retry loop and returns the result of
+// the attempt that stood. With no active plan it is a direct call.
+func withFaults[T any](c *Comm, run func() (T, error)) (out T, err error) {
 	inj := c.cluster.faults
 	if inj == nil || !inj.plan.active() {
 		return run()
 	}
-	return inj.collective(c, run)
+	err = inj.collective(c, func() error {
+		out, err = run()
+		return err
+	})
+	return out, err
 }
 
 func (inj *faultInjector) collective(c *Comm, run func() error) error {
@@ -366,63 +370,43 @@ func (c *Comm) TryRecv(src, tag int) ([]byte, error) {
 
 // TryBarrier is barrierE through the fault decorator.
 func (c *Comm) TryBarrier() error {
-	return c.withFaults(func() error { return c.barrierE() })
+	_, err := withFaults(c, func() (struct{}, error) { return struct{}{}, c.barrierE() })
+	return err
 }
 
-// TryBcast is bcastE through the fault decorator.
-func (c *Comm) TryBcast(root int, data []byte) (out []byte, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.bcastE(root, data)
-		return err
-	})
-	return out, err
+// TryBcast is bcastE through the fault decorator, for a byte payload.
+func (c *Comm) TryBcast(root int, data []byte) ([]byte, error) {
+	return TryBcastShared(c, root, data, int64(len(data)))
 }
 
 // TryAllgather is allgatherE through the fault decorator.
-func (c *Comm) TryAllgather(data []byte) (out [][]byte, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.allgatherE(data)
-		return err
-	})
-	return out, err
+func (c *Comm) TryAllgather(data []byte) ([][]byte, error) {
+	got, err := withFaults(c, func() ([]any, error) { return c.allgatherE(data, int64(len(data))) })
+	return partsAs[[]byte](got), err
 }
 
-// TryAlltoallv is alltoallvE through the fault decorator.
-func (c *Comm) TryAlltoallv(bufs [][]byte) (out [][]byte, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.alltoallvE(bufs)
-		return err
-	})
-	return out, err
+// TryAlltoallv is alltoallvE through the fault decorator, for byte
+// payloads.
+func (c *Comm) TryAlltoallv(bufs [][]byte) ([][]byte, error) {
+	sizes := make([]int64, len(bufs))
+	for j, b := range bufs {
+		sizes[j] = int64(len(b))
+	}
+	return TryAlltoallvShared(c, bufs, sizes)
 }
 
 // TryAllreduceInt64 is allreduceInt64E through the fault decorator.
-func (c *Comm) TryAllreduceInt64(op string, v int64) (out int64, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.allreduceInt64E(op, v)
-		return err
-	})
-	return out, err
+func (c *Comm) TryAllreduceInt64(op string, v int64) (int64, error) {
+	return withFaults(c, func() (int64, error) { return c.allreduceInt64E(op, v) })
 }
 
 // TryExscanInt64 is exscanInt64E through the fault decorator.
-func (c *Comm) TryExscanInt64(v int64) (out int64, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.exscanInt64E(v)
-		return err
-	})
-	return out, err
+func (c *Comm) TryExscanInt64(v int64) (int64, error) {
+	return withFaults(c, func() (int64, error) { return c.exscanInt64E(v) })
 }
 
 // TryGatherv is gathervE through the fault decorator.
-func (c *Comm) TryGatherv(root int, data []byte) (out [][]byte, err error) {
-	err = c.withFaults(func() error {
-		out, err = c.gathervE(root, data)
-		return err
-	})
-	return out, err
-}
-
-func errMismatchedBuffers(size, got int) error {
-	return fmt.Errorf("mpi: collective with %d buffers on comm of size %d", got, size)
+func (c *Comm) TryGatherv(root int, data []byte) ([][]byte, error) {
+	got, err := withFaults(c, func() ([]any, error) { return c.gathervE(root, data, int64(len(data))) })
+	return partsAs[[]byte](got), err
 }

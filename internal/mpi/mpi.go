@@ -19,11 +19,13 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -90,6 +92,14 @@ func (c *Clock) Now() float64 { return c.now }
 func (c *Clock) Advance(d float64) {
 	if d > 0 {
 		c.now += d
+	}
+}
+
+// reach moves virtual time forward to t if it is not already past it: the
+// completion time of a collective or the arrival of a message.
+func (c *Clock) reach(t float64) {
+	if t > c.now {
+		c.now = t
 	}
 }
 
@@ -269,15 +279,31 @@ func (mb *mailbox) put(m message) {
 	mb.cond.Signal()
 }
 
-// take blocks until a message is queued or the cluster aborts. aborted is
-// checked inside the wait loop under mb.mu, and Cluster.abort broadcasts the
-// cond under the same lock, so the wakeup cannot be missed.
-func (mb *mailbox) take(aborted func() error) (message, error) {
+// take blocks until a message is queued, the cluster aborts, or — when d is
+// positive — d has passed, so that over tcp a vanished sender surfaces as
+// ErrTCPTimeout instead of a hang (a timer broadcast wakes the wait loop at
+// the deadline). aborted is checked inside the wait loop under mb.mu, and
+// Cluster.abort broadcasts the cond under the same lock, so the wakeup
+// cannot be missed.
+func (mb *mailbox) take(aborted func() error, d time.Duration) (message, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+		wake := time.AfterFunc(d, func() {
+			mb.mu.Lock()
+			mb.cond.Broadcast()
+			mb.mu.Unlock()
+		})
+		defer wake.Stop()
+	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for len(mb.queue) == 0 {
 		if err := aborted(); err != nil {
 			return message{}, err
+		}
+		if d > 0 && !time.Now().Before(deadline) {
+			return message{}, fmt.Errorf("mpi: receive: %w", ErrTCPTimeout)
 		}
 		mb.cond.Wait()
 	}
@@ -552,8 +578,8 @@ func (c *Comm) Clock() *Clock { return c.clock }
 // plan: it is added to the message's arrival time without charging the
 // sender.
 func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
-	if dst < 0 || dst >= c.size {
-		return fmt.Errorf("mpi: send to rank %d of %d", dst, c.size)
+	if dst < 0 || dst >= c.size || tag < 0 {
+		return fmt.Errorf("mpi: send to rank %d of %d, tag %d", dst, c.size, tag)
 	}
 	if err := c.cluster.Aborted(); err != nil {
 		return err
@@ -576,25 +602,35 @@ func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 // arrival time. It is the receive behind TryRecv and fails instead of
 // blocking forever when the cluster aborts.
 func (c *Comm) recvE(src, tag int) ([]byte, error) {
-	if src < 0 || src >= c.size {
-		return nil, fmt.Errorf("mpi: recv from rank %d of %d", src, c.size)
+	if src < 0 || src >= c.size || tag < 0 {
+		return nil, fmt.Errorf("mpi: recv from rank %d of %d, tag %d", src, c.size, tag)
 	}
-	mb := c.cluster.router.box(mailKey{comm: c.id, src: src, dst: c.rank, tag: tag})
-	var msg message
-	var err error
-	if c.cluster.tcp != nil {
-		msg, err = c.tcpTake(mb)
-	} else {
-		msg, err = mb.take(c.cluster.Aborted)
+	if t := c.cluster.tcp; t != nil {
+		defer t.blocked(time.Now())
 	}
+	msg, err := c.take(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	if msg.arrival > c.clock.now {
-		c.clock.now = msg.arrival
-	}
+	c.clock.reach(msg.arrival)
 	c.clock.received += int64(len(msg.data))
 	return msg.data, nil
+}
+
+// take claims the next raw message from src on tag: the wait under recvE
+// and, over tcp, under every collective. On a tcp-backed cluster it is
+// bounded by the transport's read deadline, whose expiry aborts the cluster.
+func (c *Comm) take(src, tag int) (message, error) {
+	var d time.Duration
+	if t := c.cluster.tcp; t != nil {
+		d = t.readTimeout
+	}
+	msg, err := c.cluster.router.box(mailKey{comm: c.id, src: src, dst: c.rank, tag: tag}).
+		take(c.cluster.Aborted, d)
+	if errors.Is(err, ErrTCPTimeout) {
+		c.cluster.abort(err)
+	}
+	return msg, err
 }
 
 // Request is a pending nonblocking operation.
@@ -634,28 +670,44 @@ func (c *Comm) Irecv(src, tag int) *Request {
 }
 
 // --- collectives ---
+//
+// Every collective is the same two steps. A metadata rendezvous: each rank
+// deposits its virtual clock, one extra word and the wire size of every part
+// it holds — tens of bytes — and leaves with every rank's deposit. From that
+// metadata alone the collective's one charge function bills the clock: the
+// simulated machine moves bytes, the charge never looks at them. And a
+// movement: each part travels exactly once, from the rank that holds it to
+// each rank that returns it — by reference in process (the collState carries
+// it), as one direct frame over tcp (tcpCollective). A part is opaque to the
+// engine (any + size), so the byte API (part = []byte, size = len) and the
+// typed API of transport.go (part = T, size = the caller's wire bytes) are
+// the same code on every backend.
 
 type collKey struct {
 	comm uint64
 	seq  uint64
 }
 
+// collState is one collective's rendezvous. It becomes read-only once every
+// rank has arrived, so reading sibling slots after the barrier is race-free.
 type collState struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	arrived  int
-	released int
-	clocks   []float64
-	data     [][]byte
-	extra    []int64
-	// vals carries in-memory values for the zero-copy shared collectives
-	// (TryBcastShared and friends): the deposited value is handed to every
-	// rank by reference, never serialized. nil on byte collectives.
-	vals  []any
-	ready bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	arrived int // all arrived: the state is complete, and off the router's map
+	clocks  []float64
+	extra   []int64
+	sizes   [][]int64 // sizes[r][k]: wire bytes of the k-th part rank r holds
+	parts   [][]any   // in process only: the parts themselves, by reference
 	// derived holds fresh communicator ids per split color, assigned once by
-	// the last-arriving rank from the cluster-wide counter.
+	// the first rank to ask from the cluster-wide counter.
 	derived map[int]uint64
+}
+
+func newCollState(size int) *collState {
+	st := &collState{clocks: make([]float64, size), extra: make([]int64, size),
+		sizes: make([][]int64, size), parts: make([][]any, size)}
+	st.cond = sync.NewCond(&st.mu)
+	return st
 }
 
 func (cl *Cluster) coll(key collKey, size int) *collState {
@@ -664,9 +716,7 @@ func (cl *Cluster) coll(key collKey, size int) *collState {
 	defer r.mu.Unlock()
 	st, ok := r.collectives[key]
 	if !ok {
-		st = &collState{clocks: make([]float64, size), data: make([][]byte, size),
-			extra: make([]int64, size), vals: make([]any, size)}
-		st.cond = sync.NewCond(&st.mu)
+		st = newCollState(size)
 		r.collectives[key] = st
 	}
 	return st
@@ -679,28 +729,43 @@ func (cl *Cluster) collDone(key collKey) {
 	r.mu.Unlock()
 }
 
-// rendezvous deposits this rank's contribution, blocks until all ranks of
-// the communicator arrive, and returns the shared state (valid until the
-// last rank returns; the last rank out removes the state). Fails with the
-// abort cause instead of blocking forever when the cluster aborts.
-func (c *Comm) rendezvous(data []byte, extra int64) (*collState, error) {
-	return c.rendezvousVal(data, extra, nil)
+// A route names, for a (source, destination) pair of ranks, which of the
+// source's parts the destination returns from the collective (-1: none).
+// Every collective here moves at most one part per pair.
+type route func(src, dst int) int
+
+func fromRoot(root int) route {
+	return func(src, _ int) int {
+		if src == root {
+			return 0
+		}
+		return -1
+	}
 }
 
-// rendezvousVal is rendezvous with an additional in-memory value deposited
-// by reference (the shared-transport fast path). The state — including the
-// deposited values — becomes read-only once every rank has arrived, so
-// reading sibling slots after the barrier is race-free. Once every rank has
-// arrived the collective completes even if an abort races in, so completed
-// collectives stay consistent across ranks.
-func (c *Comm) rendezvousVal(data []byte, extra int64, val any) (*collState, error) {
-	if c.cluster.tcp != nil {
-		// Byte collectives relay through the transport; the shared (by
-		// reference) collectives are gated off before reaching here.
-		if val != nil {
-			return nil, ErrSharedOverTCP
+func toRoot(root int) route {
+	return func(_, dst int) int {
+		if dst == root {
+			return 0
 		}
-		return c.tcpRendezvous(data, extra)
+		return -1
+	}
+}
+
+func toAll(_, _ int) int     { return 0 }
+func perDest(_, dst int) int { return dst }
+
+// collective is the engine under every collective: it deposits this rank's
+// metadata (extra, and sizes[k] = the wire bytes of parts[k]), blocks until
+// all ranks of the communicator arrive, and returns the rendezvous state
+// plus the parts routed to this rank, indexed by source (nil route: none
+// move). Fails with the abort cause instead of blocking forever when the
+// cluster aborts; once every rank has arrived the collective completes even
+// if an abort races in, so completed collectives stay consistent across
+// ranks.
+func (c *Comm) collective(extra int64, parts []any, sizes []int64, via route) (*collState, []any, error) {
+	if c.cluster.tcp != nil {
+		return c.tcpCollective(extra, parts, sizes, via)
 	}
 	*c.collSeq++
 	key := collKey{comm: c.id, seq: *c.collSeq}
@@ -708,28 +773,35 @@ func (c *Comm) rendezvousVal(data []byte, extra int64, val any) (*collState, err
 
 	st.mu.Lock()
 	st.clocks[c.rank] = c.clock.now
-	st.data[c.rank] = data
 	st.extra[c.rank] = extra
-	st.vals[c.rank] = val
+	st.sizes[c.rank] = sizes
+	st.parts[c.rank] = parts
 	st.arrived++
-	if st.arrived == c.size {
-		st.ready = true
+	last := st.arrived == c.size
+	if last {
 		st.cond.Broadcast()
 	}
-	for !st.ready {
+	for st.arrived < c.size {
 		if err := c.cluster.Aborted(); err != nil {
 			st.mu.Unlock()
-			return nil, err
+			return nil, nil, err
 		}
 		st.cond.Wait()
 	}
-	st.released++
-	last := st.released == c.size
 	st.mu.Unlock()
 	if last {
 		c.cluster.collDone(key)
 	}
-	return st, nil
+	if via == nil {
+		return st, nil, nil
+	}
+	got := make([]any, c.size)
+	for src := range got {
+		if k := via(src, c.rank); k >= 0 {
+			got[src] = st.parts[src][k]
+		}
+	}
+	return st, got, nil
 }
 
 func maxOf(xs []float64) float64 {
@@ -749,111 +821,95 @@ func log2Ceil(p int) float64 {
 	return math.Ceil(math.Log2(float64(p)))
 }
 
+// The charge functions: one per collective kind, each the only place that
+// kind's clock and byte bill is computed, reached by the byte and the typed
+// API alike.
+
 // barrierE synchronizes all ranks; its cost is a latency tree.
 func (c *Comm) barrierE() error {
-	st, err := c.rendezvous(nil, 0)
+	st, _, err := c.collective(0, nil, nil, nil)
 	if err != nil {
 		return err
 	}
-	t := maxOf(st.clocks) + log2Ceil(c.size)*c.cluster.model.Alpha
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*c.cluster.model.Alpha)
 	return nil
 }
 
-// bcastE distributes root's buffer to every rank (binomial tree cost).
-func (c *Comm) bcastE(root int, data []byte) ([]byte, error) {
-	var mine []byte
+// bcastE distributes root's part to every rank (binomial tree cost: log2(p)
+// rounds of alpha + n*beta; root charges sent, others received). Only
+// root's part and size are consulted.
+func (c *Comm) bcastE(root int, part any, size int64) (any, error) {
+	var parts []any
+	var sizes []int64
 	if c.rank == root {
-		mine = data
+		parts, sizes = []any{part}, []int64{size}
 	}
-	st, err := c.rendezvous(mine, 0)
+	st, got, err := c.collective(0, parts, sizes, fromRoot(root))
 	if err != nil {
 		return nil, err
 	}
-	out := st.data[root]
+	n := st.sizes[root][0]
 	m := c.cluster.model
-	n := float64(len(out))
-	t := maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+n*m.Beta)
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+float64(n)*m.Beta))
 	if c.rank != root {
-		c.clock.received += int64(len(out))
+		c.clock.received += n
 	} else {
-		c.clock.sent += int64(len(out)) * int64(c.size-1)
+		c.clock.sent += n * int64(c.size-1)
 	}
-	return out, nil
+	return got[root], nil
 }
 
-// allgatherE collects each rank's buffer on every rank
+// allgatherE collects each rank's part on every rank
 // (recursive-doubling cost).
-func (c *Comm) allgatherE(data []byte) ([][]byte, error) {
-	st, err := c.rendezvous(data, 0)
+func (c *Comm) allgatherE(part any, size int64) ([]any, error) {
+	st, got, err := c.collective(0, []any{part}, []int64{size}, toAll)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, c.size)
-	total := 0
-	for i, d := range st.data {
-		out[i] = d
-		total += len(d)
+	var total int64
+	for _, s := range st.sizes {
+		total += s[0]
 	}
 	m := c.cluster.model
-	t := maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha +
-		float64(total-len(data))*m.Beta
-	if t > c.clock.now {
-		c.clock.now = t
-	}
-	c.clock.sent += int64(len(data)) * int64(c.size-1)
-	c.clock.received += int64(total - len(data))
-	return out, nil
+	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha + float64(total-size)*m.Beta)
+	c.clock.sent += size * int64(c.size-1)
+	c.clock.received += total - size
+	return got, nil
 }
 
-// alltoallvE sends bufs[j] to rank j and returns what every rank sent to
+// alltoallvE sends parts[j] to rank j and returns what every rank sent to
 // the caller. Cost: pairwise exchanges charged by per-rank volume.
-func (c *Comm) alltoallvE(bufs [][]byte) ([][]byte, error) {
-	if len(bufs) != c.size {
-		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers on comm of size %d", len(bufs), c.size)
+func (c *Comm) alltoallvE(parts []any, sizes []int64) ([]any, error) {
+	if len(parts) != c.size || len(sizes) != c.size {
+		return nil, fmt.Errorf("mpi: Alltoallv with %d parts and %d sizes on comm of size %d", len(parts), len(sizes), c.size)
 	}
-	flat := flatten(bufs)
-	st, err := c.rendezvous(flat, 0)
+	st, got, err := c.collective(0, parts, sizes, perDest)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, c.size)
 	var sent, recv int64
-	for j, d := range bufs {
+	for j, n := range sizes {
 		if j != c.rank {
-			sent += int64(len(d))
+			sent += n
 		}
 	}
-	for i := range out {
-		parts, err := unflatten(st.data[i], c.size)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: Alltoallv payload from rank %d: %w", i, err)
-		}
-		out[i] = parts[c.rank]
+	for i, s := range st.sizes {
 		if i != c.rank {
-			recv += int64(len(out[i]))
+			recv += s[c.rank]
 		}
 	}
 	m := c.cluster.model
-	t := maxOf(st.clocks) + float64(c.size-1)*m.Alpha + float64(sent+recv)*m.Beta
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(maxOf(st.clocks) + float64(c.size-1)*m.Alpha + float64(sent+recv)*m.Beta)
 	c.clock.sent += sent
 	c.clock.received += recv
 	c.clock.messages += int64(c.size - 1)
-	return out, nil
+	return got, nil
 }
 
 // allreduceInt64E combines one int64 per rank with op ("sum", "max", "min")
 // and returns the result on every rank.
 func (c *Comm) allreduceInt64E(op string, v int64) (int64, error) {
-	st, err := c.rendezvous(nil, v)
+	st, _, err := c.collective(v, nil, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -875,17 +931,14 @@ func (c *Comm) allreduceInt64E(op string, v int64) (int64, error) {
 		}
 	}
 	m := c.cluster.model
-	t := maxOf(st.clocks) + 2*log2Ceil(c.size)*(m.Alpha+8*m.Beta)
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(maxOf(st.clocks) + 2*log2Ceil(c.size)*(m.Alpha+8*m.Beta))
 	return out, nil
 }
 
 // exscanInt64E returns the exclusive prefix sum of v by rank order
 // (rank 0 receives 0), the primitive behind the distributed sequence index.
 func (c *Comm) exscanInt64E(v int64) (int64, error) {
-	st, err := c.rendezvous(nil, v)
+	st, _, err := c.collective(v, nil, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -894,40 +947,33 @@ func (c *Comm) exscanInt64E(v int64) (int64, error) {
 		sum += st.extra[r]
 	}
 	m := c.cluster.model
-	t := maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+8*m.Beta)
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+8*m.Beta))
 	return sum, nil
 }
 
-// gathervE collects every rank's buffer at root (others receive nil).
-func (c *Comm) gathervE(root int, data []byte) ([][]byte, error) {
-	st, err := c.rendezvous(data, 0)
+// gathervE collects every rank's part at root (others receive nil).
+func (c *Comm) gathervE(root int, part any, size int64) ([]any, error) {
+	st, got, err := c.collective(0, []any{part}, []int64{size}, toRoot(root))
 	if err != nil {
 		return nil, err
 	}
-	m := c.cluster.model
-	total := 0
-	for _, d := range st.data {
-		total += len(d)
+	var total int64
+	for _, s := range st.sizes {
+		total += s[0]
 	}
+	m := c.cluster.model
 	t := maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha
 	if c.rank == root {
-		t += float64(total-len(data)) * m.Beta
-		c.clock.received += int64(total - len(data))
+		t += float64(total-size) * m.Beta
+		c.clock.received += total - size
 	} else {
-		c.clock.sent += int64(len(data))
+		c.clock.sent += size
 	}
-	if t > c.clock.now {
-		c.clock.now = t
-	}
+	c.clock.reach(t)
 	if c.rank != root {
 		return nil, nil
 	}
-	out := make([][]byte, c.size)
-	copy(out, st.data)
-	return out, nil
+	return got, nil
 }
 
 // TrySplit partitions the communicator by color; ranks within each new
@@ -937,15 +983,17 @@ func (c *Comm) TrySplit(color, key int) (*Comm, error) {
 	payload := wire.AppendU64(make([]byte, 0, 24), uint64(int64(color)))
 	payload = wire.AppendU64(payload, uint64(int64(key)))
 	payload = wire.AppendU64(payload, uint64(int64(c.world)))
-	st, err := c.rendezvous(payload, 0)
+	// An allgather of the 24-byte deposits that charges nothing: forming a
+	// communicator is set-up, not modeled traffic.
+	st, deposits, err := c.collective(0, []any{payload}, []int64{int64(len(payload))}, toAll)
 	if err != nil {
 		return nil, err
 	}
 
 	type member struct{ color, key, oldRank, world int }
 	members := make([]member, c.size)
-	for i, d := range st.data {
-		r := wire.NewReader(d)
+	for i, d := range deposits {
+		r := wire.NewReader(partAs[[]byte](d))
 		members[i] = member{
 			color:   int(int64(r.U64())),
 			key:     int(int64(r.U64())),
@@ -1014,27 +1062,4 @@ func (c *Comm) TrySplit(color, key int) (*Comm, error) {
 		collSeq: new(uint64),
 		sendSeq: new(uint64),
 	}, nil
-}
-
-func flatten(bufs [][]byte) []byte {
-	total := 8 * len(bufs)
-	for _, b := range bufs {
-		total += len(b)
-	}
-	out := make([]byte, 0, total)
-	for _, b := range bufs {
-		out = wire.AppendBytes(out, b)
-	}
-	return out
-}
-
-// unflatten splits a flatten image back into its n parts; each part aliases
-// flat with its capacity clipped.
-func unflatten(flat []byte, n int) ([][]byte, error) {
-	r := wire.NewReader(flat)
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = r.Bytes()
-	}
-	return out, r.Done()
 }

@@ -3,21 +3,24 @@
 // The simulator in this package runs every rank as a goroutine in one
 // address space. A tcp-backed Cluster (NewTCPCluster) instead owns exactly
 // one local rank and reaches its peers over length-prefixed, checksummed
-// TCP frames: point-to-point sends travel directly to the destination
-// process, and each collective is a root-relay exchange that reconstructs
-// the simulator's rendezvous state — every member ships (virtual clock,
-// extra, payload) to the communicator's rank 0, which assembles the full
-// arrays and fans them back. All analytic cost charging then runs on the
-// exact same code paths as the simulator, over the exact same
-// reconstructed state, so a tcp run's similarity graph, Stats, virtual
-// times, and byte bills are bit-identical to the in-process backends. The
-// transport additionally records its own wall-clock ledger (TCPStats).
+// TCP frames. There is one kind of traffic: a raw message from one rank's
+// process straight to another's mailbox. A point-to-point send is one such
+// message; a collective (tcpCollective) is a handful of them — each member's
+// metadata (virtual clock, extra, part sizes: tens of bytes) to the
+// communicator's rank 0 and the assembled table back, then every part once,
+// from the rank that holds it to each rank that returns it. All analytic
+// cost charging runs on the exact same code paths as the simulator, over the
+// exact same rendezvous metadata, so a tcp run's similarity graph, Stats,
+// virtual times, and byte bills are bit-identical to the in-process
+// backends, and no payload byte is written to a rank that does not return it.
+// The transport additionally records its own wall-clock ledger (TCPStats).
 //
 // Determinism requirements the rest of the repo already satisfies:
 // communication must be SPMD (every rank performs the same sequence of
 // collectives per communicator, which keeps the per-rank sequence numbers
-// in lockstep with zero coordination), and communicator ids must derive
-// purely from the split history (TrySplit allocates ids from a local
+// in lockstep with zero coordination and makes FIFO order per (comm, src,
+// dst, tag) the only message matching needed), and communicator ids must
+// derive purely from the split history (TrySplit allocates ids from a local
 // counter over sorted colors — a pure function of the deposits, replicated
 // identically in every process).
 //
@@ -46,13 +49,16 @@ import (
 
 // --- frame codec ---
 
-// A tcp frame is magic ("PTF2"), a little-endian u32 body length, the body,
-// and a little-endian u64 wire.Checksum of the body ("PTF1" sealed the same
-// layout with a byte-wise FNV-1a). The encoding is canonical: any byte
-// string DecodeTCPFrame accepts re-encodes to exactly the bytes consumed
-// (FuzzTCPFrameRoundTrip holds the codec to this).
+// A tcp frame is magic ("PTF3"), a little-endian u32 body length, the body,
+// and a little-endian u64 wire.Checksum of the body. The envelope is PTF2's;
+// the magic moved because the bodies inside did (collective metadata and
+// parts are raw messages, the message head is 48 bytes), so a mesh of mixed
+// builds fails its handshake by name instead of misparsing a frame. The
+// encoding is canonical: any byte string DecodeTCPFrame accepts re-encodes
+// to exactly the bytes consumed (FuzzTCPFrameRoundTrip holds the codec to
+// this).
 const (
-	tcpFrameMagic   = "PTF2"
+	tcpFrameMagic   = "PTF3"
 	tcpHeaderLen    = 8 // magic + u32 body length
 	tcpTrailerLen   = 8 // checksum of the body
 	maxTCPFrameBody = 1 << 30
@@ -61,22 +67,31 @@ const (
 // Frame body kinds (first body byte).
 const (
 	tcpKindHello byte = 1 // handshake: u64 world rank of the dialer
-	tcpKindP2P   byte = 2 // point-to-point message
-	tcpKindColl  byte = 3 // member deposit of a collective rendezvous
-	tcpKindReply byte = 4 // root's assembled rendezvous state
+	tcpKindP2P   byte = 2 // raw message for a mailbox: p2p, collective metadata, collective part
 	tcpKindAbort byte = 5 // abort cause: code byte + message text
 	tcpKindBye   byte = 6 // clean shutdown notice
 )
 
-// AppendTCPFrame appends one framed body to dst and returns the result.
+// tcpFrameEnds returns the header and the trailer that frame the body
+// head‖tail. The checksum is chained over the two pieces, which equals the
+// checksum of the contiguous body a reader verifies when len(head) is a
+// multiple of 8 (or tail is empty).
+func tcpFrameEnds(head, tail []byte) (hdr, trl []byte) {
+	ends := make([]byte, 0, tcpHeaderLen+tcpTrailerLen)
+	ends = append(ends, tcpFrameMagic...)
+	ends = wire.AppendU32(ends, uint32(len(head)+len(tail)))
+	ends = wire.AppendU64(ends, wire.Checksum(wire.Checksum(wire.ChecksumInit, head), tail))
+	return ends[:tcpHeaderLen], ends[tcpHeaderLen:]
+}
+
+// AppendTCPFrame appends one framed body to dst and returns the result. The
+// 1 GiB body limit is enforced where a frame meets a socket (writeFrame),
+// as an error.
 func AppendTCPFrame(dst, body []byte) []byte {
-	if len(body) > maxTCPFrameBody {
-		panic(fmt.Sprintf("mpi: tcp frame body %d bytes exceeds limit %d", len(body), maxTCPFrameBody))
-	}
-	dst = append(dst, tcpFrameMagic...)
-	dst = wire.AppendU32(dst, uint32(len(body)))
+	hdr, trl := tcpFrameEnds(body, nil)
+	dst = append(dst, hdr...)
 	dst = append(dst, body...)
-	return wire.AppendU64(dst, wire.Checksum(wire.ChecksumInit, body))
+	return append(dst, trl...)
 }
 
 // tcpFrameSize validates a frame header (magic, length limit) and returns
@@ -144,15 +159,15 @@ func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 // --- errors ---
 
 // ErrTCPTimeout tags every bounded wait of the tcp transport that expired:
-// handshake dials, collective deposits and replies, point-to-point
-// receives. It surfaces through the Try* methods as the cluster abort
-// cause, so a lost peer fails the run instead of hanging it.
+// handshake dials and every receive, point-to-point or inside a collective.
+// It surfaces through the Try* methods as the cluster abort cause, so a lost
+// peer fails the run instead of hanging it.
 var ErrTCPTimeout = errors.New("mpi: tcp deadline exceeded")
 
-// ErrSharedOverTCP rejects the zero-copy shared collectives (TryBcastShared
-// and friends) on a tcp-backed cluster: they hand values across ranks by
-// reference, which requires one address space. Callers fall back to the
-// byte-codec path (dmat does this by running tcp clusters with
+// ErrSharedOverTCP rejects a collective part that is not a []byte on a
+// tcp-backed cluster: the typed collectives (TryBcastShared and friends)
+// hand values across ranks by reference, which requires one address space.
+// Callers serialize first (dmat does this by running tcp clusters with
 // BackendCodec).
 var ErrSharedOverTCP = errors.New("mpi: shared collectives need one address space (tcp transport active); use the codec backend")
 
@@ -229,16 +244,6 @@ type TCPOptions struct {
 	ReadTimeout time.Duration
 }
 
-type tcpCollKey struct{ comm, seq uint64 }
-
-// tcpDeposit is one member's rendezvous contribution, received by the
-// communicator's rank 0.
-type tcpDeposit struct {
-	clock float64
-	extra int64
-	data  []byte
-}
-
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -253,10 +258,7 @@ type tcpTransport struct {
 	readTimeout time.Duration
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	gathers map[tcpCollKey]map[int]tcpDeposit // root side: member deposits
-	replies map[tcpCollKey][]byte             // member side: reply bodies
-	byeFrom []bool
+	byeFrom []bool // guarded by mu
 
 	closing atomic.Bool
 	cluster *Cluster
@@ -334,12 +336,9 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 		rank: o.Rank, size: o.Size, ln: o.Listener,
 		conns:       make([]*tcpConn, o.Size),
 		readTimeout: rt,
-		gathers:     make(map[tcpCollKey]map[int]tcpDeposit),
-		replies:     make(map[tcpCollKey][]byte),
 		byeFrom:     make([]bool, o.Size),
 		cluster:     cl,
 	}
-	t.cond = sync.NewCond(&t.mu)
 	cl.tcp = t
 
 	deadline := time.Now().Add(hs)
@@ -422,17 +421,25 @@ func (t *tcpTransport) closePartial() {
 	}
 }
 
-func (t *tcpTransport) writeFrame(world int, body []byte) error {
+// writeFrame frames the body head‖tail to rank world as header · body ·
+// trailer in one vectored write: a payload goes from the caller's slice to
+// the socket without a copy into a frame buffer. len(head) must be a
+// multiple of 8 when tail is not empty (tcpFrameEnds).
+func (t *tcpTransport) writeFrame(world int, head, tail []byte) error {
 	if world < 0 || world >= t.size || world == t.rank || t.conns[world] == nil {
 		return fmt.Errorf("mpi: no tcp connection to rank %d", world)
 	}
+	if n := len(head) + len(tail); n > maxTCPFrameBody {
+		return fmt.Errorf("mpi: tcp frame to rank %d: body of %d bytes exceeds the limit of %d", world, n, maxTCPFrameBody)
+	}
 	tc := t.conns[world]
-	frame := AppendTCPFrame(make([]byte, 0, tcpHeaderLen+len(body)+tcpTrailerLen), body)
+	hdr, trl := tcpFrameEnds(head, tail)
+	bufs := net.Buffers{hdr, head, tail, trl}
 	tc.mu.Lock()
-	_, err := tc.c.Write(frame)
+	n, err := bufs.WriteTo(tc.c)
 	tc.mu.Unlock()
 	t.framesOut.Add(1)
-	t.bytesOut.Add(int64(len(frame)))
+	t.bytesOut.Add(n)
 	if err != nil {
 		return fmt.Errorf("mpi: tcp write to rank %d: %w", world, err)
 	}
@@ -477,9 +484,10 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 	if len(body) == 0 {
 		return false, fmt.Errorf("empty frame body")
 	}
-	r := wire.NewReader(body[1:])
 	switch body[0] {
 	case tcpKindP2P:
+		r := wire.NewReader(body)
+		kind := r.U64()
 		key := mailKey{
 			comm: r.U64(),
 			src:  int(int64(r.U64())),
@@ -488,45 +496,21 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 		}
 		msg := message{arrival: r.F64()}
 		if err := r.Err(); err != nil {
-			return false, fmt.Errorf("short p2p frame: %w", err)
+			return false, fmt.Errorf("short message head: %w", err)
+		}
+		if kind != uint64(tcpKindP2P) {
+			return false, fmt.Errorf("message kind word %#x", kind)
+		}
+		// Communicator-local ranks are below the communicator's size, which is
+		// at most the world's.
+		if key.src < 0 || key.src >= t.size || key.dst < 0 || key.dst >= t.size {
+			return false, fmt.Errorf("message from rank %d to rank %d on comm %d of a %d-rank world",
+				key.src, key.dst, key.comm, t.size)
 		}
 		if payload := r.Peek(); len(payload) > 0 {
 			msg.data = payload
 		}
 		t.cluster.router.box(key).put(msg)
-	case tcpKindColl:
-		key := tcpCollKey{comm: r.U64(), seq: r.U64()}
-		member := int(int64(r.U64()))
-		dep := tcpDeposit{clock: r.F64(), extra: int64(r.U64())}
-		if err := r.Err(); err != nil {
-			return false, fmt.Errorf("short collective frame: %w", err)
-		}
-		if payload := r.Peek(); len(payload) > 0 {
-			dep.data = payload
-		}
-		t.mu.Lock()
-		g := t.gathers[key]
-		if g == nil {
-			g = make(map[int]tcpDeposit)
-			t.gathers[key] = g
-		}
-		if _, dup := g[member]; dup {
-			t.mu.Unlock()
-			return false, fmt.Errorf("duplicate deposit for collective %d on comm %d from member %d",
-				key.seq, key.comm, member)
-		}
-		g[member] = dep
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	case tcpKindReply:
-		key := tcpCollKey{comm: r.U64(), seq: r.U64()}
-		if err := r.Err(); err != nil {
-			return false, fmt.Errorf("short collective reply: %w", err)
-		}
-		t.mu.Lock()
-		t.replies[key] = r.Peek()
-		t.cond.Broadcast()
-		t.mu.Unlock()
 	case tcpKindAbort:
 		if len(body) < 2 {
 			return false, fmt.Errorf("short abort frame")
@@ -546,14 +530,11 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 	return false, nil
 }
 
-// poison wakes every transport-level waiter and broadcasts the abort cause
-// to all peers (best effort, bounded write deadline). Called by
-// Cluster.abort exactly once, after the first cause wins the CAS — which is
-// also what stops abort frames ping-ponging between processes.
+// poison broadcasts the abort cause to all peers (best effort, bounded write
+// deadline). Called by Cluster.abort exactly once, after the first cause
+// wins the CAS — which is also what stops abort frames ping-ponging between
+// processes.
 func (t *tcpTransport) poison(err error) {
-	t.mu.Lock()
-	t.cond.Broadcast()
-	t.mu.Unlock()
 	if t.closing.Load() {
 		return
 	}
@@ -567,243 +548,182 @@ func (t *tcpTransport) poison(err error) {
 			continue
 		}
 		tc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		_ = t.writeFrame(world, body)
+		_ = t.writeFrame(world, body, nil)
 	}
 }
 
-// --- the rendezvous relay ---
+// --- collectives over tcp ---
 
-// tcpRendezvous is the tcp twin of rendezvous: members ship their deposit
-// to the communicator's rank 0, which assembles the full clock/extra/data
-// arrays (its own slot included) and fans the result back, so every rank
-// returns a collState identical to the simulator's shared one. The analytic
-// collective costs are then charged by the caller on the usual code paths.
-func (c *Comm) tcpRendezvous(data []byte, extra int64) (*collState, error) {
+// Reserved tags of the raw messages a collective exchanges; point-to-point
+// tags are non-negative (sendE and recvE refuse others).
+const (
+	tagCollMeta = -1 - iota // a member's metadata to rank 0; rank 0's table back
+	tagCollPart             // one part, from its holder to a rank that returns it
+)
+
+// tcpCollective is collective over sockets. The metadata rendezvous relays
+// through the communicator's rank 0 (tcpRendezvous), so every rank leaves
+// with a collState equal to the simulator's shared one and the charge
+// functions run on it verbatim. The parts never touch the relay: each is one
+// raw message from the rank that holds it to each rank the route returns it
+// on, and a part the metadata sizes at zero is skipped on both sides. Raw
+// messages travel below sendE's clock charges and fault verdicts. Any
+// failure aborts the cluster under the collective's name.
+func (c *Comm) tcpCollective(extra int64, parts []any, sizes []int64, via route) (st *collState, got []any, err error) {
 	t := c.cluster.tcp
 	if err := c.cluster.Aborted(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	*c.collSeq++
 	seq := *c.collSeq
-	st := &collState{
-		clocks: make([]float64, c.size),
-		data:   make([][]byte, c.size),
-		extra:  make([]int64, c.size),
-		ready:  true,
-	}
-	st.cond = sync.NewCond(&st.mu)
-	st.clocks[c.rank] = c.clock.now
-	st.data[c.rank] = data
-	st.extra[c.rank] = extra
-	if c.size == 1 {
-		return st, nil
-	}
-	start := time.Now()
-	defer func() { t.wallNS.Add(time.Since(start).Nanoseconds()) }()
-	key := tcpCollKey{comm: c.id, seq: seq}
-	if c.rank == 0 {
-		deps, err := t.awaitDeposits(key, c.size-1, c.cluster.Aborted)
+	defer func() {
 		if err != nil {
 			err = fmt.Errorf("mpi: collective %d on comm %d: %w", seq, c.id, err)
 			c.cluster.abort(err)
-			return nil, err
 		}
-		for member, dep := range deps {
-			if member <= 0 || member >= c.size {
-				err := fmt.Errorf("mpi: collective %d on comm %d: deposit from out-of-range rank %d",
-					seq, c.id, member)
-				c.cluster.abort(err)
-				return nil, err
+	}()
+	for _, p := range parts {
+		if _, ok := p.([]byte); !ok && p != nil {
+			return nil, nil, ErrSharedOverTCP
+		}
+	}
+	st = newCollState(c.size)
+	st.clocks[c.rank], st.extra[c.rank], st.sizes[c.rank] = c.clock.now, extra, sizes
+	if c.size > 1 {
+		defer t.blocked(time.Now())
+		if err := c.tcpRendezvous(seq, st); err != nil {
+			return nil, nil, err
+		}
+	}
+	if via == nil {
+		return st, nil, nil
+	}
+	for dst := 0; dst < c.size; dst++ {
+		if k := via(c.rank, dst); dst != c.rank && k >= 0 && sizes[k] > 0 {
+			if err := t.sendP2P(c.worldOf(dst), c.id, c.rank, dst, tagCollPart, 0, partAs[[]byte](parts[k])); err != nil {
+				return nil, nil, err
 			}
-			st.clocks[member] = dep.clock
-			st.data[member] = dep.data
-			st.extra[member] = dep.extra
 		}
-		reply := encodeTCPReply(c.id, seq, st)
-		for r := 1; r < c.size; r++ {
-			if err := t.writeFrame(c.worldOf(r), reply); err != nil {
-				c.cluster.abort(err)
-				return nil, err
+	}
+	got = make([]any, c.size)
+	for src := range got {
+		k := via(src, c.rank)
+		switch {
+		case k < 0:
+		case src == c.rank:
+			got[src] = parts[k]
+		case k >= len(st.sizes[src]):
+			return nil, nil, fmt.Errorf("rank %d announced %d parts, the route takes its part %d", src, len(st.sizes[src]), k)
+		case st.sizes[src][k] > 0:
+			msg, err := c.take(src, tagCollPart)
+			if n := st.sizes[src][k]; err == nil && int64(len(msg.data)) != n {
+				err = fmt.Errorf("%d bytes where its metadata announced %d", len(msg.data), n)
 			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("part from rank %d: %w", src, err)
+			}
+			got[src] = msg.data
 		}
-		return st, nil
 	}
-	body := make([]byte, 0, 41+len(data))
-	body = append(body, tcpKindColl)
-	body = wire.AppendU64(body, c.id)
-	body = wire.AppendU64(body, seq)
-	body = wire.AppendU64(body, uint64(c.rank))
-	body = wire.AppendF64(body, c.clock.now)
-	body = wire.AppendU64(body, uint64(extra))
-	body = append(body, data...)
-	if err := t.writeFrame(c.worldOf(0), body); err != nil {
-		c.cluster.abort(err)
-		return nil, err
-	}
-	raw, err := t.awaitReply(key, c.cluster.Aborted)
-	if err != nil {
-		err = fmt.Errorf("mpi: collective %d on comm %d: %w", seq, c.id, err)
-		c.cluster.abort(err)
-		return nil, err
-	}
-	if err := decodeTCPReply(raw, c.size, st); err != nil {
-		c.cluster.abort(err)
-		return nil, err
-	}
-	return st, nil
+	return st, got, nil
 }
 
-func encodeTCPReply(comm, seq uint64, st *collState) []byte {
-	body := make([]byte, 0, 25+16*len(st.clocks))
-	body = append(body, tcpKindReply)
-	body = wire.AppendU64(body, comm)
-	body = wire.AppendU64(body, seq)
-	body = wire.AppendU64(body, uint64(len(st.clocks)))
-	for i := range st.clocks {
-		body = wire.AppendF64(body, st.clocks[i])
-		body = wire.AppendU64(body, uint64(st.extra[i]))
+// tcpRendezvous fills st with every rank's metadata: members send theirs to
+// the communicator's rank 0, which appends each to the table (its own first)
+// and answers every member with the whole of it. A member's message and the
+// table share one layout — the collective's sequence number, then (clock,
+// extra, part count, sizes) per rank — so one decoder reads both.
+func (c *Comm) tcpRendezvous(seq uint64, st *collState) error {
+	t := c.cluster.tcp
+	table := appendCollMeta(wire.AppendU64(nil, seq), st, c.rank)
+	if c.rank != 0 {
+		if err := t.sendP2P(c.worldOf(0), c.id, c.rank, 0, tagCollMeta, 0, table); err != nil {
+			return err
+		}
+		msg, err := c.take(0, tagCollMeta)
+		if err != nil {
+			return fmt.Errorf("metadata from rank 0: %w", err)
+		}
+		return readCollMeta(msg.data, seq, st, 0, c.size)
 	}
-	return append(body, flatten(st.data)...)
-}
-
-// decodeTCPReply fills st from the part of a reply body that follows
-// kind/comm/seq (which the dispatcher consumed to key it).
-func decodeTCPReply(raw []byte, size int, st *collState) error {
-	r := wire.NewReader(raw)
-	if count := r.U64(); r.Err() == nil && count != uint64(size) {
-		return fmt.Errorf("mpi: collective reply for %d ranks on a comm of %d", count, size)
+	for r := 1; r < c.size; r++ {
+		msg, err := c.take(r, tagCollMeta)
+		if err == nil {
+			err = readCollMeta(msg.data, seq, st, r, r+1)
+		}
+		if err != nil {
+			return fmt.Errorf("metadata from rank %d: %w", r, err)
+		}
+		table = appendCollMeta(table, st, r)
 	}
-	for i := 0; i < size; i++ {
-		st.clocks[i] = r.F64()
-		st.extra[i] = int64(r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("mpi: short collective reply: %w", err)
-	}
-	parts, err := unflatten(r.Peek(), size)
-	if err != nil {
-		return fmt.Errorf("mpi: collective reply payload: %w", err)
-	}
-	for i, p := range parts {
-		if len(p) == 0 {
-			st.data[i] = nil
-		} else {
-			st.data[i] = p
+	for r := 1; r < c.size; r++ {
+		if err := t.sendP2P(c.worldOf(r), c.id, 0, r, tagCollMeta, 0, table); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (t *tcpTransport) awaitDeposits(key tcpCollKey, want int, aborted func() error) (map[int]tcpDeposit, error) {
-	deadline := time.Now().Add(t.readTimeout)
-	wake := time.AfterFunc(t.readTimeout, func() {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	})
-	defer wake.Stop()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		if g := t.gathers[key]; len(g) >= want {
-			delete(t.gathers, key)
-			return g, nil
-		}
-		if err := aborted(); err != nil {
-			return nil, err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("waiting for %d member deposits: %w", want, ErrTCPTimeout)
-		}
-		t.cond.Wait()
+func appendCollMeta(dst []byte, st *collState, rank int) []byte {
+	dst = wire.AppendF64(dst, st.clocks[rank])
+	dst = wire.AppendU64(dst, uint64(st.extra[rank]))
+	dst = wire.AppendU64(dst, uint64(len(st.sizes[rank])))
+	for _, n := range st.sizes[rank] {
+		dst = wire.AppendU64(dst, uint64(n))
 	}
+	return dst
 }
 
-func (t *tcpTransport) awaitReply(key tcpCollKey, aborted func() error) ([]byte, error) {
-	deadline := time.Now().Add(t.readTimeout)
-	wake := time.AfterFunc(t.readTimeout, func() {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	})
-	defer wake.Stop()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		if raw, ok := t.replies[key]; ok {
-			delete(t.replies, key)
-			return raw, nil
-		}
-		if err := aborted(); err != nil {
-			return nil, err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("waiting for the root's reply: %w", ErrTCPTimeout)
-		}
-		t.cond.Wait()
+// readCollMeta decodes the metadata of ranks [lo, hi) of collective seq from
+// buf into st, rejecting another collective's, a negative size, and a buffer
+// that is not exactly those ranks' records.
+func readCollMeta(buf []byte, seq uint64, st *collState, lo, hi int) error {
+	r := wire.NewReader(buf)
+	if got := r.U64(); r.Err() == nil && got != seq {
+		return fmt.Errorf("it is for collective %d", got)
 	}
+	for rank := lo; rank < hi; rank++ {
+		st.clocks[rank] = r.F64()
+		st.extra[rank] = int64(r.U64())
+		st.sizes[rank] = make([]int64, r.Count(8))
+		wire.U64s(r, st.sizes[rank])
+		for _, n := range st.sizes[rank] {
+			if n < 0 {
+				return fmt.Errorf("rank %d announces a part of %d bytes", rank, n)
+			}
+		}
+	}
+	return r.Done()
 }
 
-// --- point-to-point over tcp ---
+// --- raw messages ---
 
-// sendP2P ships one already-charged message to a remote rank. The frame
-// carries the sender-computed virtual arrival time bit-exactly, so the
-// receiver's clock advances exactly as the simulator's would.
+// sendP2P ships one raw message, process to process, to a remote rank's
+// mailbox. A point-to-point
+// send is already charged by sendE and its frame carries the sender-computed
+// virtual arrival time bit-exactly, so the receiver's clock advances exactly
+// as the simulator's would; a collective's messages carry no arrival. The
+// 48-byte head (kind as a u64 word, comm, src, dst, tag, arrival) keeps the
+// payload word-aligned in the body, which is what lets writeFrame checksum
+// and write it in place.
 func (t *tcpTransport) sendP2P(world int, comm uint64, src, dst, tag int, arrival float64, data []byte) error {
-	body := make([]byte, 0, 41+len(data))
-	body = append(body, tcpKindP2P)
-	body = wire.AppendU64(body, comm)
-	body = wire.AppendU64(body, uint64(src))
-	body = wire.AppendU64(body, uint64(dst))
-	body = wire.AppendU64(body, uint64(int64(tag)))
-	body = wire.AppendF64(body, arrival)
-	body = append(body, data...)
-	if err := t.writeFrame(world, body); err != nil {
+	head := make([]byte, 0, 48)
+	head = wire.AppendU64(head, uint64(tcpKindP2P))
+	head = wire.AppendU64(head, comm)
+	head = wire.AppendU64(head, uint64(src))
+	head = wire.AppendU64(head, uint64(dst))
+	head = wire.AppendU64(head, uint64(int64(tag)))
+	head = wire.AppendF64(head, arrival)
+	if err := t.writeFrame(world, head, data); err != nil {
 		t.cluster.abort(err)
 		return err
 	}
 	return nil
 }
 
-// tcpTake is the receive wait of a tcp-backed rank: bounded by the
-// transport's read deadline and recorded in the wall-clock ledger.
-func (c *Comm) tcpTake(mb *mailbox) (message, error) {
-	t := c.cluster.tcp
-	start := time.Now()
-	defer func() { t.wallNS.Add(time.Since(start).Nanoseconds()) }()
-	msg, err := mb.takeTimeout(c.cluster.Aborted, t.readTimeout)
-	if err != nil && errors.Is(err, ErrTCPTimeout) {
-		c.cluster.abort(err)
-	}
-	return msg, err
-}
-
-// takeTimeout is take with a deadline, so a vanished sender surfaces as
-// ErrTCPTimeout instead of a hang. A timer broadcast wakes the wait loop
-// when the deadline expires.
-func (mb *mailbox) takeTimeout(aborted func() error, d time.Duration) (message, error) {
-	deadline := time.Now().Add(d)
-	wake := time.AfterFunc(d, func() {
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	})
-	defer wake.Stop()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 {
-		if err := aborted(); err != nil {
-			return message{}, err
-		}
-		if !time.Now().Before(deadline) {
-			return message{}, fmt.Errorf("mpi: receive: %w", ErrTCPTimeout)
-		}
-		mb.cond.Wait()
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return m, nil
-}
+// blocked adds the wall time since start to the ledger of time spent waiting
+// on remote ranks.
+func (t *tcpTransport) blocked(start time.Time) { t.wallNS.Add(time.Since(start).Nanoseconds()) }
 
 // --- lifecycle ---
 
@@ -859,7 +779,7 @@ func (cl *Cluster) Close() error {
 				continue
 			}
 			tc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			_ = t.writeFrame(world, []byte{tcpKindBye})
+			_ = t.writeFrame(world, []byte{tcpKindBye}, nil)
 		}
 	}
 	var err error

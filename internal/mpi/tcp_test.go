@@ -8,11 +8,13 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 // TestMain doubles as the worker fixture of the self-exec launcher test:
@@ -282,6 +284,74 @@ func TestTCPCollectivesMatchSimulator(t *testing.T) {
 	}
 }
 
+// Each payload crosses a socket once: with parts large enough that framing
+// does not hide it, what a rank writes to (reads from) its sockets is what
+// the analytic bill says it sent (received), plus per-frame overhead and the
+// metadata relay. The roots are not rank 0, so a relay that carried payload
+// would show at once.
+func TestTCPWireMatchesBill(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	const part = 256 << 10
+	for _, p := range []int{2, 4, 5} {
+		root := p - 1
+		clusters := make([]*Cluster, p)
+		sent, received := make([]int64, p), make([]int64, p)
+		whole := func(src int, b []byte) error {
+			if len(b) != part || b[0] != byte(src) || b[part-1] != byte(src) {
+				return fmt.Errorf("part from rank %d arrived as %d bytes", src, len(b))
+			}
+			return nil
+		}
+		err := RunTCPLocal(p, DefaultCostModel(), func(rank int, cl *Cluster) { clusters[rank] = cl }, func(c *Comm) error {
+			mine := bytes.Repeat([]byte{byte(c.Rank())}, part)
+			var send []byte
+			if c.Rank() == root {
+				send = mine
+			}
+			got, err := c.TryBcast(root, send)
+			if err == nil {
+				err = whole(root, got)
+			}
+			if err != nil {
+				return err
+			}
+			bufs := make([][]byte, p)
+			for j := range bufs {
+				bufs[j] = mine
+			}
+			for _, collective := range []func() ([][]byte, error){
+				func() ([][]byte, error) { return c.TryGatherv(root, mine) },
+				func() ([][]byte, error) { return c.TryAlltoallv(bufs) },
+				func() ([][]byte, error) { return c.TryAllgather(mine) },
+			} {
+				parts, err := collective()
+				if err != nil {
+					return err
+				}
+				for src, b := range parts {
+					if err := whole(src, b); err != nil {
+						return err
+					}
+				}
+			}
+			sent[c.Rank()], received[c.Rank()] = c.Clock().BytesSent(), c.Clock().BytesReceived()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		for r, cl := range clusters {
+			wire, _ := cl.TCPStats()
+			if float64(wire.BytesSent) > 1.05*float64(sent[r]) {
+				t.Errorf("p=%d rank %d: wrote %d bytes to its sockets, its bill says it sent %d", p, r, wire.BytesSent, sent[r])
+			}
+			if float64(wire.BytesReceived) > 1.05*float64(received[r]) {
+				t.Errorf("p=%d rank %d: read %d bytes from its sockets, its bill says it received %d", p, r, wire.BytesReceived, received[r])
+			}
+		}
+	}
+}
+
 // The zero-copy shared collectives hand references across address spaces;
 // a tcp-backed cluster must refuse them with ErrSharedOverTCP instead of
 // delivering a value that only exists in another process.
@@ -364,6 +434,109 @@ func TestTCPDeadlineAbortsCollective(t *testing.T) {
 	})
 	if !errors.Is(errs[0], ErrTCPTimeout) {
 		t.Fatalf("rank 0 error %v does not wrap ErrTCPTimeout", errs[0])
+	}
+}
+
+// The collective traffic under the transport's hardening contract: rank 1
+// plays a peer that is broken or hostile while rank 0 receives a broadcast
+// from it. Every fault must end rank 0's collective with an error that names
+// it, within the read deadline — never a panic, never a hang.
+func TestTCPCollectiveHardening(t *testing.T) {
+	// announce runs rank 1's side of the metadata rendezvous of the world's
+	// first collective, as a broadcast root holding one part of size bytes.
+	announce := func(c *Comm, seq uint64, size int64) error {
+		st := newCollState(2)
+		st.sizes[1] = []int64{size}
+		meta := appendCollMeta(wire.AppendU64(nil, seq), st, 1)
+		if err := c.cluster.tcp.sendP2P(0, c.id, 1, 0, tagCollMeta, 0, meta); err != nil {
+			return err
+		}
+		_, err := c.take(0, tagCollMeta)
+		return err
+	}
+	head := func(comm uint64, src int) []byte {
+		h := wire.AppendU64(nil, uint64(tcpKindP2P))
+		for _, v := range []uint64{comm, uint64(src), 0, uint64(1<<64 - 2), 0} { // tag -2: a part
+			h = wire.AppendU64(h, v)
+		}
+		return h
+	}
+	for _, tc := range []struct {
+		name    string
+		peer    func(c *Comm) error
+		want    string
+		timeout bool
+	}{
+		{"truncated part header", func(c *Comm) error {
+			return c.cluster.tcp.writeFrame(0, head(c.id, 1)[:40], nil)
+		}, "short message head", false},
+		{"part from an out-of-range source", func(c *Comm) error {
+			return c.cluster.tcp.writeFrame(0, head(c.id, 7), make([]byte, 100))
+		}, "message from rank 7", false},
+		{"part shorter than announced", func(c *Comm) error {
+			if err := announce(c, 1, 100); err != nil {
+				return err
+			}
+			return c.cluster.tcp.sendP2P(0, c.id, 1, 0, tagCollPart, 0, make([]byte, 99))
+		}, "part from rank 1: 99 bytes where its metadata announced 100", false},
+		{"part for a communicator that does not exist", func(c *Comm) error {
+			if err := announce(c, 1, 100); err != nil {
+				return err
+			}
+			return c.cluster.tcp.sendP2P(0, 999, 1, 0, tagCollPart, 0, make([]byte, 100))
+		}, "part from rank 1", true},
+		{"metadata of another collective", func(c *Comm) error {
+			return announce(c, 7, 100)
+		}, "metadata from rank 1: it is for collective 7", false},
+		{"metadata announcing a negative size", func(c *Comm) error {
+			return announce(c, 1, -100)
+		}, "announces a part of -100 bytes", false},
+		{"metadata cut short", func(c *Comm) error {
+			return c.cluster.tcp.sendP2P(0, c.id, 1, 0, tagCollMeta, 0, wire.AppendU64(nil, 1))
+		}, "metadata from rank 1", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.Watchdog(t, time.Minute)()
+			errs := runTCPMesh(t, 2, 300*time.Millisecond, func(c *Comm) error {
+				if c.Rank() == 1 {
+					tc.peer(c) // its own error, if any, is the echo of rank 0's abort
+					return nil
+				}
+				_, err := c.TryBcast(1, nil)
+				return err
+			})
+			err := errs[0]
+			if err == nil || !strings.Contains(err.Error(), "collective 1 on comm 0") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rank 0: %v, want an error naming its collective and %q", err, tc.want)
+			}
+			if errors.Is(err, ErrTCPTimeout) != tc.timeout {
+				t.Fatalf("rank 0: %v: deadline expiry = %v, want %v", err, !tc.timeout, tc.timeout)
+			}
+		})
+	}
+}
+
+// A body over the 1 GiB frame limit is the sender's error, naming the rank,
+// the collective and the size, and aborts the cluster by the normal path; it
+// was a panic in the frame encoder. (The payload is never touched, so the
+// allocation stays virtual.)
+func TestTCPOversizedFrameIsAnError(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	errs := runTCPMesh(t, 2, 30*time.Second, func(c *Comm) error {
+		var send []byte
+		if c.Rank() == 0 {
+			send = make([]byte, maxTCPFrameBody)
+		}
+		_, err := c.TryBcast(0, send)
+		return err
+	})
+	for _, want := range []string{"collective 1 on comm 0", "frame to rank 1", fmt.Sprint(maxTCPFrameBody + 48), "exceeds the limit"} {
+		if errs[0] == nil || !strings.Contains(errs[0].Error(), want) {
+			t.Fatalf("rank 0: %v, want an error naming %q", errs[0], want)
+		}
+	}
+	if errs[1] == nil {
+		t.Fatal("rank 1 finished a broadcast whose root could not send")
 	}
 }
 

@@ -176,6 +176,17 @@ type FaultPlan = mpi.FaultPlan
 // BuildGraphContext); test with errors.Is.
 var ErrInterrupted = mpi.ErrInterrupted
 
+// CheckNodes rejects a rank count that cannot form the paper's √p×√p process
+// grid: it must be a positive perfect square. BuildGraph, BuildIndex and
+// OpenIndex (for the manifest's count) apply it; a caller that forks rank
+// processes itself, as cmd/pastis -transport tcp does, checks before forking.
+func CheckNodes(nodes int) error {
+	if q := int(math.Round(math.Sqrt(float64(max(nodes, 0))))); nodes < 1 || q*q != nodes {
+		return fmt.Errorf("pastis: %d nodes: the count must be a positive perfect square", nodes)
+	}
+	return nil
+}
+
 // BuildGraph runs the full PASTIS pipeline on a simulated cluster of the
 // given node count (must be a perfect square, the paper's p = q² grid
 // requirement) and returns the gathered similarity graph. The input records
@@ -199,6 +210,9 @@ func BuildGraphWithModel(records []Record, nodes int, cfg Config, model CostMode
 func BuildGraphContext(ctx context.Context, records []Record, nodes int, cfg Config, model CostModel) (*Result, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("pastis: empty input")
+	}
+	if err := CheckNodes(nodes); err != nil {
+		return nil, err
 	}
 	out := &Result{Nodes: nodes}
 	cl := mpi.NewCluster(nodes, model)

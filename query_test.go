@@ -3,6 +3,8 @@ package pastis
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // pairKey normalizes an edge or hit to the all-vs-all pair space.
@@ -215,6 +217,39 @@ func TestQueryCacheIdentity(t *testing.T) {
 	for i := range first.Hits {
 		if first.Hits[i] != uncached.Hits[i] {
 			t.Fatalf("hit %d drifted on uncached rerun: %+v vs %+v", i, first.Hits[i], uncached.Hits[i])
+		}
+	}
+}
+
+// A rank count that cannot form the process grid is an error at every entry
+// point that takes one — from the caller, or from an index manifest — never
+// a panic in cluster construction.
+func TestBadNodeCountIsAnError(t *testing.T) {
+	data, err := GenerateScopeLike(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := BuildIndex(data.Records, 1, DefaultConfig(), dir); err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, err := index.Load(dir, index.ManifestRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []int{0, -1, -4, 3, 8} {
+		if _, err := BuildGraph(data.Records, nodes, DefaultConfig()); err == nil {
+			t.Errorf("BuildGraph on %d nodes succeeded", nodes)
+		}
+		if _, err := BuildIndex(data.Records, nodes, DefaultConfig(), t.TempDir()); err == nil {
+			t.Errorf("BuildIndex on %d nodes succeeded", nodes)
+		}
+		manifest.Ranks = nodes
+		if _, err := index.Save(dir, manifest); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenIndex(dir); err == nil {
+			t.Errorf("OpenIndex accepted a manifest written on %d ranks", nodes)
 		}
 	}
 }

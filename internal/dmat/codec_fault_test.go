@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,6 +56,9 @@ func TestBlockCodecHardening(t *testing.T) {
 			}
 			if _, err := BcastBlock(g, g.RowComm, 0, blk, noWidth); !errors.Is(err, errCodecWidth) {
 				return fmt.Errorf("BcastBlock: %v", err)
+			}
+			if _, err := DecodeBlock(EncodeBlock(blk, Float64Codec), noWidth); !errors.Is(err, errCodecWidth) {
+				return fmt.Errorf("DecodeBlock: %v", err)
 			}
 			return nil
 		})
@@ -121,9 +125,10 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// The triple-record decoder, bare (as redistribution hands it a peer's
-// part): a part that stops inside a record — word-aligned or not — is an
-// error, never a hang. (alltoall and GatherTriples add the sending rank.)
+// The triple-record decoder as redistribution reaches it — alltoall hands it
+// a peer's part: a part that stops inside a record — word-aligned or not —
+// is an error naming the sending rank, never a hang. Rank 1's encoder is
+// stubbed to put every prefix of three records on the wire to rank 0.
 func TestDecodeTriplesRejectsPartialRecords(t *testing.T) {
 	defer testutil.Watchdog(t, time.Minute)()
 	var enc []byte
@@ -132,12 +137,67 @@ func TestDecodeTriplesRejectsPartialRecords(t *testing.T) {
 		enc = appendTriple(enc, tr.Row, tr.Col, tr.Val, Int32Codec)
 	}
 	for cut := 0; cut <= len(enc); cut++ {
-		got, err := decodeTriples(nil, enc[:cut:cut], Int32Codec)
-		if (err == nil) != (cut%20 == 0) {
-			t.Fatalf("decodeTriples over %d bytes: err %v", cut, err)
+		err := mpi.NewCluster(4, mpi.DefaultCostModel()).Run(func(c *mpi.Comm) error {
+			g, err := NewGrid(c)
+			if err != nil {
+				return err
+			}
+			g.Backend = BackendCodec
+			parts := make([][]spmat.Triple[int32], c.Size())
+			if c.Rank() == 1 {
+				parts[0] = want
+			}
+			got, err := alltoall(g, parts,
+				func(p []spmat.Triple[int32]) int64 { return int64(min(len(p), cut)) },
+				func([]spmat.Triple[int32]) []byte { return enc[:cut:cut] },
+				func(buf []byte) ([]spmat.Triple[int32], error) { return decodeTriples(nil, buf, Int32Codec) })
+			if c.Rank() != 0 {
+				return err
+			}
+			if (err == nil) != (cut%20 == 0) || (err != nil && !strings.Contains(err.Error(), "rank 1")) {
+				return fmt.Errorf("err %v", err)
+			}
+			if err == nil && !reflect.DeepEqual(got[1], want[:cut/20]) && cut > 0 {
+				return fmt.Errorf("decoded %v", got[1])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("triples cut at %d bytes: %v", cut, err)
 		}
-		if err == nil && !reflect.DeepEqual(got, want[:cut/20]) && cut > 0 {
-			t.Fatalf("decodeTriples over %d bytes: %v", cut, got)
+	}
+}
+
+// GatherTriples names the sending rank the same way: rank 1's codec writes
+// one byte too few per value, so its part ends inside a record.
+func TestGatherTriplesNamesTheSender(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	err := mpi.NewCluster(4, mpi.DefaultCostModel()).Run(func(c *mpi.Comm) error {
+		g, err := NewGrid(c)
+		if err != nil {
+			return err
 		}
+		codec := Int32Codec
+		if c.Rank() == 1 {
+			codec.Append = func(dst []byte, v int32) []byte { return Int32Codec.Append(dst, v)[:len(dst)+3] }
+		}
+		rLo, rHi := BlockRange(8, g.Q, g.MyRow)
+		cLo, cHi := BlockRange(8, g.Q, g.MyCol)
+		local, err := spmat.FromTriples(rHi-rLo, cHi-cLo, []spmat.Triple[int32]{{Row: 1, Col: 2, Val: 3}}, nil)
+		if err != nil {
+			return err
+		}
+		m, err := NewFromLocal(g, 8, 8, local, codec)
+		if err != nil {
+			return err
+		}
+		_, err = m.GatherTriples()
+		if c.Rank() == 0 && (err == nil || !strings.Contains(err.Error(), "triples from rank 1")) {
+			return fmt.Errorf("GatherTriples: err %v, want one naming rank 1", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

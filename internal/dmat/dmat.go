@@ -120,8 +120,9 @@ type Codec[T any] struct {
 var errCodecWidth = errors.New("dmat: codec Width must be positive (values are fixed-width)")
 
 // check rejects a codec the transports cannot size. Every way a codec
-// enters the package — the matrix constructors, SpGEMM's result codec,
-// BcastBlock — calls it, so a Mat's own codec needs no second look.
+// enters the package to size or parse a payload — the matrix constructors,
+// SpGEMM's result codec, BcastBlock, DecodeBlock — calls it, so a Mat's own
+// codec needs no second look.
 func (c Codec[T]) check() error {
 	if c.Width <= 0 {
 		return fmt.Errorf("%w, not %d", errCodecWidth, c.Width)
@@ -504,6 +505,9 @@ func EncodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
 // disk: every count is checked against the bytes present before it sizes an
 // allocation, and anything but the encoder's exact image is an error.
 func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
+	if err := codec.check(); err != nil {
+		return nil, err
+	}
 	if len(buf) < blockHeaderLen {
 		return nil, fmt.Errorf("dmat: truncated block header: %d bytes, need %d", len(buf), blockHeaderLen)
 	}

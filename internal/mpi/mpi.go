@@ -590,7 +590,11 @@ func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 	c.clock.messages++
 	arrival := c.clock.now + m.Alpha + float64(len(data))*m.Beta + extraLatency
 	if t := c.cluster.tcp; t != nil && dst != c.rank {
-		return t.sendP2P(c.worldOf(dst), c.id, c.rank, dst, tag, arrival, data)
+		err := t.sendP2P(c.worldOf(dst), c.id, c.rank, dst, tag, arrival, data)
+		if err != nil {
+			c.cluster.abort(err)
+		}
+		return err
 	}
 	c.cluster.router.box(mailKey{comm: c.id, src: c.rank, dst: dst, tag: tag}).
 		put(message{data: data, arrival: arrival})
@@ -610,6 +614,9 @@ func (c *Comm) recvE(src, tag int) ([]byte, error) {
 	}
 	msg, err := c.take(src, tag)
 	if err != nil {
+		if errors.Is(err, ErrTCPTimeout) {
+			c.cluster.abort(err)
+		}
 		return nil, err
 	}
 	c.clock.reach(msg.arrival)
@@ -619,18 +626,15 @@ func (c *Comm) recvE(src, tag int) ([]byte, error) {
 
 // take claims the next raw message from src on tag: the wait under recvE
 // and, over tcp, under every collective. On a tcp-backed cluster it is
-// bounded by the transport's read deadline, whose expiry aborts the cluster.
+// bounded by the transport's read deadline; the caller aborts the cluster on
+// its expiry (recvE as is, tcpCollective under the collective's name).
 func (c *Comm) take(src, tag int) (message, error) {
 	var d time.Duration
 	if t := c.cluster.tcp; t != nil {
 		d = t.readTimeout
 	}
-	msg, err := c.cluster.router.box(mailKey{comm: c.id, src: src, dst: c.rank, tag: tag}).
+	return c.cluster.router.box(mailKey{comm: c.id, src: src, dst: c.rank, tag: tag}).
 		take(c.cluster.Aborted, d)
-	if errors.Is(err, ErrTCPTimeout) {
-		c.cluster.abort(err)
-	}
-	return msg, err
 }
 
 // Request is a pending nonblocking operation.

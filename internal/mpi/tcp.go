@@ -168,7 +168,8 @@ var ErrTCPTimeout = errors.New("mpi: tcp deadline exceeded")
 // tcp-backed cluster: the typed collectives (TryBcastShared and friends)
 // hand values across ranks by reference, which requires one address space.
 // Callers serialize first (dmat does this by running tcp clusters with
-// BackendCodec).
+// BackendCodec). Only a rank that holds such a part can tell, so the refusal
+// aborts the cluster and the other ranks return the relayed cause.
 var ErrSharedOverTCP = errors.New("mpi: shared collectives need one address space (tcp transport active); use the codec backend")
 
 // Abort-cause codes carried in abort frames, so sentinel identity survives
@@ -256,9 +257,7 @@ type tcpTransport struct {
 	ln          net.Listener
 	conns       []*tcpConn // indexed by world rank; nil for self
 	readTimeout time.Duration
-
-	mu      sync.Mutex
-	byeFrom []bool // guarded by mu
+	byeFrom     []atomic.Bool // indexed by world rank: the peer said goodbye
 
 	closing atomic.Bool
 	cluster *Cluster
@@ -336,7 +335,7 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 		rank: o.Rank, size: o.Size, ln: o.Listener,
 		conns:       make([]*tcpConn, o.Size),
 		readTimeout: rt,
-		byeFrom:     make([]bool, o.Size),
+		byeFrom:     make([]atomic.Bool, o.Size),
 		cluster:     cl,
 	}
 	cl.tcp = t
@@ -385,11 +384,10 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 		t.conns[peer] = &tcpConn{c: conn, br: br}
 	}
 	for world, tc := range t.conns {
-		if tc == nil {
-			continue
+		if tc != nil {
+			t.readers.Add(1)
+			go t.readLoop(world, tc)
 		}
-		t.readers.Add(1)
-		go t.readLoop(world, tc)
 	}
 	return cl, nil
 }
@@ -455,7 +453,7 @@ func (t *tcpTransport) readLoop(world int, tc *tcpConn) {
 	for {
 		body, err := readTCPFrame(tc.br)
 		if err != nil {
-			if t.closing.Load() || t.sawBye(world) || t.cluster.Aborted() != nil {
+			if t.closing.Load() || t.byeFrom[world].Load() || t.cluster.Aborted() != nil {
 				return
 			}
 			t.cluster.abort(fmt.Errorf("mpi: tcp link to rank %d broken: %w", world, err))
@@ -472,12 +470,6 @@ func (t *tcpTransport) readLoop(world int, tc *tcpConn) {
 			return
 		}
 	}
-}
-
-func (t *tcpTransport) sawBye(world int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byeFrom[world]
 }
 
 func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
@@ -520,9 +512,7 @@ func (t *tcpTransport) dispatch(world int, body []byte) (bye bool, err error) {
 			msg:  fmt.Sprintf("mpi: rank %d aborted: %s", world, body[2:]),
 		})
 	case tcpKindBye:
-		t.mu.Lock()
-		t.byeFrom[world] = true
-		t.mu.Unlock()
+		t.byeFrom[world].Store(true)
 		return true, nil
 	default:
 		return false, fmt.Errorf("unknown tcp frame kind %d", body[0])
@@ -542,13 +532,17 @@ func (t *tcpTransport) poison(err error) {
 	if len(msg) > 4096 {
 		msg = msg[:4096]
 	}
-	body := append([]byte{tcpKindAbort, abortCodeOf(err)}, msg...)
+	t.tellAll(append([]byte{tcpKindAbort, abortCodeOf(err)}, msg...))
+}
+
+// tellAll sends body to every peer, best effort under a bounded write
+// deadline: the process is on its way out either way.
+func (t *tcpTransport) tellAll(body []byte) {
 	for world, tc := range t.conns {
-		if tc == nil {
-			continue
+		if tc != nil {
+			tc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
+			_ = t.writeFrame(world, body, nil)
 		}
-		tc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		_ = t.writeFrame(world, body, nil)
 	}
 }
 
@@ -595,6 +589,17 @@ func (c *Comm) tcpCollective(extra int64, parts []any, sizes []int64, via route)
 			return nil, nil, err
 		}
 	}
+	// A rank must have announced exactly the parts the route takes from it:
+	// the charge functions index the table by it.
+	for src, announced := range st.sizes {
+		need := 0
+		for dst := 0; via != nil && dst < c.size; dst++ {
+			need = max(need, via(src, dst)+1)
+		}
+		if len(announced) != need {
+			return nil, nil, fmt.Errorf("rank %d announced %d parts, the collective takes %d of it", src, len(announced), need)
+		}
+	}
 	if via == nil {
 		return st, nil, nil
 	}
@@ -612,8 +617,6 @@ func (c *Comm) tcpCollective(extra int64, parts []any, sizes []int64, via route)
 		case k < 0:
 		case src == c.rank:
 			got[src] = parts[k]
-		case k >= len(st.sizes[src]):
-			return nil, nil, fmt.Errorf("rank %d announced %d parts, the route takes its part %d", src, len(st.sizes[src]), k)
 		case st.sizes[src][k] > 0:
 			msg, err := c.take(src, tagCollPart)
 			if n := st.sizes[src][k]; err == nil && int64(len(msg.data)) != n {
@@ -699,26 +702,19 @@ func readCollMeta(buf []byte, seq uint64, st *collState, lo, hi int) error {
 // --- raw messages ---
 
 // sendP2P ships one raw message, process to process, to a remote rank's
-// mailbox. A point-to-point
-// send is already charged by sendE and its frame carries the sender-computed
-// virtual arrival time bit-exactly, so the receiver's clock advances exactly
-// as the simulator's would; a collective's messages carry no arrival. The
-// 48-byte head (kind as a u64 word, comm, src, dst, tag, arrival) keeps the
-// payload word-aligned in the body, which is what lets writeFrame checksum
-// and write it in place.
+// mailbox; a failure is the caller's to abort on. A point-to-point send is
+// already charged by sendE and its frame carries the sender-computed virtual
+// arrival time bit-exactly, so the receiver's clock advances exactly as the
+// simulator's would; a collective's messages carry no arrival. The 48-byte
+// head (kind as a u64 word, comm, src, dst, tag, arrival) keeps the payload
+// word-aligned in the body, which is what lets writeFrame checksum and write
+// it in place.
 func (t *tcpTransport) sendP2P(world int, comm uint64, src, dst, tag int, arrival float64, data []byte) error {
 	head := make([]byte, 0, 48)
-	head = wire.AppendU64(head, uint64(tcpKindP2P))
-	head = wire.AppendU64(head, comm)
-	head = wire.AppendU64(head, uint64(src))
-	head = wire.AppendU64(head, uint64(dst))
-	head = wire.AppendU64(head, uint64(int64(tag)))
-	head = wire.AppendF64(head, arrival)
-	if err := t.writeFrame(world, head, data); err != nil {
-		t.cluster.abort(err)
-		return err
+	for _, w := range []uint64{uint64(tcpKindP2P), comm, uint64(src), uint64(dst), uint64(int64(tag))} {
+		head = wire.AppendU64(head, w)
 	}
-	return nil
+	return t.writeFrame(world, wire.AppendF64(head, arrival), data)
 }
 
 // blocked adds the wall time since start to the ledger of time spent waiting
@@ -774,13 +770,7 @@ func (cl *Cluster) Close() error {
 		return nil
 	}
 	if cl.Aborted() == nil {
-		for world, tc := range t.conns {
-			if tc == nil {
-				continue
-			}
-			tc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			_ = t.writeFrame(world, []byte{tcpKindBye}, nil)
-		}
+		t.tellAll([]byte{tcpKindBye})
 	}
 	var err error
 	for _, tc := range t.conns {

@@ -369,6 +369,24 @@ func TestTCPSharedCollectivesRefused(t *testing.T) {
 	}
 }
 
+// Only the rank holding the typed part can refuse it, so the refusal aborts
+// the cluster: a rank that holds none leaves the collective with the relayed
+// cause — the holder's error, naming the collective — not a hang.
+func TestTCPSharedRefusalAbortsCluster(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	errs := runTCPMesh(t, 2, 30*time.Second, func(c *Comm) error {
+		_, err := TryBcastShared(c, 0, []int{1, 2, 3}, 24)
+		return err
+	})
+	if !errors.Is(errs[0], ErrSharedOverTCP) {
+		t.Fatalf("rank 0: %v does not wrap ErrSharedOverTCP", errs[0])
+	}
+	if err := errs[1]; !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "rank 0 aborted") ||
+		!strings.Contains(err.Error(), "collective 1 on comm 0: "+ErrSharedOverTCP.Error()) {
+		t.Fatalf("rank 1: %v, want rank 0's relayed refusal", errs[1])
+	}
+}
+
 // runTCPMesh is a RunTCPLocal variant exposing per-rank errors and the read
 // timeout, for the failure-path tests.
 func runTCPMesh(t *testing.T, p int, readTimeout time.Duration, fn func(*Comm) error) []error {
@@ -443,10 +461,11 @@ func TestTCPDeadlineAbortsCollective(t *testing.T) {
 // it, within the read deadline — never a panic, never a hang.
 func TestTCPCollectiveHardening(t *testing.T) {
 	// announce runs rank 1's side of the metadata rendezvous of the world's
-	// first collective, as a broadcast root holding one part of size bytes.
-	announce := func(c *Comm, seq uint64, size int64) error {
+	// first collective, holding parts of the given sizes (a broadcast root
+	// holds one).
+	announce := func(c *Comm, seq uint64, sizes ...int64) error {
 		st := newCollState(2)
-		st.sizes[1] = []int64{size}
+		st.sizes[1] = sizes
 		meta := appendCollMeta(wire.AppendU64(nil, seq), st, 1)
 		if err := c.cluster.tcp.sendP2P(0, c.id, 1, 0, tagCollMeta, 0, meta); err != nil {
 			return err
@@ -460,6 +479,25 @@ func TestTCPCollectiveHardening(t *testing.T) {
 			h = wire.AppendU64(h, v)
 		}
 		return h
+	}
+	// check runs rank 1 as peer against rank 0 in coll, the world's first
+	// collective, and holds rank 0's error to the contract.
+	check := func(t *testing.T, peer, coll func(c *Comm) error, want string, timeout bool) {
+		defer testutil.Watchdog(t, time.Minute)()
+		errs := runTCPMesh(t, 2, 300*time.Millisecond, func(c *Comm) error {
+			if c.Rank() == 1 {
+				peer(c) // its own error, if any, is the echo of rank 0's abort
+				return nil
+			}
+			return coll(c)
+		})
+		err := errs[0]
+		if err == nil || !strings.Contains(err.Error(), "collective 1 on comm 0") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("rank 0: %v, want an error naming its collective and %q", err, want)
+		}
+		if errors.Is(err, ErrTCPTimeout) != timeout {
+			t.Fatalf("rank 0: %v: deadline expiry = %v, want %v", err, !timeout, timeout)
+		}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -494,26 +532,28 @@ func TestTCPCollectiveHardening(t *testing.T) {
 		{"metadata cut short", func(c *Comm) error {
 			return c.cluster.tcp.sendP2P(0, c.id, 1, 0, tagCollMeta, 0, wire.AppendU64(nil, 1))
 		}, "metadata from rank 1", false},
+		{"metadata announcing no part", func(c *Comm) error {
+			return announce(c, 1)
+		}, "rank 1 announced 0 parts, the collective takes 1 of it", false},
+		{"metadata announcing a part too many", func(c *Comm) error {
+			return announce(c, 1, 100, 100)
+		}, "rank 1 announced 2 parts, the collective takes 1 of it", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer testutil.Watchdog(t, time.Minute)()
-			errs := runTCPMesh(t, 2, 300*time.Millisecond, func(c *Comm) error {
-				if c.Rank() == 1 {
-					tc.peer(c) // its own error, if any, is the echo of rank 0's abort
-					return nil
-				}
+			check(t, tc.peer, func(c *Comm) error {
 				_, err := c.TryBcast(1, nil)
 				return err
-			})
-			err := errs[0]
-			if err == nil || !strings.Contains(err.Error(), "collective 1 on comm 0") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("rank 0: %v, want an error naming its collective and %q", err, tc.want)
-			}
-			if errors.Is(err, ErrTCPTimeout) != tc.timeout {
-				t.Fatalf("rank 0: %v: deadline expiry = %v, want %v", err, !tc.timeout, tc.timeout)
-			}
+			}, tc.want, tc.timeout)
 		})
 	}
+	// No part of a gather is routed to a rank that is not its root, yet the
+	// charge reads every rank's announced size there too.
+	t.Run("metadata announcing no part to a gather's non-root", func(t *testing.T) {
+		check(t, func(c *Comm) error { return announce(c, 1) }, func(c *Comm) error {
+			_, err := c.TryGatherv(1, []byte("rank 0's part"))
+			return err
+		}, "rank 1 announced 0 parts, the collective takes 1 of it", false)
+	})
 }
 
 // A body over the 1 GiB frame limit is the sender's error, naming the rank,
@@ -535,8 +575,10 @@ func TestTCPOversizedFrameIsAnError(t *testing.T) {
 			t.Fatalf("rank 0: %v, want an error naming %q", errs[0], want)
 		}
 	}
-	if errs[1] == nil {
-		t.Fatal("rank 1 finished a broadcast whose root could not send")
+	// The cause relayed to the peers is the same named error, not the bare
+	// write failure under it.
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "rank 0 aborted: mpi: collective 1 on comm 0") {
+		t.Fatalf("rank 1: %v, want rank 0's abort naming the collective", errs[1])
 	}
 }
 

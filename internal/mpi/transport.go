@@ -19,7 +19,8 @@
 // value's lifetime because in process there is only one copy. dmat enforces
 // this for matrix blocks (receivers treat broadcast blocks as read-only);
 // ad-hoc callers must do the same. Over tcp a part crosses a socket, so
-// only []byte parts can move: anything else fails with ErrSharedOverTCP.
+// only []byte parts can move: anything else fails the collective with
+// ErrSharedOverTCP, which aborts the cluster.
 //
 // Like every Try* collective these run through the fault decorator, which
 // retries injected drop/corrupt faults with deterministic backoff when a

@@ -98,6 +98,10 @@ func TestCLI(t *testing.T) {
 		{"0 ranks", []string{"-in", fasta, "-nodes", "0"}, 1, nil},
 		{"0 ranks over tcp", []string{"-in", fasta, "-nodes", "0", "-transport", "tcp"}, 1, nil},
 		{"build-index on 0 ranks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "0"}, 1, nil},
+		// A negative x-drop ran; one past the kernel's score range made the
+		// banded kernel fill whole DP matrices with pruned cells.
+		{"negative x-drop", []string{"-in", fasta, "-nodes", "4", "-xdrop", "-1"}, 1, nil},
+		{"x-drop beyond the score range", []string{"-in", fasta, "-nodes", "4", "-xdrop", "1000000000"}, 1, nil},
 		{"4 ranks",
 			[]string{"-in", fasta, "-nodes", "4", "-out", "g.tsv", "-cpuprofile", "c", "-memprofile", "m"},
 			0, []string{"c", "m", "g.tsv"}},

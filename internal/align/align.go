@@ -24,6 +24,7 @@
 package align
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/alphabet"
@@ -128,9 +129,13 @@ type Aligner struct {
 	prevE, curE []int32
 	prevF, curF []int32
 	dirs        []byte
-	// X-drop extension rows and seed-reversal scratch.
-	prevCells, curCells []cell
-	revA, revB          []alphabet.Code
+	// X-drop extension rows (see xdCell), seed-reversal scratch, and the
+	// diagonal-step table of the scoring matrix last used (xdPrepare).
+	xdPrev, xdCur []xdCell
+	revA, revB    []alphabet.Code
+	xdDiag        [alphabet.Size][alphabet.Size]int64
+	xdMatrix      *scoring.Matrix
+	xdMatrixMax   int
 }
 
 // NewAligner returns an empty Aligner; buffers grow on first use.
@@ -291,20 +296,113 @@ func DefaultXDrop() XDropParams {
 	return XDropParams{Scoring: DefaultScoring(), XDrop: 49}
 }
 
+// ErrSequenceTooLong reports a pair the x-drop kernel's packed DP lanes
+// cannot represent: len(a)+len(b) must stay below 2^19 (the alignment
+// column count shares a word with the score) and the best conceivable score,
+// min(len(a), len(b)) times the matrix maximum, below 2^22.
+var ErrSequenceTooLong = errors.New("align: sequence pair too long for the x-drop kernel")
+
+// The x-drop kernel keeps each Gotoh layer (H, E, F) of a DP cell as one
+// packed int64 lane:
+//
+//	score<<40 | prio<<38 | matches<<19 | alen
+//
+// score is the signed top 24 bits; the low 40 bits are non-negative, so
+// lanes order by (score, prio, matches, alen) under plain integer
+// comparison and "the better predecessor, with its path statistics" is one
+// max. A step is one add: penalties are multiples of 1<<40, so they touch
+// only the score, and the constant carries the +1 alignment column (and the
+// match bit, for a diagonal step) in its low bits.
+//
+// The two prio bits reproduce the strict-> tie rules of the textbook
+// recurrence. Candidates of one max always carry distinct prio values, so
+// when scores tie prio decides and the statistics below it never do:
+//
+//	lane  candidate         prio in the max  stored as
+//	H     diagonal          2                0
+//	H     E                 1                0
+//	H     F                 0                0
+//	E     open from H       3                1
+//	E     extend E          1                1
+//	F     open from H       2                0
+//	F     extend F          0                0
+//
+// Stored lanes are renormalised by one mask (the "stored as" column) so the
+// next step's constants land on the prio values above.
+//
+// A pruned cell is the ordinary lane value xdDead in all three layers: so
+// negative that a candidate derived from it never beats one derived from a
+// live cell and never passes the x-drop test, so the recurrence needs no
+// liveness branches. The bit budget (docs/ARCHITECTURE.md derives it): live
+// scores lie in (-2^20-2^21, 2^22) given xdMaxPenalty and ErrSequenceTooLong,
+// xdDead is -2^22, and a candidate derived from a dead lane stays above
+// -2^23, the bottom of the 24-bit field.
+const (
+	xdStatBits   = 19 // matches and alen are at most len(a)+len(b)
+	xdStatMask   = 1<<xdStatBits - 1
+	xdPrioShift  = 2 * xdStatBits
+	xdScoreShift = xdPrioShift + 2
+	xdMaxPairLen = 1<<xdStatBits - 1 // largest len(a)+len(b)
+	xdMaxScore   = 1 << 22           // exclusive bound on a live score
+	xdMaxPenalty = 1 << 20           // inclusive bound on XDrop, GapOpen, GapExtend
+
+	xdPrioHi   = int64(2) << xdPrioShift
+	xdPrioMask = int64(3) << xdPrioShift
+	xdDead     = int64(-xdMaxScore) << xdScoreShift
+)
+
+// xdCell is what one DP row keeps per column: the H and F lanes. E only
+// ever feeds the next column of the same row and lives in a register.
+type xdCell struct{ h, f int64 }
+
+var xdDeadCell = xdCell{h: xdDead, f: xdDead}
+
+// xdPrepare checks the pair and the parameters against the lane format and
+// (re)builds the diagonal-step table when the scoring matrix changed:
+// substitution score, diagonal priority, match bit and the +1 column of
+// every residue pair in one addend.
+func (al *Aligner) xdPrepare(la, lb int, p XDropParams) error {
+	sc := p.Scoring
+	if uint(p.XDrop) > xdMaxPenalty || uint(sc.GapOpen) > xdMaxPenalty || uint(sc.GapExtend) > xdMaxPenalty {
+		return fmt.Errorf("align: x-drop %d, gap open %d, gap extend %d: each must lie in [0, %d]",
+			p.XDrop, sc.GapOpen, sc.GapExtend, xdMaxPenalty)
+	}
+	if al.xdMatrix != sc.Matrix {
+		for x := range al.xdDiag {
+			for y := range al.xdDiag[x] {
+				step := int64(sc.Matrix.Score(alphabet.Code(x), alphabet.Code(y)))<<xdScoreShift | xdPrioHi | 1
+				if x == y {
+					step |= 1 << xdStatBits
+				}
+				al.xdDiag[x][y] = step
+			}
+		}
+		al.xdMatrix, al.xdMatrixMax = sc.Matrix, sc.Matrix.MaxScore()
+	}
+	if la+lb > xdMaxPairLen || min(la, lb)*al.xdMatrixMax >= xdMaxScore {
+		return fmt.Errorf("%w: lengths %d and %d (limit: %d combined)", ErrSequenceTooLong, la, lb, xdMaxPairLen)
+	}
+	return nil
+}
+
 // XDrop aligns a and b by extending a length-k seed anchored at positions
 // seedA/seedB in both directions with gapped x-drop DP (paper Section IV-E:
 // the alignment starts from the shared k-mer position and extends toward
 // both sequence ends). With substitute k-mers the seed residues may
 // mismatch; the seed region is scored against the matrix like any other.
+// A pair beyond the packed lanes' reach fails with ErrSequenceTooLong.
 func XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
 	return NewAligner().XDrop(a, b, seedA, seedB, k, p)
 }
 
 // XDrop is the buffer-reusing form of the package-level function.
 func (al *Aligner) XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
-	if seedA < 0 || seedB < 0 || seedA+k > len(a) || seedB+k > len(b) {
+	if !seedWithin(seedA, seedB, k, len(a), len(b)) {
 		return Result{}, fmt.Errorf("align: seed (%d,%d,k=%d) outside sequences %d/%d",
 			seedA, seedB, k, len(a), len(b))
+	}
+	if err := al.xdPrepare(len(a), len(b), p); err != nil {
+		return Result{}, err
 	}
 	var res Result
 	for i := 0; i < k; i++ {
@@ -329,153 +427,154 @@ func (al *Aligner) XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParam
 	return res, nil
 }
 
+// seedWithin reports whether a length-k seed at (seedA, seedB) lies inside
+// sequences of lengths la and lb.
+func seedWithin(seedA, seedB, k, la, lb int) bool {
+	return seedA >= 0 && seedB >= 0 && seedA+k <= la && seedB+k <= lb
+}
+
 type extension struct {
 	score, matches, alen int
 	extA, extB           int
 	cells                int64
 }
 
-// cell carries score plus best-path statistics for the three Gotoh layers.
-type cell struct {
-	h, e, f    int32
-	mh, me, mf int32 // matches along the best path into each layer
-	ah, ae, af int32 // alignment columns along the best path
-}
-
-var deadCell = cell{h: negInf, e: negInf, f: negInf}
-
 // xdropExtend runs gapped extension DP anchored at (0,0) over rows of a,
-// pruning cells whose H score drops more than XDrop below the running best.
-// Scoring work is proportional to the live band per row (rows whose band
-// dies end the extension). Both row buffers are cleared to deadCell once up
-// front; between rows only the band a buffer was dirtied in is re-cleared,
-// so per-row cost tracks the live band rather than len(b). The left
-// neighbor is carried in a register across the inner loop — cur[j-1] is
-// either the cell just written or deadCell, never a fresh load.
-// Returns the best-scoring end point with its path statistics.
+// pruning cells whose H score drops more than XDrop below the running best;
+// rows whose band dies end the extension. Work per row is the live band
+// [lo, hi] of the row above plus one column, then an E-only chain for as
+// long as it survives. The caller has run xdPrepare.
+//
+// Neither row buffer is ever cleared. A row reads the row above only over
+// [lo-1, hi+1]: every column of [lo, hi] was stored by that row (xdDead
+// where the cell was pruned), and the two flanking columns are re-deaded as
+// sentinels once its band is known, so whatever an earlier row or an earlier
+// call left elsewhere in the buffers is never looked at.
+//
+// Returns the best-scoring end point with its path statistics; the first
+// cell in row-major order wins among equal scores.
 func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
-	if len(a) == 0 || len(b) == 0 {
+	la, lb := len(a), len(b)
+	if la == 0 || lb == 0 {
 		return extension{}
 	}
-	openCost := int32(p.Scoring.GapOpen + p.Scoring.GapExtend)
-	extCost := int32(p.Scoring.GapExtend)
-	x := int32(p.XDrop)
+	open := int64(p.Scoring.GapOpen+p.Scoring.GapExtend) << xdScoreShift
+	openE := 1 + xdPrioMask - open // H → E: one more column; prio 3 beats extending E (1) on a tie
+	openF := 1 + xdPrioHi - open   // H → F: likewise, prio 2 against extending F (0)
+	ext := 1 - int64(p.Scoring.GapExtend)<<xdScoreShift
+	x := int64(p.XDrop)
 
-	width := len(b) + 1
-	al.prevCells = grow(al.prevCells, width)
-	al.curCells = grow(al.curCells, width)
-	prev, cur := al.prevCells, al.curCells
-	for j := range prev {
-		prev[j] = deadCell
-	}
-	for j := range cur {
-		cur[j] = deadCell
-	}
-	prev[0] = cell{h: 0, e: negInf, f: negInf}
+	al.xdPrev = grow(al.xdPrev, lb+1)
+	al.xdCur = grow(al.xdCur, lb+1)
+	prev, cur := al.xdPrev, al.xdCur
 
-	best := extension{}
-	bestScore := int32(0)
-	lo, hi := 0, 0
-	// Cells are tallied separately so recording a new best extension (which
-	// overwrites best wholesale) cannot reset the running count.
+	// A cell survives iff its H lane is >= live and is a new best iff it is
+	// >= better: both are exact tests on the score alone, because the
+	// thresholds have zero low bits and a lane's low bits are non-negative.
+	var best int64 // H lane of the best cell so far; zero is the anchor itself
+	bestI, bestJ := 0, 0
+	live, better := -x<<xdScoreShift, int64(1)<<xdScoreShift
 	var cells int64
 
 	// Row 0: a run of E cells (gap consuming b) while they stay above -x.
-	for j := 1; j <= len(b); j++ {
-		left := prev[j-1]
-		e := left.h - openCost
-		me, ae := left.mh, left.ah+1
-		if ext := left.e - extCost; ext > e {
-			e, me, ae = ext, left.me, left.ae+1
-		}
+	prev[0] = xdCell{h: 0, f: xdDead}
+	lo, hi := 0, 0
+	lh, le := int64(0), xdDead
+	for j := 1; j <= lb; j++ {
 		cells++
-		if e < bestScore-x {
+		e := max(lh+openE, le+ext) &^ xdPrioHi
+		if e < live {
 			break
 		}
-		prev[j] = cell{h: e, e: e, f: negInf, mh: me, me: me, ah: ae, ae: ae}
+		lh, le = e&^xdPrioMask, e
+		prev[j] = xdCell{h: lh, f: xdDead}
 		hi = j
 	}
+	if hi < lb {
+		prev[hi+1] = xdDeadCell
+	}
 
-	// Dirty (written) band per buffer: prev holds row 0's run, cur is clean.
-	prevDirtyLo, prevDirtyHi := 0, hi
-	curDirtyLo, curDirtyHi := 1, 0
+	for i := 1; i <= la; i++ {
+		diagStep := &al.xdDiag[a[i-1]]
+		jlo, jhi := max(lo, 1), min(hi+1, lb)
+		cells += int64(jhi - lo + 1)
 
-	for i := 1; i <= len(a); i++ {
-		ai := a[i-1]
-		scoreRow := p.Scoring.Matrix.Row(ai)
-		for j := curDirtyLo; j <= curDirtyHi; j++ {
-			cur[j] = deadCell
+		// Column 0 has no left or diagonal neighbour: H is F. It cannot be a
+		// new best (F never exceeds the H above it).
+		lh, le = xdDead, xdDead
+		if lo == 0 {
+			f := max(prev[0].h+openF, prev[0].f+ext) &^ xdPrioHi
+			if f >= live {
+				lh = f
+			}
+			cur[0] = xdCell{h: lh, f: lh}
 		}
-		newLo, newHi := -1, -1
-		left := deadCell // cur[lo-1] is never written this row
-		for j := lo; j <= len(b); j++ {
-			// Beyond the reach of the previous row, only an E chain from the
-			// current row can stay alive; stop once that dies too.
-			if j > hi+1 && (j == 0 || (left.h <= negInf && left.e <= negInf)) {
+
+		// The band: columns the row above can reach. The diagonal neighbour
+		// is the previous column's upper neighbour, carried in a register.
+		diag := prev[jlo-1].h
+		ups := prev[jlo : jhi+1]
+		outs := cur[jlo : jhi+1][:len(ups)]
+		bs := b[jlo-1 : jhi][:len(ups)]
+		for t, up := range ups {
+			e := max(lh+openE, le+ext) &^ xdPrioHi
+			f := max(up.h+openF, up.f+ext) &^ xdPrioHi
+			h := max(diag+diagStep[bs[t]], e, f) &^ xdPrioMask
+			diag = up.h
+			if h < live {
+				h, e, f = xdDead, xdDead, xdDead
+			}
+			outs[t] = xdCell{h: h, f: f}
+			lh, le = h, e
+			if h >= better {
+				best, bestI, bestJ = h, i, jlo+t
+				live = (h>>xdScoreShift - x) << xdScoreShift
+				better = (h>>xdScoreShift + 1) << xdScoreShift
+			}
+		}
+
+		// Beyond the reach of the row above only an E chain from this row can
+		// stay alive; it ends at its first pruned cell. H is E there, below
+		// the H it was opened from, so no new best.
+		j := jhi + 1
+		for ; j <= lb && lh != xdDead; j++ {
+			cells++
+			e := max(lh+openE, le+ext) &^ xdPrioHi
+			if e < live {
 				break
 			}
-			cells++
-			c := deadCell
-			if j > 0 {
-				if left.h > negInf || left.e > negInf {
-					c.e = left.h - openCost
-					c.me, c.ae = left.mh, left.ah+1
-					if ext := left.e - extCost; ext > c.e {
-						c.e, c.me, c.ae = ext, left.me, left.ae+1
-					}
-				}
-			}
-			if up := prev[j]; up.h > negInf || up.f > negInf {
-				c.f = up.h - openCost
-				c.mf, c.af = up.mh, up.ah+1
-				if ext := up.f - extCost; ext > c.f {
-					c.f, c.mf, c.af = ext, up.mf, up.af+1
-				}
-			}
-			if j > 0 {
-				if d := prev[j-1]; d.h > negInf {
-					match := int32(0)
-					if ai == b[j-1] {
-						match = 1
-					}
-					c.h = d.h + int32(scoreRow[b[j-1]])
-					c.mh, c.ah = d.mh+match, d.ah+1
-				}
-			}
-			if c.e > c.h {
-				c.h, c.mh, c.ah = c.e, c.me, c.ae
-			}
-			if c.f > c.h {
-				c.h, c.mh, c.ah = c.f, c.mf, c.af
-			}
-			if c.h < bestScore-x {
-				left = deadCell
-				continue // cell dies; cur[j] stays dead
-			}
-			cur[j] = c
-			left = c
-			if newLo == -1 {
-				newLo = j
-			}
-			newHi = j
-			if c.h > bestScore {
-				bestScore = c.h
-				best = extension{
-					score: int(c.h), matches: int(c.mh), alen: int(c.ah),
-					extA: i, extB: j,
-				}
-			}
+			lh, le = e&^xdPrioMask, e
+			cur[j] = xdCell{h: lh, f: xdDead}
 		}
-		if newLo == -1 {
+
+		// Columns lo..j-1 were stored this row; trim pruned cells off both
+		// ends to get the new band, and fence it.
+		last := j - 1
+		for last >= lo && cur[last].h == xdDead {
+			last--
+		}
+		if last < lo {
 			break
 		}
-		lo, hi = newLo, newHi
+		for cur[lo].h == xdDead {
+			lo++
+		}
+		hi = last
+		if lo > 0 {
+			cur[lo-1] = xdDeadCell
+		}
+		if hi < lb {
+			cur[hi+1] = xdDeadCell
+		}
 		prev, cur = cur, prev
-		curDirtyLo, curDirtyHi = prevDirtyLo, prevDirtyHi
-		prevDirtyLo, prevDirtyHi = newLo, newHi
 	}
-	best.cells = cells
-	return best
+	return extension{
+		score:   int(best >> xdScoreShift),
+		matches: int(best >> xdStatBits & xdStatMask),
+		alen:    int(best & xdStatMask),
+		extA:    bestI, extB: bestJ,
+		cells: cells,
+	}
 }
 
 // UngappedExtend extends an exact diagonal match around a seed in both

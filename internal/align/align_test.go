@@ -1,6 +1,7 @@
 package align
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -323,30 +324,183 @@ func TestAlignerReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-}
 
-func BenchmarkSmithWaterman300(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y := randomSeq(rng, 300), randomSeq(rng, 300)
-	sc := DefaultScoring()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SmithWaterman(x, y, sc)
+	// The x-drop rows are never cleared, within a call or between calls:
+	// every read must land on a cell the current extension stored. This
+	// stream is ordered to leave the most misleading leftovers behind — a
+	// long pair before a short one, a wide band (poly-A, large x-drop) before
+	// a narrow one, an extension abandoned by an early break (unrelated
+	// tails) before one that runs to the end.
+	long := randomSeq(rng, 650)
+	polyA := polyASeq(rng, 500)
+	wide, narrow := DefaultXDrop(), DefaultXDrop()
+	wide.XDrop, narrow.XDrop = 200, 10
+	steps := []struct {
+		name  string
+		x, y  []alphabet.Code
+		seedA int // seedB = seedA: every y keeps x's coordinates at the seed
+		p     XDropParams
+	}{
+		{"long homolog, wide", long, mutateSeq(rng, long, 0.2, 0), 300, wide},
+		{"short homolog, narrow", long[:40], mutateSeq(rng, long[:40], 0.1, 0), 10, narrow},
+		{"poly-A, wide", polyA, mutateSeq(rng, polyA, 0.05, 0), 200, wide},
+		{"unrelated tails: early break", long, append(append([]alphabet.Code(nil), long[:30]...), randomSeq(rng, 600)...), 5, DefaultXDrop()},
+		{"long homolog, narrow", long, mutateSeq(rng, long, 0.1, 0), 600, narrow},
+		{"unrelated heads: early break on the left", long, append(randomSeq(rng, 600), long[600:]...), 610, DefaultXDrop()},
+		{"short identical", long[100:160], long[100:160], 20, DefaultXDrop()},
+		{"long identical, wide", long, long, 0, wide},
+		{"one residue each side of the seed", long[:8], long[:8], 1, narrow},
 	}
-}
-
-func BenchmarkXDrop300(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := randomSeq(rng, 300)
-	y := append([]alphabet.Code(nil), x...)
-	for i := 0; i < 30; i++ {
-		y[rng.Intn(len(y))] = alphabet.Code(rng.Intn(20))
-	}
-	p := DefaultXDrop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := XDrop(x, y, 150, 150, 6, p); err != nil {
-			b.Fatal(err)
+	for round := 0; round < 2; round++ { // the second round starts from the first's leftovers
+		for _, st := range steps {
+			got, err1 := al.XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
+			want, err2 := XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("round %d, %s: reused %+v (%v) != fresh %+v (%v)", round, st.name, got, err1, want, err2)
+			}
 		}
+	}
+}
+
+// A warm Aligner extends without allocating: rows, reversal scratch and the
+// diagonal-step table are all in place after the first call.
+func TestXDropAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := randomSeq(rng, 400)
+	y := mutateSeq(rng, x, 0.2, 3)
+	al, p := NewAligner(), DefaultXDrop()
+	align := func() {
+		if _, err := al.XDrop(x, y, 100, 100, 6, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	align()
+	if allocs := testing.AllocsPerRun(20, align); allocs != 0 {
+		t.Errorf("warm XDrop allocates %.0f times per call", allocs)
+	}
+}
+
+// The packed lanes bound the pair: len(a)+len(b) < 2^19. At the bound the
+// statistics are still exact (the two 19-bit fields hold them; the band on
+// an identical pair stays narrow, so this is cheap); past it the kernel
+// refuses by name rather than wrap.
+func TestXDropPackedLimits(t *testing.T) {
+	const n = 1<<18 - 1
+	rng := rand.New(rand.NewSource(11))
+	s := randomSeq(rng, n+1)
+	p := DefaultXDrop()
+	al := NewAligner()
+
+	r, err := al.XDrop(s[:n], s[:n], n/3, n/3, 6, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := 0
+	for _, c := range s[:n] {
+		score += p.Scoring.Matrix.Score(c, c)
+	}
+	want := Result{Score: score, Matches: n, AlignLen: n, EndA: n, EndB: n, Cells: r.Cells}
+	if r != want {
+		t.Errorf("2x%d identical residues: %+v, want %+v", n, r, want)
+	}
+	if r.Cells > 200*n {
+		t.Errorf("band did not stay narrow: %d cells over %d rows", r.Cells, n)
+	}
+
+	// 2^19 - 1 combined is still inside; 2^19 is not, whatever the seed.
+	if _, err := al.XDrop(s, s[:n], 0, 0, 6, p); err != nil {
+		t.Errorf("lengths %d+%d: %v", n+1, n, err)
+	}
+	for _, seed := range []int{0, n / 2, n + 1 - 6} {
+		if _, err := al.XDrop(s, s, seed, seed, 6, p); !errors.Is(err, ErrSequenceTooLong) {
+			t.Errorf("lengths %d+%d, seed %d: error %v, want ErrSequenceTooLong", n+1, n+1, seed, err)
+		}
+	}
+	// The Aligner is still good after a refusal.
+	if r, err := al.XDrop(s[:50], s[:50], 10, 10, 6, p); err != nil || r.Matches != 50 {
+		t.Errorf("after a refusal: %+v, %v", r, err)
+	}
+}
+
+// Parameters the lanes cannot score are refused, not wrapped.
+func TestXDropRejectsParamsOutOfRange(t *testing.T) {
+	s := codes(t, "MKVLAWHPLCQERNDYFI")
+	for _, bad := range []func(*XDropParams){
+		func(p *XDropParams) { p.XDrop = -1 },
+		func(p *XDropParams) { p.XDrop = 1 << 28 },
+		func(p *XDropParams) { p.Scoring.GapOpen = -1 },
+		func(p *XDropParams) { p.Scoring.GapOpen = 1<<20 + 1 },
+		func(p *XDropParams) { p.Scoring.GapExtend = -3 },
+		func(p *XDropParams) { p.Scoring.GapExtend = 1 << 30 },
+	} {
+		p := DefaultXDrop()
+		bad(&p)
+		if r, err := XDrop(s, s, 6, 6, 6, p); err == nil {
+			t.Errorf("x-drop %d gaps (%d,%d) accepted: %+v", p.XDrop, p.Scoring.GapOpen, p.Scoring.GapExtend, r)
+		}
+	}
+}
+
+// benchPairs are the warm-Aligner kernel benchmarks' inputs: the lengths the
+// repository benchmark's generator spans, a near-identical pair (narrow
+// x-drop band) and a diverged one with indels (wide band, many ties).
+var benchPairs = []struct {
+	name    string
+	n       int
+	subRate float64
+	indels  int
+}{
+	{"len300/id90", 300, 0.10, 0},
+	{"len300/id70indel", 300, 0.30, 4},
+	{"len600/id90", 600, 0.10, 0},
+	{"len600/id70indel", 600, 0.30, 8},
+}
+
+// BenchmarkSmithWaterman and BenchmarkXDrop time the kernels alone: one
+// Aligner, warmed before the clock starts, so an iteration allocates
+// nothing and Mcells/s is the DP loop's own rate.
+func BenchmarkSmithWaterman(b *testing.B) {
+	for _, bp := range benchPairs {
+		b.Run(bp.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := randomSeq(rng, bp.n)
+			y := mutateSeq(rng, x, bp.subRate, bp.indels)
+			al, sc := NewAligner(), DefaultScoring()
+			al.SmithWaterman(x, y, sc)
+			var cells int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cells += al.SmithWaterman(x, y, sc).Cells
+			}
+			b.ReportMetric(float64(cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
+		})
+	}
+}
+
+func BenchmarkXDrop(b *testing.B) {
+	for _, bp := range benchPairs {
+		b.Run(bp.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			x := randomSeq(rng, bp.n)
+			y := mutateSeq(rng, x, bp.subRate, bp.indels)
+			const k = 6
+			copy(y[:k], x[:k]) // the seed: extension runs the length of the pair
+			al, p := NewAligner(), DefaultXDrop()
+			if _, err := al.XDrop(x, y, 0, 0, k, p); err != nil {
+				b.Fatal(err)
+			}
+			var cells int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := al.XDrop(x, y, 0, 0, k, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += r.Cells
+			}
+			b.ReportMetric(float64(cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
+		})
 	}
 }

@@ -49,8 +49,9 @@ func DefaultParams() Params { return Params{Scoring: DefaultScoring(), XDrop: 49
 // the overlap stage found (possibly empty); seeded kernels extend each seed
 // and return the best-scoring extension (strictly-greater comparison, first
 // seed wins ties), seedless kernels ignore the list. An error means the
-// pair could not be processed at all — seeds that merely fall outside the
-// sequences are skipped, matching the pipeline's historical behavior.
+// pair could not be processed at all (xd: ErrSequenceTooLong, parameters out
+// of range) and fails the run; only seeds that fall outside the sequences
+// are skipped, matching the pipeline's historical behavior.
 //
 // CellsComputed is the per-kernel cost-accounting hook: the cumulative DP
 // cells this instance evaluated across all Align calls. "Cell" is one unit
@@ -171,9 +172,12 @@ func (k *xdKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, 
 	xp := XDropParams{Scoring: p.Scoring, XDrop: p.XDrop}
 	var best Result
 	for _, s := range seeds {
+		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
+			continue // seed fell off due to an inconsistent position
+		}
 		res, err := k.al.XDrop(a, b, s.PosA, s.PosB, s.K, xp)
 		if err != nil {
-			continue // seed fell off due to an inconsistent position
+			return Result{}, err
 		}
 		k.cells += res.Cells
 		if res.Score > best.Score {
@@ -198,7 +202,7 @@ func (k *ugKernel) Name() string { return "ug" }
 func (k *ugKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, error) {
 	var best Result
 	for _, s := range seeds {
-		if s.PosA < 0 || s.PosB < 0 || s.PosA+s.K > len(a) || s.PosB+s.K > len(b) {
+		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
 			continue // seed fell off due to an inconsistent position
 		}
 		res := k.al.UngappedExtend(a, b, s.PosA, s.PosB, s.K, p.Scoring, p.XDrop)

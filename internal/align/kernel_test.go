@@ -1,6 +1,7 @@
 package align
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -232,6 +233,32 @@ func TestKernelSeedHandling(t *testing.T) {
 	}
 }
 
+// A pair the x-drop lanes cannot hold is an error from the xd kernel and
+// from a cascade that reaches it — never a pair "whose seeds fell off", which
+// is what swallowing every XDrop error used to make of it. Out-of-range
+// seeds on the same call are still skipped, and ug has no such bound.
+func TestKernelReportsOverlongPair(t *testing.T) {
+	s := randomSeq(rand.New(rand.NewSource(19)), 1<<18)
+	seeds := []Seed{{PosA: -1, PosB: 0, K: 6}, {PosA: 100, PosB: 100, K: 6}}
+	p := DefaultParams()
+	for _, name := range []string{"xd", "ug+xd"} {
+		k, err := NewKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := k.Align(s, s, seeds, p); !errors.Is(err, ErrSequenceTooLong) {
+			t.Errorf("%s on 2x%d residues: %+v, %v; want ErrSequenceTooLong", name, len(s), r, err)
+		}
+		if r, err := k.Align(s[:len(s)-1], s[:len(s)-1], seeds, p); err != nil || r.Matches != len(s)-1 {
+			t.Errorf("%s one residue under the bound: %+v, %v", name, r, err)
+		}
+	}
+	ug, _ := NewKernel("ug")
+	if r, err := ug.Align(s, s, seeds, p); err != nil || r.Matches != len(s) {
+		t.Errorf("ug on 2x%d residues: %+v, %v", len(s), r, err)
+	}
+}
+
 // Kernel instances must be reusable: a stream of differently-sized problems
 // through one instance gives results bit-identical to fresh instances.
 func TestKernelReuseMatchesFresh(t *testing.T) {
@@ -243,9 +270,18 @@ func TestKernelReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 40; trial++ {
+			// Long before short and, for the banded kernels, a pair that runs
+			// to the end before one abandoned at the first unrelated residues:
+			// the orders that leave the most behind in reused rows.
 			n := 30 + rng.Intn(150)
+			if trial%4 == 0 {
+				n = 400 + rng.Intn(300)
+			}
 			a := randomSeq(rng, n)
 			b := mutateSeq(rng, a, 0.2, 1)
+			if trial%4 == 2 {
+				b = append(a[:12:12], randomSeq(rng, 100+rng.Intn(200))...)
+			}
 			var seeds []Seed
 			if len(b) > 8 {
 				seeds = []Seed{{PosA: 0, PosB: 0, K: 6}}

@@ -8,14 +8,31 @@ import (
 	"repro/internal/alphabet"
 )
 
-// The reference x-drop extension: full row clears between DP rows (worst
-// case O(la·lb) clearing work) and a fresh cur[j-1] load per cell, exactly
-// as the kernel shipped before the banded-clear rewrite in align.go.
-// TestXDropDenseMatchesBanded holds the two bit-identical. Do not optimize
-// this copy.
+// The reference x-drop extension: the textbook Gotoh recurrence on a
+// nine-field cell (score, matches and columns per layer, each its own
+// int32), explicit liveness tests, strict-> tie rules written as
+// conditional assignments, and a full row clear between DP rows, exactly as
+// the kernel shipped before the banded-clear and packed-lane rewrites in
+// align.go. TestXDropDenseMatchesBanded and FuzzXDropMatchesDense hold the
+// two bit-identical. Do not optimize this copy.
+
+// cell carries score plus best-path statistics for the three Gotoh layers.
+type cell struct {
+	h, e, f    int32
+	mh, me, mf int32 // matches along the best path into each layer
+	ah, ae, af int32 // alignment columns along the best path
+}
+
+var deadCell = cell{h: negInf, e: negInf, f: negInf}
+
+// denseAligner owns the reference's row and seed-reversal buffers.
+type denseAligner struct {
+	prevCells, curCells []cell
+	revA, revB          []alphabet.Code
+}
 
 // xDropDense is XDrop with the dense-clear reference extension.
-func (al *Aligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
+func (al *denseAligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
 	if seedA < 0 || seedB < 0 || seedA+k > len(a) || seedB+k > len(b) {
 		return Result{}, fmt.Errorf("align: seed (%d,%d,k=%d) outside sequences %d/%d",
 			seedA, seedB, k, len(a), len(b))
@@ -44,7 +61,7 @@ func (al *Aligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p XDrop
 }
 
 // xdropExtendDense is the pre-rewrite extension loop.
-func (al *Aligner) xdropExtendDense(a, b []alphabet.Code, p XDropParams) extension {
+func (al *denseAligner) xdropExtendDense(a, b []alphabet.Code, p XDropParams) extension {
 	if len(a) == 0 || len(b) == 0 {
 		return extension{}
 	}
@@ -152,32 +169,136 @@ func (al *Aligner) xdropExtendDense(a, b []alphabet.Code, p XDropParams) extensi
 	return best
 }
 
-// TestXDropDenseMatchesBanded holds the banded-clear x-drop extension
-// bit-identical to the dense-clear reference across a randomized stream
-// of seeded pairs, mixing unrelated and homologous sequences (homologs
-// grow wide live bands, the case where the dirty-range bookkeeping has to
-// agree with a full clear).
-func TestXDropDenseMatchesBanded(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	al := NewAligner()
-	alDense := NewAligner()
-	p := DefaultXDrop()
-	const k = 6
-	for trial := 0; trial < 400; trial++ {
-		x := randomSeq(rng, rng.Intn(200)+k)
-		y := randomSeq(rng, rng.Intn(200)+k)
-		if trial%2 == 0 {
-			y = append([]alphabet.Code(nil), x...)
-			for i := 0; i < len(y)/6; i++ {
-				y[rng.Intn(len(y))] = alphabet.Code(rng.Intn(20))
-			}
-		}
-		seedA, seedB := rng.Intn(len(x)-k+1), rng.Intn(len(y)-k+1)
-		got, err1 := al.XDrop(x, y, seedA, seedB, k, p)
-		want, err2 := alDense.xDropDense(x, y, seedA, seedB, k, p)
-		if (err1 == nil) != (err2 == nil) || got != want {
-			t.Fatalf("trial %d (seed %d,%d): banded %+v (%v) != dense twin %+v (%v)",
-				trial, seedA, seedB, got, err1, want, err2)
+// diffXDrop runs one seeded pair through the kernel and the reference and
+// fails unless the whole Result — score, statistics, extents and the cell
+// tally the virtual clock is charged from — and the error status agree.
+func diffXDrop(t testing.TB, al *Aligner, ref *denseAligner, x, y []alphabet.Code, seedA, seedB, k int, p XDropParams) {
+	t.Helper()
+	got, err1 := al.XDrop(x, y, seedA, seedB, k, p)
+	want, err2 := ref.xDropDense(x, y, seedA, seedB, k, p)
+	if (err1 == nil) != (err2 == nil) || got != want {
+		t.Fatalf("lens %d/%d seed (%d,%d,k=%d) xdrop %d gaps (%d,%d):\npacked %+v (%v)\ndense  %+v (%v)",
+			len(x), len(y), seedA, seedB, k, p.XDrop, p.Scoring.GapOpen, p.Scoring.GapExtend,
+			got, err1, want, err2)
+	}
+}
+
+// lettersSeq draws n residues uniformly from the given letters.
+func lettersSeq(rng *rand.Rand, n int, letters ...alphabet.Code) []alphabet.Code {
+	s := make([]alphabet.Code, n)
+	for i := range s {
+		s[i] = letters[rng.Intn(len(letters))]
+	}
+	return s
+}
+
+// polyASeq is random sequence interrupted by runs of A (code 0).
+func polyASeq(rng *rand.Rand, n int) []alphabet.Code {
+	s := randomSeq(rng, n)
+	for at := 0; at < n; at += 10 + rng.Intn(60) {
+		for run := 5 + rng.Intn(40); run > 0 && at < n; run-- {
+			s[at] = 0
+			at++
 		}
 	}
+	return s
+}
+
+// diffPairKinds are the sequence-pair shapes of the differential test. The
+// low-complexity kinds are tie-heavy: whole anti-diagonals of equal scores,
+// where only the priority bits keep the packed selection on the reference's
+// path.
+var diffPairKinds = []struct {
+	name string
+	make func(rng *rand.Rand, n int) (x, y []alphabet.Code)
+}{
+	{"unrelated", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		return randomSeq(rng, n), randomSeq(rng, 6+rng.Intn(n))
+	}},
+	{"homolog", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		x = randomSeq(rng, n)
+		return x, mutateSeq(rng, x, 0.3*rng.Float64(), rng.Intn(6))
+	}},
+	{"two-letter", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		l1, l2 := alphabet.Code(rng.Intn(20)), alphabet.Code(rng.Intn(20))
+		return lettersSeq(rng, n, l1, l2), lettersSeq(rng, 6+rng.Intn(n), l1, l2)
+	}},
+	{"poly-A", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		x = polyASeq(rng, n)
+		if rng.Intn(2) == 0 {
+			return x, polyASeq(rng, 6+rng.Intn(n))
+		}
+		return x, mutateSeq(rng, x, 0.1, rng.Intn(4))
+	}},
+}
+
+// TestXDropDenseMatchesBanded holds the packed-lane x-drop extension
+// bit-identical to the nine-field reference over the benchmark's length
+// range, every gap model that changes which ties occur ((0,1) makes opening
+// and extending cost the same), x-drop values from "prune everything" to
+// "prune almost nothing", and seeds that sit on the homologous diagonal, off
+// it (mismatching residues, as substitute k-mers give), and flush against
+// either end of a sequence (an empty flank).
+func TestXDropDenseMatchesBanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	al, ref := NewAligner(), &denseAligner{}
+	trials := 24
+	if testing.Short() {
+		trials = 6
+	}
+	const k = 6
+	for _, xdrop := range []int{0, 10, 49, 200} {
+		for _, gap := range [][2]int{{11, 1}, {5, 2}, {0, 1}} {
+			p := XDropParams{Scoring: Scoring{Matrix: DefaultScoring().Matrix, GapOpen: gap[0], GapExtend: gap[1]}, XDrop: xdrop}
+			for _, kind := range diffPairKinds {
+				for trial := 0; trial < trials; trial++ {
+					x, y := kind.make(rng, k+rng.Intn(700-k))
+					seedA, seedB := rng.Intn(len(x)-k+1), rng.Intn(len(y)-k+1)
+					switch trial % 3 {
+					case 1: // on the main diagonal: where a homolog extends furthest
+						seedA = min(seedA, len(y)-k)
+						seedB = seedA
+					case 2: // an empty flank on one side of each sequence
+						seedA, seedB = (len(x)-k)*rng.Intn(2), (len(y)-k)*rng.Intn(2)
+					}
+					diffXDrop(t, al, ref, x, y, seedA, seedB, k, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzXDropMatchesDense is the same comparison on fuzzer-chosen input: any
+// residues of the full 24-letter alphabet, any seed inside the pair, any
+// parameters in the reference's range.
+func FuzzXDropMatchesDense(f *testing.F) {
+	polyA := make([]byte, 120)
+	twoLetter := []byte("ALALLAALALAALLLAALALALLALAALALLLAALLAALALALAALLALALA")
+	protein := []byte("MKVLAWHPLCQERNDYFIWWHHCCMKVLAWHPLCGGSTPAMKVLAWHPLC")
+	f.Add(protein, protein, uint16(6), uint16(6), uint8(6), uint16(49), uint8(11), uint8(1))
+	f.Add(protein, protein[9:], uint16(20), uint16(11), uint8(6), uint16(49), uint8(11), uint8(1))
+	f.Add(polyA, polyA[:77], uint16(30), uint16(3), uint8(6), uint16(49), uint8(11), uint8(1))
+	f.Add(polyA, polyA, uint16(0), uint16(114), uint8(6), uint16(200), uint8(0), uint8(1))
+	f.Add(twoLetter, twoLetter[3:], uint16(7), uint16(0), uint8(4), uint16(10), uint8(5), uint8(2))
+	f.Add(twoLetter, protein, uint16(0), uint16(0), uint8(0), uint16(0), uint8(0), uint8(0))
+	f.Add([]byte("W"), []byte("W"), uint16(0), uint16(0), uint8(1), uint16(49), uint8(11), uint8(1))
+	al, ref := NewAligner(), &denseAligner{}
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, seedA, seedB uint16, k uint8, xdrop uint16, gapOpen, gapExtend uint8) {
+		const maxLen = 1 << 10 // keeps the reference's la x lb row clears cheap
+		toCodes := func(raw []byte) []alphabet.Code {
+			raw = raw[:min(len(raw), maxLen)]
+			codes := make([]alphabet.Code, len(raw))
+			for i, c := range raw {
+				codes[i] = alphabet.Code(c % alphabet.Size)
+			}
+			return codes
+		}
+		x, y := toCodes(rawA), toCodes(rawB)
+		kk := min(int(k)%8, len(x), len(y))
+		p := XDropParams{
+			Scoring: Scoring{Matrix: DefaultScoring().Matrix, GapOpen: int(gapOpen), GapExtend: int(gapExtend)},
+			XDrop:   int(xdrop),
+		}
+		diffXDrop(t, al, ref, x, y, int(seedA)%(len(x)-kk+1), int(seedB)%(len(y)-kk+1), kk, p)
+	})
 }

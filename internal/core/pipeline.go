@@ -113,6 +113,13 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 	return sweep(r, ops, t.store, true, ckpt, t.stats)
 }
 
+// maxAlignPenalty bounds the gap penalties and the x-drop value: what the
+// x-drop kernel's 24-bit packed score field holds next to the longest
+// alignable pair (align.ErrSequenceTooLong; TestValidateAlignParams holds the
+// two bounds together). A negative penalty makes gaps pay, and a huge x-drop
+// switches pruning off; neither is an alignment anyone configures.
+const maxAlignPenalty = 1 << 20
+
 func validate(cfg Config) error {
 	if cfg.K <= 0 || cfg.K > kmer.MaxK {
 		return fmt.Errorf("core: k=%d out of range", cfg.K)
@@ -134,6 +141,14 @@ func validate(cfg Config) error {
 	}
 	if cfg.MinIdentity < 0 || cfg.MinIdentity > 1 || cfg.MinCoverage < 0 || cfg.MinCoverage > 1 {
 		return fmt.Errorf("core: identity/coverage thresholds must be fractions")
+	}
+	for _, v := range []struct {
+		name  string
+		value int
+	}{{"GapOpen", cfg.GapOpen}, {"GapExtend", cfg.GapExtend}, {"XDropValue", cfg.XDropValue}} {
+		if v.value < 0 || v.value > maxAlignPenalty {
+			return fmt.Errorf("core: Config.%s=%d out of range [0, %d]", v.name, v.value, maxAlignPenalty)
+		}
 	}
 	if cfg.Align != AlignNone {
 		if _, err := align.KernelFactory(string(cfg.Align)); err != nil {

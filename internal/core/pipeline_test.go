@@ -1,12 +1,19 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/align"
+	"repro/internal/alphabet"
 	"repro/internal/fasta"
 	"repro/internal/mpi"
+	"repro/internal/scoring"
 	"repro/internal/synth"
 )
 
@@ -538,6 +545,95 @@ func TestConfigValidation(t *testing.T) {
 		if err == nil {
 			t.Errorf("config %d should be rejected: %+v", i, cfg)
 		}
+	}
+}
+
+// Alignment parameters outside what the kernels can score are rejected by
+// name before anything runs: negative penalties, and values beyond the
+// x-drop kernel's packed score field. core's bound must be the kernel's own —
+// the largest value validate admits still aligns, one more is refused by
+// both.
+func TestValidateAlignParams(t *testing.T) {
+	set := map[string]func(*Config, int){
+		"GapOpen":    func(c *Config, v int) { c.GapOpen = v },
+		"GapExtend":  func(c *Config, v int) { c.GapExtend = v },
+		"XDropValue": func(c *Config, v int) { c.XDropValue = v },
+	}
+	s, err := alphabet.EncodeSeq([]byte("MKVLAWHPLCQERNDYFI"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelTakes := func(cfg Config) error {
+		_, err := align.XDrop(s, s, 6, 6, 6, align.XDropParams{
+			Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
+			XDrop:   cfg.XDropValue,
+		})
+		return err
+	}
+	for name, setField := range set {
+		for _, v := range []int{0, maxAlignPenalty} {
+			cfg := DefaultConfig()
+			setField(&cfg, v)
+			if err := validate(cfg); err != nil {
+				t.Errorf("%s=%d rejected: %v", name, v, err)
+			}
+			if err := kernelTakes(cfg); err != nil {
+				t.Errorf("%s=%d passes validate but not the kernel: %v", name, v, err)
+			}
+		}
+		for _, v := range []int{-1, maxAlignPenalty + 1, 1 << 28, 1000000000} {
+			cfg := DefaultConfig()
+			setField(&cfg, v)
+			err := validate(cfg)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s=%d: validate returned %v, want an error naming the field", name, v, err)
+			}
+			if kernelTakes(cfg) == nil {
+				t.Errorf("%s=%d: the kernel itself should refuse it", name, v)
+			}
+		}
+	}
+}
+
+// A pair beyond the x-drop kernel's packed lanes must fail the run, naming
+// the pair — not drop out of the graph as if its seeds had fallen off. The
+// bound is the xd kernel's alone: the same input runs under ug.
+func TestRunFailsOnOverlongPair(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(3))
+	long := func(shared []byte) []byte {
+		seq := make([]byte, n)
+		for i := range seq {
+			seq[i] = alphabet.Letters[rng.Intn(20)]
+		}
+		copy(seq, shared)
+		return seq
+	}
+	first := long(nil)
+	recs := []fasta.Record{
+		{ID: "a", Seq: first},
+		{ID: "b", Seq: long(first[:40])},
+	}
+	run := func(mode AlignMode) error {
+		cfg := DefaultConfig()
+		cfg.Align = mode
+		cl := mpi.NewCluster(1, mpi.DefaultCostModel())
+		return cl.Run(func(c *mpi.Comm) error {
+			_, err := Run(c, recs, cfg)
+			return err
+		})
+	}
+	err := run(AlignXDrop)
+	if !errors.Is(err, align.ErrSequenceTooLong) {
+		t.Fatalf("xd run on a 2x%d pair: %v, want ErrSequenceTooLong", n, err)
+	}
+	for _, want := range []string{"sequences 0 ", "and 1 ", fmt.Sprintf("(%d residues)", n)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the pair (missing %q)", err, want)
+		}
+	}
+	if err := run(AlignUngapped); err != nil {
+		t.Errorf("ug run on the same input: %v", err)
 	}
 }
 

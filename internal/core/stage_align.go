@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/parallel"
@@ -285,7 +287,8 @@ func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 	}
 	best, err := k.Align(aCodes, bCodes, seeds, params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: aligning sequences %d (%d residues) and %d (%d residues): %w",
+			r, len(seqR.Codes), c, len(seqC.Codes), err)
 	}
 
 	lenR, lenC := len(aCodes), len(bCodes)

@@ -131,7 +131,9 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 			stats.Aligned++
 			res, err := align.XDrop(qCodes, seqs[t], hit.qPos, hit.tPos, cfg.MinSeedLen, xp)
 			if err != nil {
-				continue
+				// Seeds lie inside both sequences by construction, so this is
+				// a pair or a parameter the kernel cannot take, not a miss.
+				return nil, Stats{}, fmt.Errorf("last: aligning sequences %d and %d: %w", q, t, err)
 			}
 			lenQ, lenT := len(qCodes), len(seqs[t])
 			ident, cov := res.Identity(), res.CoverageShorter(lenQ, lenT)

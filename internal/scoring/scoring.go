@@ -33,12 +33,6 @@ func (m *Matrix) Score(a, b alphabet.Code) int {
 	return int(m.scores[a][b])
 }
 
-// Row returns the scoring row for code a, letting DP inner loops hoist
-// the first index out of the per-cell lookup.
-func (m *Matrix) Row(a alphabet.Code) *[alphabet.Size]int8 {
-	return &m.scores[a]
-}
-
 // ScoreBytes returns the substitution score between two letters.
 // Invalid letters score as the minimum penalty in the matrix.
 func (m *Matrix) ScoreBytes(a, b byte) int {

@@ -5,10 +5,10 @@ package pastis
 // EXPERIMENTS.md). Each benchmark regenerates the corresponding rows and
 // reports the row count; run cmd/pastis-bench to see the tables themselves.
 //
-// Additional ablation benchmarks cover the design choices DESIGN.md calls
-// out; the remaining micro-benchmarks live next to their packages
-// (spmat: hash vs heap SpGEMM; subkmer: heap vs naive neighbor search;
-// align: SW vs x-drop).
+// Additional ablation benchmarks cover the design choices
+// docs/ARCHITECTURE.md calls out; the remaining micro-benchmarks live next
+// to their packages (spmat: the hash SpGEMM kernel and its heap reference;
+// subkmer: heap vs naive neighbor search; align: SW vs x-drop).
 
 import (
 	"fmt"
@@ -105,8 +105,8 @@ func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
 var benchThreadCounts = []int{1, 2, 4, 8}
 
 // BenchmarkSpGEMMParallel measures the chunked parallel local SpGEMM kernel
-// directly (wall time) across thread counts, for both kernels. Output is
-// bit-identical across all variants; only the speed may differ.
+// directly (wall time) across thread counts. Output is bit-identical across
+// all variants; only the speed may differ.
 func BenchmarkSpGEMMParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	const n, nnz = 600, 12000
@@ -124,25 +124,18 @@ func BenchmarkSpGEMMParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, heap := range []bool{false, true} {
-		kernel := "hash"
-		if heap {
-			kernel = "heap"
-		}
-		for _, threads := range benchThreadCounts {
-			b.Run(fmt.Sprintf("%s/t%d", kernel, threads), func(b *testing.B) {
-				var flops int64
-				for i := 0; i < b.N; i++ {
-					_, stats, err := spmat.SpGEMM(x, x, spmat.Arithmetic,
-						spmat.SpGEMMOpts{UseHeap: heap, Threads: threads})
-					if err != nil {
-						b.Fatal(err)
-					}
-					flops = stats.Flops
+	for _, threads := range benchThreadCounts {
+		b.Run(fmt.Sprintf("hash/t%d", threads), func(b *testing.B) {
+			var flops int64
+			for i := 0; i < b.N; i++ {
+				_, stats, err := spmat.SpGEMM(x, x, spmat.Arithmetic, spmat.SpGEMMOpts{Threads: threads})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(flops), "flops")
-			})
-		}
+				flops = stats.Flops
+			}
+			b.ReportMetric(float64(flops), "flops")
+		})
 	}
 }
 
@@ -267,33 +260,6 @@ func BenchmarkAblationTriangle(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(res.Sections["align"]*1e6, "virtual_align_us")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLocalSpGEMM compares the hash and heap local kernels
-// inside the full distributed pipeline (wall time; virtual time is equal
-// by construction).
-func BenchmarkAblationLocalSpGEMM(b *testing.B) {
-	data, err := GenerateMetaclustLike(200, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, heap := range []bool{false, true} {
-		name := "hash"
-		if heap {
-			name = "heap"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Align = AlignNone
-			cfg.SubstituteKmers = 10
-			cfg.UseHeapKernel = heap
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildGraph(data.Records, 16, cfg); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -74,44 +74,162 @@ func main() {
 	allVsAll(os.Args[1:])
 }
 
-// runBuildIndex persists the build-once half of the pipeline for dir.
-func runBuildIndex(args []string) {
-	fs := flag.NewFlagSet("pastis build-index", flag.ExitOnError)
-	var (
-		inPath  = fs.String("in", "", "database FASTA file (required)")
-		dir     = fs.String("index", "", "directory to write the index into (required)")
-		nodes   = fs.Int("nodes", 16, "simulated node count (perfect square); queries must use the same")
-		k       = fs.Int("k", 6, "k-mer length")
-		subs    = fs.Int("subs", 0, "substitute k-mers per k-mer (0 = exact matching)")
-		maxFreq = fs.Int("maxfreq", 0, "discard k-mers occurring more than this many times (0 = off)")
-		threads = fs.Int("threads", 1, "intra-rank threads (0 = all host cores)")
-		blocks  = fs.Int("blocks", 1, "column panels for the substitute expansion (bounds peak memory)")
-		transp  = fs.String("transport", "shared", "block transport: shared or codec")
-		stats   = fs.Bool("stats", false, "print build statistics to stderr")
+// command is a bit per subcommand: flagSet registers each flag for the
+// subcommands its mask names.
+type command uint8
+
+const (
+	cmdAllVsAll command = 1 << iota
+	cmdBuildIndex
+	cmdQuery
+)
+
+// options holds the value of every flag of every subcommand.
+type options struct {
+	in, out, index   string
+	nodes            int
+	k, subs, maxFreq int
+
+	align, weight string
+	ck            int
+	minID, minCov float64
+	xdrop         int
+
+	threads, blocks, batch int
+	transport              string
+	stats                  bool
+
+	ckptDir   string
+	resume    bool
+	mem       int64
+	cpuProf   string
+	memProf   string
+	tcpLogDir string
+}
+
+// flagSet builds subcommand c's flag set over o. It is the whole CLI
+// surface: each flag is registered by exactly one line, for the subcommands
+// named in front of it, so a name, a default or a help text cannot drift
+// between subcommands (TestCLIFlagSurface pins the per-subcommand result).
+// A flag c does not take lands on a set nobody parses, which leaves its
+// option at the default — so config assembles every subcommand's Config the
+// same way.
+func (o *options) flagSet(name string, c command) *flag.FlagSet {
+	taken, untaken := flag.NewFlagSet(name, flag.ExitOnError), flag.NewFlagSet("", flag.ContinueOnError)
+	on := func(takers command) *flag.FlagSet {
+		if takers&c != 0 {
+			return taken
+		}
+		return untaken
+	}
+	const (
+		all       = cmdAllVsAll | cmdBuildIndex | cmdQuery
+		avsaBuild = cmdAllVsAll | cmdBuildIndex
+		avsaQuery = cmdAllVsAll | cmdQuery
 	)
+	// Files and the cluster size (a query runs on its index's node count).
+	on(all).StringVar(&o.in, "in", "", "input FASTA file: the sequences, the database or the query batch (required)")
+	on(avsaQuery).StringVar(&o.out, "out", "-", "output edge or hit list ('-' = stdout)")
+	on(cmdBuildIndex|cmdQuery).StringVar(&o.index, "index", "", "index directory: build-index writes it, query reads it (required)")
+	on(avsaBuild).IntVar(&o.nodes, "nodes", 16, "simulated node count (perfect square)")
+
+	// Shape: what the persisted matrices depend on. query adopts these from
+	// the index manifest instead.
+	on(avsaBuild).IntVar(&o.k, "k", 6, "k-mer length")
+	on(avsaBuild).IntVar(&o.subs, "subs", 0, "substitute k-mers per k-mer (0 = exact matching)")
+	on(cmdBuildIndex).IntVar(&o.maxFreq, "maxfreq", 0, "discard k-mers occurring more than this many times (0 = off)")
+
+	// Align: kernel, weight and filters act after the matrix stages, so an
+	// index is built without them.
+	on(avsaQuery).StringVar(&o.align, "align", "xd",
+		"alignment kernel: "+strings.Join(pastis.Kernels(), "|")+", a cascade spec (e.g. ug:60+sw), or none")
+	on(avsaQuery).StringVar(&o.weight, "weight", "ani", "edge weight: ani or ns")
+	on(avsaQuery).IntVar(&o.ck, "ck", 0, "common k-mer threshold (0 = off; paper: 1 exact / 3 subs)")
+	on(avsaQuery).Float64Var(&o.minID, "min-identity", 0.30, "ANI filter: minimum identity")
+	on(avsaQuery).Float64Var(&o.minCov, "min-coverage", 0.70, "ANI filter: minimum shorter-sequence coverage")
+	on(avsaQuery).IntVar(&o.xdrop, "xdrop", 49, "x-drop value for seed extension")
+
+	// Machine: knobs that leave the output bit-identical.
+	on(all).IntVar(&o.threads, "threads", 1, "intra-rank threads for SpGEMM and alignment (0 = all host cores)")
+	on(all).IntVar(&o.blocks, "blocks", 1,
+		"column panels of the candidate matrix (build-index: of the substitute expansion); bounds peak memory")
+	on(all).StringVar(&o.transport, "transport", "shared",
+		"block transport: shared (zero-copy) or codec (byte serialization reference); all-vs-all also takes tcp (one OS process per rank)")
+	on(avsaQuery).IntVar(&o.batch, "batch", 0, "alignment batch size (0 = default)")
+	on(all).BoolVar(&o.stats, "stats", false, "print run statistics to stderr")
+
+	// All-vs-all only: fault tolerance, profiling, the tcp worker logs.
+	on(cmdAllVsAll).StringVar(&o.ckptDir, "checkpoint", "", "directory for per-wave checkpoints (resumable with -resume)")
+	on(cmdAllVsAll).BoolVar(&o.resume, "resume", false, "resume from the newest checkpoint in -checkpoint dir")
+	on(cmdAllVsAll).Int64Var(&o.mem, "mem", 0, "per-rank memory budget in bytes (0 = unlimited); breaches retry at doubled -blocks")
+	on(cmdAllVsAll).StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	on(cmdAllVsAll).StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file")
+	on(cmdAllVsAll).StringVar(&o.tcpLogDir, "tcp-logdir", "",
+		"per-rank worker log directory for -transport tcp (default: under the system temp dir)")
+	return taken
+}
+
+// parse parses args as subcommand c's flags and insists on the file flags
+// every run needs: -in, and -index where there is an index.
+func parse(name string, c command, args []string) *options {
+	o := new(options)
+	fs := o.flagSet(name, c)
 	fs.Parse(args)
-	if *inPath == "" || *dir == "" {
-		fmt.Fprintln(os.Stderr, "pastis build-index: -in and -index are required")
+	if hasIndex := c != cmdAllVsAll; o.in == "" || (hasIndex && o.index == "") {
+		need := "-in is"
+		if hasIndex {
+			need = "-in and -index are"
+		}
+		fmt.Fprintf(os.Stderr, "%s: %s required\n", name, need)
 		fs.Usage()
 		os.Exit(2)
 	}
-	recs := readFASTA(*inPath)
+	return o
+}
 
+// config assembles the pipeline Config from the parsed flags — the one
+// assembly for every subcommand (query then adopts the index's shape).
+func (o *options) config() pastis.Config {
 	cfg := pastis.DefaultConfig()
-	cfg.K = *k
-	cfg.SubstituteKmers = *subs
-	cfg.MaxKmerFrequency = *maxFreq
-	cfg.Threads = parallel.Resolve(*threads)
-	cfg.Blocks = *blocks
-	cfg.Transport = *transp
+	cfg.K = o.k
+	cfg.SubstituteKmers = o.subs
+	cfg.MaxKmerFrequency = o.maxFreq
+	// Any registered kernel name (or "none") is valid; core's config
+	// validation rejects unknown names with the registered list.
+	cfg.Align = pastis.AlignMode(o.align)
+	switch o.weight {
+	case "ani":
+		cfg.Weight = pastis.WeightANI
+	case "ns":
+		cfg.Weight = pastis.WeightNS
+	default:
+		fatal(fmt.Errorf("unknown -weight %q", o.weight))
+	}
+	cfg.CommonKmerThreshold = o.ck
+	cfg.MinIdentity = o.minID
+	cfg.MinCoverage = o.minCov
+	cfg.XDropValue = o.xdrop
+	cfg.Threads = parallel.Resolve(o.threads)
+	cfg.Blocks = o.blocks
+	cfg.BatchSize = o.batch
+	cfg.Transport = o.transport
+	cfg.CheckpointDir = o.ckptDir
+	cfg.Resume = o.resume
+	cfg.MemBudget = o.mem
+	return cfg
+}
 
-	info, err := pastis.BuildIndex(recs, *nodes, cfg, *dir)
+// runBuildIndex persists the build-once half of the pipeline for dir.
+func runBuildIndex(args []string) {
+	o := parse("pastis build-index", cmdBuildIndex, args)
+	recs := readFASTA(o.in)
+	info, err := pastis.BuildIndex(recs, o.nodes, o.config(), o.index)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "pastis: indexed %d sequences into %s (%d bytes across %d ranks)\n",
 		info.Sequences, info.Dir, info.Bytes, info.Nodes)
-	if *stats {
+	if o.stats {
 		s := info.Stats
 		fmt.Fprintf(os.Stderr, "k-mers:         %d\n", s.KmersTotal)
 		fmt.Fprintf(os.Stderr, "nnz(A):         %d\n", s.NNZA)
@@ -122,82 +240,23 @@ func runBuildIndex(args []string) {
 
 // runQuery serves one query batch from a persisted index.
 func runQuery(args []string) {
-	fs := flag.NewFlagSet("pastis query", flag.ExitOnError)
-	var (
-		dir     = fs.String("index", "", "index directory written by build-index (required)")
-		inPath  = fs.String("in", "", "query FASTA file (required)")
-		outPath = fs.String("out", "-", "output hit list ('-' = stdout)")
-		alignFl = fs.String("align", "xd",
-			"alignment kernel: "+strings.Join(pastis.Kernels(), "|")+
-				", a cascade spec (e.g. ug:60+sw), or none")
-		weight  = fs.String("weight", "ani", "edge weight: ani or ns")
-		ck      = fs.Int("ck", 0, "common k-mer threshold (0 = off)")
-		minID   = fs.Float64("min-identity", 0.30, "ANI filter: minimum identity")
-		minCov  = fs.Float64("min-coverage", 0.70, "ANI filter: minimum shorter-sequence coverage")
-		xdrop   = fs.Int("xdrop", 49, "x-drop value for seed extension")
-		threads = fs.Int("threads", 1, "intra-rank threads (0 = all host cores)")
-		batch   = fs.Int("batch", 0, "alignment batch size (0 = default)")
-		blocks  = fs.Int("blocks", 1, "candidate-panel waves (bounds peak memory)")
-		transp  = fs.String("transport", "shared", "block transport: shared or codec")
-		stats   = fs.Bool("stats", false, "print batch statistics to stderr")
-	)
-	fs.Parse(args)
-	if *inPath == "" || *dir == "" {
-		fmt.Fprintln(os.Stderr, "pastis query: -index and -in are required")
-		fs.Usage()
-		os.Exit(2)
-	}
-	queries := readFASTA(*inPath)
-
-	eng, err := pastis.OpenIndex(*dir)
+	o := parse("pastis query", cmdQuery, args)
+	queries := readFASTA(o.in)
+	eng, err := pastis.OpenIndex(o.index)
 	if err != nil {
 		fatal(err)
 	}
 	// k, subs and maxfreq are build-time parameters; adopt them from the
 	// index manifest instead of asking the caller to repeat them.
-	cfg := eng.Configure(pastis.DefaultConfig())
-	cfg.CommonKmerThreshold = *ck
-	cfg.MinIdentity = *minID
-	cfg.MinCoverage = *minCov
-	cfg.XDropValue = *xdrop
-	cfg.Threads = parallel.Resolve(*threads)
-	cfg.BatchSize = *batch
-	cfg.Blocks = *blocks
-	cfg.Transport = *transp
-	cfg.Align = pastis.AlignMode(*alignFl)
-	switch *weight {
-	case "ani":
-		cfg.Weight = pastis.WeightANI
-	case "ns":
-		cfg.Weight = pastis.WeightNS
-	default:
-		fatal(fmt.Errorf("unknown -weight %q", *weight))
-	}
-
-	res, err := eng.Query(queries, cfg)
+	res, err := eng.Query(queries, eng.Configure(o.config()))
 	if err != nil {
 		fatal(err)
 	}
-
-	out := os.Stdout
-	if *outPath != "-" {
-		out, err = os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer out.Close()
-	}
-	w := bufio.NewWriter(out)
-	fmt.Fprintln(w, "#query\ttarget\tweight\tidentity\tcoverage\tns\tscore")
-	for _, h := range res.Hits {
-		fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d\n",
-			h.QueryID, h.TargetID, h.Weight, h.Ident, h.Cov, h.NS, h.Score)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-
-	if *stats {
+	writeTSV(o.out, "#query\ttarget", len(res.Hits), func(i int) tsvRow {
+		h := res.Hits[i]
+		return tsvRow{h.QueryID, h.TargetID, h.Weight, h.Ident, h.Cov, h.NS, h.Score}
+	})
+	if o.stats {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr, "queries:        %d (%d cached, %d computed)\n",
 			len(queries), res.CacheHits, res.CacheMisses)
@@ -222,100 +281,17 @@ func readFASTA(path string) []pastis.Record {
 	return recs
 }
 
-// avOptions holds the all-vs-all flag set. It is built by newAVOptions so
-// the top-level run and the pastis-rank worker (which re-parses the argv
-// tail the launcher forwarded after "--") accept the exact same surface.
-type avOptions struct {
-	fs        *flag.FlagSet
-	inPath    *string
-	outPath   *string
-	nodes     *int
-	k         *int
-	subs      *int
-	alignFl   *string
-	weight    *string
-	ck        *int
-	minID     *float64
-	minCov    *float64
-	xdrop     *int
-	threads   *int
-	batch     *int
-	blocks    *int
-	transp    *string
-	ckptDir   *string
-	resume    *bool
-	mem       *int64
-	stats     *bool
-	cpuProf   *string
-	memProf   *string
-	tcpLogDir *string
+// tsvRow is one line of either output: a graph edge or a query hit, named
+// by the two sequence IDs.
+type tsvRow struct {
+	a, b                   string
+	weight, ident, cov, ns float64
+	score                  int
 }
 
-func newAVOptions(name string) *avOptions {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	o := &avOptions{
-		fs:      fs,
-		inPath:  fs.String("in", "", "input FASTA file (required)"),
-		outPath: fs.String("out", "-", "output edge list ('-' = stdout)"),
-		nodes:   fs.Int("nodes", 16, "simulated node count (perfect square)"),
-		k:       fs.Int("k", 6, "k-mer length"),
-		subs:    fs.Int("subs", 0, "substitute k-mers per k-mer (0 = exact matching)"),
-		alignFl: fs.String("align", "xd",
-			"alignment kernel: "+strings.Join(pastis.Kernels(), "|")+
-				", a cascade spec (e.g. ug:60+sw), or none"),
-		weight:  fs.String("weight", "ani", "edge weight: ani or ns"),
-		ck:      fs.Int("ck", 0, "common k-mer threshold (0 = off; paper: 1 exact / 3 subs)"),
-		minID:   fs.Float64("min-identity", 0.30, "ANI filter: minimum identity"),
-		minCov:  fs.Float64("min-coverage", 0.70, "ANI filter: minimum shorter-sequence coverage"),
-		xdrop:   fs.Int("xdrop", 49, "x-drop value for seed extension"),
-		threads: fs.Int("threads", 1, "intra-rank threads for SpGEMM and alignment (0 = all host cores)"),
-		batch:   fs.Int("batch", 0, "alignment batch size (0 = default)"),
-		blocks:  fs.Int("blocks", 1, "overlap waves: column panels of the candidate matrix (bounds peak memory)"),
-		transp: fs.String("transport", "shared",
-			"block transport: shared (zero-copy), codec (byte serialization reference) or tcp (one OS process per rank)"),
-		ckptDir:   fs.String("checkpoint", "", "directory for per-wave checkpoints (resumable with -resume)"),
-		resume:    fs.Bool("resume", false, "resume from the newest checkpoint in -checkpoint dir"),
-		mem:       fs.Int64("mem", 0, "per-rank memory budget in bytes (0 = unlimited); breaches retry at doubled -blocks"),
-		stats:     fs.Bool("stats", false, "print pipeline statistics to stderr"),
-		cpuProf:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
-		memProf:   fs.String("memprofile", "", "write a heap profile to this file"),
-		tcpLogDir: fs.String("tcp-logdir", "", "per-rank worker log directory for -transport tcp (default: under the system temp dir)"),
-	}
-	return o
-}
-
-// config assembles the pipeline Config from parsed flags.
-func (o *avOptions) config() pastis.Config {
-	cfg := pastis.DefaultConfig()
-	cfg.K = *o.k
-	cfg.SubstituteKmers = *o.subs
-	cfg.CommonKmerThreshold = *o.ck
-	cfg.MinIdentity = *o.minID
-	cfg.MinCoverage = *o.minCov
-	cfg.XDropValue = *o.xdrop
-	cfg.Threads = parallel.Resolve(*o.threads)
-	cfg.BatchSize = *o.batch
-	cfg.Blocks = *o.blocks
-	cfg.Transport = *o.transp
-	cfg.CheckpointDir = *o.ckptDir
-	cfg.Resume = *o.resume
-	cfg.MemBudget = *o.mem
-	// Any registered kernel name (or "none") is valid; core's config
-	// validation rejects unknown names with the registered list.
-	cfg.Align = pastis.AlignMode(*o.alignFl)
-	switch *o.weight {
-	case "ani":
-		cfg.Weight = pastis.WeightANI
-	case "ns":
-		cfg.Weight = pastis.WeightNS
-	default:
-		fatal(fmt.Errorf("unknown -weight %q", *o.weight))
-	}
-	return cfg
-}
-
-// writeEdges renders the similarity graph as the TSV edge list.
-func writeEdges(outPath string, recs []pastis.Record, edges []pastis.Edge) {
+// writeTSV renders n rows under "<names>\tweight\tidentity\tcoverage\tns\tscore":
+// the one row format of the edge list and the hit list.
+func writeTSV(outPath, names string, n int, row func(i int) tsvRow) {
 	out := os.Stdout
 	if outPath != "-" {
 		f, err := os.Create(outPath)
@@ -326,14 +302,22 @@ func writeEdges(outPath string, recs []pastis.Record, edges []pastis.Edge) {
 		out = f
 	}
 	w := bufio.NewWriter(out)
-	fmt.Fprintln(w, "#seq1\tseq2\tweight\tidentity\tcoverage\tns\tscore")
-	for _, e := range edges {
-		fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d\n",
-			recs[e.R].ID, recs[e.C].ID, e.Weight, e.Ident, e.Cov, e.NS, e.Score)
+	fmt.Fprintln(w, names+"\tweight\tidentity\tcoverage\tns\tscore")
+	for i := 0; i < n; i++ {
+		r := row(i)
+		fmt.Fprintf(w, "%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d\n", r.a, r.b, r.weight, r.ident, r.cov, r.ns, r.score)
 	}
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
+}
+
+// writeEdges renders the similarity graph as the TSV edge list.
+func writeEdges(outPath string, recs []pastis.Record, edges []pastis.Edge) {
+	writeTSV(outPath, "#seq1\tseq2", len(edges), func(i int) tsvRow {
+		e := edges[i]
+		return tsvRow{recs[e.R].ID, recs[e.C].ID, e.Weight, e.Ident, e.Cov, e.NS, e.Score}
+	})
 }
 
 // printStats writes the -stats dissection to stderr.
@@ -366,70 +350,71 @@ func printStats(res *pastis.Result, alignFl string, blocks int) {
 	}
 }
 
-func allVsAll(args []string) {
-	o := newAVOptions("pastis")
-	o.fs.Parse(args)
-	if *o.inPath == "" {
-		fmt.Fprintln(os.Stderr, "pastis: -in is required")
-		o.fs.Usage()
-		os.Exit(2)
+// finishRun is the one exit path of an all-vs-all run, in process or as a
+// tcp worker: an interrupted run exits 130, the conventional status, after
+// saying how to resume; any other error exits 1; nil returns.
+func (o *options) finishRun(err error) {
+	if err == nil {
+		return
 	}
-	if *o.transp == "tcp" {
+	if errors.Is(err, pastis.ErrInterrupted) {
+		fmt.Fprintln(os.Stderr, "pastis: interrupted")
+		if o.ckptDir != "" {
+			fmt.Fprintf(os.Stderr, "pastis: resume with -checkpoint %s -resume\n", o.ckptDir)
+		}
+		exit(130)
+	}
+	fatal(err)
+}
+
+func allVsAll(args []string) {
+	o := parse("pastis", cmdAllVsAll, args)
+	if o.transport == "tcp" {
 		// The in-process path checks inside BuildGraph; here the count sizes
 		// a fork loop first.
-		if err := pastis.CheckNodes(*o.nodes); err != nil {
+		if err := pastis.CheckNodes(o.nodes); err != nil {
 			fatal(err)
 		}
 		launchTCPRun(o, args)
 		return
 	}
-	startProfiles(*o.cpuProf, *o.memProf)
+	startProfiles(o.cpuProf, o.memProf)
 	defer finishProfiles()
 
-	recs := readFASTA(*o.inPath)
+	recs := readFASTA(o.in)
 	cfg := o.config()
 
 	// SIGINT/SIGTERM cancel the run at the next collective boundary: the
-	// in-flight wave drains (its checkpoint lands if -checkpoint is set)
-	// and the process exits 130, the conventional interrupted status.
+	// in-flight wave drains (its checkpoint lands if -checkpoint is set).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	res, err := pastis.BuildGraphContext(ctx, recs, *o.nodes, cfg, pastis.DefaultCostModel())
-	if err != nil {
-		if errors.Is(err, pastis.ErrInterrupted) {
-			fmt.Fprintln(os.Stderr, "pastis: interrupted")
-			if *o.ckptDir != "" {
-				fmt.Fprintf(os.Stderr, "pastis: resume with -checkpoint %s -resume\n", *o.ckptDir)
-			}
-			exit(130)
-		}
-		fatal(err)
-	}
+	res, err := pastis.BuildGraphContext(ctx, recs, o.nodes, cfg, pastis.DefaultCostModel())
+	o.finishRun(err)
 	stopSignals()
 
-	writeEdges(*o.outPath, recs, res.Edges)
-	if *o.stats {
-		printStats(res, *o.alignFl, *o.blocks)
+	writeEdges(o.out, recs, res.Edges)
+	if o.stats {
+		printStats(res, o.align, o.blocks)
 	}
 }
 
 // launchTCPRun is the parent half of -transport tcp: fork one pastis-rank
 // worker per node, forwarding this process's own argv after "--" so the
 // workers parse the identical configuration, and mirror rank 0's output.
-func launchTCPRun(o *avOptions, args []string) {
+func launchTCPRun(o *options, args []string) {
 	exe, err := os.Executable()
 	if err != nil {
 		fatal(err)
 	}
-	logDir := *o.tcpLogDir
+	logDir := o.tcpLogDir
 	if logDir == "" {
 		logDir = filepath.Join(os.TempDir(), fmt.Sprintf("pastis-tcp-%d", os.Getpid()))
 	}
 	err = mpi.LaunchTCP(mpi.TCPLaunch{
-		Procs:   *o.nodes,
+		Procs:   o.nodes,
 		Command: exe,
 		Args: func(rank int) []string {
-			head := []string{"pastis-rank", "-rank", strconv.Itoa(rank), "-size", strconv.Itoa(*o.nodes), "--"}
+			head := []string{"pastis-rank", "-rank", strconv.Itoa(rank), "-size", strconv.Itoa(o.nodes), "--"}
 			return append(head, args...)
 		},
 		LogDir: logDir,
@@ -455,11 +440,9 @@ func runTCPRank(args []string) {
 	rank := fs.Int("rank", 0, "this worker's rank")
 	size := fs.Int("size", 1, "total rank count")
 	fs.Parse(args)
-	o := newAVOptions("pastis pastis-rank")
-	o.fs.Parse(fs.Args())
-	if *o.inPath == "" {
-		fatal(fmt.Errorf("pastis-rank %d: -in is required", *rank))
-	}
+	// The launcher forwarded the parent's own argv after "--": the worker
+	// parses the identical all-vs-all surface.
+	o := parse(fmt.Sprintf("pastis pastis-rank %d", *rank), cmdAllVsAll, fs.Args())
 	// Each worker is its own process: suffix the profile paths per rank so
 	// the fleet does not clobber one file.
 	suffix := func(p string) string {
@@ -468,9 +451,9 @@ func runTCPRank(args []string) {
 		}
 		return fmt.Sprintf("%s.rank-%d", p, *rank)
 	}
-	startProfiles(suffix(*o.cpuProf), suffix(*o.memProf))
+	startProfiles(suffix(o.cpuProf), suffix(o.memProf))
 	defer finishProfiles()
-	recs := readFASTA(*o.inPath)
+	recs := readFASTA(o.in)
 	cfg := o.config()
 
 	cl, err := mpi.StartTCPWorker(*rank, *size, pastis.DefaultCostModel(), os.Stdin, os.Stdout)
@@ -479,45 +462,24 @@ func runTCPRank(args []string) {
 	}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cl.Interrupt(context.Cause(ctx))
-		case <-finished:
-		}
-	}()
-
+	stopWatch := cl.InterruptOn(ctx)
 	var res *pastis.Result
-	err = cl.Run(func(c *mpi.Comm) error {
-		r, err := pastis.RunRank(c, recs, cfg)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
+	err = cl.Run(func(c *mpi.Comm) (err error) {
+		res, err = pastis.RunRank(c, recs, cfg)
+		return err
 	})
-	close(finished)
+	stopWatch()
 	tcpStats, _ := cl.TCPStats()
 	if cerr := cl.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	if err != nil {
-		if errors.Is(err, pastis.ErrInterrupted) {
-			fmt.Fprintln(os.Stderr, "pastis: interrupted")
-			if *o.ckptDir != "" {
-				fmt.Fprintf(os.Stderr, "pastis: resume with -checkpoint %s -resume\n", *o.ckptDir)
-			}
-			exit(130)
-		}
-		fatal(err)
-	}
+	o.finishRun(err)
 	if *rank != 0 {
 		return
 	}
-	writeEdges(*o.outPath, recs, res.Edges)
-	if *o.stats {
-		printStats(res, *o.alignFl, *o.blocks)
+	writeEdges(o.out, recs, res.Edges)
+	if o.stats {
+		printStats(res, o.align, o.blocks)
 		fmt.Fprintf(os.Stderr, "tcp comm wall:  %v on rank 0 (%d frames / %d bytes sent, %d frames / %d bytes received)\n",
 			tcpStats.CommWall, tcpStats.FramesSent, tcpStats.BytesSent, tcpStats.FramesReceived, tcpStats.BytesReceived)
 	}

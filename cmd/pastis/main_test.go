@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -87,32 +88,35 @@ func TestCLI(t *testing.T) {
 		args  []string
 		exit  int
 		files []string
+		says  string // when set, the output must contain it
 	}{
 		// os.Exit skips deferred calls: the profiles of a failed run were
 		// lost (the heap profile never written, the CPU profile empty).
 		{"failed run keeps its profiles",
 			[]string{"-in", "missing.fa", "-cpuprofile", "c", "-memprofile", "m"},
-			1, []string{"c", "m"}},
+			1, []string{"c", "m"}, ""},
 		// A rank count that cannot form the grid was a panic in cluster
 		// construction: exit status 2 and a goroutine dump.
-		{"0 ranks", []string{"-in", fasta, "-nodes", "0"}, 1, nil},
-		{"0 ranks over tcp", []string{"-in", fasta, "-nodes", "0", "-transport", "tcp"}, 1, nil},
-		{"build-index on 0 ranks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "0"}, 1, nil},
+		{"0 ranks", []string{"-in", fasta, "-nodes", "0"}, 1, nil, ""},
+		{"0 ranks over tcp", []string{"-in", fasta, "-nodes", "0", "-transport", "tcp"}, 1, nil, ""},
+		{"build-index on 0 ranks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "0"}, 1, nil, ""},
+		{"unknown weight", []string{"-in", fasta, "-nodes", "4", "-weight", "bogus"}, 1, nil, `unknown -weight "bogus"`},
+		{"query against a missing index", []string{"query", "-index", "no-such-index", "-in", fasta}, 1, nil, "no-such-index"},
 		// A negative x-drop ran; one past the kernel's score range made the
 		// banded kernel fill whole DP matrices with pruned cells.
-		{"negative x-drop", []string{"-in", fasta, "-nodes", "4", "-xdrop", "-1"}, 1, nil},
-		{"x-drop beyond the score range", []string{"-in", fasta, "-nodes", "4", "-xdrop", "1000000000"}, 1, nil},
+		{"negative x-drop", []string{"-in", fasta, "-nodes", "4", "-xdrop", "-1"}, 1, nil, ""},
+		{"x-drop beyond the score range", []string{"-in", fasta, "-nodes", "4", "-xdrop", "1000000000"}, 1, nil, ""},
 		{"4 ranks",
 			[]string{"-in", fasta, "-nodes", "4", "-out", "g.tsv", "-cpuprofile", "c", "-memprofile", "m"},
-			0, []string{"c", "m", "g.tsv"}},
+			0, []string{"c", "m", "g.tsv"}, ""},
 		{"4 ranks over tcp, profiles per rank",
 			[]string{"-in", fasta, "-nodes", "4", "-transport", "tcp", "-tcp-logdir", "logs",
 				"-out", "g.tsv", "-cpuprofile", "c", "-memprofile", "m"},
-			0, append(append(ranks("c", 4), ranks("m", 4)...), "g.tsv")},
+			0, append(append(ranks("c", 4), ranks("m", 4)...), "g.tsv"), ""},
 		{"failed tcp run keeps per-rank profiles",
 			[]string{"-in", fasta, "-nodes", "4", "-transport", "tcp", "-tcp-logdir", "logs",
 				"-align", "no-such-kernel", "-cpuprofile", "c", "-memprofile", "m"},
-			1, append(ranks("c", 4), ranks("m", 4)...)},
+			1, append(ranks("c", 4), ranks("m", 4)...), ""},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,6 +127,9 @@ func TestCLI(t *testing.T) {
 			code, out := runPastis(t, caseDir, tc.args...)
 			if code != tc.exit {
 				t.Fatalf("exit status %d, want %d\n%s", code, tc.exit, out)
+			}
+			if !strings.Contains(out, tc.says) {
+				t.Fatalf("output does not say %q\n%s", tc.says, out)
 			}
 			for _, name := range tc.files {
 				st, err := os.Stat(filepath.Join(caseDir, name))
@@ -189,5 +196,118 @@ func TestCLITransportsAgree(t *testing.T) {
 		if !slices.Equal(stats, refStats) {
 			t.Errorf("-transport %s: ledger %q, -transport shared has %q", transport, stats, refStats)
 		}
+	}
+}
+
+// Every subcommand's flag names and defaults, as captured at the commit
+// before the three hand-written flag sets became one table: the test fails
+// when a flag appears, disappears or changes its default.
+func TestCLIFlagSurface(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cmd  command
+		want string
+	}{
+		{"pastis", cmdAllVsAll, "align=xd batch=0 blocks=1 checkpoint= ck=0 cpuprofile= in= k=6 mem=0 memprofile= " +
+			"min-coverage=0.7 min-identity=0.3 nodes=16 out=- resume=false stats=false subs=0 tcp-logdir= " +
+			"threads=1 transport=shared weight=ani xdrop=49"},
+		{"pastis build-index", cmdBuildIndex,
+			"blocks=1 in= index= k=6 maxfreq=0 nodes=16 stats=false subs=0 threads=1 transport=shared"},
+		{"pastis query", cmdQuery, "align=xd batch=0 blocks=1 ck=0 in= index= min-coverage=0.7 min-identity=0.3 " +
+			"out=- stats=false threads=1 transport=shared weight=ani xdrop=49"},
+	} {
+		var got []string
+		new(options).flagSet(tc.name, tc.cmd).VisitAll(func(f *flag.Flag) { // in name order
+			got = append(got, f.Name+"="+f.DefValue)
+		})
+		if s := strings.Join(got, " "); s != tc.want {
+			t.Errorf("%s flags:\n got %s\nwant %s", tc.name, s, tc.want)
+		}
+	}
+}
+
+// build-index then query, through the command: the hit list must not depend
+// on -blocks or -transport, and — folded to unordered pairs of distinct
+// sequences — must carry exactly the all-vs-all edge list's rows, number
+// for number, in exact and substitute mode.
+func TestCLIIndexQueryRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	fasta := writeInput(t, dir)
+	// rows folds a TSV to "lo\thi" -> the numeric columns, dropping self-hits.
+	rows := func(t *testing.T, path string) map[string]string {
+		t.Helper()
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+			col := strings.SplitN(line, "\t", 3)
+			if strings.HasPrefix(line, "#") || col[0] == col[1] {
+				continue
+			}
+			key := min(col[0], col[1]) + "\t" + max(col[0], col[1])
+			if prev, seen := out[key]; seen && prev != col[2] {
+				t.Fatalf("%s: pair %q carries %q and %q", path, key, prev, col[2])
+			}
+			out[key] = col[2]
+		}
+		return out
+	}
+	// Substitute mode runs with the paper's common-k-mer prune, as
+	// TestQueryMatchesAllVsAll does: without it this input has a pair whose
+	// equal-score alignments differ by orientation (ROADMAP 1(b)).
+	for _, mode := range []struct {
+		name         string
+		shape, align []string // build-index takes the first, query the second, all-vs-all both
+	}{
+		{"exact", nil, nil},
+		{"subs 3", []string{"-subs", "3"}, []string{"-ck", "1"}},
+	} {
+		shape, align := mode.shape, mode.align
+		t.Run(mode.name, func(t *testing.T) {
+			caseDir := t.TempDir()
+			run := func(args ...string) {
+				t.Helper()
+				if code, out := runPastis(t, caseDir, args...); code != 0 {
+					t.Fatalf("pastis %s: exit status %d\n%s", strings.Join(args, " "), code, out)
+				}
+			}
+			run(slices.Concat([]string{"-in", fasta, "-nodes", "4", "-out", "graph.tsv"}, shape, align)...)
+			run(append([]string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "4"}, shape...)...)
+			var ref []byte
+			for _, blocks := range []string{"1", "3"} {
+				for _, transport := range []string{"shared", "codec"} {
+					run(append([]string{"query", "-index", "idx", "-in", fasta, "-blocks", blocks, "-transport", transport,
+						"-out", "hits.tsv"}, align...)...)
+					hits, err := os.ReadFile(filepath.Join(caseDir, "hits.tsv"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref == nil {
+						ref = hits
+					} else if !bytes.Equal(hits, ref) {
+						t.Errorf("-blocks %s -transport %s: hit list differs from -blocks 1 -transport shared", blocks, transport)
+					}
+				}
+			}
+			got, want := rows(t, filepath.Join(caseDir, "hits.tsv")), rows(t, filepath.Join(caseDir, "graph.tsv"))
+			if len(want) == 0 {
+				t.Fatal("all-vs-all found no edges")
+			}
+			if len(got) != len(want) {
+				t.Errorf("query hits fold to %d pairs, the all-vs-all graph has %d", len(got), len(want))
+			}
+			for pair, cols := range want {
+				if got[pair] != cols {
+					t.Errorf("pair %q: query says %q, all-vs-all says %q", pair, got[pair], cols)
+				}
+			}
+			// The one -weight parser also guards the query path.
+			if code, out := runPastis(t, caseDir, "query", "-index", "idx", "-in", fasta, "-weight", "bogus"); code != 1 ||
+				!strings.Contains(out, `unknown -weight "bogus"`) {
+				t.Errorf("query -weight bogus: exit status %d\n%s", code, out)
+			}
+		})
 	}
 }

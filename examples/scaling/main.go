@@ -23,7 +23,7 @@ func main() {
 	cfg.SubstituteKmers = 10
 
 	// Use node-level rates matching the scaled dataset so the runs sit in
-	// the paper's compute-dominated regime (see DESIGN.md).
+	// the paper's compute-dominated regime (see docs/COST_MODEL.md).
 	model := pastis.DefaultCostModel()
 	model.ComputeRate = 4e7
 	model.IORate = 4e7

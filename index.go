@@ -2,6 +2,7 @@ package pastis
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -44,29 +45,17 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 		return nil, err
 	}
 	data := fasta.Bytes(records, 0)
-	chunks := fasta.SplitBytes(int64(len(data)), nodes)
-
-	out := &IndexInfo{Dir: dir, Nodes: nodes, Sequences: len(records)}
-	cl := mpi.NewCluster(nodes, model)
-	err := cl.Run(func(c *mpi.Comm) error {
-		chunk := chunks[c.Rank()]
-		owned, err := fasta.ParseChunk(data, chunk.Begin, chunk.End)
+	stats, cl, err := mpi.RunLocal(context.TODO(), nodes, model, cfg.Faults, func(c *mpi.Comm) (*Stats, error) {
+		owned, err := fasta.Partition(data, c.Rank(), nodes)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		stats, err := core.BuildIndex(c, owned, cfg, dir)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out.Stats = *stats
-		}
-		return nil
+		return core.BuildIndex(c, owned, cfg, dir)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Time = cl.MaxTime()
+	out := &IndexInfo{Dir: dir, Nodes: nodes, Sequences: len(records), Stats: *stats, Time: cl.MaxTime()}
 
 	// The manifest carries what only the driver holds in one place: the
 	// global name table (hits resolve targets by name) and the build
@@ -258,48 +247,38 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 	fresh := make(map[string][]Hit, len(missRecs))
 	if len(missRecs) > 0 {
 		data := fasta.Bytes(missRecs, 0)
-		chunks := fasta.SplitBytes(int64(len(data)), e.nodes)
-		var edges []Edge
-		cl := mpi.NewCluster(e.nodes, e.Model)
-		err := cl.Run(func(c *mpi.Comm) error {
+		qr, cl, err := mpi.RunLocal(context.TODO(), e.nodes, e.Model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
 			rd := e.warm[c.Rank()]
 			var coldBytes int64
 			if rd == nil {
 				var err error
 				if rd, err = core.LoadRankData(e.dir, c.Rank(), e.nodes, cfg); err != nil {
-					return err
+					return nil, err
 				}
 				coldBytes = rd.Bytes
 				e.warm[c.Rank()] = rd // each rank fills only its own slot
 			}
-			chunk := chunks[c.Rank()]
-			owned, err := fasta.ParseChunk(data, chunk.Begin, chunk.End)
+			owned, err := fasta.Partition(data, c.Rank(), e.nodes)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			qr, err := core.Query(c, rd, owned, cfg, coldBytes)
+			res, err := core.Query(c, rd, owned, cfg, coldBytes)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			gathered, err := core.GatherEdges(c, qr.Edges)
-			if err != nil {
-				return err
+			if res.Edges, err = core.GatherEdges(c, res.Edges); err != nil {
+				return nil, err
 			}
-			if c.Rank() == 0 {
-				edges = gathered
-				out.Stats = qr.Stats
-			}
-			return nil
+			return res, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		out.Time = cl.MaxTime()
-		sortEdges(edges)
+		out.Stats, out.Time = qr.Stats, cl.MaxTime()
 		for _, rec := range missRecs {
 			fresh[string(alphabet.Clean(rec.Seq))] = nil // record even hitless queries
 		}
-		for _, ed := range edges {
+		for _, ed := range qr.Edges {
 			key := string(alphabet.Clean(missRecs[ed.R].Seq))
 			tgt := int(ed.C)
 			fresh[key] = append(fresh[key], Hit{

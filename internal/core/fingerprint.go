@@ -48,7 +48,6 @@ var configFields = []struct {
 	{"GapExtend", classPSG},
 	{"XDropValue", classPSG},
 	{"NaiveTriangle", classPSG},
-	{"UseHeapKernel", classPSG},
 
 	{"Threads", classMachine},
 	{"BatchSize", classMachine},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/align"
 	"repro/internal/dmat"
@@ -70,7 +71,6 @@ func openRun(comm *mpi.Comm, cfg Config) (*run, error) {
 	r := &run{comm: comm, grid: grid, clock: comm.Clock(), cfg: cfg,
 		blocks: max(cfg.Blocks, 1), kmerSpace: spmat.Index(kmer.SpaceSize(cfg.K))}
 	r.gemm = dmat.DefaultSpGEMMOpts()
-	r.gemm.UseHeapKernel = cfg.UseHeapKernel
 	r.gemm.Threads = max(cfg.Threads, 1)
 	r.clock.SetThreads(r.gemm.Threads)
 	return r, nil
@@ -111,6 +111,26 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 	}
 	ops := &operands{rows: t.a, rowsS: t.as, at: t.at, ast: t.ast}
 	return sweep(r, ops, t.store, true, ckpt, t.stats)
+}
+
+// AllVsAll is the all-vs-all rank body, shared by pastis.RunRank (and so by
+// BuildGraph and the tcp worker) and the experiments harness: parse this
+// rank's byte-balanced chunk of the FASTA file data, Run, and gather the
+// graph on rank 0 in (R, C) order. Off rank 0 the Result keeps its Stats and
+// EffectiveBlocks and carries no edges. Collective.
+func AllVsAll(comm *mpi.Comm, data []byte, cfg Config) (*Result, error) {
+	owned, err := fasta.Partition(data, comm.Rank(), comm.Size())
+	if err != nil {
+		return nil, err
+	}
+	res, err := Run(comm, owned, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.Edges, err = GatherEdges(comm, res.Edges); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // maxAlignPenalty bounds the gap penalties and the x-drop value: what the
@@ -163,8 +183,9 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// GatherEdges collects every rank's edges on rank 0 (nil elsewhere).
-// Collective; used for output writing and the relevance evaluation.
+// GatherEdges collects every rank's edges on rank 0 (nil elsewhere), sorted
+// by (R, C) — a pair occurs once, so the order is total. Collective; used
+// for output writing and the relevance evaluation.
 func GatherEdges(comm *mpi.Comm, edges []Edge) ([]Edge, error) {
 	parts, err := comm.TryGatherv(0, appendEdges(nil, edges))
 	if err != nil {
@@ -179,6 +200,12 @@ func GatherEdges(comm *mpi.Comm, edges []Edge) ([]Edge, error) {
 			return nil, fmt.Errorf("core: gathered edges from rank %d: %w", r, err)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].R != out[j].R {
+			return out[i].R < out[j].R
+		}
+		return out[i].C < out[j].C
+	})
 	return out, nil
 }
 

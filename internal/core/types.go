@@ -170,7 +170,9 @@ type Config struct {
 	// retries with seeded exponential backoff. The similarity graph, Stats,
 	// and TotalBytes-excluding-retries are bit-identical to a fault-free run
 	// for any recoverable plan (TestChaosBitIdentical). Arming happens at the
-	// cluster layer (pastis.BuildGraph / test harnesses), not inside Run.
+	// cluster layer — mpi.RunLocal, which every in-process entry point
+	// (BuildGraph, BuildIndex, QueryEngine.Query) launches through — not
+	// inside Run.
 	Faults *mpi.FaultPlan
 
 	// CheckpointDir, when set, makes each rank write a checkpoint of its
@@ -192,8 +194,6 @@ type Config struct {
 	// stay bit-identical. Zero disables the budget and its per-stage check.
 	MemBudget int64
 
-	// UseHeapKernel switches the local SpGEMM kernel (ablation).
-	UseHeapKernel bool
 	// BlockingExchange disables communication/computation overlap: the
 	// sequence exchange completes before matrix formation (ablation for the
 	// paper's "wait" optimization).

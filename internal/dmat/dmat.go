@@ -130,19 +130,7 @@ func (c Codec[T]) check() error {
 	return nil
 }
 
-// Int64Codec, Int32Codec and Float64Codec cover the common value types.
-var Int64Codec = Codec[int64]{
-	Append: func(dst []byte, v int64) []byte { return wire.AppendU64(dst, uint64(v)) },
-	Decode: func(src []byte) (int64, int) { return int64(wire.U64(src)), 8 },
-	Width:  8,
-}
-
-var Float64Codec = Codec[float64]{
-	Append: wire.AppendF64,
-	Decode: func(src []byte) (float64, int) { return math.Float64frombits(wire.U64(src)), 8 },
-	Width:  8,
-}
-
+// Int32Codec serializes the k-mer position values of A.
 var Int32Codec = Codec[int32]{
 	Append: func(dst []byte, v int32) []byte { return wire.AppendU32(dst, uint32(v)) },
 	Decode: func(src []byte) (int32, int) { return int32(wire.U32(src)), 4 },
@@ -246,9 +234,6 @@ const (
 	VisitOps = 2
 )
 
-// buildOps keeps the historical name inside this package.
-const buildOps = BuildOps
-
 // NewFromTriples builds a distributed matrix from triples scattered across
 // ranks with arbitrary global indices: one Alltoallv routes each triple to
 // its owner block, which assembles its local DCSC. Duplicates accumulate
@@ -272,7 +257,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 		owners[i] = owner
 		counts[owner]++
 	}
-	clock.Ops(float64(len(ts)) * buildOps)
+	clock.Ops(float64(len(ts)) * BuildOps)
 
 	// The shuffle: each owner gets its bucket of triples, whose wire form is
 	// 16 bytes of indices + Width per triple.
@@ -313,7 +298,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 			local = append(local, spmat.Triple[T]{Row: t.Row - rowOff, Col: t.Col - colOff, Val: t.Val})
 		}
 	}
-	clock.Ops(float64(len(local)) * buildOps)
+	clock.Ops(float64(len(local)) * BuildOps)
 	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
 	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
 	loc, err := spmat.FromTriples(rHi-rLo, cHi-cLo, local, add)
@@ -554,7 +539,7 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 // shared backend the result aliases the root's block — read-only by
 // contract; on the codec backend receivers decode a private copy while the
 // root reuses its own block without a decode round-trip. Clock charges are
-// identical either way. Exported for the comm benchmark suite.
+// identical either way.
 func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], codec Codec[T]) (*spmat.DCSC[T], error) {
 	if err := codec.check(); err != nil {
 		return nil, err
@@ -586,8 +571,6 @@ func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], co
 type SpGEMMOpts struct {
 	// FlopOps is the charged generic-op cost per semiring multiply.
 	FlopOps float64
-	// UseHeapKernel selects the heap local kernel instead of hash.
-	UseHeapKernel bool
 	// Threads is the intra-rank thread count for the local multiply
 	// (chunked over B's nonempty columns; <= 1 is serial). Results are
 	// bit-identical for every value; the virtual clock charges flops as
@@ -602,7 +585,7 @@ type SpGEMMOpts struct {
 	MemBudget int64
 }
 
-// DefaultSpGEMMOpts charges 8 ops per semiring flop with the hash kernel.
+// DefaultSpGEMMOpts charges 8 ops per semiring flop.
 func DefaultSpGEMMOpts() SpGEMMOpts { return SpGEMMOpts{FlopOps: 8} }
 
 // SpGEMM computes C = A·B over semiring sr with 2D Sparse SUMMA: q stages,
@@ -753,8 +736,7 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		}
 		clock.AllocBytes(transient)
 
-		prod, stats, err := spmat.SpGEMM(aBlk, bBlk, sr,
-			spmat.SpGEMMOpts{UseHeap: opts.UseHeapKernel, Threads: opts.Threads})
+		prod, stats, err := spmat.SpGEMM(aBlk, bBlk, sr, spmat.SpGEMMOpts{Threads: opts.Threads})
 		if err != nil {
 			return nil, fmt.Errorf("dmat: stage %d multiply: %w", s, err)
 		}
@@ -776,7 +758,7 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	// The stage-product multiway merge is threaded in the modeled
 	// implementation (CombBLAS's hybrid SpGEMM), so its cost parallelizes
 	// with the same thread count as the multiplies.
-	clock.ParOps(float64(accumNNZ) * buildOps)
+	clock.ParOps(float64(accumNNZ) * BuildOps)
 
 	local, err := spmat.MergeAdd(prods, sr.Add)
 	if err != nil {
@@ -793,51 +775,19 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	return m, nil
 }
 
-// SpGEMMBlocked streams C = A·B as `blocks` column panels: panel k covers,
-// on every rank, the output columns b.PanelRange(blocks, k) of its block,
-// and is handed to yield as soon as its q SUMMA stages finish, before panel
-// k+1's stages begin. Peak memory holds one panel (plus whatever yield
-// retains) instead of the whole product; panels are bit-identical to the
-// matching column slice of the monolithic SpGEMM. yield returning an error
-// aborts the remaining panels. Collective over the grid: every rank sees
-// the same panel sequence, and yield may itself perform collectives. The
-// colLo/colHi passed to yield are this rank's block-local panel bounds.
-func SpGEMMBlocked[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
-	codecC Codec[C], opts SpGEMMOpts, blocks int,
-	yield func(panel int, colLo, colHi spmat.Index, p *Mat[C]) error) error {
-
-	if blocks < 1 {
-		blocks = 1
-	}
-	// A's block columns are identical across panels; callers that know A is
-	// narrow relative to a panel of B can arm Mat.EnableStageCache before
-	// calling so stage s ships once (panel 0) instead of once per panel. The
-	// cache is never armed here: it pins a full block row of A on every
-	// rank, and on operand-dominated inputs that inverts the peak-memory
-	// contract the blocked sweep exists to provide (peak falling as blocks
-	// grow). The trade is the caller's to make.
-	for k := 0; k < blocks; k++ {
-		lo, hi := b.PanelRange(blocks, k)
-		p, err := SpGEMMPanel(a, b, sr, codecC, opts, blocks, k)
-		if err != nil {
-			return err
-		}
-		if err := yield(k, lo, hi, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SpGEMMStreamed computes C = A·B bitwise-equal to SpGEMM but streams the
-// product through `blocks` column panels (SpGEMMBlocked), appending each
-// panel onto the growing result and releasing it immediately. The full
-// product still ends up resident — use this when C must survive whole, but
-// its construction transient should not set the peak: monolithic SpGEMM
-// keeps the entire product as merged triples before assembly, while the
-// streamed form holds at most one panel's triples next to the assembled
-// prefix. The trade is SpGEMMBlocked's usual one: A's blocks are
-// re-broadcast once per panel. Collective over the grid.
+// product through `blocks` column panels (SpGEMMPanel, k = 0..blocks-1),
+// appending each panel onto the growing result and releasing it
+// immediately. The full product still ends up resident — use this when C
+// must survive whole, but its construction transient should not set the
+// peak: monolithic SpGEMM keeps the entire product as merged triples before
+// assembly, while the streamed form holds at most one panel's triples next
+// to the assembled prefix. The trade is the panel engine's usual one: A's
+// blocks are re-broadcast once per panel. The stage cache is never armed
+// here: it pins a full block row of A on every rank, and on
+// operand-dominated inputs that inverts the peak-memory contract panels
+// exist to provide; a caller that knows A is narrow arms
+// Mat.EnableStageCache itself. Collective over the grid.
 func SpGEMMStreamed[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	codecC Codec[C], opts SpGEMMOpts, blocks int) (*Mat[C], error) {
 
@@ -846,29 +796,25 @@ func SpGEMMStreamed[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C
 	}
 	clock := a.Grid.Comm.Clock()
 	var local *spmat.DCSC[C]
-	err := SpGEMMBlocked(a, b, sr, codecC, opts, blocks,
-		func(panel int, lo, hi spmat.Index, p *Mat[C]) error {
-			if local == nil {
-				local = spmat.Empty[C](p.Local.NumRows, p.Local.NumCols)
-				clock.AllocBytes(local.Bytes())
-			}
-			before := local.Bytes()
-			nnz := p.Local.NNZ()
-			if err := spmat.AppendCols(local, p.Local); err != nil {
-				return err
-			}
-			// The assembled prefix grows by the panel's bytes; the panel
-			// itself retires. The append is an elementwise copy.
-			clock.AllocBytes(local.Bytes() - before)
-			p.Release()
-			clock.ParOps(float64(nnz) * VisitOps)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if local == nil {
-		local = spmat.Empty[C](0, 0) // unreachable for blocks >= 1, kept for safety
+	for k := 0; k < blocks; k++ {
+		p, err := SpGEMMPanel(a, b, sr, codecC, opts, blocks, k)
+		if err != nil {
+			return nil, err
+		}
+		if k == 0 {
+			local = spmat.Empty[C](p.Local.NumRows, p.Local.NumCols)
+			clock.AllocBytes(local.Bytes())
+		}
+		before := local.Bytes()
+		nnz := p.Local.NNZ()
+		if err := spmat.AppendCols(local, p.Local); err != nil {
+			return nil, err
+		}
+		// The assembled prefix grows by the panel's bytes; the panel
+		// itself retires. The append is an elementwise copy.
+		clock.AllocBytes(local.Bytes() - before)
+		p.Release()
+		clock.ParOps(float64(nnz) * VisitOps)
 	}
 	return &Mat[C]{Grid: a.Grid, Rows: a.Rows, Cols: b.Cols, Local: local, codec: codecC}, nil
 }
@@ -891,7 +837,7 @@ func (m *Mat[T]) Transpose() (*Mat[T], error) {
 	g := m.Grid
 	clock := g.Comm.Clock()
 	tBlock := m.Local.Transpose()
-	clock.ParOps(float64(m.Local.NNZ()) * buildOps)
+	clock.ParOps(float64(m.Local.NNZ()) * BuildOps)
 
 	// The transposed block goes to the mirror rank, which adopts it: the
 	// sender gives it up (its own new block arrives from the partner; a
@@ -927,23 +873,10 @@ func EWiseAdd[T any](a, b *Mat[T], add func(T, T) T) (*Mat[T], error) {
 		return nil, err
 	}
 	clock := a.Grid.Comm.Clock()
-	clock.Ops(float64(local.NNZ()) * buildOps)
+	clock.Ops(float64(local.NNZ()) * BuildOps)
 	out := &Mat[T]{Grid: a.Grid, Rows: a.Rows, Cols: a.Cols, Local: local, codec: a.codec}
 	clock.AllocBytes(out.LocalBytes())
 	return out, nil
-}
-
-// Symmetrize returns A + Aᵀ for a square matrix: the distributed
-// symmetrization step required after (AS)Aᵀ (paper Fig. 15 "symmetricize").
-func (m *Mat[T]) Symmetrize(add func(T, T) T) (*Mat[T], error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("dmat: Symmetrize on %dx%d", m.Rows, m.Cols)
-	}
-	mt, err := m.Transpose()
-	if err != nil {
-		return nil, err
-	}
-	return EWiseAdd(m, mt, add)
 }
 
 // ColumnCounts returns, for every nonempty global column of this rank's
@@ -990,15 +923,6 @@ func sortIndices(xs []spmat.Index) {
 // declared threads (ParOps), the same convention SpGEMM and alignment use.
 func (m *Mat[T]) Map(f func(T) T) *Mat[T] {
 	local := spmat.Apply(m.Local, func(r, c spmat.Index, v T) T { return f(v) })
-	return m.derived(local, VisitOps)
-}
-
-// Map2 is Map with access to the global indices.
-func (m *Mat[T]) Map2(f func(row, col spmat.Index, v T) T) *Mat[T] {
-	rowOff, colOff := m.RowOffset(), m.ColOffset()
-	local := spmat.Apply(m.Local, func(r, c spmat.Index, v T) T {
-		return f(r+rowOff, c+colOff, v)
-	})
 	return m.derived(local, VisitOps)
 }
 

@@ -2,13 +2,41 @@ package dmat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/wire"
 )
+
+// Float64Codec is the value codec of this package's test matrices.
+var Float64Codec = Codec[float64]{
+	Append: wire.AppendF64,
+	Decode: func(src []byte) (float64, int) { return math.Float64frombits(wire.U64(src)), 8 },
+	Width:  8,
+}
+
+// panelLoop is the blocked multiply every caller of SpGEMMPanel runs: panel
+// k = 0..blocks-1 in order, each handed to yield with this rank's
+// block-local column bounds before the next panel's stages begin.
+func panelLoop(a, b *Mat[float64], sr spmat.Semiring[float64, float64, float64], opts SpGEMMOpts, blocks int,
+	yield func(panel int, lo, hi spmat.Index, p *Mat[float64]) error) error {
+
+	for k := 0; k < blocks; k++ {
+		lo, hi := b.PanelRange(blocks, k)
+		p, err := SpGEMMPanel(a, b, sr, Float64Codec, opts, blocks, k)
+		if err != nil {
+			return err
+		}
+		if err := yield(k, lo, hi, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // runGrid executes fn on a fresh p-rank cluster (p must be square).
 func runGrid(t testing.TB, p int, fn func(g *Grid) error) *mpi.Cluster {
@@ -177,7 +205,7 @@ func TestSpGEMMMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMat, _, err := spmat.SpGEMMHash(aLoc, bLoc, spmat.Arithmetic)
+	wantMat, _, err := spmat.SpGEMM(aLoc, bLoc, spmat.Arithmetic, spmat.SpGEMMOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,42 +213,37 @@ func TestSpGEMMMatchesSerial(t *testing.T) {
 	sortTriples(want)
 
 	for _, p := range []int{1, 4, 9, 16} {
-		for _, heap := range []bool{false, true} {
-			runGrid(t, p, func(g *Grid) error {
-				a, err := NewFromTriples(g, n, k, scatter(aT, g.Comm.Rank(), p), Float64Codec, nil)
-				if err != nil {
-					return err
-				}
-				b, err := NewFromTriples(g, k, mcols, scatter(bT, g.Comm.Rank(), p), Float64Codec, nil)
-				if err != nil {
-					return err
-				}
-				opts := DefaultSpGEMMOpts()
-				opts.UseHeapKernel = heap
-				c, err := SpGEMM(a, b, spmat.Arithmetic, Float64Codec, opts)
-				if err != nil {
-					return err
-				}
-				got, err := c.GatherTriples()
-				if err != nil {
-					return err
-				}
-				if g.Comm.Rank() != 0 {
-					return nil
-				}
-				sortTriples(got)
-				if len(got) != len(want) {
-					return fmt.Errorf("p=%d heap=%v: %d nonzeros, want %d", p, heap, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("p=%d heap=%v: triple %d: %+v != %+v",
-							p, heap, i, got[i], want[i])
-					}
-				}
+		runGrid(t, p, func(g *Grid) error {
+			a, err := NewFromTriples(g, n, k, scatter(aT, g.Comm.Rank(), p), Float64Codec, nil)
+			if err != nil {
+				return err
+			}
+			b, err := NewFromTriples(g, k, mcols, scatter(bT, g.Comm.Rank(), p), Float64Codec, nil)
+			if err != nil {
+				return err
+			}
+			c, err := SpGEMM(a, b, spmat.Arithmetic, Float64Codec, DefaultSpGEMMOpts())
+			if err != nil {
+				return err
+			}
+			got, err := c.GatherTriples()
+			if err != nil {
+				return err
+			}
+			if g.Comm.Rank() != 0 {
 				return nil
-			})
-		}
+			}
+			sortTriples(got)
+			if len(got) != len(want) {
+				return fmt.Errorf("p=%d: %d nonzeros, want %d", p, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return fmt.Errorf("p=%d: triple %d: %+v != %+v", p, i, got[i], want[i])
+				}
+			}
+			return nil
+		})
 	}
 }
 
@@ -291,7 +314,12 @@ func TestSymmetrize(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		sym, err := m.Symmetrize(func(a, b float64) float64 { return a + b })
+		// A + Aᵀ the way core's sweep symmetrizes: Transpose, then EWiseAdd.
+		mt, err := m.Transpose()
+		if err != nil {
+			return err
+		}
+		sym, err := EWiseAdd(m, mt, func(a, b float64) float64 { return a + b })
 		if err != nil {
 			return err
 		}
@@ -448,37 +476,10 @@ func TestColumnCounts(t *testing.T) {
 	}
 }
 
-func TestMap2GlobalIndices(t *testing.T) {
-	ts := []spmat.Triple[float64]{{Row: 0, Col: 0, Val: 1}, {Row: 9, Col: 9, Val: 1}}
-	runGrid(t, 4, func(g *Grid) error {
-		m, err := NewFromTriples(g, 10, 10, scatter(ts, g.Comm.Rank(), 4), Float64Codec, nil)
-		if err != nil {
-			return err
-		}
-		// Encode the global coordinates into the value.
-		enc := m.Map2(func(r, c spmat.Index, v float64) float64 {
-			return float64(r*100 + c)
-		})
-		encTs, err := enc.GatherTriples()
-		if err != nil {
-			return err
-		}
-		for _, tr := range encTs {
-			if g.Comm.Rank() == 0 {
-				if tr.Val != float64(tr.Row*100+tr.Col) {
-					return fmt.Errorf("Map2 saw wrong indices: %+v", tr)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 // Panels of the blocked SUMMA must concatenate — per rank, in panel order —
-// to exactly the monolithic product, for both local kernels, several grid
-// sizes and block counts (including blocks exceeding the block width). Each
-// panel must also equal the matching ColRange slice of the monolithic local
-// block bit-for-bit.
+// to exactly the monolithic product, for several grid sizes and block counts
+// (including blocks exceeding the block width). Each panel must also equal
+// the matching ColRange slice of the monolithic local block bit-for-bit.
 func TestSpGEMMBlockedMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n, k, mcols := spmat.Index(37), spmat.Index(50), spmat.Index(23)
@@ -486,59 +487,56 @@ func TestSpGEMMBlockedMatchesMonolithic(t *testing.T) {
 	bT := randomTriples(rng, k, mcols, 260)
 
 	for _, p := range []int{1, 4, 9} {
-		for _, heap := range []bool{false, true} {
-			for _, blocks := range []int{1, 2, 3, 8, 64} {
-				runGrid(t, p, func(g *Grid) error {
-					a, err := NewFromTriples(g, n, k, scatter(aT, g.Comm.Rank(), p), Float64Codec, nil)
-					if err != nil {
-						return err
-					}
-					b, err := NewFromTriples(g, k, mcols, scatter(bT, g.Comm.Rank(), p), Float64Codec, nil)
-					if err != nil {
-						return err
-					}
-					opts := DefaultSpGEMMOpts()
-					opts.UseHeapKernel = heap
-					mono, err := SpGEMM(a, b, spmat.Arithmetic, Float64Codec, opts)
-					if err != nil {
-						return err
-					}
-					var concat []spmat.Triple[float64]
-					panels := 0
-					err = SpGEMMBlocked(a, b, spmat.Arithmetic, Float64Codec, opts, blocks,
-						func(panel int, lo, hi spmat.Index, pm *Mat[float64]) error {
-							if panel != panels {
-								return fmt.Errorf("panel %d out of order (want %d)", panel, panels)
-							}
-							panels++
-							want := mono.Local.ColRange(lo, hi)
-							if !spmat.Equal(pm.Local, want, func(x, y float64) bool { return x == y }) {
-								return fmt.Errorf("p=%d heap=%v blocks=%d panel %d [%d,%d): differs from monolithic slice",
-									p, heap, blocks, panel, lo, hi)
-							}
-							concat = append(concat, pm.Local.ToTriples()...)
-							return nil
-						})
-					if err != nil {
-						return err
-					}
-					if panels != max(1, blocks) {
-						return fmt.Errorf("saw %d panels, want %d", panels, blocks)
-					}
-					want := mono.Local.ToTriples()
-					if len(concat) != len(want) {
-						return fmt.Errorf("p=%d heap=%v blocks=%d: concat %d nonzeros, want %d",
-							p, heap, blocks, len(concat), len(want))
-					}
-					for i := range want {
-						if concat[i] != want[i] {
-							return fmt.Errorf("p=%d heap=%v blocks=%d: triple %d: %+v != %+v",
-								p, heap, blocks, i, concat[i], want[i])
+		for _, blocks := range []int{1, 2, 3, 8, 64} {
+			runGrid(t, p, func(g *Grid) error {
+				a, err := NewFromTriples(g, n, k, scatter(aT, g.Comm.Rank(), p), Float64Codec, nil)
+				if err != nil {
+					return err
+				}
+				b, err := NewFromTriples(g, k, mcols, scatter(bT, g.Comm.Rank(), p), Float64Codec, nil)
+				if err != nil {
+					return err
+				}
+				opts := DefaultSpGEMMOpts()
+				mono, err := SpGEMM(a, b, spmat.Arithmetic, Float64Codec, opts)
+				if err != nil {
+					return err
+				}
+				var concat []spmat.Triple[float64]
+				panels := 0
+				err = panelLoop(a, b, spmat.Arithmetic, opts, blocks,
+					func(panel int, lo, hi spmat.Index, pm *Mat[float64]) error {
+						if panel != panels {
+							return fmt.Errorf("panel %d out of order (want %d)", panel, panels)
 						}
+						panels++
+						want := mono.Local.ColRange(lo, hi)
+						if !spmat.Equal(pm.Local, want, func(x, y float64) bool { return x == y }) {
+							return fmt.Errorf("p=%d blocks=%d panel %d [%d,%d): differs from monolithic slice",
+								p, blocks, panel, lo, hi)
+						}
+						concat = append(concat, pm.Local.ToTriples()...)
+						return nil
+					})
+				if err != nil {
+					return err
+				}
+				if panels != blocks {
+					return fmt.Errorf("saw %d panels, want %d", panels, blocks)
+				}
+				want := mono.Local.ToTriples()
+				if len(concat) != len(want) {
+					return fmt.Errorf("p=%d blocks=%d: concat %d nonzeros, want %d",
+						p, blocks, len(concat), len(want))
+				}
+				for i := range want {
+					if concat[i] != want[i] {
+						return fmt.Errorf("p=%d blocks=%d: triple %d: %+v != %+v",
+							p, blocks, i, concat[i], want[i])
 					}
-					return nil
-				})
-			}
+				}
+				return nil
+			})
 		}
 	}
 }
@@ -585,7 +583,7 @@ func TestPeakBytesLedger(t *testing.T) {
 			if g.Comm.Clock().LiveBytes() < a.LocalBytes() {
 				return fmt.Errorf("live bytes %d below local block %d", g.Comm.Clock().LiveBytes(), a.LocalBytes())
 			}
-			return SpGEMMBlocked(a, a, spmat.Arithmetic, Float64Codec, DefaultSpGEMMOpts(), blocks,
+			return panelLoop(a, a, spmat.Arithmetic, DefaultSpGEMMOpts(), blocks,
 				func(panel int, lo, hi spmat.Index, pm *Mat[float64]) error {
 					pm.Release()
 					return nil

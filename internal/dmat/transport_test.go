@@ -178,7 +178,7 @@ func TestSharedBlocksNotMutated(t *testing.T) {
 		if _, err := SpGEMM(a, b, sr, Float64Codec, DefaultSpGEMMOpts()); err != nil {
 			return err
 		}
-		if err := SpGEMMBlocked(a, b, sr, Float64Codec, DefaultSpGEMMOpts(), 3,
+		if err := panelLoop(a, b, sr, DefaultSpGEMMOpts(), 3,
 			func(int, spmat.Index, spmat.Index, *Mat[float64]) error { return nil }); err != nil {
 			return err
 		}
@@ -226,24 +226,13 @@ func TestStageCacheReducesTraffic(t *testing.T) {
 				got = append(got, ts...)
 				return nil
 			}
+			// Both arms run the same panel loop; only the caller-armed cache
+			// differs.
 			if cached {
 				a.EnableStageCache()
 				defer a.ReleaseStageCache()
-				err = SpGEMMBlocked(a, b, sr, Float64Codec, DefaultSpGEMMOpts(), blocks, yield)
-			} else {
-				// The pre-cache shape: the raw panel loop, no cache armed.
-				for k := 0; k < blocks; k++ {
-					lo, hi := b.PanelRange(blocks, k)
-					p, perr := SpGEMMPanel(a, b, sr, Float64Codec, DefaultSpGEMMOpts(), blocks, k)
-					if perr != nil {
-						return perr
-					}
-					if err = yield(k, lo, hi, p); err != nil {
-						return err
-					}
-				}
 			}
-			if err != nil {
+			if err := panelLoop(a, b, sr, DefaultSpGEMMOpts(), blocks, yield); err != nil {
 				return err
 			}
 			if g.Comm.Rank() == 0 {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/subkmer"
 )
 
-// Ablations quantifies the design choices DESIGN.md calls out: local SpGEMM
-// kernel, DCSC vs CSC storage, communication overlap, the substitute-k-mer
-// search algorithm, and the upper-triangle computation-to-data assignment.
+// Ablations quantifies the design choices docs/ARCHITECTURE.md calls out:
+// DCSC vs CSC storage, communication overlap, the substitute-k-mer search
+// algorithm, and the upper-triangle computation-to-data assignment.
 func Ablations(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:      "ablations",
@@ -25,25 +25,7 @@ func Ablations(sc Scale) (*Table, error) {
 	}
 	nodes := 16
 
-	// 1. Hash vs heap local SpGEMM kernel (matrix-only run, virtual time is
-	// identical by construction — wall time of the local kernels differs, so
-	// report the flops and the measured kernel ratio from spmat benchmarks).
-	for _, heap := range []bool{false, true} {
-		cfg := matrixOnly(10)
-		cfg.UseHeapKernel = heap
-		res, cl, err := runPastis(data.Records, nodes, cfg)
-		if err != nil {
-			return nil, err
-		}
-		name := "hash"
-		if heap {
-			name = "heap"
-		}
-		t.Add("local SpGEMM kernel", name, "virtual time_s / nnzB",
-			fmt.Sprintf("%.4g / %d", cl.MaxTime(), res.Stats.NNZB))
-	}
-
-	// 2. DCSC vs CSC storage: memory for column pointers of the local A
+	// 1. DCSC vs CSC storage: memory for column pointers of the local A
 	// block as the grid grows (the hypersparsity argument of Section IV-D).
 	res, _, err := runPastis(data.Records, 4, matrixOnly(0))
 	if err != nil {
@@ -63,7 +45,7 @@ func Ablations(sc Scale) (*Table, error) {
 			fmt.Sprintf("%d vs <=%d", cscBytes, dcscBytes))
 	}
 
-	// 3. Overlapped vs blocking sequence exchange: the wait component and
+	// 2. Overlapped vs blocking sequence exchange: the wait component and
 	// total time.
 	for _, blocking := range []bool{false, true} {
 		cfg := core.DefaultConfig()
@@ -81,7 +63,7 @@ func Ablations(sc Scale) (*Table, error) {
 			fmt.Sprintf("%.4g / %.4g", cl.MaxTime(), cl.SectionMax()[core.SectionWait]))
 	}
 
-	// 4. Substitute k-mer search: heap algorithm vs naive enumeration on
+	// 3. Substitute k-mer search: heap algorithm vs naive enumeration on
 	// k=3 where the naive 20^k enumeration is feasible.
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	rng := rand.New(rand.NewSource(9))
@@ -105,7 +87,7 @@ func Ablations(sc Scale) (*Table, error) {
 		fmt.Sprintf("~%d vs %d (see BenchmarkFindVsNaiveK3: ~200x faster)",
 			heapWork/trials*8, naiveWork/trials))
 
-	// 5. Computation-to-data upper-triangle trick vs naive idle processes:
+	// 4. Computation-to-data upper-triangle trick vs naive idle processes:
 	// alignment-phase makespan.
 	for _, naive := range []bool{false, true} {
 		cfg := core.DefaultConfig()

@@ -59,7 +59,6 @@ func BlockedWaves(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("blocks=%d: %w", blocks, err)
 		}
-		sortEdgesBy(res.Edges)
 		if i == 0 {
 			refEdges = res.Edges
 		} else if !edgesEqual(refEdges, res.Edges) {

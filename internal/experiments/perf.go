@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fasta"
+	"repro/internal/last"
+	"repro/internal/mmseqs"
 	"repro/internal/mpi"
 )
 
@@ -64,36 +67,13 @@ func scalingModel() mpi.CostModel {
 	return m
 }
 
-// runPastisModel is runPastis with explicit virtual-time constants.
+// runPastisModel is runPastis with explicit virtual-time constants: the
+// shared all-vs-all rank body (core.AllVsAll) on the one launcher.
 func runPastisModel(recs []fasta.Record, nodes int, cfg core.Config, model mpi.CostModel) (*core.Result, *mpi.Cluster, error) {
 	data := fasta.Bytes(recs, 0)
-	chunks := fasta.SplitBytes(int64(len(data)), nodes)
-	var result *core.Result
-	cl := mpi.NewCluster(nodes, model)
-	err := cl.Run(func(c *mpi.Comm) error {
-		chunk := chunks[c.Rank()]
-		owned, err := fasta.ParseChunk(data, chunk.Begin, chunk.End)
-		if err != nil {
-			return err
-		}
-		res, err := core.Run(c, owned, cfg)
-		if err != nil {
-			return err
-		}
-		edges, err := core.GatherEdges(c, res.Edges)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			res.Edges = edges
-			result = res
-		}
-		return nil
+	return mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) (*core.Result, error) {
+		return core.AllVsAll(c, data, cfg)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return result, cl, nil
 }
 
 // squareAtMost returns the largest perfect square <= n (PASTIS requires
@@ -188,17 +168,17 @@ func Fig13(sc Scale) (*Table, error) {
 			label string
 			s     float64
 		}{{"MMseqs2-low", 1}, {"MMseqs2-default", 5.7}, {"MMseqs2-high", 7.5}} {
-			mcfg := defaultMMseqs()
+			mcfg := mmseqs.DefaultConfig()
 			mcfg.Sensitivity = sens.s
 			for _, nodes := range sc.NodesSmall {
-				_, tm, err := runMMseqsModel(data.Records, nodes, mcfg, model)
+				_, tm, err := mmseqs.RunCluster(data.Records, nodes, mcfg, model)
 				if err != nil {
 					return nil, err
 				}
 				t.Add(sens.label, ds.name, nodes, tm)
 			}
 		}
-		_, lt, err := runLASTModel(data.Records, lastDefault(), model)
+		_, lt, err := last.RunCluster(data.Records, last.DefaultConfig(), model)
 		if err != nil {
 			return nil, err
 		}

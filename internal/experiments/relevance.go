@@ -8,6 +8,8 @@ import (
 	"repro/internal/last"
 	"repro/internal/mcl"
 	"repro/internal/metrics"
+	"repro/internal/mmseqs"
+	"repro/internal/mpi"
 )
 
 // relevanceNodes is the grid used for the relevance runs; quality results
@@ -139,11 +141,11 @@ func Fig17(sc Scale) (*Table, error) {
 	}
 
 	for _, sens := range []float64{1, 5.7, 7.5} {
-		mcfg := defaultMMseqs()
+		mcfg := mmseqs.DefaultConfig()
 		mcfg.Sensitivity = sens
 		mcfg.Weight = core.WeightNS
 		mcfg.MinIdentity, mcfg.MinCoverage = 0, 0
-		edges, _, err := runMMseqs(data.Records, relevanceNodes, mcfg)
+		edges, _, err := mmseqs.RunCluster(data.Records, relevanceNodes, mcfg, mpi.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +165,7 @@ func Fig17(sc Scale) (*Table, error) {
 	for _, m := range []int{100, 300, 500} {
 		lcfg := last.DefaultConfig()
 		lcfg.MaxInitialMatches = m
-		edges, _, err := runLAST(data.Records, lcfg)
+		edges, _, err := last.RunCluster(data.Records, lcfg, mpi.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}
@@ -214,9 +216,9 @@ func Table2(sc Scale) (*Table, error) {
 		}
 	}
 	for _, sens := range []float64{1, 5.7, 7.5} {
-		mcfg := defaultMMseqs()
+		mcfg := mmseqs.DefaultConfig()
 		mcfg.Sensitivity = sens
-		edges, _, err := runMMseqs(data.Records, relevanceNodes, mcfg)
+		edges, _, err := mmseqs.RunCluster(data.Records, relevanceNodes, mcfg, mpi.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +228,7 @@ func Table2(sc Scale) (*Table, error) {
 	for _, m := range []int{100, 200, 300} {
 		lcfg := last.DefaultConfig()
 		lcfg.MaxInitialMatches = m
-		edges, _, err := runLAST(data.Records, lcfg)
+		edges, _, err := last.RunCluster(data.Records, lcfg, mpi.DefaultCostModel())
 		if err != nil {
 			return nil, err
 		}

@@ -245,7 +245,6 @@ func Claims(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sortEdgesBy(r.Edges)
 		if ref == nil {
 			ref = r.Edges
 			continue
@@ -263,13 +262,4 @@ func Claims(sc Scale) (*Table, error) {
 	}
 	t.Add("PSG identical for p in {1,4,9,16}", "yes (Section V)", match)
 	return t, nil
-}
-
-func sortEdgesBy(edges []core.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].R != edges[j].R {
-			return edges[i].R < edges[j].R
-		}
-		return edges[i].C < edges[j].C
-	})
 }

@@ -47,7 +47,6 @@ func ThreadScaling(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("threads=%d s=%d: %w", threads, subs, err)
 			}
-			sortEdgesBy(res.Edges)
 			if i == 0 {
 				first = cl.MaxTime()
 				refEdges = res.Edges

@@ -115,14 +115,15 @@ type Chunk struct {
 // each PASTIS process does independently from the file size (Section V-A).
 func SplitBytes(total int64, p int) []Chunk {
 	chunks := make([]Chunk, p)
-	for r := 0; r < p; r++ {
-		chunks[r] = Chunk{
-			Rank:  r,
-			Begin: total * int64(r) / int64(p),
-			End:   total * int64(r+1) / int64(p),
-		}
+	for r := range chunks {
+		chunks[r] = chunkOf(total, r, p)
 	}
 	return chunks
+}
+
+// chunkOf is chunk r of SplitBytes(total, p).
+func chunkOf(total int64, r, p int) Chunk {
+	return Chunk{Rank: r, Begin: total * int64(r) / int64(p), End: total * int64(r+1) / int64(p)}
 }
 
 // ParseChunk parses the records *owned* by the chunk [begin,end) of data:
@@ -166,6 +167,15 @@ func ParseChunk(data []byte, begin, end int64) ([]Record, error) {
 		}
 	}
 	return ParseBytes(data[start:stop])
+}
+
+// Partition parses the records rank owns of the p byte-balanced chunks of
+// the in-memory FASTA file data: ParseChunk of the one chunk SplitBytes
+// gives that rank. It is the input stage of every entry point's rank body,
+// so all of them cut a file the same way.
+func Partition(data []byte, rank, p int) ([]Record, error) {
+	chunk := chunkOf(int64(len(data)), rank, p)
+	return ParseChunk(data, chunk.Begin, chunk.End)
 }
 
 // TotalSeqBytes sums sequence lengths, the quantity the byte-balanced

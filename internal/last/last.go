@@ -11,6 +11,7 @@
 package last
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/core"
 	"repro/internal/fasta"
+	"repro/internal/mpi"
 	"repro/internal/scoring"
 	"repro/internal/spmat"
 )
@@ -159,6 +161,27 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 	}
 	stats.Edges = int64(len(edges))
 	return edges, stats, nil
+}
+
+// RunCluster is Run as the one rank of a single-node cluster under model
+// (the paper's LAST comparator is shared-memory only): the edges and the
+// virtual time of one node doing all the work. The public wrapper and the
+// experiments both run the baseline through it.
+func RunCluster(recs []fasta.Record, cfg Config, model mpi.CostModel) ([]core.Edge, float64, error) {
+	edges, cl, err := mpi.RunLocal(context.Background(), 1, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
+		edges, stats, err := Run(recs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// Charge the serial work to the single rank's clock.
+		c.Clock().Ops(float64(stats.Suffixes)*40 + float64(stats.Seeds)*25 +
+			float64(stats.Candidates)*8 + float64(stats.Aligned)*4000)
+		return edges, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return edges, cl.MaxTime(), nil
 }
 
 // buildSuffixArray sorts all suffix offsets of text lexicographically.

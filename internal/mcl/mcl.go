@@ -25,12 +25,6 @@ type Config struct {
 	PruneBelow    float64 // drop entries below this after each step
 	MaxIterations int
 	Tolerance     float64 // convergence: max |M_t - M_{t-1}| entry change
-
-	// Threads is the intra-rank thread count ClusterDistributed hands to the
-	// expansion SpGEMM and the elementwise passes (HipMCL's hybrid
-	// MPI+OpenMP deployment). The clustering is bit-identical for every
-	// value; <= 1 runs the local kernels serially.
-	Threads int
 }
 
 // DefaultConfig matches the conventional MCL parameters.
@@ -81,7 +75,7 @@ func Cluster(n int, edges []Edge, cfg Config) ([][]int, error) {
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		// Expansion.
-		sq, _, err := spmat.SpGEMMHash(m, m, spmat.Arithmetic)
+		sq, _, err := spmat.SpGEMM(m, m, spmat.Arithmetic, spmat.SpGEMMOpts{})
 		if err != nil {
 			return nil, err
 		}

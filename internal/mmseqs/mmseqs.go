@@ -18,8 +18,8 @@
 package mmseqs
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/align"
 	"repro/internal/alphabet"
@@ -246,28 +246,15 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 	}
 	clock.Ops(float64(cells) * opsPerDPCell)
 
-	// Deterministic local order (map iteration above is unordered).
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].R != edges[j].R {
-			return edges[i].R < edges[j].R
-		}
-		return edges[i].C < edges[j].C
-	})
-
-	// The serial output stage: gather everything on rank 0 and charge its
-	// clock for processing the full result volume.
+	// The serial output stage: gather everything on rank 0 — GatherEdges
+	// sorts, which also undoes the unordered map iteration above — and
+	// charge its clock for processing the full result volume.
 	all, err := core.GatherEdges(comm, edges)
 	if err != nil {
 		return nil, stats, err
 	}
 	if comm.Rank() == 0 {
 		clock.Ops(float64(len(all)) * opsPerResult)
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].R != all[j].R {
-				return all[i].R < all[j].R
-			}
-			return all[i].C < all[j].C
-		})
 	}
 	for _, v := range []*int64{&stats.KmersIndexed, &stats.SimilarKmers,
 		&stats.CandidatePairs, &stats.Ungapped, &stats.Gapped} {
@@ -278,4 +265,19 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 	stats.KmersIndexed /= int64(comm.Size())
 	stats.Edges = int64(len(all))
 	return all, stats, nil
+}
+
+// RunCluster is Run on a simulated cluster of the given node count (any
+// positive count; no grid requirement) under model: rank 0's gathered edges
+// and the virtual makespan. The public wrapper and the experiments both run
+// the baseline through it.
+func RunCluster(recs []fasta.Record, nodes int, cfg Config, model mpi.CostModel) ([]core.Edge, float64, error) {
+	edges, cl, err := mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
+		edges, _, err := Run(c, recs, cfg)
+		return edges, err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return edges, cl.MaxTime(), nil
 }

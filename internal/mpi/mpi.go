@@ -121,9 +121,6 @@ func (c *Clock) SetThreads(threads int) int {
 	return threads
 }
 
-// Threads returns the effective intra-rank thread count.
-func (c *Clock) Threads() int { return c.threads }
-
 // ParOps charges n compute operations spread perfectly across the rank's
 // effective threads: ops / min(threads, CoresPerNode) seconds of virtual
 // time at the model's per-core rate. Used by the thread-parallel stages

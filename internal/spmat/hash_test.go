@@ -80,12 +80,8 @@ func spGEMMHashMap[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C]) (*
 	if len(b.JC) == 0 {
 		return Empty[C](a.NumRows, b.NumCols), Stats{}, nil
 	}
-	seg := hashRangeMap(a, b, aColIndex(a), sr, 0, len(b.JC))
-	out := &DCSC[C]{
-		NumRows: a.NumRows, NumCols: b.NumCols,
-		JC: seg.jc, CP: append(seg.cp, len(seg.ir)), IR: seg.ir, Vals: seg.vals,
-	}
-	return out, Stats{Flops: seg.flops}, nil
+	out, stats := hashRangeMap(a, b, aColIndex(a), sr, 0, len(b.JC)).whole(a.NumRows, b.NumCols)
+	return out, stats, nil
 }
 
 // TestHashOpenMatchesMapFuzz pits the open-addressing accumulator against
@@ -121,7 +117,7 @@ func TestHashOpenMatchesMapFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: map kernel: %v", trial, err)
 		}
-		got, gotStats, err := SpGEMMHash(a, b, Arithmetic)
+		got, gotStats, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: open kernel: %v", trial, err)
 		}
@@ -133,7 +129,7 @@ func TestHashOpenMatchesMapFuzz(t *testing.T) {
 			t.Fatalf("trial %d: flops %d (open) != %d (map)", trial, gotStats.Flops, wantStats.Flops)
 		}
 		// The heap kernel shares the new aColLookup; keep it in the net.
-		heap, heapStats, err := SpGEMMHeap(a, b, Arithmetic)
+		heap, heapStats, err := spGEMMHeap(a, b, Arithmetic)
 		if err != nil {
 			t.Fatalf("trial %d: heap kernel: %v", trial, err)
 		}
@@ -161,7 +157,7 @@ func TestHashOpenMatchesMapCountingSemiring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gs, err := SpGEMMHash(a, b, sr)
+		got, gs, err := SpGEMM(a, b, sr, SpGEMMOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +182,7 @@ func TestHashRangeAllocationStable(t *testing.T) {
 	}
 	allocs := func(a, b *DCSC[float64]) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, _, err := SpGEMMHash(a, b, Arithmetic); err != nil {
+			if _, _, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		})

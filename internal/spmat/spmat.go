@@ -8,9 +8,10 @@
 // array would dwarf the nonzeros once the matrix is 2D-distributed and each
 // process holds a hypersparse block with far fewer nonzeros than columns.
 //
-// SpGEMM comes in the two local-kernel flavors CombBLAS mixes: a hash-based
-// accumulator and a heap-based k-way merge. Both are exact over arbitrary
-// semirings; the benchmark suite compares them (ablation in DESIGN.md).
+// SpGEMM has one local kernel, the hash accumulator (hash.go), exact over
+// arbitrary semirings. The heap-based k-way merge CombBLAS mixes in lives
+// on as the independent reference of the package's differential tests
+// (heap_test.go).
 package spmat
 
 import (
@@ -375,11 +376,9 @@ type Stats struct {
 	Flops int64
 }
 
-// SpGEMMOpts tunes the local multiply: kernel choice and intra-rank
-// threading (the hybrid-parallelism layer of the follow-up paper).
+// SpGEMMOpts tunes the local multiply's intra-rank threading (the
+// hybrid-parallelism layer of the follow-up paper).
 type SpGEMMOpts struct {
-	// UseHeap selects the heap k-way-merge kernel instead of hashing.
-	UseHeap bool
 	// Threads is the intra-rank thread count; <= 1 multiplies serially.
 	Threads int
 	// ChunksPerThread oversubscribes chunks for load balance (default 4).
@@ -399,98 +398,13 @@ type segment[C any] struct {
 	flops int64
 }
 
-// heapRange multiplies B's nonempty-column range [lo,hi) by k-way merging
-// A's (row-sorted) columns with a binary heap, producing each output column
-// in row order without a hash table. Faster than hashing for very sparse
-// accumulations (the "compression ratio" near 1 regime); slower when rows
-// repeat often.
-func heapRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
-	sr Semiring[A, B, C], lo, hi int) segment[C] {
-
-	var out segment[C]
-	// stream is one (A column, B scalar) product being merged.
-	type stream struct {
-		pos, end int
-		bval     B
-	}
-	var streams []stream
-	// Binary heap of stream indices ordered by current row; buffer and
-	// closures are shared across columns so the column loop stays
-	// allocation-free in steady state.
-	var heap []int
-	less := func(x, y int) bool { return a.IR[streams[x].pos] < a.IR[streams[y].pos] }
-	push := func(s int) {
-		heap = append(heap, s)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	pop := func() int {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && less(heap[l], heap[small]) {
-				small = l
-			}
-			if r < len(heap) && less(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	for cb := lo; cb < hi; cb++ {
-		j := b.JC[cb]
-		streams = streams[:0]
-		for kb := b.CP[cb]; kb < b.CP[cb+1]; kb++ {
-			if ca, ok := aCol.get(b.IR[kb]); ok {
-				streams = append(streams, stream{pos: a.CP[ca], end: a.CP[ca+1], bval: b.Vals[kb]})
-			}
-		}
-		if len(streams) == 0 {
-			continue
-		}
-		heap = heap[:0]
-		for s := range streams {
-			push(s)
-		}
-		colStart := len(out.ir)
-		for len(heap) > 0 {
-			s := pop()
-			st := &streams[s]
-			row := a.IR[st.pos]
-			contrib := sr.Multiply(a.Vals[st.pos], st.bval)
-			out.flops++
-			if n := len(out.ir); n > colStart && out.ir[n-1] == row {
-				out.vals[n-1] = sr.Add(out.vals[n-1], contrib)
-			} else {
-				out.ir = append(out.ir, row)
-				out.vals = append(out.vals, contrib)
-			}
-			st.pos++
-			if st.pos < st.end {
-				push(s)
-			}
-		}
-		if len(out.ir) > colStart {
-			out.jc = append(out.jc, j)
-			out.cp = append(out.cp, colStart)
-		}
-	}
-	return out
+// whole adopts the arrays of a segment that covers every column of B as the
+// product matrix, without copying them through assemble.
+func (s segment[C]) whole(rows, cols Index) (*DCSC[C], Stats) {
+	return &DCSC[C]{
+		NumRows: rows, NumCols: cols,
+		JC: s.jc, CP: append(s.cp, len(s.ir)), IR: s.ir, Vals: s.vals,
+	}, Stats{Flops: s.flops}
 }
 
 // assemble concatenates per-chunk segments, in chunk order, into one DCSC.
@@ -519,7 +433,7 @@ func assemble[C any](rows, cols Index, segs []segment[C]) (*DCSC[C], Stats) {
 // SpGEMM computes A·B over sr, partitioning B's nonempty columns into
 // chunks multiplied concurrently by opts.Threads workers and merging the
 // per-chunk DCSC segments in chunk order. The result — structure, values
-// and Flops count — is bit-identical to the serial kernels for any thread
+// and Flops count — is bit-identical to the serial kernel for any thread
 // count, because chunk boundaries depend only on the column count and each
 // output column is produced wholly inside one chunk.
 func SpGEMM[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C],
@@ -552,41 +466,16 @@ func SpGEMM[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C],
 		}
 	}
 	if nchunks == 1 {
-		// Serial fast path: adopt the single segment's arrays in place
-		// instead of copying them through assemble.
-		var seg segment[C]
-		if opts.UseHeap {
-			seg = heapRange(a, b, &aCol, sr, 0, ncols)
-		} else {
-			seg = hashRange(a, b, &aCol, sr, 0, ncols)
-		}
-		out := &DCSC[C]{
-			NumRows: a.NumRows, NumCols: b.NumCols,
-			JC: seg.jc, CP: append(seg.cp, len(seg.ir)), IR: seg.ir, Vals: seg.vals,
-		}
-		return out, Stats{Flops: seg.flops}, nil
+		// Serial fast path: one segment, adopted in place.
+		out, stats := hashRange(a, b, &aCol, sr, 0, ncols).whole(a.NumRows, b.NumCols)
+		return out, stats, nil
 	}
 	segs := make([]segment[C], nchunks)
 	parallel.ForChunks(threads, ncols, nchunks, func(w, chunk, lo, hi int) {
-		if opts.UseHeap {
-			segs[chunk] = heapRange(a, b, &aCol, sr, lo, hi)
-		} else {
-			segs[chunk] = hashRange(a, b, &aCol, sr, lo, hi)
-		}
+		segs[chunk] = hashRange(a, b, &aCol, sr, lo, hi)
 	})
 	out, stats := assemble(a.NumRows, b.NumCols, segs)
 	return out, stats, nil
-}
-
-// SpGEMMHash computes A·B over sr with a per-column hash accumulator,
-// serially: the reference path for differential tests against SpGEMM.
-func SpGEMMHash[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C]) (*DCSC[C], Stats, error) {
-	return SpGEMM(a, b, sr, SpGEMMOpts{})
-}
-
-// SpGEMMHeap is the serial heap-kernel counterpart of SpGEMMHash.
-func SpGEMMHeap[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C]) (*DCSC[C], Stats, error) {
-	return SpGEMM(a, b, sr, SpGEMMOpts{UseHeap: true})
 }
 
 // Equal reports whether two matrices have identical structure and values

@@ -154,8 +154,8 @@ func TestSpGEMMAgainstDense(t *testing.T) {
 		want := denseMul(toDense(a), toDense(b))
 
 		for name, mul := range map[string]func() (*DCSC[float64], Stats, error){
-			"hash": func() (*DCSC[float64], Stats, error) { return SpGEMMHash(a, b, Arithmetic) },
-			"heap": func() (*DCSC[float64], Stats, error) { return SpGEMMHeap(a, b, Arithmetic) },
+			"hash": func() (*DCSC[float64], Stats, error) { return SpGEMM(a, b, Arithmetic, SpGEMMOpts{}) },
+			"heap": func() (*DCSC[float64], Stats, error) { return spGEMMHeap(a, b, Arithmetic) },
 		} {
 			c, _, err := mul()
 			if err != nil {
@@ -174,7 +174,8 @@ func TestSpGEMMAgainstDense(t *testing.T) {
 	}
 }
 
-// Property: hash- and heap-based SpGEMM agree exactly, structure included.
+// Property: the hash kernel and the heap reference (heap_test.go) agree
+// exactly, structure included.
 func TestHashHeapAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func(seed int64) bool {
@@ -182,8 +183,8 @@ func TestHashHeapAgreeProperty(t *testing.T) {
 		n, k, m := Index(r.Intn(20)+1), Index(r.Intn(20)+1), Index(r.Intn(20)+1)
 		a := mustFromTriples(t, n, k, randomTriples(r, n, k, r.Intn(int(n*k)+1)), nil)
 		b := mustFromTriples(t, k, m, randomTriples(r, k, m, r.Intn(int(k*m)+1)), nil)
-		c1, s1, err1 := SpGEMMHash(a, b, Arithmetic)
-		c2, s2, err2 := SpGEMMHeap(a, b, Arithmetic)
+		c1, s1, err1 := SpGEMM(a, b, Arithmetic, SpGEMMOpts{})
+		c2, s2, err2 := spGEMMHeap(a, b, Arithmetic)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -198,10 +199,10 @@ func TestHashHeapAgreeProperty(t *testing.T) {
 func TestSpGEMMDimensionMismatch(t *testing.T) {
 	a := Empty[float64](3, 4)
 	b := Empty[float64](5, 2)
-	if _, _, err := SpGEMMHash(a, b, Arithmetic); err == nil {
+	if _, _, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
-	if _, _, err := SpGEMMHeap(a, b, Arithmetic); err == nil {
+	if _, _, err := spGEMMHeap(a, b, Arithmetic); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }
@@ -216,7 +217,7 @@ func TestCountingSemiringOverlap(t *testing.T) {
 		{2, 5, 1},
 	}
 	a := mustFromTriples(t, 3, 6, ts, nil)
-	b, _, err := SpGEMMHash(a, a.Transpose(), Counting[int32, int32]())
+	b, _, err := SpGEMM(a, a.Transpose(), Counting[int32, int32](), SpGEMMOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestTropicalSemiring(t *testing.T) {
 	a := mustFromTriples(t, 2, 2, []Triple[float64]{
 		{0, 0, 1}, {0, 1, 5}, {1, 0, 2}, {1, 1, 1},
 	}, nil)
-	c, _, err := SpGEMMHash(a, a, tropical)
+	c, _, err := SpGEMM(a, a, tropical, SpGEMMOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,41 +356,31 @@ func TestSymmetrizeProperty(t *testing.T) {
 	}
 }
 
-// Property: the chunked parallel SpGEMM is bit-identical to the serial
-// kernels — structure, values and Flops — for any thread count and both
-// kernels, on randomized shapes including hypersparse and empty ones.
+// Property: the chunked parallel SpGEMM is bit-identical — structure, values
+// and Flops — to the serial heap reference (heap_test.go) for any thread
+// count, on randomized shapes including hypersparse and empty ones.
 func TestSpGEMMParallelMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n, k, m := Index(r.Intn(30)+1), Index(r.Intn(30)+1), Index(r.Intn(30)+1)
 		a := mustFromTriples(t, n, k, randomTriples(r, n, k, r.Intn(int(n*k)+1)), nil)
 		b := mustFromTriples(t, k, m, randomTriples(r, k, m, r.Intn(int(k*m)+1)), nil)
-		for _, heap := range []bool{false, true} {
-			var ref *DCSC[float64]
-			var refStats Stats
-			var err error
-			if heap {
-				ref, refStats, err = SpGEMMHeap(a, b, Arithmetic)
-			} else {
-				ref, refStats, err = SpGEMMHash(a, b, Arithmetic)
-			}
+		ref, refStats, err := spGEMMHeap(a, b, Arithmetic)
+		if err != nil {
+			return false
+		}
+		for _, threads := range []int{1, 2, 8} {
+			got, stats, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{Threads: threads})
 			if err != nil {
 				return false
 			}
-			for _, threads := range []int{1, 2, 8} {
-				got, stats, err := SpGEMM(a, b, Arithmetic,
-					SpGEMMOpts{UseHeap: heap, Threads: threads})
-				if err != nil {
-					return false
-				}
-				if stats.Flops != refStats.Flops {
-					t.Logf("heap=%v threads=%d: flops %d vs %d", heap, threads, stats.Flops, refStats.Flops)
-					return false
-				}
-				if !Equal(ref, got, func(x, y float64) bool { return x == y }) {
-					t.Logf("heap=%v threads=%d: matrices differ", heap, threads)
-					return false
-				}
+			if stats.Flops != refStats.Flops {
+				t.Logf("threads=%d: flops %d vs %d", threads, stats.Flops, refStats.Flops)
+				return false
+			}
+			if !Equal(ref, got, func(x, y float64) bool { return x == y }) {
+				t.Logf("threads=%d: matrices differ", threads)
+				return false
 			}
 		}
 		return true
@@ -412,7 +403,7 @@ func TestSpGEMMParallelCountingSemiring(t *testing.T) {
 	}
 	a := mustFromTriples(t, 40, 60, ints, nil)
 	at := a.Transpose()
-	ref, _, err := SpGEMMHash(a, at, Counting[int32, int32]())
+	ref, _, err := SpGEMM(a, at, Counting[int32, int32](), SpGEMMOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +445,7 @@ func BenchmarkSpGEMMHash(b *testing.B) {
 	x, y := benchMatrices(500, 500, 500, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SpGEMMHash(x, y, Arithmetic); err != nil {
+		if _, _, err := SpGEMM(x, y, Arithmetic, SpGEMMOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +455,7 @@ func BenchmarkSpGEMMHeap(b *testing.B) {
 	x, y := benchMatrices(500, 500, 500, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SpGEMMHeap(x, y, Arithmetic); err != nil {
+		if _, _, err := spGEMMHeap(x, y, Arithmetic); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -554,7 +545,7 @@ func BenchmarkMergeAdd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, _, err := SpGEMMHash(a, a.Transpose(), Counting[int32, int32]())
+		p, _, err := SpGEMM(a, a.Transpose(), Counting[int32, int32](), SpGEMMOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -632,12 +623,12 @@ func TestColRangeAsOperand(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := mustFromTriples(t, 25, 30, randomTriples(rng, 25, 30, 200), nil)
 	b := mustFromTriples(t, 30, 22, randomTriples(rng, 30, 22, 200), nil)
-	full, _, err := SpGEMMHash(a, b, Arithmetic)
+	full, _, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rng2 := range [][2]Index{{0, 7}, {7, 22}, {21, 22}, {0, 22}} {
-		part, _, err := SpGEMMHash(a, b.ColRange(rng2[0], rng2[1]), Arithmetic)
+		part, _, err := SpGEMM(a, b.ColRange(rng2[0], rng2[1]), Arithmetic, SpGEMMOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

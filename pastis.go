@@ -214,36 +214,11 @@ func BuildGraphContext(ctx context.Context, records []Record, nodes int, cfg Con
 	if err := CheckNodes(nodes); err != nil {
 		return nil, err
 	}
-	out := &Result{Nodes: nodes}
-	cl := mpi.NewCluster(nodes, model)
-	if cfg.Faults != nil {
-		cl.ArmFaults(*cfg.Faults)
-	}
-	if ctx != nil && ctx.Done() != nil {
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-ctx.Done():
-				cl.Interrupt(context.Cause(ctx))
-			case <-finished:
-			}
-		}()
-	}
-	err := cl.Run(func(c *mpi.Comm) error {
-		res, err := RunRank(c, records, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			*out = *res
-		}
-		return nil
+	data := fasta.Bytes(records, 0)
+	res, _, err := mpi.RunLocal(ctx, nodes, model, cfg.Faults, func(c *mpi.Comm) (*Result, error) {
+		return runRank(c, data, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return res, err
 }
 
 // RunRank executes one rank's share of the all-vs-all pipeline on an
@@ -259,18 +234,13 @@ func RunRank(c *mpi.Comm, records []Record, cfg Config) (*Result, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("pastis: empty input")
 	}
-	data := fasta.Bytes(records, 0)
-	chunks := fasta.SplitBytes(int64(len(data)), c.Size())
-	chunk := chunks[c.Rank()]
-	owned, err := fasta.ParseChunk(data, chunk.Begin, chunk.End)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Run(c, owned, cfg)
-	if err != nil {
-		return nil, err
-	}
-	edges, err := core.GatherEdges(c, res.Edges)
+	return runRank(c, fasta.Bytes(records, 0), cfg)
+}
+
+// runRank is RunRank over the input already rendered as FASTA bytes, which
+// BuildGraph does once for all of its ranks.
+func runRank(c *mpi.Comm, data []byte, cfg Config) (*Result, error) {
+	res, err := core.AllVsAll(c, data, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +275,8 @@ func RunRank(c *mpi.Comm, records []Record, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
+	return &Result{
+		Edges:           res.Edges,
 		Stats:           res.Stats,
 		Nodes:           c.Size(),
 		Time:            math.Float64frombits(uint64(bits)),
@@ -314,12 +285,7 @@ func RunRank(c *mpi.Comm, records []Record, cfg Config) (*Result, error) {
 		PeakBytes:       peakAll,
 		RetryBytes:      retryAll,
 		EffectiveBlocks: res.EffectiveBlocks,
-	}
-	if c.Rank() == 0 {
-		out.Edges = edges
-		sortEdges(out.Edges)
-	}
-	return out, nil
+	}, nil
 }
 
 // reduceSectionsMax merges the per-component time ledgers as the maximum
@@ -382,24 +348,11 @@ type BaselineResult struct {
 // RunMMseqs2Like runs the MMseqs2-style baseline on a simulated cluster of
 // the given node count (any positive count; no grid requirement).
 func RunMMseqs2Like(records []Record, nodes int, cfg MMseqs2Config) (*BaselineResult, error) {
-	out := &BaselineResult{Nodes: nodes}
-	cl := mpi.NewCluster(nodes, mpi.DefaultCostModel())
-	err := cl.Run(func(c *mpi.Comm) error {
-		edges, _, err := mmseqs.Run(c, records, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out.Edges = edges
-		}
-		return nil
-	})
+	edges, makespan, err := mmseqs.RunCluster(records, nodes, cfg, mpi.DefaultCostModel())
 	if err != nil {
 		return nil, err
 	}
-	sortEdges(out.Edges)
-	out.Time = cl.MaxTime()
-	return out, nil
+	return &BaselineResult{Edges: edges, Nodes: nodes, Time: makespan}, nil
 }
 
 // LASTConfig configures the LAST-like baseline.
@@ -412,25 +365,11 @@ func DefaultLASTConfig() LASTConfig { return last.DefaultConfig() }
 // (the paper's LAST comparator is shared-memory only); the reported time
 // models one node doing all the work.
 func RunLASTLike(records []Record, cfg LASTConfig) (*BaselineResult, error) {
-	out := &BaselineResult{Nodes: 1}
-	cl := mpi.NewCluster(1, mpi.DefaultCostModel())
-	err := cl.Run(func(c *mpi.Comm) error {
-		edges, stats, err := last.Run(records, cfg)
-		if err != nil {
-			return err
-		}
-		// Charge the serial work to the single rank's clock.
-		c.Clock().Ops(float64(stats.Suffixes)*40 + float64(stats.Seeds)*25 +
-			float64(stats.Candidates)*8 + float64(stats.Aligned)*4000)
-		out.Edges = edges
-		return nil
-	})
+	edges, makespan, err := last.RunCluster(records, cfg, mpi.DefaultCostModel())
 	if err != nil {
 		return nil, err
 	}
-	sortEdges(out.Edges)
-	out.Time = cl.MaxTime()
-	return out, nil
+	return &BaselineResult{Edges: edges, Nodes: 1, Time: makespan}, nil
 }
 
 // ClusterMCL groups the n-node similarity graph into protein families with
@@ -480,13 +419,4 @@ func ReadFASTA(r io.Reader) ([]Record, error) { return fasta.Parse(r) }
 // (width <= 0 writes single-line sequences).
 func WriteFASTA(w io.Writer, recs []Record, width int) error {
 	return fasta.Write(w, recs, width)
-}
-
-func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].R != edges[j].R {
-			return edges[i].R < edges[j].R
-		}
-		return edges[i].C < edges[j].C
-	})
 }

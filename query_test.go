@@ -1,10 +1,15 @@
 package pastis
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/mpi"
 )
 
 // pairKey normalizes an edge or hit to the all-vs-all pair space.
@@ -250,6 +255,100 @@ func TestBadNodeCountIsAnError(t *testing.T) {
 		}
 		if _, err := OpenIndex(dir); err == nil {
 			t.Errorf("OpenIndex accepted a manifest written on %d ranks", nodes)
+		}
+	}
+}
+
+// Config.Faults reaches every entry point through the one launcher:
+// BuildIndex and QueryEngine.Query used to build their clusters privately
+// and never armed it, so a plan was silently a fault-free run. A one-shot
+// crash must fail both with ErrRankCrashed (and leave the engine serving);
+// a recoverable plan must cost virtual time and change nothing else — not a
+// byte of a rank file, not a hit, with the result cache on or off.
+func TestIndexAndQueryArmFaults(t *testing.T) {
+	data, err := GenerateScopeLike(5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, queries := data.Records, data.Records[:6]
+	const nodes = 4
+	cfg := DefaultConfig()
+	cfg.SubstituteKmers = 10
+	cfg.CommonKmerThreshold = 1
+	crash, chaos := cfg, cfg
+	crash.Faults = &FaultPlan{RankCrash: map[int]int{1: 2}}
+	chaos.Faults = &FaultPlan{Seed: 17, DropProb: 0.1, CorruptProb: 0.05, DelayProb: 0.1}
+
+	dir := t.TempDir()
+	clean, err := BuildIndex(recs, nodes, cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildIndex(recs, nodes, crash, t.TempDir()); !errors.Is(err, mpi.ErrRankCrashed) {
+		t.Errorf("BuildIndex under a rank-crash plan: %v, want ErrRankCrashed", err)
+	}
+	chaosDir := t.TempDir()
+	faulty, err := BuildIndex(recs, nodes, chaos, chaosDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulty.Time <= clean.Time {
+		t.Errorf("recoverable plan cost BuildIndex no virtual time (%g vs %g): not armed", faulty.Time, clean.Time)
+	}
+	for rank := index.ManifestRank; rank < nodes; rank++ {
+		want, err := os.ReadFile(index.Path(dir, rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(index.Path(chaosDir, rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("rank %d index file differs under a recoverable fault plan", rank)
+		}
+	}
+
+	open := func() *QueryEngine {
+		t.Helper()
+		eng, err := OpenIndex(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	ref, err := open().Query(queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHits := func(what string, got *QueryBatch) {
+		t.Helper()
+		if !slices.Equal(got.Hits, ref.Hits) {
+			t.Errorf("%s: %d hits differ from the fault-free batch's %d", what, len(got.Hits), len(ref.Hits))
+		}
+	}
+
+	eng := open()
+	if _, err := eng.Query(queries, crash); !errors.Is(err, mpi.ErrRankCrashed) {
+		t.Errorf("Query under a rank-crash plan: %v, want ErrRankCrashed", err)
+	}
+	next, err := eng.Query(queries, cfg)
+	if err != nil {
+		t.Fatalf("batch after the crashed one: %v", err)
+	}
+	sameHits("batch after the crashed one", next)
+
+	for _, cacheCap := range []int{1024, 0} {
+		eng := open()
+		eng.CacheCap = cacheCap
+		got, err := eng.Query(queries, chaos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(fmt.Sprintf("recoverable plan, CacheCap %d", cacheCap), got)
+		if got.Time <= ref.Time {
+			t.Errorf("CacheCap %d: recoverable plan cost Query no virtual time (%g vs %g): not armed",
+				cacheCap, got.Time, ref.Time)
 		}
 	}
 }

@@ -51,8 +51,6 @@ func runExperiment(b *testing.B, id string) {
 		}
 		b.ReportMetric(float64(len(table.Rows)), "rows")
 	}
-	b.StopTimer()
-	experiments.Reset()
 }
 
 // BenchmarkFig12PastisVariants regenerates Fig. 12 (runtime of the eight

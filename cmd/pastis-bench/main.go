@@ -94,7 +94,6 @@ func main() {
 				fatal(err)
 			}
 		}
-		experiments.Reset()
 	}
 }
 

@@ -23,9 +23,8 @@ func main() {
 
 	// --- build once -----------------------------------------------------
 	// Everything that depends only on the database — the k-mer matrix Aᵀ,
-	// the substitute expansion (AS)ᵀ, the sequences, the memoized
-	// substitute-neighbor tables — is computed on the simulated cluster
-	// and persisted, one checksummed artifact per rank plus a manifest.
+	// the substitute expansion (AS)ᵀ, the sequences — is computed on the
+	// simulated cluster and persisted, one checksummed artifact per rank plus a manifest.
 	dir, err := os.MkdirTemp("", "pastis-index")
 	if err != nil {
 		log.Fatal(err)

@@ -42,7 +42,6 @@ func TestFig13CrossoverShape(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	sc := tinyScale()
-	defer experiments.Reset()
 	tb, err := experiments.Fig13(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,6 @@ func TestTable1AlignmentShares(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.NodesSmall = []int{4}
-	defer experiments.Reset()
 	tb, err := experiments.Table1(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +136,6 @@ func TestFig17RecallShape(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	sc := tinyScale()
-	defer experiments.Reset()
 	tb, err := experiments.Fig17(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +169,6 @@ func TestTable2ComponentCollapse(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	sc := tinyScale()
-	defer experiments.Reset()
 	tb, err := experiments.Table2(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +196,6 @@ func TestClaimsShape(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	sc := tinyScale()
-	defer experiments.Reset()
 	tb, err := experiments.Claims(sc)
 	if err != nil {
 		t.Fatal(err)

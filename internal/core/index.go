@@ -2,30 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/index"
-	"repro/internal/kmer"
 	"repro/internal/mpi"
-	"repro/internal/scoring"
 	"repro/internal/seqstore"
 	"repro/internal/spmat"
-	"repro/internal/subkmer"
 	"repro/internal/wire"
 )
 
 // Persistent-index section names. Each rank's artifact carries its block of
 // Aᵀ (the operand every query multiply consumes), its block of (AS)ᵀ when
-// the substitute path is enabled, its owned sequence partition, the
-// substitute-neighbor table it enumerated at build time, and the k-mers its
-// block-column range banned under the frequency pre-filter.
+// the substitute path is enabled, its owned sequence partition, and the
+// k-mers its block-column range banned under the frequency pre-filter.
+// Artifacts written before the substitute search became allocation-free also
+// carry a "nbr" section (the build's neighbor lists); it is ignored, like any
+// section this list does not name.
 const (
 	secAT  = "at"
 	secAST = "ast"
 	secSeq = "seq"
-	secNbr = "nbr"
 	secBan = "ban"
 )
 
@@ -84,9 +81,6 @@ func BuildIndex(comm *mpi.Comm, owned []fasta.Record, cfg Config, dir string) (*
 	if t.ast != nil {
 		f.Sections = append(f.Sections, index.Section{Name: secAST, Payload: dmat.EncodeBlock(t.ast.Local, PosDistCodec)})
 	}
-	if t.table != nil {
-		f.Sections = append(f.Sections, index.Section{Name: secNbr, Payload: encodeNeighborTable(t.table)})
-	}
 	if t.banned != nil {
 		f.Sections = append(f.Sections, index.Section{Name: secBan, Payload: encodeBanned(t.banned)})
 	}
@@ -124,9 +118,7 @@ type RankData struct {
 
 // LoadRankData reads and decodes rank's artifact from dir, verifying the
 // fingerprint against cfg. Plain local disk I/O — no collectives — so a
-// server can load all rank slots before spinning up a cluster. The
-// substitute-neighbor table is seeded straight into the process-wide
-// subkmer cache: query batches hit it instead of re-enumerating.
+// server can load all rank slots before spinning up a cluster.
 func LoadRankData(dir string, rank, ranks int, cfg Config) (*RankData, error) {
 	f, size, err := index.Open(dir, rank, ranks, IndexFingerprint(cfg, ranks))
 	if err != nil {
@@ -169,60 +161,12 @@ func LoadRankData(dir string, rank, ranks int, cfg Config) (*RankData, error) {
 	if rd.Owned, err = seqstore.DecodeSequences(seqBuf); err != nil {
 		return nil, err
 	}
-	if nbrBuf, ok := f.Section(secNbr); ok {
-		if err := seedNeighborTable(nbrBuf, cfg.K); err != nil {
-			return nil, err
-		}
-	}
 	if banBuf, ok := f.Section(secBan); ok {
 		if rd.Banned, err = decodeBanned(banBuf); err != nil {
 			return nil, err
 		}
 	}
 	return rd, nil
-}
-
-// encodeNeighborTable serializes the build's substitute enumeration: per
-// root k-mer, its full nearest-neighbor list. Roots are sorted so the
-// encoding is deterministic.
-func encodeNeighborTable(table map[kmer.ID][]subkmer.Neighbor) []byte {
-	roots := make([]kmer.ID, 0, len(table))
-	for id := range table {
-		roots = append(roots, id)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	buf := wire.AppendU64(nil, uint64(len(roots)))
-	for _, root := range roots {
-		nbrs := table[root]
-		buf = wire.AppendU64(buf, uint64(root))
-		buf = wire.AppendU64(buf, uint64(len(nbrs)))
-		for _, nb := range nbrs {
-			buf = wire.AppendU64(buf, uint64(nb.ID))
-			buf = wire.AppendU64(buf, uint64(nb.Dist))
-		}
-	}
-	return buf
-}
-
-// seedNeighborTable decodes an encodeNeighborTable payload and installs
-// every list in the subkmer cache under the scoring matrix the pipeline
-// uses (the enumeration is BLOSUM62-specific, like formSTable's).
-func seedNeighborTable(buf []byte, k int) error {
-	r := wire.NewReader(buf)
-	for i, nroots := 0, r.Count(16); i < nroots; i++ {
-		root := kmer.ID(r.U64())
-		nbrs := make([]subkmer.Neighbor, r.Count(16))
-		for j := range nbrs {
-			nbrs[j] = subkmer.Neighbor{ID: kmer.ID(r.U64()), Dist: int(r.U64())}
-		}
-		if r.Err() == nil {
-			subkmer.Seed(root, k, scoring.BLOSUM62.Name, nbrs)
-		}
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("core: neighbor table: %w", err)
-	}
-	return nil
 }
 
 func encodeBanned(banned []spmat.Index) []byte {

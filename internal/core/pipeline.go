@@ -34,7 +34,7 @@ const (
 // reproduced figures.
 const (
 	opsPerKmer        = 20  // rolling extraction + dedup per k-mer occurrence
-	opsPerSubNeighbor = 120 // heap search amortized per generated neighbor
+	opsPerSubNeighbor = 120 // bounded search amortized per generated neighbor
 	opsPerDPCell      = 4   // vectorized alignment kernel per DP cell
 )
 

@@ -15,7 +15,7 @@ import (
 
 // Query answers one batch of queries against a loaded index: the batch
 // forms a narrow panel Q (query rows × k-mer space), is pruned by the
-// database's banned-k-mer list, expanded through the memoized substitute
+// database's banned-k-mer list, expanded through its k-mers' substitute
 // neighbors, and swept against the resident Aᵀ/(AS)ᵀ blocks by the same
 // blocked-wave driver as the all-vs-all pipeline, in its rectangular mode.
 // Edges come out query-first: R is the query's index in the batch, C the
@@ -117,7 +117,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 
 	// --- QS: substitute expansion of the query panel (paper Section IV-C).
 	// Equivalent to SpGEMM(Q, S) but computed by expanding each local Q
-	// nonzero through the memoized neighbor lists: the contribution multiset
+	// nonzero through its k-mer's neighbor list: the contribution multiset
 	// is identical and the min-merge is order-free, so the result is bitwise
 	// the same — without materializing any S block.
 	if rd.Subs > 0 {
@@ -147,23 +147,27 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 // (deterministic all-to-all), so the assembled matrix is bit-identical to
 // the product for any rank count.
 func expandQS(g *dmat.Grid, q *dmat.Mat[int32], cfg Config, kmerSpace spmat.Index) (*dmat.Mat[PosDist], error) {
-	clock := g.Comm.Clock()
-	expense := scoring.NewExpense(scoring.BLOSUM62)
+	finder, err := subkmer.NewFinder(cfg.K, scoring.NewExpense(scoring.BLOSUM62), cfg.SubstituteKmers)
+	if err != nil {
+		return nil, err
+	}
 	rowOff, colOff := q.RowOffset(), q.ColOffset()
-	var triples []spmat.Triple[PosDist]
-	for _, t := range q.Local.ToTriples() {
-		r, c := rowOff+t.Row, colOff+t.Col
-		nbrs, err := subkmer.FindCached(kmer.ID(c), cfg.K, expense, cfg.SubstituteKmers)
-		if err != nil {
-			return nil, err
-		}
-		triples = append(triples, spmat.Triple[PosDist]{Row: r, Col: c, Val: PosDist{Pos: t.Val}})
-		for _, nb := range nbrs {
-			triples = append(triples, spmat.Triple[PosDist]{
-				Row: r, Col: spmat.Index(nb.ID), Val: PosDist{Pos: t.Val, Dist: int32(nb.Dist)},
-			})
+	b := q.Local
+	triples := make([]spmat.Triple[PosDist], 0, b.NNZ()*(cfg.SubstituteKmers+1))
+	var nbrs []subkmer.Neighbor
+	for j, col := range b.JC { // one search serves every query row holding the k-mer
+		c := colOff + col
+		nbrs = finder.AppendFind(nbrs[:0], kmer.ID(c))
+		for i := b.CP[j]; i < b.CP[j+1]; i++ {
+			r, pos := rowOff+b.IR[i], b.Vals[i]
+			triples = append(triples, spmat.Triple[PosDist]{Row: r, Col: c, Val: PosDist{Pos: pos}})
+			for _, nb := range nbrs {
+				triples = append(triples, spmat.Triple[PosDist]{
+					Row: r, Col: spmat.Index(nb.ID), Val: PosDist{Pos: pos, Dist: int32(nb.Dist)},
+				})
+			}
 		}
 	}
-	clock.Ops(float64(len(triples)) * opsPerSubNeighbor)
+	g.Comm.Clock().Ops(float64(len(triples)) * opsPerSubNeighbor)
 	return dmat.NewFromTriples(g, q.Rows, kmerSpace, triples, PosDistCodec, ASSemiring.Add)
 }

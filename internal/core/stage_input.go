@@ -19,21 +19,18 @@ import (
 type target struct {
 	store   *seqstore.Store // owned sequences; the exchange may still be in flight
 	a, at   *dmat.Mat[int32]
-	as, ast *dmat.Mat[PosDist]             // nil in exact mode; ast only when built for an index
-	banned  []spmat.Index                  // k-mers the frequency pre-filter dropped (this rank's column range)
-	table   map[kmer.ID][]subkmer.Neighbor // substitute enumeration of every distinct local k-mer; index builds only
-	stats   Stats                          // matrix-stage counters; KmersTotal is still rank-local
+	as, ast *dmat.Mat[PosDist] // nil in exact mode; ast only when built for an index
+	banned  []spmat.Index      // k-mers the frequency pre-filter dropped (this rank's column range)
+	stats   Stats              // matrix-stage counters; KmersTotal is still rank-local
 }
 
 // buildTarget runs the target-side stages — input, A, the frequency
-// pre-filter, Aᵀ, S, AS — and returns the operands resident. forIndex keeps
-// what only a persisted index needs: the substitute-neighbor table (an
-// all-vs-all run drops it before the AS product, where it would sit on the
-// heap at the memory peak) and (AS)ᵀ at any wave count (an all-vs-all sweep
-// builds it itself, and only for a multi-wave split). It does not wait for
-// the sequence exchange stageInput launched: the caller completes it where
-// sequence data is first needed, so the transfer hides under these stages
-// (paper Section V-C).
+// pre-filter, Aᵀ, S, AS — and returns the operands resident. forIndex builds
+// what only a persisted index needs: (AS)ᵀ at any wave count (an all-vs-all
+// sweep builds it itself, and only for a multi-wave split). It does not wait
+// for the sequence exchange stageInput launched: the caller completes it
+// where sequence data is first needed, so the transfer hides under these
+// stages (paper Section V-C).
 func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	clock, cfg := r.clock, r.cfg
 	store, err := stageInput(r.grid, owned, cfg)
@@ -77,17 +74,9 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 
 	// --- substitute k-mer expansion: S and AS (paper Section IV-C) ---
 	var s *dmat.Mat[int32]
-	clock.StartSection(SectionFormS)
-	table, err := formSTable(distinct, cfg)
-	if err == nil {
-		s, err = formSFromTable(r.grid, table, r.kmerSpace)
-	}
-	clock.EndSection()
+	clock.Section(SectionFormS, func() { s, err = formS(r.grid, distinct, cfg, r.kmerSpace) })
 	if err != nil {
 		return nil, err
-	}
-	if forIndex {
-		t.table = table
 	}
 	if t.stats.NNZS, err = s.TryNNZ(); err != nil {
 		return nil, err
@@ -246,42 +235,32 @@ func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index
 	return filtered, banned, nil
 }
 
-// formSTable enumerates the m-nearest substitute lists for every distinct
-// k-mer in the local data (paper Section IV-C). Split from the matrix
-// assembly so the persistent index can memoize the table — the enumeration
-// depends only on K, the scoring matrix and m, never on the query workload.
-func formSTable(distinct map[kmer.ID]struct{}, cfg Config) (map[kmer.ID][]subkmer.Neighbor, error) {
-	expense := scoring.NewExpense(scoring.BLOSUM62)
-	table := make(map[kmer.ID][]subkmer.Neighbor, len(distinct))
-	for id := range distinct {
-		nbrs, err := subkmer.FindCached(id, cfg.K, expense, cfg.SubstituteKmers)
-		if err != nil {
-			return nil, err
-		}
-		table[id] = nbrs
-	}
-	return table, nil
-}
-
-// formSFromTable assembles the substitute matrix S from an enumerated
-// neighbor table: for every distinct k-mer, itself at distance 0 plus its m
-// nearest substitutes, so S has at most m+1 nonzeros per row.
-func formSFromTable(g *dmat.Grid, table map[kmer.ID][]subkmer.Neighbor,
+// formS assembles the substitute matrix S (paper Section IV-C): for every
+// distinct k-mer in the local data, itself at distance 0 plus its m nearest
+// substitutes, so S has at most m+1 nonzeros per row. The lists depend only
+// on K, the scoring matrix and m, and a search is cheap enough that every
+// rank and every run simply repeats it.
+func formS(g *dmat.Grid, distinct map[kmer.ID]struct{}, cfg Config,
 	kmerSpace spmat.Index) (*dmat.Mat[int32], error) {
 
-	clock := g.Comm.Clock()
-	var triples []spmat.Triple[int32]
-	for id, nbrs := range table {
+	finder, err := subkmer.NewFinder(cfg.K, scoring.NewExpense(scoring.BLOSUM62), cfg.SubstituteKmers)
+	if err != nil {
+		return nil, err
+	}
+	triples := make([]spmat.Triple[int32], 0, len(distinct)*(cfg.SubstituteKmers+1))
+	var nbrs []subkmer.Neighbor
+	for id := range distinct {
 		triples = append(triples, spmat.Triple[int32]{
 			Row: spmat.Index(id), Col: spmat.Index(id), Val: 0,
 		})
+		nbrs = finder.AppendFind(nbrs[:0], id)
 		for _, nb := range nbrs {
 			triples = append(triples, spmat.Triple[int32]{
 				Row: spmat.Index(id), Col: spmat.Index(nb.ID), Val: int32(nb.Dist),
 			})
 		}
 	}
-	clock.Ops(float64(len(triples)) * opsPerSubNeighbor)
+	g.Comm.Clock().Ops(float64(len(triples)) * opsPerSubNeighbor)
 	// The same k-mer row may be generated by several ranks; distances agree,
 	// so merging with min is a pure dedup.
 	return dmat.NewFromTriples(g, kmerSpace, kmerSpace, triples, dmat.Int32Codec,

@@ -63,18 +63,18 @@ func Ablations(sc Scale) (*Table, error) {
 			fmt.Sprintf("%.4g / %.4g", cl.MaxTime(), cl.SectionMax()[core.SectionWait]))
 	}
 
-	// 3. Substitute k-mer search: heap algorithm vs naive enumeration on
+	// 3. Substitute k-mer search: bounded search vs naive enumeration on
 	// k=3 where the naive 20^k enumeration is feasible.
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	rng := rand.New(rand.NewSource(9))
-	var heapWork, naiveWork int64
+	var searchWork, naiveWork int64
 	const trials = 20
 	for i := 0; i < trials; i++ {
 		id := randomKmerID(rng, 3)
 		if _, err := subkmer.Find(id, 3, e, 25); err != nil {
 			return nil, err
 		}
-		heapWork += 25 // m results explored with pruning; see bench for time
+		searchWork += 25 // m results explored with pruning; see bench for time
 		all, err := subkmer.FindNaive(id, 3, e, 25)
 		if err != nil {
 			return nil, err
@@ -82,10 +82,10 @@ func Ablations(sc Scale) (*Table, error) {
 		naiveWork += int64(20 * 20 * 20)
 		_ = all
 	}
-	t.Add("substitute k-mer search", "heap vs naive (k=3, m=25)",
+	t.Add("substitute k-mer search", "bounded search vs naive (k=3, m=25)",
 		"candidates touched per k-mer",
 		fmt.Sprintf("~%d vs %d (see BenchmarkFindVsNaiveK3: ~200x faster)",
-			heapWork/trials*8, naiveWork/trials))
+			searchWork/trials*8, naiveWork/trials))
 
 	// 4. Computation-to-data upper-triangle trick vs naive idle processes:
 	// alignment-phase makespan.

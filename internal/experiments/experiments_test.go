@@ -77,7 +77,6 @@ func TestGetRegistry(t *testing.T) {
 // ones are covered by the benchmark suite and integration test.
 func TestScalingExperimentsRun(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	ids := []string{"fig14strong", "fig14weak", "fig15", "fig16"}
 	if testing.Short() {
 		// fig15/fig16 exercise the same runPastisModel+SectionMean machinery
@@ -106,7 +105,6 @@ func TestStrongScalingShape(t *testing.T) {
 	if !testing.Short() {
 		sc.NodesLarge = []int{16, 64, 256}
 	}
-	defer Reset()
 	tb, err := Fig14Strong(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +137,6 @@ func TestStrongScalingShape(t *testing.T) {
 // sequences), the paper's quadratic-output observation.
 func TestWeakScalingOutputGrowth(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	tb, err := Fig14Weak(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +168,6 @@ func TestWeakScalingOutputGrowth(t *testing.T) {
 // is identical across thread counts.
 func TestThreadScalingShape(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	tb, err := ThreadScaling(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,6 @@ func TestThreadScalingShape(t *testing.T) {
 // asserts the PSG is identical across the sweep.
 func TestBlockedWavesShape(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	tb, err := BlockedWaves(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +262,6 @@ func TestBlockedWavesShape(t *testing.T) {
 // assertions here cover the rest: sw computes the most cells, ug the least.
 func TestKernelsExperimentShape(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	tb, err := Kernels(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +296,6 @@ func TestKernelsExperimentShape(t *testing.T) {
 // rows do not, and the registered ug+wfa cascade undercuts pure wfa.
 func TestCascadeExperimentShape(t *testing.T) {
 	sc := testScale()
-	defer Reset()
 	tb, err := CascadeStaged(sc)
 	if err != nil {
 		t.Fatal(err)

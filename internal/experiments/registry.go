@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/subkmer"
 )
 
 // Experiment is one reproducible table or figure.
@@ -49,7 +47,3 @@ func Get(id string) (Experiment, error) {
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
-
-// Reset frees cross-run memoization between experiment groups to bound
-// memory during long sweeps.
-func Reset() { subkmer.ClearCache() }

@@ -145,7 +145,11 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 	qLo := n * comm.Rank() / comm.Size()
 	qHi := n * (comm.Rank() + 1) / comm.Size()
 
-	expense := scoring.NewExpense(scoring.BLOSUM62)
+	finder, err := subkmer.NewFinder(cfg.K, scoring.NewExpense(scoring.BLOSUM62), maxNeighbors(cfg.Sensitivity))
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	var nbrs []subkmer.Neighbor
 	budget := similarKmerBudget(cfg.Sensitivity)
 	sc := align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend}
 	// One Aligner reused across the whole query loop: the ungapped and
@@ -181,10 +185,7 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 		for _, km := range kmer.ExtractCodes(qCodes, cfg.K, true) {
 			record(km.ID, int32(km.Pos))
 			if budget > 0 {
-				nbrs, err := subkmer.FindCached(km.ID, cfg.K, expense, maxNeighbors(cfg.Sensitivity))
-				if err != nil {
-					return nil, Stats{}, err
-				}
+				nbrs = finder.AppendFind(nbrs[:0], km.ID)
 				for _, nb := range nbrs {
 					if nb.Dist > budget {
 						break // sorted by distance

@@ -123,7 +123,7 @@ func TestDistancesVerify(t *testing.T) {
 	}
 }
 
-// The heap algorithm must agree exactly with brute-force enumeration,
+// The bounded search must agree exactly with brute-force enumeration,
 // including tie order, for random roots and both scoring models.
 func TestMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -236,7 +236,7 @@ func BenchmarkFindM25K6(b *testing.B) {
 func BenchmarkFindVsNaiveK3(b *testing.B) {
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	root := mustID(b, "MKV")
-	b.Run("heap", func(b *testing.B) {
+	b.Run("bounded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := Find(root, 3, e, 25); err != nil {
 				b.Fatal(err)

@@ -226,6 +226,62 @@ func TestQueryCacheIdentity(t *testing.T) {
 	}
 }
 
+// A substitute index holds no neighbor lists — the query path searches — and
+// an artifact from before that, which carries them in an "nbr" section, still
+// opens and answers the same: the section is not read, whatever it holds.
+func TestIndexCarriesNoNeighborTable(t *testing.T) {
+	data, err := GenerateScopeLike(5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := data.Records
+	cfg := DefaultConfig()
+	cfg.SubstituteKmers = 10
+	cfg.CommonKmerThreshold = 1
+	const nodes = 4
+
+	dir := t.TempDir()
+	if _, err := BuildIndex(recs, nodes, cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	query := func() []Hit {
+		t.Helper()
+		eng, err := OpenIndex(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := eng.Query(recs[:6], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch.Hits
+	}
+	want := query()
+	if len(want) == 0 {
+		t.Fatal("no hits to compare")
+	}
+
+	for rank := 0; rank < nodes; rank++ {
+		f, _, err := index.Load(dir, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := f.Section("ast"); !ok {
+			t.Fatalf("rank %d: substitute index without an (AS)ᵀ block", rank)
+		}
+		if _, ok := f.Section("nbr"); ok {
+			t.Fatalf("rank %d: index still carries a neighbor table", rank)
+		}
+		f.Sections = append(f.Sections, index.Section{Name: "nbr", Payload: []byte("not a neighbor table")})
+		if _, err := index.Save(dir, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := query(); !slices.Equal(got, want) {
+		t.Fatalf("an artifact with an nbr section answers differently: %d hits, want %d", len(got), len(want))
+	}
+}
+
 // A rank count that cannot form the process grid is an error at every entry
 // point that takes one — from the caller, or from an index manifest — never
 // a panic in cluster construction.

@@ -35,9 +35,12 @@ import (
 // ckptFormat makes a checkpoint a wire container under its own magic: the
 // header, trailer checksum, exact-length decode, identity checks and atomic
 // writer are the container's. Version 1 was a private layout under the same
-// magic; the container rejects it by version, so a v1 file is simply not
+// magic; version 2 is this layout, but its edges were aligned from seeds
+// chosen before every Overlap lived in its pair's frame (types.go), and a
+// resume must not splice them into a graph built from the seeds of today.
+// The container rejects both by version, so an old file is simply not
 // resumable and the run restarts in full.
-var ckptFormat = wire.Format{Magic: "PASTISCK", Version: 2}
+var ckptFormat = wire.Format{Magic: "PASTISCK", Version: 3}
 
 // checkpointer is a sweep's checkpoint policy: where its waves are saved,
 // the run identity they are saved under, and — on a resumed run — the state

@@ -164,23 +164,16 @@ func goldenV1Checkpoint(t testing.TB) []byte {
 	return raw
 }
 
-// A v1 checkpoint is not resumable: the scan skips it, a direct load names
-// the version, and a -resume run over a directory holding only v1 files of
-// this very run restarts in full — same graph, no panic, nothing of the old
-// file's state blended in.
+// An old-format checkpoint is not resumable — v1, a private layout, or v2,
+// today's layout holding edges aligned from pre-frame seeds: the scan skips
+// it, a direct load names the version, and a -resume run over a directory
+// holding only such files of this very run restarts in full — same graph, no
+// panic, nothing of the old file's state blended in.
 func TestCheckpointV1Skipped(t *testing.T) {
 	golden := goldenV1Checkpoint(t)
-	dir := t.TempDir()
-	if err := os.WriteFile(checkpointPath(dir, 0, 2), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := newestCheckpoint(dir, 0xfeedbeef, 0, 1); got != nil {
-		t.Fatalf("v1 checkpoint loaded: %+v", got)
-	}
-	if _, err := openCheckpoint(checkpointPath(dir, 0, 2), 0xfeedbeef, 0, 1); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
-		t.Fatalf("v1 checkpoint: error %v does not name the version", err)
-	}
-
+	v2 := wire.Format{Magic: ckptFormat.Magic, Version: 2}
+	bogus := checkpointState{Wave: 2, Blocks: 4, Aligned: 5, Cells: 1234,
+		Edges: []Edge{{R: 1, C: 2, Weight: 0.5, Ident: 0.75, Cov: 0.9, NS: 1.25, Score: 42}}}
 	data := familyDataset(t, 4, 71)
 	cfg := DefaultConfig()
 	cfg.Blocks = 4
@@ -188,21 +181,43 @@ func TestCheckpointV1Skipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-address the golden to this run (its fingerprint; v1 sealed files
-	// with the same checksum function), so only the version stands between
-	// it and a resume from wave 2 with a bogus edge.
-	mine := bytes.Clone(golden[:len(golden)-8])
-	wire.PutU64(mine[16:], configFingerprint(cfg, 1, spmat.Index(len(data.Records))))
-	mine = wire.AppendU64(mine, wire.Checksum(wire.ChecksumInit, mine))
-	if err := os.WriteFile(checkpointPath(dir, 0, 2), mine, 0o644); err != nil {
-		t.Fatal(err)
+	fp := configFingerprint(cfg, 1, spmat.Index(len(data.Records)))
+	for _, old := range []struct {
+		version string
+		// file renders the stale checkpoint addressed to run fp, so only the
+		// version stands between it and a resume from wave 2 with a bogus edge.
+		file func(fp uint64) []byte
+	}{
+		{"version 1", func(fp uint64) []byte {
+			// v1 sealed files with the same checksum function.
+			mine := bytes.Clone(golden[:len(golden)-8])
+			wire.PutU64(mine[16:], fp)
+			return wire.AppendU64(mine, wire.Checksum(wire.ChecksumInit, mine))
+		}},
+		{"version 2", func(fp uint64) []byte { return v2.Encode(checkpointFile(fp, 0, 1, bogus)) }},
+	} {
+		dir := t.TempDir()
+		path := checkpointPath(dir, 0, 2)
+		if err := os.WriteFile(path, old.file(0xfeedbeef), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := newestCheckpoint(dir, 0xfeedbeef, 0, 1); got != nil {
+			t.Fatalf("%s checkpoint loaded: %+v", old.version, got)
+		}
+		if _, err := openCheckpoint(path, 0xfeedbeef, 0, 1); err == nil || !strings.Contains(err.Error(), old.version+", want 3") {
+			t.Fatalf("%s checkpoint: error %v does not name the version", old.version, err)
+		}
+
+		if err := os.WriteFile(path, old.file(fp), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed := cfg
+		resumed.CheckpointDir = dir
+		resumed.Resume = true
+		got, err := runChaosPipeline(data.Records, 1, resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGraph(t, "resume over a "+old.version+" checkpoint", got, ref)
 	}
-	resumed := cfg
-	resumed.CheckpointDir = dir
-	resumed.Resume = true
-	got, err := runChaosPipeline(data.Records, 1, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, "resume over a v1 checkpoint", got, ref)
 }

@@ -85,8 +85,8 @@ func (r *run) close() { r.clock.SetThreads(1) }
 //
 // All-vs-all is the many-against-many sweep with the query panel equal to
 // the database (arXiv:2303.01845): build the target operands, then sweep A
-// (or AS) against Aᵀ in the symmetric mode — upper-triangle assignment,
-// lower-index-first orientation. The candidate matrix streams through
+// (or AS) against Aᵀ in the symmetric frame — upper-triangle assignment,
+// lower global index first. The candidate matrix streams through
 // cfg.Blocks column panels as memory-bounded waves (sweep.go + wave.go);
 // the similarity graph is bit-identical for every Blocks × Threads ×
 // rank-count combination.
@@ -110,7 +110,7 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 		}
 	}
 	ops := &operands{rows: t.a, rowsS: t.as, at: t.at, ast: t.ast}
-	return sweep(r, ops, t.store, true, ckpt, t.stats)
+	return sweep(r, ops, t.store, symmetricFrame(r.grid), ckpt, t.stats)
 }
 
 // AllVsAll is the all-vs-all rank body, shared by pastis.RunRank (and so by

@@ -121,38 +121,58 @@ func TestPipelineFindsFamilies(t *testing.T) {
 	}
 }
 
-// The similarity graph must be identical for every process count — the
-// paper's reproducibility guarantee (Section V) — for every registered
-// alignment kernel (canonical pair orientation makes each kernel's
-// tie-breaking process-count invisible).
+// The similarity graph and every Stats counter must be identical for every
+// process count — the paper's reproducibility guarantee (Section V) — for
+// every registered alignment kernel, and for every wave count on top. Seeds
+// are chosen and pairs aligned in the pair's frame (types.go), so neither
+// the seed choice nor a kernel's tie-breaking can see which block owns a
+// pair. The metaclust-like inputs are the ones that gave it away before:
+// pairs sharing more than two k-mers, no common-k-mer prune, a kernel that
+// extends from the seeds it is handed (seed 3 at -subs 10: 1,890,700 cells
+// on 1 rank, 1,890,775 on 4, and a different graph on 4 and 16).
 func TestProcessCountOblivious(t *testing.T) {
-	data := familyDataset(t, 5, 7)
+	oblivious := func(label string, recs []fasta.Record, cfg Config, ranks, blocks []int) {
+		t.Helper()
+		var ref *chaosRun
+		for _, p := range ranks {
+			for _, nb := range blocks {
+				cfg.Blocks = nb
+				edges, stats, _ := runPipeline(t, recs, p, cfg)
+				got := chaosRun{edges: edges, stats: stats}
+				if ref == nil {
+					ref = &got
+					continue
+				}
+				sameGraph(t, fmt.Sprintf("%s p=%d blocks=%d", label, p, nb), got, *ref)
+			}
+		}
+		if len(ref.edges) == 0 {
+			t.Fatalf("%s: no edges to compare", label)
+		}
+	}
+
+	families := familyDataset(t, 5, 7)
 	for _, mode := range KernelModes() {
 		for _, subs := range []int{0, 5} {
 			cfg := DefaultConfig()
 			cfg.Align = mode
 			cfg.SubstituteKmers = subs
-			var ref []Edge
-			for _, p := range []int{1, 4, 9} {
-				edges, _, _ := runPipeline(t, data.Records, p, cfg)
-				if ref == nil {
-					ref = edges
-					continue
-				}
-				if len(edges) != len(ref) {
-					t.Fatalf("mode=%v subs=%d p=%d: %d edges vs reference %d",
-						mode, subs, p, len(edges), len(ref))
-				}
-				for i := range ref {
-					if edges[i] != ref[i] {
-						t.Fatalf("mode=%v subs=%d p=%d: edge %d differs: %+v vs %+v",
-							mode, subs, p, i, edges[i], ref[i])
-					}
-				}
-			}
-			if len(ref) == 0 {
-				t.Fatalf("mode=%v subs=%d: no edges to compare", mode, subs)
-			}
+			oblivious(fmt.Sprintf("families mode=%v subs=%d", mode, subs),
+				families.Records, cfg, []int{1, 4, 9}, []int{1})
+		}
+	}
+	for _, seed := range []int64{3, 8} {
+		data, err := synth.Generate(synth.DefaultMetaclustLike(300, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, subs := range []int{0, 10} {
+			cfg := DefaultConfig()
+			cfg.Align = AlignUngapped
+			cfg.Weight = WeightNS
+			cfg.SubstituteKmers = subs
+			oblivious(fmt.Sprintf("metaclust seed=%d subs=%d", seed, subs),
+				data.Records, cfg, []int{1, 4, 9, 16}, []int{1, 3})
 		}
 	}
 }
@@ -662,25 +682,85 @@ func TestMergeOverlap(t *testing.T) {
 	}
 }
 
-func TestTransposeOverlap(t *testing.T) {
-	v := Overlap{Count: 5, NumSeeds: 2, Seeds: [2]SeedPos{
-		{PosR: 3, PosC: 8, Dist: 1}, {PosR: 9, PosC: 2, Dist: 1},
-	}}
-	tv := transposeOverlap(v)
-	if tv.Count != 5 || tv.NumSeeds != 2 {
-		t.Fatalf("transpose lost data: %+v", tv)
+// The retained seeds must be a function of the unordered pair: folding a
+// pair's shared k-mers as the block that holds it as (i, j) forms them, and
+// folding the same k-mers as the mirrored block forms them at (j, i) — below
+// the grid diagonal, or in the lower triangle of a diagonal block — give the
+// same Overlap, for all three products. (AS)·Aᵀ seen from the mirror is
+// A·(AS)ᵀ and vice versa: the substitute side stays on the same sequence.
+func TestSeedsFrameFree(t *testing.T) {
+	type hit struct{ posI, posJ, dist int32 }
+	fold := func(mul func(h hit) Overlap, hits []hit) Overlap {
+		acc := mul(hits[0])
+		for _, h := range hits[1:] {
+			acc = MergeOverlap(acc, mul(h))
+		}
+		return acc
 	}
-	// Positions swapped and re-sorted: (2,9,1) now precedes (8,3,1).
-	if tv.Seeds[0] != (SeedPos{PosR: 2, PosC: 9, Dist: 1}) {
-		t.Errorf("seed 0 = %+v", tv.Seeds[0])
+	const i, j = 3, 11 // block-local, i < j
+	nat := frameAbove
+	products := []struct {
+		name    string
+		natural func(h hit) Overlap
+		mirror  func(f frame) func(h hit) Overlap
+	}{
+		{"A·Aᵀ",
+			func(h hit) Overlap { return nat.exact().Multiply(i, j, h.posI, h.posJ) },
+			func(f frame) func(hit) Overlap {
+				return func(h hit) Overlap { return f.exact().Multiply(j, i, h.posJ, h.posI) }
+			}},
+		{"(AS)·Aᵀ",
+			func(h hit) Overlap { return nat.subRows().Multiply(i, j, PosDist{h.posI, h.dist}, h.posJ) },
+			func(f frame) func(hit) Overlap {
+				return func(h hit) Overlap { return f.subCols().Multiply(j, i, h.posJ, PosDist{h.posI, h.dist}) }
+			}},
+		{"A·(AS)ᵀ",
+			func(h hit) Overlap { return nat.subCols().Multiply(i, j, h.posI, PosDist{h.posJ, h.dist}) },
+			func(f frame) func(hit) Overlap {
+				return func(h hit) Overlap { return f.subRows().Multiply(j, i, PosDist{h.posJ, h.dist}, h.posI) }
+			}},
 	}
-	if tv.Seeds[1] != (SeedPos{PosR: 8, PosC: 3, Dist: 1}) {
-		t.Errorf("seed 1 = %+v", tv.Seeds[1])
+	rng := rand.New(rand.NewSource(23))
+	lateSwapDiffers := 0
+	for trial := 0; trial < 2000; trial++ {
+		// >= 3 seeds on distinct diagonals, with ties on Dist and on PosR so
+		// the (Dist, PosR, PosC) order has to reach its last key.
+		hits := make([]hit, 3+rng.Intn(4))
+		for n := range hits {
+			hits[n] = hit{posI: int32(rng.Intn(6)), posJ: int32(rng.Intn(6)) + int32(7*n), dist: int32(rng.Intn(2))}
+		}
+		for _, p := range products {
+			want := fold(p.natural, hits)
+			for _, f := range []frame{frameBelow, frameDiag} {
+				if got := fold(p.mirror(f), hits); got != want {
+					t.Fatalf("%s, mirror frame %d, hits %v:\n got %+v\nwant %+v", p.name, f, hits, got, want)
+				}
+			}
+			// What the tree did before frames: choose in the mirrored block's
+			// own (row, column) order and swap the survivors afterwards.
+			late := fold(p.mirror(frameRect), hits)
+			for n := range late.Seeds[:late.NumSeeds] {
+				late.Seeds[n].PosR, late.Seeds[n].PosC = late.Seeds[n].PosC, late.Seeds[n].PosR
+			}
+			if late.NumSeeds == 2 && seedLess(late.Seeds[1], late.Seeds[0]) {
+				late.Seeds[0], late.Seeds[1] = late.Seeds[1], late.Seeds[0]
+			}
+			if late != want {
+				lateSwapDiffers++
+			}
+		}
 	}
-	// Involution (count and seed set preserved).
-	back := transposeOverlap(tv)
-	if back != v {
-		t.Errorf("transpose not involutive: %+v vs %+v", back, v)
+	if lateSwapDiffers == 0 {
+		t.Error("the draws never made choose-then-swap disagree: the gate tests nothing")
+	}
+	// A rectangular sweep and the blocks above the diagonal keep seeds as formed.
+	for _, f := range []frame{frameRect, frameAbove} {
+		if f.mirrored(j, i) {
+			t.Errorf("frame %d mirrors an entry", f)
+		}
+	}
+	if frameDiag.mirrored(i, j) || frameDiag.mirrored(i, i) {
+		t.Error("a diagonal block mirrors an entry of its upper triangle")
 	}
 }
 

@@ -134,10 +134,9 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 
 	// --- blocked-wave sweep: Q·Aᵀ (exact) or the dual product QS·Aᵀ ⊕
 	// Q·(AS)ᵀ, which a rectangular panel runs every wave — even a single one —
-	// because it has no transpose to symmetrize with. The align stage's
-	// transpose-merge combines the two bitwise identically to the all-vs-all
-	// symmetrization.
-	return sweep(r, ops, pairSeqs{rows: qstore, cols: tstore}, false, nil, stats)
+	// because it has no transpose to symmetrize with. Both products build
+	// their seeds in the (query, target) frame and the align stage merges them.
+	return sweep(r, ops, pairSeqs{rows: qstore, cols: tstore}, frameRect, nil, stats)
 }
 
 // expandQS builds QS = Q·S by local expansion: every local Q nonzero

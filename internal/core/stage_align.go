@@ -63,7 +63,7 @@ type panelResult struct {
 }
 
 // processPanel is the per-wave local stage: merge the transpose
-// contribution (multi-wave substitute path), apply the common-k-mer prune,
+// contribution (dual-product substitute path), apply the common-k-mer prune,
 // and align the panel's candidate pairs in bounded batches on the worker
 // pool. It runs on a background goroutine while the next panel's SUMMA
 // stages proceed, so it must not touch the rank clock or any distributed
@@ -71,21 +71,17 @@ type panelResult struct {
 // Output is deterministic — batch boundaries depend only on the candidate
 // count, and batches merge in order — so the edge list is bit-identical for
 // any thread count and any wave count.
-func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, symmetric bool, cfg Config) panelResult {
+func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config) panelResult {
 	var res panelResult
 	local := bp.Local
 	if btp != nil {
-		bt := spmat.Apply(btp.Local, func(r, c spmat.Index, v Overlap) Overlap {
-			return transposeOverlap(v)
-		})
-		res.parOps += float64(btp.Local.NNZ()) * opsPerVisitNNZ
-		merged, err := spmat.EWiseAdd(local, bt, MergeOverlap)
+		merged, err := spmat.EWiseAdd(local, btp.Local, MergeOverlap)
 		if err != nil {
 			res.err = err
 			return res
 		}
 		res.serialOps += float64(merged.NNZ()) * opsPerMergedNNZ
-		res.scratch += bt.Bytes() + merged.Bytes()
+		res.scratch += merged.Bytes()
 		local = merged
 	}
 	res.nnzB = int64(local.NNZ())
@@ -102,7 +98,7 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, symmetric bool, cfg
 		return res
 	}
 
-	edges, aligned, cells, stages, err := alignPanel(bp.Grid, pruned, bp.RowOffset(), bp.ColOffset(), src, symmetric, cfg)
+	edges, aligned, cells, stages, err := alignPanel(pruned, bp.RowOffset(), bp.ColOffset(), src, f, cfg)
 	res.edges, res.aligned, res.cells, res.stages, res.err = edges, aligned, cells, stages, err
 	res.parOps += float64(cells) * opsPerDPCell
 	return res
@@ -130,14 +126,14 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, symmetric bool, cfg
 // the kernel is a staged cascade, the per-stage pair/cell tallies of every
 // worker instance are additionally summed into one per-stage breakdown for
 // the panel (plain integer sums, so the result is thread-count oblivious).
-func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
-	src seqSource, symmetric bool, cfg Config) ([]Edge, int64, int64, []align.StageStats, error) {
+func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
+	src seqSource, f frame, cfg Config) ([]Edge, int64, int64, []align.StageStats, error) {
 
 	kernelFor, err := align.KernelFactory(string(cfg.Align))
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	onOrAboveDiag := g.MyRow <= g.MyCol
+	onOrAboveDiag := f != frameBelow
 
 	// Ownership filtering is cheap and serial; it yields the candidate list
 	// the batches are cut from. A many-vs-DB panel is rectangular — query
@@ -148,7 +144,7 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 	for _, t := range b.ToTriples() {
 		lr, lc := t.Row, t.Col
 		r, c := rowOff+lr, colOff+lc
-		if symmetric {
+		if f != frameRect { // rows and columns index the same sequences
 			if r == c {
 				continue // self pair
 			}
@@ -207,7 +203,7 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 		out := &outs[chunk]
 		startCells := ws.kernel.CellsComputed()
 		for _, t := range cands[lo:hi] {
-			edge, err := alignPair(ws.kernel, params, ws.seeds, t, rowOff, colOff, src, symmetric, cfg)
+			edge, err := alignPair(ws.kernel, params, ws.seeds, t, rowOff, colOff, src, f, cfg)
 			if err != nil {
 				out.err = err
 				break
@@ -249,7 +245,7 @@ func alignPanel(g *dmat.Grid, b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index
 // seed bound, so appending never allocates).
 func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 	t spmat.Triple[Overlap], rowOff, colOff spmat.Index,
-	src seqSource, symmetric bool, cfg Config) (edge *Edge, err error) {
+	src seqSource, f frame, cfg Config) (edge *Edge, err error) {
 
 	r, c := rowOff+t.Row, colOff+t.Col
 	seqR, err := src.RowSeq(r)
@@ -260,60 +256,64 @@ func alignPair(k align.Kernel, params align.Params, seedScratch []align.Seed,
 	if err != nil {
 		return nil, err
 	}
-	// Align in canonical orientation (lower global index first): mirror
-	// blocks see the pair transposed, and alignment tie-breaking is not
-	// guaranteed orientation-symmetric on degenerate ties, so this keeps
-	// the PSG bit-identical across process counts (the paper's
-	// reproducibility property). Query pairs have no mirror block — each
-	// (query, target) pair exists once — so they always align query-first.
-	aCodes, bCodes := seqR.Codes, seqC.Codes
-	swapped := symmetric && r > c
-	if swapped {
-		aCodes, bCodes = bCodes, aCodes
+	// Align in the pair's frame, the one its seeds were born in (frame,
+	// types.go): alignment tie-breaking is not guaranteed orientation-
+	// symmetric on degenerate ties, and a mirrored block holds the pair with
+	// the higher index on its row.
+	if f.mirrored(t.Row, t.Col) {
+		r, c, seqR, seqC = c, r, seqC, seqR
 	}
-	// Hand the kernel the overlap's seeds in the chosen orientation plus
-	// the pair's shared-k-mer evidence; the kernel decides what it needs
-	// (cascades use the count as a rescue override for off-diagonal seeds,
-	// primitive kernels ignore it).
+	// Hand the kernel the overlap's seeds plus the pair's shared-k-mer
+	// evidence; the kernel decides what it needs (cascades use the count as
+	// a rescue override for off-diagonal seeds, primitive kernels ignore it).
 	seeds := seedScratch[:0]
 	ov := t.Val
 	params.SharedKmers = int(ov.Count)
-	for si := int32(0); si < ov.NumSeeds; si++ {
-		seedA, seedB := int(ov.Seeds[si].PosR), int(ov.Seeds[si].PosC)
-		if swapped {
-			seedA, seedB = seedB, seedA
-		}
-		seeds = append(seeds, align.Seed{PosA: seedA, PosB: seedB, K: cfg.K})
+	for _, s := range ov.Seeds[:ov.NumSeeds] {
+		seeds = append(seeds, align.Seed{PosA: int(s.PosR), PosB: int(s.PosC), K: cfg.K})
 	}
-	best, err := k.Align(aCodes, bCodes, seeds, params)
+	best, err := k.Align(seqR.Codes, seqC.Codes, seeds, params)
 	if err != nil {
 		return nil, fmt.Errorf("core: aligning sequences %d (%d residues) and %d (%d residues): %w",
 			r, len(seqR.Codes), c, len(seqC.Codes), err)
 	}
+	filter := SimilarityFilter{Weight: cfg.Weight, MinIdentity: cfg.MinIdentity, MinCoverage: cfg.MinCoverage}
+	if e, ok := filter.Edge(r, c, len(seqR.Codes), len(seqC.Codes), best); ok {
+		return &e, nil
+	}
+	return nil, nil
+}
 
-	lenR, lenC := len(aCodes), len(bCodes)
-	ident := best.Identity()
-	cov := best.CoverageShorter(lenR, lenC)
-	ns := best.NormalizedScore(lenR, lenC)
-	var weight float64
-	switch cfg.Weight {
+// SimilarityFilter is the rule that turns an alignment into a
+// similarity-graph edge (paper Sections IV-F and VI-B), shared by the
+// pipeline and the MMseqs2 and LAST baselines so all three graphs are cut
+// the same way.
+type SimilarityFilter struct {
+	Weight      WeightMode
+	MinIdentity float64 // ANI mode only
+	MinCoverage float64 // ANI mode only
+}
+
+// Edge returns the edge between sequences r and c, lenR and lenC residues
+// long, that alignment res supports, or false when the filter drops the pair:
+// ANI mode cuts on identity and coverage of the shorter sequence and weights
+// by identity; NS mode keeps every positive score, weighted by it.
+func (f SimilarityFilter) Edge(r, c spmat.Index, lenR, lenC int, res align.Result) (Edge, bool) {
+	e := Edge{
+		R: r, C: c, Score: res.Score,
+		Ident: res.Identity(), Cov: res.CoverageShorter(lenR, lenC), NS: res.NormalizedScore(lenR, lenC),
+	}
+	switch f.Weight {
 	case WeightANI:
-		if ident < cfg.MinIdentity || cov < cfg.MinCoverage {
-			return nil, nil
+		if e.Ident < f.MinIdentity || e.Cov < f.MinCoverage {
+			return Edge{}, false
 		}
-		weight = ident
+		e.Weight = e.Ident
 	case WeightNS:
-		if best.Score <= 0 {
-			return nil, nil
+		if res.Score <= 0 {
+			return Edge{}, false
 		}
-		weight = ns
+		e.Weight = e.NS
 	}
-	lo, hi := r, c
-	if symmetric && lo > hi {
-		lo, hi = hi, lo
-	}
-	return &Edge{
-		R: lo, C: hi, Weight: weight,
-		Ident: ident, Cov: cov, NS: ns, Score: best.Score,
-	}, nil
+	return e, true
 }

@@ -44,9 +44,9 @@ func (o *operands) release() {
 // symmetrization-ready pair for B = rowsS·Aᵀ (substitute) in `blocks` column
 // panels, invoking yield as each panel's SUMMA stages complete. yield
 // receives the panel plus, on the dual-product path, the matching column
-// panel of Bᵀ (still in B[j,i] orientation; the align stage applies
-// transposeOverlap before merging). Every panel is bit-identical to the
-// corresponding column slice of the monolithic computation.
+// panel of Bᵀ, both with their seeds in the pair frame f (types.go). Every
+// panel is bit-identical to the corresponding column slice of the monolithic
+// computation.
 //
 // startPanel skips the panels a resumed run already merged from checkpoint
 // (0 for a fresh sweep): the sweep runs panels [startPanel, blocks).
@@ -58,7 +58,7 @@ func (o *operands) release() {
 // matrix is resident anyway; every other substitute sweep computes the Bᵀ
 // panels directly as rows·(AS)ᵀ, because a column panel of Bᵀ is not a slice
 // of B's column panels.
-func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
+func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 	yield func(panel int, bp, btp *dmat.Mat[Overlap]) error) error {
 
 	clock := o.rows.Grid.Comm.Clock()
@@ -67,22 +67,19 @@ func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 	}
 	if o.rowsS != nil && o.ast == nil {
 		// Single wave: monolithic product plus the SC20 transpose-based
-		// symmetrization B ⊕ Bᵀ with seed positions swapped.
+		// symmetrization B ⊕ Bᵀ; B[j,i] is already in the frame of B[i,j].
 		var b *dmat.Mat[Overlap]
 		var err error
 		clock.Section(SectionB, func() {
-			b, err = dmat.SpGEMM(o.rowsS, o.at, SubstituteSemiring, OverlapCodec, gemmOpts)
+			b, err = dmat.SpGEMM(o.rowsS, o.at, f.subRows(), OverlapCodec, gemmOpts)
 		})
 		if err != nil {
 			return err
 		}
 		var sym *dmat.Mat[Overlap]
 		clock.Section(SectionSym, func() {
-			mapped := b.Map(transposeOverlap)
 			var bt *dmat.Mat[Overlap]
-			bt, err = mapped.Transpose()
-			mapped.Release()
-			if err != nil {
+			if bt, err = b.Transpose(); err != nil {
 				b.Release()
 				return
 			}
@@ -114,9 +111,9 @@ func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 		var err error
 		clock.Section(SectionB, func() {
 			if o.rowsS == nil {
-				bp, err = dmat.SpGEMMPanel(o.rows, o.at, ExactSemiring, OverlapCodec, gemmOpts, blocks, k)
+				bp, err = dmat.SpGEMMPanel(o.rows, o.at, f.exact(), OverlapCodec, gemmOpts, blocks, k)
 			} else {
-				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, SubstituteSemiring, OverlapCodec, gemmOpts, blocks, k)
+				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, f.subRows(), OverlapCodec, gemmOpts, blocks, k)
 			}
 		})
 		if err != nil {
@@ -127,7 +124,7 @@ func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 			// "sym."). ast's blocks have the same local widths as at's, so
 			// panel k of rows·(AS)ᵀ covers exactly bp's local columns.
 			clock.Section(SectionSym, func() {
-				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, btSemiring, OverlapCodec, gemmOpts, blocks, k)
+				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, f.subCols(), OverlapCodec, gemmOpts, blocks, k)
 			})
 			if err != nil {
 				return err
@@ -144,17 +141,18 @@ func (o *operands) panels(gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
 // pipeline, aligns the surviving candidates, and reduces the counters into
 // stats so every rank reports identical numbers. It consumes ops. src
 // resolves panel indices to sequences; its exchange is completed right
-// before the first alignment needs it. symmetric marks the Q = DB panel of
-// all-vs-all: upper-triangle assignment and lower-index-first orientation
-// instead of every-nonzero, query-first. ckpt, when non-nil, checkpoints
-// every collected wave and carries the state to resume from.
+// before the first alignment needs it. f is this rank's pair frame:
+// symmetricFrame for the Q = DB panel of all-vs-all (upper-triangle
+// assignment, lower index first), frameRect for a query batch (every nonzero,
+// query first). ckpt, when non-nil, checkpoints every collected wave and
+// carries the state to resume from.
 //
 // The degradation ladder: a sweep that breaches Config.MemBudget fails
 // cluster-wide with dmat.ErrMemBudget (the budget check is itself a
 // collective, so every rank fails the same SUMMA stage together) and
 // restarts from panel 0 at double the block count — smaller panels, smaller
 // transients — until it fits or the ladder caps out.
-func sweep(r *run, ops *operands, src seqSource, symmetric bool, ckpt *checkpointer, stats Stats) (*Result, error) {
+func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, stats Stats) (*Result, error) {
 
 	blocks, startPanel := r.blocks, 0
 	var resume *checkpointState
@@ -177,12 +175,12 @@ func sweep(r *run, ops *operands, src seqSource, symmetric bool, ckpt *checkpoin
 				return nil, err
 			}
 		}
-		w = newWave(r.grid, src, symmetric, r.cfg, blocks, ckpt)
+		w = newWave(r.grid, src, f, r.cfg, blocks, ckpt)
 		if resume != nil {
 			w.restore(resume)
 			resume = nil // only the first attempt resumes; retries start over
 		}
-		err := ops.panels(gemmOpts, blocks, startPanel, w.yield)
+		err := ops.panels(f, gemmOpts, blocks, startPanel, w.yield)
 		if err == nil {
 			err = w.drain()
 		}

@@ -15,9 +15,11 @@
 // dispatches through the align package's kernel registry — Config.Align
 // names a primitive kernel ("sw", "xd", "wfa", "ug") or a staged cascade
 // spec ("ug+wfa"); cascade runs surface per-stage pair and cell
-// breakdowns in Stats. The similarity graph is bit-identical for every
-// rank count × thread count × batch size × wave count (the paper's
-// reproducibility property). docs/ARCHITECTURE.md walks the dataflow;
+// breakdowns in Stats. The similarity graph and Stats are bit-identical for
+// every rank count × thread count × batch size × wave count (the paper's
+// reproducibility property; held at 1, 4, 9 and 16 ranks by
+// TestProcessCountOblivious, because every seed lives in its pair's frame
+// from birth — see frame below). docs/ARCHITECTURE.md walks the dataflow;
 // docs/COST_MODEL.md explains how the stages charge the virtual clock.
 package core
 
@@ -227,9 +229,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// SeedPos is one shared k-mer occurrence on a sequence pair: the k-mer
-// starts at PosR in the row sequence and PosC in the column sequence; Dist
-// is the substitution distance (0 for exact matches).
+// SeedPos is one shared k-mer occurrence on a sequence pair, in the pair's
+// frame: the k-mer starts at PosR in the first sequence and PosC in the
+// second; Dist is the substitution distance (0 for exact matches).
 type SeedPos struct {
 	PosR, PosC int32
 	Dist       int32
@@ -258,10 +260,10 @@ func seedLess(a, b SeedPos) bool {
 // MergeOverlap is the semiring addition for B: counts accumulate and the
 // two best seeds (by distance, then position) are retained. Every Overlap
 // in the system keeps its seeds in seedLess order (Multiply emits one
-// seed, transposeOverlap re-sorts, this function preserves it), so the
-// best two are a two-way merge of two sorted lists — no slice, no
-// sort.Slice: this runs once per accumulated nonzero inside the SpGEMM
-// hot loop. TestMergeOverlapMatchesSort holds it bit-identical to a
+// seed, this function preserves the order), so the best two are a two-way
+// merge of two sorted lists — no slice, no sort.Slice: this runs once per
+// accumulated nonzero inside the SpGEMM hot loop.
+// TestMergeOverlapMatchesSort holds it bit-identical to a
 // concatenate-sort-dedup reference in merge_test.go.
 func MergeOverlap(x, y Overlap) Overlap {
 	out := Overlap{Count: x.Count + y.Count}
@@ -291,20 +293,6 @@ func MergeOverlap(x, y Overlap) Overlap {
 	return out
 }
 
-// transposeOverlap swaps the row/column roles of the seed positions; applied
-// before the distributed transpose during symmetrization.
-func transposeOverlap(v Overlap) Overlap {
-	out := v
-	for i := int32(0); i < v.NumSeeds; i++ {
-		out.Seeds[i].PosR, out.Seeds[i].PosC = v.Seeds[i].PosC, v.Seeds[i].PosR
-	}
-	// Re-establish canonical seed order under the swapped positions.
-	if out.NumSeeds == 2 && seedLess(out.Seeds[1], out.Seeds[0]) {
-		out.Seeds[0], out.Seeds[1] = out.Seeds[1], out.Seeds[0]
-	}
-	return out
-}
-
 // PosDist is the nonzero type of AS: the position of the closest original
 // k-mer of the row sequence that maps to this substitute k-mer, with its
 // substitution distance (paper Section IV-C).
@@ -313,21 +301,11 @@ type PosDist struct {
 	Dist int32
 }
 
-// ExactSemiring builds B = A·Aᵀ for exact k-mer matching (paper Fig. 4):
-// multiplication pairs the k-mer positions on the two sequences, addition
-// merges counts and keeps the best two seeds.
-var ExactSemiring = spmat.Semiring[int32, int32, Overlap]{
-	Multiply: func(posR, posC int32) Overlap {
-		return Overlap{Count: 1, NumSeeds: 1, Seeds: [2]SeedPos{{PosR: posR, PosC: posC}}}
-	},
-	Add: MergeOverlap,
-}
-
 // ASSemiring builds AS: multiplication attaches the substitution distance
 // to the k-mer position; addition keeps the closest k-mer when several
 // k-mers of the sequence share a substitute k-mer (paper Section IV-C).
 var ASSemiring = spmat.Semiring[int32, int32, PosDist]{
-	Multiply: func(pos, dist int32) PosDist { return PosDist{Pos: pos, Dist: dist} },
+	Multiply: func(_, _ spmat.Index, pos, dist int32) PosDist { return PosDist{Pos: pos, Dist: dist} },
 	Add: func(x, y PosDist) PosDist {
 		if y.Dist < x.Dist || (y.Dist == x.Dist && y.Pos < x.Pos) {
 			return y
@@ -336,31 +314,88 @@ var ASSemiring = spmat.Semiring[int32, int32, PosDist]{
 	},
 }
 
-// SubstituteSemiring builds B = (AS)·Aᵀ: like ExactSemiring but the row
-// position carries its substitution distance into the seed.
-var SubstituteSemiring = spmat.Semiring[PosDist, int32, Overlap]{
-	Multiply: func(pd PosDist, posC int32) Overlap {
-		return Overlap{Count: 1, NumSeeds: 1, Seeds: [2]SeedPos{{PosR: pd.Pos, PosC: posC, Dist: pd.Dist}}}
-	},
-	Add: MergeOverlap,
+// frame is the one place a candidate pair's orientation is decided: which of
+// its two sequences a seed's PosR lies on, hence which is aligned first. A
+// symmetric (all-vs-all) sweep puts the lower global index first, whichever
+// grid block forms, transposes, merges or aligns the pair; a rectangular
+// (query) sweep puts the query first. The overlap semirings swap the two
+// positions as the seed is born, so every Overlap is in its pair's frame
+// before MergeOverlap drops a seed: the retained seeds are a function of the
+// unordered pair and the graph does not depend on the rank count
+// (TestSeedsFrameFree, TestProcessCountOblivious).
+//
+// A rank knows its frame from its grid position: block rows and columns are
+// cut by the same ascending BlockRange, so below the grid diagonal every row
+// index exceeds every column index, above it none does, and on it block-local
+// order is global order — the (i, j) a Semiring.Multiply receives suffices.
+type frame int8
+
+const (
+	frameRect  frame = iota // rectangular sweep: (query, target) as formed
+	frameAbove              // symmetric, above the grid diagonal: row < column as formed
+	frameDiag               // symmetric, on the diagonal: mirrored where i > j
+	frameBelow              // symmetric, below the diagonal: always mirrored
+)
+
+// symmetricFrame is the frame of an all-vs-all sweep on this rank.
+func symmetricFrame(g *dmat.Grid) frame {
+	switch {
+	case g.MyRow < g.MyCol:
+		return frameAbove
+	case g.MyRow == g.MyCol:
+		return frameDiag
+	}
+	return frameBelow
 }
 
-// btSemiring computes the symmetrization contribution for the blocked
-// substitute path. A column panel of Bᵀ cannot be sliced out of B's column
-// panels (it would need a full row panel), but it IS a column panel of the
-// product A·(AS)ᵀ: entry (i,j) accumulates exactly the contribution
-// multiset of B[j,i] — Multiply(A[i,k], (AS)[j,k]) below builds the seed in
-// B[j,i]'s orientation (PosR on sequence j, PosC on sequence i) — and
-// MergeOverlap is order-independent (count sum plus min-2-distinct seeds),
-// so the panel equals B[j,i] bitwise. Applying transposeOverlap to the
-// result then reproduces the monolithic Map(transposeOverlap).Transpose()
-// panel exactly.
-var btSemiring = spmat.Semiring[int32, PosDist, Overlap]{
-	Multiply: func(posC int32, pd PosDist) Overlap {
-		return Overlap{Count: 1, NumSeeds: 1, Seeds: [2]SeedPos{{PosR: pd.Pos, PosC: posC, Dist: pd.Dist}}}
-	},
-	Add: MergeOverlap,
+// mirrored reports whether block-local entry (i, j) has the higher global
+// index on its row.
+func (f frame) mirrored(i, j spmat.Index) bool {
+	return f == frameBelow || (f == frameDiag && i > j)
 }
+
+// seed is the contribution of one shared k-mer to entry (i, j): at pos on the
+// row sequence and posC on the column sequence, stored in the pair's frame.
+func (f frame) seed(i, j spmat.Index, pos, posC, dist int32) Overlap {
+	if f.mirrored(i, j) {
+		pos, posC = posC, pos
+	}
+	return Overlap{Count: 1, NumSeeds: 1, Seeds: [2]SeedPos{{PosR: pos, PosC: posC, Dist: dist}}}
+}
+
+// exact is the semiring of B = A·Aᵀ for exact k-mer matching (paper Fig. 4):
+// multiplication pairs the k-mer positions on the two sequences, addition
+// merges counts and keeps the best two seeds.
+func (f frame) exact() spmat.Semiring[int32, int32, Overlap] {
+	return spmat.Semiring[int32, int32, Overlap]{
+		Multiply: func(i, j spmat.Index, pos, posC int32) Overlap { return f.seed(i, j, pos, posC, 0) },
+		Add:      MergeOverlap,
+	}
+}
+
+// subRows is the semiring of B = (AS)·Aᵀ: like exact, but the row position
+// carries its substitution distance into the seed.
+func (f frame) subRows() spmat.Semiring[PosDist, int32, Overlap] {
+	return spmat.Semiring[PosDist, int32, Overlap]{
+		Multiply: func(i, j spmat.Index, pd PosDist, posC int32) Overlap { return f.seed(i, j, pd.Pos, posC, pd.Dist) },
+		Add:      MergeOverlap,
+	}
+}
+
+// subCols is the semiring of Bᵀ = A·(AS)ᵀ, the symmetrization contribution
+// of a sweep that cannot transpose B. Entry (i, j) accumulates exactly the
+// contributions of B[j, i], each in the frame of the pair {i, j}, so the
+// panel merges into B's with MergeOverlap as it is.
+func (f frame) subCols() spmat.Semiring[int32, PosDist, Overlap] {
+	return spmat.Semiring[int32, PosDist, Overlap]{
+		Multiply: func(i, j spmat.Index, pos int32, pd PosDist) Overlap { return f.seed(i, j, pos, pd.Pos, pd.Dist) },
+		Add:      MergeOverlap,
+	}
+}
+
+// ExactSemiring is the as-formed instance of frame.exact: PosR on the row
+// sequence of every entry, for products outside a sweep.
+var ExactSemiring = frameRect.exact()
 
 // OverlapCodec serializes Overlap values for block transfers.
 var OverlapCodec = dmat.Codec[Overlap]{

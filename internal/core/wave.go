@@ -27,10 +27,8 @@ type wave struct {
 	grid  *dmat.Grid
 	clock *mpi.Clock
 	src   seqSource // sequence lookup for alignment (store, or query/target pair)
-	// symmetric marks the Q = DB panel of all-vs-all (triangle filter,
-	// lower-index-first orientation); false is the many-vs-DB panel.
-	symmetric bool
-	cfg       Config
+	frame frame     // the sweep's pair frame on this rank (types.go)
+	cfg   Config
 
 	pending *panelFuture
 	edges   []Edge
@@ -56,8 +54,8 @@ type panelFuture struct {
 	done    chan panelResult
 }
 
-func newWave(g *dmat.Grid, src seqSource, symmetric bool, cfg Config, blocks int, ckpt *checkpointer) *wave {
-	return &wave{grid: g, clock: g.Comm.Clock(), src: src, symmetric: symmetric,
+func newWave(g *dmat.Grid, src seqSource, f frame, cfg Config, blocks int, ckpt *checkpointer) *wave {
+	return &wave{grid: g, clock: g.Comm.Clock(), src: src, frame: f,
 		cfg: cfg, blocks: blocks, ckpt: ckpt}
 }
 
@@ -87,7 +85,7 @@ func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
 	}
 	f := &panelFuture{panel: panel, bp: bp, btp: btp, start: w.clock.Now(), done: make(chan panelResult, 1)}
 	w.pending = f
-	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.symmetric, w.cfg) }()
+	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.frame, w.cfg) }()
 	return nil
 }
 

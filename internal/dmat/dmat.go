@@ -918,28 +918,17 @@ func sortIndices(xs []spmat.Index) {
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
-// Map returns a copy with f applied to every stored value, preserving
-// structure and codec. Elementwise passes parallelize with the rank's
-// declared threads (ParOps), the same convention SpGEMM and alignment use.
-func (m *Mat[T]) Map(f func(T) T) *Mat[T] {
-	local := spmat.Apply(m.Local, func(r, c spmat.Index, v T) T { return f(v) })
-	return m.derived(local, VisitOps)
-}
-
-// Prune filters nonzeros locally with the predicate on global indices.
+// Prune filters nonzeros locally with the predicate on global indices: an
+// elementwise pass, ParOps-charged per source nonzero (it parallelizes with
+// the rank's declared threads, the convention SpGEMM and alignment use) and
+// alloc-tracked like every constructor.
 func (m *Mat[T]) Prune(keep func(row, col spmat.Index, v T) bool) *Mat[T] {
 	rowOff, colOff := m.RowOffset(), m.ColOffset()
 	local := m.Local.Prune(func(r, c spmat.Index, v T) bool {
 		return keep(r+rowOff, c+colOff, v)
 	})
-	return m.derived(local, VisitOps)
-}
-
-// derived wraps an elementwise-derived local block: ParOps-charged at
-// opsPerNNZ per source nonzero and alloc-tracked like every constructor.
-func (m *Mat[T]) derived(local *spmat.DCSC[T], opsPerNNZ float64) *Mat[T] {
 	clock := m.Grid.Comm.Clock()
-	clock.ParOps(float64(m.Local.NNZ()) * opsPerNNZ)
+	clock.ParOps(float64(m.Local.NNZ()) * VisitOps)
 	out := &Mat[T]{Grid: m.Grid, Rows: m.Rows, Cols: m.Cols, Local: local, codec: m.codec}
 	clock.AllocBytes(out.LocalBytes())
 	return out

@@ -66,7 +66,7 @@ func TestTransportBackendsEquivalent(t *testing.T) {
 	aT := randomTriples(rng, n, n, 1500)
 	bT := randomTriples(rng, n, n, 1300)
 	sr := spmat.Semiring[float64, float64, float64]{
-		Multiply: func(x, y float64) float64 { return x * y },
+		Multiply: func(_, _ spmat.Index, x, y float64) float64 { return x * y },
 		Add:      func(x, y float64) float64 { return x + y },
 	}
 	for _, p := range []int{1, 4, 9} {
@@ -154,7 +154,7 @@ func TestSharedBlocksNotMutated(t *testing.T) {
 	aT := randomTriples(rng, n, n, 1200)
 	bT := randomTriples(rng, n, n, 1100)
 	sr := spmat.Semiring[float64, float64, float64]{
-		Multiply: func(x, y float64) float64 { return x * y },
+		Multiply: func(_, _ spmat.Index, x, y float64) float64 { return x * y },
 		Add:      func(x, y float64) float64 { return x + y },
 	}
 	snapshot := func(m *spmat.DCSC[float64]) *spmat.DCSC[float64] {
@@ -202,7 +202,7 @@ func TestStageCacheReducesTraffic(t *testing.T) {
 	aT := randomTriples(rng, n, n, 1600)
 	bT := randomTriples(rng, n, n, 1500)
 	sr := spmat.Semiring[float64, float64, float64]{
-		Multiply: func(x, y float64) float64 { return x * y },
+		Multiply: func(_, _ spmat.Index, x, y float64) float64 { return x * y },
 		Add:      func(x, y float64) float64 { return x + y },
 	}
 	const blocks = 4

@@ -96,6 +96,7 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 
 	sc := align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend}
 	xp := align.XDropParams{Scoring: sc, XDrop: cfg.XDrop}
+	filter := core.SimilarityFilter{Weight: cfg.Weight, MinIdentity: cfg.MinIdentity, MinCoverage: cfg.MinCoverage}
 
 	type seedHit struct{ qPos, tPos int }
 	var edges []core.Edge
@@ -137,26 +138,9 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 				// a pair or a parameter the kernel cannot take, not a miss.
 				return nil, Stats{}, fmt.Errorf("last: aligning sequences %d and %d: %w", q, t, err)
 			}
-			lenQ, lenT := len(qCodes), len(seqs[t])
-			ident, cov := res.Identity(), res.CoverageShorter(lenQ, lenT)
-			ns := res.NormalizedScore(lenQ, lenT)
-			var weight float64
-			switch cfg.Weight {
-			case core.WeightANI:
-				if ident < cfg.MinIdentity || cov < cfg.MinCoverage {
-					continue
-				}
-				weight = ident
-			case core.WeightNS:
-				if res.Score <= 0 {
-					continue
-				}
-				weight = ns
+			if e, ok := filter.Edge(spmat.Index(q), spmat.Index(t), len(qCodes), len(seqs[t]), res); ok {
+				edges = append(edges, e)
 			}
-			edges = append(edges, core.Edge{
-				R: spmat.Index(q), C: spmat.Index(t),
-				Weight: weight, Ident: ident, Cov: cov, NS: ns, Score: res.Score,
-			})
 		}
 	}
 	stats.Edges = int64(len(edges))

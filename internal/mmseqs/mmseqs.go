@@ -152,6 +152,7 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 	var nbrs []subkmer.Neighbor
 	budget := similarKmerBudget(cfg.Sensitivity)
 	sc := align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend}
+	filter := core.SimilarityFilter{Weight: cfg.Weight, MinIdentity: cfg.MinIdentity, MinCoverage: cfg.MinCoverage}
 	// One Aligner reused across the whole query loop: the ungapped and
 	// gapped passes run without per-call DP-buffer allocations (the same
 	// buffer-reuse contract the pipeline's per-worker kernels rely on).
@@ -223,26 +224,9 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 			stats.Gapped++
 			res := al.SmithWaterman(qCodes, seqs[target], sc)
 			cells += res.Cells
-			lenQ, lenT := len(qCodes), len(seqs[target])
-			ident, cov := res.Identity(), res.CoverageShorter(lenQ, lenT)
-			ns := res.NormalizedScore(lenQ, lenT)
-			var weight float64
-			switch cfg.Weight {
-			case core.WeightANI:
-				if ident < cfg.MinIdentity || cov < cfg.MinCoverage {
-					continue
-				}
-				weight = ident
-			case core.WeightNS:
-				if res.Score <= 0 {
-					continue
-				}
-				weight = ns
+			if e, ok := filter.Edge(spmat.Index(q), spmat.Index(target), len(qCodes), len(seqs[target]), res); ok {
+				edges = append(edges, e)
 			}
-			edges = append(edges, core.Edge{
-				R: spmat.Index(q), C: spmat.Index(target),
-				Weight: weight, Ident: ident, Cov: cov, NS: ns, Score: res.Score,
-			})
 		}
 	}
 	clock.Ops(float64(cells) * opsPerDPCell)

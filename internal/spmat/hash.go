@@ -178,7 +178,7 @@ func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 			bv := b.Vals[p.kb]
 			for ka := a.CP[p.ca]; ka < a.CP[p.ca+1]; ka++ {
 				i := a.IR[ka]
-				contrib := sr.Multiply(a.Vals[ka], bv)
+				contrib := sr.Multiply(i, j, a.Vals[ka], bv)
 				out.flops++
 				s := h.slot(i)
 				for {

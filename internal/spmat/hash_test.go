@@ -48,7 +48,7 @@ func hashRangeMap[A, B, C any](a *DCSC[A], b *DCSC[B], aCol map[Index]int,
 			bv := b.Vals[kb]
 			for ka := a.CP[ca]; ka < a.CP[ca+1]; ka++ {
 				i := a.IR[ka]
-				contrib := sr.Multiply(a.Vals[ka], bv)
+				contrib := sr.Multiply(i, j, a.Vals[ka], bv)
 				out.flops++
 				if old, seen := acc[i]; seen {
 					acc[i] = sr.Add(old, contrib)

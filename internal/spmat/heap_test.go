@@ -75,7 +75,7 @@ func heapRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 			s := pop()
 			st := &streams[s]
 			row := a.IR[st.pos]
-			contrib := sr.Multiply(a.Vals[st.pos], st.bval)
+			contrib := sr.Multiply(row, j, a.Vals[st.pos], st.bval)
 			out.flops++
 			if n := len(out.ir); n > colStart && out.ir[n-1] == row {
 				out.vals[n-1] = sr.Add(out.vals[n-1], contrib)

@@ -33,17 +33,20 @@ type Triple[T any] struct {
 }
 
 // Semiring defines the two overloaded operators of a sparse matrix algebra
-// (paper Section II-A). Multiply combines a left and right nonzero into an
-// output contribution; Add accumulates contributions for the same output
+// (paper Section II-A). Multiply combines a left and right nonzero into the
+// contribution to output position (i, j) — the row of a and the column of b,
+// in the operands' own (block-local, when they are blocks) index space — so
+// an algebra whose contribution depends on where it lands needs no second
+// pass over the product; Add accumulates contributions for the same output
 // position.
 type Semiring[A, B, C any] struct {
-	Multiply func(a A, b B) C
+	Multiply func(i, j Index, a A, b B) C
 	Add      func(x, y C) C
 }
 
 // Arithmetic is the ordinary (+, *) semiring over float64.
 var Arithmetic = Semiring[float64, float64, float64]{
-	Multiply: func(a, b float64) float64 { return a * b },
+	Multiply: func(_, _ Index, a, b float64) float64 { return a * b },
 	Add:      func(x, y float64) float64 { return x + y },
 }
 
@@ -52,7 +55,7 @@ var Arithmetic = Semiring[float64, float64, float64]{
 // before positions are tracked).
 func Counting[A, B any]() Semiring[A, B, int64] {
 	return Semiring[A, B, int64]{
-		Multiply: func(A, B) int64 { return 1 },
+		Multiply: func(Index, Index, A, B) int64 { return 1 },
 		Add:      func(x, y int64) int64 { return x + y },
 	}
 }

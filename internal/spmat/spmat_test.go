@@ -244,7 +244,7 @@ func TestCountingSemiringOverlap(t *testing.T) {
 // A custom min-plus (tropical) semiring exercises non-arithmetic Add.
 func TestTropicalSemiring(t *testing.T) {
 	tropical := Semiring[float64, float64, float64]{
-		Multiply: func(a, b float64) float64 { return a + b },
+		Multiply: func(_, _ Index, a, b float64) float64 { return a + b },
 		Add: func(x, y float64) float64 {
 			if x < y {
 				return x

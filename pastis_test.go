@@ -63,7 +63,7 @@ func TestBuildGraphProcessObliviousness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nodes := range []int{4, 25} {
+	for _, nodes := range []int{4, 16, 25} {
 		res, err := BuildGraph(data.Records, nodes, cfg)
 		if err != nil {
 			t.Fatal(err)

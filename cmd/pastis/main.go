@@ -151,8 +151,7 @@ func (o *options) flagSet(name string, c command) *flag.FlagSet {
 
 	// Machine: knobs that leave the output bit-identical.
 	on(all).IntVar(&o.threads, "threads", 1, "intra-rank threads for SpGEMM and alignment (0 = all host cores)")
-	on(all).IntVar(&o.blocks, "blocks", 1,
-		"column panels of the candidate matrix (build-index: of the substitute expansion); bounds peak memory")
+	on(avsaQuery).IntVar(&o.blocks, "blocks", 1, "column panels of the candidate matrix; bounds peak memory")
 	on(all).StringVar(&o.transport, "transport", "shared",
 		"block transport: shared (zero-copy) or codec (byte serialization reference); all-vs-all also takes tcp (one OS process per rank)")
 	on(avsaQuery).IntVar(&o.batch, "batch", 0, "alignment batch size (0 = default)")
@@ -233,7 +232,7 @@ func runBuildIndex(args []string) {
 		s := info.Stats
 		fmt.Fprintf(os.Stderr, "k-mers:         %d\n", s.KmersTotal)
 		fmt.Fprintf(os.Stderr, "nnz(A):         %d\n", s.NNZA)
-		fmt.Fprintf(os.Stderr, "nnz(S):         %d\n", s.NNZS)
+		fmt.Fprintf(os.Stderr, "nnz(AS):        %d\n", s.NNZAS)
 		fmt.Fprintf(os.Stderr, "virtual time:   %.4g s on %d nodes\n", info.Time, info.Nodes)
 	}
 }
@@ -326,7 +325,7 @@ func printStats(res *pastis.Result, alignFl string, blocks int) {
 	fmt.Fprintf(os.Stderr, "sequences:      %d\n", s.NumSeqs)
 	fmt.Fprintf(os.Stderr, "k-mers:         %d\n", s.KmersTotal)
 	fmt.Fprintf(os.Stderr, "nnz(A):         %d\n", s.NNZA)
-	fmt.Fprintf(os.Stderr, "nnz(S):         %d\n", s.NNZS)
+	fmt.Fprintf(os.Stderr, "nnz(AS):        %d\n", s.NNZAS)
 	fmt.Fprintf(os.Stderr, "nnz(B):         %d (pruned: %d)\n", s.NNZB, s.NNZBPruned)
 	fmt.Fprintf(os.Stderr, "pairs aligned:  %d\n", s.PairsAligned)
 	fmt.Fprintf(os.Stderr, "dp cells:       %d (%s kernel)\n", s.CellsComputed, alignFl)

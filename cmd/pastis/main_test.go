@@ -100,6 +100,9 @@ func TestCLI(t *testing.T) {
 		{"0 ranks", []string{"-in", fasta, "-nodes", "0"}, 1, nil, ""},
 		{"0 ranks over tcp", []string{"-in", fasta, "-nodes", "0", "-transport", "tcp"}, 1, nil, ""},
 		{"build-index on 0 ranks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "0"}, 1, nil, ""},
+		// An index is built whole: -blocks only ever chose how A·S was formed.
+		{"build-index takes no -blocks", []string{"build-index", "-in", fasta, "-index", "idx", "-nodes", "4", "-blocks", "2"},
+			2, nil, "flag provided but not defined: -blocks"},
 		{"unknown weight", []string{"-in", fasta, "-nodes", "4", "-weight", "bogus"}, 1, nil, `unknown -weight "bogus"`},
 		{"query against a missing index", []string{"query", "-index", "no-such-index", "-in", fasta}, 1, nil, "no-such-index"},
 		// A negative x-drop ran; one past the kernel's score range made the
@@ -212,7 +215,7 @@ func TestCLIFlagSurface(t *testing.T) {
 			"min-coverage=0.7 min-identity=0.3 nodes=16 out=- resume=false stats=false subs=0 tcp-logdir= " +
 			"threads=1 transport=shared weight=ani xdrop=49"},
 		{"pastis build-index", cmdBuildIndex,
-			"blocks=1 in= index= k=6 maxfreq=0 nodes=16 stats=false subs=0 threads=1 transport=shared"},
+			"in= index= k=6 maxfreq=0 nodes=16 stats=false subs=0 threads=1 transport=shared"},
 		{"pastis query", cmdQuery, "align=xd batch=0 blocks=1 ck=0 in= index= min-coverage=0.7 min-identity=0.3 " +
 			"out=- stats=false threads=1 transport=shared weight=ani xdrop=49"},
 	} {

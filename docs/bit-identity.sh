@@ -56,7 +56,7 @@ for subs in 0 10; do
   fi
   idx="$out/index-subs$subs"
   "$bin/pastis" build-index -in "$out/db.fa" -index "$idx" -nodes 4 -subs "$subs" \
-    -blocks 2 -stats 2>&1 | grep -v '^pastis: indexed' > "$out/buildtime-subs$subs.log"
+    -stats 2>&1 | grep -v '^pastis: indexed' > "$out/buildtime-subs$subs.log"
   for blocks in 1 3; do
     "$bin/pastis" query -index "$idx" -in "$out/queries.fa" -ck 1 -blocks "$blocks" \
       -stats -out "$out/query-subs$subs-b$blocks.tsv" 2> "$out/query-subs$subs-b$blocks.stats"

@@ -5,18 +5,15 @@ import (
 
 	"repro/internal/dmat"
 	"repro/internal/fasta"
-	"repro/internal/kmer"
 	"repro/internal/mpi"
-	"repro/internal/scoring"
 	"repro/internal/seqstore"
 	"repro/internal/spmat"
-	"repro/internal/subkmer"
 )
 
 // Query answers one batch of queries against a loaded index: the batch
 // forms a narrow panel Q (query rows × k-mer space), is pruned by the
-// database's banned-k-mer list, expanded through its k-mers' substitute
-// neighbors, and swept against the resident Aᵀ/(AS)ᵀ blocks by the same
+// database's banned-k-mer list, expanded to QS by the expandAS that formed the
+// database's AS, and swept against the resident Aᵀ/(AS)ᵀ blocks by the same
 // blocked-wave driver as the all-vs-all pipeline, in its rectangular mode.
 // Edges come out query-first: R is the query's index in the batch, C the
 // database target.
@@ -87,7 +84,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 
 	// --- form Q: |batch| × |k-mer space|, exactly formA over the batch ---
 	clock.StartSection(SectionFormA)
-	ops.rows, _, err = formA(grid, qstore, cfg, r.kmerSpace, &stats)
+	ops.rows, err = formA(grid, qstore, cfg, r.kmerSpace, &stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -115,16 +112,9 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 		}
 	}
 
-	// --- QS: substitute expansion of the query panel (paper Section IV-C).
-	// Equivalent to SpGEMM(Q, S) but computed by expanding each local Q
-	// nonzero through its k-mer's neighbor list: the contribution multiset
-	// is identical and the min-merge is order-free, so the result is bitwise
-	// the same — without materializing any S block.
+	// --- QS = Q·S: the build's substitute expansion, on the query panel ---
 	if rd.Subs > 0 {
-		clock.StartSection(SectionAS)
-		ops.rowsS, err = expandQS(grid, ops.rows, cfg, r.kmerSpace)
-		clock.EndSection()
-		if err != nil {
+		if ops.rowsS, err = expandAS(r, ops.rows); err != nil {
 			return nil, err
 		}
 		if stats.NNZAS, err = ops.rowsS.TryNNZ(); err != nil {
@@ -137,36 +127,4 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 	// because it has no transpose to symmetrize with. Both products build
 	// their seeds in the (query, target) frame and the align stage merges them.
 	return sweep(r, ops, pairSeqs{rows: qstore, cols: tstore}, frameRect, nil, stats)
-}
-
-// expandQS builds QS = Q·S by local expansion: every local Q nonzero
-// (query row, k-mer, position) contributes itself at distance 0 plus its m
-// nearest substitutes, exactly the triples SpGEMM(Q, S) would feed the
-// min-merge. Redistribution to owner blocks happens inside NewFromTriples
-// (deterministic all-to-all), so the assembled matrix is bit-identical to
-// the product for any rank count.
-func expandQS(g *dmat.Grid, q *dmat.Mat[int32], cfg Config, kmerSpace spmat.Index) (*dmat.Mat[PosDist], error) {
-	finder, err := subkmer.NewFinder(cfg.K, scoring.NewExpense(scoring.BLOSUM62), cfg.SubstituteKmers)
-	if err != nil {
-		return nil, err
-	}
-	rowOff, colOff := q.RowOffset(), q.ColOffset()
-	b := q.Local
-	triples := make([]spmat.Triple[PosDist], 0, b.NNZ()*(cfg.SubstituteKmers+1))
-	var nbrs []subkmer.Neighbor
-	for j, col := range b.JC { // one search serves every query row holding the k-mer
-		c := colOff + col
-		nbrs = finder.AppendFind(nbrs[:0], kmer.ID(c))
-		for i := b.CP[j]; i < b.CP[j+1]; i++ {
-			r, pos := rowOff+b.IR[i], b.Vals[i]
-			triples = append(triples, spmat.Triple[PosDist]{Row: r, Col: c, Val: PosDist{Pos: pos}})
-			for _, nb := range nbrs {
-				triples = append(triples, spmat.Triple[PosDist]{
-					Row: r, Col: spmat.Index(nb.ID), Val: PosDist{Pos: pos, Dist: int32(nb.Dist)},
-				})
-			}
-		}
-	}
-	g.Comm.Clock().Ops(float64(len(triples)) * opsPerSubNeighbor)
-	return dmat.NewFromTriples(g, q.Rows, kmerSpace, triples, PosDistCodec, ASSemiring.Add)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"unsafe"
 
 	"repro/internal/dmat"
 	"repro/internal/fasta"
@@ -25,7 +26,7 @@ type target struct {
 }
 
 // buildTarget runs the target-side stages — input, A, the frequency
-// pre-filter, Aᵀ, S, AS — and returns the operands resident. forIndex builds
+// pre-filter, Aᵀ, AS — and returns the operands resident. forIndex builds
 // what only a persisted index needs: (AS)ᵀ at any wave count (an all-vs-all
 // sweep builds it itself, and only for a multi-wave split). It does not wait
 // for the sequence exchange stageInput launched: the caller completes it
@@ -41,9 +42,8 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	t.stats.NumSeqs = int64(store.Total)
 
 	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions ---
-	var distinct map[kmer.ID]struct{}
 	clock.StartSection(SectionFormA)
-	t.a, distinct, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats)
+	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -72,32 +72,10 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 		return t, nil
 	}
 
-	// --- substitute k-mer expansion: S and AS (paper Section IV-C) ---
-	var s *dmat.Mat[int32]
-	clock.Section(SectionFormS, func() { s, err = formS(r.grid, distinct, cfg, r.kmerSpace) })
-	if err != nil {
+	// --- substitute k-mer expansion: AS = A·S (paper Section IV-C) ---
+	if t.as, err = expandAS(r, t.a); err != nil {
 		return nil, err
 	}
-	if t.stats.NNZS, err = s.TryNNZ(); err != nil {
-		return nil, err
-	}
-
-	clock.StartSection(SectionAS)
-	if r.blocks > 1 {
-		// Multi-wave runs stream AS through column panels as well: the full
-		// product must stay resident (it is the left operand of every B
-		// panel), but assembling it panel-by-panel keeps only one panel's
-		// SUMMA transients and triple accumulation live at a time, so AS no
-		// longer bounds substitute-path peak memory.
-		t.as, err = dmat.SpGEMMStreamed(t.a, s, ASSemiring, PosDistCodec, r.gemm, r.blocks)
-	} else {
-		t.as, err = dmat.SpGEMM(t.a, s, ASSemiring, PosDistCodec, r.gemm)
-	}
-	clock.EndSection()
-	if err != nil {
-		return nil, err
-	}
-	s.Release()
 	if t.stats.NNZAS, err = t.as.TryNNZ(); err != nil {
 		return nil, err
 	}
@@ -146,11 +124,9 @@ func stageInput(g *dmat.Grid, owned []fasta.Record, cfg Config) (*seqstore.Store
 // (cleared per sequence), a sequence's triples are emitted in k-mer position
 // order and per-chunk lists merge in chunk order — so the triple list itself,
 // not just the assembled matrix, is the same for every thread count and run.
-// The extraction cost is charged as thread-parallel work (Clock.ParOps). The
-// second result, the set of k-mers on this rank's sequences, is what the
-// substitute enumeration runs over; it is nil for exact matching.
+// The extraction cost is charged as thread-parallel work (Clock.ParOps).
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
-	stats *Stats) (*dmat.Mat[int32], map[kmer.ID]struct{}, error) {
+	stats *Stats) (*dmat.Mat[int32], error) {
 
 	clock := g.Comm.Clock()
 	n := len(store.Owned)
@@ -194,19 +170,8 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 		stats.KmersTotal += outs[i].kmers
 		triples = append(triples, outs[i].triples...)
 	}
-	var distinct map[kmer.ID]struct{}
-	if cfg.SubstituteKmers > 0 {
-		distinct = make(map[kmer.ID]struct{})
-		for _, t := range triples {
-			distinct[kmer.ID(t.Col)] = struct{}{}
-		}
-	}
 	clock.ParOps(float64(stats.KmersTotal) * opsPerKmer)
-	mat, err := dmat.NewFromTriples(g, store.Total, kmerSpace, triples, dmat.Int32Codec, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mat, distinct, nil
+	return dmat.NewFromTriples(g, store.Total, kmerSpace, triples, dmat.Int32Codec, nil)
 }
 
 // prefilterA drops k-mers occurring in more than cfg.MaxKmerFrequency
@@ -235,39 +200,48 @@ func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index
 	return filtered, banned, nil
 }
 
-// formS assembles the substitute matrix S (paper Section IV-C): for every
-// distinct k-mer in the local data, itself at distance 0 plus its m nearest
-// substitutes, so S has at most m+1 nonzeros per row. The lists depend only
-// on K, the scoring matrix and m, and a search is cheap enough that every
-// rank and every run simply repeats it.
-func formS(g *dmat.Grid, distinct map[kmer.ID]struct{}, cfg Config,
-	kmerSpace spmat.Index) (*dmat.Mat[int32], error) {
-
-	finder, err := subkmer.NewFinder(cfg.K, scoring.NewExpense(scoring.BLOSUM62), cfg.SubstituteKmers)
+// expandAS forms AS = A·S (paper Section IV-C) for a row operand — the
+// database's A or a query batch's Q, after the frequency prune, so a banned
+// k-mer is never searched. Row k of S is k itself at distance 0 plus its m
+// nearest substitutes — what subkmer.Finder returns — so S is applied as an
+// operator, never assembled: every local nonzero (sequence, k-mer, position)
+// expands through its k-mer's list (one search per column of the block) into
+// the products SpGEMM(A, S) would form, and NewFromTriples routes them to
+// their owners and merges them with the closest-k-mer rule, which is
+// order-free: AS is bitwise the product at any rank count
+// (TestExpandASIsTheProduct multiplies it out). The searches are Fig. 15's
+// "form S", the shuffle and assembly its "AS"; the triple list is on the
+// live-bytes ledger while it exists, as the product's stage transients were.
+func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
+	finder, err := subkmer.NewFinder(r.cfg.K, scoring.NewExpense(scoring.BLOSUM62), r.cfg.SubstituteKmers)
 	if err != nil {
 		return nil, err
 	}
-	triples := make([]spmat.Triple[int32], 0, len(distinct)*(cfg.SubstituteKmers+1))
+	b, rowOff, colOff := a.Local, a.RowOffset(), a.ColOffset()
+	triples := make([]spmat.Triple[PosDist], 0, b.NNZ()*(r.cfg.SubstituteKmers+1))
 	var nbrs []subkmer.Neighbor
-	for id := range distinct {
-		triples = append(triples, spmat.Triple[int32]{
-			Row: spmat.Index(id), Col: spmat.Index(id), Val: 0,
-		})
-		nbrs = finder.AppendFind(nbrs[:0], id)
-		for _, nb := range nbrs {
-			triples = append(triples, spmat.Triple[int32]{
-				Row: spmat.Index(id), Col: spmat.Index(nb.ID), Val: int32(nb.Dist),
-			})
+	generated := 0
+	for j, col := range b.JC {
+		c := colOff + col
+		nbrs = finder.AppendFind(nbrs[:0], kmer.ID(c))
+		generated += len(nbrs)
+		for i := b.CP[j]; i < b.CP[j+1]; i++ {
+			row, pos := rowOff+b.IR[i], b.Vals[i]
+			triples = append(triples, spmat.Triple[PosDist]{Row: row, Col: c, Val: PosDist{Pos: pos}})
+			for _, nb := range nbrs {
+				triples = append(triples, spmat.Triple[PosDist]{
+					Row: row, Col: spmat.Index(nb.ID), Val: PosDist{Pos: pos, Dist: int32(nb.Dist)},
+				})
+			}
 		}
 	}
-	g.Comm.Clock().Ops(float64(len(triples)) * opsPerSubNeighbor)
-	// The same k-mer row may be generated by several ranks; distances agree,
-	// so merging with min is a pure dedup.
-	return dmat.NewFromTriples(g, kmerSpace, kmerSpace, triples, dmat.Int32Codec,
-		func(x, y int32) int32 {
-			if y < x {
-				return y
-			}
-			return x
-		})
+	r.clock.Section(SectionFormS, func() { r.clock.Ops(float64(len(b.JC)+generated) * opsPerSubNeighbor) })
+
+	buffered := int64(len(triples)) * int64(unsafe.Sizeof(spmat.Triple[PosDist]{}))
+	r.clock.AllocBytes(buffered)
+	r.clock.StartSection(SectionAS)
+	as, err := dmat.NewFromTriples(r.grid, a.Rows, r.kmerSpace, triples, PosDistCodec, closerKmer)
+	r.clock.EndSection()
+	r.clock.FreeBytes(buffered)
+	return as, err
 }

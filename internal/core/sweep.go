@@ -15,9 +15,9 @@ import (
 const maxDegradeBlocks = 4096
 
 // operands are the distributed matrices one sweep multiplies: a row side —
-// A and AS for all-vs-all, the batch panel Q and its expansion QS for a
-// query — against the column side Aᵀ and (AS)ᵀ of the target. rowsS and ast
-// are nil in exact mode. Only the symmetric sweep may leave ast nil with
+// A and AS for all-vs-all, the batch panel Q and QS for a query, rowsS being
+// expandAS(rows) either way — against the column side Aᵀ and (AS)ᵀ of the
+// target. rowsS and ast are nil in exact mode. Only the symmetric sweep may leave ast nil with
 // rowsS set: a single wave then takes the transpose-based symmetrization,
 // and a multi-wave split transposes rowsS itself (a rectangular panel has no
 // transpose to symmetrize with, so a query always brings (AS)ᵀ).
@@ -95,11 +95,10 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 
 	// Both substitute products re-broadcast their left operand's block
 	// columns every panel. The stage cache keeps each block resident after
-	// its first trip so later panels skip those broadcasts — but each cached
-	// operand also holds a full block row on every rank, which eats into the
-	// memory headroom that blocked waves exist to create. Caching only the
-	// narrow exact operand keeps multi-wave peak below the single-wave
-	// baseline; caching the wide substitute operand tips it over.
+	// its first trip so later panels skip those broadcasts — but a cached
+	// operand holds a full block row on every rank, out of the memory
+	// headroom blocked waves exist to create: only the narrow exact operand
+	// is cached, the (m+1)× wider substitute one is not.
 	if o.rowsS != nil && blocks > 1 && o.rows.EnableStageCache() {
 		defer o.rows.ReleaseStageCache()
 	}

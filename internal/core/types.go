@@ -301,17 +301,14 @@ type PosDist struct {
 	Dist int32
 }
 
-// ASSemiring builds AS: multiplication attaches the substitution distance
-// to the k-mer position; addition keeps the closest k-mer when several
-// k-mers of the sequence share a substitute k-mer (paper Section IV-C).
-var ASSemiring = spmat.Semiring[int32, int32, PosDist]{
-	Multiply: func(_, _ spmat.Index, pos, dist int32) PosDist { return PosDist{Pos: pos, Dist: dist} },
-	Add: func(x, y PosDist) PosDist {
-		if y.Dist < x.Dist || (y.Dist == x.Dist && y.Pos < x.Pos) {
-			return y
-		}
-		return x
-	},
+// closerKmer is the addition of AS = A·S (paper Section IV-C): of several
+// k-mers of a sequence that share a substitute k-mer, the closest, then the
+// leftmost, is kept. expandAS is the multiplication.
+func closerKmer(x, y PosDist) PosDist {
+	if y.Dist < x.Dist || (y.Dist == x.Dist && y.Pos < x.Pos) {
+		return y
+	}
+	return x
 }
 
 // frame is the one place a candidate pair's orientation is decided: which of
@@ -456,7 +453,6 @@ type Stats struct {
 	KmersTotal   int64 // k-mer occurrences extracted
 	NNZA         int64
 	NNZAFiltered int64 // after the k-mer frequency pre-filter
-	NNZS         int64
 	NNZAS        int64
 	NNZB         int64 // before the common-k-mer prune
 	NNZBPruned   int64 // after it

@@ -775,50 +775,6 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	return m, nil
 }
 
-// SpGEMMStreamed computes C = A·B bitwise-equal to SpGEMM but streams the
-// product through `blocks` column panels (SpGEMMPanel, k = 0..blocks-1),
-// appending each panel onto the growing result and releasing it
-// immediately. The full product still ends up resident — use this when C
-// must survive whole, but its construction transient should not set the
-// peak: monolithic SpGEMM keeps the entire product as merged triples before
-// assembly, while the streamed form holds at most one panel's triples next
-// to the assembled prefix. The trade is the panel engine's usual one: A's
-// blocks are re-broadcast once per panel. The stage cache is never armed
-// here: it pins a full block row of A on every rank, and on
-// operand-dominated inputs that inverts the peak-memory contract panels
-// exist to provide; a caller that knows A is narrow arms
-// Mat.EnableStageCache itself. Collective over the grid.
-func SpGEMMStreamed[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
-	codecC Codec[C], opts SpGEMMOpts, blocks int) (*Mat[C], error) {
-
-	if blocks <= 1 {
-		return SpGEMM(a, b, sr, codecC, opts)
-	}
-	clock := a.Grid.Comm.Clock()
-	var local *spmat.DCSC[C]
-	for k := 0; k < blocks; k++ {
-		p, err := SpGEMMPanel(a, b, sr, codecC, opts, blocks, k)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			local = spmat.Empty[C](p.Local.NumRows, p.Local.NumCols)
-			clock.AllocBytes(local.Bytes())
-		}
-		before := local.Bytes()
-		nnz := p.Local.NNZ()
-		if err := spmat.AppendCols(local, p.Local); err != nil {
-			return nil, err
-		}
-		// The assembled prefix grows by the panel's bytes; the panel
-		// itself retires. The append is an elementwise copy.
-		clock.AllocBytes(local.Bytes() - before)
-		p.Release()
-		clock.ParOps(float64(nnz) * VisitOps)
-	}
-	return &Mat[C]{Grid: a.Grid, Rows: a.Rows, Cols: b.Cols, Local: local, codec: codecC}, nil
-}
-
 func clampIndex(x, lo, hi spmat.Index) spmat.Index {
 	if x < lo {
 		return lo

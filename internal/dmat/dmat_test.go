@@ -595,69 +595,3 @@ func TestPeakBytesLedger(t *testing.T) {
 		t.Errorf("8-panel peak %d not below monolithic %d", peaks[8], peaks[1])
 	}
 }
-
-// SpGEMMStreamed must be bitwise equal to the monolithic SpGEMM for every
-// block count, while its construction transient (the per-stage triple
-// accumulation) peaks lower: only one panel's triples live next to the
-// assembled prefix.
-func TestSpGEMMStreamedMatchesMonolithic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, k, mcols := spmat.Index(48), spmat.Index(70), spmat.Index(40)
-	aT := randomTriples(rng, n, k, 400)
-	bT := randomTriples(rng, k, mcols, 400)
-
-	type capture struct {
-		triples []spmat.Triple[float64]
-		peak    int64
-	}
-	run := func(blocks int) capture {
-		var out capture
-		cl := runGrid(t, 4, func(g *Grid) error {
-			a, err := NewFromTriples(g, n, k, scatter(aT, g.Comm.Rank(), 4), Float64Codec, nil)
-			if err != nil {
-				return err
-			}
-			b, err := NewFromTriples(g, k, mcols, scatter(bT, g.Comm.Rank(), 4), Float64Codec, nil)
-			if err != nil {
-				return err
-			}
-			var c *Mat[float64]
-			if blocks <= 1 {
-				c, err = SpGEMM(a, b, spmat.Arithmetic, Float64Codec, DefaultSpGEMMOpts())
-			} else {
-				c, err = SpGEMMStreamed(a, b, spmat.Arithmetic, Float64Codec, DefaultSpGEMMOpts(), blocks)
-			}
-			if err != nil {
-				return err
-			}
-			got, err := c.GatherTriples()
-			if err != nil {
-				return err
-			}
-			if g.Comm.Rank() == 0 {
-				out.triples = got
-			}
-			return nil
-		})
-		out.peak = cl.PeakBytes()
-		return out
-	}
-
-	ref := run(1)
-	sortTriples(ref.triples)
-	for _, blocks := range []int{2, 4, 8} {
-		got := run(blocks)
-		sortTriples(got.triples)
-		if len(got.triples) != len(ref.triples) {
-			t.Fatalf("blocks=%d: %d nonzeros, want %d", blocks, len(got.triples), len(ref.triples))
-		}
-		for i := range ref.triples {
-			if got.triples[i] != ref.triples[i] {
-				t.Fatalf("blocks=%d: triple %d: %+v != %+v", blocks, i, got.triples[i], ref.triples[i])
-			}
-		}
-		if got.peak >= ref.peak {
-			t.Errorf("blocks=%d: streamed peak %d not below monolithic %d", blocks, got.peak, ref.peak)
-		}
-	}
-}

@@ -87,11 +87,13 @@ func TestTransportBackendsEquivalent(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					c, err := SpGEMMStreamed(a, bt, sr, Float64Codec, opts, blocks)
-					if err != nil {
-						return nil, err
-					}
-					ts, err := c.GatherTriples()
+					var ts []spmat.Triple[float64]
+					err = panelLoop(a, bt, sr, opts, blocks, func(_ int, _, _ spmat.Index, pm *Mat[float64]) error {
+						part, err := pm.GatherTriples()
+						ts = append(ts, part...)
+						pm.Release()
+						return err
+					})
 					if err != nil {
 						return nil, err
 					}

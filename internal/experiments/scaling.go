@@ -5,6 +5,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/kmer"
+	"repro/internal/scoring"
+	"repro/internal/subkmer"
 )
 
 // matrixOnly returns the configuration for the sparse-matrix-only scaling
@@ -99,6 +102,8 @@ func Fig15(sc Scale) (*Table, error) {
 		Notes: []string{
 			"paper Fig. 15: wait dominates at small node counts for s=0 and",
 			"fades for s>0; SpGEMM's share grows with node count",
+			"form S is each rank searching the k-mers of its block of A (S is not",
+			"assembled): at most sqrt(p) ranks search a k-mer, so its share shrinks",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)
@@ -222,16 +227,35 @@ func Claims(sc Scale) (*Table, error) {
 
 	// Claim 3: hypersparsity — nonzeros per column of A and S are far below
 	// one (paper: 0.44 and 2.50 nnz/column at 1M sequences, k=6, before 2D
-	// splitting makes blocks even sparser), motivating DCSC.
-	res, _, err := runPastis(data.Records, 4, matrixOnly(25))
+	// splitting makes blocks even sparser), motivating DCSC. The pipeline never
+	// assembles S: a distinct k-mer's row holds itself and its substitutes.
+	res, _, err := runPastis(data.Records, 4, matrixOnly(0))
 	if err != nil {
 		return nil, err
+	}
+	finder, err := subkmer.NewFinder(6, scoring.NewExpense(scoring.BLOSUM62), 25)
+	if err != nil {
+		return nil, err
+	}
+	var nnzS int64
+	rowsOfS := map[kmer.ID]bool{}
+	for _, rec := range data.Records {
+		kms, err := kmer.Extract(rec.Seq, 6, true)
+		if err != nil {
+			return nil, err
+		}
+		for _, km := range kms {
+			if !rowsOfS[km.ID] {
+				rowsOfS[km.ID] = true
+				nnzS += int64(1 + len(finder.AppendFind(nil, km.ID)))
+			}
+		}
 	}
 	kspace := 191102976.0 // 24^6
 	t.Add("nnz per column of A (k=6)", "0.44 (at 1M seqs)",
 		fmt.Sprintf("%.6f (at %d seqs)", float64(res.Stats.NNZA)/kspace, sc.DatasetA))
 	t.Add("nnz per column of S (s=25)", "2.50 (at 1M seqs)",
-		fmt.Sprintf("%.6f", float64(res.Stats.NNZS)/kspace))
+		fmt.Sprintf("%.6f", float64(nnzS)/kspace))
 
 	// Claim 4: the PSG is oblivious to the process count.
 	small, err := scopeLike(6, 105)

@@ -54,8 +54,7 @@ func ThreadScaling(sc Scale) (*Table, error) {
 				return nil, fmt.Errorf("threads=%d s=%d: PSG differs from serial run", threads, subs)
 			}
 			secs := cl.SectionMax()
-			spgemm := secs[core.SectionB] + secs[core.SectionAS]
-			t.Add(subs, threads, nodes, cl.MaxTime(), spgemm,
+			t.Add(subs, threads, nodes, cl.MaxTime(), secs[core.SectionB],
 				secs[core.SectionAlign], first/cl.MaxTime())
 		}
 	}

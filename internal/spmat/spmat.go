@@ -163,34 +163,6 @@ func compress[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[
 	return m, nil
 }
 
-// AppendCols appends src's nonzeros to dst in place. The shapes must match
-// and src's nonempty columns must all lie strictly after dst's last
-// nonempty column — the panel-concatenation invariant: column panels of a
-// product (SpGEMMPanel) are full-shape matrices whose nonempty column sets
-// are disjoint and increasing, so appending them in panel order rebuilds
-// the monolithic product exactly.
-func AppendCols[T any](dst, src *DCSC[T]) error {
-	if dst.NumRows != src.NumRows || dst.NumCols != src.NumCols {
-		return fmt.Errorf("spmat: AppendCols shape %dx%d vs %dx%d",
-			dst.NumRows, dst.NumCols, src.NumRows, src.NumCols)
-	}
-	if src.NNZ() == 0 {
-		return nil
-	}
-	if len(dst.JC) > 0 && src.JC[0] <= dst.JC[len(dst.JC)-1] {
-		return fmt.Errorf("spmat: AppendCols column %d not after %d",
-			src.JC[0], dst.JC[len(dst.JC)-1])
-	}
-	base := dst.NNZ()
-	dst.JC = append(dst.JC, src.JC...)
-	for _, cp := range src.CP[1:] {
-		dst.CP = append(dst.CP, base+cp)
-	}
-	dst.IR = append(dst.IR, src.IR...)
-	dst.Vals = append(dst.Vals, src.Vals...)
-	return nil
-}
-
 // ToTriples lists the nonzeros in column-major order.
 func (m *DCSC[T]) ToTriples() []Triple[T] {
 	out := make([]Triple[T], 0, m.NNZ())

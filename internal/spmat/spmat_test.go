@@ -637,40 +637,3 @@ func TestColRangeAsOperand(t *testing.T) {
 		}
 	}
 }
-
-// AppendCols over column slices of a matrix must rebuild it exactly, and
-// the out-of-order / shape-mismatch invariants must be enforced.
-func TestAppendCols(t *testing.T) {
-	ts := []Triple[int64]{
-		{Row: 0, Col: 1, Val: 3}, {Row: 2, Col: 1, Val: 4}, {Row: 1, Col: 4, Val: 5},
-		{Row: 3, Col: 6, Val: 6}, {Row: 0, Col: 7, Val: 7}, {Row: 4, Col: 7, Val: 8},
-	}
-	src, err := FromTriples[int64](5, 9, ts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cuts := range [][]Index{{3}, {2, 5}, {1, 4, 8}, {5, 5}} {
-		dst := Empty[int64](5, 9)
-		lo := Index(0)
-		for _, hi := range append(cuts, 9) {
-			if err := AppendCols(dst, src.ColRange(lo, hi)); err != nil {
-				t.Fatalf("cuts %v at %d: %v", cuts, hi, err)
-			}
-			lo = hi
-		}
-		if !Equal(dst, src, func(a, b int64) bool { return a == b }) {
-			t.Fatalf("cuts %v: concatenation differs", cuts)
-		}
-	}
-
-	dst := Empty[int64](5, 9)
-	if err := AppendCols(dst, src.ColRange(4, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendCols(dst, src.ColRange(0, 4)); err == nil {
-		t.Error("out-of-order append should fail")
-	}
-	if err := AppendCols(Empty[int64](5, 8), src.ColRange(0, 4)); err == nil {
-		t.Error("shape mismatch should fail")
-	}
-}

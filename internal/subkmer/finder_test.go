@@ -191,7 +191,7 @@ func TestFinderAppends(t *testing.T) {
 	}
 }
 
-// A warm Finder over varied roots — what formS and expandQS pay per k-mer.
+// A warm Finder over varied roots — what core.expandAS pays per k-mer.
 func BenchmarkFinder(b *testing.B) {
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	f := mustFinder(b, 6, e, 25)

@@ -95,9 +95,9 @@ type options struct {
 	minID, minCov float64
 	xdrop         int
 
-	threads, blocks, batch int
-	transport              string
-	stats                  bool
+	threads, blocks int
+	transport       string
+	stats           bool
 
 	ckptDir   string
 	resume    bool
@@ -154,7 +154,6 @@ func (o *options) flagSet(name string, c command) *flag.FlagSet {
 	on(avsaQuery).IntVar(&o.blocks, "blocks", 1, "column panels of the candidate matrix; bounds peak memory")
 	on(all).StringVar(&o.transport, "transport", "shared",
 		"block transport: shared (zero-copy) or codec (byte serialization reference); all-vs-all also takes tcp (one OS process per rank)")
-	on(avsaQuery).IntVar(&o.batch, "batch", 0, "alignment batch size (0 = default)")
 	on(all).BoolVar(&o.stats, "stats", false, "print run statistics to stderr")
 
 	// All-vs-all only: fault tolerance, profiling, the tcp worker logs.
@@ -210,7 +209,6 @@ func (o *options) config() pastis.Config {
 	cfg.XDropValue = o.xdrop
 	cfg.Threads = parallel.Resolve(o.threads)
 	cfg.Blocks = o.blocks
-	cfg.BatchSize = o.batch
 	cfg.Transport = o.transport
 	cfg.CheckpointDir = o.ckptDir
 	cfg.Resume = o.resume

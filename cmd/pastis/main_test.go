@@ -211,12 +211,12 @@ func TestCLIFlagSurface(t *testing.T) {
 		cmd  command
 		want string
 	}{
-		{"pastis", cmdAllVsAll, "align=xd batch=0 blocks=1 checkpoint= ck=0 cpuprofile= in= k=6 mem=0 memprofile= " +
+		{"pastis", cmdAllVsAll, "align=xd blocks=1 checkpoint= ck=0 cpuprofile= in= k=6 mem=0 memprofile= " +
 			"min-coverage=0.7 min-identity=0.3 nodes=16 out=- resume=false stats=false subs=0 tcp-logdir= " +
 			"threads=1 transport=shared weight=ani xdrop=49"},
 		{"pastis build-index", cmdBuildIndex,
 			"in= index= k=6 maxfreq=0 nodes=16 stats=false subs=0 threads=1 transport=shared"},
-		{"pastis query", cmdQuery, "align=xd batch=0 blocks=1 ck=0 in= index= min-coverage=0.7 min-identity=0.3 " +
+		{"pastis query", cmdQuery, "align=xd blocks=1 ck=0 in= index= min-coverage=0.7 min-identity=0.3 " +
 			"out=- stats=false threads=1 transport=shared weight=ani xdrop=49"},
 	} {
 		var got []string

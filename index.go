@@ -45,7 +45,7 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 		return nil, err
 	}
 	data := fasta.Bytes(records, 0)
-	stats, cl, err := mpi.RunLocal(context.TODO(), nodes, model, cfg.Faults, func(c *mpi.Comm) (*Stats, error) {
+	stats, sum, err := mpi.RunLocal(context.TODO(), nodes, model, cfg.Faults, func(c *mpi.Comm) (*Stats, error) {
 		owned, err := fasta.Partition(data, c.Rank(), nodes)
 		if err != nil {
 			return nil, err
@@ -55,7 +55,7 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 	if err != nil {
 		return nil, err
 	}
-	out := &IndexInfo{Dir: dir, Nodes: nodes, Sequences: len(records), Stats: *stats, Time: cl.MaxTime()}
+	out := &IndexInfo{Dir: dir, Nodes: nodes, Sequences: len(records), Stats: *stats, Time: sum.Time}
 
 	// The manifest carries what only the driver holds in one place: the
 	// global name table (hits resolve targets by name) and the build
@@ -247,7 +247,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 	fresh := make(map[string][]Hit, len(missRecs))
 	if len(missRecs) > 0 {
 		data := fasta.Bytes(missRecs, 0)
-		qr, cl, err := mpi.RunLocal(context.TODO(), e.nodes, e.Model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
+		qr, sum, err := mpi.RunLocal(context.TODO(), e.nodes, e.Model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
 			rd := e.warm[c.Rank()]
 			var coldBytes int64
 			if rd == nil {
@@ -274,7 +274,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Stats, out.Time = qr.Stats, cl.MaxTime()
+		out.Stats, out.Time = qr.Stats, sum.Time
 		for _, rec := range missRecs {
 			fresh[string(alphabet.Clean(rec.Seq))] = nil // record even hitless queries
 		}

@@ -117,12 +117,12 @@ const (
 	fExtends = 1 << 3
 )
 
-// Aligner owns reusable DP buffers for the alignment kernels. The batched
-// aligner of the pipeline keeps one Aligner per worker so a batch of pairs
-// runs without per-pair allocations; buffers grow to the largest problem
-// seen and are reset (never reallocated) between calls. An Aligner is NOT
-// safe for concurrent use; results are identical to the package-level
-// functions, which simply run on a fresh Aligner.
+// Aligner owns reusable DP buffers for the alignment kernels, one per kernel
+// instance, so the pairs a pipeline worker or a baseline aligns run without
+// per-pair allocations; buffers grow to the largest problem seen and are
+// reset (never reallocated) between calls. An Aligner is NOT safe for
+// concurrent use; a reused one returns exactly what a fresh one would
+// (TestAlignerReuseMatchesFresh).
 type Aligner struct {
 	// Smith-Waterman rolling score rows and packed direction matrix.
 	prevH, curH []int32
@@ -160,11 +160,6 @@ func reverseInto(dst, s []alphabet.Code) []alphabet.Code {
 
 // SmithWaterman computes the optimal local alignment between code sequences
 // a and b with affine gaps, including traceback statistics.
-func SmithWaterman(a, b []alphabet.Code, sc Scoring) Result {
-	return NewAligner().SmithWaterman(a, b, sc)
-}
-
-// SmithWaterman is the buffer-reusing form of the package-level function.
 func (al *Aligner) SmithWaterman(a, b []alphabet.Code, sc Scoring) Result {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
@@ -391,11 +386,6 @@ func (al *Aligner) xdPrepare(la, lb int, p XDropParams) error {
 // both sequence ends). With substitute k-mers the seed residues may
 // mismatch; the seed region is scored against the matrix like any other.
 // A pair beyond the packed lanes' reach fails with ErrSequenceTooLong.
-func XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
-	return NewAligner().XDrop(a, b, seedA, seedB, k, p)
-}
-
-// XDrop is the buffer-reusing form of the package-level function.
 func (al *Aligner) XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
 	if !seedWithin(seedA, seedB, k, len(a), len(b)) {
 		return Result{}, fmt.Errorf("align: seed (%d,%d,k=%d) outside sequences %d/%d",
@@ -579,15 +569,8 @@ func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
 
 // UngappedExtend extends an exact diagonal match around a seed in both
 // directions, stopping when the running score drops more than xdrop below
-// the best (the MMseqs2-style ungapped diagonal score).
-func UngappedExtend(a, b []alphabet.Code, seedA, seedB, k int, sc Scoring, xdrop int) Result {
-	return NewAligner().UngappedExtend(a, b, seedA, seedB, k, sc, xdrop)
-}
-
-// UngappedExtend is the Aligner form of the package-level function: the
-// diagonal scan needs no DP buffers, but the method form gives the batched
-// pipeline and the `ug` kernel one uniform per-worker call shape (and a
-// place to hang scratch state if the scan ever gains SIMD-style batching).
+// the best (the MMseqs2-style ungapped diagonal score). The scan needs no DP
+// buffers; the method form gives every kernel one per-worker call shape.
 // Result.Cells counts every scored diagonal column, including the
 // overshoot past the best endpoints that the x-drop rule explores.
 func (al *Aligner) UngappedExtend(a, b []alphabet.Code, seedA, seedB, k int, sc Scoring, xdrop int) Result {

@@ -20,7 +20,7 @@ func codes(t testing.TB, s string) []alphabet.Code {
 func TestSWIdenticalSequences(t *testing.T) {
 	sc := DefaultScoring()
 	s := codes(t, "MKVLAWHPLC")
-	r := SmithWaterman(s, s, sc)
+	r := NewAligner().SmithWaterman(s, s, sc)
 	want := 0
 	for _, c := range s {
 		want += sc.Matrix.Score(c, c)
@@ -43,8 +43,8 @@ func TestSWSymmetric(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "MKVLAWHPLCQERNDYFI")
 	b := codes(t, "MKVANWHPLCQRNDYF")
-	r1 := SmithWaterman(a, b, sc)
-	r2 := SmithWaterman(b, a, sc)
+	r1 := NewAligner().SmithWaterman(a, b, sc)
+	r2 := NewAligner().SmithWaterman(b, a, sc)
 	if r1.Score != r2.Score {
 		t.Errorf("SW not symmetric: %d vs %d", r1.Score, r2.Score)
 	}
@@ -60,7 +60,7 @@ func TestSWLocality(t *testing.T) {
 	core := "WWHHCCWWHHCC"
 	a := codes(t, "GGGGGG"+core+"IIIIII")
 	b := codes(t, "PPPP"+core+"LLLL")
-	r := SmithWaterman(a, b, sc)
+	r := NewAligner().SmithWaterman(a, b, sc)
 	coreScore := 0
 	for _, c := range codes(t, core) {
 		coreScore += sc.Matrix.Score(c, c)
@@ -75,11 +75,11 @@ func TestSWLocality(t *testing.T) {
 
 func TestSWEmptyAndNoPositive(t *testing.T) {
 	sc := DefaultScoring()
-	if r := SmithWaterman(nil, codes(t, "MKV"), sc); r.Score != 0 {
+	if r := NewAligner().SmithWaterman(nil, codes(t, "MKV"), sc); r.Score != 0 {
 		t.Errorf("empty input score %d", r.Score)
 	}
 	// W vs P scores -4: no positive local alignment exists.
-	if r := SmithWaterman(codes(t, "W"), codes(t, "P"), sc); r.Score != 0 {
+	if r := NewAligner().SmithWaterman(codes(t, "W"), codes(t, "P"), sc); r.Score != 0 {
 		t.Errorf("all-negative alignment score %d", r.Score)
 	}
 }
@@ -89,7 +89,7 @@ func TestSWGapAlignment(t *testing.T) {
 	// b equals a with a 3-residue deletion: SW must bridge it with one gap.
 	a := codes(t, "MKVLAWHPLCQERNDYFIWW")
 	b := append(append([]alphabet.Code{}, a[:8]...), a[11:]...)
-	r := SmithWaterman(a, b, sc)
+	r := NewAligner().SmithWaterman(a, b, sc)
 	selfScore := 0
 	for _, c := range a {
 		selfScore += sc.Matrix.Score(c, c)
@@ -121,7 +121,7 @@ func TestSWAgainstSimpleCases(t *testing.T) {
 		{"ACDEFG", "ACDEFG", 4 + 9 + 6 + 5 + 6 + 6},
 	}
 	for _, tc := range cases {
-		r := SmithWaterman(codes(t, tc.a), codes(t, tc.b), sc)
+		r := NewAligner().SmithWaterman(codes(t, tc.a), codes(t, tc.b), sc)
 		if r.Score != tc.want {
 			t.Errorf("SW(%s,%s) = %d, want %d", tc.a, tc.b, r.Score, tc.want)
 		}
@@ -131,10 +131,10 @@ func TestSWAgainstSimpleCases(t *testing.T) {
 func TestXDropSeedOutOfRange(t *testing.T) {
 	p := DefaultXDrop()
 	a, b := codes(t, "MKVLAW"), codes(t, "MKVLAW")
-	if _, err := XDrop(a, b, 5, 0, 6, p); err == nil {
+	if _, err := NewAligner().XDrop(a, b, 5, 0, 6, p); err == nil {
 		t.Error("seed past end should error")
 	}
-	if _, err := XDrop(a, b, -1, 0, 3, p); err == nil {
+	if _, err := NewAligner().XDrop(a, b, -1, 0, 3, p); err == nil {
 		t.Error("negative seed should error")
 	}
 }
@@ -142,7 +142,7 @@ func TestXDropSeedOutOfRange(t *testing.T) {
 func TestXDropIdentical(t *testing.T) {
 	p := DefaultXDrop()
 	s := codes(t, "MKVLAWHPLCQERNDYFI")
-	r, err := XDrop(s, s, 6, 6, 6, p)
+	r, err := NewAligner().XDrop(s, s, 6, 6, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,9 @@ func TestXDropNeverExceedsSW(t *testing.T) {
 			rawB[rng.Intn(len(rawB))] = letters[rng.Intn(20)]
 		}
 		b := codes(t, string(rawB))
-		sw := SmithWaterman(a, b, p.Scoring)
+		sw := NewAligner().SmithWaterman(a, b, p.Scoring)
 		seed := rng.Intn(n - 6)
-		xd, err := XDrop(a, b, seed, seed, 6, p)
+		xd, err := NewAligner().XDrop(a, b, seed, seed, 6, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestXDropBridgesGap(t *testing.T) {
 	a := codes(t, "MKVLAWHPLCQERNDYFIWWHHCC")
 	b := append(append([]alphabet.Code{}, a[:12]...), codes(t, "GG")...)
 	b = append(b, a[12:]...)
-	r, err := XDrop(a, b, 2, 2, 6, p)
+	r, err := NewAligner().XDrop(a, b, 2, 2, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestXDropStopsAtJunk(t *testing.T) {
 	blockA := "WWHHCCWWHHCC"
 	a := codes(t, blockA+"PPPPPPPPPPPPPPPPPPPPPPPP")
 	b := codes(t, blockA+"WWWWWWWWWWWWWWWWWWWWWWWW")
-	r, err := XDrop(a, b, 0, 0, 6, p)
+	r, err := NewAligner().XDrop(a, b, 0, 0, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestXDropStopsAtJunk(t *testing.T) {
 func TestUngappedExtend(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "MKVLAWHPLC")
-	r := UngappedExtend(a, a, 3, 3, 3, sc, 10)
+	r := NewAligner().UngappedExtend(a, a, 3, 3, 3, sc, 10)
 	want := 0
 	for _, c := range a {
 		want += sc.Matrix.Score(c, c)
@@ -257,7 +257,7 @@ func TestUngappedExtendStops(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "WWWW"+"PPPPPPPP")
 	b := codes(t, "WWWW"+"GGGGGGGG")
-	r := UngappedExtend(a, b, 0, 0, 4, sc, 8)
+	r := NewAligner().UngappedExtend(a, b, 0, 0, 4, sc, 8)
 	if r.Score != 44 {
 		t.Errorf("score = %d, want 44 (4xW)", r.Score)
 	}
@@ -310,14 +310,14 @@ func TestAlignerReuseMatchesFresh(t *testing.T) {
 				y[rng.Intn(len(y))] = alphabet.Code(rng.Intn(20))
 			}
 		}
-		if got, want := al.SmithWaterman(x, y, sc), SmithWaterman(x, y, sc); got != want {
+		if got, want := al.SmithWaterman(x, y, sc), NewAligner().SmithWaterman(x, y, sc); got != want {
 			t.Fatalf("trial %d: reused SW %+v != fresh %+v", trial, got, want)
 		}
 		k := 6
 		if len(x) >= k && len(y) >= k {
 			seedA, seedB := rng.Intn(len(x)-k+1), rng.Intn(len(y)-k+1)
 			got, err1 := al.XDrop(x, y, seedA, seedB, k, p)
-			want, err2 := XDrop(x, y, seedA, seedB, k, p)
+			want, err2 := NewAligner().XDrop(x, y, seedA, seedB, k, p)
 			if (err1 == nil) != (err2 == nil) || got != want {
 				t.Fatalf("trial %d: reused XDrop %+v (%v) != fresh %+v (%v)",
 					trial, got, err1, want, err2)
@@ -354,7 +354,7 @@ func TestAlignerReuseMatchesFresh(t *testing.T) {
 	for round := 0; round < 2; round++ { // the second round starts from the first's leftovers
 		for _, st := range steps {
 			got, err1 := al.XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
-			want, err2 := XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
+			want, err2 := NewAligner().XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
 			if err1 != nil || err2 != nil || got != want {
 				t.Fatalf("round %d, %s: reused %+v (%v) != fresh %+v (%v)", round, st.name, got, err1, want, err2)
 			}
@@ -435,7 +435,7 @@ func TestXDropRejectsParamsOutOfRange(t *testing.T) {
 	} {
 		p := DefaultXDrop()
 		bad(&p)
-		if r, err := XDrop(s, s, 6, 6, 6, p); err == nil {
+		if r, err := NewAligner().XDrop(s, s, 6, 6, 6, p); err == nil {
 			t.Errorf("x-drop %d gaps (%d,%d) accepted: %+v", p.XDrop, p.Scoring.GapOpen, p.Scoring.GapExtend, r)
 		}
 	}

@@ -85,7 +85,7 @@ type StagedKernel interface {
 // growing dst as needed, and returns it. The pipeline merges worker
 // instances into panels and panels into the run total with this; because
 // the merge is field-wise integer addition, totals are identical for any
-// thread count, batch size, and wave count.
+// thread count and wave count.
 func MergeStageStats(dst, src []StageStats) []StageStats {
 	for i, st := range src {
 		if i == len(dst) {

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,19 +20,15 @@ import (
 // chaosRun is the read-out of one execution — the pipeline or a query batch
 // — with the config's fault plan actually armed on the cluster.
 type chaosRun struct {
-	edges   []Edge
-	stats   Stats
-	blocks  int // Result.EffectiveBlocks on rank 0
-	total   int64
-	retry   int64
-	peak    int64
-	maxTime float64
-	fstats  mpi.FaultStats
+	edges  []Edge
+	stats  Stats
+	blocks int         // Result.EffectiveBlocks on rank 0
+	sum    mpi.Summary // the run's ledger
 }
 
 // rankBody is one rank's share of a run under test: the all-vs-all pipeline
-// or one query batch. The chaos runners wrap it with the cluster set-up,
-// the edge gather and the clock read-out.
+// or one query batch. runChaos wraps it with the cluster set-up, the edge
+// gather and the read-out.
 type rankBody func(c *mpi.Comm) (*Result, error)
 
 // pipelineBody runs the all-vs-all pipeline on the rank's slice of recs.
@@ -59,20 +55,70 @@ func queryBody(dir string, queries []fasta.Record, p int, cfg Config) rankBody {
 }
 
 func runChaosPipeline(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
-	return runChaos(p, cfg.Faults, pipelineBody(recs, p, cfg))
+	return runChaos(p, cfg.Faults, pipelineBody(recs, p, cfg), false)
 }
 
 func runChaosPipelineTCP(recs []fasta.Record, p int, cfg Config) (chaosRun, error) {
-	return runChaosTCP(p, cfg.Faults, pipelineBody(recs, p, cfg))
+	return runChaos(p, cfg.Faults, pipelineBody(recs, p, cfg), true)
 }
 
 // runChaosQuery serves one batch from the index in dir on the in-process
 // (tcp false) or loopback-tcp cluster, with cfg's fault plan armed.
 func runChaosQuery(dir string, queries []fasta.Record, p int, cfg Config, tcp bool) (chaosRun, error) {
-	if tcp {
-		return runChaosTCP(p, cfg.Faults, queryBody(dir, queries, p, cfg))
+	return runChaos(p, cfg.Faults, queryBody(dir, queries, p, cfg), tcp)
+}
+
+// runChaos executes body on p ranks with the fault plan actually armed —
+// in process (mpi.RunLocal), or with tcp on p tcp-backed single-rank clusters
+// over real loopback sockets (mpi.RunTCPLocal) — gathers the graph on rank 0
+// and reads the run out through the one fold: Cluster.Summary after an
+// in-process run, Comm.Summarize as each tcp rank's last collective. Both
+// read the ledger right after the gather, so the two are bit-comparable.
+func runChaos(p int, faults *mpi.FaultPlan, body rankBody, tcp bool) (chaosRun, error) {
+	rank := func(c *mpi.Comm) (chaosRun, error) {
+		res, err := body(c)
+		if err != nil {
+			return chaosRun{}, err
+		}
+		all, err := GatherEdges(c, res.Edges)
+		if err != nil {
+			return chaosRun{}, err
+		}
+		out := chaosRun{edges: all, stats: res.Stats, blocks: res.EffectiveBlocks}
+		if tcp {
+			out.sum, err = c.Summarize()
+		}
+		return out, err
 	}
-	return runChaos(p, cfg.Faults, queryBody(dir, queries, p, cfg))
+	var out chaosRun
+	var err error
+	if tcp {
+		err = mpi.RunTCPLocal(p, mpi.DefaultCostModel(), func(_ int, cl *mpi.Cluster) {
+			if faults != nil {
+				cl.ArmFaults(*faults)
+			}
+		}, func(c *mpi.Comm) error {
+			r, err := rank(c)
+			if err == nil && c.Rank() == 0 {
+				out = r
+			}
+			return err
+		})
+	} else {
+		var sum mpi.Summary
+		out, sum, err = mpi.RunLocal(context.Background(), p, mpi.DefaultCostModel(), faults, rank)
+		out.sum = sum
+	}
+	if err != nil {
+		return out, err
+	}
+	sort.Slice(out.edges, func(i, j int) bool {
+		if out.edges[i].R != out.edges[j].R {
+			return out.edges[i].R < out.edges[j].R
+		}
+		return out.edges[i].C < out.edges[j].C
+	})
+	return out, nil
 }
 
 // buildTestIndex persists an index of recs on p ranks into a fresh
@@ -106,123 +152,6 @@ func everyThird(recs []fasta.Record) []fasta.Record {
 		out = append(out, recs[i])
 	}
 	return out
-}
-
-// runChaos executes body on an in-process cluster with the fault plan
-// actually armed (the drivers leave arming to the caller layer, the way
-// pastis.BuildGraph does).
-func runChaos(p int, faults *mpi.FaultPlan, body rankBody) (chaosRun, error) {
-	var out chaosRun
-	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
-	if faults != nil {
-		cl.ArmFaults(*faults)
-	}
-	err := cl.Run(func(c *mpi.Comm) error {
-		res, err := body(c)
-		if err != nil {
-			return err
-		}
-		all, err := GatherEdges(c, res.Edges)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out.edges = all
-			out.stats = res.Stats
-			out.blocks = res.EffectiveBlocks
-		}
-		return nil
-	})
-	out.total = cl.TotalBytes()
-	out.retry = cl.RetryBytes()
-	out.peak = cl.PeakBytes()
-	out.maxTime = cl.MaxTime()
-	out.fstats = cl.FaultStats()
-	if err != nil {
-		return out, err
-	}
-	sortChaosEdges(&out)
-	return out, nil
-}
-
-func sortChaosEdges(out *chaosRun) {
-	sort.Slice(out.edges, func(i, j int) bool {
-		if out.edges[i].R != out.edges[j].R {
-			return out.edges[i].R < out.edges[j].R
-		}
-		return out.edges[i].C < out.edges[j].C
-	})
-}
-
-// runChaosTCP is runChaos on the tcp transport: p tcp-backed single-rank
-// clusters over real loopback sockets (mpi.RunTCPLocal). No address space
-// sees every rank's clock, so the cluster-wide totals are reduced with
-// collectives from per-rank snapshots taken right after the gather — the
-// exact read point of the whole-cluster accessors above, which keeps the two
-// runners bit-comparable.
-func runChaosTCP(p int, faults *mpi.FaultPlan, body rankBody) (chaosRun, error) {
-	var out chaosRun
-	clusters := make([]*mpi.Cluster, p)
-	err := mpi.RunTCPLocal(p, mpi.DefaultCostModel(), func(rank int, cl *mpi.Cluster) {
-		clusters[rank] = cl
-		if faults != nil {
-			cl.ArmFaults(*faults)
-		}
-	}, func(c *mpi.Comm) error {
-		res, err := body(c)
-		if err != nil {
-			return err
-		}
-		all, err := GatherEdges(c, res.Edges)
-		if err != nil {
-			return err
-		}
-		clk := c.Clock()
-		now, sent, retry, peak := clk.Now(), clk.BytesSent(), clk.RetryBytes(), clk.PeakBytes()
-		bits, err := c.TryAllreduceInt64("max", int64(math.Float64bits(now)))
-		if err != nil {
-			return err
-		}
-		total, err := c.TryAllreduceInt64("sum", sent)
-		if err != nil {
-			return err
-		}
-		retryAll, err := c.TryAllreduceInt64("sum", retry)
-		if err != nil {
-			return err
-		}
-		peakAll, err := c.TryAllreduceInt64("max", peak)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out.edges = all
-			out.stats = res.Stats
-			out.blocks = res.EffectiveBlocks
-			out.maxTime = math.Float64frombits(uint64(bits))
-			out.total = total
-			out.retry = retryAll
-			out.peak = peakAll
-		}
-		return nil
-	})
-	for _, cl := range clusters {
-		if cl == nil {
-			continue
-		}
-		fs := cl.FaultStats()
-		out.fstats.Drops += fs.Drops
-		out.fstats.Corrupts += fs.Corrupts
-		out.fstats.Delays += fs.Delays
-		out.fstats.Crashes += fs.Crashes
-		out.fstats.Gates += fs.Gates
-		out.fstats.P2PDrops += fs.P2PDrops
-	}
-	if err != nil {
-		return out, err
-	}
-	sortChaosEdges(&out)
-	return out, nil
 }
 
 // crashLeavingCheckpoints scans injected crash points until one both fails
@@ -278,7 +207,7 @@ func sameGraph(t *testing.T, name string, got, want chaosRun) {
 // any combination, on either transport backend, at any thread and wave
 // count — the pipeline must converge to the exact fault-free similarity
 // graph and Stats, with all recovery traffic segregated so that
-// TotalBytes - RetryBytes equals the fault-free communication bill. The
+// BytesOnWire - RetryBytes equals the fault-free communication bill. The
 // query sweep — one batch against a persisted index — runs under the same
 // matrix and must converge to the fault-free hits the same way.
 func TestChaosBitIdentical(t *testing.T) {
@@ -347,11 +276,11 @@ func TestChaosBitIdentical(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					sameGraph(t, name, got, clean)
-					if billed := got.total - got.retry; billed != clean.total {
-						t.Errorf("%s: TotalBytes-RetryBytes = %d, want clean %d (retry %d)",
-							name, billed, clean.total, got.retry)
+					if billed := got.sum.BytesOnWire - got.sum.RetryBytes; billed != clean.sum.BytesOnWire {
+						t.Errorf("%s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
+							name, billed, clean.sum.BytesOnWire, got.sum.RetryBytes)
 					}
-					fs := got.fstats
+					fs := got.sum.Faults
 					injected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
 
 					gotQuery, err := runChaosQuery(indexDir, queries, 4, faulty, transport == "tcp")
@@ -359,11 +288,11 @@ func TestChaosBitIdentical(t *testing.T) {
 						t.Fatalf("query %s: %v", name, err)
 					}
 					sameGraph(t, "query "+name, gotQuery, cleanQuery)
-					if billed := gotQuery.total - gotQuery.retry; billed != cleanQuery.total {
-						t.Errorf("query %s: TotalBytes-RetryBytes = %d, want clean %d (retry %d)",
-							name, billed, cleanQuery.total, gotQuery.retry)
+					if billed := gotQuery.sum.BytesOnWire - gotQuery.sum.RetryBytes; billed != cleanQuery.sum.BytesOnWire {
+						t.Errorf("query %s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
+							name, billed, cleanQuery.sum.BytesOnWire, gotQuery.sum.RetryBytes)
 					}
-					fs = gotQuery.fstats
+					fs = gotQuery.sum.Faults
 					queryInjected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
 				}
 			}
@@ -478,7 +407,7 @@ func TestMemBudgetDegrades(t *testing.T) {
 			// boundaries, which sit below the run-wide PeakBytes; scan downward
 			// from the peak until a budget actually trips the ladder. The
 			// simulator is deterministic, so the scan is too.
-			peak := clean.peak
+			peak := clean.sum.PeakBytes
 			var got chaosRun
 			degraded := false
 			for _, frac := range []float64{0.875, 0.75, 0.625, 0.5, 0.375} {

@@ -25,7 +25,7 @@ import (
 // allreduce, then each loads its own file for exactly that wave. A
 // fingerprint of the PSG-relevant configuration (and the input size) guards
 // against resuming into a different run; knobs the PSG is oblivious to —
-// threads, batch size, transport — are deliberately excluded, so a run may
+// threads, transport — are deliberately excluded, so a run may
 // be resumed with different parallelism and still reproduce the same graph.
 // The sweep's block count is NOT part of the fingerprint but IS recorded:
 // wave indices are only meaningful at the split that produced them, so a

@@ -50,7 +50,6 @@ var configFields = []struct {
 	{"NaiveTriangle", classPSG},
 
 	{"Threads", classMachine},
-	{"BatchSize", classMachine},
 	{"Blocks", classMachine},
 	{"Transport", classMachine},
 	{"Faults", classMachine},

@@ -22,8 +22,9 @@ import (
 func statsEqual(a, b Stats) bool { return reflect.DeepEqual(a, b) }
 
 // runPipeline executes the pipeline on p ranks over the records and returns
-// the gathered edges (sorted) plus stats and the cluster for timing probes.
-func runPipeline(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]Edge, Stats, *mpi.Cluster) {
+// the gathered edges (sorted) plus stats and the run's Summary for timing
+// probes.
+func runPipeline(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]Edge, Stats, mpi.Summary) {
 	t.Helper()
 	var edges []Edge
 	var stats Stats
@@ -54,7 +55,8 @@ func runPipeline(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]Edge, 
 		}
 		return edges[i].C < edges[j].C
 	})
-	return edges, stats, cl
+	sum, _ := cl.Summary()
+	return edges, stats, sum
 }
 
 func familyDataset(t testing.TB, nFam int, seed int64) *synth.Labeled {
@@ -178,9 +180,9 @@ func TestProcessCountOblivious(t *testing.T) {
 }
 
 // The similarity graph must also be identical for every intra-rank thread
-// count and batch size — the determinism contract of the hybrid-parallel
-// refactor (parallel SpGEMM chunks and batched alignment merge in
-// deterministic order). Run with -race to validate the concurrency.
+// count — the determinism contract of the hybrid-parallel refactor (parallel
+// SpGEMM chunks and alignment chunks merge in deterministic order). Run with
+// -race to validate the concurrency.
 func TestThreadCountOblivious(t *testing.T) {
 	data := familyDataset(t, 5, 43)
 	for _, mode := range []AlignMode{AlignXDrop, AlignSW} {
@@ -190,28 +192,25 @@ func TestThreadCountOblivious(t *testing.T) {
 			cfg.SubstituteKmers = subs
 			var ref []Edge
 			var refStats Stats
-			for _, variant := range []struct{ threads, batch int }{
-				{1, 0}, {2, 0}, {8, 0}, {8, 1}, {3, 7},
-			} {
-				cfg.Threads = variant.threads
-				cfg.BatchSize = variant.batch
+			for _, threads := range []int{1, 2, 3, 8} {
+				cfg.Threads = threads
 				edges, stats, _ := runPipeline(t, data.Records, 4, cfg)
 				if ref == nil {
 					ref, refStats = edges, stats
 					continue
 				}
 				if !statsEqual(stats, refStats) {
-					t.Fatalf("mode=%v subs=%d threads=%d batch=%d: stats %+v differ from serial %+v",
-						mode, subs, variant.threads, variant.batch, stats, refStats)
+					t.Fatalf("mode=%v subs=%d threads=%d: stats %+v differ from serial %+v",
+						mode, subs, threads, stats, refStats)
 				}
 				if len(edges) != len(ref) {
-					t.Fatalf("mode=%v subs=%d threads=%d batch=%d: %d edges vs %d",
-						mode, subs, variant.threads, variant.batch, len(edges), len(ref))
+					t.Fatalf("mode=%v subs=%d threads=%d: %d edges vs %d",
+						mode, subs, threads, len(edges), len(ref))
 				}
 				for i := range ref {
 					if edges[i] != ref[i] {
-						t.Fatalf("mode=%v subs=%d threads=%d batch=%d: edge %d differs: %+v vs %+v",
-							mode, subs, variant.threads, variant.batch, i, edges[i], ref[i])
+						t.Fatalf("mode=%v subs=%d threads=%d: edge %d differs: %+v vs %+v",
+							mode, subs, threads, i, edges[i], ref[i])
 					}
 				}
 			}
@@ -248,7 +247,8 @@ func TestThreadsSpeedUpVirtualTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl.SectionMax()
+		sum, _ := cl.Summary()
+		return sum.SectionMax
 	}
 	times := map[int]map[string]float64{}
 	for _, threads := range []int{1, 4} {
@@ -266,10 +266,10 @@ func TestThreadsSpeedUpVirtualTime(t *testing.T) {
 	}
 	// Threads beyond the modeled node cores must not speed the clock further.
 	cfg.Threads = model.CoresPerNode
-	_, _, clCap := runPipeline(t, data.Records, 4, cfg)
+	_, _, sumCap := runPipeline(t, data.Records, 4, cfg)
 	cfg.Threads = model.CoresPerNode * 64
-	_, _, clOver := runPipeline(t, data.Records, 4, cfg)
-	if a, b := clCap.SectionMax()[SectionAlign], clOver.SectionMax()[SectionAlign]; a != b {
+	_, _, sumOver := runPipeline(t, data.Records, 4, cfg)
+	if a, b := sumCap.SectionMax[SectionAlign], sumOver.SectionMax[SectionAlign]; a != b {
 		t.Errorf("CoresPerNode cap not applied: align %g s at cap vs %g s oversubscribed", a, b)
 	}
 }
@@ -340,7 +340,7 @@ func TestWaveMemoryBounded(t *testing.T) {
 	// panel broadcast overhead would be magnified far beyond the paper's.
 	model := mpi.DefaultCostModel()
 	model.ComputeRate = 4e7
-	run := func(cfg Config) *mpi.Cluster {
+	run := func(cfg Config) mpi.Summary {
 		cl := mpi.NewCluster(4, model)
 		err := cl.Run(func(c *mpi.Comm) error {
 			n := len(data.Records)
@@ -351,7 +351,8 @@ func TestWaveMemoryBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl
+		sum, _ := cl.Summary()
+		return sum
 	}
 	cfg := DefaultConfig()
 	cfg.CommonKmerThreshold = 1
@@ -359,18 +360,18 @@ func TestWaveMemoryBounded(t *testing.T) {
 	var baseTime float64
 	for i, blocks := range []int{1, 2, 4, 8} {
 		cfg.Blocks = blocks
-		cl := run(cfg)
-		peak := cl.PeakBytes()
+		sum := run(cfg)
+		peak := sum.PeakBytes
 		if peak <= 0 {
 			t.Fatalf("blocks=%d: no peak recorded", blocks)
 		}
 		if i == 0 {
-			baseTime = cl.MaxTime()
+			baseTime = sum.Time
 		} else if peak >= prevPeak {
 			t.Errorf("peak bytes did not decrease: blocks=%d peak=%d vs previous %d",
 				blocks, peak, prevPeak)
 		}
-		if tm := cl.MaxTime(); tm > baseTime*1.15 {
+		if tm := sum.Time; tm > baseTime*1.15 {
 			t.Errorf("blocks=%d: virtual time %g exceeds 1.15x single-wave %g",
 				blocks, tm, baseTime)
 		}
@@ -392,7 +393,7 @@ func TestWaveMemoryBounded(t *testing.T) {
 		ceiling int64
 	}{{1, 1699308}, {2, 1498284}, {4, 1401100}, {8, 1305756}} {
 		cfg.Blocks = tc.blocks
-		peak := run(cfg).PeakBytes()
+		peak := run(cfg).PeakBytes
 		if peak > tc.ceiling {
 			t.Errorf("substitute path: blocks=%d peak %d exceeds the A·S product's %d", tc.blocks, peak, tc.ceiling)
 		}
@@ -482,14 +483,14 @@ func TestSkipAlignmentSections(t *testing.T) {
 	cfg.Align = AlignNone
 	cfg.SubstituteKmers = 5
 
-	edges, stats, cl := runPipeline(t, data.Records, 4, cfg)
+	edges, stats, sum := runPipeline(t, data.Records, 4, cfg)
 	if len(edges) != 0 {
 		t.Error("AlignNone must not align")
 	}
 	if stats.NNZAS == 0 {
 		t.Errorf("substitute path stats empty: %+v", stats)
 	}
-	secs := cl.SectionMax()
+	secs := sum.SectionMax
 	for _, name := range []string{SectionFasta, SectionFormA, SectionTrA,
 		SectionFormS, SectionAS, SectionB, SectionSym, SectionWait} {
 		if _, ok := secs[name]; !ok {
@@ -506,8 +507,8 @@ func TestExactPathSections(t *testing.T) {
 	data := familyDataset(t, 4, 29)
 	cfg := DefaultConfig()
 	cfg.Align = AlignNone
-	_, _, cl := runPipeline(t, data.Records, 4, cfg)
-	secs := cl.SectionMax()
+	_, _, sum := runPipeline(t, data.Records, 4, cfg)
+	secs := sum.SectionMax
 	for _, name := range []string{SectionFormS, SectionAS, SectionSym} {
 		if _, ok := secs[name]; ok {
 			t.Errorf("exact path should not have section %q", name)
@@ -540,10 +541,10 @@ func TestUpperTrianglePartition(t *testing.T) {
 func TestBlockingExchangeAblation(t *testing.T) {
 	data := familyDataset(t, 5, 37)
 	cfg := DefaultConfig()
-	overlapped, _, clOver := runPipeline(t, data.Records, 4, cfg)
+	overlapped, _, sumOver := runPipeline(t, data.Records, 4, cfg)
 
 	cfg.BlockingExchange = true
-	blocking, _, clBlock := runPipeline(t, data.Records, 4, cfg)
+	blocking, _, sumBlock := runPipeline(t, data.Records, 4, cfg)
 
 	if len(overlapped) != len(blocking) {
 		t.Fatalf("overlap ablation changed results: %d vs %d edges",
@@ -555,9 +556,9 @@ func TestBlockingExchangeAblation(t *testing.T) {
 		}
 	}
 	// Overlapped mode must not be slower in virtual time.
-	if clOver.MaxTime() > clBlock.MaxTime()*1.001 {
+	if sumOver.Time > sumBlock.Time*1.001 {
 		t.Errorf("overlapped run (%g) slower than blocking (%g)",
-			clOver.MaxTime(), clBlock.MaxTime())
+			sumOver.Time, sumBlock.Time)
 	}
 }
 
@@ -597,7 +598,7 @@ func TestValidateAlignParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernelTakes := func(cfg Config) error {
-		_, err := align.XDrop(s, s, 6, 6, 6, align.XDropParams{
+		_, err := align.NewAligner().XDrop(s, s, 6, 6, 6, align.XDropParams{
 			Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
 			XDrop:   cfg.XDropValue,
 		})

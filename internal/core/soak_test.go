@@ -48,20 +48,12 @@ func TestTransportConformanceSoak(t *testing.T) {
 		cfg.Threads = threads
 
 		cfg.Transport = "shared"
-		sharedEdges, sharedStats, sharedCl := runPipeline(t, data.Records, p, cfg)
-		shared := chaosRun{
-			edges: sharedEdges, stats: sharedStats,
-			total: sharedCl.TotalBytes(), peak: sharedCl.PeakBytes(),
-			maxTime: sharedCl.MaxTime(),
-		}
+		sharedEdges, sharedStats, sharedSum := runPipeline(t, data.Records, p, cfg)
+		shared := chaosRun{edges: sharedEdges, stats: sharedStats, sum: sharedSum}
 
 		cfg.Transport = "codec"
-		codecEdges, codecStats, codecCl := runPipeline(t, data.Records, p, cfg)
-		sameTransportRun(t, name+" [codec]", chaosRun{
-			edges: codecEdges, stats: codecStats,
-			total: codecCl.TotalBytes(), peak: codecCl.PeakBytes(),
-			maxTime: codecCl.MaxTime(),
-		}, shared)
+		codecEdges, codecStats, codecSum := runPipeline(t, data.Records, p, cfg)
+		sameTransportRun(t, name+" [codec]", chaosRun{edges: codecEdges, stats: codecStats, sum: codecSum}, shared)
 
 		cfg.Transport = "tcp"
 		tcp, err := runChaosPipelineTCP(data.Records, p, cfg)

@@ -64,13 +64,12 @@ type panelResult struct {
 
 // processPanel is the per-wave local stage: merge the transpose
 // contribution (dual-product substitute path), apply the common-k-mer prune,
-// and align the panel's candidate pairs in bounded batches on the worker
-// pool. It runs on a background goroutine while the next panel's SUMMA
-// stages proceed, so it must not touch the rank clock or any distributed
-// state: inputs are read-only and all accounting is returned as tallies.
-// Output is deterministic — batch boundaries depend only on the candidate
-// count, and batches merge in order — so the edge list is bit-identical for
-// any thread count and any wave count.
+// and align the panel's candidate pairs on the worker pool. It runs on a
+// background goroutine while the next panel's SUMMA stages proceed, so it
+// must not touch the rank clock or any distributed state: inputs are
+// read-only and all accounting is returned as tallies. Output is
+// deterministic — chunks merge in order — so the edge list is bit-identical
+// for any thread count and any wave count.
 func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config) panelResult {
 	var res panelResult
 	local := bp.Local
@@ -112,17 +111,17 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config
 // columns, so per-panel candidate lists concatenate — in panel order — to
 // exactly the monolithic candidate list.
 //
-// Pairs are aligned in bounded batches streamed onto a worker pool (the
-// follow-up paper's batched hybrid design): each batch holds at most
-// cfg.BatchSize pairs, each worker reuses one alignment-kernel instance —
-// hence one set of DP/wavefront buffers — across all its batches, and
-// per-batch outputs merge in batch order, so the edge list, counters and
-// DP-cell count are bit-identical to a serial pass for any thread count.
+// Pairs are aligned in contiguous chunks drawn by a worker pool (the
+// follow-up paper's hybrid design), four chunks per worker for balance: each
+// worker reuses one alignment-kernel instance — hence one set of
+// DP/wavefront buffers — across all its chunks, and per-chunk outputs merge
+// in chunk order, so the edge list, counters and DP-cell count are
+// bit-identical to a serial pass for any thread count.
 //
-// The batch loop is kernel-oblivious: cfg.Align resolves a factory from the
+// The chunk loop is kernel-oblivious: cfg.Align resolves a factory from the
 // align package's registry, every pair dispatches through align.Kernel, and
 // the cells charged to the virtual clock come from the kernels' own
-// CellsComputed accounting (per-chunk deltas, summed in batch order). When
+// CellsComputed accounting (per-chunk deltas, summed in chunk order). When
 // the kernel is a staged cascade, the per-stage pair/cell tallies of every
 // worker instance are additionally summed into one per-stage breakdown for
 // the panel (plain integer sums, so the result is thread-count oblivious).
@@ -165,24 +164,10 @@ func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
 		return nil, 0, 0, nil, nil
 	}
 
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
 	threads := cfg.Threads
 	if threads < 1 {
 		threads = 1 // the documented contract: <= 1 runs serially
 	}
-	nbatches := (len(cands) + batch - 1) / batch
-
-	// Per-batch outputs, merged in batch order after the pool drains.
-	type batchOut struct {
-		edges   []Edge
-		aligned int64
-		cells   int64
-		err     error
-	}
-	outs := make([]batchOut, nbatches)
 	params := align.Params{
 		Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
 		XDrop:   cfg.XDropValue,
@@ -194,7 +179,16 @@ func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
 		seeds  []align.Seed
 	}
 	workers := make([]worker, parallel.Workers(threads))
-	parallel.ForChunks(threads, len(cands), nbatches, func(w, chunk, lo, hi int) {
+	// Per-chunk outputs, merged in chunk order after the pool drains.
+	type chunkOut struct {
+		edges   []Edge
+		aligned int64
+		cells   int64
+		err     error
+	}
+	nchunks := len(workers) * 4 // oversubscribed for balance
+	outs := make([]chunkOut, nchunks)
+	parallel.ForChunks(threads, len(cands), nchunks, func(w, chunk, lo, hi int) {
 		ws := &workers[w]
 		if ws.kernel == nil {
 			ws.kernel = kernelFor()
@@ -229,7 +223,7 @@ func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
 
 	// Per-stage breakdown: sum the stage tallies of every worker's kernel
 	// instance. Field-wise int64 sums commute, so the totals are identical
-	// for any thread count and batch size.
+	// for any thread count.
 	var stages []align.StageStats
 	for i := range workers {
 		if sk, ok := workers[i].kernel.(align.StagedKernel); ok {

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/mpi"
 	"repro/internal/testutil"
 )
 
@@ -15,15 +18,15 @@ import (
 // for the transport layer: with Transport "shared" (the zero-copy default),
 // "codec" (full byte serialization) and "tcp" (one cluster per rank over
 // real loopback sockets — the multi-process stack minus fork/exec), the PSG
-// edges, the Stats, and the virtual-clock totals — MaxTime, TotalBytes,
-// PeakBytes — must be bit-identical across thread counts, wave counts and
-// cluster sizes. The shared path charges the analytically computed size of
+// edges, the Stats, and the run's Summary — makespan, section times, wire
+// and peak bytes — must be bit-identical across thread counts, wave counts
+// and cluster sizes. The shared path charges the analytically computed size of
 // the encoding it skips, and the tcp relay reconstructs the simulator's
 // rendezvous state, so neither the clocks nor the graphs can drift apart
 // without this test failing. The other two drivers are held to the same
 // standard: BuildIndex must write byte-identical rank files on every
 // backend, and a query batch served from them must return the same hits,
-// Stats and clock totals.
+// Stats and Summary.
 func TestTransportBackendsEquivalent(t *testing.T) {
 	defer testutil.Watchdog(t, 8*time.Minute)()
 	data := familyDataset(t, 5, 53)
@@ -41,23 +44,15 @@ func TestTransportBackendsEquivalent(t *testing.T) {
 			name := fmt.Sprintf("subs=%d p=%d blocks=%d threads=%d",
 				subs, variant.p, variant.blocks, variant.threads)
 			cfg.Transport = "shared"
-			sharedEdges, sharedStats, sharedCl := runPipeline(t, data.Records, variant.p, cfg)
+			sharedEdges, sharedStats, sharedSum := runPipeline(t, data.Records, variant.p, cfg)
 			if len(sharedEdges) == 0 {
 				t.Fatalf("%s: no edges (weak test)", name)
 			}
-			shared := chaosRun{
-				edges: sharedEdges, stats: sharedStats,
-				total: sharedCl.TotalBytes(), peak: sharedCl.PeakBytes(),
-				maxTime: sharedCl.MaxTime(),
-			}
+			shared := chaosRun{edges: sharedEdges, stats: sharedStats, sum: sharedSum}
 
 			cfg.Transport = "codec"
-			codecEdges, codecStats, codecCl := runPipeline(t, data.Records, variant.p, cfg)
-			codec := chaosRun{
-				edges: codecEdges, stats: codecStats,
-				total: codecCl.TotalBytes(), peak: codecCl.PeakBytes(),
-				maxTime: codecCl.MaxTime(),
-			}
+			codecEdges, codecStats, codecSum := runPipeline(t, data.Records, variant.p, cfg)
+			codec := chaosRun{edges: codecEdges, stats: codecStats, sum: codecSum}
 			sameTransportRun(t, name+" codec", codec, shared)
 
 			cfg.Transport = "tcp"
@@ -90,6 +85,61 @@ func TestTransportBackendsEquivalent(t *testing.T) {
 	}
 }
 
+// TestSummaryAcrossBackends holds the read-out to the transport contract:
+// one all-vs-all run and one query batch report the same Summary — every
+// section, byte and peak — through Cluster.Summary on shared and codec, and
+// through Comm.Summarize both in process and over loopback tcp.
+func TestSummaryAcrossBackends(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	data := familyDataset(t, 4, 61)
+	cfg := DefaultConfig()
+	cfg.SubstituteKmers = 5
+	cfg.Blocks = 2
+	dir := buildTestIndex(t, data.Records, 4, cfg)
+	queries := everyThird(data.Records)
+	ref := map[string]mpi.Summary{}
+	for _, transport := range []string{"shared", "codec", "tcp"} {
+		cfg.Transport = transport
+		for name, body := range map[string]rankBody{
+			"all-vs-all": pipelineBody(data.Records, 4, cfg),
+			"query":      queryBody(dir, queries, 4, cfg),
+		} {
+			got, err := runChaos(4, nil, body, transport == "tcp")
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, transport, err)
+			}
+			reads := map[string]mpi.Summary{transport: got.sum}
+			if transport != "tcp" {
+				reads[transport+" Summarize"], _, err = mpi.RunLocal(context.Background(), 4, mpi.DefaultCostModel(), nil,
+					func(c *mpi.Comm) (mpi.Summary, error) {
+						res, err := body(c)
+						if err == nil {
+							_, err = GatherEdges(c, res.Edges)
+						}
+						if err != nil {
+							return mpi.Summary{}, err
+						}
+						return c.Summarize()
+					})
+				if err != nil {
+					t.Fatalf("%s %s Summarize: %v", name, transport, err)
+				}
+			}
+			if transport == "shared" {
+				ref[name] = got.sum
+				if len(got.sum.SectionMax) == 0 || got.sum.Time <= 0 || got.sum.BytesOnWire <= 0 {
+					t.Fatalf("%s: empty summary %+v (weak test)", name, got.sum)
+				}
+			}
+			for read, s := range reads {
+				if !reflect.DeepEqual(s, ref[name]) {
+					t.Errorf("%s, %s: summary\n  %+v\nwant shared's\n  %+v", name, read, s, ref[name])
+				}
+			}
+		}
+	}
+}
+
 // sameIndexFiles asserts two index directories hold byte-identical rank
 // artifacts.
 func sameIndexFiles(t *testing.T, name, gotDir, wantDir string, p int) {
@@ -111,7 +161,7 @@ func sameIndexFiles(t *testing.T, name, gotDir, wantDir string, p int) {
 }
 
 // sameTransportRun asserts one backend's run equals the shared-transport
-// reference bit for bit: edges, stats, and the virtual-clock totals.
+// reference bit for bit: edges, stats, and the whole Summary.
 func sameTransportRun(t *testing.T, name string, got, want chaosRun) {
 	t.Helper()
 	if !statsEqual(got.stats, want.stats) {
@@ -125,14 +175,8 @@ func sameTransportRun(t *testing.T, name string, got, want chaosRun) {
 			t.Fatalf("%s: edge %d differs: %+v vs %+v", name, i, got.edges[i], want.edges[i])
 		}
 	}
-	if got.maxTime != want.maxTime {
-		t.Errorf("%s: MaxTime %g, want %g", name, got.maxTime, want.maxTime)
-	}
-	if got.total != want.total {
-		t.Errorf("%s: TotalBytes %d, want %d", name, got.total, want.total)
-	}
-	if got.peak != want.peak {
-		t.Errorf("%s: PeakBytes %d, want %d", name, got.peak, want.peak)
+	if !reflect.DeepEqual(got.sum, want.sum) {
+		t.Errorf("%s: summary\n  %+v\nwant\n  %+v", name, got.sum, want.sum)
 	}
 }
 

@@ -16,7 +16,7 @@
 // names a primitive kernel ("sw", "xd", "wfa", "ug") or a staged cascade
 // spec ("ug+wfa"); cascade runs surface per-stage pair and cell
 // breakdowns in Stats. The similarity graph and Stats are bit-identical for
-// every rank count × thread count × batch size × wave count (the paper's
+// every rank count × thread count × wave count (the paper's
 // reproducibility property; held at 1, 4, 9 and 16 ranks by
 // TestProcessCountOblivious, because every seed lives in its pair's frame
 // from birth — see frame below). docs/ARCHITECTURE.md walks the dataflow;
@@ -133,16 +133,11 @@ type Config struct {
 
 	// Threads is the intra-rank thread count for the compute-heavy stages:
 	// local SpGEMM multiplies chunks of B's columns concurrently and
-	// alignment runs in batches on a worker pool (the hybrid MPI+OpenMP
+	// alignment runs in chunks on a worker pool (the hybrid MPI+OpenMP
 	// parallelism of the extreme-scale follow-up paper). Results are
 	// bit-identical for every value. <= 1 runs serially; the virtual clock
 	// credits at most CostModel.CoresPerNode-way speedup.
 	Threads int
-
-	// BatchSize bounds how many candidate pairs one alignment batch holds
-	// (the follow-up paper's batched pipeline keeps alignment memory flat).
-	// <= 0 selects DefaultBatchSize.
-	BatchSize int
 
 	// Blocks partitions the overlap computation into this many column
 	// panels, processed as memory-bounded waves (the extreme-scale
@@ -170,7 +165,7 @@ type Config struct {
 	// cluster before the run: the transport injects dropped/corrupted/delayed
 	// collectives and one-shot rank crashes per the plan, and the pipeline
 	// retries with seeded exponential backoff. The similarity graph, Stats,
-	// and TotalBytes-excluding-retries are bit-identical to a fault-free run
+	// and BytesOnWire-excluding-retries are bit-identical to a fault-free run
 	// for any recoverable plan (TestChaosBitIdentical). Arming happens at the
 	// cluster layer — mpi.RunLocal, which every in-process entry point
 	// (BuildGraph, BuildIndex, QueryEngine.Query) launches through — not
@@ -205,11 +200,6 @@ type Config struct {
 	// √p(√p-1)/2 processes idle (the strawman the paper's scheme avoids).
 	NaiveTriangle bool
 }
-
-// DefaultBatchSize is the alignment batch bound used when Config.BatchSize
-// is unset: large enough to amortize dispatch, small enough to keep
-// per-worker buffers and in-flight work modest.
-const DefaultBatchSize = 256
 
 // DefaultConfig mirrors the paper's main configuration: k=6, BLOSUM62 with
 // gap open 11 / extend 1, x-drop 49, ANI >= 30%, coverage >= 70%.

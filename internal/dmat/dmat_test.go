@@ -39,7 +39,7 @@ func panelLoop(a, b *Mat[float64], sr spmat.Semiring[float64, float64, float64],
 }
 
 // runGrid executes fn on a fresh p-rank cluster (p must be square).
-func runGrid(t testing.TB, p int, fn func(g *Grid) error) *mpi.Cluster {
+func runGrid(t testing.TB, p int, fn func(g *Grid) error) mpi.Summary {
 	t.Helper()
 	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
 	err := cl.Run(func(c *mpi.Comm) error {
@@ -52,7 +52,8 @@ func runGrid(t testing.TB, p int, fn func(g *Grid) error) *mpi.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl
+	sum, _ := cl.Summary()
+	return sum
 }
 
 func randomTriples(rng *rand.Rand, rows, cols spmat.Index, nnz int) []spmat.Triple[float64] {
@@ -425,7 +426,7 @@ func TestSpGEMMVirtualTimeDeterminism(t *testing.T) {
 	n := spmat.Index(64)
 	aT := randomTriples(rng, n, n, 400)
 	timeFor := func(p int) float64 {
-		cl := runGrid(t, p, func(g *Grid) error {
+		sum := runGrid(t, p, func(g *Grid) error {
 			a, err := NewFromTriples(g, n, n, scatter(aT, g.Comm.Rank(), p), Float64Codec, nil)
 			if err != nil {
 				return err
@@ -437,7 +438,7 @@ func TestSpGEMMVirtualTimeDeterminism(t *testing.T) {
 			_, err = SpGEMM(a, at, spmat.Arithmetic, Float64Codec, DefaultSpGEMMOpts())
 			return err
 		})
-		return cl.MaxTime()
+		return sum.Time
 	}
 	if a, b := timeFor(4), timeFor(4); a != b {
 		t.Errorf("virtual time nondeterministic: %g vs %g", a, b)
@@ -575,7 +576,7 @@ func TestPeakBytesLedger(t *testing.T) {
 	aT := randomTriples(rng, n, n, 2400)
 	peaks := map[int]int64{}
 	for _, blocks := range []int{1, 8} {
-		cl := runGrid(t, 4, func(g *Grid) error {
+		sum := runGrid(t, 4, func(g *Grid) error {
 			a, err := NewFromTriples(g, n, n, scatter(aT, g.Comm.Rank(), 4), Float64Codec, nil)
 			if err != nil {
 				return err
@@ -589,7 +590,7 @@ func TestPeakBytesLedger(t *testing.T) {
 					return nil
 				})
 		})
-		peaks[blocks] = cl.PeakBytes()
+		peaks[blocks] = sum.PeakBytes
 	}
 	if peaks[8] >= peaks[1] {
 		t.Errorf("8-panel peak %d not below monolithic %d", peaks[8], peaks[1])

@@ -47,10 +47,8 @@ func runBackend(t *testing.T, p int, backend Backend, plan *mpi.FaultPlan,
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.maxTime = cl.MaxTime()
-	out.total = cl.TotalBytes()
-	out.retry = cl.RetryBytes()
-	out.peak = cl.PeakBytes()
+	sum, _ := cl.Summary()
+	out.maxTime, out.total, out.retry, out.peak = sum.Time, sum.BytesOnWire, sum.RetryBytes, sum.PeakBytes
 	return out
 }
 
@@ -210,7 +208,7 @@ func TestStageCacheReducesTraffic(t *testing.T) {
 	const blocks = 4
 	run := func(cached bool) ([]spmat.Triple[float64], int64) {
 		var ts []spmat.Triple[float64]
-		cl := runGrid(t, 4, func(g *Grid) error {
+		sum := runGrid(t, 4, func(g *Grid) error {
 			a, err := NewFromTriples(g, n, n, scatter(aT, g.Comm.Rank(), 4), Float64Codec, nil)
 			if err != nil {
 				return err
@@ -243,7 +241,7 @@ func TestStageCacheReducesTraffic(t *testing.T) {
 			}
 			return nil
 		})
-		return ts, cl.TotalBytes()
+		return ts, sum.BytesOnWire
 	}
 	cachedTs, cachedBytes := run(true)
 	rawTs, rawBytes := run(false)

@@ -51,7 +51,7 @@ func Ablations(sc Scale) (*Table, error) {
 		cfg := core.DefaultConfig()
 		cfg.CommonKmerThreshold = 1
 		cfg.BlockingExchange = blocking
-		_, cl, err := runPastis(data.Records, nodes, cfg)
+		_, sum, err := runPastis(data.Records, nodes, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func Ablations(sc Scale) (*Table, error) {
 			name = "blocking"
 		}
 		t.Add("sequence exchange", name, "total_s / wait_s",
-			fmt.Sprintf("%.4g / %.4g", cl.MaxTime(), cl.SectionMax()[core.SectionWait]))
+			fmt.Sprintf("%.4g / %.4g", sum.Time, sum.SectionMax[core.SectionWait]))
 	}
 
 	// 3. Substitute k-mer search: bounded search vs naive enumeration on
@@ -92,7 +92,7 @@ func Ablations(sc Scale) (*Table, error) {
 	for _, naive := range []bool{false, true} {
 		cfg := core.DefaultConfig()
 		cfg.NaiveTriangle = naive
-		_, cl, err := runPastis(data.Records, nodes, cfg)
+		_, sum, err := runPastis(data.Records, nodes, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func Ablations(sc Scale) (*Table, error) {
 			name = "naive (lower grid idle)"
 		}
 		t.Add("alignment assignment", name, "align makespan_s",
-			fmt.Sprintf("%.4g", cl.SectionMax()[core.SectionAlign]))
+			fmt.Sprintf("%.4g", sum.SectionMax[core.SectionAlign]))
 	}
 	return t, nil
 }

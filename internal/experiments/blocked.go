@@ -55,7 +55,7 @@ func BlockedWaves(sc Scale) (*Table, error) {
 		cfg.CommonKmerThreshold = 1
 		cfg.Threads = 8
 		cfg.Blocks = blocks
-		res, cl, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
+		res, sum, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
 		if err != nil {
 			return nil, fmt.Errorf("blocks=%d: %w", blocks, err)
 		}
@@ -64,10 +64,10 @@ func BlockedWaves(sc Scale) (*Table, error) {
 		} else if !edgesEqual(refEdges, res.Edges) {
 			return nil, fmt.Errorf("blocks=%d: PSG differs from single-wave run", blocks)
 		}
-		secs := cl.SectionMax()
-		t.Add(blocks, nodes, cl.MaxTime(), secs[core.SectionB],
+		secs := sum.SectionMax
+		t.Add(blocks, nodes, sum.Time, secs[core.SectionB],
 			secs[core.SectionAlign], secs[core.SectionWait],
-			cl.PeakBytes(), cl.TotalBytes())
+			sum.PeakBytes, sum.BytesOnWire)
 	}
 	return t, nil
 }

@@ -66,7 +66,7 @@ func CascadeStaged(sc Scale) (*Table, error) {
 			// for the collision-heavy substitute candidate set, applied at
 			// alignment time instead of matrix time.
 			cfg.SubstituteKmers = 25
-			res, cl, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
+			res, sum, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
 			if err != nil {
 				return nil, fmt.Errorf("cascade %s on %s: %w", mode, wl.name, err)
 			}
@@ -80,7 +80,7 @@ func CascadeStaged(sc Scale) (*Table, error) {
 				reject = fmt.Sprint(ps[0].Rejected)
 				rescued = fmt.Sprint(ps[1].Examined)
 			}
-			t.Add(wl.name, string(mode), nodes, cl.MaxTime(), cl.SectionMax()[core.SectionAlign],
+			t.Add(wl.name, string(mode), nodes, sum.Time, sum.SectionMax[core.SectionAlign],
 				res.Stats.CellsComputed, ratio, examined, reject, rescued, len(res.Edges))
 		}
 

@@ -72,7 +72,7 @@ func Kernels(sc Scale) (*Table, error) {
 		// this experiment is about: family pairs share many exact 6-mers at
 		// >=90% identity, unrelated collision pairs almost never share two.
 		cfg.CommonKmerThreshold = 1
-		res, cl, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
+		res, sum, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
 		if err != nil {
 			return nil, fmt.Errorf("kernel %s: %w", mode, err)
 		}
@@ -95,7 +95,7 @@ func Kernels(sc Scale) (*Table, error) {
 		if swCells := cellsByMode[core.AlignSW]; swCells > 0 && mode != core.AlignSW {
 			ratio = fmt.Sprintf("%.2f", float64(res.Stats.CellsComputed)/float64(swCells))
 		}
-		t.Add(string(mode), nodes, cl.MaxTime(), cl.SectionMax()[core.SectionAlign],
+		t.Add(string(mode), nodes, sum.Time, sum.SectionMax[core.SectionAlign],
 			res.Stats.CellsComputed, ratio, len(res.Edges), recall)
 	}
 

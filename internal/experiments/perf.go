@@ -49,8 +49,8 @@ func fig12Variants(subs int) []pastisVariant {
 	return out
 }
 
-// runPastis executes the pipeline and returns the cluster for timing.
-func runPastis(recs []fasta.Record, nodes int, cfg core.Config) (*core.Result, *mpi.Cluster, error) {
+// runPastis executes the pipeline and returns rank 0's Result and the Summary.
+func runPastis(recs []fasta.Record, nodes int, cfg core.Config) (*core.Result, mpi.Summary, error) {
 	return runPastisModel(recs, nodes, cfg, mpi.DefaultCostModel())
 }
 
@@ -69,7 +69,7 @@ func scalingModel() mpi.CostModel {
 
 // runPastisModel is runPastis with explicit virtual-time constants: the
 // shared all-vs-all rank body (core.AllVsAll) on the one launcher.
-func runPastisModel(recs []fasta.Record, nodes int, cfg core.Config, model mpi.CostModel) (*core.Result, *mpi.Cluster, error) {
+func runPastisModel(recs []fasta.Record, nodes int, cfg core.Config, model mpi.CostModel) (*core.Result, mpi.Summary, error) {
 	data := fasta.Bytes(recs, 0)
 	return mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) (*core.Result, error) {
 		return core.AllVsAll(c, data, cfg)
@@ -114,11 +114,11 @@ func Fig12(sc Scale) (*Table, error) {
 		for _, v := range fig12Variants(25) {
 			for _, nodes := range sc.NodesSmall {
 				p := squareAtMost(nodes)
-				res, cl, err := runPastis(data.Records, p, v.cfg)
+				res, sum, err := runPastis(data.Records, p, v.cfg)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s @%d: %w", v.label, ds.name, p, err)
 				}
-				t.Add(v.label, ds.name, p, cl.MaxTime(), res.Stats.PairsAligned)
+				t.Add(v.label, ds.name, p, sum.Time, res.Stats.PairsAligned)
 			}
 		}
 	}
@@ -158,11 +158,11 @@ func Fig13(sc Scale) (*Table, error) {
 		cfg.CommonKmerThreshold = 1
 		for _, nodes := range sc.NodesSmall {
 			p := squareAtMost(nodes)
-			_, cl, err := runPastisModel(data.Records, p, cfg, model)
+			_, sum, err := runPastisModel(data.Records, p, cfg, model)
 			if err != nil {
 				return nil, err
 			}
-			t.Add("PASTIS-XD-s0-CK", ds.name, p, cl.MaxTime())
+			t.Add("PASTIS-XD-s0-CK", ds.name, p, sum.Time)
 		}
 		for _, sens := range []struct {
 			label string
@@ -214,12 +214,12 @@ func Table1(sc Scale) (*Table, error) {
 		for _, v := range fig12Variants(25) {
 			for _, nodes := range sc.NodesSmall {
 				p := squareAtMost(nodes)
-				_, cl, err := runPastis(data.Records, p, v.cfg)
+				_, sum, err := runPastis(data.Records, p, v.cfg)
 				if err != nil {
 					return nil, err
 				}
-				total := cl.MaxTime()
-				alignT := cl.SectionMax()[core.SectionAlign]
+				total := sum.Time
+				alignT := sum.SectionMax[core.SectionAlign]
 				pct := 0.0
 				if total > 0 {
 					pct = 100 * alignT / total

@@ -40,11 +40,11 @@ func Fig14Strong(sc Scale) (*Table, error) {
 		var first float64
 		for i, nodes := range sc.NodesLarge {
 			p := squareAtMost(nodes)
-			_, cl, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
+			_, sum, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
 			if err != nil {
 				return nil, fmt.Errorf("s=%d @%d: %w", subs, p, err)
 			}
-			tm := cl.MaxTime()
+			tm := sum.Time
 			if i == 0 {
 				first = tm
 			}
@@ -74,11 +74,11 @@ func Fig14Weak(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, cl, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
+			res, sum, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
 			if err != nil {
 				return nil, fmt.Errorf("weak s=%d @%d: %w", subs, p, err)
 			}
-			t.Add(subs, p, len(data.Records), cl.MaxTime(), res.Stats.NNZB)
+			t.Add(subs, p, len(data.Records), sum.Time, res.Stats.NNZB)
 			seqs *= 2
 		}
 	}
@@ -113,11 +113,11 @@ func Fig15(sc Scale) (*Table, error) {
 	for _, subs := range []int{0, 10, 25, 50} {
 		for _, nodes := range sc.NodesLarge {
 			p := squareAtMost(nodes)
-			_, cl, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
+			_, sum, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
 			if err != nil {
 				return nil, err
 			}
-			secs := cl.SectionMean()
+			secs := sum.SectionMean
 			total := 0.0
 			for _, name := range fig15Components {
 				total += secs[name]
@@ -154,18 +154,18 @@ func Fig16(sc Scale) (*Table, error) {
 	for _, subs := range []int{0, 25} {
 		for _, nodes := range sc.NodesLarge {
 			p := squareAtMost(nodes)
-			_, cl, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
+			_, sum, err := runPastisModel(data.Records, p, matrixOnly(subs), scalingModel())
 			if err != nil {
 				return nil, err
 			}
-			secs := cl.SectionMean()
+			secs := sum.SectionMean
 			names := make([]string, 0, len(secs))
 			for name := range secs {
 				names = append(names, name)
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				t.Add(subs, p, cl.MaxTime(), name, secs[name])
+				t.Add(subs, p, sum.Time, name, secs[name])
 			}
 		}
 	}

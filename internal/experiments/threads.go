@@ -43,19 +43,19 @@ func ThreadScaling(sc Scale) (*Table, error) {
 			cfg.SubstituteKmers = subs
 			cfg.CommonKmerThreshold = 1
 			cfg.Threads = threads
-			res, cl, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
+			res, sum, err := runPastisModel(data.Records, nodes, cfg, scalingModel())
 			if err != nil {
 				return nil, fmt.Errorf("threads=%d s=%d: %w", threads, subs, err)
 			}
 			if i == 0 {
-				first = cl.MaxTime()
+				first = sum.Time
 				refEdges = res.Edges
 			} else if !edgesEqual(refEdges, res.Edges) {
 				return nil, fmt.Errorf("threads=%d s=%d: PSG differs from serial run", threads, subs)
 			}
-			secs := cl.SectionMax()
-			t.Add(subs, threads, nodes, cl.MaxTime(), secs[core.SectionB],
-				secs[core.SectionAlign], first/cl.MaxTime())
+			secs := sum.SectionMax
+			t.Add(subs, threads, nodes, sum.Time, secs[core.SectionB],
+				secs[core.SectionAlign], first/sum.Time)
 		}
 	}
 	return t, nil

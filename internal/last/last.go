@@ -94,8 +94,16 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 	sa := buildSuffixArray(ct.text)
 	stats.Suffixes = int64(len(sa))
 
-	sc := align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend}
-	xp := align.XDropParams{Scoring: sc, XDrop: cfg.XDrop}
+	// One x-drop kernel instance for every pair, so its DP buffers are reused.
+	xd, err := align.NewKernel("xd")
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	params := align.Params{
+		Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
+		XDrop:   cfg.XDrop,
+	}
+	seed := make([]align.Seed, 1)
 	filter := core.SimilarityFilter{Weight: cfg.Weight, MinIdentity: cfg.MinIdentity, MinCoverage: cfg.MinCoverage}
 
 	type seedHit struct{ qPos, tPos int }
@@ -132,7 +140,8 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 		for _, t := range targets {
 			hit := cand[t]
 			stats.Aligned++
-			res, err := align.XDrop(qCodes, seqs[t], hit.qPos, hit.tPos, cfg.MinSeedLen, xp)
+			seed[0] = align.Seed{PosA: hit.qPos, PosB: hit.tPos, K: cfg.MinSeedLen}
+			res, err := xd.Align(qCodes, seqs[t], seed, params)
 			if err != nil {
 				// Seeds lie inside both sequences by construction, so this is
 				// a pair or a parameter the kernel cannot take, not a miss.
@@ -152,7 +161,7 @@ func Run(recs []fasta.Record, cfg Config) ([]core.Edge, Stats, error) {
 // virtual time of one node doing all the work. The public wrapper and the
 // experiments both run the baseline through it.
 func RunCluster(recs []fasta.Record, cfg Config, model mpi.CostModel) ([]core.Edge, float64, error) {
-	edges, cl, err := mpi.RunLocal(context.Background(), 1, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
+	edges, sum, err := mpi.RunLocal(context.Background(), 1, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
 		edges, stats, err := Run(recs, cfg)
 		if err != nil {
 			return nil, err
@@ -165,7 +174,7 @@ func RunCluster(recs []fasta.Record, cfg Config, model mpi.CostModel) ([]core.Ed
 	if err != nil {
 		return nil, 0, err
 	}
-	return edges, cl.MaxTime(), nil
+	return edges, sum.Time, nil
 }
 
 // buildSuffixArray sorts all suffix offsets of text lexicographically.

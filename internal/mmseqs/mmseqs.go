@@ -151,15 +151,25 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 	}
 	var nbrs []subkmer.Neighbor
 	budget := similarKmerBudget(cfg.Sensitivity)
-	sc := align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend}
 	filter := core.SimilarityFilter{Weight: cfg.Weight, MinIdentity: cfg.MinIdentity, MinCoverage: cfg.MinCoverage}
-	// One Aligner reused across the whole query loop: the ungapped and
-	// gapped passes run without per-call DP-buffer allocations (the same
-	// buffer-reuse contract the pipeline's per-worker kernels rely on).
-	al := align.NewAligner()
+	// The pipeline's kernels, one instance each for the whole query loop (so
+	// their DP buffers are reused), billed by their own cell counts: ug is
+	// the ungapped pass with x-drop 20, sw the gapped one.
+	ug, err := align.NewKernel("ug")
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	sw, err := align.NewKernel("sw")
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	params := align.Params{
+		Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
+		XDrop:   20,
+	}
+	seed := make([]align.Seed, 1)
 
 	var edges []core.Edge
-	var cells int64
 	// diagCount[(target<<20)|diag] -> matches on that diagonal, per query.
 	type diagKey struct {
 		target int32
@@ -199,7 +209,7 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 		clock.Ops(float64(len(diag)) * opsPerLookup)
 
 		// Double-k-mer trigger per (target, diagonal), then alignment.
-		best := map[int32]align.Result{}
+		gapped := map[int32]bool{}
 		for dk, e := range diag {
 			if e[0] < 2 {
 				continue
@@ -211,25 +221,27 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 				continue
 			}
 			stats.Ungapped++
-			ug := al.UngappedExtend(qCodes, tCodes, qPos, tPos, cfg.K, sc, 20)
-			cells += ug.Cells
-			if ug.Score < cfg.UngappedThreshold {
-				continue
+			seed[0] = align.Seed{PosA: qPos, PosB: tPos, K: cfg.K}
+			res, err := ug.Align(qCodes, tCodes, seed, params)
+			if err != nil {
+				return nil, Stats{}, err
 			}
-			if prev, ok := best[dk.target]; !ok || ug.Score > prev.Score {
-				best[dk.target] = ug
+			if res.Score >= cfg.UngappedThreshold {
+				gapped[dk.target] = true
 			}
 		}
-		for target := range best {
+		for target := range gapped {
 			stats.Gapped++
-			res := al.SmithWaterman(qCodes, seqs[target], sc)
-			cells += res.Cells
+			res, err := sw.Align(qCodes, seqs[target], nil, params)
+			if err != nil {
+				return nil, Stats{}, err
+			}
 			if e, ok := filter.Edge(spmat.Index(q), spmat.Index(target), len(qCodes), len(seqs[target]), res); ok {
 				edges = append(edges, e)
 			}
 		}
 	}
-	clock.Ops(float64(cells) * opsPerDPCell)
+	clock.Ops(float64(ug.CellsComputed()+sw.CellsComputed()) * opsPerDPCell)
 
 	// The serial output stage: gather everything on rank 0 — GatherEdges
 	// sorts, which also undoes the unordered map iteration above — and
@@ -257,12 +269,12 @@ func Run(comm *mpi.Comm, recs []fasta.Record, cfg Config) ([]core.Edge, Stats, e
 // and the virtual makespan. The public wrapper and the experiments both run
 // the baseline through it.
 func RunCluster(recs []fasta.Record, nodes int, cfg Config, model mpi.CostModel) ([]core.Edge, float64, error) {
-	edges, cl, err := mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
+	edges, sum, err := mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) ([]core.Edge, error) {
 		edges, _, err := Run(c, recs, cfg)
 		return edges, err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return edges, cl.MaxTime(), nil
+	return edges, sum.Time, nil
 }

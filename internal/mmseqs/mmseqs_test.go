@@ -23,7 +23,7 @@ func dataset(t testing.TB, seed int64) *synth.Labeled {
 	return data
 }
 
-func runOn(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]core.Edge, Stats, *mpi.Cluster) {
+func runOn(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]core.Edge, Stats, mpi.Summary) {
 	t.Helper()
 	var edges []core.Edge
 	var stats Stats
@@ -41,7 +41,8 @@ func runOn(t testing.TB, recs []fasta.Record, p int, cfg Config) ([]core.Edge, S
 	if err != nil {
 		t.Fatal(err)
 	}
-	return edges, stats, cl
+	sum, _ := cl.Summary()
+	return edges, stats, sum
 }
 
 func TestFindsFamilyPairs(t *testing.T) {
@@ -125,12 +126,12 @@ func TestSerialPostProcessingLimitsScaling(t *testing.T) {
 	data := dataset(t, 4)
 	cfg := DefaultConfig()
 	t1 := func() float64 {
-		_, _, cl := runOn(t, data.Records, 1, cfg)
-		return cl.MaxTime()
+		_, _, sum := runOn(t, data.Records, 1, cfg)
+		return sum.Time
 	}()
 	t4 := func() float64 {
-		_, _, cl := runOn(t, data.Records, 4, cfg)
-		return cl.MaxTime()
+		_, _, sum := runOn(t, data.Records, 4, cfg)
+		return sum.Time
 	}()
 	if t4 >= t1 {
 		t.Errorf("4 ranks (%g) not faster than 1 (%g)", t4, t1)

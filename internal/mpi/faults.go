@@ -29,8 +29,8 @@
 //
 // Retry cost is charged honestly: backoff time and re-sent bytes go to the
 // virtual clock like any other traffic, but under the SectionRetry ledger
-// key and the Clock.RetryBytes counter, so TotalBytes - RetryBytes and the
-// non-retry sections of a faulty run are bit-identical to a fault-free run
+// key and the retry-bytes counter, so Summary.BytesOnWire - RetryBytes and
+// the non-retry sections of a faulty run are bit-identical to a fault-free run
 // — the invariant TestChaosBitIdentical enforces.
 //
 // With no plan armed (or a zero plan), every Try* method is a direct call
@@ -88,7 +88,7 @@ func (p FaultPlan) active() bool {
 	return p.DropProb > 0 || p.CorruptProb > 0 || p.DelayProb > 0 || len(p.RankCrash) > 0
 }
 
-// FaultStats counts injected events, summed over ranks.
+// FaultStats counts injected events, per rank (Summary.Faults sums them).
 type FaultStats struct {
 	Drops    int64 // collective attempts lost in flight
 	Corrupts int64 // collective attempts failing checksum
@@ -100,7 +100,7 @@ type FaultStats struct {
 
 // faultInjector is the per-cluster decorator state. All mutable fields are
 // per-world-rank slices indexed only by their own rank's goroutine, so no
-// locking is needed; aggregate readers run after Cluster.Run returns.
+// locking is needed; Cluster.Summary reads them all after Run returns.
 type faultInjector struct {
 	plan       FaultPlan
 	maxRetries int
@@ -125,33 +125,6 @@ func (cl *Cluster) ArmFaults(plan FaultPlan) *Cluster {
 		stats:      make([]FaultStats, cl.size),
 	}
 	return cl
-}
-
-// FaultStats sums the per-rank injection counters. Read after Run.
-func (cl *Cluster) FaultStats() FaultStats {
-	var out FaultStats
-	if cl.faults == nil {
-		return out
-	}
-	for _, s := range cl.faults.stats {
-		out.Drops += s.Drops
-		out.Corrupts += s.Corrupts
-		out.Delays += s.Delays
-		out.Crashes += s.Crashes
-		out.Gates += s.Gates
-		out.P2PDrops += s.P2PDrops
-	}
-	return out
-}
-
-// RetryBytes sums the bytes all ranks re-sent due to injected faults.
-// TotalBytes() - RetryBytes() is the fault-free communication volume.
-func (cl *Cluster) RetryBytes() int64 {
-	var n int64
-	for _, c := range cl.clocks {
-		n += c.retrySent
-	}
-	return n
 }
 
 // --- deterministic hashing ---

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -57,11 +58,8 @@ func faultProgram(c *Comm) (string, error) {
 }
 
 type faultRun struct {
-	out     string
-	maxTime float64
-	total   int64
-	retry   int64
-	stats   FaultStats
+	out string
+	sum Summary
 }
 
 func runFaultProgram(t *testing.T, p int, plan *FaultPlan) (faultRun, error) {
@@ -81,10 +79,7 @@ func runFaultProgram(t *testing.T, p int, plan *FaultPlan) (faultRun, error) {
 		}
 		return nil
 	})
-	out.maxTime = cl.MaxTime()
-	out.total = cl.TotalBytes()
-	out.retry = cl.RetryBytes()
-	out.stats = cl.FaultStats()
+	out.sum, _ = cl.Summary()
 	return out, err
 }
 
@@ -102,22 +97,19 @@ func TestZeroFaultPlanIdentity(t *testing.T) {
 	if clean.out != armed.out {
 		t.Errorf("results differ:\n  clean %s\n  armed %s", clean.out, armed.out)
 	}
-	if clean.maxTime != armed.maxTime {
-		t.Errorf("MaxTime %g (clean) vs %g (zero plan)", clean.maxTime, armed.maxTime)
+	if !reflect.DeepEqual(clean.sum, armed.sum) {
+		t.Errorf("summary %+v (clean) vs %+v (zero plan)", clean.sum, armed.sum)
 	}
-	if clean.total != armed.total {
-		t.Errorf("TotalBytes %d (clean) vs %d (zero plan)", clean.total, armed.total)
+	if armed.sum.RetryBytes != 0 {
+		t.Errorf("zero plan charged %d retry bytes", armed.sum.RetryBytes)
 	}
-	if armed.retry != 0 {
-		t.Errorf("zero plan charged %d retry bytes", armed.retry)
-	}
-	if armed.stats != (FaultStats{}) {
-		t.Errorf("zero plan counted events: %+v", armed.stats)
+	if armed.sum.Faults != (FaultStats{}) {
+		t.Errorf("zero plan counted events: %+v", armed.sum.Faults)
 	}
 }
 
 // Faulty runs must recover to the exact fault-free answer, with the recovery
-// traffic segregated: TotalBytes - RetryBytes == clean TotalBytes, and the
+// traffic segregated: BytesOnWire - RetryBytes == clean BytesOnWire, and the
 // run must be deterministic (same seed, same everything).
 func TestFaultRecoveryBitIdentical(t *testing.T) {
 	defer testutil.Watchdog(t, time.Minute)()
@@ -133,22 +125,21 @@ func TestFaultRecoveryBitIdentical(t *testing.T) {
 	if clean.out != faulty.out {
 		t.Errorf("faulty run changed results:\n  clean  %s\n  faulty %s", clean.out, faulty.out)
 	}
-	if faulty.stats.Drops+faulty.stats.Corrupts+faulty.stats.Delays+faulty.stats.P2PDrops == 0 {
-		t.Fatalf("plan injected nothing: %+v (weak test)", faulty.stats)
+	if fs := faulty.sum.Faults; fs.Drops+fs.Corrupts+fs.Delays+fs.P2PDrops == 0 {
+		t.Fatalf("plan injected nothing: %+v (weak test)", fs)
 	}
-	if got := faulty.total - faulty.retry; got != clean.total {
-		t.Errorf("TotalBytes-RetryBytes = %d, want clean %d (retry %d)",
-			got, clean.total, faulty.retry)
+	if got := faulty.sum.BytesOnWire - faulty.sum.RetryBytes; got != clean.sum.BytesOnWire {
+		t.Errorf("BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
+			got, clean.sum.BytesOnWire, faulty.sum.RetryBytes)
 	}
-	if faulty.maxTime <= clean.maxTime {
-		t.Errorf("fault recovery cost no time: %g <= %g", faulty.maxTime, clean.maxTime)
+	if faulty.sum.Time <= clean.sum.Time {
+		t.Errorf("fault recovery cost no time: %g <= %g", faulty.sum.Time, clean.sum.Time)
 	}
 	again, err := runFaultProgram(t, 4, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.out != faulty.out || again.maxTime != faulty.maxTime ||
-		again.total != faulty.total || again.retry != faulty.retry || again.stats != faulty.stats {
+	if again.out != faulty.out || !reflect.DeepEqual(again.sum, faulty.sum) {
 		t.Errorf("same seed, different run: %+v vs %+v", again, faulty)
 	}
 }
@@ -166,8 +157,8 @@ func TestRankCrashAbortsCluster(t *testing.T) {
 	if !errors.Is(err, ErrRankCrashed) {
 		t.Fatalf("error %v does not wrap ErrRankCrashed", err)
 	}
-	if run.stats.Crashes != 1 {
-		t.Errorf("Crashes = %d, want 1", run.stats.Crashes)
+	if run.sum.Faults.Crashes != 1 {
+		t.Errorf("Crashes = %d, want 1", run.sum.Faults.Crashes)
 	}
 }
 
@@ -249,11 +240,12 @@ func TestDelayChargesRetrySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.FaultStats().Delays == 0 {
+	s, _ := cl.Summary()
+	if s.Faults.Delays == 0 {
 		t.Fatal("no delays injected")
 	}
-	if sec := cl.SectionMax()[SectionRetry]; sec <= 0 {
-		t.Errorf("retry section empty: %v", cl.SectionMax())
+	if sec := s.SectionMax[SectionRetry]; sec <= 0 {
+		t.Errorf("retry section empty: %v", s.SectionMax)
 	}
 }
 

@@ -6,13 +6,12 @@ import "context"
 // of RunTCPLocal and the one place outside this package's tests where a
 // run is launched: create a p-rank cluster under model, arm plan when
 // non-nil, tie the cluster to ctx (InterruptOn), run fn once per rank and
-// return rank 0's value. The cluster is returned on every path — the
-// caller reads the ledger of a finished run (MaxTime, SectionMax,
-// FaultStats, ...) from it. A body error comes back as Cluster.Run reports
-// it; cancelling ctx mid-run fails the run with an error wrapping
-// ErrInterrupted and ctx's cause.
+// return rank 0's value with the run's Summary. The Summary comes back on
+// every path, a failed run's included. A body error comes back as
+// Cluster.Run reports it; cancelling ctx mid-run fails the run with an error
+// wrapping ErrInterrupted and ctx's cause.
 func RunLocal[T any](ctx context.Context, p int, model CostModel, plan *FaultPlan,
-	fn func(*Comm) (T, error)) (T, *Cluster, error) {
+	fn func(*Comm) (T, error)) (T, Summary, error) {
 
 	cl := NewCluster(p, model)
 	if plan != nil {
@@ -27,11 +26,12 @@ func RunLocal[T any](ctx context.Context, p int, model CostModel, plan *FaultPla
 		}
 		return err
 	})
+	sum, _ := cl.Summary()
 	if err != nil {
 		var none T
-		return none, cl, err
+		return none, sum, err
 	}
-	return root, cl, nil
+	return root, sum, nil
 }
 
 // InterruptOn interrupts the cluster with ctx's cause once ctx is

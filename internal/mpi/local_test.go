@@ -11,29 +11,29 @@ import (
 )
 
 // RunLocal is the one in-process launcher: it hands back rank 0's value and
-// the cluster, arms the plan it is given, ties the run to its context, and
+// the run's Summary, arms the plan it is given, ties the run to its context, and
 // returns a body's error as Cluster.Run reports it.
 func TestRunLocal(t *testing.T) {
 	defer testutil.Watchdog(t, time.Minute)()
 	sum := func(c *Comm) (int64, error) { return c.TryAllreduceInt64("sum", int64(c.Rank()+1)) }
 
 	t.Run("rank 0's value and the ledger", func(t *testing.T) {
-		got, cl, err := RunLocal(context.Background(), 4, DefaultCostModel(), nil, sum)
+		got, s, err := RunLocal(context.Background(), 4, DefaultCostModel(), nil, sum)
 		if err != nil || got != 10 {
 			t.Fatalf("sum over 4 ranks = %d, %v", got, err)
 		}
-		if cl.MaxTime() <= 0 || cl.FaultStats() != (FaultStats{}) {
-			t.Errorf("fault-free run: MaxTime %g, FaultStats %+v", cl.MaxTime(), cl.FaultStats())
+		if s.Time <= 0 || s.Faults != (FaultStats{}) {
+			t.Errorf("fault-free run: Time %g, Faults %+v", s.Time, s.Faults)
 		}
 	})
 
 	t.Run("plan armed", func(t *testing.T) {
 		plan := &FaultPlan{Seed: 3, DelayProb: 1}
-		got, cl, err := RunLocal(context.Background(), 4, DefaultCostModel(), plan, sum)
+		got, s, err := RunLocal(context.Background(), 4, DefaultCostModel(), plan, sum)
 		if err != nil || got != 10 {
 			t.Fatalf("sum under a delay plan = %d, %v", got, err)
 		}
-		if st := cl.FaultStats(); st.Delays == 0 || st.Gates == 0 {
+		if st := s.Faults; st.Delays == 0 || st.Gates == 0 {
 			t.Errorf("plan was not armed: %+v", st)
 		}
 	})
@@ -62,7 +62,7 @@ func TestRunLocal(t *testing.T) {
 
 	t.Run("body error as is", func(t *testing.T) {
 		boom := errors.New("rank 2 failed")
-		got, cl, err := RunLocal(context.Background(), 4, DefaultCostModel(), nil, func(c *Comm) (int, error) {
+		got, s, err := RunLocal(context.Background(), 4, DefaultCostModel(), nil, func(c *Comm) (int, error) {
 			if c.Rank() == 2 {
 				return 0, boom
 			}
@@ -71,8 +71,8 @@ func TestRunLocal(t *testing.T) {
 		if err != boom {
 			t.Fatalf("error %v, want the body's own", err)
 		}
-		if got != 0 || cl == nil {
-			t.Errorf("failed run returned value %d, cluster %v", got, cl)
+		if got != 0 || s.SectionMax == nil {
+			t.Errorf("failed run returned value %d, summary %+v", got, s)
 		}
 	})
 

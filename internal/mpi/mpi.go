@@ -72,7 +72,6 @@ type Clock struct {
 	retrySent int64 // bytes re-sent by fault-injected retries (subset of sent)
 	sections  map[string]float64
 	openSect  []openSection
-	opsByName map[string]float64
 }
 
 type openSection struct {
@@ -81,8 +80,7 @@ type openSection struct {
 }
 
 func newClock(model CostModel) *Clock {
-	return &Clock{model: model, threads: 1,
-		sections: make(map[string]float64), opsByName: make(map[string]float64)}
+	return &Clock{model: model, threads: 1, sections: make(map[string]float64)}
 }
 
 // Now returns the rank's current virtual time in seconds.
@@ -180,13 +178,6 @@ func (c *Clock) PeakBytes() int64 { return c.peak }
 func (c *Clock) BytesSent() int64     { return c.sent }
 func (c *Clock) BytesReceived() int64 { return c.received }
 func (c *Clock) Messages() int64      { return c.messages }
-
-// RetryBytes reports the bytes this rank re-sent because a fault-injected
-// collective attempt was dropped or corrupted. Retried bytes are charged to
-// BytesSent like any other traffic (the simulated wire really carried them),
-// so BytesSent - RetryBytes is the fault-free communication volume — the
-// quantity the chaos differential tests hold invariant.
-func (c *Clock) RetryBytes() int64 { return c.retrySent }
 
 // StartSection begins attributing elapsed virtual time to a named pipeline
 // component (sections may nest; each level accumulates independently).
@@ -330,8 +321,8 @@ func (r *router) box(k mailKey) *mailbox {
 // Cluster is a virtual machine of p ranks sharing a cost model. With the
 // default in-process backend all p ranks live here as goroutines; a
 // tcp-backed cluster (NewTCPCluster) owns exactly one local rank and
-// reaches the other p-1 over the tcp transport, in which case the
-// aggregate readers (MaxTime, TotalBytes, ...) cover the local rank only.
+// reaches the other p-1 over the tcp transport. A run's ledger is read out
+// through Summary (summary.go).
 type Cluster struct {
 	size       int
 	model      CostModel
@@ -475,66 +466,6 @@ func (cl *Cluster) Run(fn func(*Comm) error) error {
 		return cause
 	}
 	return nil
-}
-
-// MaxTime returns the virtual makespan: the maximum clock over ranks.
-func (cl *Cluster) MaxTime() float64 {
-	max := 0.0
-	for _, c := range cl.clocks {
-		if c.now > max {
-			max = c.now
-		}
-	}
-	return max
-}
-
-// SectionMax aggregates per-component virtual time as the maximum over
-// ranks, the convention used by the dissection plots.
-func (cl *Cluster) SectionMax() map[string]float64 {
-	out := map[string]float64{}
-	for _, c := range cl.clocks {
-		for name, v := range c.sections {
-			if old, ok := out[name]; !ok || v > old {
-				out[name] = v
-			}
-		}
-	}
-	return out
-}
-
-// SectionMean aggregates per-component virtual time averaged over ranks.
-func (cl *Cluster) SectionMean() map[string]float64 {
-	out := map[string]float64{}
-	for _, c := range cl.clocks {
-		for name, v := range c.sections {
-			out[name] += v
-		}
-	}
-	for name := range out {
-		out[name] /= float64(cl.size)
-	}
-	return out
-}
-
-// PeakBytes returns the largest per-rank live-bytes high-water mark: the
-// cluster's memory pressure measure (a run fits iff the worst rank fits).
-func (cl *Cluster) PeakBytes() int64 {
-	var max int64
-	for _, c := range cl.clocks {
-		if p := c.PeakBytes(); p > max {
-			max = p
-		}
-	}
-	return max
-}
-
-// TotalBytes returns cluster-wide communication volume.
-func (cl *Cluster) TotalBytes() int64 {
-	var n int64
-	for _, c := range cl.clocks {
-		n += c.sent
-	}
-	return n
 }
 
 // Comm is a communicator: a group of ranks that exchange messages and run

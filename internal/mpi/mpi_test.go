@@ -290,7 +290,8 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl.MaxTime()
+		s, _ := cl.Summary()
+		return s.Time
 	}
 	t1, t2 := run(), run()
 	if t1 != t2 {
@@ -334,15 +335,15 @@ func TestSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := cl.SectionMax()
+	s, _ := cl.Summary()
+	secs := s.SectionMax
 	if secs["compute"] < 0.99 || secs["compute"] > 1.01 {
 		t.Errorf("compute section = %f, want ~1.0", secs["compute"])
 	}
 	if secs["idle"] != 0 {
 		t.Errorf("idle section = %f, want 0", secs["idle"])
 	}
-	mean := cl.SectionMean()
-	if mean["compute"] < 0.99 {
+	if mean := s.SectionMean; mean["compute"] < 0.99 {
 		t.Errorf("mean compute = %f", mean["compute"])
 	}
 }
@@ -392,8 +393,8 @@ func TestCommunicationCounters(t *testing.T) {
 	if sent != 512 || recvd != 512 {
 		t.Errorf("counters sent=%d recvd=%d, want 512/512", sent, recvd)
 	}
-	if cl.TotalBytes() != 512 {
-		t.Errorf("TotalBytes = %d", cl.TotalBytes())
+	if s, _ := cl.Summary(); s.BytesOnWire != 512 {
+		t.Errorf("BytesOnWire = %d", s.BytesOnWire)
 	}
 }
 
@@ -408,7 +409,8 @@ func TestCollectiveCostScalesWithP(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return cl.MaxTime()
+		s, _ := cl.Summary()
+		return s.Time
 	}
 	if t4, t64 := timeFor(4), timeFor(64); t64 <= t4 {
 		t.Errorf("bcast on 64 ranks (%g) should cost more than on 4 (%g)", t64, t4)
@@ -507,7 +509,7 @@ func TestClockMemoryLedgerAndCredits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.PeakBytes() != 150 {
-		t.Errorf("cluster peak = %d, want 150", cl.PeakBytes())
+	if s, _ := cl.Summary(); s.PeakBytes != 150 {
+		t.Errorf("cluster peak = %d, want 150", s.PeakBytes)
 	}
 }

@@ -302,9 +302,8 @@ func (cl *Cluster) TCPStats() (stats TCPStats, ok bool) {
 // accepts a connection from every higher rank, and starts one reader per
 // peer. The returned Cluster runs exactly one local rank — Run invokes fn
 // once, with Comm.Rank() == o.Rank — and must be torn down with Close.
-// Aggregate readers (MaxTime, TotalBytes, PeakBytes, SectionMax) cover the
-// local rank only; cluster-wide totals are the caller's to reduce with
-// collectives before Run returns.
+// Cluster.Summary reports nothing here: the run's ledger is read out with
+// Comm.Summarize before Run returns.
 func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 	if o.Size <= 0 || o.Rank < 0 || o.Rank >= o.Size {
 		return nil, fmt.Errorf("mpi: tcp rank %d of %d", o.Rank, o.Size)

@@ -8,8 +8,8 @@
 // simulated machine still moves bytes over a wire, and the one charge
 // function of each collective kind bills the stated size, so a caller that
 // can state its payload's encoded size gets the byte path's accounting —
-// MaxTime, BytesSent/Received, TotalBytes — bit for bit, without encoding
-// anything. The byte API (TryBcast, TryAlltoallv in faults.go) is these
+// clocks, BytesSent/Received, Summary.BytesOnWire — bit for bit, without
+// encoding anything. The byte API (TryBcast, TryAlltoallv in faults.go) is these
 // functions at T = []byte with size = len.
 //
 // The handoff contract: a value passed through a collective is immutable

@@ -62,7 +62,8 @@ func TestSharedCollectivesChargeLikeCodec(t *testing.T) {
 		if err := cl.Run(fn); err != nil {
 			t.Fatal(err)
 		}
-		l := ledger{time: cl.MaxTime(), total: cl.TotalBytes()}
+		s, _ := cl.Summary()
+		l := ledger{time: s.Time, total: s.BytesOnWire}
 		cl.Run(func(c *Comm) error { // reuse ranks to read their clocks
 			return nil
 		})

@@ -37,10 +37,9 @@
 // OpenMP-threads-inside deployment (made central by the extreme-scale
 // follow-up, arXiv:2303.01845): Config.Threads adds intra-rank shared-memory
 // workers that multiply SpGEMM column chunks concurrently and align
-// candidate pairs in bounded batches (Config.BatchSize) with reusable DP
-// buffers. The graph is bit-identical for every thread count and batch
-// size; the virtual clock credits parallel compute with up to
-// CostModel.CoresPerNode-way speedup.
+// candidate pairs in chunks with reusable DP buffers. The graph is
+// bit-identical for every thread count; the virtual clock credits parallel
+// compute with up to CostModel.CoresPerNode-way speedup.
 //
 // The pipeline itself is organized as memory-bounded waves (the follow-up's
 // blocked design): Config.Blocks splits the candidate matrix into that many
@@ -63,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -74,7 +72,6 @@ import (
 	"repro/internal/mmseqs"
 	"repro/internal/mpi"
 	"repro/internal/synth"
-	"repro/internal/wire"
 )
 
 // Re-exported pipeline types; see the internal/core documentation for the
@@ -133,10 +130,6 @@ func Kernels() []string {
 // gap open 11/extend 1, x-drop 49, ANI >= 30%, coverage >= 70%, serial
 // within each rank (set Config.Threads for intra-rank parallelism).
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultBatchSize is the alignment batch bound used when Config.BatchSize
-// is left zero.
-const DefaultBatchSize = core.DefaultBatchSize
 
 // DefaultCostModel returns the virtual-time constants used by the
 // reproduction (Cori-class latency/bandwidth/compute rates).
@@ -215,121 +208,52 @@ func BuildGraphContext(ctx context.Context, records []Record, nodes int, cfg Con
 		return nil, err
 	}
 	data := fasta.Bytes(records, 0)
-	res, _, err := mpi.RunLocal(ctx, nodes, model, cfg.Faults, func(c *mpi.Comm) (*Result, error) {
-		return runRank(c, data, cfg)
+	res, sum, err := mpi.RunLocal(ctx, nodes, model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
+		return core.AllVsAll(c, data, cfg)
 	})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return newResult(res, nodes, sum), nil
 }
 
 // RunRank executes one rank's share of the all-vs-all pipeline on an
-// existing communicator: partition the records with the paper's
-// byte-balanced FASTA chunking, run the pipeline, gather the graph, and
-// reduce the cluster-wide totals (virtual makespan, byte bills, section
-// maxima) with collectives. It is the building block behind BuildGraph and
-// the per-process body of a multi-process (tcp transport) run, where no
-// single address space sees every rank's clock. Every rank returns the same
-// aggregated totals; rank 0's Result additionally carries the sorted edge
-// list. records must be the full input on every rank.
+// existing communicator — partition the records with the paper's
+// byte-balanced FASTA chunking, run the pipeline, gather the graph — and
+// reads the run out with Comm.Summarize. It is the per-process body of a
+// multi-process (tcp transport) run, where no single address space sees
+// every rank's clock. Every rank returns the same totals; rank 0's Result
+// additionally carries the sorted edge list. records must be the full input
+// on every rank.
 func RunRank(c *mpi.Comm, records []Record, cfg Config) (*Result, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("pastis: empty input")
 	}
-	return runRank(c, fasta.Bytes(records, 0), cfg)
+	res, err := core.AllVsAll(c, fasta.Bytes(records, 0), cfg)
+	if err != nil {
+		return nil, err
+	}
+	sum, err := c.Summarize()
+	if err != nil {
+		return nil, err
+	}
+	return newResult(res, c.Size(), sum), nil
 }
 
-// runRank is RunRank over the input already rendered as FASTA bytes, which
-// BuildGraph does once for all of its ranks.
-func runRank(c *mpi.Comm, data []byte, cfg Config) (*Result, error) {
-	res, err := core.AllVsAll(c, data, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshot the local ledger first: the aggregation collectives below
-	// advance the clock past this point, so reducing snapshots reproduces
-	// exactly what a whole-cluster reader would report here.
-	clk := c.Clock()
-	now := clk.Now()
-	sent := clk.BytesSent()
-	peak := clk.PeakBytes()
-	retry := clk.RetryBytes()
-	sections := clk.Sections()
-	// math.Float64bits is order-preserving on non-negative floats, so a max
-	// over the bit patterns is a max over the times.
-	bits, err := c.TryAllreduceInt64("max", int64(math.Float64bits(now)))
-	if err != nil {
-		return nil, err
-	}
-	total, err := c.TryAllreduceInt64("sum", sent)
-	if err != nil {
-		return nil, err
-	}
-	peakAll, err := c.TryAllreduceInt64("max", peak)
-	if err != nil {
-		return nil, err
-	}
-	retryAll, err := c.TryAllreduceInt64("sum", retry)
-	if err != nil {
-		return nil, err
-	}
-	secAll, err := reduceSectionsMax(c, sections)
-	if err != nil {
-		return nil, err
-	}
+// newResult assembles a Result from the all-vs-all body's and the run's
+// Summary, for BuildGraph (in process) and RunRank (over tcp) alike.
+func newResult(res *core.Result, nodes int, sum mpi.Summary) *Result {
 	return &Result{
 		Edges:           res.Edges,
 		Stats:           res.Stats,
-		Nodes:           c.Size(),
-		Time:            math.Float64frombits(uint64(bits)),
-		Sections:        secAll,
-		BytesOnWire:     total,
-		PeakBytes:       peakAll,
-		RetryBytes:      retryAll,
+		Nodes:           nodes,
+		Time:            sum.Time,
+		Sections:        sum.SectionMax,
+		BytesOnWire:     sum.BytesOnWire,
+		PeakBytes:       sum.PeakBytes,
+		RetryBytes:      sum.RetryBytes,
 		EffectiveBlocks: res.EffectiveBlocks,
-	}, nil
-}
-
-// reduceSectionsMax merges the per-component time ledgers as the maximum
-// over ranks (the dissection-plot convention of Cluster.SectionMax).
-func reduceSectionsMax(c *mpi.Comm, local map[string]float64) (map[string]float64, error) {
-	names := make([]string, 0, len(local))
-	for name := range local {
-		names = append(names, name)
 	}
-	sort.Strings(names)
-	buf := make([]byte, 0, 16+24*len(names))
-	buf = wire.AppendU64(buf, uint64(len(names)))
-	for _, name := range names {
-		buf = wire.AppendString(buf, name)
-		buf = wire.AppendF64(buf, local[name])
-	}
-	parts, err := c.TryAllgather(buf)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for rank, p := range parts {
-		if err := mergeSectionsMax(out, rank, p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// mergeSectionsMax folds rank's encoded section ledger into out, keeping the
-// larger time per name. The payload is a peer's: every length is checked
-// against the bytes that remain before it is used.
-func mergeSectionsMax(out map[string]float64, rank int, payload []byte) error {
-	r := wire.NewReader(payload)
-	for i, n := 0, r.Count(16); i < n; i++ {
-		name, v := r.String(), r.F64()
-		if r.Err() == nil && v > out[name] {
-			out[name] = v
-		}
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("pastis: sections from rank %d: %w", rank, err)
-	}
-	return nil
 }
 
 // MMseqs2Config configures the MMseqs2-like baseline.

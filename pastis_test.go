@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 func TestBuildGraphQuickstart(t *testing.T) {
@@ -223,37 +220,5 @@ func TestBuildGraphWithFaults(t *testing.T) {
 	if got := faulty.BytesOnWire - faulty.RetryBytes; got != clean.BytesOnWire {
 		t.Errorf("BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
 			got, clean.BytesOnWire, faulty.RetryBytes)
-	}
-}
-
-// A peer's section ledger is untrusted bytes: a name length of 2⁶³ or more
-// (negative once converted to int — the old check `off+int(n) > len(p)`
-// passed it and the slice expression panicked) and a truncated payload must
-// both come back as errors naming the rank, and a well-formed payload must
-// still merge.
-func TestMergeSectionsMaxRejectsMalformed(t *testing.T) {
-	entry := func(nameLen uint64, name string, v float64) []byte {
-		p := wire.AppendU64(nil, 1)
-		p = wire.AppendU64(p, nameLen)
-		p = append(p, name...)
-		return wire.AppendF64(p, v)
-	}
-	good := entry(5, "align", 2.5)
-	out := map[string]float64{"align": 1}
-	if err := mergeSectionsMax(out, 0, good); err != nil || out["align"] != 2.5 {
-		t.Fatalf("well-formed ledger: %v, merged %v", err, out)
-	}
-	for name, p := range map[string][]byte{
-		"name length 2^63":   entry(1<<63, "align", 2.5),
-		"name length 2^64-1": entry(math.MaxUint64, "align", 2.5),
-		"truncated value":    good[:len(good)-3],
-		"truncated count":    good[:5],
-		"count beyond bytes": wire.AppendU64(nil, 1<<40),
-		"trailing bytes":     append(bytes.Clone(good), 0),
-	} {
-		err := mergeSectionsMax(map[string]float64{}, 3, p)
-		if err == nil || !strings.Contains(err.Error(), "rank 3") {
-			t.Errorf("%s: error %v does not name rank 3", name, err)
-		}
 	}
 }

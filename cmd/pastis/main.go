@@ -159,7 +159,7 @@ func (o *options) flagSet(name string, c command) *flag.FlagSet {
 	// All-vs-all only: fault tolerance, profiling, the tcp worker logs.
 	on(cmdAllVsAll).StringVar(&o.ckptDir, "checkpoint", "", "directory for per-wave checkpoints (resumable with -resume)")
 	on(cmdAllVsAll).BoolVar(&o.resume, "resume", false, "resume from the newest checkpoint in -checkpoint dir")
-	on(cmdAllVsAll).Int64Var(&o.mem, "mem", 0, "per-rank memory budget in bytes (0 = unlimited); breaches retry at doubled -blocks")
+	on(cmdAllVsAll).Int64Var(&o.mem, "mem", 0, "per-rank memory budget in bytes (0 = unlimited), checked at wave boundaries: a breach during the sweep retries at doubled -blocks, one before it fails the run")
 	on(cmdAllVsAll).StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	on(cmdAllVsAll).StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file")
 	on(cmdAllVsAll).StringVar(&o.tcpLogDir, "tcp-logdir", "",

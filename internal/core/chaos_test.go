@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/mpi"
 	"repro/internal/synth"
@@ -375,71 +374,112 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 // TestMemBudgetDegrades: when a wave sweep exceeds the per-rank memory
 // budget the run must not abort — it retries the whole sweep at a doubled
 // wave count until it fits, and the degraded run's similarity graph and
-// Stats stay bitwise identical. An impossible budget must fail with
-// ErrMemBudget once the ladder is exhausted. Both callers of the sweep are
-// held to it: the all-vs-all pipeline and a query batch.
+// Stats stay bitwise identical. The contract is checked against the ledger
+// itself: a budgeted run that succeeds reports a split whose unbudgeted run
+// peaks within the budget. A budget the stages before the sweep already
+// exceed fails with ErrMemBudget before any SUMMA stage, since no split can
+// shrink them. Both callers of the sweep are held to it, in exact and
+// substitute mode: the all-vs-all pipeline and a query batch.
 func TestMemBudgetDegrades(t *testing.T) {
-	// Large families so the candidate matrix B dominates memory (the regime
-	// where the budget check inside the multiply sees the true peak). The
-	// query batch is the whole database for the same reason.
+	// Large families so the candidate matrix B dominates memory in exact
+	// mode; in substitute mode the expansion's triple buffer, built before
+	// the sweep, is the peak. The query batch is the whole database for the
+	// same reason.
 	data := wavyDataset(t)
-	cfg := DefaultConfig()
-	cfg.CommonKmerThreshold = 1
-	cfg.Blocks = 1
-	indexDir := buildTestIndex(t, data.Records, 4, cfg)
+	base := func(subs int) Config {
+		cfg := DefaultConfig()
+		cfg.CommonKmerThreshold = 1
+		cfg.Blocks = 1
+		cfg.SubstituteKmers = subs
+		return cfg
+	}
+	indexDirs := map[int]string{}
+	for _, subs := range []int{0, 10} {
+		indexDirs[subs] = buildTestIndex(t, data.Records, 4, base(subs))
+	}
 	for _, sw := range []struct {
 		name string
 		run  func(cfg Config) (chaosRun, error)
 	}{
 		{"all-vs-all", func(cfg Config) (chaosRun, error) { return runChaosPipeline(data.Records, 4, cfg) }},
-		{"query", func(cfg Config) (chaosRun, error) { return runChaosQuery(indexDir, data.Records, 4, cfg, false) }},
+		{"query", func(cfg Config) (chaosRun, error) {
+			return runChaosQuery(indexDirs[cfg.SubstituteKmers], data.Records, 4, cfg, false)
+		}},
 	} {
 		t.Run(sw.name, func(t *testing.T) {
-			clean, err := sw.run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if clean.blocks != 1 {
-				t.Fatalf("unbudgeted run degraded: EffectiveBlocks = %d", clean.blocks)
-			}
-
-			// The budget probe samples live+transient bytes at SUMMA stage
-			// boundaries, which sit below the run-wide PeakBytes; scan downward
-			// from the peak until a budget actually trips the ladder. The
-			// simulator is deterministic, so the scan is too.
-			peak := clean.sum.PeakBytes
-			var got chaosRun
-			degraded := false
-			for _, frac := range []float64{0.875, 0.75, 0.625, 0.5, 0.375} {
-				budgeted := cfg
-				budgeted.MemBudget = int64(float64(peak) * frac)
-				r, err := sw.run(budgeted)
-				if errors.Is(err, dmat.ErrMemBudget) {
-					break // ladder exhausted: lower budgets only fail harder
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.blocks > 1 {
-					got, degraded = r, true
-					t.Logf("budget %d (%.0f%% of peak %d) degraded to %d waves",
-						budgeted.MemBudget, frac*100, peak, r.blocks)
-					break
-				}
-			}
-			if !degraded {
-				t.Fatalf("no budget below peak %d triggered degradation", peak)
-			}
-			sameGraph(t, fmt.Sprintf("degraded to %d waves", got.blocks), got, clean)
-
-			impossible := cfg
-			impossible.MemBudget = 4096 // smaller than any operand block
-			_, err = sw.run(impossible)
-			if !errors.Is(err, dmat.ErrMemBudget) {
-				t.Fatalf("impossible budget: error %v does not wrap ErrMemBudget", err)
+			for _, subs := range []int{0, 10} {
+				t.Run(fmt.Sprintf("subs%d", subs), func(t *testing.T) {
+					checkMemBudget(t, sw.run, base(subs))
+				})
 			}
 		})
 	}
+}
+
+// checkMemBudget runs TestMemBudgetDegrades' contract on one sweep caller
+// and mode. In exact mode at least one budget must degrade.
+func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config) {
+	clean, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.blocks != 1 {
+		t.Fatalf("unbudgeted run degraded: EffectiveBlocks = %d", clean.blocks)
+	}
+	// A budget the stages before the sweep already exceed fails before the
+	// first panel, instead of climbing the ladder.
+	preSweep := func(name string, got chaosRun) {
+		if _, ran := got.sum.SectionMax[SectionB]; ran {
+			t.Errorf("%s: ErrMemBudget after SUMMA stages ran, not before the sweep", name)
+		}
+	}
+
+	peak := clean.sum.PeakBytes
+	degraded := false
+	for _, frac := range []float64{0.99, 0.875, 0.75} {
+		budgeted := cfg
+		budgeted.MemBudget = int64(float64(peak) * frac)
+		name := fmt.Sprintf("budget %d (%.1f%% of peak %d)", budgeted.MemBudget, frac*100, peak)
+		got, err := run(budgeted)
+		if errors.Is(err, ErrMemBudget) {
+			// Exact mode may exhaust the ladder once the resident operands
+			// alone exceed the budget. The substitute peak is the expansion's
+			// triple buffer, built before the sweep.
+			t.Logf("%s: %v", name, err)
+			if cfg.SubstituteKmers > 0 {
+				preSweep(name, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded = degraded || got.blocks > 1
+		sameGraph(t, fmt.Sprintf("%s, %d waves", name, got.blocks), got, clean)
+		at := cfg
+		at.Blocks = got.blocks
+		ref, err := run(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d waves, unbudgeted peak %.3f× the budget", name, got.blocks,
+			float64(ref.sum.PeakBytes)/float64(budgeted.MemBudget))
+		if ref.sum.PeakBytes > budgeted.MemBudget {
+			t.Errorf("%s: admitted at %d waves, whose unbudgeted run peaks at %d",
+				name, got.blocks, ref.sum.PeakBytes)
+		}
+	}
+	if cfg.SubstituteKmers == 0 && !degraded {
+		t.Errorf("no budget below peak %d triggered degradation", peak)
+	}
+
+	impossible := cfg
+	impossible.MemBudget = 4096 // smaller than any operand block
+	got, err := run(impossible)
+	if !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("impossible budget: error %v does not wrap ErrMemBudget", err)
+	}
+	preSweep("impossible budget", got)
 }
 
 // wavyDataset is TestWaveMemoryBounded's shape: few, large families, so the

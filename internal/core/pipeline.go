@@ -50,7 +50,7 @@ type run struct {
 	cfg       Config
 	blocks    int // cfg.Blocks, at least 1
 	kmerSpace spmat.Index
-	gemm      dmat.SpGEMMOpts // matrix-stage multiply options (no MemBudget)
+	gemm      dmat.SpGEMMOpts // matrix-stage multiply options
 }
 
 // openRun is the shared prelude. Collective (the grid splits comm). Callers

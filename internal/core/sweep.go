@@ -2,17 +2,41 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/mpi"
 )
 
+// ErrMemBudget fails a run whose live-bytes ledger cannot be held to
+// Config.MemBudget: the stages before the sweep already exceeded it, or the
+// degradation ladder ran out of rungs.
+var ErrMemBudget = errors.New("core: memory budget exceeded")
+
 // maxDegradeBlocks caps the graceful-degradation ladder: a sweep that still
 // breaches Config.MemBudget at this split cannot be saved by finer panels
 // (the resident operands, not the panel transients, dominate) and fails with
 // the budget error instead of doubling forever.
 const maxDegradeBlocks = 4096
+
+// checkBudget holds the live-bytes ledger to budget (Config.MemBudget): it
+// allreduces (max) every rank's high-water mark since the previous check and
+// fails with ErrMemBudget on a breach, on every rank alike. A zero budget
+// issues no collective.
+func checkBudget(comm *mpi.Comm, budget int64) error {
+	if budget <= 0 {
+		return nil
+	}
+	peak, err := comm.TryAllreduceInt64("max", comm.Clock().PeakSinceMark())
+	if err != nil {
+		return err
+	}
+	if peak > budget {
+		return fmt.Errorf("%w: %d live bytes (budget %d)", ErrMemBudget, peak, budget)
+	}
+	return nil
+}
 
 // operands are the distributed matrices one sweep multiplies: a row side —
 // A and AS for all-vs-all, the batch panel Q and QS for a query, rowsS being
@@ -93,15 +117,6 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 		return yield(0, sym, nil)
 	}
 
-	// Both substitute products re-broadcast their left operand's block
-	// columns every panel. The stage cache keeps each block resident after
-	// its first trip so later panels skip those broadcasts — but a cached
-	// operand holds a full block row on every rank, out of the memory
-	// headroom blocked waves exist to create: only the narrow exact operand
-	// is cached, the (m+1)× wider substitute one is not.
-	if o.rowsS != nil && blocks > 1 && o.rows.EnableStageCache() {
-		defer o.rows.ReleaseStageCache()
-	}
 	for k := startPanel; k < blocks; k++ {
 		// The sections close across yields so pipeline bookkeeping
 		// (collecting the previous wave, launching this one) is not billed
@@ -146,11 +161,14 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 // query first). ckpt, when non-nil, checkpoints every collected wave and
 // carries the state to resume from.
 //
-// The degradation ladder: a sweep that breaches Config.MemBudget fails
-// cluster-wide with dmat.ErrMemBudget (the budget check is itself a
-// collective, so every rank fails the same SUMMA stage together) and
-// restarts from panel 0 at double the block count — smaller panels, smaller
-// transients — until it fits or the ladder caps out.
+// The degradation ladder: with Config.MemBudget set, the ledger's high-water
+// mark is checked (checkBudget) before the first panel, after every wave and
+// after the drain, so no charge escapes it. A breach before the first panel
+// fails at once: no split shrinks what was built before the sweep. A breach
+// inside the sweep abandons the attempt, which restarts from panel 0 at
+// double the block count — smaller panels, smaller transients — until it
+// fits or the ladder caps out. A run that succeeds thus reports a split
+// whose unbudgeted run peaks within the budget.
 func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, stats Stats) (*Result, error) {
 
 	blocks, startPanel := r.blocks, 0
@@ -160,8 +178,9 @@ func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, st
 		resume = ckpt.resume
 		blocks, startPanel = resume.Blocks, resume.Wave+1
 	}
-	gemmOpts := r.gemm
-	gemmOpts.MemBudget = r.cfg.MemBudget
+	if err := checkBudget(r.comm, r.cfg.MemBudget); err != nil {
+		return nil, fmt.Errorf("before the sweep: %w", err)
+	}
 	var w *wave
 	for {
 		if ops.rowsS != nil && ops.ast == nil && blocks > 1 {
@@ -179,7 +198,7 @@ func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, st
 			w.restore(resume)
 			resume = nil // only the first attempt resumes; retries start over
 		}
-		err := ops.panels(f, gemmOpts, blocks, startPanel, w.yield)
+		err := ops.panels(f, r.gemm, blocks, startPanel, w.yield)
 		if err == nil {
 			err = w.drain()
 		}
@@ -189,16 +208,18 @@ func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, st
 		// Join the in-flight wave: its work is purely local and still
 		// completes, and collecting it lands its checkpoint on disk.
 		w.abortDrain()
-		if !errors.Is(err, dmat.ErrMemBudget) || blocks >= maxDegradeBlocks {
+		if !errors.Is(err, ErrMemBudget) || blocks >= maxDegradeBlocks {
 			return nil, err
 		}
 		// Drop the partial sweep: wave indices are meaningless at the new
 		// split, so its checkpoints go too. Everything up to here — the
-		// wasted panels included — stays on the clock; degradation costs
-		// time, never correctness.
+		// wasted panels included — stays on the clock and the ledger;
+		// degradation costs time, never correctness. The next attempt's
+		// budget window opens here.
 		if ckpt != nil {
 			clearCheckpoints(ckpt.dir, r.comm.Rank())
 		}
+		r.clock.PeakSinceMark()
 		blocks *= 2
 		startPanel = 0
 	}

@@ -183,12 +183,12 @@ type Config struct {
 	// uninterrupted run would have produced.
 	Resume bool
 
-	// MemBudget, when positive, bounds the per-rank live-bytes ledger during
-	// the overlap sweep: a SUMMA stage that would exceed it on any rank fails
-	// cluster-wide and the sweep restarts at doubled Blocks (graceful
-	// degradation: trade re-broadcast volume for peak memory) instead of
-	// aborting. The similarity graph is Blocks-oblivious, so degraded runs
-	// stay bit-identical. Zero disables the budget and its per-stage check.
+	// MemBudget, when positive, bounds the per-rank live-bytes ledger, checked
+	// at wave boundaries: a breach before the sweep fails with ErrMemBudget,
+	// one inside it restarts the sweep at doubled Blocks (graceful degradation:
+	// trade re-broadcast volume for peak memory). A run that succeeds reports
+	// a split whose unbudgeted run peaks within the budget; the graph is
+	// Blocks-oblivious, so degraded runs stay bit-identical. Zero disables it.
 	MemBudget int64
 
 	// BlockingExchange disables communication/computation overlap: the

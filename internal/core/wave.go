@@ -70,7 +70,8 @@ func (w *wave) restore(ck *checkpointState) {
 
 // yield is the operands.panels callback: it completes the sequence exchange
 // before the first wave needs sequence data, collects the previous wave,
-// and launches this panel's local work in the background.
+// launches this panel's local work in the background, and checks the wave
+// against the memory budget.
 func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
 	if !w.started && !w.cfg.BlockingExchange {
 		var err error
@@ -86,7 +87,7 @@ func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
 	f := &panelFuture{panel: panel, bp: bp, btp: btp, start: w.clock.Now(), done: make(chan panelResult, 1)}
 	w.pending = f
 	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.frame, w.cfg) }()
-	return nil
+	return checkBudget(w.grid.Comm, w.cfg.MemBudget)
 }
 
 // collect blocks until the in-flight wave (if any) finishes, merges its
@@ -164,7 +165,8 @@ func (w *wave) abortDrain() {
 
 // drain collects the final wave and reconciles the lane with the main
 // clock: whatever local work did not hide under the later panels' SUMMA
-// stages is exposed here as wait time.
+// stages is exposed here as wait time. The final wave's scratch is checked
+// against the memory budget.
 func (w *wave) drain() error {
 	if err := w.collect(); err != nil {
 		return err
@@ -172,5 +174,5 @@ func (w *wave) drain() error {
 	if exposed := w.laneT - w.clock.Now(); exposed > 0 {
 		w.clock.Section(SectionWait, func() { w.clock.Advance(exposed) })
 	}
-	return nil
+	return checkBudget(w.grid.Comm, w.cfg.MemBudget)
 }

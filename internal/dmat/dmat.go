@@ -19,13 +19,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrMemBudget is returned by the SUMMA engine when SpGEMMOpts.MemBudget is
-// set and the cluster-wide live-bytes high-water would exceed it mid-stage.
-// The multiply's ledger charges are rolled back before returning, so callers
-// can retry the whole sweep at a finer panel split (doubled blocks) — the
-// graceful-degradation ladder the wave pipeline implements.
-var ErrMemBudget = errors.New("dmat: memory budget exceeded")
-
 // Backend selects how collectives move matrix blocks between ranks.
 type Backend int
 
@@ -145,50 +138,6 @@ type Mat[T any] struct {
 	Rows, Cols spmat.Index
 	Local      *spmat.DCSC[T]
 	codec      Codec[T]
-	cache      *stageCache[T]
-}
-
-// stageCache retains the SUMMA stage blocks of a broadcast operand across
-// panels. Without it, a blocked multiply re-broadcasts A's block column s
-// once per panel; with it, stage s ships during the first panel and every
-// later panel reuses the resident block — the broadcast is skipped entirely
-// (deterministically, on every rank of the grid at once, so the collective
-// sequence stays aligned). charged records what each received block added
-// to the live-bytes ledger; it is refunded when the cache is released.
-type stageCache[T any] struct {
-	blocks  []*spmat.DCSC[T]
-	charged []int64
-}
-
-// EnableStageCache arms the stage-block cache on a broadcast operand for
-// the duration of a panelized multiply. Reports whether this call armed it
-// (false if already armed, so nested arming is left to the outer owner).
-// Collective discipline: every rank must arm and release together.
-func (m *Mat[T]) EnableStageCache() bool {
-	if m.cache != nil {
-		return false
-	}
-	m.cache = &stageCache[T]{
-		blocks:  make([]*spmat.DCSC[T], m.Grid.Q),
-		charged: make([]int64, m.Grid.Q),
-	}
-	return true
-}
-
-// ReleaseStageCache drops the cached stage blocks and refunds their ledger
-// bytes. Idempotent.
-func (m *Mat[T]) ReleaseStageCache() {
-	if m.cache == nil {
-		return
-	}
-	var total int64
-	for _, c := range m.cache.charged {
-		total += c
-	}
-	if total > 0 {
-		m.Grid.Comm.Clock().FreeBytes(total)
-	}
-	m.cache = nil
 }
 
 // RowOffset and ColOffset return the global index of the local block origin.
@@ -226,12 +175,14 @@ func (m *Mat[T]) Release() {
 }
 
 // BuildOps is the charged cost (generic ops) per triple during sorts,
-// shuffles and merges, and VisitOps per nonzero for elementwise passes.
-// Exported because the wave pipeline's off-clock lane (internal/core)
-// tallies the same operations and must charge the same rates.
+// shuffles and merges, VisitOps per nonzero for elementwise passes, and
+// FlopOps per semiring multiply. Exported because the wave pipeline's
+// off-clock lane (internal/core) tallies such operations and must charge the
+// same rates.
 const (
 	BuildOps = 12
 	VisitOps = 2
+	FlopOps  = 8
 )
 
 // NewFromTriples builds a distributed matrix from triples scattered across
@@ -569,24 +520,15 @@ func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], co
 
 // SpGEMMOpts tunes the distributed multiply.
 type SpGEMMOpts struct {
-	// FlopOps is the charged generic-op cost per semiring multiply.
-	FlopOps float64
 	// Threads is the intra-rank thread count for the local multiply
 	// (chunked over B's nonempty columns; <= 1 is serial). Results are
 	// bit-identical for every value; the virtual clock charges flops as
 	// parallel work (Clock.ParOps).
 	Threads int
-	// MemBudget, when positive, bounds the per-rank live-bytes ledger during
-	// the multiply: each SUMMA stage allreduces the cluster maximum and the
-	// whole call fails with ErrMemBudget (charges rolled back) when it is
-	// exceeded, so the caller can retry the sweep at a finer panel split.
-	// Zero disables the check — and its per-stage allreduce, keeping the
-	// unbudgeted hot path's clocks untouched.
-	MemBudget int64
 }
 
-// DefaultSpGEMMOpts charges 8 ops per semiring flop.
-func DefaultSpGEMMOpts() SpGEMMOpts { return SpGEMMOpts{FlopOps: 8} }
+// DefaultSpGEMMOpts multiplies serially.
+func DefaultSpGEMMOpts() SpGEMMOpts { return SpGEMMOpts{} }
 
 // SpGEMM computes C = A·B over semiring sr with 2D Sparse SUMMA: q stages,
 // each broadcasting one block column of A along grid rows and one block row
@@ -595,7 +537,7 @@ func DefaultSpGEMMOpts() SpGEMMOpts { return SpGEMMOpts{FlopOps: 8} }
 // full-width special case of the panel engine.
 func SpGEMM[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	codecC Codec[C], opts SpGEMMOpts) (*Mat[C], error) {
-	return spGEMMCols(a, b, sr, codecC, opts, 0, b.Local.NumCols, true)
+	return spGEMMCols(a, b, sr, codecC, opts, 0, b.Local.NumCols)
 }
 
 // PanelRange returns the half-open block-local column range of panel k of
@@ -628,19 +570,16 @@ func SpGEMMPanel[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		return nil, fmt.Errorf("dmat: SpGEMM panel %d of %d", k, blocks)
 	}
 	lo, hi := b.PanelRange(blocks, k)
-	return spGEMMCols(a, b, sr, codecC, opts, lo, hi, k == blocks-1)
+	return spGEMMCols(a, b, sr, codecC, opts, lo, hi)
 }
 
 // spGEMMCols is the SUMMA engine behind SpGEMM and SpGEMMPanel: it computes
 // the output columns covered by the block-local range [localLo, localHi) of
 // B's columns (clamped to the block width; the range must be the same on
 // every rank of each grid column, which both callers guarantee by deriving
-// it from the block width alone). lastUse marks the final panel of a
-// blocked multiply: each cached A block is streamed out of the ledger right
-// after its stage, so the cache charge never overlaps the moment the
-// accumulated result reaches full size.
+// it from the block width alone).
 func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
-	codecC Codec[C], opts SpGEMMOpts, localLo, localHi spmat.Index, lastUse bool) (*Mat[C], error) {
+	codecC Codec[C], opts SpGEMMOpts, localLo, localHi spmat.Index) (*Mat[C], error) {
 
 	if a.Grid != b.Grid {
 		return nil, fmt.Errorf("dmat: SpGEMM operands on different grids")
@@ -653,9 +592,6 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	}
 	g := a.Grid
 	clock := g.Comm.Clock()
-	if opts.FlopOps <= 0 {
-		opts.FlopOps = 8
-	}
 	localLo = clampIndex(localLo, 0, b.Local.NumCols)
 	localHi = clampIndex(localHi, localLo, b.Local.NumCols)
 
@@ -666,46 +602,24 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	prods := make([]*spmat.DCSC[C], 0, g.Q)
 	var accumNNZ int64
 	for s := 0; s < g.Q; s++ {
-		// A's block column s travels along each grid row — unless an armed
-		// stage cache already holds it from an earlier panel, in which case
-		// every rank skips the broadcast together (the cache fills at the
-		// same stages on all ranks, so the collective sequence stays
-		// aligned) and no wire bytes are charged.
-		var aBlk *spmat.DCSC[A]
-		var err error
-		aCached := a.cache != nil && a.cache.blocks[s] != nil
-		if aCached {
-			aBlk = a.cache.blocks[s]
-		} else {
-			var send *spmat.DCSC[A]
-			if g.MyCol == s {
-				send = a.Local
-			}
-			aBlk, err = BcastBlock(g, g.RowComm, s, send, a.codec)
-			if err != nil {
-				return nil, fmt.Errorf("dmat: stage %d broadcast A: %w", s, err)
-			}
+		// A's block column s travels along each grid row.
+		var aSend *spmat.DCSC[A]
+		if g.MyCol == s {
+			aSend = a.Local
 		}
-		// The modeled machine materializes received blocks (the root reuses
-		// its resident one, so it allocates nothing): received transients
-		// live for the stage, received cache fills for the cache lifetime.
+		aBlk, err := BcastBlock(g, g.RowComm, s, aSend, a.codec)
+		if err != nil {
+			return nil, fmt.Errorf("dmat: stage %d broadcast A: %w", s, err)
+		}
+		// The modeled machine materializes received blocks for the stage (the
+		// root reuses its resident one, so it allocates nothing).
 		var transient int64
-		switch {
-		case aCached:
-		case a.cache != nil:
-			a.cache.blocks[s] = aBlk
-			if g.MyCol != s {
-				cb := aBlk.Bytes()
-				clock.AllocBytes(cb)
-				a.cache.charged[s] = cb
-			}
-		case g.MyCol != s:
-			transient += aBlk.Bytes()
+		if g.MyCol != s {
+			transient = aBlk.Bytes()
 		}
 		// B's block row s, restricted to the panel, travels along each grid
 		// column. Over the full range the slice is the whole block, so
-		// SpGEMM's communication volume is unchanged. Panels slice B
-		// differently every call, so B blocks are never cached.
+		// SpGEMM's communication volume is unchanged.
 		var bSend *spmat.DCSC[B]
 		if g.MyRow == s {
 			bSend = b.Local.ColRange(localLo, localHi)
@@ -717,43 +631,17 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		if g.MyRow != s {
 			transient += bBlk.Bytes()
 		}
-		// Budgeted multiplies agree cluster-wide, before materializing the
-		// stage, whether the worst rank's would-be live set still fits; on a
-		// breach every rank rolls back this call's ledger charges and fails
-		// together with ErrMemBudget, leaving the collective sequence aligned
-		// for the caller's retry at a finer panel split.
-		if opts.MemBudget > 0 {
-			would, err := g.Comm.TryAllreduceInt64("max", clock.LiveBytes()+transient)
-			if err != nil {
-				clock.FreeBytes(accumNNZ * tripleBytes)
-				return nil, err
-			}
-			if would > opts.MemBudget {
-				clock.FreeBytes(accumNNZ * tripleBytes)
-				return nil, fmt.Errorf("%w: %d live bytes at SUMMA stage %d (budget %d)",
-					ErrMemBudget, would, s, opts.MemBudget)
-			}
-		}
 		clock.AllocBytes(transient)
 
 		prod, stats, err := spmat.SpGEMM(aBlk, bBlk, sr, spmat.SpGEMMOpts{Threads: opts.Threads})
 		if err != nil {
 			return nil, fmt.Errorf("dmat: stage %d multiply: %w", s, err)
 		}
-		clock.ParOps(float64(stats.Flops) * opts.FlopOps)
+		clock.ParOps(float64(stats.Flops) * FlopOps)
 		prods = append(prods, prod)
 		accumNNZ += int64(prod.NNZ())
 		clock.AllocBytes(int64(prod.NNZ()) * tripleBytes)
 		clock.FreeBytes(transient)
-		if lastUse && a.cache != nil && a.cache.blocks[s] != nil {
-			// Final panel: stage s is this block's last trip through the
-			// multiply, so drop it from the cache now instead of holding it
-			// until ReleaseStageCache (deterministic — every rank runs the
-			// same stages). The root's own block was never charged.
-			clock.FreeBytes(a.cache.charged[s])
-			a.cache.charged[s] = 0
-			a.cache.blocks[s] = nil
-		}
 	}
 	// The stage-product multiway merge is threaded in the modeled
 	// implementation (CombBLAS's hybrid SpGEMM), so its cost parallelizes

@@ -192,67 +192,6 @@ func TestSharedBlocksNotMutated(t *testing.T) {
 	})
 }
 
-// TestStageCacheReducesTraffic: a blocked multiply re-broadcasts A's block
-// column once per panel; with the stage cache armed by the caller, each A
-// block must ship exactly once, so total wire volume drops strictly below
-// the uncached panel loop while the product stays bitwise identical.
-func TestStageCacheReducesTraffic(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := spmat.Index(96)
-	aT := randomTriples(rng, n, n, 1600)
-	bT := randomTriples(rng, n, n, 1500)
-	sr := spmat.Semiring[float64, float64, float64]{
-		Multiply: func(_, _ spmat.Index, x, y float64) float64 { return x * y },
-		Add:      func(x, y float64) float64 { return x + y },
-	}
-	const blocks = 4
-	run := func(cached bool) ([]spmat.Triple[float64], int64) {
-		var ts []spmat.Triple[float64]
-		sum := runGrid(t, 4, func(g *Grid) error {
-			a, err := NewFromTriples(g, n, n, scatter(aT, g.Comm.Rank(), 4), Float64Codec, nil)
-			if err != nil {
-				return err
-			}
-			b, err := NewFromTriples(g, n, n, scatter(bT, g.Comm.Rank(), 4), Float64Codec, nil)
-			if err != nil {
-				return err
-			}
-			var got []spmat.Triple[float64]
-			yield := func(k int, lo, hi spmat.Index, p *Mat[float64]) error {
-				ts, err := p.GatherTriples()
-				if err != nil {
-					return err
-				}
-				got = append(got, ts...)
-				return nil
-			}
-			// Both arms run the same panel loop; only the caller-armed cache
-			// differs.
-			if cached {
-				a.EnableStageCache()
-				defer a.ReleaseStageCache()
-			}
-			if err := panelLoop(a, b, sr, DefaultSpGEMMOpts(), blocks, yield); err != nil {
-				return err
-			}
-			if g.Comm.Rank() == 0 {
-				sortTriples(got)
-				ts = got
-			}
-			return nil
-		})
-		return ts, sum.BytesOnWire
-	}
-	cachedTs, cachedBytes := run(true)
-	rawTs, rawBytes := run(false)
-	if !reflect.DeepEqual(cachedTs, rawTs) {
-		t.Fatalf("stage cache changed the product")
-	}
-	if cachedBytes >= rawBytes {
-		t.Fatalf("stage cache did not reduce traffic: %d >= %d", cachedBytes, rawBytes)
-	}
-}
-
 // TestBlockCodecAllocationStable mirrors spmat's
 // TestHashRangeAllocationStable for the wire codec: encode allocates one
 // exact-capacity buffer and decode one struct plus four arrays, so the

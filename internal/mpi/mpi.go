@@ -69,6 +69,7 @@ type Clock struct {
 	messages  int64
 	live      int64 // live allocation bytes currently charged to this rank
 	peak      int64 // high-water mark of live
+	markPeak  int64 // high-water mark of live since the last PeakSinceMark
 	retrySent int64 // bytes re-sent by fault-injected retries (subset of sent)
 	sections  map[string]float64
 	openSect  []openSection
@@ -151,9 +152,8 @@ func (c *Clock) AllocBytes(n int64) {
 		return
 	}
 	c.live += n
-	if c.live > c.peak {
-		c.peak = c.live
-	}
+	c.peak = max(c.peak, c.live)
+	c.markPeak = max(c.markPeak, c.live)
 }
 
 // FreeBytes records n bytes leaving the live set.
@@ -172,6 +172,16 @@ func (c *Clock) LiveBytes() int64 { return c.live }
 
 // PeakBytes returns the rank's live-bytes high-water mark.
 func (c *Clock) PeakBytes() int64 { return c.peak }
+
+// PeakSinceMark returns the live-bytes high-water mark since the previous
+// call (since the clock started, on the first), then restarts that window at
+// the bytes live now. A caller checking a memory budget at its own
+// boundaries sees every charge made in between, however brief.
+func (c *Clock) PeakSinceMark() int64 {
+	p := c.markPeak
+	c.markPeak = c.live
+	return p
+}
 
 // BytesSent and BytesReceived report cumulative communication volume;
 // Messages counts point-to-point sends.

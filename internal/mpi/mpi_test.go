@@ -473,6 +473,13 @@ func TestClockMemoryLedgerAndCredits(t *testing.T) {
 		if clock.PeakBytes() != 150 {
 			t.Errorf("peak = %d, want 150", clock.PeakBytes())
 		}
+		// The mark window sees a brief charge and restarts at the live bytes.
+		first, idle := clock.PeakSinceMark(), clock.PeakSinceMark()
+		clock.AllocBytes(10)
+		clock.FreeBytes(10)
+		if brief := clock.PeakSinceMark(); first != 150 || idle != 75 || brief != 85 {
+			t.Errorf("PeakSinceMark windows = %d, %d, %d; want 150, 75, 85", first, idle, brief)
+		}
 		// Negative and over-free inputs are clamped, never panic.
 		clock.AllocBytes(-5)
 		clock.FreeBytes(1000)

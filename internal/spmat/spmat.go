@@ -356,8 +356,6 @@ type Stats struct {
 type SpGEMMOpts struct {
 	// Threads is the intra-rank thread count; <= 1 multiplies serially.
 	Threads int
-	// ChunksPerThread oversubscribes chunks for load balance (default 4).
-	ChunksPerThread int
 }
 
 // segment is the partial SpGEMM output for one contiguous range of B's
@@ -429,13 +427,9 @@ func SpGEMM[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C],
 	if threads < 1 {
 		threads = 1
 	}
-	cpt := opts.ChunksPerThread
-	if cpt < 1 {
-		cpt = 4
-	}
 	nchunks := 1
 	if threads > 1 {
-		nchunks = threads * cpt
+		nchunks = threads * 4 // oversubscribed for balance; output is chunk-order merged
 		if nchunks > ncols {
 			nchunks = ncols
 		}

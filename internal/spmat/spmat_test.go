@@ -408,8 +408,7 @@ func TestSpGEMMParallelCountingSemiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{2, 8} {
-		got, _, err := SpGEMM(a, at, Counting[int32, int32](),
-			SpGEMMOpts{Threads: threads, ChunksPerThread: 3})
+		got, _, err := SpGEMM(a, at, Counting[int32, int32](), SpGEMMOpts{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

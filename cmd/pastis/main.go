@@ -5,14 +5,14 @@
 //
 //	pastis -in proteins.fa -out graph.tsv -nodes 16 -subs 25 -align xd -threads 8 -blocks 4
 //
-// -align selects the pairwise alignment kernel by its registry name — sw
+// -align selects the pairwise alignment kernel by its kernel-table name — sw
 // (Smith-Waterman), xd (x-drop seed extension, the default), wfa (adaptive
 // wavefront; fastest on high-identity candidate sets), ug (ungapped seed
 // extension, cheapest) — or none to skip alignment for matrix-only runs.
 // Cascade specs compose kernels into a staged filter: "-align ug+wfa" runs
 // the cheap ungapped prefilter on every candidate pair and re-aligns only
 // the survivors with the wavefront kernel (any "stage+stage" combination
-// of registered kernels works, with an optional "stage:score" gate
+// of table kernels works, with an optional "stage:score" gate
 // threshold, e.g. "ug:60+sw"). With -stats, cascade runs print the
 // per-stage pair and DP-cell breakdown.
 //
@@ -192,8 +192,8 @@ func (o *options) config() pastis.Config {
 	cfg.K = o.k
 	cfg.SubstituteKmers = o.subs
 	cfg.MaxKmerFrequency = o.maxFreq
-	// Any registered kernel name (or "none") is valid; core's config
-	// validation rejects unknown names with the registered list.
+	// Any kernel name or cascade spec (or "none") is valid; core's config
+	// validation rejects unknown names with the kernel list.
 	cfg.Align = pastis.AlignMode(o.align)
 	switch o.weight {
 	case "ani":

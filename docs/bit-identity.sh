@@ -13,6 +13,11 @@
 # -stats (virtual build time) goes to OUT/buildtime-*.log, named apart so a
 # reviewer can exclude it: that one number is allowed to move.
 #
+# Every kernel is covered: the rows above run the default -align xd; sw, wfa,
+# ug and the ug+wfa cascade each get the exact, Blocks 1, shared, 4-node row
+# (avsa-subs0-b1-shared-ALIGN), and ug+wfa also runs -subs 10 over 4 blocks
+# (avsa-subs10-b4-shared-ug+wfa) so its per-stage -stats lines are compared.
+#
 # The -subs 10 run is repeated at 1, 9 and 16 nodes. Those rows are checked
 # here as well as dumped: the edge TSV and the counters of -stats (everything
 # above "virtual time") must equal the 4-node run's, or the script exits 1
@@ -62,4 +67,13 @@ for subs in 0 10; do
       -stats -out "$out/query-subs$subs-b$blocks.tsv" 2> "$out/query-subs$subs-b$blocks.stats"
   done
 done
+
+for align in sw wfa ug ug+wfa; do
+  tag="subs0-b1-shared-$align"
+  "$bin/pastis" -in "$out/db.fa" -nodes 4 -subs 0 -ck 1 -blocks 1 -align "$align" -stats \
+    -out "$out/avsa-$tag.tsv" 2> "$out/avsa-$tag.stats"
+done
+tag="subs10-b4-shared-ug+wfa"
+"$bin/pastis" -in "$out/db.fa" -nodes 4 -subs 10 -ck 1 -blocks 4 -align ug+wfa -stats \
+  -out "$out/avsa-$tag.tsv" 2> "$out/avsa-$tag.stats"
 exit $status

@@ -55,8 +55,8 @@ func main() {
 	// Same pipeline, but alignment runs as a staged cascade: the cheap
 	// ungapped prefilter scores every candidate pair, and only pairs above
 	// the permissive gate are re-aligned by the x-drop kernel. Any
-	// "stage+stage" spec of registered kernels is a valid mode ("ug+wfa" is
-	// pre-registered; "ug:60+sw" would move the gate). On this remote-
+	// "stage+stage" spec of table kernels is a valid mode ("ug+wfa" is the
+	// canonical one; "ug:60+sw" would move the gate). On this remote-
 	// homolog dataset the prefilter trades a few low-identity edges for the
 	// cells it saves; on high-identity candidate sets the trade vanishes
 	// (the `cascade` experiment asserts ug+sw reproduces sw's graph exactly

@@ -1,22 +1,22 @@
 // Package align implements the pairwise protein alignment kernels PASTIS
-// offloads to SeqAn (paper Section IV-E) behind a pluggable registry.
+// offloads to SeqAn (paper Section IV-E), from one fixed kernel table.
 //
-// The built-in kernels are Smith-Waterman local alignment with affine gaps
+// The table's kernels are Smith-Waterman local alignment with affine gaps
 // (Gotoh; "sw"), seed-and-extend alignment with gapped x-drop termination
 // ("xd"), adaptive wavefront alignment (WFA/WFA-Adapt; "wfa"), and
 // ungapped diagonal seed extension (the MMseqs2 prefilter score; "ug").
-// Each implements the Kernel interface — one instance per pipeline worker,
-// reusable scratch buffers, and per-kernel DP-cell accounting
-// (CellsComputed) so the virtual clock charges every kernel its true
-// sparse cost. RegisterKernel makes a kernel a pipeline alignment mode
-// everywhere (core.Config.Align, the -align flag, experiment sweeps,
-// benchmarks) with no further wiring.
+// Each is one type implementing the Kernel interface — one instance per
+// pipeline worker, owning its reusable scratch buffers, with per-kernel
+// DP-cell accounting (CellsComputed) so the virtual clock charges every
+// kernel its true sparse cost. A table row makes a kernel a pipeline
+// alignment mode everywhere (core.Config.Align, the -align flag, experiment
+// sweeps, benchmarks) with no further wiring.
 //
 // Kernels also compose into staged cascades (Cascade, cascade.go): a spec
 // string like "ug+wfa" or "ug:60+sw" names an ordered prefilter → rescue
-// chain in which pairs dismissed by a cheap stage never reach the
-// expensive one. KernelFactory resolves cascade specs exactly like
-// registered names.
+// chain of table kernels in which pairs dismissed by a cheap stage never
+// reach the expensive one. KernelFactory resolves cascade specs exactly
+// like table names.
 //
 // The package also provides the alignment statistics the similarity
 // filter needs (identity/ANI, shorter-sequence coverage, normalized score
@@ -117,30 +117,6 @@ const (
 	fExtends = 1 << 3
 )
 
-// Aligner owns reusable DP buffers for the alignment kernels, one per kernel
-// instance, so the pairs a pipeline worker or a baseline aligns run without
-// per-pair allocations; buffers grow to the largest problem seen and are
-// reset (never reallocated) between calls. An Aligner is NOT safe for
-// concurrent use; a reused one returns exactly what a fresh one would
-// (TestAlignerReuseMatchesFresh).
-type Aligner struct {
-	// Smith-Waterman rolling score rows and packed direction matrix.
-	prevH, curH []int32
-	prevE, curE []int32
-	prevF, curF []int32
-	dirs        []byte
-	// X-drop extension rows (see xdCell), seed-reversal scratch, and the
-	// diagonal-step table of the scoring matrix last used (xdPrepare).
-	xdPrev, xdCur []xdCell
-	revA, revB    []alphabet.Code
-	xdDiag        [alphabet.Size][alphabet.Size]int64
-	xdMatrix      *scoring.Matrix
-	xdMatrixMax   int
-}
-
-// NewAligner returns an empty Aligner; buffers grow on first use.
-func NewAligner() *Aligner { return &Aligner{} }
-
 // grow returns s resized to n without reallocating when capacity allows.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -158,9 +134,10 @@ func reverseInto(dst, s []alphabet.Code) []alphabet.Code {
 	return dst
 }
 
-// SmithWaterman computes the optimal local alignment between code sequences
+// smithWaterman computes the optimal local alignment between code sequences
 // a and b with affine gaps, including traceback statistics.
-func (al *Aligner) SmithWaterman(a, b []alphabet.Code, sc Scoring) Result {
+func (sw *swKernel) smithWaterman(a, b []alphabet.Code, p Params) Result {
+	sc := p.Scoring
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return Result{}
@@ -172,17 +149,17 @@ func (al *Aligner) SmithWaterman(a, b []alphabet.Code, sc Scoring) Result {
 	// Every cell read by the loops or the traceback is written first this
 	// call, so only the row-0 prev buffers need explicit initialization.
 	width := lb + 1
-	al.prevH = grow(al.prevH, width)
-	al.curH = grow(al.curH, width)
-	al.prevE = grow(al.prevE, width) // E: gap in a (moves left, consumes b)
-	al.curE = grow(al.curE, width)
-	al.prevF = grow(al.prevF, width) // F: gap in b (moves up, consumes a)
-	al.curF = grow(al.curF, width)
-	al.dirs = grow(al.dirs, (la+1)*width)
-	prevH, curH := al.prevH, al.curH
-	prevE, curE := al.prevE, al.curE
-	prevF, curF := al.prevF, al.curF
-	dirs := al.dirs
+	sw.prevH = grow(sw.prevH, width)
+	sw.curH = grow(sw.curH, width)
+	sw.prevE = grow(sw.prevE, width) // E: gap in a (moves left, consumes b)
+	sw.curE = grow(sw.curE, width)
+	sw.prevF = grow(sw.prevF, width) // F: gap in b (moves up, consumes a)
+	sw.curF = grow(sw.curF, width)
+	sw.dirs = grow(sw.dirs, (la+1)*width)
+	prevH, curH := sw.prevH, sw.curH
+	prevE, curE := sw.prevE, sw.curE
+	prevF, curF := sw.prevF, sw.curF
+	dirs := sw.dirs
 
 	for j := 0; j <= lb; j++ {
 		prevH[j] = 0
@@ -280,17 +257,6 @@ func (al *Aligner) SmithWaterman(a, b []alphabet.Code, sc Scoring) Result {
 	return res
 }
 
-// XDropParams configures seed-and-extend alignment.
-type XDropParams struct {
-	Scoring Scoring
-	XDrop   int // terminate extension when score falls X below the best
-}
-
-// DefaultXDrop uses the paper's x-drop value of 49.
-func DefaultXDrop() XDropParams {
-	return XDropParams{Scoring: DefaultScoring(), XDrop: 49}
-}
-
 // ErrSequenceTooLong reports a pair the x-drop kernel's packed DP lanes
 // cannot represent: len(a)+len(b) must stay below 2^19 (the alignment
 // column count shares a word with the score) and the best conceivable score,
@@ -356,42 +322,42 @@ var xdDeadCell = xdCell{h: xdDead, f: xdDead}
 // (re)builds the diagonal-step table when the scoring matrix changed:
 // substitution score, diagonal priority, match bit and the +1 column of
 // every residue pair in one addend.
-func (al *Aligner) xdPrepare(la, lb int, p XDropParams) error {
+func (xd *xdKernel) xdPrepare(la, lb int, p Params) error {
 	sc := p.Scoring
 	if uint(p.XDrop) > xdMaxPenalty || uint(sc.GapOpen) > xdMaxPenalty || uint(sc.GapExtend) > xdMaxPenalty {
 		return fmt.Errorf("align: x-drop %d, gap open %d, gap extend %d: each must lie in [0, %d]",
 			p.XDrop, sc.GapOpen, sc.GapExtend, xdMaxPenalty)
 	}
-	if al.xdMatrix != sc.Matrix {
-		for x := range al.xdDiag {
-			for y := range al.xdDiag[x] {
+	if xd.xdMatrix != sc.Matrix {
+		for x := range xd.xdDiag {
+			for y := range xd.xdDiag[x] {
 				step := int64(sc.Matrix.Score(alphabet.Code(x), alphabet.Code(y)))<<xdScoreShift | xdPrioHi | 1
 				if x == y {
 					step |= 1 << xdStatBits
 				}
-				al.xdDiag[x][y] = step
+				xd.xdDiag[x][y] = step
 			}
 		}
-		al.xdMatrix, al.xdMatrixMax = sc.Matrix, sc.Matrix.MaxScore()
+		xd.xdMatrix, xd.xdMatrixMax = sc.Matrix, sc.Matrix.MaxScore()
 	}
-	if la+lb > xdMaxPairLen || min(la, lb)*al.xdMatrixMax >= xdMaxScore {
+	if la+lb > xdMaxPairLen || min(la, lb)*xd.xdMatrixMax >= xdMaxScore {
 		return fmt.Errorf("%w: lengths %d and %d (limit: %d combined)", ErrSequenceTooLong, la, lb, xdMaxPairLen)
 	}
 	return nil
 }
 
-// XDrop aligns a and b by extending a length-k seed anchored at positions
+// xDrop aligns a and b by extending a length-k seed anchored at positions
 // seedA/seedB in both directions with gapped x-drop DP (paper Section IV-E:
 // the alignment starts from the shared k-mer position and extends toward
 // both sequence ends). With substitute k-mers the seed residues may
 // mismatch; the seed region is scored against the matrix like any other.
 // A pair beyond the packed lanes' reach fails with ErrSequenceTooLong.
-func (al *Aligner) XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
+func (xd *xdKernel) xDrop(a, b []alphabet.Code, seedA, seedB, k int, p Params) (Result, error) {
 	if !seedWithin(seedA, seedB, k, len(a), len(b)) {
 		return Result{}, fmt.Errorf("align: seed (%d,%d,k=%d) outside sequences %d/%d",
 			seedA, seedB, k, len(a), len(b))
 	}
-	if err := al.xdPrepare(len(a), len(b), p); err != nil {
+	if err := xd.xdPrepare(len(a), len(b), p); err != nil {
 		return Result{}, err
 	}
 	var res Result
@@ -403,10 +369,10 @@ func (al *Aligner) XDrop(a, b []alphabet.Code, seedA, seedB, k int, p XDropParam
 	}
 	res.AlignLen = k
 
-	r := al.xdropExtend(a[seedA+k:], b[seedB+k:], p)
-	al.revA = reverseInto(al.revA, a[:seedA])
-	al.revB = reverseInto(al.revB, b[:seedB])
-	l := al.xdropExtend(al.revA, al.revB, p)
+	r := xd.xdropExtend(a[seedA+k:], b[seedB+k:], p)
+	xd.revA = reverseInto(xd.revA, a[:seedA])
+	xd.revB = reverseInto(xd.revB, b[:seedB])
+	l := xd.xdropExtend(xd.revA, xd.revB, p)
 
 	res.Score += r.score + l.score
 	res.Matches += r.matches + l.matches
@@ -443,7 +409,7 @@ type extension struct {
 //
 // Returns the best-scoring end point with its path statistics; the first
 // cell in row-major order wins among equal scores.
-func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
+func (xd *xdKernel) xdropExtend(a, b []alphabet.Code, p Params) extension {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return extension{}
@@ -454,9 +420,9 @@ func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
 	ext := 1 - int64(p.Scoring.GapExtend)<<xdScoreShift
 	x := int64(p.XDrop)
 
-	al.xdPrev = grow(al.xdPrev, lb+1)
-	al.xdCur = grow(al.xdCur, lb+1)
-	prev, cur := al.xdPrev, al.xdCur
+	xd.xdPrev = grow(xd.xdPrev, lb+1)
+	xd.xdCur = grow(xd.xdCur, lb+1)
+	prev, cur := xd.xdPrev, xd.xdCur
 
 	// A cell survives iff its H lane is >= live and is a new best iff it is
 	// >= better: both are exact tests on the score alone, because the
@@ -485,7 +451,7 @@ func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
 	}
 
 	for i := 1; i <= la; i++ {
-		diagStep := &al.xdDiag[a[i-1]]
+		diagStep := &xd.xdDiag[a[i-1]]
 		jlo, jhi := max(lo, 1), min(hi+1, lb)
 		cells += int64(jhi - lo + 1)
 
@@ -567,13 +533,13 @@ func (al *Aligner) xdropExtend(a, b []alphabet.Code, p XDropParams) extension {
 	}
 }
 
-// UngappedExtend extends an exact diagonal match around a seed in both
-// directions, stopping when the running score drops more than xdrop below
-// the best (the MMseqs2-style ungapped diagonal score). The scan needs no DP
-// buffers; the method form gives every kernel one per-worker call shape.
+// ungappedExtend extends an exact diagonal match around a seed in both
+// directions, stopping when the running score drops more than p.XDrop below
+// the best (the MMseqs2-style ungapped diagonal score).
 // Result.Cells counts every scored diagonal column, including the
 // overshoot past the best endpoints that the x-drop rule explores.
-func (al *Aligner) UngappedExtend(a, b []alphabet.Code, seedA, seedB, k int, sc Scoring, xdrop int) Result {
+func ungappedExtend(a, b []alphabet.Code, seedA, seedB, k int, p Params) Result {
+	sc, xdrop := p.Scoring, p.XDrop
 	res := Result{Cells: int64(k)}
 	for i := 0; i < k; i++ {
 		res.Score += sc.Matrix.Score(a[seedA+i], b[seedB+i])

@@ -20,7 +20,7 @@ func codes(t testing.TB, s string) []alphabet.Code {
 func TestSWIdenticalSequences(t *testing.T) {
 	sc := DefaultScoring()
 	s := codes(t, "MKVLAWHPLC")
-	r := NewAligner().SmithWaterman(s, s, sc)
+	r := new(swKernel).smithWaterman(s, s, Params{Scoring: sc})
 	want := 0
 	for _, c := range s {
 		want += sc.Matrix.Score(c, c)
@@ -43,8 +43,8 @@ func TestSWSymmetric(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "MKVLAWHPLCQERNDYFI")
 	b := codes(t, "MKVANWHPLCQRNDYF")
-	r1 := NewAligner().SmithWaterman(a, b, sc)
-	r2 := NewAligner().SmithWaterman(b, a, sc)
+	r1 := new(swKernel).smithWaterman(a, b, Params{Scoring: sc})
+	r2 := new(swKernel).smithWaterman(b, a, Params{Scoring: sc})
 	if r1.Score != r2.Score {
 		t.Errorf("SW not symmetric: %d vs %d", r1.Score, r2.Score)
 	}
@@ -60,7 +60,7 @@ func TestSWLocality(t *testing.T) {
 	core := "WWHHCCWWHHCC"
 	a := codes(t, "GGGGGG"+core+"IIIIII")
 	b := codes(t, "PPPP"+core+"LLLL")
-	r := NewAligner().SmithWaterman(a, b, sc)
+	r := new(swKernel).smithWaterman(a, b, Params{Scoring: sc})
 	coreScore := 0
 	for _, c := range codes(t, core) {
 		coreScore += sc.Matrix.Score(c, c)
@@ -75,11 +75,11 @@ func TestSWLocality(t *testing.T) {
 
 func TestSWEmptyAndNoPositive(t *testing.T) {
 	sc := DefaultScoring()
-	if r := NewAligner().SmithWaterman(nil, codes(t, "MKV"), sc); r.Score != 0 {
+	if r := new(swKernel).smithWaterman(nil, codes(t, "MKV"), Params{Scoring: sc}); r.Score != 0 {
 		t.Errorf("empty input score %d", r.Score)
 	}
 	// W vs P scores -4: no positive local alignment exists.
-	if r := NewAligner().SmithWaterman(codes(t, "W"), codes(t, "P"), sc); r.Score != 0 {
+	if r := new(swKernel).smithWaterman(codes(t, "W"), codes(t, "P"), Params{Scoring: sc}); r.Score != 0 {
 		t.Errorf("all-negative alignment score %d", r.Score)
 	}
 }
@@ -89,7 +89,7 @@ func TestSWGapAlignment(t *testing.T) {
 	// b equals a with a 3-residue deletion: SW must bridge it with one gap.
 	a := codes(t, "MKVLAWHPLCQERNDYFIWW")
 	b := append(append([]alphabet.Code{}, a[:8]...), a[11:]...)
-	r := NewAligner().SmithWaterman(a, b, sc)
+	r := new(swKernel).smithWaterman(a, b, Params{Scoring: sc})
 	selfScore := 0
 	for _, c := range a {
 		selfScore += sc.Matrix.Score(c, c)
@@ -121,7 +121,7 @@ func TestSWAgainstSimpleCases(t *testing.T) {
 		{"ACDEFG", "ACDEFG", 4 + 9 + 6 + 5 + 6 + 6},
 	}
 	for _, tc := range cases {
-		r := NewAligner().SmithWaterman(codes(t, tc.a), codes(t, tc.b), sc)
+		r := new(swKernel).smithWaterman(codes(t, tc.a), codes(t, tc.b), Params{Scoring: sc})
 		if r.Score != tc.want {
 			t.Errorf("SW(%s,%s) = %d, want %d", tc.a, tc.b, r.Score, tc.want)
 		}
@@ -129,20 +129,20 @@ func TestSWAgainstSimpleCases(t *testing.T) {
 }
 
 func TestXDropSeedOutOfRange(t *testing.T) {
-	p := DefaultXDrop()
+	p := DefaultParams()
 	a, b := codes(t, "MKVLAW"), codes(t, "MKVLAW")
-	if _, err := NewAligner().XDrop(a, b, 5, 0, 6, p); err == nil {
+	if _, err := new(xdKernel).xDrop(a, b, 5, 0, 6, p); err == nil {
 		t.Error("seed past end should error")
 	}
-	if _, err := NewAligner().XDrop(a, b, -1, 0, 3, p); err == nil {
+	if _, err := new(xdKernel).xDrop(a, b, -1, 0, 3, p); err == nil {
 		t.Error("negative seed should error")
 	}
 }
 
 func TestXDropIdentical(t *testing.T) {
-	p := DefaultXDrop()
+	p := DefaultParams()
 	s := codes(t, "MKVLAWHPLCQERNDYFI")
-	r, err := NewAligner().XDrop(s, s, 6, 6, 6, p)
+	r, err := new(xdKernel).xDrop(s, s, 6, 6, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestXDropIdentical(t *testing.T) {
 func TestXDropNeverExceedsSW(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	letters := "ARNDCQEGHILKMFPSTWYV"
-	p := DefaultXDrop()
+	p := DefaultParams()
 	for trial := 0; trial < 30; trial++ {
 		n := 30 + rng.Intn(60)
 		raw := make([]byte, n)
@@ -180,9 +180,9 @@ func TestXDropNeverExceedsSW(t *testing.T) {
 			rawB[rng.Intn(len(rawB))] = letters[rng.Intn(20)]
 		}
 		b := codes(t, string(rawB))
-		sw := NewAligner().SmithWaterman(a, b, p.Scoring)
+		sw := new(swKernel).smithWaterman(a, b, p)
 		seed := rng.Intn(n - 6)
-		xd, err := NewAligner().XDrop(a, b, seed, seed, 6, p)
+		xd, err := new(xdKernel).xDrop(a, b, seed, seed, 6, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,12 +193,12 @@ func TestXDropNeverExceedsSW(t *testing.T) {
 }
 
 func TestXDropBridgesGap(t *testing.T) {
-	p := DefaultXDrop()
+	p := DefaultParams()
 	// a and b share a prefix and suffix with a 2-residue insertion in b.
 	a := codes(t, "MKVLAWHPLCQERNDYFIWWHHCC")
 	b := append(append([]alphabet.Code{}, a[:12]...), codes(t, "GG")...)
 	b = append(b, a[12:]...)
-	r, err := NewAligner().XDrop(a, b, 2, 2, 6, p)
+	r, err := new(xdKernel).xDrop(a, b, 2, 2, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestXDropBridgesGap(t *testing.T) {
 }
 
 func TestXDropStopsAtJunk(t *testing.T) {
-	p := DefaultXDrop()
+	p := DefaultParams()
 	// Identical 12-residue block, then completely hostile tails; the
 	// extension must terminate without dragging the score down more than X.
 	blockA := "WWHHCCWWHHCC"
 	a := codes(t, blockA+"PPPPPPPPPPPPPPPPPPPPPPPP")
 	b := codes(t, blockA+"WWWWWWWWWWWWWWWWWWWWWWWW")
-	r, err := NewAligner().XDrop(a, b, 0, 0, 6, p)
+	r, err := new(xdKernel).xDrop(a, b, 0, 0, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestXDropStopsAtJunk(t *testing.T) {
 func TestUngappedExtend(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "MKVLAWHPLC")
-	r := NewAligner().UngappedExtend(a, a, 3, 3, 3, sc, 10)
+	r := ungappedExtend(a, a, 3, 3, 3, Params{Scoring: sc, XDrop: 10})
 	want := 0
 	for _, c := range a {
 		want += sc.Matrix.Score(c, c)
@@ -257,7 +257,7 @@ func TestUngappedExtendStops(t *testing.T) {
 	sc := DefaultScoring()
 	a := codes(t, "WWWW"+"PPPPPPPP")
 	b := codes(t, "WWWW"+"GGGGGGGG")
-	r := NewAligner().UngappedExtend(a, b, 0, 0, 4, sc, 8)
+	r := ungappedExtend(a, b, 0, 0, 4, Params{Scoring: sc, XDrop: 8})
 	if r.Score != 44 {
 		t.Errorf("score = %d, want 44 (4xW)", r.Score)
 	}
@@ -291,70 +291,40 @@ func randomSeq(rng *rand.Rand, n int) []alphabet.Code {
 	return s
 }
 
-// A reused Aligner must be bit-identical to fresh per-call buffers across a
-// randomized stream of differently-sized problems — the property the batched
-// pipeline aligner depends on (stale buffer contents must never leak into a
-// later alignment).
-func TestAlignerReuseMatchesFresh(t *testing.T) {
+// The x-drop rows are never cleared, within a call or between calls: every
+// read must land on a cell the current extension stored. One reused xdKernel
+// runs a stream ordered to leave the most misleading leftovers behind — a
+// long pair before a short one, a wide band (poly-A, large x-drop) before a
+// narrow one, an extension abandoned by an early break (unrelated tails)
+// before one that runs to the end — and must match a fresh kernel on every
+// step.
+func TestXDropReuseLeftovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	al := NewAligner()
-	sc := DefaultScoring()
-	p := DefaultXDrop()
-	for trial := 0; trial < 200; trial++ {
-		x := randomSeq(rng, rng.Intn(120)+1)
-		y := randomSeq(rng, rng.Intn(120)+1)
-		// Make some pairs homologous so alignments have structure.
-		if trial%2 == 0 && len(x) > 10 {
-			y = append([]alphabet.Code(nil), x...)
-			for i := 0; i < len(y)/5; i++ {
-				y[rng.Intn(len(y))] = alphabet.Code(rng.Intn(20))
-			}
-		}
-		if got, want := al.SmithWaterman(x, y, sc), NewAligner().SmithWaterman(x, y, sc); got != want {
-			t.Fatalf("trial %d: reused SW %+v != fresh %+v", trial, got, want)
-		}
-		k := 6
-		if len(x) >= k && len(y) >= k {
-			seedA, seedB := rng.Intn(len(x)-k+1), rng.Intn(len(y)-k+1)
-			got, err1 := al.XDrop(x, y, seedA, seedB, k, p)
-			want, err2 := NewAligner().XDrop(x, y, seedA, seedB, k, p)
-			if (err1 == nil) != (err2 == nil) || got != want {
-				t.Fatalf("trial %d: reused XDrop %+v (%v) != fresh %+v (%v)",
-					trial, got, err1, want, err2)
-			}
-		}
-	}
-
-	// The x-drop rows are never cleared, within a call or between calls:
-	// every read must land on a cell the current extension stored. This
-	// stream is ordered to leave the most misleading leftovers behind — a
-	// long pair before a short one, a wide band (poly-A, large x-drop) before
-	// a narrow one, an extension abandoned by an early break (unrelated
-	// tails) before one that runs to the end.
+	xd := new(xdKernel)
 	long := randomSeq(rng, 650)
 	polyA := polyASeq(rng, 500)
-	wide, narrow := DefaultXDrop(), DefaultXDrop()
+	wide, narrow := DefaultParams(), DefaultParams()
 	wide.XDrop, narrow.XDrop = 200, 10
 	steps := []struct {
 		name  string
 		x, y  []alphabet.Code
 		seedA int // seedB = seedA: every y keeps x's coordinates at the seed
-		p     XDropParams
+		p     Params
 	}{
 		{"long homolog, wide", long, mutateSeq(rng, long, 0.2, 0), 300, wide},
 		{"short homolog, narrow", long[:40], mutateSeq(rng, long[:40], 0.1, 0), 10, narrow},
 		{"poly-A, wide", polyA, mutateSeq(rng, polyA, 0.05, 0), 200, wide},
-		{"unrelated tails: early break", long, append(append([]alphabet.Code(nil), long[:30]...), randomSeq(rng, 600)...), 5, DefaultXDrop()},
+		{"unrelated tails: early break", long, append(append([]alphabet.Code(nil), long[:30]...), randomSeq(rng, 600)...), 5, DefaultParams()},
 		{"long homolog, narrow", long, mutateSeq(rng, long, 0.1, 0), 600, narrow},
-		{"unrelated heads: early break on the left", long, append(randomSeq(rng, 600), long[600:]...), 610, DefaultXDrop()},
-		{"short identical", long[100:160], long[100:160], 20, DefaultXDrop()},
+		{"unrelated heads: early break on the left", long, append(randomSeq(rng, 600), long[600:]...), 610, DefaultParams()},
+		{"short identical", long[100:160], long[100:160], 20, DefaultParams()},
 		{"long identical, wide", long, long, 0, wide},
 		{"one residue each side of the seed", long[:8], long[:8], 1, narrow},
 	}
 	for round := 0; round < 2; round++ { // the second round starts from the first's leftovers
 		for _, st := range steps {
-			got, err1 := al.XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
-			want, err2 := NewAligner().XDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
+			got, err1 := xd.xDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
+			want, err2 := new(xdKernel).xDrop(st.x, st.y, st.seedA, st.seedA, 6, st.p)
 			if err1 != nil || err2 != nil || got != want {
 				t.Fatalf("round %d, %s: reused %+v (%v) != fresh %+v (%v)", round, st.name, got, err1, want, err2)
 			}
@@ -362,15 +332,15 @@ func TestAlignerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// A warm Aligner extends without allocating: rows, reversal scratch and the
+// A warm xdKernel extends without allocating: rows, reversal scratch and the
 // diagonal-step table are all in place after the first call.
 func TestXDropAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomSeq(rng, 400)
 	y := mutateSeq(rng, x, 0.2, 3)
-	al, p := NewAligner(), DefaultXDrop()
+	xd, p := new(xdKernel), DefaultParams()
 	align := func() {
-		if _, err := al.XDrop(x, y, 100, 100, 6, p); err != nil {
+		if _, err := xd.xDrop(x, y, 100, 100, 6, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,10 +358,10 @@ func TestXDropPackedLimits(t *testing.T) {
 	const n = 1<<18 - 1
 	rng := rand.New(rand.NewSource(11))
 	s := randomSeq(rng, n+1)
-	p := DefaultXDrop()
-	al := NewAligner()
+	p := DefaultParams()
+	xd := new(xdKernel)
 
-	r, err := al.XDrop(s[:n], s[:n], n/3, n/3, 6, p)
+	r, err := xd.xDrop(s[:n], s[:n], n/3, n/3, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,16 +378,16 @@ func TestXDropPackedLimits(t *testing.T) {
 	}
 
 	// 2^19 - 1 combined is still inside; 2^19 is not, whatever the seed.
-	if _, err := al.XDrop(s, s[:n], 0, 0, 6, p); err != nil {
+	if _, err := xd.xDrop(s, s[:n], 0, 0, 6, p); err != nil {
 		t.Errorf("lengths %d+%d: %v", n+1, n, err)
 	}
 	for _, seed := range []int{0, n / 2, n + 1 - 6} {
-		if _, err := al.XDrop(s, s, seed, seed, 6, p); !errors.Is(err, ErrSequenceTooLong) {
+		if _, err := xd.xDrop(s, s, seed, seed, 6, p); !errors.Is(err, ErrSequenceTooLong) {
 			t.Errorf("lengths %d+%d, seed %d: error %v, want ErrSequenceTooLong", n+1, n+1, seed, err)
 		}
 	}
-	// The Aligner is still good after a refusal.
-	if r, err := al.XDrop(s[:50], s[:50], 10, 10, 6, p); err != nil || r.Matches != 50 {
+	// The kernel is still good after a refusal.
+	if r, err := xd.xDrop(s[:50], s[:50], 10, 10, 6, p); err != nil || r.Matches != 50 {
 		t.Errorf("after a refusal: %+v, %v", r, err)
 	}
 }
@@ -425,23 +395,23 @@ func TestXDropPackedLimits(t *testing.T) {
 // Parameters the lanes cannot score are refused, not wrapped.
 func TestXDropRejectsParamsOutOfRange(t *testing.T) {
 	s := codes(t, "MKVLAWHPLCQERNDYFI")
-	for _, bad := range []func(*XDropParams){
-		func(p *XDropParams) { p.XDrop = -1 },
-		func(p *XDropParams) { p.XDrop = 1 << 28 },
-		func(p *XDropParams) { p.Scoring.GapOpen = -1 },
-		func(p *XDropParams) { p.Scoring.GapOpen = 1<<20 + 1 },
-		func(p *XDropParams) { p.Scoring.GapExtend = -3 },
-		func(p *XDropParams) { p.Scoring.GapExtend = 1 << 30 },
+	for _, bad := range []func(*Params){
+		func(p *Params) { p.XDrop = -1 },
+		func(p *Params) { p.XDrop = 1 << 28 },
+		func(p *Params) { p.Scoring.GapOpen = -1 },
+		func(p *Params) { p.Scoring.GapOpen = 1<<20 + 1 },
+		func(p *Params) { p.Scoring.GapExtend = -3 },
+		func(p *Params) { p.Scoring.GapExtend = 1 << 30 },
 	} {
-		p := DefaultXDrop()
+		p := DefaultParams()
 		bad(&p)
-		if r, err := NewAligner().XDrop(s, s, 6, 6, 6, p); err == nil {
+		if r, err := new(xdKernel).xDrop(s, s, 6, 6, 6, p); err == nil {
 			t.Errorf("x-drop %d gaps (%d,%d) accepted: %+v", p.XDrop, p.Scoring.GapOpen, p.Scoring.GapExtend, r)
 		}
 	}
 }
 
-// benchPairs are the warm-Aligner kernel benchmarks' inputs: the lengths the
+// benchPairs are the warm-kernel benchmarks' inputs: the lengths the
 // repository benchmark's generator spans, a near-identical pair (narrow
 // x-drop band) and a diverged one with indels (wide band, many ties).
 var benchPairs = []struct {
@@ -457,7 +427,7 @@ var benchPairs = []struct {
 }
 
 // BenchmarkSmithWaterman and BenchmarkXDrop time the kernels alone: one
-// Aligner, warmed before the clock starts, so an iteration allocates
+// kernel instance, warmed before the clock starts, so an iteration allocates
 // nothing and Mcells/s is the DP loop's own rate.
 func BenchmarkSmithWaterman(b *testing.B) {
 	for _, bp := range benchPairs {
@@ -465,13 +435,13 @@ func BenchmarkSmithWaterman(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x := randomSeq(rng, bp.n)
 			y := mutateSeq(rng, x, bp.subRate, bp.indels)
-			al, sc := NewAligner(), DefaultScoring()
-			al.SmithWaterman(x, y, sc)
+			sw, p := new(swKernel), DefaultParams()
+			sw.smithWaterman(x, y, p)
 			var cells int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cells += al.SmithWaterman(x, y, sc).Cells
+				cells += sw.smithWaterman(x, y, p).Cells
 			}
 			b.ReportMetric(float64(cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
 		})
@@ -486,15 +456,15 @@ func BenchmarkXDrop(b *testing.B) {
 			y := mutateSeq(rng, x, bp.subRate, bp.indels)
 			const k = 6
 			copy(y[:k], x[:k]) // the seed: extension runs the length of the pair
-			al, p := NewAligner(), DefaultXDrop()
-			if _, err := al.XDrop(x, y, 0, 0, k, p); err != nil {
+			xd, p := new(xdKernel), DefaultParams()
+			if _, err := xd.xDrop(x, y, 0, 0, k, p); err != nil {
 				b.Fatal(err)
 			}
 			var cells int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := al.XDrop(x, y, 0, 0, k, p)
+				r, err := xd.xDrop(x, y, 0, 0, k, p)
 				if err != nil {
 					b.Fatal(err)
 				}

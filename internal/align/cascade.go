@@ -25,9 +25,8 @@ import (
 // gate threshold as "name:score" ("ug:60+sw"); without one the stage gates
 // at DefaultCascadeThreshold. Any spec resolves through KernelFactory, so
 // cascades are valid pipeline alignment modes (core.Config.Align,
-// cmd/pastis -align) exactly like primitive kernels; the canonical
-// "ug+wfa" combination is pre-registered so sweeps over registered kernels
-// include a cascade.
+// cmd/pastis -align) exactly like primitive kernels; Kernels lists the
+// canonical "ug+wfa" combination so kernel sweeps include a cascade.
 
 // DefaultCascadeThreshold is the gate applied after a cascade stage that
 // does not carry an explicit ":score" threshold: pairs whose stage result
@@ -68,19 +67,6 @@ type StageStats struct {
 	Cells    int64
 }
 
-// StagedKernel is implemented by composite kernels whose work decomposes
-// into ordered stages (Cascade). The pipeline uses it to surface per-stage
-// pair and cell breakdowns (core Stats.PairsPerStage/CellsPerStage) and to
-// attribute per-stage alignment time on the virtual clock; primitive
-// kernels do not implement it.
-type StagedKernel interface {
-	Kernel
-	// StageStats returns one entry per stage, in stage order. A fresh
-	// instance returns zero counters with the stage names filled in, so
-	// callers can use it as a template before any work happens.
-	StageStats() []StageStats
-}
-
 // MergeStageStats sums src's per-stage counters into dst element-wise,
 // growing dst as needed, and returns it. The pipeline merges worker
 // instances into panels and panels into the run total with this; because
@@ -109,8 +95,8 @@ type cascadeStage struct {
 
 // Cascade is a composite alignment kernel running an ordered stage list
 // (see the file comment). Like every Kernel it owns per-worker state and
-// is not safe for concurrent use; fresh instances come from the factory
-// ParseCascade returns (or NewKernel with a spec string).
+// is not safe for concurrent use; fresh instances come from NewKernel or
+// KernelFactory with a spec string.
 type Cascade struct {
 	spec   string
 	stages []cascadeStage
@@ -158,7 +144,12 @@ func (c *Cascade) CellsComputed() int64 {
 	return n
 }
 
-// StageStats implements StagedKernel.
+// StageStats returns one entry per stage, in stage order. A fresh instance
+// returns zero counters with the stage names filled in, so callers can use
+// it as a template before any work happens. The pipeline uses it to surface
+// per-stage pair and cell breakdowns (core Stats.PairsPerStage and
+// CellsPerStage) and to attribute per-stage alignment time on the virtual
+// clock.
 func (c *Cascade) StageStats() []StageStats {
 	out := make([]StageStats, len(c.stages))
 	for i := range c.stages {
@@ -180,14 +171,14 @@ type parsedStage struct {
 	threshold int
 }
 
-// ParseCascade validates a cascade spec string and returns a factory
+// parseCascade validates a cascade spec string and returns a factory
 // producing fresh Cascade instances. Specs are stage tokens joined with
-// '+'; each token is a registered primitive kernel name, optionally with
-// an explicit gate threshold as "name:score" on non-final stages. Rejected
-// with descriptive errors: fewer than two stages, empty or unknown stage
-// names, "none" or a nested cascade as a stage, malformed or negative
-// thresholds, and a threshold on the final stage (which has no gate).
-func ParseCascade(spec string) (func() Kernel, error) {
+// '+'; each token is a kernel table name, optionally with an explicit gate
+// threshold as "name:score" on non-final stages. Rejected with descriptive
+// errors: fewer than two stages, empty names or names not in the table
+// ("none" included), malformed or negative thresholds, and a threshold on
+// the final stage (which has no gate).
+func parseCascade(spec string) (func() Kernel, error) {
 	tokens := strings.Split(spec, "+")
 	if len(tokens) < 2 {
 		return nil, fmt.Errorf("align: cascade spec %q needs at least two '+'-separated stages", spec)
@@ -236,32 +227,10 @@ func parseStageToken(tok string, final bool) (parsedStage, error) {
 	case name == "none":
 		return ps, fmt.Errorf("stage %q is not allowed inside a cascade (use a plain \"none\" alignment mode instead)", name)
 	}
-	f, ok := registeredFactory(name)
+	f, ok := primitive(name)
 	if !ok {
-		return ps, fmt.Errorf("unknown stage kernel %q (registered: %v)", name, Kernels())
-	}
-	if _, staged := f().(StagedKernel); staged {
-		return ps, fmt.Errorf("stage %q is itself a cascade; stages must be primitive kernels", name)
+		return ps, fmt.Errorf("unknown stage kernel %q (primitive kernels: %v)", name, primitiveNames())
 	}
 	ps.name, ps.factory = name, f
 	return ps, nil
-}
-
-// MustCascade is ParseCascade for init-time registration of known-good
-// specs; it panics on a parse error.
-func MustCascade(spec string) func() Kernel {
-	f, err := ParseCascade(spec)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// registeredFactory looks a name up in the registry without the cascade
-// fallback KernelFactory adds (stages must be registered primitives).
-func registeredFactory(name string) (func() Kernel, bool) {
-	kernelRegistry.mu.RLock()
-	defer kernelRegistry.mu.RUnlock()
-	f, ok := kernelRegistry.factories[name]
-	return f, ok
 }

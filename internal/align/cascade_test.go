@@ -7,7 +7,7 @@ import (
 )
 
 // Bad cascade specs must be rejected with errors that name the problem;
-// the table covers every rule ParseCascade enforces.
+// the table covers every rule parseCascade enforces.
 func TestParseCascadeRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -30,7 +30,7 @@ func TestParseCascadeRejectsBadSpecs(t *testing.T) {
 		{"ug:1:2+sw", "invalid stage threshold"},
 	}
 	for _, tc := range cases {
-		_, err := ParseCascade(tc.spec)
+		_, err := parseCascade(tc.spec)
 		if err == nil {
 			t.Errorf("spec %q: expected an error", tc.spec)
 			continue
@@ -39,7 +39,7 @@ func TestParseCascadeRejectsBadSpecs(t *testing.T) {
 			t.Errorf("spec %q: error %q does not mention %q", tc.spec, err, tc.want)
 		}
 	}
-	// The registry fallback must surface the same errors for '+' names...
+	// KernelFactory must surface the same errors for '+' names...
 	if _, err := KernelFactory("ug+nope"); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("KernelFactory cascade fallback error: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestParseCascadeSpecs(t *testing.T) {
 		"ug+xd+sw":    "ug+xd+sw",
 		"ug:20+xd+sw": "ug:20+xd+sw",
 	} {
-		f, err := ParseCascade(spec)
+		f, err := parseCascade(spec)
 		if err != nil {
 			t.Errorf("spec %q: %v", spec, err)
 			continue
@@ -68,11 +68,11 @@ func TestParseCascadeSpecs(t *testing.T) {
 		if k.Name() != wantName {
 			t.Errorf("spec %q: name %q, want %q", spec, k.Name(), wantName)
 		}
-		sk, ok := k.(StagedKernel)
+		c, ok := k.(*Cascade)
 		if !ok {
-			t.Fatalf("spec %q: cascade does not implement StagedKernel", spec)
+			t.Fatalf("spec %q: kernel %T is not a *Cascade", spec, k)
 		}
-		stages := sk.StageStats()
+		stages := c.StageStats()
 		if len(stages) != strings.Count(wantName, "+")+1 {
 			t.Errorf("spec %q: %d stages", spec, len(stages))
 		}
@@ -82,12 +82,22 @@ func TestParseCascadeSpecs(t *testing.T) {
 			}
 		}
 	}
-	// A registered cascade resolves like any kernel, and a cascade is not a
-	// valid stage of another cascade (the spec syntax cannot even express
-	// one, since '+' always splits).
+	// The canonical cascade resolves like any kernel. A cascade is not a
+	// valid stage of another cascade: the spec syntax cannot even express
+	// one, since '+' always splits.
 	if k, err := NewKernel("ug+wfa"); err != nil || k.Name() != "ug+wfa" {
-		t.Errorf("registered cascade: %v, %v", k, err)
+		t.Errorf("canonical cascade: %v, %v", k, err)
 	}
+}
+
+// mustCascade resolves a known-good cascade spec to a fresh Cascade.
+func mustCascade(t *testing.T, spec string) *Cascade {
+	t.Helper()
+	k, err := NewKernel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k.(*Cascade)
 }
 
 // The cascade gate: pairs whose prefilter score clears the stage threshold
@@ -97,11 +107,7 @@ func TestParseCascadeSpecs(t *testing.T) {
 func TestCascadeGateAndStageStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := DefaultParams()
-	f, err := ParseCascade("ug+sw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := f().(*Cascade)
+	k := mustCascade(t, "ug+sw")
 	sw, _ := NewKernel("sw")
 	ug, _ := NewKernel("ug")
 
@@ -166,7 +172,7 @@ func TestCascadeExplicitThreshold(t *testing.T) {
 	seeds := []Seed{{PosA: 0, PosB: 0, K: 6}}
 	copy(b[:6], a[:6])
 
-	strict := MustCascade("ug:100000+sw")().(*Cascade)
+	strict := mustCascade(t, "ug:100000+sw")
 	if _, err := strict.Align(a, b, seeds, p); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +180,7 @@ func TestCascadeExplicitThreshold(t *testing.T) {
 		t.Errorf("threshold 100000 should dismiss everything: %+v", st)
 	}
 
-	open := MustCascade("ug:0+sw")().(*Cascade)
+	open := mustCascade(t, "ug:0+sw")
 	if _, err := open.Align(a, b, seeds, p); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package align
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/alphabet"
+	"repro/internal/scoring"
 )
 
 // Seed is one shared k-mer occurrence on a candidate pair, expressed in the
@@ -65,51 +65,58 @@ type Kernel interface {
 	CellsComputed() int64
 }
 
-// kernelRegistry maps registered kernel names to factories, preserving
-// registration order so sweeps over kernels are deterministic.
-var kernelRegistry = struct {
-	mu        sync.RWMutex
-	factories map[string]func() Kernel
-	order     []string
-}{factories: map[string]func() Kernel{}}
-
-// RegisterKernel makes a kernel available under its factory's Name; the
-// name becomes a valid pipeline alignment mode (core.Config.Align,
-// cmd/pastis -align) and the kernel joins every registered-kernel sweep
-// (experiments, benchmarks). Panics on an empty or duplicate name — kernel
-// registration is init-time wiring, not a runtime condition.
-func RegisterKernel(factory func() Kernel) {
-	name := factory().Name()
-	kernelRegistry.mu.Lock()
-	defer kernelRegistry.mu.Unlock()
-	if name == "" {
-		panic("align: RegisterKernel with empty name")
-	}
-	if _, dup := kernelRegistry.factories[name]; dup {
-		panic("align: duplicate kernel " + name)
-	}
-	kernelRegistry.factories[name] = factory
-	kernelRegistry.order = append(kernelRegistry.order, name)
+// kernels is the kernel table: the primitive kernels, in the order every
+// kernel sweep (experiments, benchmarks) visits them. A row makes its name a
+// pipeline alignment mode (core.Config.Align, cmd/pastis -align) and a valid
+// cascade stage with no further wiring.
+var kernels = []struct {
+	name string
+	make func() Kernel
+}{
+	{"sw", func() Kernel { return &swKernel{} }},
+	{"xd", func() Kernel { return &xdKernel{} }},
+	{"wfa", func() Kernel { return &wfaKernel{} }},
+	{"ug", func() Kernel { return &ugKernel{} }},
 }
 
-// KernelFactory returns the factory registered under name. Names
-// containing '+' that are not themselves registered resolve as cascade
-// specs (ParseCascade): "ug:60+sw" is a valid kernel name everywhere a
-// registered one is, without needing registration.
+// canonicalCascade is the staged cascade (cascade.go) Kernels lists after
+// the primitives — ungapped prefilter, wavefront rescue — so kernel sweeps
+// exercise a cascade; other specs ("ug+sw", "ug:60+xd", ...) resolve the
+// same way through KernelFactory.
+const canonicalCascade = "ug+wfa"
+
+// primitive looks name up in the kernel table.
+func primitive(name string) (func() Kernel, bool) {
+	for _, row := range kernels {
+		if row.name == name {
+			return row.make, true
+		}
+	}
+	return nil, false
+}
+
+// primitiveNames lists the kernel table's names in table order.
+func primitiveNames() []string {
+	names := make([]string, len(kernels))
+	for i, row := range kernels {
+		names[i] = row.name
+	}
+	return names
+}
+
+// KernelFactory returns the factory for a kernel table name, or for a
+// cascade spec when name contains '+' ("ug:60+sw"; see parseCascade).
 func KernelFactory(name string) (func() Kernel, error) {
-	kernelRegistry.mu.RLock()
-	f, ok := kernelRegistry.factories[name]
-	kernelRegistry.mu.RUnlock()
-	if ok {
+	if f, ok := primitive(name); ok {
 		return f, nil
 	}
 	if strings.Contains(name, "+") {
-		return ParseCascade(name)
+		return parseCascade(name)
 	}
-	return nil, fmt.Errorf("align: unknown kernel %q (registered: %v)", name, Kernels())
+	return nil, fmt.Errorf("align: unknown kernel %q (kernels: %v)", name, Kernels())
 }
 
-// NewKernel instantiates the kernel registered under name.
+// NewKernel instantiates the kernel KernelFactory resolves name to.
 func NewKernel(name string) (Kernel, error) {
 	f, err := KernelFactory(name)
 	if err != nil {
@@ -118,68 +125,61 @@ func NewKernel(name string) (Kernel, error) {
 	return f(), nil
 }
 
-// Kernels lists the registered kernel names in registration order
-// (sw, xd, wfa, ug, then the canonical ug+wfa cascade for the built-ins).
+// Kernels lists the kernel table's names in table order (sw, xd, wfa, ug),
+// then the canonical ug+wfa cascade.
 func Kernels() []string {
-	kernelRegistry.mu.RLock()
-	defer kernelRegistry.mu.RUnlock()
-	return kernelNamesLocked()
-}
-
-func kernelNamesLocked() []string {
-	return append([]string(nil), kernelRegistry.order...)
-}
-
-func init() {
-	RegisterKernel(func() Kernel { return &swKernel{al: NewAligner()} })
-	RegisterKernel(func() Kernel { return &xdKernel{al: NewAligner()} })
-	RegisterKernel(func() Kernel { return newWFAKernel() })
-	RegisterKernel(func() Kernel { return &ugKernel{al: NewAligner()} })
-	// The canonical staged cascade (cascade.go): ungapped prefilter, wavefront
-	// rescue — registered so kernel sweeps exercise a cascade; other specs
-	// ("ug+sw", "ug:60+xd", ...) resolve dynamically through KernelFactory.
-	RegisterKernel(MustCascade("ug+wfa"))
+	return append(primitiveNames(), canonicalCascade)
 }
 
 // swKernel is full Smith-Waterman local alignment (PASTIS-SW): exact and
-// seed-oblivious, at the full la×lb DP cost.
+// seed-oblivious, at the full la×lb DP cost. It owns the DP's rolling score
+// rows and packed direction matrix, grown to the largest pair seen and never
+// cleared between pairs (smithWaterman writes every cell it reads).
 type swKernel struct {
-	al    *Aligner
-	cells int64
+	prevH, curH []int32
+	prevE, curE []int32
+	prevF, curF []int32
+	dirs        []byte
+	cells       int64
 }
 
-func (k *swKernel) Name() string { return "sw" }
+func (sw *swKernel) Name() string { return "sw" }
 
-func (k *swKernel) Align(a, b []alphabet.Code, _ []Seed, p Params) (Result, error) {
-	r := k.al.SmithWaterman(a, b, p.Scoring)
-	k.cells += r.Cells
+func (sw *swKernel) Align(a, b []alphabet.Code, _ []Seed, p Params) (Result, error) {
+	r := sw.smithWaterman(a, b, p)
+	sw.cells += r.Cells
 	return r, nil
 }
 
-func (k *swKernel) CellsComputed() int64 { return k.cells }
+func (sw *swKernel) CellsComputed() int64 { return sw.cells }
 
 // xdKernel is seed-and-extend with gapped x-drop termination (PASTIS-XD):
 // each seed extends toward both sequence ends, pruning cells that fall
-// XDrop below the running best.
+// XDrop below the running best. It owns the extension rows (see xdCell),
+// the seed-reversal scratch and the diagonal-step table of the scoring
+// matrix last used (xdPrepare); a warm instance aligns without allocating.
 type xdKernel struct {
-	al    *Aligner
-	cells int64
+	xdPrev, xdCur []xdCell
+	revA, revB    []alphabet.Code
+	xdDiag        [alphabet.Size][alphabet.Size]int64
+	xdMatrix      *scoring.Matrix
+	xdMatrixMax   int
+	cells         int64
 }
 
-func (k *xdKernel) Name() string { return "xd" }
+func (xd *xdKernel) Name() string { return "xd" }
 
-func (k *xdKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, error) {
-	xp := XDropParams{Scoring: p.Scoring, XDrop: p.XDrop}
+func (xd *xdKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, error) {
 	var best Result
 	for _, s := range seeds {
 		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
 			continue // seed fell off due to an inconsistent position
 		}
-		res, err := k.al.XDrop(a, b, s.PosA, s.PosB, s.K, xp)
+		res, err := xd.xDrop(a, b, s.PosA, s.PosB, s.K, p)
 		if err != nil {
 			return Result{}, err
 		}
-		k.cells += res.Cells
+		xd.cells += res.Cells
 		if res.Score > best.Score {
 			best = res
 		}
@@ -187,13 +187,13 @@ func (k *xdKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, 
 	return best, nil
 }
 
-func (k *xdKernel) CellsComputed() int64 { return k.cells }
+func (xd *xdKernel) CellsComputed() int64 { return xd.cells }
 
 // ugKernel is ungapped diagonal extension around each seed (the MMseqs2
 // prefilter alignment): the cheapest kernel, linear in the extension length
-// with no gap handling, trading recall on gapped homologies for cost.
+// with no gap handling, trading recall on gapped homologies for cost. The
+// scan needs no buffers, so the kernel is just its cell counter.
 type ugKernel struct {
-	al    *Aligner
 	cells int64
 }
 
@@ -205,7 +205,7 @@ func (k *ugKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, 
 		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
 			continue // seed fell off due to an inconsistent position
 		}
-		res := k.al.UngappedExtend(a, b, s.PosA, s.PosB, s.K, p.Scoring, p.XDrop)
+		res := ungappedExtend(a, b, s.PosA, s.PosB, s.K, p)
 		k.cells += res.Cells
 		if res.Score > best.Score {
 			best = res

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -37,16 +39,14 @@ func aniAccept(r Result, lenA, lenB int) bool {
 	return r.Identity() >= 0.30 && r.CoverageShorter(lenA, lenB) >= 0.70
 }
 
-func TestKernelRegistry(t *testing.T) {
+// Kernels lists the four table kernels and the canonical cascade, each of
+// which resolves to a fresh instance reporting that name; a cascade stage
+// must be one of the four.
+func TestKernelTable(t *testing.T) {
 	names := Kernels()
 	want := []string{"sw", "xd", "wfa", "ug", "ug+wfa"}
-	if len(names) != len(want) {
-		t.Fatalf("registered kernels %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("registered kernels %v, want %v", names, want)
-		}
+	if !slices.Equal(names, want) {
+		t.Fatalf("kernels %v, want %v", names, want)
 	}
 	for _, n := range names {
 		k, err := NewKernel(n)
@@ -62,6 +62,10 @@ func TestKernelRegistry(t *testing.T) {
 	}
 	if _, err := NewKernel("nope"); err == nil {
 		t.Error("unknown kernel should fail")
+	}
+	_, err := NewKernel("ug+nope")
+	if err == nil || !strings.Contains(err.Error(), "[sw xd wfa ug]") {
+		t.Errorf("cascade with a stage outside the table: %v, want an error naming [sw xd wfa ug]", err)
 	}
 }
 
@@ -154,7 +158,7 @@ func TestWFABridgesGap(t *testing.T) {
 	}
 }
 
-// Every registered kernel must be orientation-symmetric under pair swap:
+// Every listed kernel must be orientation-symmetric under pair swap:
 // Align(a,b) and Align(b,a) produce the same score and column statistics
 // with the A/B spans mirrored. This is the canonical-orientation invariant
 // alignPair relies on for bit-identical similarity graphs — the mirror
@@ -300,7 +304,7 @@ func TestKernelReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// BenchmarkAlignKernels sweeps every registered kernel over identity and
+// BenchmarkAlignKernels sweeps every listed kernel over identity and
 // length, reporting DP cells per pair next to wall time: the table that
 // shows where each kernel's cost regime sits (sw flat in identity, xd/wfa
 // shrinking as identity rises, ug near-free).

@@ -136,8 +136,6 @@ type wfaKernel struct {
 	selfMatrix *scoring.Matrix
 }
 
-func newWFAKernel() *wfaKernel { return &wfaKernel{} }
-
 func (w *wfaKernel) Name() string { return "wfa" }
 
 func (w *wfaKernel) CellsComputed() int64 { return w.cells }

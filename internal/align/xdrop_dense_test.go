@@ -31,8 +31,8 @@ type denseAligner struct {
 	revA, revB          []alphabet.Code
 }
 
-// xDropDense is XDrop with the dense-clear reference extension.
-func (al *denseAligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p XDropParams) (Result, error) {
+// xDropDense is xDrop with the dense-clear reference extension.
+func (al *denseAligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p Params) (Result, error) {
 	if seedA < 0 || seedB < 0 || seedA+k > len(a) || seedB+k > len(b) {
 		return Result{}, fmt.Errorf("align: seed (%d,%d,k=%d) outside sequences %d/%d",
 			seedA, seedB, k, len(a), len(b))
@@ -61,7 +61,7 @@ func (al *denseAligner) xDropDense(a, b []alphabet.Code, seedA, seedB, k int, p 
 }
 
 // xdropExtendDense is the pre-rewrite extension loop.
-func (al *denseAligner) xdropExtendDense(a, b []alphabet.Code, p XDropParams) extension {
+func (al *denseAligner) xdropExtendDense(a, b []alphabet.Code, p Params) extension {
 	if len(a) == 0 || len(b) == 0 {
 		return extension{}
 	}
@@ -172,9 +172,9 @@ func (al *denseAligner) xdropExtendDense(a, b []alphabet.Code, p XDropParams) ex
 // diffXDrop runs one seeded pair through the kernel and the reference and
 // fails unless the whole Result — score, statistics, extents and the cell
 // tally the virtual clock is charged from — and the error status agree.
-func diffXDrop(t testing.TB, al *Aligner, ref *denseAligner, x, y []alphabet.Code, seedA, seedB, k int, p XDropParams) {
+func diffXDrop(t testing.TB, xd *xdKernel, ref *denseAligner, x, y []alphabet.Code, seedA, seedB, k int, p Params) {
 	t.Helper()
-	got, err1 := al.XDrop(x, y, seedA, seedB, k, p)
+	got, err1 := xd.xDrop(x, y, seedA, seedB, k, p)
 	want, err2 := ref.xDropDense(x, y, seedA, seedB, k, p)
 	if (err1 == nil) != (err2 == nil) || got != want {
 		t.Fatalf("lens %d/%d seed (%d,%d,k=%d) xdrop %d gaps (%d,%d):\npacked %+v (%v)\ndense  %+v (%v)",
@@ -241,7 +241,7 @@ var diffPairKinds = []struct {
 // either end of a sequence (an empty flank).
 func TestXDropDenseMatchesBanded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	al, ref := NewAligner(), &denseAligner{}
+	xd, ref := new(xdKernel), &denseAligner{}
 	trials := 24
 	if testing.Short() {
 		trials = 6
@@ -249,7 +249,7 @@ func TestXDropDenseMatchesBanded(t *testing.T) {
 	const k = 6
 	for _, xdrop := range []int{0, 10, 49, 200} {
 		for _, gap := range [][2]int{{11, 1}, {5, 2}, {0, 1}} {
-			p := XDropParams{Scoring: Scoring{Matrix: DefaultScoring().Matrix, GapOpen: gap[0], GapExtend: gap[1]}, XDrop: xdrop}
+			p := Params{Scoring: Scoring{Matrix: DefaultScoring().Matrix, GapOpen: gap[0], GapExtend: gap[1]}, XDrop: xdrop}
 			for _, kind := range diffPairKinds {
 				for trial := 0; trial < trials; trial++ {
 					x, y := kind.make(rng, k+rng.Intn(700-k))
@@ -261,7 +261,7 @@ func TestXDropDenseMatchesBanded(t *testing.T) {
 					case 2: // an empty flank on one side of each sequence
 						seedA, seedB = (len(x)-k)*rng.Intn(2), (len(y)-k)*rng.Intn(2)
 					}
-					diffXDrop(t, al, ref, x, y, seedA, seedB, k, p)
+					diffXDrop(t, xd, ref, x, y, seedA, seedB, k, p)
 				}
 			}
 		}
@@ -282,7 +282,7 @@ func FuzzXDropMatchesDense(f *testing.F) {
 	f.Add(twoLetter, twoLetter[3:], uint16(7), uint16(0), uint8(4), uint16(10), uint8(5), uint8(2))
 	f.Add(twoLetter, protein, uint16(0), uint16(0), uint8(0), uint16(0), uint8(0), uint8(0))
 	f.Add([]byte("W"), []byte("W"), uint16(0), uint16(0), uint8(1), uint16(49), uint8(11), uint8(1))
-	al, ref := NewAligner(), &denseAligner{}
+	xd, ref := new(xdKernel), &denseAligner{}
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, seedA, seedB uint16, k uint8, xdrop uint16, gapOpen, gapExtend uint8) {
 		const maxLen = 1 << 10 // keeps the reference's la x lb row clears cheap
 		toCodes := func(raw []byte) []alphabet.Code {
@@ -295,10 +295,10 @@ func FuzzXDropMatchesDense(f *testing.F) {
 		}
 		x, y := toCodes(rawA), toCodes(rawB)
 		kk := min(int(k)%8, len(x), len(y))
-		p := XDropParams{
+		p := Params{
 			Scoring: Scoring{Matrix: DefaultScoring().Matrix, GapOpen: int(gapOpen), GapExtend: int(gapExtend)},
 			XDrop:   int(xdrop),
 		}
-		diffXDrop(t, al, ref, x, y, int(seedA)%(len(x)-kk+1), int(seedB)%(len(y)-kk+1), kk, p)
+		diffXDrop(t, xd, ref, x, y, int(seedA)%(len(x)-kk+1), int(seedB)%(len(y)-kk+1), kk, p)
 	})
 }

@@ -125,7 +125,7 @@ func TestPipelineFindsFamilies(t *testing.T) {
 
 // The similarity graph and every Stats counter must be identical for every
 // process count — the paper's reproducibility guarantee (Section V) — for
-// every registered alignment kernel, and for every wave count on top. Seeds
+// every listed alignment kernel, and for every wave count on top. Seeds
 // are chosen and pairs aligned in the pair's frame (types.go), so neither
 // the seed choice nor a kernel's tie-breaking can see which block owns a
 // pair. The metaclust-like inputs are the ones that gave it away before:
@@ -597,8 +597,12 @@ func TestValidateAlignParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	xd, err := align.NewKernel("xd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	kernelTakes := func(cfg Config) error {
-		_, err := align.NewAligner().XDrop(s, s, 6, 6, 6, align.XDropParams{
+		_, err := xd.Align(s, s, []align.Seed{{PosA: 6, PosB: 6, K: 6}}, align.Params{
 			Scoring: align.Scoring{Matrix: scoring.BLOSUM62, GapOpen: cfg.GapOpen, GapExtend: cfg.GapExtend},
 			XDrop:   cfg.XDropValue,
 		})

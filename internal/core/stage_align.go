@@ -119,7 +119,7 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config
 // bit-identical to a serial pass for any thread count.
 //
 // The chunk loop is kernel-oblivious: cfg.Align resolves a factory from the
-// align package's registry, every pair dispatches through align.Kernel, and
+// align package's kernel table, every pair dispatches through align.Kernel, and
 // the cells charged to the virtual clock come from the kernels' own
 // CellsComputed accounting (per-chunk deltas, summed in chunk order). When
 // the kernel is a staged cascade, the per-stage pair/cell tallies of every
@@ -226,8 +226,8 @@ func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
 	// for any thread count.
 	var stages []align.StageStats
 	for i := range workers {
-		if sk, ok := workers[i].kernel.(align.StagedKernel); ok {
-			stages = align.MergeStageStats(stages, sk.StageStats())
+		if c, ok := workers[i].kernel.(*align.Cascade); ok {
+			stages = align.MergeStageStats(stages, c.StageStats())
 		}
 	}
 	return edges, aligned, cells, stages, nil

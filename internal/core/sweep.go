@@ -267,11 +267,11 @@ func reduceStageStats(comm *mpi.Comm, cfg Config, local []align.StageStats, stat
 	if err != nil {
 		return nil // unreachable after validate; stage stats are best-effort
 	}
-	staged, ok := factory().(align.StagedKernel)
+	cascade, ok := factory().(*align.Cascade)
 	if !ok {
 		return nil
 	}
-	template := staged.StageStats() // fresh instance: zero counters, names set
+	template := cascade.StageStats() // fresh instance: zero counters, names set
 	stats.PairsPerStage = make([]StagePairs, len(template))
 	stats.CellsPerStage = make([]int64, len(template))
 	for i, st := range template {

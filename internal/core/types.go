@@ -12,7 +12,7 @@
 // panel's SUMMA stages. All-vs-all is build + sweep with the query panel
 // equal to the database; BuildIndex is build + persist; Query sweeps a
 // batch panel against a loaded index. Alignment
-// dispatches through the align package's kernel registry — Config.Align
+// dispatches through the align package's kernel table — Config.Align
 // names a primitive kernel ("sw", "xd", "wfa", "ug") or a staged cascade
 // spec ("ug+wfa"); cascade runs surface per-stage pair and cell
 // breakdowns in Stats. The similarity graph and Stats are bit-identical for
@@ -35,12 +35,12 @@ import (
 
 // AlignMode selects the pairwise alignment kernel by name (paper Section
 // IV-E). Valid values are AlignNone and the names the align package's
-// KernelFactory resolves — the built-ins below, anything registered via
-// align.RegisterKernel, and staged cascade specs composing registered
-// kernels ("ug+wfa", "ug:60+sw") — so new kernels and kernel combinations
-// become pipeline modes without touching this package. The zero value ("")
-// is invalid, consistent with the zero Config being unrunnable: validation
-// rejects it with the registered-kernel list; start from DefaultConfig.
+// KernelFactory resolves — the four kernel-table names below and staged
+// cascade specs composing them ("ug+wfa", "ug:60+sw") — so a new table
+// kernel and any kernel combination become pipeline modes without touching
+// this package. The zero value ("") is invalid, consistent with the zero
+// Config being unrunnable: validation rejects it with the kernel list;
+// start from DefaultConfig.
 type AlignMode string
 
 const (
@@ -71,8 +71,8 @@ func (m AlignMode) String() string {
 	return strings.ToUpper(string(m))
 }
 
-// KernelModes lists every registered alignment kernel as an AlignMode, in
-// registration order (sw, xd, wfa, ug for the built-ins). Experiments sweep
+// KernelModes lists every alignment kernel align.Kernels names as an
+// AlignMode, in its order (sw, xd, wfa, ug, ug+wfa). Experiments sweep
 // this instead of hard-coding kernel lists.
 func KernelModes() []AlignMode {
 	names := align.Kernels()

@@ -256,7 +256,7 @@ func TestBlockedWavesShape(t *testing.T) {
 	}
 }
 
-// Kernels: one row per registered kernel; the experiment itself asserts the
+// Kernels: one row per listed kernel; the experiment itself asserts the
 // acceptance contract (wfa graph identical to sw at >=5x fewer cells on the
 // high-identity workload), so a clean run is the real check. The shape
 // assertions here cover the rest: sw computes the most cells, ug the least.
@@ -293,7 +293,7 @@ func TestKernelsExperimentShape(t *testing.T) {
 // graph identical to pure sw at >=3x fewer cells, nonzero prefilter
 // rejects) on both workloads, so a clean run is the real check. The shape
 // assertions cover the rest: cascade rows carry a stage breakdown, pure
-// rows do not, and the registered ug+wfa cascade undercuts pure wfa.
+// rows do not, and the canonical ug+wfa cascade undercuts pure wfa.
 func TestCascadeExperimentShape(t *testing.T) {
 	sc := testScale()
 	tb, err := CascadeStaged(sc)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/synth"
 )
 
-// Kernels compares every registered alignment kernel on high-identity
+// Kernels compares every listed alignment kernel on high-identity
 // synthetic families — the regime the post-SpGEMM candidate set lives in,
 // where cheap kernels are the main scaling lever (extreme-scale follow-up,
 // arXiv:2303.01845). One dataset, one node count, one kernel per run: the

@@ -18,7 +18,7 @@ type pastisVariant struct {
 }
 
 // fig12Variants are the PASTIS configurations of Fig. 12 generalized to
-// every registered alignment kernel: {registered kernels} x {s=0, s=25} x
+// every listed alignment kernel: {align.Kernels()} x {s=0, s=25} x
 // {plain, CK}, with the paper's CK thresholds (t=1 for exact k-mers, t=3
 // for substitute k-mers). The paper's eight variants are the sw/xd subset.
 func fig12Variants(subs int) []pastisVariant {

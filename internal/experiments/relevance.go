@@ -98,7 +98,7 @@ func Fig17(sc Scale) (*Table, error) {
 	}
 	n := len(data.Records)
 
-	// Every registered kernel joins the sweep (the paper's Fig. 17 covers
+	// Every listed kernel joins the sweep (the paper's Fig. 17 covers
 	// SW and XD; wfa and ug extend the same grid): the full substitute
 	// sweep without CK, plus the paper's s={0,25} CK points.
 	var runs []relevanceRun

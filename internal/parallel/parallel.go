@@ -1,5 +1,5 @@
 // Package parallel is the intra-rank shared-memory execution layer: a
-// bounded worker pool plus a deterministic chunked parallel-for. PASTIS runs
+// deterministic chunked parallel-for over a bounded set of goroutines. PASTIS runs
 // one MPI rank per node with OpenMP threads inside (paper Section VI; the
 // follow-up extreme-scale paper makes hybrid parallelism the centerpiece).
 // This package is the Go analog: each simulated rank fans its column chunks
@@ -57,67 +57,15 @@ func ChunkRange(n, nchunks, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Pool is a bounded worker pool: a fixed set of goroutines executing
-// submitted tasks. Tasks receive the index of the worker running them
-// (0 <= worker < Workers), so callers can keep per-worker scratch state
-// (e.g. reusable alignment DP buffers) without locking.
-type Pool struct {
-	workers  int
-	tasks    chan func(worker int)
-	stopped  sync.WaitGroup // worker goroutines
-	inflight sync.WaitGroup // submitted but unfinished tasks
-}
-
-// NewPool starts a pool of the given worker count (clamped to >= 1).
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers, tasks: make(chan func(int))}
-	p.stopped.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer p.stopped.Done()
-			for task := range p.tasks {
-				task(worker)
-				p.inflight.Done()
-			}
-		}(w)
-	}
-	return p
-}
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task; it blocks while all workers are busy (the channel
-// is unbuffered), which bounds the number of in-flight tasks and gives the
-// streaming producers natural backpressure.
-func (p *Pool) Submit(task func(worker int)) {
-	p.inflight.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has finished. The pool remains
-// usable afterwards.
-func (p *Pool) Wait() { p.inflight.Wait() }
-
-// Close waits for outstanding tasks and stops the workers. The pool must not
-// be used after Close.
-func (p *Pool) Close() {
-	p.inflight.Wait()
-	close(p.tasks)
-	p.stopped.Wait()
-}
-
 // ForChunks splits [0,n) into nchunks contiguous chunks and invokes
-// body(worker, chunk, lo, hi) once per nonempty chunk, running at most
-// Workers(threads) bodies concurrently on a Pool. Chunks are handed out
+// body(worker, chunk, lo, hi) once per nonempty chunk on at most
+// Workers(threads) goroutines, one per worker index. Chunks are handed out
 // dynamically so uneven chunks balance, but chunk boundaries are fixed by
 // (n, nchunks) alone: callers that write per-chunk results into a slot
 // array indexed by chunk and merge in chunk order get
-// scheduling-independent output. The worker index passed to body supports
-// lock-free per-worker scratch state.
+// scheduling-independent output. A worker index is never passed to two
+// concurrent bodies, so body may keep lock-free per-worker scratch state
+// (e.g. reusable alignment DP buffers) in a slice indexed by it.
 func ForChunks(threads, n, nchunks int, body func(worker, chunk, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -139,12 +87,14 @@ func ForChunks(threads, n, nchunks int, body func(worker, chunk, lo, hi int)) {
 		}
 		return
 	}
+	// Each worker pulls chunk indices from the shared counter until none
+	// remain; worker w is the only goroutine that ever passes w to body.
 	var next atomic.Int64
-	pool := NewPool(workers)
+	var done sync.WaitGroup
+	done.Add(workers)
 	for w := 0; w < workers; w++ {
-		// One drain task per worker: each pulls chunk indices from the
-		// shared counter until none remain.
-		pool.Submit(func(worker int) {
+		go func(worker int) {
+			defer done.Done()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nchunks {
@@ -153,9 +103,9 @@ func ForChunks(threads, n, nchunks int, body func(worker, chunk, lo, hi int)) {
 				lo, hi := ChunkRange(n, nchunks, c)
 				body(worker, c, lo, hi)
 			}
-		})
+		}(w)
 	}
-	pool.Close()
+	done.Wait()
 }
 
 // For is ForChunks with one chunk per worker: the classic static parallel-for.

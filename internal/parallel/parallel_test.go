@@ -59,64 +59,10 @@ func TestResolveAndWorkers(t *testing.T) {
 	}
 }
 
-// The pool must run every submitted task exactly once, hand out worker ids
-// within range, and never run two tasks on the same worker concurrently.
-// Run with -race to validate the synchronization.
-func TestPoolRunsAllTasks(t *testing.T) {
-	const workers, tasks = 8, 200
-	p := NewPool(workers)
-	defer p.Close()
-	if p.Workers() != workers {
-		t.Fatalf("Workers() = %d", p.Workers())
-	}
-	var ran atomic.Int64
-	busy := make([]atomic.Bool, workers)
-	for i := 0; i < tasks; i++ {
-		p.Submit(func(w int) {
-			if w < 0 || w >= workers {
-				t.Errorf("worker id %d out of range", w)
-			}
-			if !busy[w].CompareAndSwap(false, true) {
-				t.Errorf("worker %d ran two tasks concurrently", w)
-			}
-			ran.Add(1)
-			busy[w].Store(false)
-		})
-	}
-	p.Wait()
-	if got := ran.Load(); got != tasks {
-		t.Errorf("ran %d of %d tasks", got, tasks)
-	}
-	// The pool is reusable after Wait.
-	p.Submit(func(int) { ran.Add(1) })
-	p.Wait()
-	if got := ran.Load(); got != tasks+1 {
-		t.Errorf("pool not reusable: ran %d", got)
-	}
-}
-
-// Per-worker scratch state must be safe without locks: each worker slot is
-// only ever touched by the goroutine owning that worker id.
-func TestPoolPerWorkerState(t *testing.T) {
-	const workers = 4
-	p := NewPool(workers)
-	defer p.Close()
-	counts := make([]int, workers) // intentionally unsynchronized
-	for i := 0; i < 100; i++ {
-		p.Submit(func(w int) { counts[w]++ })
-	}
-	p.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 100 {
-		t.Errorf("per-worker counts sum to %d", total)
-	}
-}
-
 // ForChunks output must be identical for every thread count: same chunks,
-// same coverage, regardless of scheduling.
+// same coverage, regardless of scheduling. Worker indices stay in
+// [0, Workers(threads)) and are never shared by two concurrent bodies, so
+// an unsynchronized per-worker slice is safe (run with -race).
 func TestForChunksDeterministicCoverage(t *testing.T) {
 	const n, nchunks = 1000, 13
 	reference := make([][2]int, nchunks)
@@ -125,10 +71,21 @@ func TestForChunksDeterministicCoverage(t *testing.T) {
 		reference[c] = [2]int{lo, hi}
 	}
 	for _, threads := range []int{1, 2, 3, 8, 64} {
+		workers := Workers(threads)
 		got := make([][2]int, nchunks)
 		var mu sync.Mutex
 		covered := make([]bool, n)
+		busy := make([]atomic.Bool, workers)
+		perWorker := make([]int, workers) // intentionally unsynchronized
 		ForChunks(threads, n, nchunks, func(w, chunk, lo, hi int) {
+			if w < 0 || w >= workers {
+				t.Errorf("threads=%d: worker index %d outside [0,%d)", threads, w, workers)
+				return
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("threads=%d: worker %d ran two bodies concurrently", threads, w)
+			}
+			perWorker[w] += hi - lo
 			got[chunk] = [2]int{lo, hi} // distinct chunk slots: no race
 			mu.Lock()
 			for i := lo; i < hi; i++ {
@@ -138,6 +95,7 @@ func TestForChunksDeterministicCoverage(t *testing.T) {
 				covered[i] = true
 			}
 			mu.Unlock()
+			busy[w].Store(false)
 		})
 		for i, ok := range covered {
 			if !ok {
@@ -148,6 +106,13 @@ func TestForChunksDeterministicCoverage(t *testing.T) {
 			if got[c] != reference[c] {
 				t.Errorf("threads=%d: chunk %d = %v, want %v", threads, c, got[c], reference[c])
 			}
+		}
+		total := 0
+		for _, c := range perWorker {
+			total += c
+		}
+		if total != n {
+			t.Errorf("threads=%d: per-worker counts sum to %d, want %d", threads, total, n)
 		}
 	}
 }

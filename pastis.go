@@ -87,7 +87,7 @@ type (
 	// StagePairs is the per-stage pair accounting of a cascade run
 	// (Stats.PairsPerStage).
 	StagePairs = core.StagePairs
-	// AlignMode selects the pairwise alignment kernel by registry name.
+	// AlignMode selects the pairwise alignment kernel by kernel-table name.
 	AlignMode = core.AlignMode
 	// WeightMode selects ANI or normalized-score edge weights.
 	WeightMode = core.WeightMode
@@ -100,11 +100,10 @@ type (
 )
 
 // Alignment and weighting mode constants. Alignment modes name kernels in
-// the align package's registry: sw (Smith-Waterman), xd (x-drop seed
+// the align package's kernel table: sw (Smith-Waterman), xd (x-drop seed
 // extension), wfa (adaptive wavefront), ug (ungapped seed extension); any
-// kernel registered via align.RegisterKernel is equally valid as an
-// AlignMode value, as is any cascade spec ("ug+wfa", "ug:60+sw") composing
-// registered kernels into a staged prefilter → rescue filter.
+// cascade spec ("ug+wfa", "ug:60+sw") composing them into a staged
+// prefilter → rescue filter is equally valid as an AlignMode value.
 const (
 	AlignXDrop    = core.AlignXDrop
 	AlignSW       = core.AlignSW
@@ -115,8 +114,8 @@ const (
 	WeightNS      = core.WeightNS
 )
 
-// Kernels lists the registered alignment-kernel names (valid Config.Align
-// values besides AlignNone) in registration order.
+// Kernels lists the alignment-kernel names (valid Config.Align values
+// besides AlignNone) in kernel-table order, then the canonical cascade.
 func Kernels() []string {
 	modes := core.KernelModes()
 	names := make([]string, len(modes))

@@ -258,7 +258,7 @@ func runQuery(args []string) {
 		fmt.Fprintf(os.Stderr, "queries:        %d (%d cached, %d computed)\n",
 			len(queries), res.CacheHits, res.CacheMisses)
 		fmt.Fprintf(os.Stderr, "database:       %d sequences on %d nodes\n", eng.Sequences(), eng.Nodes())
-		fmt.Fprintf(os.Stderr, "nnz(B):         %d (pruned: %d)\n", s.NNZB, s.NNZBPruned)
+		fmt.Fprintf(os.Stderr, "nnz(B):         %d owned pairs (pruned: %d)\n", s.NNZB, s.NNZBPruned)
 		fmt.Fprintf(os.Stderr, "pairs aligned:  %d\n", s.PairsAligned)
 		fmt.Fprintf(os.Stderr, "hits:           %d\n", len(res.Hits))
 		fmt.Fprintf(os.Stderr, "virtual time:   %.4g s\n", res.Time)
@@ -324,7 +324,7 @@ func printStats(res *pastis.Result, alignFl string, blocks int) {
 	fmt.Fprintf(os.Stderr, "k-mers:         %d\n", s.KmersTotal)
 	fmt.Fprintf(os.Stderr, "nnz(A):         %d\n", s.NNZA)
 	fmt.Fprintf(os.Stderr, "nnz(AS):        %d\n", s.NNZAS)
-	fmt.Fprintf(os.Stderr, "nnz(B):         %d (pruned: %d)\n", s.NNZB, s.NNZBPruned)
+	fmt.Fprintf(os.Stderr, "nnz(B):         %d owned pairs (pruned: %d)\n", s.NNZB, s.NNZBPruned)
 	fmt.Fprintf(os.Stderr, "pairs aligned:  %d\n", s.PairsAligned)
 	fmt.Fprintf(os.Stderr, "dp cells:       %d (%s kernel)\n", s.CellsComputed, alignFl)
 	for i, sp := range s.PairsPerStage {

@@ -22,6 +22,10 @@
 # here as well as dumped: the edge TSV and the counters of -stats (everything
 # above "virtual time") must equal the 4-node run's, or the script exits 1
 # after writing everything — the graph does not depend on the rank count.
+# The Blocks 4 rows are checked the same way against the Blocks 1 shared row
+# of their -subs, on every transport: a wave count moves the bills, never
+# the graph or a counter (nnz(B) counts the pairs a run owns, not what a
+# split happens to form).
 set -euo pipefail
 out=${1:?usage: bit-identity.sh OUT}
 mkdir -p "$out"
@@ -45,6 +49,15 @@ for subs in 0 10; do
       grep -v '^tcp comm wall' "$out/avsa-$tag.raw" > "$out/avsa-$tag.stats"
       rm "$out/avsa-$tag.raw"
     done
+  done
+  ref="$out/avsa-subs$subs-b1-shared"
+  for transport in shared codec tcp; do
+    row="$out/avsa-subs$subs-b4-$transport"
+    if ! cmp -s "$row.tsv" "$ref.tsv" ||
+      ! diff <(sed '/^virtual time/,$d' "$row.stats") <(sed '/^virtual time/,$d' "$ref.stats") >&2; then
+      echo "bit-identity: -subs $subs Blocks 4 on $transport disagrees with Blocks 1 (graph or counters)" >&2
+      status=1
+    fi
   done
   if [ "$subs" = 10 ]; then
     ref="$out/avsa-subs10-b1-shared"

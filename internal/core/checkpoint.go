@@ -38,9 +38,12 @@ import (
 // magic; version 2 is this layout, but its edges were aligned from seeds
 // chosen before every Overlap lived in its pair's frame (types.go), and a
 // resume must not splice them into a graph built from the seeds of today.
-// The container rejects both by version, so an old file is simply not
+// Version 3 has this layout too, but its NnzB/NnzPruned counted every
+// nonzero of the panels formed, where version 4 counts the pairs the rank
+// owns (Stats.NNZB): resumed, it would sum two meanings into one counter.
+// The container rejects all three by version, so an old file is simply not
 // resumable and the run restarts in full.
-var ckptFormat = wire.Format{Magic: "PASTISCK", Version: 3}
+var ckptFormat = wire.Format{Magic: "PASTISCK", Version: 4}
 
 // checkpointer is a sweep's checkpoint policy: where its waves are saved,
 // the run identity they are saved under, and — on a resumed run — the state

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -164,16 +165,22 @@ func goldenV1Checkpoint(t testing.TB) []byte {
 	return raw
 }
 
-// An old-format checkpoint is not resumable — v1, a private layout, or v2,
-// today's layout holding edges aligned from pre-frame seeds: the scan skips
-// it, a direct load names the version, and a -resume run over a directory
-// holding only such files of this very run restarts in full — same graph, no
-// panic, nothing of the old file's state blended in.
+// An old-format checkpoint is not resumable — v1, a private layout; v2,
+// today's layout holding edges aligned from pre-frame seeds; or v3, today's
+// layout whose nonzero counters counted whole panels, not owned pairs: the
+// scan skips it, a direct load names the version, and a -resume run over a
+// directory holding only such files of this very run restarts in full — same
+// graph, same Stats, no panic, nothing of the old file's state blended in.
 func TestCheckpointV1Skipped(t *testing.T) {
 	golden := goldenV1Checkpoint(t)
 	v2 := wire.Format{Magic: ckptFormat.Magic, Version: 2}
+	v3 := wire.Format{Magic: ckptFormat.Magic, Version: 3}
 	bogus := checkpointState{Wave: 2, Blocks: 4, Aligned: 5, Cells: 1234,
 		Edges: []Edge{{R: 1, C: 2, Weight: 0.5, Ident: 0.75, Cov: 0.9, NS: 1.25, Score: 42}}}
+	// A v3 file's counters: every nonzero of its panels, self pairs and
+	// mirrored pairs included.
+	wholePanels := bogus
+	wholePanels.NnzB, wholePanels.NnzPruned = 977, 531
 	data := familyDataset(t, 4, 71)
 	cfg := DefaultConfig()
 	cfg.Blocks = 4
@@ -195,6 +202,7 @@ func TestCheckpointV1Skipped(t *testing.T) {
 			return wire.AppendU64(mine, wire.Checksum(wire.ChecksumInit, mine))
 		}},
 		{"version 2", func(fp uint64) []byte { return v2.Encode(checkpointFile(fp, 0, 1, bogus)) }},
+		{"version 3", func(fp uint64) []byte { return v3.Encode(checkpointFile(fp, 0, 1, wholePanels)) }},
 	} {
 		dir := t.TempDir()
 		path := checkpointPath(dir, 0, 2)
@@ -204,7 +212,7 @@ func TestCheckpointV1Skipped(t *testing.T) {
 		if got := newestCheckpoint(dir, 0xfeedbeef, 0, 1); got != nil {
 			t.Fatalf("%s checkpoint loaded: %+v", old.version, got)
 		}
-		if _, err := openCheckpoint(path, 0xfeedbeef, 0, 1); err == nil || !strings.Contains(err.Error(), old.version+", want 3") {
+		if _, err := openCheckpoint(path, 0xfeedbeef, 0, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%s, want %d", old.version, ckptFormat.Version)) {
 			t.Fatalf("%s checkpoint: error %v does not name the version", old.version, err)
 		}
 

@@ -12,8 +12,10 @@ import (
 	"repro/internal/align"
 	"repro/internal/alphabet"
 	"repro/internal/fasta"
+	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/scoring"
+	"repro/internal/subkmer"
 	"repro/internal/synth"
 )
 
@@ -536,6 +538,83 @@ func TestUpperTrianglePartition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNNZBCountsOwnedPairs holds Stats.NNZB to a brute-force count of the
+// distinct unordered pairs of sequences sharing a k-mer — through a
+// substitute of one side's k-mer on the -subs path — at every rank count,
+// wave count and under the strawman assignment: each owned candidate pair is
+// formed once, and no self pair is.
+func TestNNZBCountsOwnedPairs(t *testing.T) {
+	data := familyDataset(t, 8, 47)
+	for _, subs := range []int{0, 10} {
+		cfg := DefaultConfig()
+		cfg.Align = AlignNone
+		cfg.SubstituteKmers = subs
+		want := candidatePairs(t, data.Records, cfg)
+		for _, p := range []int{1, 4, 9} {
+			for _, blocks := range []int{1, 3} {
+				for _, naive := range []bool{false, true} {
+					if naive && (p != 4 || blocks != 3) {
+						continue
+					}
+					cfg.Blocks, cfg.NaiveTriangle = blocks, naive
+					_, stats, _ := runPipeline(t, data.Records, p, cfg)
+					if stats.NNZB != want {
+						t.Errorf("subs %d, %d ranks, %d blocks, naive %v: NNZB %d, want %d candidate pairs",
+							subs, p, blocks, naive, stats.NNZB, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// candidatePairs counts by brute force the unordered pairs {i, j}, i != j,
+// where a k-mer of one sequence — or, with substitute k-mers, one of its
+// cfg.SubstituteKmers nearest substitutes — occurs in the other.
+func candidatePairs(t *testing.T, recs []fasta.Record, cfg Config) int64 {
+	t.Helper()
+	e := scoring.NewExpense(scoring.BLOSUM62)
+	kmers := make([]map[kmer.ID]bool, len(recs))
+	reach := make([]map[kmer.ID]bool, len(recs))
+	for i, rec := range recs {
+		kms, err := kmer.Extract(rec.Seq, cfg.K, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kmers[i], reach[i] = map[kmer.ID]bool{}, map[kmer.ID]bool{}
+		for _, km := range kms {
+			kmers[i][km.ID], reach[i][km.ID] = true, true
+			if cfg.SubstituteKmers == 0 {
+				continue
+			}
+			nbrs, err := subkmer.Find(km.ID, cfg.K, e, cfg.SubstituteKmers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nb := range nbrs {
+				reach[i][nb.ID] = true
+			}
+		}
+	}
+	reaches := func(i, j int) bool {
+		for id := range reach[i] {
+			if kmers[j][id] {
+				return true
+			}
+		}
+		return false
+	}
+	var n int64
+	for i := range recs {
+		for j := i + 1; j < len(recs); j++ {
+			if reaches(i, j) || reaches(j, i) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestBlockingExchangeAblation(t *testing.T) {

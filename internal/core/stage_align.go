@@ -54,7 +54,7 @@ type panelResult struct {
 	aligned   int64              // pairs aligned in this panel
 	cells     int64              // DP cells computed
 	stages    []align.StageStats // per-stage breakdown (cascade kernels only)
-	nnzB      int64              // local nonzeros of the (symmetrized) panel
+	nnzB      int64              // owned candidate pairs (Stats.NNZB)
 	nnzPruned int64              // after the common-k-mer prune
 	serialOps float64
 	parOps    float64
@@ -63,14 +63,18 @@ type panelResult struct {
 }
 
 // processPanel is the per-wave local stage: merge the transpose
-// contribution (dual-product substitute path), apply the common-k-mer prune,
-// and align the panel's candidate pairs on the worker pool. It runs on a
+// contribution (dual-product substitute path), cut the panel to the pairs
+// this rank owns (cut, the Fig. 11 rule when the product was not bounded by
+// it; nil otherwise), apply the common-k-mer prune, and align the panel's
+// candidate pairs on the worker pool. It runs on a
 // background goroutine while the next panel's SUMMA stages proceed, so it
 // must not touch the rank clock or any distributed state: inputs are
 // read-only and all accounting is returned as tallies. Output is
 // deterministic — chunks merge in order — so the edge list is bit-identical
 // for any thread count and any wave count.
-func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config) panelResult {
+func processPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index,
+	src seqSource, f frame, cfg Config) panelResult {
+
 	var res panelResult
 	local := bp.Local
 	if btp != nil {
@@ -83,12 +87,22 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config
 		res.scratch += merged.Bytes()
 		local = merged
 	}
-	res.nnzB = int64(local.NNZ())
-
+	// One pass applies the ownership cut and the common-k-mer prune; nnzB
+	// counts the owned pairs between them.
+	t := int32(cfg.CommonKmerThreshold)
 	pruned := local
-	if cfg.CommonKmerThreshold > 0 {
-		t := int32(cfg.CommonKmerThreshold)
-		pruned = local.Prune(func(r, c spmat.Index, v Overlap) bool { return v.Count > t })
+	if cut == nil && t == 0 {
+		res.nnzB = int64(local.NNZ())
+	} else {
+		pruned = local.Prune(func(r, c spmat.Index, v Overlap) bool {
+			if cut != nil && r > cut(c) {
+				return false
+			}
+			res.nnzB++
+			return v.Count > t
+		})
+	}
+	if t > 0 {
 		res.parOps += float64(local.NNZ()) * opsPerVisitNNZ
 		res.scratch += pruned.Bytes()
 	}
@@ -103,13 +117,11 @@ func processPanel(bp, btp *dmat.Mat[Overlap], src seqSource, f frame, cfg Config
 	return res
 }
 
-// alignPanel aligns the candidate pairs of one panel assigned to this rank.
-// A symmetric (all-vs-all) panel uses the computation-to-data scheme (paper
-// Fig. 11): each block computes its own local upper triangle, block
-// diagonals are taken by processes on or above the grid diagonal, and the
-// union covers every global pair exactly once. Panels partition the local
-// columns, so per-panel candidate lists concatenate — in panel order — to
-// exactly the monolithic candidate list.
+// alignPanel aligns the candidate pairs of one panel, every one of which
+// this rank owns (operands.panels bounded its product by the Fig. 11 rule,
+// or processPanel cut it). Panels partition
+// the local columns, so per-panel candidate lists concatenate — in panel
+// order — to exactly the monolithic candidate list.
 //
 // Pairs are aligned in contiguous chunks drawn by a worker pool (the
 // follow-up paper's hybrid design), four chunks per worker for balance: each
@@ -132,34 +144,7 @@ func alignPanel(b *spmat.DCSC[Overlap], rowOff, colOff spmat.Index,
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	onOrAboveDiag := f != frameBelow
-
-	// Ownership filtering is cheap and serial; it yields the candidate list
-	// the batches are cut from. A many-vs-DB panel is rectangular — query
-	// rows against database columns — so every nonzero is a distinct pair
-	// owned by exactly one rank and no triangle or diagonal filtering applies
-	// (row and column indices live in different spaces).
-	var cands []spmat.Triple[Overlap]
-	for _, t := range b.ToTriples() {
-		lr, lc := t.Row, t.Col
-		r, c := rowOff+lr, colOff+lc
-		if f != frameRect { // rows and columns index the same sequences
-			if r == c {
-				continue // self pair
-			}
-			if cfg.NaiveTriangle {
-				// Strawman assignment: the global upper triangle is handled
-				// only by processes on or above the grid diagonal; the rest
-				// of the grid idles (paper Section V-D).
-				if !onOrAboveDiag || r > c {
-					continue
-				}
-			} else if lr > lc || (lr == lc && !onOrAboveDiag) {
-				continue // the mirrored block owns this pair
-			}
-		}
-		cands = append(cands, t)
-	}
+	cands := b.ToTriples()
 	if len(cands) == 0 {
 		return nil, 0, 0, nil, nil
 	}

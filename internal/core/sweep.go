@@ -7,6 +7,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/mpi"
+	"repro/internal/spmat"
 )
 
 // ErrMemBudget fails a run whose live-bytes ledger cannot be held to
@@ -70,20 +71,28 @@ func (o *operands) release() {
 // receives the panel plus, on the dual-product path, the matching column
 // panel of Bᵀ, both with their seeds in the pair frame f (types.go). Every
 // panel is bit-identical to the corresponding column slice of the monolithic
-// computation.
+// computation, cut to the pairs this rank owns where the product was
+// bounded. yield's cut is the Fig. 11 rule (frame.rowMax) the panel still
+// needs applied, nil when it holds only owned pairs already.
 //
 // startPanel skips the panels a resumed run already merged from checkpoint
 // (0 for a fresh sweep): the sweep runs panels [startPanel, blocks).
 //
-// Cost shape: each wave re-broadcasts the row operand's block columns (the
-// follow-up paper's memory-for-broadcast trade). The symmetric single-wave
+// Cost shape: a symmetric panel forms only the pairs this rank owns — its
+// products take the Fig. 11 rule as their row bound (frame.rowMax), so no
+// entry past it is multiplied, and wave k re-broadcasts only the row
+// operand's rows below panel k's end: (blocks+1)/2 operand volumes per sweep
+// instead of blocks (the follow-up paper's memory-for-broadcast trade, made
+// triangular). The strawman assignment (naive, Config.NaiveTriangle) keeps
+// rows past a panel's end and forms whole panels. The symmetric single-wave
 // substitute plan (ast == nil) keeps the SC20 transpose-based
-// symmetrization, which is cheaper than the dual product when the whole
-// matrix is resident anyway; every other substitute sweep computes the Bᵀ
-// panels directly as rows·(AS)ᵀ, because a column panel of Bᵀ is not a slice
-// of B's column panels.
-func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
-	yield func(panel int, bp, btp *dmat.Mat[Overlap]) error) error {
+// symmetrization, which needs B's lower triangle and so forms all of B; it is
+// cheaper than the dual product when the whole matrix is resident anyway.
+// Every other substitute sweep computes the Bᵀ panels directly as
+// rows·(AS)ᵀ, because a column panel of Bᵀ is not a slice of B's column
+// panels.
+func (o *operands) panels(f frame, naive bool, gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
+	yield func(panel int, bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) error) error {
 
 	clock := o.rows.Grid.Comm.Clock()
 	if startPanel >= blocks {
@@ -114,9 +123,13 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 		if err != nil {
 			return err
 		}
-		return yield(0, sym, nil)
+		return yield(0, sym, nil, f.rowMax(naive))
 	}
 
+	bounded, cut := gemmOpts, f.rowMax(naive)
+	if !naive {
+		bounded.RowMax, cut = cut, nil
+	}
 	for k := startPanel; k < blocks; k++ {
 		// The sections close across yields so pipeline bookkeeping
 		// (collecting the previous wave, launching this one) is not billed
@@ -125,9 +138,9 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 		var err error
 		clock.Section(SectionB, func() {
 			if o.rowsS == nil {
-				bp, err = dmat.SpGEMMPanel(o.rows, o.at, f.exact(), OverlapCodec, gemmOpts, blocks, k)
+				bp, err = dmat.SpGEMMPanel(o.rows, o.at, f.exact(), OverlapCodec, bounded, blocks, k)
 			} else {
-				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, f.subRows(), OverlapCodec, gemmOpts, blocks, k)
+				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, f.subRows(), OverlapCodec, bounded, blocks, k)
 			}
 		})
 		if err != nil {
@@ -138,13 +151,13 @@ func (o *operands) panels(f frame, gemmOpts dmat.SpGEMMOpts, blocks, startPanel 
 			// "sym."). ast's blocks have the same local widths as at's, so
 			// panel k of rows·(AS)ᵀ covers exactly bp's local columns.
 			clock.Section(SectionSym, func() {
-				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, f.subCols(), OverlapCodec, gemmOpts, blocks, k)
+				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, f.subCols(), OverlapCodec, bounded, blocks, k)
 			})
 			if err != nil {
 				return err
 			}
 		}
-		if err := yield(k, bp, btp); err != nil {
+		if err := yield(k, bp, btp, cut); err != nil {
 			return err
 		}
 	}
@@ -198,7 +211,7 @@ func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, st
 			w.restore(resume)
 			resume = nil // only the first attempt resumes; retries start over
 		}
-		err := ops.panels(f, r.gemm, blocks, startPanel, w.yield)
+		err := ops.panels(f, r.cfg.NaiveTriangle, r.gemm, blocks, startPanel, w.yield)
 		if err == nil {
 			err = w.drain()
 		}

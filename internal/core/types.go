@@ -335,6 +335,29 @@ func symmetricFrame(g *dmat.Grid) frame {
 	return frameBelow
 }
 
+// rowMax is the Fig. 11 ownership rule (paper §V-D) in the form a bounded
+// product takes: the highest block-local row this rank keeps in block-local
+// column j, or nil when it keeps every row. Each block keeps its local upper
+// triangle and a tie on a block's diagonal goes to the block above the grid
+// diagonal: a rank above it keeps rows <= j, one on or below it rows < j — on
+// the grid diagonal that drops the self pairs. Over all ranks each unordered
+// pair is kept once. A rectangular sweep keeps every row.
+//
+// naive is the strawman the rule avoids (Config.NaiveTriangle): only ranks on
+// or above the grid diagonal keep pairs, each the global upper triangle of
+// its block — every row above the diagonal, none below it.
+func (f frame) rowMax(naive bool) func(j spmat.Index) spmat.Index {
+	switch {
+	case f == frameRect, naive && f == frameAbove:
+		return nil
+	case naive && f == frameBelow:
+		return func(spmat.Index) spmat.Index { return -1 }
+	case f == frameAbove:
+		return func(j spmat.Index) spmat.Index { return j }
+	}
+	return func(j spmat.Index) spmat.Index { return j - 1 }
+}
+
 // mirrored reports whether block-local entry (i, j) has the higher global
 // index on its row.
 func (f frame) mirrored(i, j spmat.Index) bool {
@@ -444,8 +467,12 @@ type Stats struct {
 	NNZA         int64
 	NNZAFiltered int64 // after the k-mer frequency pre-filter
 	NNZAS        int64
-	NNZB         int64 // before the common-k-mer prune
-	NNZBPruned   int64 // after it
+	// NNZB counts the candidate pairs of B this run owns — each unordered
+	// pair sharing a k-mer once, no self pairs (a query sweep: every
+	// (query, target) nonzero) — before the common-k-mer prune; NNZBPruned
+	// after it. Neither depends on Blocks, the rank count or the transport.
+	NNZB         int64
+	NNZBPruned   int64
 	PairsAligned int64 // alignments performed (upper-triangle pairs)
 	// CellsComputed is the total DP cells the alignment kernel evaluated —
 	// the per-kernel cost measure the virtual clock charges, reported by

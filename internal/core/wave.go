@@ -4,6 +4,7 @@ import (
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/mpi"
+	"repro/internal/spmat"
 )
 
 // wave drives the memory-bounded overlap/align pipeline: panel i's local
@@ -50,7 +51,8 @@ type wave struct {
 type panelFuture struct {
 	panel   int
 	bp, btp *dmat.Mat[Overlap]
-	start   float64 // main-clock time at launch
+	cut     func(spmat.Index) spmat.Index // ownership rule still to apply (operands.panels)
+	start   float64                       // main-clock time at launch
 	done    chan panelResult
 }
 
@@ -72,7 +74,7 @@ func (w *wave) restore(ck *checkpointState) {
 // before the first wave needs sequence data, collects the previous wave,
 // launches this panel's local work in the background, and checks the wave
 // against the memory budget.
-func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
+func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) error {
 	if !w.started && !w.cfg.BlockingExchange {
 		var err error
 		w.clock.Section(SectionWait, func() { err = w.src.Wait() })
@@ -84,9 +86,9 @@ func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap]) error {
 	if err := w.collect(); err != nil {
 		return err
 	}
-	f := &panelFuture{panel: panel, bp: bp, btp: btp, start: w.clock.Now(), done: make(chan panelResult, 1)}
+	f := &panelFuture{panel: panel, bp: bp, btp: btp, cut: cut, start: w.clock.Now(), done: make(chan panelResult, 1)}
 	w.pending = f
-	go func() { f.done <- processPanel(f.bp, f.btp, w.src, w.frame, w.cfg) }()
+	go func() { f.done <- processPanel(f.bp, f.btp, f.cut, w.src, w.frame, w.cfg) }()
 	return checkBudget(w.grid.Comm, w.cfg.MemBudget)
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/spmat"
 	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 func buildBlock(t testing.TB, seed int64, rows, cols spmat.Index, nnz int) *spmat.DCSC[float64] {
@@ -54,8 +55,8 @@ func TestBlockCodecHardening(t *testing.T) {
 			if _, err := NewFromLocal(g, 8, 8, blk, noWidth); !errors.Is(err, errCodecWidth) {
 				return fmt.Errorf("NewFromLocal: %v", err)
 			}
-			if _, err := BcastBlock(g, g.RowComm, 0, blk, noWidth); !errors.Is(err, errCodecWidth) {
-				return fmt.Errorf("BcastBlock: %v", err)
+			if _, _, err := bcastRows(g, g.RowComm, 0, blk, blk.NumRows, noWidth); !errors.Is(err, errCodecWidth) {
+				return fmt.Errorf("bcastRows: %v", err)
 			}
 			if _, err := DecodeBlock(EncodeBlock(blk, Float64Codec), noWidth); !errors.Is(err, errCodecWidth) {
 				return fmt.Errorf("DecodeBlock: %v", err)
@@ -147,7 +148,7 @@ func TestDecodeTriplesRejectsPartialRecords(t *testing.T) {
 			if c.Rank() == 1 {
 				parts[0] = want
 			}
-			got, err := alltoall(g, parts,
+			got, err := alltoall(g, g.Comm, parts,
 				func(p []spmat.Triple[int32]) int64 { return int64(min(len(p), cut)) },
 				func([]spmat.Triple[int32]) []byte { return enc[:cut:cut] },
 				func(buf []byte) ([]spmat.Triple[int32], error) { return decodeTriples(nil, buf, Int32Codec) })
@@ -199,5 +200,65 @@ func TestGatherTriplesNamesTheSender(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A row-prefix image (encodeRows, what a bounded SUMMA stage broadcasts) is
+// the image of the block pruned to those rows, for every cut: below every
+// row, on a row, past the last one.
+func TestEncodeRowsIsPrunedBlock(t *testing.T) {
+	b := buildBlock(t, 41, 30, 25, 160)
+	for hi := spmat.Index(0); hi <= b.NumRows+1; hi++ {
+		want := b.Prune(func(r, _ spmat.Index, _ float64) bool { return r < hi })
+		if got := encodeRows(b, hi, Float64Codec); !reflect.DeepEqual(got, EncodeBlock(want, Float64Codec)) {
+			t.Fatalf("rows [0, %d): image differs from the pruned block's", hi)
+		}
+	}
+}
+
+// The decoder admits only the image of a valid DCSC. A payload whose
+// checksum holds but whose arrays break the invariants — a faulty sender —
+// is rejected before the multiply or the encoder relies on them.
+func TestDecodeBlockRejectsBrokenDCSC(t *testing.T) {
+	raw := func(jc, cp, ir []int64) []byte {
+		buf := make([]byte, 0, blockHeaderLen)
+		for _, v := range []int{4, 4, len(jc), len(ir), 0} {
+			buf = wire.AppendU64(buf, uint64(v))
+		}
+		for _, a := range [][]int64{jc, cp, ir} {
+			for _, v := range a {
+				buf = wire.AppendU64(buf, uint64(v))
+			}
+		}
+		for range ir {
+			buf = Float64Codec.Append(buf, 1.5)
+		}
+		wire.PutU64(buf[32:], blockChecksum(buf))
+		return buf
+	}
+	valid := raw([]int64{1, 3}, []int64{0, 2, 3}, []int64{0, 2, 1})
+	blk, err := DecodeBlock(valid, Float64Codec)
+	if err != nil {
+		t.Fatalf("valid block rejected: %v", err)
+	}
+	if !reflect.DeepEqual(EncodeBlock(blk, Float64Codec), valid) {
+		t.Fatal("valid block does not round-trip")
+	}
+	for name, buf := range map[string][]byte{
+		"empty column":         raw([]int64{1, 3}, []int64{0, 0, 3}, []int64{0, 2, 1}),
+		"columns out of order": raw([]int64{3, 1}, []int64{0, 2, 3}, []int64{0, 2, 1}),
+		"repeated column":      raw([]int64{1, 1}, []int64{0, 2, 3}, []int64{0, 2, 1}),
+		"column out of range":  raw([]int64{1, 4}, []int64{0, 2, 3}, []int64{0, 2, 1}),
+		"negative column":      raw([]int64{-1, 3}, []int64{0, 2, 3}, []int64{0, 2, 1}),
+		"pointers descending":  raw([]int64{1, 3}, []int64{0, 4, 3}, []int64{0, 2, 1}),
+		"rows out of order":    raw([]int64{1, 3}, []int64{0, 2, 3}, []int64{2, 0, 1}),
+		"repeated row":         raw([]int64{1, 3}, []int64{0, 2, 3}, []int64{2, 2, 1}),
+		"row out of range":     raw([]int64{1, 3}, []int64{0, 2, 3}, []int64{0, 4, 1}),
+		"negative row":         raw([]int64{1, 3}, []int64{0, 2, 3}, []int64{-1, 2, 1}),
+		"rows without columns": raw(nil, []int64{0}, []int64{0}),
+	} {
+		if _, err := DecodeBlock(buf, Float64Codec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -48,6 +48,10 @@ type Grid struct {
 	MyCol   int
 	RowComm *mpi.Comm // all ranks in my grid row; rank within = MyCol
 	ColComm *mpi.Comm // all ranks in my grid column; rank within = MyRow
+	// MirrorComm holds this rank and its mirror (MyCol, MyRow), lower world
+	// rank first — the one exchange of a transpose; a diagonal rank's holds
+	// itself alone.
+	MirrorComm *mpi.Comm
 	// Backend is the block transport; every rank of the grid must set the
 	// same value before the first collective matrix operation.
 	Backend Backend
@@ -66,6 +70,9 @@ func NewGrid(c *mpi.Comm) (*Grid, error) {
 		return nil, err
 	}
 	if g.ColComm, err = c.TrySplit(g.MyCol, g.MyRow); err != nil {
+		return nil, err
+	}
+	if g.MirrorComm, err = c.TrySplit(min(c.Rank(), g.RankOf(g.MyCol, g.MyRow)), c.Rank()); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -114,7 +121,7 @@ var errCodecWidth = errors.New("dmat: codec Width must be positive (values are f
 
 // check rejects a codec the transports cannot size. Every way a codec
 // enters the package to size or parse a payload — the matrix constructors,
-// SpGEMM's result codec, BcastBlock, DecodeBlock — calls it, so a Mat's own
+// SpGEMM's result codec, bcastRows, DecodeBlock — calls it, so a Mat's own
 // codec needs no second look.
 func (c Codec[T]) check() error {
 	if c.Width <= 0 {
@@ -222,7 +229,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 	for i, t := range ts {
 		buckets[owners[i]] = append(buckets[owners[i]], t)
 	}
-	parts, err := alltoall(g, buckets,
+	parts, err := alltoall(g, g.Comm, buckets,
 		func(b []spmat.Triple[T]) int64 { return int64(len(b) * rec) },
 		func(b []spmat.Triple[T]) []byte {
 			buf := make([]byte, 0, len(b)*rec)
@@ -290,23 +297,23 @@ func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) 
 	return codec.Append(dst, v)
 }
 
-// alltoall is dmat's one all-to-all: parts[j] goes to rank j of the grid and
-// the result holds what every rank sent here (the zero P where a rank sent
-// nothing). On the shared backend parts move by reference, charged size(p)
-// wire bytes each; on the codec backend they travel as encode(p) — exactly
-// size(p) bytes, so the two backends bill alike — and come back through
-// decode. A part of size 0 is absent, and a rank's part for itself is not
+// alltoall is dmat's one all-to-all: parts[j] goes to rank j of comm, a
+// communicator of the grid, and the result holds what every rank sent here
+// (the zero P where a rank sent nothing). On the shared backend parts move
+// by reference, charged size(p) wire bytes each; on the codec backend they
+// travel as encode(p) — exactly size(p) bytes, so the two backends bill
+// alike — and come back through decode. A part of size 0 is absent, and a rank's part for itself is not
 // traffic: it is handed back as is on either backend.
-func alltoall[P any](g *Grid, parts []P, size func(P) int64,
+func alltoall[P any](g *Grid, comm *mpi.Comm, parts []P, size func(P) int64,
 	encode func(P) []byte, decode func([]byte) (P, error)) ([]P, error) {
 
-	me := g.Comm.Rank()
+	me := comm.Rank()
 	if g.Backend == BackendShared {
 		sizes := make([]int64, len(parts))
 		for j, p := range parts {
 			sizes[j] = size(p)
 		}
-		return mpi.TryAlltoallvShared(g.Comm, parts, sizes)
+		return mpi.TryAlltoallvShared(comm, parts, sizes)
 	}
 	bufs := make([][]byte, len(parts))
 	for j, p := range parts {
@@ -314,7 +321,7 @@ func alltoall[P any](g *Grid, parts []P, size func(P) int64,
 			bufs[j] = encode(p)
 		}
 	}
-	got, err := g.Comm.TryAlltoallv(bufs)
+	got, err := comm.TryAlltoallv(bufs)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +390,45 @@ func (m *Mat[T]) GatherTriples() ([]spmat.Triple[T], error) {
 // the virtual clock with this size instead of encoding, which is what keeps
 // its accounting bit-equal to the codec backend's.
 func BlockWireBytes[T any](b *spmat.DCSC[T], width int) int64 {
-	return blockHeaderLen + int64(len(b.JC))*16 + 8 + int64(b.NNZ())*int64(8+width)
+	return blockWire(len(b.JC), b.NNZ(), width)
+}
+
+// blockWire is BlockWireBytes of a block with ncols nonempty columns and nnz
+// nonzeros.
+func blockWire(ncols, nnz, width int) int64 {
+	return blockHeaderLen + int64(ncols)*16 + 8 + int64(nnz)*int64(8+width)
+}
+
+// blockBytes is spmat.DCSC.Bytes of a block with ncols nonempty columns and
+// nnz nonzeros: what a receiver materializes when it decodes one.
+func blockBytes[T any](ncols, nnz int) int64 {
+	var zero T
+	return int64(ncols)*16 + 8 + int64(nnz)*(8+int64(unsafe.Sizeof(zero)))
+}
+
+// rowsBelow counts the nonzeros of b's compressed column c whose row is
+// below hi (IR ascends within a column).
+func rowsBelow[T any](b *spmat.DCSC[T], c int, hi spmat.Index) int {
+	ir := b.IR[b.CP[c]:b.CP[c+1]]
+	if len(ir) == 0 || ir[len(ir)-1] < hi {
+		return len(ir)
+	}
+	n, _ := slices.BinarySearch(ir, hi)
+	return n
+}
+
+// rowPrefix counts the nonempty columns and nonzeros of b's rows [0, hi).
+func rowPrefix[T any](b *spmat.DCSC[T], hi spmat.Index) (ncols, nnz int) {
+	if hi >= b.NumRows {
+		return len(b.JC), b.NNZ()
+	}
+	for c := range b.JC {
+		if n := rowsBelow(b, c, hi); n > 0 {
+			ncols++
+			nnz += n
+		}
+	}
+	return ncols, nnz
 }
 
 // The block wire format: a 32-byte shape header (NumRows, NumCols, ncols,
@@ -409,30 +454,45 @@ func blockChecksum(buf []byte) uint64 {
 // exactly up front (BlockWireBytes) and the index arrays are written by
 // offset rather than element-at-a-time appends.
 func EncodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
-	ncols := len(b.JC)
-	nnz := b.NNZ()
+	return encodeRows(b, b.NumRows, codec)
+}
+
+// encodeRows is EncodeBlock of b's rows [0, hi) — the block a SUMMA stage
+// broadcasts when its panel needs only a row prefix — written straight from
+// b in one counting pass (rowPrefix) and one writing pass, with no copy of
+// the prefix. The image keeps b's shape, so it decodes to the block with
+// every row from hi on dropped; hi at or past b.NumRows encodes all of b.
+func encodeRows[T any](b *spmat.DCSC[T], hi spmat.Index, codec Codec[T]) []byte {
+	ncols, nnz := rowPrefix(b, hi)
 	fixed := blockHeaderLen + ncols*16 + 8 + nnz*8
 	buf := make([]byte, fixed, fixed+nnz*codec.Width)
 	wire.PutU64(buf[0:], uint64(b.NumRows))
 	wire.PutU64(buf[8:], uint64(b.NumCols))
 	wire.PutU64(buf[16:], uint64(ncols))
 	wire.PutU64(buf[24:], uint64(nnz))
-	off := blockHeaderLen
-	for _, c := range b.JC {
-		wire.PutU64(buf[off:], uint64(c))
-		off += 8
+	jc := blockHeaderLen
+	cp := jc + ncols*8
+	ir := cp + ncols*8 + 8
+	n := 0
+	for c, col := range b.JC {
+		lo := b.CP[c]
+		end := lo + rowsBelow(b, c, hi)
+		if end == lo {
+			continue
+		}
+		wire.PutU64(buf[jc:], uint64(col))
+		wire.PutU64(buf[cp:], uint64(n))
+		jc, cp = jc+8, cp+8
+		for _, r := range b.IR[lo:end] {
+			wire.PutU64(buf[ir:], uint64(r))
+			ir += 8
+		}
+		for _, v := range b.Vals[lo:end] {
+			buf = codec.Append(buf, v)
+		}
+		n += end - lo
 	}
-	for _, p := range b.CP {
-		wire.PutU64(buf[off:], uint64(p))
-		off += 8
-	}
-	for _, r := range b.IR {
-		wire.PutU64(buf[off:], uint64(r))
-		off += 8
-	}
-	for _, v := range b.Vals {
-		buf = codec.Append(buf, v)
-	}
+	wire.PutU64(buf[cp:], uint64(n))
 	wire.PutU64(buf[32:], blockChecksum(buf))
 	return buf
 }
@@ -466,12 +526,15 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	wire.U64s(r, m.JC)
 	m.CP = make([]int, ncols+1)
 	wire.U64s(r, m.CP)
-	if ncols > 0 && (m.CP[0] != 0 || m.CP[ncols] != nnz) {
+	if m.CP[0] != 0 || m.CP[ncols] != nnz {
 		return nil, fmt.Errorf("dmat: block column pointers [%d..%d] inconsistent with %d nonzeros",
 			m.CP[0], m.CP[ncols], nnz)
 	}
 	m.IR = make([]spmat.Index, nnz)
 	wire.U64s(r, m.IR)
+	if err := checkDCSC(m); err != nil {
+		return nil, err
+	}
 	// A block message carries exactly one block: nnz values of the codec's
 	// width and not a byte more.
 	vals := r.Take(uint64(nnz) * uint64(codec.Width))
@@ -485,37 +548,82 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	return m, nil
 }
 
-// BcastBlock broadcasts blk (non-nil on the root rank of comm only) with
-// the grid's transport backend and returns every rank's view of it. On the
-// shared backend the result aliases the root's block — read-only by
-// contract; on the codec backend receivers decode a private copy while the
-// root reuses its own block without a decode round-trip. Clock charges are
-// identical either way.
-func BcastBlock[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], codec Codec[T]) (*spmat.DCSC[T], error) {
+// checkDCSC rejects a decoded block that breaks the DCSC invariants the
+// encoder and the multiply rely on: columns ascending inside the shape, each
+// nonempty, rows ascending within a column inside the shape. A checksummed
+// payload can still carry such a block if its sender was faulty. CP[0] == 0
+// and CP[ncols] == nnz are checked already, so CP ascending bounds every
+// column inside IR.
+func checkDCSC[T any](m *spmat.DCSC[T]) error {
+	for c, col := range m.JC {
+		if col < 0 || col >= m.NumCols || (c > 0 && col <= m.JC[c-1]) || m.CP[c] >= m.CP[c+1] {
+			return fmt.Errorf("dmat: block column %d (index %d) is out of order, out of range or empty", c, col)
+		}
+	}
+	for c := range m.JC {
+		for p := m.CP[c]; p < m.CP[c+1]; p++ {
+			if r := m.IR[p]; r < 0 || r >= m.NumRows || (p > m.CP[c] && r <= m.IR[p-1]) {
+				return fmt.Errorf("dmat: block row %d in column %d is out of order or out of range", r, m.JC[c])
+			}
+		}
+	}
+	return nil
+}
+
+// sharedRows is a row-prefix broadcast's part on the shared backend: the
+// root's whole block by reference, and the size of the prefix it stands for.
+type sharedRows[T any] struct {
+	blk        *spmat.DCSC[T]
+	ncols, nnz int
+}
+
+// bcastRows broadcasts the rows [0, hi) of blk (non-nil on the root rank of
+// comm only) with the grid's transport backend and returns every rank's view
+// of it, with the bytes the view materialized on this rank (the stage
+// transient; 0 on the root, which reuses its resident block). hi at or past
+// blk.NumRows broadcasts the whole block. On the shared backend every view
+// is the root's whole block — read-only by contract — billed the prefix's
+// wire size; a multiply over it must not reach past row hi. On the codec
+// backend receivers decode the prefix alone, which the root encodes straight
+// from its block. Clock charges are identical either way.
+func bcastRows[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], hi spmat.Index,
+	codec Codec[T]) (*spmat.DCSC[T], int64, error) {
+
 	if err := codec.check(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if g.Backend == BackendShared {
+		var part sharedRows[T]
 		var wire int64
 		if comm.Rank() == root {
-			wire = BlockWireBytes(blk, codec.Width)
+			part.blk = blk
+			part.ncols, part.nnz = rowPrefix(blk, hi)
+			wire = blockWire(part.ncols, part.nnz, codec.Width)
 		}
-		return mpi.TryBcastShared(comm, root, blk, wire)
+		part, err := mpi.TryBcastShared(comm, root, part, wire)
+		if err != nil || comm.Rank() == root {
+			return part.blk, 0, err
+		}
+		return part.blk, blockBytes[T](part.ncols, part.nnz), nil
 	}
 	var payload []byte
 	if comm.Rank() == root {
-		payload = EncodeBlock(blk, codec)
+		payload = encodeRows(blk, hi, codec)
 	}
 	payload, err := comm.TryBcast(root, payload)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if comm.Rank() == root {
 		// The root's resident block is bitwise what every receiver decodes;
 		// re-decoding its own payload would only clone it.
-		return blk, nil
+		return blk, 0, nil
 	}
-	return DecodeBlock(payload, codec)
+	view, err := DecodeBlock(payload, codec)
+	if err != nil {
+		return nil, 0, err
+	}
+	return view, view.Bytes(), nil
 }
 
 // SpGEMMOpts tunes the distributed multiply.
@@ -525,6 +633,13 @@ type SpGEMMOpts struct {
 	// bit-identical for every value; the virtual clock charges flops as
 	// parallel work (Clock.ParOps).
 	Threads int
+	// RowMax, when non-nil, bounds the output: block-local column j keeps
+	// only block-local rows <= RowMax(j) (spmat.SpGEMMOpts.RowMax), so the
+	// entries past it are never formed. The bound must not exceed j — the
+	// rows a panel keeps are then a prefix of its columns — and must be set
+	// alike on every rank: SpGEMMPanel then broadcasts only the row
+	// operand's rows below the panel's end.
+	RowMax func(j spmat.Index) spmat.Index
 }
 
 // DefaultSpGEMMOpts multiplies serially.
@@ -537,7 +652,7 @@ func DefaultSpGEMMOpts() SpGEMMOpts { return SpGEMMOpts{} }
 // full-width special case of the panel engine.
 func SpGEMM[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	codecC Codec[C], opts SpGEMMOpts) (*Mat[C], error) {
-	return spGEMMCols(a, b, sr, codecC, opts, 0, b.Local.NumCols)
+	return spGEMMCols(a, b, sr, codecC, opts, 0, b.Local.NumCols, a.Rows)
 }
 
 // PanelRange returns the half-open block-local column range of panel k of
@@ -562,7 +677,11 @@ func (m *Mat[T]) PanelRange(blocks, k int) (lo, hi spmat.Index) {
 // makes the blocked wave pipeline bit-identical to the one-shot one. A's
 // block columns are re-broadcast for every panel; that extra broadcast
 // volume, traded for the smaller live output, is the knob the memory-
-// bounded pipeline turns. Collective over the grid.
+// bounded pipeline turns. With opts.RowMax set a stage broadcasts only A's
+// local rows below the panel's end in the widest block column of the grid —
+// a bound the rank's whole grid row agrees on and no rank's RowMax reaches
+// past — so the early panels of a triangular sweep move a fraction of A.
+// Collective over the grid.
 func SpGEMMPanel[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	codecC Codec[C], opts SpGEMMOpts, blocks, k int) (*Mat[C], error) {
 
@@ -570,16 +689,22 @@ func SpGEMMPanel[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		return nil, fmt.Errorf("dmat: SpGEMM panel %d of %d", k, blocks)
 	}
 	lo, hi := b.PanelRange(blocks, k)
-	return spGEMMCols(a, b, sr, codecC, opts, lo, hi)
+	rowHi := a.Rows
+	if opts.RowMax != nil {
+		_, widest := BlockRange(b.Cols, b.Grid.Q, 0)
+		_, rowHi = BlockRange(widest, blocks, k)
+	}
+	return spGEMMCols(a, b, sr, codecC, opts, lo, hi, rowHi)
 }
 
 // spGEMMCols is the SUMMA engine behind SpGEMM and SpGEMMPanel: it computes
 // the output columns covered by the block-local range [localLo, localHi) of
 // B's columns (clamped to the block width; the range must be the same on
 // every rank of each grid column, which both callers guarantee by deriving
-// it from the block width alone).
+// it from the block width alone). Each stage broadcasts A's block-local rows
+// [0, rowHi) only.
 func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
-	codecC Codec[C], opts SpGEMMOpts, localLo, localHi spmat.Index) (*Mat[C], error) {
+	codecC Codec[C], opts SpGEMMOpts, localLo, localHi, rowHi spmat.Index) (*Mat[C], error) {
 
 	if a.Grid != b.Grid {
 		return nil, fmt.Errorf("dmat: SpGEMM operands on different grids")
@@ -602,20 +727,17 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 	prods := make([]*spmat.DCSC[C], 0, g.Q)
 	var accumNNZ int64
 	for s := 0; s < g.Q; s++ {
-		// A's block column s travels along each grid row.
+		// A's block column s, cut to the rows the panel can use, travels
+		// along each grid row. The modeled machine materializes received
+		// blocks for the stage (the root reuses its resident one, so it
+		// allocates nothing).
 		var aSend *spmat.DCSC[A]
 		if g.MyCol == s {
 			aSend = a.Local
 		}
-		aBlk, err := BcastBlock(g, g.RowComm, s, aSend, a.codec)
+		aBlk, aBytes, err := bcastRows(g, g.RowComm, s, aSend, rowHi, a.codec)
 		if err != nil {
 			return nil, fmt.Errorf("dmat: stage %d broadcast A: %w", s, err)
-		}
-		// The modeled machine materializes received blocks for the stage (the
-		// root reuses its resident one, so it allocates nothing).
-		var transient int64
-		if g.MyCol != s {
-			transient = aBlk.Bytes()
 		}
 		// B's block row s, restricted to the panel, travels along each grid
 		// column. Over the full range the slice is the whole block, so
@@ -624,16 +746,14 @@ func spGEMMCols[A, B, C any](a *Mat[A], b *Mat[B], sr spmat.Semiring[A, B, C],
 		if g.MyRow == s {
 			bSend = b.Local.ColRange(localLo, localHi)
 		}
-		bBlk, err := BcastBlock(g, g.ColComm, s, bSend, b.codec)
+		bBlk, bBytes, err := bcastRows(g, g.ColComm, s, bSend, b.Rows, b.codec)
 		if err != nil {
 			return nil, fmt.Errorf("dmat: stage %d broadcast B: %w", s, err)
 		}
-		if g.MyRow != s {
-			transient += bBlk.Bytes()
-		}
+		transient := aBytes + bBytes
 		clock.AllocBytes(transient)
 
-		prod, stats, err := spmat.SpGEMM(aBlk, bBlk, sr, spmat.SpGEMMOpts{Threads: opts.Threads})
+		prod, stats, err := spmat.SpGEMM(aBlk, bBlk, sr, spmat.SpGEMMOpts{Threads: opts.Threads, RowMax: opts.RowMax})
 		if err != nil {
 			return nil, fmt.Errorf("dmat: stage %d multiply: %w", s, err)
 		}
@@ -674,9 +794,10 @@ func clampIndex(x, lo, hi spmat.Index) spmat.Index {
 }
 
 // Transpose returns Aᵀ: each block transposes locally and moves to its
-// mirrored grid position via one all-to-all. Collective. The local
-// transpose is an elementwise pass and parallelizes with the rank's
-// declared threads, matching the SpGEMM/align charging convention.
+// mirrored grid position, one pairwise exchange on Grid.MirrorComm.
+// Collective. The local transpose is an elementwise pass and parallelizes
+// with the rank's declared threads, matching the SpGEMM/align charging
+// convention.
 func (m *Mat[T]) Transpose() (*Mat[T], error) {
 	g := m.Grid
 	clock := g.Comm.Clock()
@@ -685,11 +806,12 @@ func (m *Mat[T]) Transpose() (*Mat[T], error) {
 
 	// The transposed block goes to the mirror rank, which adopts it: the
 	// sender gives it up (its own new block arrives from the partner; a
-	// diagonal rank's comes right back).
-	partner := g.RankOf(g.MyCol, g.MyRow)
-	parts := make([]*spmat.DCSC[T], g.Comm.Size())
+	// diagonal rank, alone in its MirrorComm, gets its own right back).
+	mc := g.MirrorComm
+	partner := mc.Size() - 1 - mc.Rank()
+	parts := make([]*spmat.DCSC[T], mc.Size())
 	parts[partner] = tBlock
-	parts, err := alltoall(g, parts,
+	parts, err := alltoall(g, mc, parts,
 		func(b *spmat.DCSC[T]) int64 {
 			if b == nil {
 				return 0

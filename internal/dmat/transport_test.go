@@ -233,3 +233,140 @@ func TestBlockCodecAllocationStable(t *testing.T) {
 		}
 	}
 }
+
+// TestSpGEMMPanelRowBound holds a bounded SpGEMMPanel (SpGEMMOpts.RowMax) to
+// the unbounded panel pruned to the same rows, on the shared, codec and tcp
+// backends, under the triangular rule a symmetric sweep uses and a ragged
+// bound below it. The three backends bill alike — virtual time, wire bytes,
+// ledger peak — and every panel but the last moves fewer bytes bounded than
+// unbounded: a stage broadcasts only the row prefix its panel can use.
+func TestSpGEMMPanelRowBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	n := spmat.Index(91) // uneven blocks: the widest block column sets the prefix
+	aT := randomTriples(rng, n, n, 1500)
+	bT := randomTriples(rng, n, n, 1300)
+	sr := spmat.Semiring[float64, float64, float64]{
+		Multiply: func(_, _ spmat.Index, x, y float64) float64 { return x * y },
+		Add:      func(x, y float64) float64 { return x + y },
+	}
+	const blocks = 3
+	rules := []struct {
+		name   string
+		rowMax func(g *Grid) func(j spmat.Index) spmat.Index
+	}{
+		{"triangle", func(g *Grid) func(j spmat.Index) spmat.Index {
+			if g.MyRow < g.MyCol {
+				return func(j spmat.Index) spmat.Index { return j }
+			}
+			return func(j spmat.Index) spmat.Index { return j - 1 }
+		}},
+		{"ragged", func(g *Grid) func(j spmat.Index) spmat.Index {
+			rank := spmat.Index(g.Comm.Rank())
+			return func(j spmat.Index) spmat.Index { return j - (j*7+rank)%5 }
+		}},
+	}
+	type bill struct {
+		triples      []spmat.Triple[float64]
+		wire         [blocks][2]int64 // per panel: bounded, unbounded (summed over ranks)
+		time         float64
+		onWire, peak int64
+	}
+	for _, p := range []int{4, 9} {
+		for _, rule := range rules {
+			prog := func(c *mpi.Comm, backend Backend) (bill, error) {
+				var out bill
+				g, err := NewGrid(c)
+				if err != nil {
+					return out, err
+				}
+				g.Backend = backend
+				a, err := NewFromTriples(g, n, n, scatter(aT, c.Rank(), p), Float64Codec, nil)
+				if err != nil {
+					return out, err
+				}
+				b, err := NewFromTriples(g, n, n, scatter(bT, c.Rank(), p), Float64Codec, nil)
+				if err != nil {
+					return out, err
+				}
+				rowMax := rule.rowMax(g)
+				bounded := SpGEMMOpts{RowMax: rowMax}
+				clock := c.Clock()
+				for k := 0; k < blocks; k++ {
+					sent := clock.BytesSent()
+					bp, err := SpGEMMPanel(a, b, sr, Float64Codec, bounded, blocks, k)
+					if err != nil {
+						return out, err
+					}
+					mid := clock.BytesSent()
+					up, err := SpGEMMPanel(a, b, sr, Float64Codec, DefaultSpGEMMOpts(), blocks, k)
+					if err != nil {
+						return out, err
+					}
+					for i, d := range []int64{mid - sent, clock.BytesSent() - mid} {
+						if out.wire[k][i], err = c.TryAllreduceInt64("sum", d); err != nil {
+							return out, err
+						}
+					}
+					want := up.Local.Prune(func(r, col spmat.Index, _ float64) bool { return r <= rowMax(col) })
+					if !spmat.Equal(want, bp.Local, func(x, y float64) bool { return x == y }) {
+						return out, fmt.Errorf("rank %d panel %d: bounded panel is not the pruned unbounded one", c.Rank(), k)
+					}
+					part, err := bp.GatherTriples()
+					if err != nil {
+						return out, err
+					}
+					out.triples = append(out.triples, part...)
+					bp.Release()
+					up.Release()
+				}
+				sum, err := c.Summarize()
+				out.time, out.onWire, out.peak = sum.Time, sum.BytesOnWire, sum.PeakBytes
+				return out, err
+			}
+			bills := map[string]bill{}
+			for name, backend := range map[string]Backend{"shared": BackendShared, "codec": BackendCodec} {
+				var got bill
+				err := mpi.NewCluster(p, mpi.DefaultCostModel()).Run(func(c *mpi.Comm) error {
+					out, err := prog(c, backend)
+					if c.Rank() == 0 {
+						got = out
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bills[name] = got
+			}
+			var tcp bill
+			err := mpi.RunTCPLocal(p, mpi.DefaultCostModel(), nil, func(c *mpi.Comm) error {
+				out, err := prog(c, BackendCodec)
+				if c.Rank() == 0 {
+					tcp = out
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bills["tcp"] = tcp
+
+			ref := bills["shared"]
+			for name, got := range bills {
+				label := fmt.Sprintf("p=%d %s %s", p, rule.name, name)
+				if !reflect.DeepEqual(got.triples, ref.triples) {
+					t.Errorf("%s: bounded panels differ from shared", label)
+				}
+				if got.wire != ref.wire || got.time != ref.time || got.onWire != ref.onWire || got.peak != ref.peak {
+					t.Errorf("%s: bill {wire %v, time %g, on wire %d, peak %d}, shared {%v, %g, %d, %d}", label,
+						got.wire, got.time, got.onWire, got.peak, ref.wire, ref.time, ref.onWire, ref.peak)
+				}
+			}
+			for k, w := range ref.wire {
+				if w[0] > w[1] || (k < blocks-1 && w[0] == w[1]) {
+					t.Errorf("p=%d %s panel %d: %d bytes bounded, %d unbounded", p, rule.name, k, w[0], w[1])
+				}
+			}
+		}
+	}
+}

@@ -224,7 +224,7 @@ func Table1(sc Scale) (*Table, error) {
 				if total > 0 {
 					pct = 100 * alignT / total
 				}
-				t.Add(v.label, ds.name, p, fmt.Sprintf("%.0f%%", pct))
+				t.Add(v.label, ds.name, p, fmt.Sprintf("%.2f%%", pct))
 			}
 		}
 	}

@@ -145,20 +145,30 @@ func (h *hashScratch[C]) nextGen() {
 // mixes). Structure, values and flop count are bit-identical to the map
 // reference in hash_test.go: contributions accumulate in the same
 // iteration order and output rows are emitted sorted.
+//
+// rowMax, when non-nil, bounds output column j to rows <= rowMax(j): an A
+// column is walked only up to its first row past the bound (IR ascends
+// within a column), so no multiply past it is performed or counted, and a
+// column the bound empties is not emitted.
 func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
-	sr Semiring[A, B, C], lo, hi int) segment[C] {
+	sr Semiring[A, B, C], rowMax func(Index) Index, lo, hi int) segment[C] {
 
 	var out segment[C]
 	var h hashScratch[C]
+	last := a.NumRows - 1
 	for cb := lo; cb < hi; cb++ {
 		j := b.JC[cb]
+		if rowMax != nil {
+			last = rowMax(j)
+		}
 
-		// Pairing pass: resolve each B nonzero to its A column once and
-		// bound the distinct output rows of this column by its flops.
+		// Pairing pass: resolve each B nonzero to its A column once — kept
+		// only when the column reaches a row within the bound — and bound
+		// the distinct output rows of this column by its flops.
 		h.prods = h.prods[:0]
 		colFlops := 0
 		for kb := b.CP[cb]; kb < b.CP[cb+1]; kb++ {
-			if ca, ok := aCol.get(b.IR[kb]); ok {
+			if ca, ok := aCol.get(b.IR[kb]); ok && a.IR[a.CP[ca]] <= last {
 				h.prods = append(h.prods, colProduct{ca: ca, kb: kb})
 				colFlops += a.CP[ca+1] - a.CP[ca]
 			}
@@ -167,8 +177,8 @@ func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 			continue
 		}
 		bound := colFlops
-		if Index(bound) > a.NumRows {
-			bound = int(a.NumRows)
+		if Index(bound) > last+1 {
+			bound = int(last + 1)
 		}
 		h.reserve(bound)
 		h.nextGen()
@@ -178,6 +188,9 @@ func hashRange[A, B, C any](a *DCSC[A], b *DCSC[B], aCol *aColLookup,
 			bv := b.Vals[p.kb]
 			for ka := a.CP[p.ca]; ka < a.CP[p.ca+1]; ka++ {
 				i := a.IR[ka]
+				if i > last {
+					break
+				}
 				contrib := sr.Multiply(i, j, a.Vals[ka], bv)
 				out.flops++
 				s := h.slot(i)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -196,5 +197,90 @@ func TestHashRangeAllocationStable(t *testing.T) {
 	if large > 2*small+40 {
 		t.Fatalf("allocations scale with columns: %d cols -> %.0f allocs, %d cols -> %.0f allocs",
 			len(b1.JC), small, len(b4.JC), large)
+	}
+}
+
+// TestSpGEMMRowBound holds a bounded multiply (SpGEMMOpts.RowMax) to the
+// full product pruned to rows <= RowMax(j), serially and on four threads,
+// under random bounds and adversarial ones: below every row, past every row,
+// exactly on a stored row, and bounds that empty whole columns. The product
+// keeps no empty column, and Flops is the number of multiplies the semiring
+// saw — the A nonzeros within the bound of every (A column, B nonzero)
+// pairing, counted here by brute force.
+func TestSpGEMMRowBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		n, k, m := Index(rng.Intn(60)+1), Index(rng.Intn(40)+1), Index(rng.Intn(60)+1)
+		a, _ := FromTriples(n, k, randomTriples(rng, n, k, capNNZ(rng.Intn(400), n, k)), nil)
+		b, _ := FromTriples(k, m, randomTriples(rng, k, m, capNNZ(rng.Intn(400), k, m)), nil)
+		full, _, err := SpGEMM(a, b, Arithmetic, SpGEMMOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		random := make([]Index, m)
+		for j := range random {
+			random[j] = Index(rng.Intn(int(n)+2)) - 1
+		}
+		bounds := []struct {
+			name   string
+			rowMax func(j Index) Index
+		}{
+			{"below every row", func(Index) Index { return -1 }},
+			{"past every row", func(Index) Index { return n }},
+			{"upper triangle", func(j Index) Index { return j }},
+			{"strict upper triangle", func(j Index) Index { return j - 1 }},
+			{"every other column emptied", func(j Index) Index { return n*(j%2) - 1 }},
+			{"random", func(j Index) Index { return random[j] }},
+			{"on a stored row", func(j Index) Index {
+				// The middle row the full product stores in column j, so the
+				// bound keeps that row and drops the next.
+				if lo, hi, ok := full.colSpan(j); ok {
+					return full.IR[(lo+hi)/2]
+				}
+				return -1
+			}},
+		}
+		for _, bound := range bounds {
+			want := full.Prune(func(r, c Index, _ float64) bool { return r <= bound.rowMax(c) })
+			var wantFlops int64
+			for cb, j := range b.JC {
+				for kb := b.CP[cb]; kb < b.CP[cb+1]; kb++ {
+					if lo, hi, ok := a.colSpan(b.IR[kb]); ok {
+						for _, i := range a.IR[lo:hi] {
+							if i <= bound.rowMax(j) {
+								wantFlops++
+							}
+						}
+					}
+				}
+			}
+			for _, threads := range []int{1, 4} {
+				var performed atomic.Int64
+				sr := Semiring[float64, float64, float64]{
+					Multiply: func(_, _ Index, x, y float64) float64 {
+						performed.Add(1)
+						return x * y
+					},
+					Add: Arithmetic.Add,
+				}
+				got, stats, err := SpGEMM(a, b, sr, SpGEMMOpts{Threads: threads, RowMax: bound.rowMax})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("trial %d, %s, threads %d", trial, bound.name, threads)
+				if !Equal(want, got, func(x, y float64) bool { return x == y }) {
+					t.Fatalf("%s: bounded product is not the pruned full product", name)
+				}
+				for c := range got.JC {
+					if got.CP[c+1] == got.CP[c] {
+						t.Fatalf("%s: column %d emitted empty", name, got.JC[c])
+					}
+				}
+				if stats.Flops != performed.Load() || stats.Flops != wantFlops {
+					t.Fatalf("%s: Flops %d, multiplies performed %d, within the bound %d",
+						name, stats.Flops, performed.Load(), wantFlops)
+				}
+			}
+		}
 	}
 }

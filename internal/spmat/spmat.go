@@ -345,8 +345,8 @@ func MergeAdd[T any](parts []*DCSC[T], add func(T, T) T) (*DCSC[T], error) {
 }
 
 // Stats reports the work performed by an SpGEMM call, used to charge the
-// virtual clock: Flops counts semiring multiplications (the standard
-// SpGEMM work measure; additions are bounded by it).
+// virtual clock: Flops counts the semiring multiplications performed (the
+// standard SpGEMM work measure; additions are bounded by it).
 type Stats struct {
 	Flops int64
 }
@@ -356,6 +356,11 @@ type Stats struct {
 type SpGEMMOpts struct {
 	// Threads is the intra-rank thread count; <= 1 multiplies serially.
 	Threads int
+	// RowMax, when non-nil, bounds output column j to rows <= RowMax(j):
+	// the multiply forms only those entries, performs (and counts) only
+	// their flops, and emits no column the bound leaves empty. nil forms
+	// every entry.
+	RowMax func(j Index) Index
 }
 
 // segment is the partial SpGEMM output for one contiguous range of B's
@@ -436,12 +441,12 @@ func SpGEMM[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C],
 	}
 	if nchunks == 1 {
 		// Serial fast path: one segment, adopted in place.
-		out, stats := hashRange(a, b, &aCol, sr, 0, ncols).whole(a.NumRows, b.NumCols)
+		out, stats := hashRange(a, b, &aCol, sr, opts.RowMax, 0, ncols).whole(a.NumRows, b.NumCols)
 		return out, stats, nil
 	}
 	segs := make([]segment[C], nchunks)
 	parallel.ForChunks(threads, ncols, nchunks, func(w, chunk, lo, hi int) {
-		segs[chunk] = hashRange(a, b, &aCol, sr, lo, hi)
+		segs[chunk] = hashRange(a, b, &aCol, sr, opts.RowMax, lo, hi)
 	})
 	out, stats := assemble(a.NumRows, b.NumCols, segs)
 	return out, stats, nil

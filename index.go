@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -114,10 +115,11 @@ type QueryBatch struct {
 // QueryEngine serves query batches against a persisted index: build once
 // with BuildIndex, open any number of times with OpenIndex, then call
 // Query repeatedly. The first batch reads the per-rank artifacts from disk
-// (cold); later batches reuse the resident matrix blocks and sequences
+// and fetches each rank's database sequences (cold); once it has succeeded,
+// later batches answer from the resident k-mer postings and sequences
 // (warm), and an LRU result cache keyed by query sequence content makes
-// repeated queries free. Safe for use from one goroutine at a time (calls
-// are serialized internally).
+// repeated queries free. Query is safe for concurrent use: calls serialize
+// on the engine, each seeing the resident state its predecessors left.
 type QueryEngine struct {
 	// Model supplies the virtual-time constants for query runs.
 	Model CostModel
@@ -134,7 +136,7 @@ type QueryEngine struct {
 	names   []string
 
 	mu       sync.Mutex
-	warm     []*core.RankData // per-rank resident state, filled on first use
+	warm     []*core.RankData // per-rank resident state, installed by the first batch that succeeds
 	cache    resultCache
 	cacheKey string // config epoch the cache entries were computed under
 }
@@ -247,8 +249,12 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 	fresh := make(map[string][]Hit, len(missRecs))
 	if len(missRecs) > 0 {
 		data := fasta.Bytes(missRecs, 0)
+		// A cold batch loads every rank's state into its own slot of rds; the
+		// engine keeps it only if the whole batch succeeds, so a failed cold
+		// batch leaves nothing half-built and the next one starts cold again.
+		rds := slices.Clone(e.warm)
 		qr, sum, err := mpi.RunLocal(context.TODO(), e.nodes, e.Model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
-			rd := e.warm[c.Rank()]
+			rd := rds[c.Rank()]
 			var coldBytes int64
 			if rd == nil {
 				var err error
@@ -256,7 +262,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 					return nil, err
 				}
 				coldBytes = rd.Bytes
-				e.warm[c.Rank()] = rd // each rank fills only its own slot
+				rds[c.Rank()] = rd // each rank fills only its own slot
 			}
 			owned, err := fasta.Partition(data, c.Rank(), e.nodes)
 			if err != nil {
@@ -274,6 +280,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 		if err != nil {
 			return nil, err
 		}
+		e.warm = rds
 		out.Stats, out.Time = qr.Stats, sum.Time
 		for _, rec := range missRecs {
 			fresh[string(alphabet.Clean(rec.Seq))] = nil // record even hitless queries

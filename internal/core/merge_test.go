@@ -80,3 +80,21 @@ func TestMergeOverlapAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestMergeOverlapIsOrderFree pins what lets a query batch sum its partial
+// products in any order (query.go): MergeOverlap is commutative and
+// associative over Overlaps in canonical form, so grid column j merging the
+// partials of its q grid rows forms B's block bitwise as the SUMMA's stage
+// merge does.
+func TestMergeOverlapIsOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 200000; i++ {
+		x, y, z := randOverlap(rng), randOverlap(rng), randOverlap(rng)
+		if a, b := MergeOverlap(x, y), MergeOverlap(y, x); a != b {
+			t.Fatalf("not commutative: %+v ⊕ %+v = %+v, reversed %+v", x, y, a, b)
+		}
+		if a, b := MergeOverlap(MergeOverlap(x, y), z), MergeOverlap(x, MergeOverlap(y, z)); a != b {
+			t.Fatalf("not associative on %+v, %+v, %+v: %+v vs %+v", x, y, z, a, b)
+		}
+	}
+}

@@ -109,8 +109,8 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	ops := &operands{rows: t.a, rowsS: t.as, at: t.at, ast: t.ast}
-	return sweep(r, ops, t.store, symmetricFrame(r.grid), ckpt, t.stats)
+	ops := &operands{r: r, f: symmetricFrame(r.grid), a: t.a, as: t.as, at: t.at, ast: t.ast}
+	return sweep(r, ops, t.store, ops.f, ckpt, t.stats)
 }
 
 // AllVsAll is the all-vs-all rank body, shared by pastis.RunRank (and so by

@@ -63,22 +63,20 @@ type panelResult struct {
 }
 
 // processPanel is the per-wave local stage: merge the transpose
-// contribution (dual-product substitute path), cut the panel to the pairs
-// this rank owns (cut, the Fig. 11 rule when the product was not bounded by
-// it; nil otherwise), apply the common-k-mer prune, and align the panel's
+// contribution (all-vs-all dual-product substitute path), cut the panel to
+// the pairs this rank owns (p.cut, the Fig. 11 rule when the product was not
+// bounded by it; nil otherwise), apply the common-k-mer prune, and align the panel's
 // candidate pairs on the worker pool. It runs on a
 // background goroutine while the next panel's SUMMA stages proceed, so it
 // must not touch the rank clock or any distributed state: inputs are
 // read-only and all accounting is returned as tallies. Output is
 // deterministic — chunks merge in order — so the edge list is bit-identical
 // for any thread count and any wave count.
-func processPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index,
-	src seqSource, f frame, cfg Config) panelResult {
-
+func processPanel(p panel, src seqSource, f frame, cfg Config) panelResult {
 	var res panelResult
-	local := bp.Local
-	if btp != nil {
-		merged, err := spmat.EWiseAdd(local, btp.Local, MergeOverlap)
+	local, cut := p.b, p.cut
+	if p.bt != nil {
+		merged, err := spmat.EWiseAdd(local, p.bt, MergeOverlap)
 		if err != nil {
 			res.err = err
 			return res
@@ -111,14 +109,14 @@ func processPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index,
 		return res
 	}
 
-	edges, aligned, cells, stages, err := alignPanel(pruned, bp.RowOffset(), bp.ColOffset(), src, f, cfg)
+	edges, aligned, cells, stages, err := alignPanel(pruned, p.rowOff, p.colOff, src, f, cfg)
 	res.edges, res.aligned, res.cells, res.stages, res.err = edges, aligned, cells, stages, err
 	res.parOps += float64(cells) * opsPerDPCell
 	return res
 }
 
 // alignPanel aligns the candidate pairs of one panel, every one of which
-// this rank owns (operands.panels bounded its product by the Fig. 11 rule,
+// this rank owns (the panel source bounded its product by the Fig. 11 rule,
 // or processPanel cut it). Panels partition
 // the local columns, so per-panel candidate lists concatenate — in panel
 // order — to exactly the monolithic candidate list.

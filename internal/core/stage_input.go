@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"unsafe"
 
+	"repro/internal/alphabet"
 	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/kmer"
@@ -106,6 +108,36 @@ func stageInput(g *dmat.Grid, owned []fasta.Record, cfg Config) (*seqstore.Store
 	clock.StartSection(SectionFasta)
 	clock.IOBytes(fasta.TotalSeqBytes(owned))
 	store, err = seqstore.Exchange(g, owned)
+	clock.EndSection()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.BlockingExchange {
+		clock.Section(SectionWait, func() { err = store.Wait() })
+	}
+	return store, err
+}
+
+// batchInput is stageInput for a query batch: the same parse charge, and a
+// fetch of the batch's row side only — the one side of the batch a
+// rectangular sweep reads (the database supplies the columns).
+func batchInput(g *dmat.Grid, queries []fasta.Record, cfg Config) (*seqstore.Store, error) {
+	owned := make([]seqstore.Sequence, len(queries))
+	for i, rec := range queries {
+		codes, err := alphabet.EncodeSeq(alphabet.Clean(rec.Seq))
+		if err != nil {
+			return nil, fmt.Errorf("core: query %s: %w", rec.ID, err)
+		}
+		owned[i] = seqstore.Sequence{Name: rec.ID, Codes: codes}
+	}
+	clock := g.Comm.Clock()
+	var store *seqstore.Store
+	var err error
+	clock.StartSection(SectionFasta)
+	n := fasta.TotalSeqBytes(queries)
+	clock.IOBytes(n)
+	clock.Ops(float64(n) * 2)
+	store, err = seqstore.FromOwned(g, owned, true, false)
 	clock.EndSection()
 	if err != nil {
 		return nil, err

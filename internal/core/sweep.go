@@ -39,72 +39,115 @@ func checkBudget(comm *mpi.Comm, budget int64) error {
 	return nil
 }
 
-// operands are the distributed matrices one sweep multiplies: a row side —
-// A and AS for all-vs-all, the batch panel Q and QS for a query, rowsS being
-// expandAS(rows) either way — against the column side Aᵀ and (AS)ᵀ of the
-// target. rowsS and ast are nil in exact mode. Only the symmetric sweep may leave ast nil with
-// rowsS set: a single wave then takes the transpose-based symmetrization,
-// and a multi-wave split transposes rowsS itself (a rectangular panel has no
-// transpose to symmetrize with, so a query always brings (AS)ᵀ).
+// panel is one wave of a sweep on this rank: its block-local share of the
+// candidate matrix B, with the global origin of its rows and columns. bt is
+// the matching column panel of Bᵀ on the all-vs-all dual-product path, nil
+// elsewhere; cut is the Fig. 11 rule (frame.rowMax) the panel still needs
+// applied, nil when it holds only owned pairs already. The panel's bytes are
+// on the live-bytes ledger until the wave that aligns it is collected.
+type panel struct {
+	b, bt          *spmat.DCSC[Overlap]
+	rowOff, colOff spmat.Index
+	cut            func(spmat.Index) spmat.Index
+}
+
+// bytes is what the panel holds on the ledger.
+func (p panel) bytes() int64 {
+	n := p.b.Bytes()
+	if p.bt != nil {
+		n += p.bt.Bytes()
+	}
+	return n
+}
+
+// panelSource is what a sweep multiplies: the all-vs-all operands (A and AS
+// against the target's Aᵀ and (AS)ᵀ, multiplied by SUMMA) or a query batch
+// against the resident postings (query.go). panels streams panels
+// [startPanel, blocks) of `blocks` into yield, each with its seeds in the
+// sweep's pair frame and bit-identical to the matching column slice of the
+// monolithic product; a later call (the degradation ladder) starts over at
+// a new split. release frees the operands once the sweep is done.
+type panelSource interface {
+	panels(blocks, startPanel int, yield func(k int, p panel) error) error
+	release()
+}
+
+// operands are the distributed matrices an all-vs-all sweep multiplies: A
+// and AS = expandAS(A) against the column side Aᵀ and (AS)ᵀ of the target,
+// in the symmetric frame f. as and ast are nil in exact mode. ast may be nil
+// with as set: a single wave then takes the transpose-based symmetrization,
+// and a multi-wave split builds (AS)ᵀ on its first panels call.
 type operands struct {
-	rows  *dmat.Mat[int32]
-	rowsS *dmat.Mat[PosDist]
-	at    *dmat.Mat[int32]
-	ast   *dmat.Mat[PosDist]
+	r       *run
+	f       frame
+	a, at   *dmat.Mat[int32]
+	as, ast *dmat.Mat[PosDist]
 }
 
 // release frees every operand once the wave loop has consumed all panels.
 func (o *operands) release() {
-	o.rows.Release()
+	o.a.Release()
 	o.at.Release()
-	if o.rowsS != nil {
-		o.rowsS.Release()
+	if o.as != nil {
+		o.as.Release()
 	}
 	if o.ast != nil {
 		o.ast.Release()
 	}
 }
 
-// panels streams the candidate matrix B = rows·Aᵀ (exact) or the
-// symmetrization-ready pair for B = rowsS·Aᵀ (substitute) in `blocks` column
-// panels, invoking yield as each panel's SUMMA stages complete. yield
-// receives the panel plus, on the dual-product path, the matching column
-// panel of Bᵀ, both with their seeds in the pair frame f (types.go). Every
-// panel is bit-identical to the corresponding column slice of the monolithic
-// computation, cut to the pairs this rank owns where the product was
-// bounded. yield's cut is the Fig. 11 rule (frame.rowMax) the panel still
-// needs applied, nil when it holds only owned pairs already.
-//
-// startPanel skips the panels a resumed run already merged from checkpoint
-// (0 for a fresh sweep): the sweep runs panels [startPanel, blocks).
-//
-// Cost shape: a symmetric panel forms only the pairs this rank owns — its
-// products take the Fig. 11 rule as their row bound (frame.rowMax), so no
-// entry past it is multiplied, and wave k re-broadcasts only the row
-// operand's rows below panel k's end: (blocks+1)/2 operand volumes per sweep
-// instead of blocks (the follow-up paper's memory-for-broadcast trade, made
-// triangular). The strawman assignment (naive, Config.NaiveTriangle) keeps
-// rows past a panel's end and forms whole panels. The symmetric single-wave
-// substitute plan (ast == nil) keeps the SC20 transpose-based
-// symmetrization, which needs B's lower triangle and so forms all of B; it is
-// cheaper than the dual product when the whole matrix is resident anyway.
-// Every other substitute sweep computes the Bᵀ panels directly as
-// rows·(AS)ᵀ, because a column panel of Bᵀ is not a slice of B's column
-// panels.
-func (o *operands) panels(f frame, naive bool, gemmOpts dmat.SpGEMMOpts, blocks, startPanel int,
-	yield func(panel int, bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) error) error {
+// dmatPanel hands a SUMMA panel (and its Bᵀ panel) over to the wave, whose
+// collect frees its bytes.
+func dmatPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) panel {
+	p := panel{b: bp.Local, rowOff: bp.RowOffset(), colOff: bp.ColOffset(), cut: cut}
+	if btp != nil {
+		p.bt = btp.Local
+	}
+	return p
+}
 
-	clock := o.rows.Grid.Comm.Clock()
+// panels streams the candidate matrix B = A·Aᵀ (exact) or the
+// symmetrization-ready pair for B = AS·Aᵀ (substitute) in `blocks` column
+// panels, invoking yield as each panel's SUMMA stages complete. On the
+// dual-product path the panel carries the matching column panel of Bᵀ.
+// Every panel is cut to the pairs this rank owns where the product was
+// bounded.
+//
+// Cost shape: a panel forms only the pairs this rank owns — its products take
+// the Fig. 11 rule as their row bound (frame.rowMax), so no entry past it is
+// multiplied, and wave k re-broadcasts only the row operand's rows below
+// panel k's end: (blocks+1)/2 operand volumes per sweep instead of blocks
+// (the follow-up paper's memory-for-broadcast trade, made triangular). The
+// strawman assignment (naive, Config.NaiveTriangle) keeps rows past a
+// panel's end and forms whole panels. The single-wave substitute plan
+// (ast == nil) keeps the SC20 transpose-based symmetrization, which needs B's
+// lower triangle and so forms all of B; it is cheaper than the dual product
+// when the whole matrix is resident anyway. Every other substitute sweep
+// computes the Bᵀ panels directly as A·(AS)ᵀ, because a column panel of Bᵀ
+// is not a slice of B's column panels.
+func (o *operands) panels(blocks, startPanel int, yield func(k int, p panel) error) error {
+	r, f := o.r, o.f
+	clock, naive := r.clock, r.cfg.NaiveTriangle
+	if o.as != nil && o.ast == nil && blocks > 1 {
+		// A multi-wave split — configured, resumed from a checkpoint, or the
+		// first rung of the ladder out of a single-wave plan: the dual
+		// product needs (AS)ᵀ, which the monolithic sweep never does. Built
+		// once; later rungs reuse it.
+		var err error
+		if o.ast, err = transposeAS(clock, o.as); err != nil {
+			return err
+		}
+	}
 	if startPanel >= blocks {
 		return nil // resumed past the final wave: nothing left to compute
 	}
-	if o.rowsS != nil && o.ast == nil {
+	if o.as != nil && o.ast == nil {
 		// Single wave: monolithic product plus the SC20 transpose-based
 		// symmetrization B ⊕ Bᵀ; B[j,i] is already in the frame of B[i,j].
 		var b *dmat.Mat[Overlap]
 		var err error
 		clock.Section(SectionB, func() {
-			b, err = dmat.SpGEMM(o.rowsS, o.at, f.subRows(), OverlapCodec, gemmOpts)
+			b, err = dmat.SpGEMM(o.as, o.at, f.subRows(), OverlapCodec, r.gemm)
 		})
 		if err != nil {
 			return err
@@ -123,10 +166,10 @@ func (o *operands) panels(f frame, naive bool, gemmOpts dmat.SpGEMMOpts, blocks,
 		if err != nil {
 			return err
 		}
-		return yield(0, sym, nil, f.rowMax(naive))
+		return yield(0, dmatPanel(sym, nil, f.rowMax(naive)))
 	}
 
-	bounded, cut := gemmOpts, f.rowMax(naive)
+	bounded, cut := r.gemm, f.rowMax(naive)
 	if !naive {
 		bounded.RowMax, cut = cut, nil
 	}
@@ -137,35 +180,35 @@ func (o *operands) panels(f frame, naive bool, gemmOpts dmat.SpGEMMOpts, blocks,
 		var bp, btp *dmat.Mat[Overlap]
 		var err error
 		clock.Section(SectionB, func() {
-			if o.rowsS == nil {
-				bp, err = dmat.SpGEMMPanel(o.rows, o.at, f.exact(), OverlapCodec, bounded, blocks, k)
+			if o.as == nil {
+				bp, err = dmat.SpGEMMPanel(o.a, o.at, f.exact(), OverlapCodec, bounded, blocks, k)
 			} else {
-				bp, err = dmat.SpGEMMPanel(o.rowsS, o.at, f.subRows(), OverlapCodec, bounded, blocks, k)
+				bp, err = dmat.SpGEMMPanel(o.as, o.at, f.subRows(), OverlapCodec, bounded, blocks, k)
 			}
 		})
 		if err != nil {
 			return err
 		}
-		if o.rowsS != nil {
+		if o.as != nil {
 			// The transpose contribution is symmetrization work (Fig. 15
 			// "sym."). ast's blocks have the same local widths as at's, so
-			// panel k of rows·(AS)ᵀ covers exactly bp's local columns.
+			// panel k of A·(AS)ᵀ covers exactly bp's local columns.
 			clock.Section(SectionSym, func() {
-				btp, err = dmat.SpGEMMPanel(o.rows, o.ast, f.subCols(), OverlapCodec, bounded, blocks, k)
+				btp, err = dmat.SpGEMMPanel(o.a, o.ast, f.subCols(), OverlapCodec, bounded, blocks, k)
 			})
 			if err != nil {
 				return err
 			}
 		}
-		if err := yield(k, bp, btp, cut); err != nil {
+		if err := yield(k, dmatPanel(bp, btp, cut)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sweep is the one blocked-wave driver: it streams ops through the wave
-// pipeline, aligns the surviving candidates, and reduces the counters into
+// sweep is the one blocked-wave driver: it streams ops' panels through the
+// wave pipeline, aligns the surviving candidates, and reduces the counters into
 // stats so every rank reports identical numbers. It consumes ops. src
 // resolves panel indices to sequences; its exchange is completed right
 // before the first alignment needs it. f is this rank's pair frame:
@@ -182,7 +225,7 @@ func (o *operands) panels(f frame, naive bool, gemmOpts dmat.SpGEMMOpts, blocks,
 // double the block count — smaller panels, smaller transients — until it
 // fits or the ladder caps out. A run that succeeds thus reports a split
 // whose unbudgeted run peaks within the budget.
-func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, stats Stats) (*Result, error) {
+func sweep(r *run, ops panelSource, src seqSource, f frame, ckpt *checkpointer, stats Stats) (*Result, error) {
 
 	blocks, startPanel := r.blocks, 0
 	var resume *checkpointState
@@ -196,22 +239,12 @@ func sweep(r *run, ops *operands, src seqSource, f frame, ckpt *checkpointer, st
 	}
 	var w *wave
 	for {
-		if ops.rowsS != nil && ops.ast == nil && blocks > 1 {
-			// A multi-wave all-vs-all split — configured, resumed from a
-			// checkpoint, or the first rung of the ladder out of a
-			// single-wave plan: the dual product needs (AS)ᵀ, which the
-			// monolithic sweep never does. Built once; later rungs reuse it.
-			var err error
-			if ops.ast, err = transposeAS(r.clock, ops.rowsS); err != nil {
-				return nil, err
-			}
-		}
 		w = newWave(r.grid, src, f, r.cfg, blocks, ckpt)
 		if resume != nil {
 			w.restore(resume)
 			resume = nil // only the first attempt resumes; retries start over
 		}
-		err := ops.panels(f, r.cfg.NaiveTriangle, r.gemm, blocks, startPanel, w.yield)
+		err := ops.panels(blocks, startPanel, w.yield)
 		if err == nil {
 			err = w.drain()
 		}

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/alphabet"
+	"repro/internal/fasta"
 	"repro/internal/index"
+	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/testutil"
 )
@@ -191,5 +196,85 @@ func TestTransportValidation(t *testing.T) {
 		if err := validate(cfg); err != nil {
 			t.Fatalf("transport %q rejected: %v", ok, err)
 		}
+	}
+}
+
+// TestWarmBatchMovesNoDatabase holds a warm batch to what it moves: its own
+// k-mers, its partial products and its hits, never the database. The same
+// batch is answered twice on one set of resident RankData — cold, then warm —
+// against a database and against that database grown fourfold by sequences
+// that share no k-mer with the batch; the warm run's BytesOnWire may rise by
+// at most 10 %. A query that re-broadcast Aᵀ or re-exchanged the database
+// sequences on every batch roughly doubles it.
+func TestWarmBatchMovesNoDatabase(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	const p = 4
+	data := familyDataset(t, 4, 71)
+	batch := data.Records[:4]
+	cfg := DefaultConfig()
+	cfg.CommonKmerThreshold = 1
+
+	batchKmers := map[kmer.ID]bool{}
+	for _, rec := range batch {
+		codes, err := alphabet.EncodeSeq(alphabet.Clean(rec.Seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, km := range kmer.ExtractCodes(codes, cfg.K, true) {
+			batchKmers[km.ID] = true
+		}
+	}
+	// Random sequences, kept only when no k-mer of theirs is the batch's.
+	rng := rand.New(rand.NewSource(5))
+	grown := slices.Clone(data.Records)
+	for len(grown) < 4*len(data.Records) {
+		seq := make([]byte, 150)
+		for i := range seq {
+			seq[i] = "ACDEFGHIKLMNPQRSTVWY"[rng.Intn(20)]
+		}
+		codes, err := alphabet.EncodeSeq(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(kmer.ExtractCodes(codes, cfg.K, true), func(km kmer.Kmer) bool { return batchKmers[km.ID] }) {
+			grown = append(grown, fasta.Record{ID: fmt.Sprintf("unrelated%d", len(grown)), Seq: seq})
+		}
+	}
+
+	warmWire := func(db []fasta.Record) (int64, []Edge) {
+		dir := buildTestIndex(t, db, p, cfg)
+		rds := make([]*RankData, p)
+		for r := range rds {
+			var err error
+			if rds[r], err = LoadRankData(dir, r, p, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var run chaosRun
+		for _, cold := range []bool{true, false} {
+			var err error
+			run, err = runChaos(p, nil, func(c *mpi.Comm) (*Result, error) {
+				rd := rds[c.Rank()]
+				var coldBytes int64
+				if cold {
+					coldBytes = rd.Bytes
+				}
+				lo, hi := len(batch)*c.Rank()/p, len(batch)*(c.Rank()+1)/p
+				return Query(c, rd, batch[lo:hi], cfg, coldBytes)
+			}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return run.sum.BytesOnWire, run.edges
+	}
+	base, baseEdges := warmWire(data.Records)
+	more, moreEdges := warmWire(grown)
+	if !slices.Equal(moreEdges, baseEdges) {
+		t.Fatalf("the unrelated sequences changed the batch's hits: %d edges, want %d", len(moreEdges), len(baseEdges))
+	}
+	t.Logf("warm batch: %d wire bytes against %d sequences, %d against %d", base, len(data.Records), more, len(grown))
+	if float64(more) > 1.1*float64(base) {
+		t.Errorf("warm batch moved %d bytes against the grown database, %d against the original: it moves the database", more, base)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/dmat"
 	"repro/internal/mpi"
-	"repro/internal/spmat"
 )
 
 // wave drives the memory-bounded overlap/align pipeline: panel i's local
@@ -49,11 +48,10 @@ type wave struct {
 
 // panelFuture is one in-flight wave.
 type panelFuture struct {
-	panel   int
-	bp, btp *dmat.Mat[Overlap]
-	cut     func(spmat.Index) spmat.Index // ownership rule still to apply (operands.panels)
-	start   float64                       // main-clock time at launch
-	done    chan panelResult
+	k     int // panel index
+	p     panel
+	start float64 // main-clock time at launch
+	done  chan panelResult
 }
 
 func newWave(g *dmat.Grid, src seqSource, f frame, cfg Config, blocks int, ckpt *checkpointer) *wave {
@@ -70,11 +68,11 @@ func (w *wave) restore(ck *checkpointState) {
 	w.edges = ck.Edges
 }
 
-// yield is the operands.panels callback: it completes the sequence exchange
-// before the first wave needs sequence data, collects the previous wave,
-// launches this panel's local work in the background, and checks the wave
-// against the memory budget.
-func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) error {
+// yield is the panelSource.panels callback: it completes the sequence
+// exchange before the first wave needs sequence data, collects the previous
+// wave, launches this panel's local work in the background, and checks the
+// wave against the memory budget.
+func (w *wave) yield(k int, p panel) error {
 	if !w.started && !w.cfg.BlockingExchange {
 		var err error
 		w.clock.Section(SectionWait, func() { err = w.src.Wait() })
@@ -86,9 +84,9 @@ func (w *wave) yield(panel int, bp, btp *dmat.Mat[Overlap], cut func(spmat.Index
 	if err := w.collect(); err != nil {
 		return err
 	}
-	f := &panelFuture{panel: panel, bp: bp, btp: btp, cut: cut, start: w.clock.Now(), done: make(chan panelResult, 1)}
+	f := &panelFuture{k: k, p: p, start: w.clock.Now(), done: make(chan panelResult, 1)}
 	w.pending = f
-	go func() { f.done <- processPanel(f.bp, f.btp, f.cut, w.src, w.frame, w.cfg) }()
+	go func() { f.done <- processPanel(f.p, w.src, w.frame, w.cfg) }()
 	return checkBudget(w.grid.Comm, w.cfg.MemBudget)
 }
 
@@ -107,11 +105,7 @@ func (w *wave) collect() error {
 	// The task's transients lived alongside the panel: bump the ledger to
 	// the combined high-water mark, then retire the whole wave.
 	w.clock.AllocBytes(res.scratch)
-	w.clock.FreeBytes(res.scratch)
-	f.bp.Release()
-	if f.btp != nil {
-		f.btp.Release()
-	}
+	w.clock.FreeBytes(res.scratch + f.p.bytes())
 
 	d := w.clock.OpsDuration(res.serialOps) + w.clock.ParOpsDuration(res.parOps)
 	if f.start > w.laneT {
@@ -146,7 +140,7 @@ func (w *wave) collect() error {
 		comm := w.grid.Comm
 		return writeCheckpoint(w.ckpt.dir, w.ckpt.fingerprint, comm.Rank(), comm.Size(),
 			checkpointState{
-				Wave: f.panel, Blocks: w.blocks,
+				Wave: f.k, Blocks: w.blocks,
 				NnzB: w.nnzB, NnzPruned: w.nnzPruned,
 				Aligned: w.aligned, Cells: w.cells,
 				Stages: w.stages, Edges: w.edges,

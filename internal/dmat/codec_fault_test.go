@@ -52,9 +52,6 @@ func TestBlockCodecHardening(t *testing.T) {
 			if _, err := NewFromTriples(g, 8, 8, nil, noWidth, nil); !errors.Is(err, errCodecWidth) {
 				return fmt.Errorf("NewFromTriples: %v", err)
 			}
-			if _, err := NewFromLocal(g, 8, 8, blk, noWidth); !errors.Is(err, errCodecWidth) {
-				return fmt.Errorf("NewFromLocal: %v", err)
-			}
 			if _, _, err := bcastRows(g, g.RowComm, 0, blk, blk.NumRows, noWidth); !errors.Is(err, errCodecWidth) {
 				return fmt.Errorf("bcastRows: %v", err)
 			}
@@ -182,16 +179,14 @@ func TestGatherTriplesNamesTheSender(t *testing.T) {
 		if c.Rank() == 1 {
 			codec.Append = func(dst []byte, v int32) []byte { return Int32Codec.Append(dst, v)[:len(dst)+3] }
 		}
-		rLo, rHi := BlockRange(8, g.Q, g.MyRow)
-		cLo, cHi := BlockRange(8, g.Q, g.MyCol)
-		local, err := spmat.FromTriples(rHi-rLo, cHi-cLo, []spmat.Triple[int32]{{Row: 1, Col: 2, Val: 3}}, nil)
+		// Every rank owns one nonzero: block-local (1, 2) of its block.
+		rLo, _ := BlockRange(8, g.Q, g.MyRow)
+		cLo, _ := BlockRange(8, g.Q, g.MyCol)
+		m, err := NewFromTriples(g, 8, 8, []spmat.Triple[int32]{{Row: rLo + 1, Col: cLo + 2, Val: 3}}, Int32Codec, nil)
 		if err != nil {
 			return err
 		}
-		m, err := NewFromLocal(g, 8, 8, local, codec)
-		if err != nil {
-			return err
-		}
+		m.codec = codec
 		_, err = m.GatherTriples()
 		if c.Rank() == 0 && (err == nil || !strings.Contains(err.Error(), "triples from rank 1")) {
 			return fmt.Errorf("GatherTriples: err %v, want one naming rank 1", err)

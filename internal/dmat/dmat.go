@@ -268,27 +268,6 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 	return m, nil
 }
 
-// NewFromLocal wraps an already-assembled local block — e.g. decoded from a
-// persisted index artifact — into a distributed matrix. The block's shape
-// must match this rank's BlockRange slice of the global dimensions exactly;
-// a block produced on a different grid side is rejected rather than
-// misindexed. Local (no collectives); the block's bytes are charged to the
-// live-bytes ledger like every constructor's.
-func NewFromLocal[T any](g *Grid, rows, cols spmat.Index, local *spmat.DCSC[T], codec Codec[T]) (*Mat[T], error) {
-	if err := codec.check(); err != nil {
-		return nil, err
-	}
-	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
-	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
-	if local.NumRows != rHi-rLo || local.NumCols != cHi-cLo {
-		return nil, fmt.Errorf("dmat: local block %dx%d does not match this rank's %dx%d slice of %dx%d",
-			local.NumRows, local.NumCols, rHi-rLo, cHi-cLo, rows, cols)
-	}
-	m := &Mat[T]{Grid: g, Rows: rows, Cols: cols, Local: local, codec: codec}
-	g.Comm.Clock().AllocBytes(m.LocalBytes())
-	return m, nil
-}
-
 // appendTriple appends one (row, col, value) record: two u64 indices and the
 // value under codec.
 func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) []byte {

@@ -55,14 +55,12 @@ type recvRange struct {
 	lo, hi spmat.Index // global range carried by this message
 }
 
+// One tag per side. The query path runs two exchanges concurrently over one
+// comm — the batch fetches its row side, a cold database fetch its column
+// side — so their in-flight messages never share a tag.
 const (
 	tagRow = 1001
 	tagCol = 1002
-	// The query path runs two exchanges concurrently over one comm — the
-	// resident database partition and the query batch. Distinct tags keep
-	// their in-flight messages from cross-matching.
-	tagRowResident = 1003
-	tagColResident = 1004
 )
 
 // ownership lists every rank's owned global range, derived collectively.
@@ -93,22 +91,18 @@ func Exchange(g *dmat.Grid, recs []fasta.Record) (*Store, error) {
 		owned[i] = Sequence{Name: rec.ID, Codes: codes}
 	}
 	g.Comm.Clock().Ops(float64(fasta.TotalSeqBytes(recs)) * 2)
-	return fromOwned(g, owned, tagRow, tagCol)
+	return FromOwned(g, owned, true, true)
 }
 
-// FromOwned builds a store from an already-encoded owned partition — the
-// path the persistent index takes on reload, where sequences come from the
-// artifact rather than a FASTA parse. Global indices are (re)assigned from
-// the collective prefix sum, so they are correct whenever every rank holds
-// the same partition slice it held at build time. Launches the nonblocking
-// row/column prefetch exactly like Exchange, on the resident tag pair so it
-// can run concurrently with a query batch's Exchange; collective over the
-// grid.
-func FromOwned(g *dmat.Grid, owned []Sequence) (*Store, error) {
-	return fromOwned(g, owned, tagRowResident, tagColResident)
-}
-
-func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, error) {
+// FromOwned builds a store from an already-encoded owned partition and
+// launches the nonblocking prefetch of the sides asked for: rows, cols or
+// both (Exchange fetches both). A rectangular sweep reads only the row side
+// of its batch and only the column side of the database, so each of its two
+// stores fetches one side — one tag each, so the two run concurrently over
+// one comm. Global indices are (re)assigned from the collective prefix sum,
+// so a database partition reloaded from the persistent index is indexed as
+// it was at build time. Collective over the grid.
+func FromOwned(g *dmat.Grid, owned []Sequence, rows, cols bool) (*Store, error) {
 	comm := g.Comm
 
 	// Global indexing via prefix sum of owned counts (paper Section V-A:
@@ -151,8 +145,13 @@ func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, erro
 		st.Owned[i].Global = st.OwnedStart + spmat.Index(i)
 	}
 
-	st.RowLo, st.RowHi = dmat.BlockRange(st.Total, g.Q, g.MyRow)
-	st.ColLo, st.ColHi = dmat.BlockRange(st.Total, g.Q, g.MyCol)
+	// A side not fetched is an empty range: RowSeq/ColSeq reject every index.
+	if rows {
+		st.RowLo, st.RowHi = dmat.BlockRange(st.Total, g.Q, g.MyRow)
+	}
+	if cols {
+		st.ColLo, st.ColHi = dmat.BlockRange(st.Total, g.Q, g.MyCol)
+	}
 	st.rowSeqs = make([]Sequence, st.RowHi-st.RowLo)
 	st.colSeqs = make([]Sequence, st.ColHi-st.ColLo)
 
@@ -161,16 +160,15 @@ func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, erro
 	// the shared ownership table, so no request round-trip is needed.
 	myLo, myHi := own.rangeOf(comm.Rank())
 	for d := 0; d < comm.Size(); d++ {
-		dRow, dCol := d/g.Q, d%g.Q
-		rLo, rHi := dmat.BlockRange(st.Total, g.Q, dRow)
-		cLo, cHi := dmat.BlockRange(st.Total, g.Q, dCol)
-		if lo, hi := intersect(myLo, myHi, rLo, rHi); lo < hi {
-			if _, err := comm.TryIsend(d, rowTag, st.encodeRange(lo, hi)); err != nil {
+		if rows {
+			rLo, rHi := dmat.BlockRange(st.Total, g.Q, d/g.Q)
+			if err := st.send(d, tagRow, myLo, myHi, rLo, rHi); err != nil {
 				return nil, err
 			}
 		}
-		if lo, hi := intersect(myLo, myHi, cLo, cHi); lo < hi {
-			if _, err := comm.TryIsend(d, colTag, st.encodeRange(lo, hi)); err != nil {
+		if cols {
+			cLo, cHi := dmat.BlockRange(st.Total, g.Q, d%g.Q)
+			if err := st.send(d, tagCol, myLo, myHi, cLo, cHi); err != nil {
 				return nil, err
 			}
 		}
@@ -179,15 +177,24 @@ func fromOwned(g *dmat.Grid, owned []Sequence, rowTag, colTag int) (*Store, erro
 	for s := 0; s < comm.Size(); s++ {
 		sLo, sHi := own.rangeOf(s)
 		if lo, hi := intersect(sLo, sHi, st.RowLo, st.RowHi); lo < hi {
-			st.pendingRecv = append(st.pendingRecv, comm.Irecv(s, rowTag))
+			st.pendingRecv = append(st.pendingRecv, comm.Irecv(s, tagRow))
 			st.recvMeta = append(st.recvMeta, recvRange{isRow: true, lo: lo, hi: hi})
 		}
 		if lo, hi := intersect(sLo, sHi, st.ColLo, st.ColHi); lo < hi {
-			st.pendingRecv = append(st.pendingRecv, comm.Irecv(s, colTag))
+			st.pendingRecv = append(st.pendingRecv, comm.Irecv(s, tagCol))
 			st.recvMeta = append(st.recvMeta, recvRange{isRow: false, lo: lo, hi: hi})
 		}
 	}
 	return st, nil
+}
+
+// send ships rank d the owned sequences [myLo, myHi) ∩ [lo, hi), if any.
+func (st *Store) send(d, tag int, myLo, myHi, lo, hi spmat.Index) error {
+	if lo, hi = intersect(myLo, myHi, lo, hi); lo >= hi {
+		return nil
+	}
+	_, err := st.Grid.Comm.TryIsend(d, tag, st.encodeRange(lo, hi))
+	return err
 }
 
 // Wait completes the exchange (the paper's MPI_Waitall after computing B)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -23,8 +24,11 @@ type pairVal struct {
 // queryDiffCase runs BuildGraph over the whole dataset and BuildIndex +
 // Query over the same data with every 3rd record as the query batch, then
 // asserts the query hits are bit-identical to the all-vs-all edges
-// restricted to pairs touching a query.
-func queryDiffCase(t *testing.T, cfg Config, nodes int) {
+// restricted to pairs touching a query. The engine then answers warm, its
+// result cache off: the batch as two halves under cfg, and whole again under
+// alt, a different Transport/Blocks/Threads; every warm answer must be the
+// cold batch's.
+func queryDiffCase(t *testing.T, cfg, alt Config, nodes int) {
 	t.Helper()
 	data, err := GenerateScopeLike(6, 7)
 	if err != nil {
@@ -103,6 +107,33 @@ func queryDiffCase(t *testing.T, cfg Config, nodes int) {
 			t.Fatalf("pair (%d,%d) differs: query %+v, all-vs-all %+v", k.lo, k.hi, g, w)
 		}
 	}
+
+	eng.CacheCap = 0
+	half := len(queries) / 2
+	first, err := eng.Query(queries[:half], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Query(queries[half:], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := first.Hits
+	for _, h := range second.Hits {
+		h.Query += half
+		halves = append(halves, h)
+	}
+	if !slices.Equal(halves, batch.Hits) {
+		t.Fatalf("warm batch in two halves: %d hits differ from the cold batch's %d", len(halves), len(batch.Hits))
+	}
+	switched, err := eng.Query(queries, alt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(switched.Hits, batch.Hits) {
+		t.Fatalf("warm batch under %s/b=%d/t=%d: %d hits differ from the cold batch's %d",
+			alt.Transport, alt.Blocks, alt.Threads, len(switched.Hits), len(batch.Hits))
+	}
 }
 
 // TestQueryMatchesAllVsAll sweeps the bit-identity differential across
@@ -123,7 +154,11 @@ func TestQueryMatchesAllVsAll(t *testing.T) {
 						if subs > 0 {
 							cfg.CommonKmerThreshold = 1
 						}
-						queryDiffCase(t, cfg, 4)
+						// The warm batches switch every machine-shape knob.
+						alt := cfg
+						alt.Threads, alt.Blocks = 4-threads, 4-blocks
+						alt.Transport = map[string]string{"shared": "codec", "codec": "shared"}[transport]
+						queryDiffCase(t, cfg, alt, 4)
 					})
 				}
 			}
@@ -138,7 +173,9 @@ func TestQueryMatchesAllVsAllFiltered(t *testing.T) {
 	cfg.SubstituteKmers = 10
 	cfg.MaxKmerFrequency = 8
 	cfg.CommonKmerThreshold = 1
-	queryDiffCase(t, cfg, 4)
+	alt := cfg
+	alt.Transport, alt.Blocks, alt.Threads = "codec", 2, 2
+	queryDiffCase(t, cfg, alt, 4)
 }
 
 // TestQueryCacheIdentity: repeating a batch must answer entirely from the
@@ -222,6 +259,68 @@ func TestQueryCacheIdentity(t *testing.T) {
 	for i := range first.Hits {
 		if first.Hits[i] != uncached.Hits[i] {
 			t.Fatalf("hit %d drifted on uncached rerun: %+v vs %+v", i, first.Hits[i], uncached.Hits[i])
+		}
+	}
+}
+
+// QueryEngine.Query is safe for concurrent use: batches sent from several
+// goroutines at once serialize on the engine and each returns exactly what
+// it returns alone. The first of them loads the resident state and fetches
+// the database sequences; the race detector watches the others read it.
+func TestQueryEngineConcurrentBatches(t *testing.T) {
+	data, err := GenerateScopeLike(5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := data.Records
+	cfg := DefaultConfig()
+	cfg.CommonKmerThreshold = 1
+	dir := t.TempDir()
+	if _, err := BuildIndex(recs, 4, cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *QueryEngine {
+		t.Helper()
+		eng, err := OpenIndex(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.CacheCap = 0
+		return eng
+	}
+	const batches = 6
+	batchOf := func(i int) []Record { return recs[3*i : 3*i+3] }
+	serial := open()
+	want := make([][]Hit, batches)
+	for i := range want {
+		res, err := serial.Query(batchOf(i), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Hits
+	}
+
+	eng := open()
+	got := make([][]Hit, batches)
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eng.Query(batchOf(i), cfg)
+			if errs[i] = err; err == nil {
+				got[i] = res.Hits
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("batch %d: %v", i, errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("batch %d: %d hits concurrently, %d alone", i, len(got[i]), len(want[i]))
 		}
 	}
 }

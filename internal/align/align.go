@@ -466,27 +466,24 @@ func (xd *xdKernel) xdropExtend(a, b []alphabet.Code, p Params) extension {
 			cur[0] = xdCell{h: lh, f: lh}
 		}
 
-		// The band: columns the row above can reach. The diagonal neighbour
-		// is the previous column's upper neighbour, carried in a register.
+		// The band: columns the row above can reach. xdBand returns at each
+		// new best; the best cell and the thresholds are updated here and the
+		// band resumes at the next column, whose diagonal neighbour is the
+		// upper neighbour of the best cell.
 		diag := prev[jlo-1].h
 		ups := prev[jlo : jhi+1]
-		outs := cur[jlo : jhi+1][:len(ups)]
-		bs := b[jlo-1 : jhi][:len(ups)]
-		for t, up := range ups {
-			e := max(lh+openE, le+ext) &^ xdPrioHi
-			f := max(up.h+openF, up.f+ext) &^ xdPrioHi
-			h := max(diag+diagStep[bs[t]], e, f) &^ xdPrioMask
-			diag = up.h
-			if h < live {
-				h, e, f = xdDead, xdDead, xdDead
+		outs := cur[jlo : jhi+1]
+		bs := b[jlo-1 : jhi]
+		for t := 0; t < len(ups); t++ {
+			var n int
+			n, lh, le = xdBand(ups[t:], outs[t:], bs[t:], diagStep, diag, lh, le, live, better, openE, openF, ext)
+			if t += n; t == len(ups) {
+				break
 			}
-			outs[t] = xdCell{h: h, f: f}
-			lh, le = h, e
-			if h >= better {
-				best, bestI, bestJ = h, i, jlo+t
-				live = (h>>xdScoreShift - x) << xdScoreShift
-				better = (h>>xdScoreShift + 1) << xdScoreShift
-			}
+			best, bestI, bestJ = lh, i, jlo+t
+			live = (lh>>xdScoreShift - x) << xdScoreShift
+			better = (lh>>xdScoreShift + 1) << xdScoreShift
+			diag = ups[t].h
 		}
 
 		// Beyond the reach of the row above only an E chain from this row can
@@ -531,6 +528,44 @@ func (xd *xdKernel) xdropExtend(a, b []alphabet.Code, p Params) extension {
 		extA:    bestI, extB: bestJ,
 		cells: cells,
 	}
+}
+
+// xdBand runs the band of one DP row: ups are the cells above outs, bs the
+// residues of b in their columns, diag the H lane diagonal to outs[0], lh and
+// le the lanes left of it. It returns at the first cell whose H lane is >=
+// better, with that cell's index and lanes, or with len(ups) once the band is
+// done.
+//
+// This is the kernel's hot loop, kept out of line so that none of
+// xdropExtend's state competes for registers: it carries the DP lanes (lh,
+// le, diag), the thresholds, the step constants and the cursor, and nothing
+// else. Returning on a new best keeps the best cell and the x-drop out of it.
+// The lh -> e -> h -> lh chain is made short: e enters the H max last, and
+// the x-drop test reads H before its prio bits are cleared (exact, since
+// live has zero low bits), so the test and the mask run side by side.
+//
+//go:noinline
+func xdBand(ups, outs []xdCell, bs []alphabet.Code, diagStep *[alphabet.Size]int64,
+	diag, lh, le, live, better, openE, openF, ext int64) (int, int64, int64) {
+	outs, bs = outs[:len(ups)], bs[:len(ups)]
+	for t := range ups {
+		up := &ups[t]
+		f := max(up.h+openF, up.f+ext) &^ xdPrioHi
+		e := max(lh+openE, le+ext) &^ xdPrioHi
+		h := max(diag+diagStep[bs[t]], f, e)
+		diag = up.h
+		dead := h < live
+		h &^= xdPrioMask
+		if dead {
+			h, e, f = xdDead, xdDead, xdDead
+		}
+		outs[t] = xdCell{h: h, f: f}
+		lh, le = h, e
+		if h >= better {
+			return t, lh, le
+		}
+	}
+	return len(ups), lh, le
 }
 
 // ungappedExtend extends an exact diagonal match around a seed in both

@@ -449,28 +449,54 @@ func BenchmarkSmithWaterman(b *testing.B) {
 }
 
 func BenchmarkXDrop(b *testing.B) {
+	const k = 6
+	p := DefaultParams()
 	for _, bp := range benchPairs {
 		b.Run(bp.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			x := randomSeq(rng, bp.n)
 			y := mutateSeq(rng, x, bp.subRate, bp.indels)
-			const k = 6
 			copy(y[:k], x[:k]) // the seed: extension runs the length of the pair
-			xd, p := new(xdKernel), DefaultParams()
-			if _, err := xd.xDrop(x, y, 0, 0, k, p); err != nil {
-				b.Fatal(err)
-			}
-			var cells int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := xd.xDrop(x, y, 0, 0, k, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells += r.Cells
-			}
-			b.ReportMetric(float64(cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
+			benchXDrop(b, x, y, []Seed{{K: k}}, p)
 		})
 	}
+	// Shapes the homolog pairs average away: an unrelated pair, whose two
+	// extensions die where their random walk falls XDrop below the seed, so
+	// the per-call and per-row set-up weigh more; a tandem repeat, which
+	// leaves the band loop for a new best on every row; Align over two seeds.
+	rng := rand.New(rand.NewSource(2))
+	ux, uy := randomSeq(rng, 300), randomSeq(rng, 300)
+	copy(uy[150:150+k], ux[150:150+k])
+	b.Run("len300/unrelated", func(b *testing.B) {
+		benchXDrop(b, ux, uy, []Seed{{PosA: 150, PosB: 150, K: k}}, p)
+	})
+	rep := tandemSeq(randomSeq(rng, 7), 0, 300)
+	b.Run("len300/tandem-repeat", func(b *testing.B) {
+		benchXDrop(b, rep, rep, []Seed{{K: k}}, p)
+	})
+	hx := randomSeq(rng, 300)
+	hy := mutateSeq(rng, hx, 0.10, 0)
+	copy(hy[:k], hx[:k])
+	copy(hy[150:150+k], hx[150:150+k])
+	b.Run("len300/id90/align-2seeds", func(b *testing.B) {
+		benchXDrop(b, hx, hy, []Seed{{K: k}, {PosA: 150, PosB: 150, K: k}}, p)
+	})
+}
+
+// benchXDrop times Align of one pair and its seeds on a warm xdKernel and
+// reports the kernel's own cell tally per second.
+func benchXDrop(b *testing.B, x, y []alphabet.Code, seeds []Seed, p Params) {
+	xd := new(xdKernel)
+	if _, err := xd.Align(x, y, seeds, p); err != nil {
+		b.Fatal(err)
+	}
+	cells := xd.CellsComputed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xd.Align(x, y, seeds, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(xd.CellsComputed()-cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
 }

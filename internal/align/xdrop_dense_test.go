@@ -1,6 +1,7 @@
 package align
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -204,10 +205,21 @@ func polyASeq(rng *rand.Rand, n int) []alphabet.Code {
 	return s
 }
 
+// tandemSeq is n residues of unit repeated end to end, starting at unit[phase].
+func tandemSeq(unit []alphabet.Code, phase, n int) []alphabet.Code {
+	s := make([]alphabet.Code, n)
+	for i := range s {
+		s[i] = unit[(phase+i)%len(unit)]
+	}
+	return s
+}
+
 // diffPairKinds are the sequence-pair shapes of the differential test. The
 // low-complexity kinds are tie-heavy: whole anti-diagonals of equal scores,
 // where only the priority bits keep the packed selection on the reference's
-// path.
+// path. On an identical pair a new best lands on every row, on a tandem
+// repeat on most rows and sometimes twice in one, so the band loop's
+// new-best exit and resume run constantly.
 var diffPairKinds = []struct {
 	name string
 	make func(rng *rand.Rand, n int) (x, y []alphabet.Code)
@@ -229,6 +241,19 @@ var diffPairKinds = []struct {
 			return x, polyASeq(rng, 6+rng.Intn(n))
 		}
 		return x, mutateSeq(rng, x, 0.1, rng.Intn(4))
+	}},
+	{"identical", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		x = randomSeq(rng, n)
+		return x, append([]alphabet.Code(nil), x...)
+	}},
+	{"tandem-repeat", func(rng *rand.Rand, n int) (x, y []alphabet.Code) {
+		unit := randomSeq(rng, 1+rng.Intn(12))
+		x = tandemSeq(unit, 0, n)
+		y = tandemSeq(unit, rng.Intn(len(unit)), 6+rng.Intn(n))
+		if rng.Intn(2) == 0 {
+			return x, y
+		}
+		return x, mutateSeq(rng, y, 0.05, rng.Intn(3))
 	}},
 }
 
@@ -282,6 +307,11 @@ func FuzzXDropMatchesDense(f *testing.F) {
 	f.Add(twoLetter, twoLetter[3:], uint16(7), uint16(0), uint8(4), uint16(10), uint8(5), uint8(2))
 	f.Add(twoLetter, protein, uint16(0), uint16(0), uint8(0), uint16(0), uint8(0), uint8(0))
 	f.Add([]byte("W"), []byte("W"), uint16(0), uint16(0), uint8(1), uint16(49), uint8(11), uint8(1))
+	identical := make([]byte, 400)
+	rand.New(rand.NewSource(1)).Read(identical)
+	f.Add(identical, identical, uint16(200), uint16(200), uint8(6), uint16(49), uint8(11), uint8(1))
+	tandem := bytes.Repeat([]byte("MKVWG"), 60)
+	f.Add(tandem, tandem[2:250], uint16(102), uint16(100), uint8(6), uint16(49), uint8(11), uint8(1))
 	xd, ref := new(xdKernel), &denseAligner{}
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, seedA, seedB uint16, k uint8, xdrop uint16, gapOpen, gapExtend uint8) {
 		const maxLen = 1 << 10 // keeps the reference's la x lb row clears cheap

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"unsafe"
 
@@ -152,10 +153,12 @@ func batchInput(g *dmat.Grid, queries []fasta.Record, cfg Config) (*seqstore.Sto
 // distributed |seqs|×|k-mer space| position matrix (paper Section IV-A).
 //
 // Extraction is chunk-parallel over the owned sequences: chunk boundaries
-// depend only on the sequence count, each worker reuses one seen-set
-// (cleared per sequence), a sequence's triples are emitted in k-mer position
-// order and per-chunk lists merge in chunk order — so the triple list itself,
-// not just the assembled matrix, is the same for every thread count and run.
+// depend only on the sequence count, each worker reuses one tagged seen-set
+// (a new generation per sequence, no clearing), a sequence's triples are
+// emitted in k-mer position order into a chunk list sized once from its
+// sequences' window counts, and the chunk lists are joined in chunk order
+// into one exactly-sized list — so the triple list itself, not just the
+// assembled matrix, is the same for every thread count and run.
 // The extraction cost is charged as thread-parallel work (Clock.ParOps).
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
 	stats *Stats) (*dmat.Mat[int32], error) {
@@ -173,37 +176,82 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 		kmers   int64
 	}
 	outs := make([]chunkOut, nchunks)
-	seenBy := make([]map[kmer.ID]struct{}, workers)
+	seenBy := make([]seenSet, workers)
 	parallel.ForChunks(threads, n, nchunks, func(w, chunk, lo, hi int) {
-		seen := seenBy[w]
-		if seen == nil {
-			seen = make(map[kmer.ID]struct{})
-			seenBy[w] = seen
-		}
+		seen := &seenBy[w]
 		out := &outs[chunk]
+		windows := 0
+		for _, seq := range store.Owned[lo:hi] {
+			windows += max(len(seq.Codes)-cfg.K+1, 0)
+		}
+		out.triples = make([]spmat.Triple[int32], 0, windows)
 		for _, seq := range store.Owned[lo:hi] {
 			kms := kmer.ExtractCodes(seq.Codes, cfg.K, true)
 			out.kmers += int64(len(kms))
-			clear(seen)
+			seen.reset(len(kms))
 			for _, km := range kms { // first occurrence of each k-mer wins
-				if _, dup := seen[km.ID]; dup {
-					continue
+				if seen.add(km.ID) {
+					out.triples = append(out.triples, spmat.Triple[int32]{
+						Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos),
+					})
 				}
-				seen[km.ID] = struct{}{}
-				out.triples = append(out.triples, spmat.Triple[int32]{
-					Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos),
-				})
 			}
 		}
 	})
 
-	var triples []spmat.Triple[int32]
+	total := 0
 	for i := range outs {
 		stats.KmersTotal += outs[i].kmers
+		total += len(outs[i].triples)
+	}
+	triples := make([]spmat.Triple[int32], 0, total)
+	for i := range outs {
 		triples = append(triples, outs[i].triples...)
 	}
 	clock.ParOps(float64(stats.KmersTotal) * opsPerKmer)
 	return dmat.NewFromTriples(g, store.Total, kmerSpace, triples, dmat.Int32Codec, nil)
+}
+
+// seenSet is formA's per-worker first-occurrence filter: an open-addressing
+// set of k-mer ids with spmat.hashScratch's generation tags, so a new
+// sequence empties it in O(1). It grows monotonically to the longest
+// sequence; on uint32 wraparound the tags are cleared.
+type seenSet struct {
+	keys  []kmer.ID
+	gen   []uint32
+	cur   uint32
+	shift uint
+}
+
+// reset empties the set for up to n insertions at load factor <= 1/2.
+func (s *seenSet) reset(n int) {
+	if len(s.keys) < max(2*n, 16) {
+		size := 16
+		for size < 2*n {
+			size <<= 1
+		}
+		s.keys, s.gen, s.cur = make([]kmer.ID, size), make([]uint32, size), 0
+		s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	}
+	s.cur++
+	if s.cur == 0 {
+		clear(s.gen)
+		s.cur = 1
+	}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *seenSet) add(id kmer.ID) bool {
+	mask := uint64(len(s.keys) - 1)
+	for i := uint64(id) * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask { // Fibonacci hashing
+		if s.gen[i] != s.cur {
+			s.gen[i], s.keys[i] = s.cur, id
+			return true
+		}
+		if s.keys[i] == id {
+			return false
+		}
+	}
 }
 
 // prefilterA drops k-mers occurring in more than cfg.MaxKmerFrequency

@@ -1,0 +1,123 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/dmat"
+	"repro/internal/fasta"
+	"repro/internal/kmer"
+	"repro/internal/mpi"
+	"repro/internal/spmat"
+)
+
+// TestFormAMatchesMapDedup holds formA's tagged seen-set to a map-based
+// first-occurrence dedup: every rank's block of A and its KmersTotal must
+// equal what the owned sequences give when each sequence's k-mers are
+// filtered through a fresh map, in sequence then position order. The input
+// repeats one k-mer dozens of times in a sequence (homopolymer and tandem
+// runs), sits at the extraction boundary (length k-1, k and k+1), holds no
+// k-mer at all (all X) and repeats whole records.
+func TestFormAMatchesMapDedup(t *testing.T) {
+	cfg := DefaultConfig()
+	k := cfg.K
+	seqs := []string{
+		strings.Repeat("A", 80),
+		strings.Repeat("W", 7) + strings.Repeat("ACDEFGH", 12) + "MKV",
+		strings.Repeat("KR", 40),
+		"MKVLA"[:k-1], "MKVLAT"[:k], "MKVLATW"[:k+1],
+		strings.Repeat("X", 30),
+		"MSTNPKPQRKTKRNTNRRPQDVKFPGGXXGQIVGGVYLLPRRGPRLGVRATRKTSERSQPRGRRQPIPKARRPEGRTWAQPGYPWPLYGNEGCGWAGWLLSPRGSRPSWGPTDPRRRSRNLGKVIDTLTCGFADLMGYIPLVGAPLGGAARALAHGVRVLEDGVNYATGNLPGCSFSIFLLALLSCLTVPASA",
+		strings.Repeat("A", 80),
+		"MKVLATW",
+	}
+	var recs []fasta.Record
+	for i, s := range seqs {
+		recs = append(recs, fasta.Record{ID: fmt.Sprintf("s%d", i), Seq: []byte(s)})
+	}
+	for _, p := range []int{1, 4} {
+		for _, threads := range []int{1, 3} {
+			t.Run(fmt.Sprintf("p%d-t%d", p, threads), func(t *testing.T) {
+				cfg := cfg
+				cfg.Threads = threads
+				cl := mpi.NewCluster(p, mpi.DefaultCostModel())
+				err := cl.Run(func(c *mpi.Comm) error {
+					r, err := openRun(c, cfg)
+					if err != nil {
+						return err
+					}
+					defer r.close()
+					n := len(recs)
+					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+					if err != nil {
+						return err
+					}
+					if err := store.Wait(); err != nil {
+						return err
+					}
+					var stats Stats
+					got, err := formA(r.grid, store, cfg, r.kmerSpace, &stats)
+					if err != nil {
+						return err
+					}
+
+					var ts []spmat.Triple[int32]
+					var kmers int64
+					for _, seq := range store.Owned {
+						kms := kmer.ExtractCodes(seq.Codes, k, true)
+						kmers += int64(len(kms))
+						seen := map[kmer.ID]bool{}
+						for _, km := range kms {
+							if !seen[km.ID] {
+								seen[km.ID] = true
+								ts = append(ts, spmat.Triple[int32]{Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos)})
+							}
+						}
+					}
+					want, err := dmat.NewFromTriples(r.grid, store.Total, r.kmerSpace, ts, dmat.Int32Codec, nil)
+					if err != nil {
+						return err
+					}
+					if stats.KmersTotal != kmers {
+						return fmt.Errorf("rank %d: KmersTotal %d, map dedup saw %d", c.Rank(), stats.KmersTotal, kmers)
+					}
+					if !spmat.Equal(got.Local, want.Local, func(x, y int32) bool { return x == y }) {
+						return fmt.Errorf("rank %d: block of A differs from the map dedup's", c.Rank())
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestSeenSetWraparound drives the tagged set through uint32 wraparound: the
+// tags are cleared, so neither the last generation's entries nor the zeroed
+// slots of keys never written (id 0, tag 0) read as present.
+func TestSeenSetWraparound(t *testing.T) {
+	var s seenSet
+	s.reset(4)
+	s.cur = math.MaxUint32
+	for _, id := range []kmer.ID{7, 9} {
+		if !s.add(id) || s.add(id) {
+			t.Fatalf("generation MaxUint32: id %d not added exactly once", id)
+		}
+	}
+	s.reset(4)
+	if s.cur != 1 {
+		t.Fatalf("after wraparound the generation is %d, want 1", s.cur)
+	}
+	for _, id := range []kmer.ID{0, 7, 9} {
+		if !s.add(id) {
+			t.Errorf("after wraparound id %d reads as present", id)
+		}
+		if s.add(id) {
+			t.Errorf("after wraparound id %d added twice", id)
+		}
+	}
+}

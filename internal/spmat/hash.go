@@ -7,74 +7,62 @@ import (
 
 // This file holds the open-addressing hash accumulator behind the hash
 // SpGEMM kernel (CombBLAS-style: a flat power-of-two probe table sized per
-// output column by its flop count, generation tags instead of clearing).
-// hash_test.go holds the map-based reference kernel it is fuzzed against.
+// output column by its flop count, generation tags instead of clearing) and
+// the column index that resolves B's row ids to A's columns, built in one
+// forward pass over A's sorted JC. hash_test.go holds the map-based
+// reference kernel it is fuzzed against.
 
-// aColLookup resolves a column id of A to its compressed slot. When A's
-// nonempty columns are dense inside their span, a flat offset array answers
-// in one indexed load; otherwise a flat open-addressing table does
-// (hypersparse blocks, where the span can be |Σ|^k while len(JC) is tiny).
-// Both store slot+1, so a zeroed array is an empty one.
+// aColLookup resolves a column id of A to its compressed slot: the AUX
+// array of CombBLAS's DCSC (Buluç & Gilbert, IPDPS 2008). A's sorted JC is
+// cut into buckets of 2^shift consecutive column ids from JC[0], shift the
+// smallest with span>>shift <= len(JC), and start[b] is the first slot of
+// bucket b. A lookup reads two start entries and searches inside its
+// bucket, so the index costs at most 4·(len(JC)+2) bytes on a dense and a
+// hypersparse block alike, and a clustered JC that piles into one bucket
+// costs a binary search, never a scan.
 type aColLookup struct {
-	base  Index
-	dense []int32 // dense[col-base] = slot+1; nil when probing
-	keys  []Index // the probe table: column ids ...
-	slots []int32 // ... and their slot+1, 0 = empty
+	jc    []Index
+	start []int32
 	shift uint
 }
 
-// aColDenseFactor bounds the dense table at this multiple of the nonempty
-// column count: past it the wasted empty slots cost more cache traffic than
-// the probes they replace.
-const aColDenseFactor = 8
-
-// newAColLookup builds the lookup; shared read-only across chunk workers.
+// newAColLookup builds the index; shared read-only across chunk workers.
 // len(a.JC) must be below MaxInt32 (SpGEMM checks).
 func newAColLookup[A any](a *DCSC[A]) aColLookup {
 	n := len(a.JC)
-	if n > 0 {
-		span := a.JC[n-1] - a.JC[0] + 1
-		if span <= Index(aColDenseFactor*n) {
-			dense := make([]int32, span)
-			for c, col := range a.JC {
-				dense[col-a.JC[0]] = int32(c + 1)
-			}
-			return aColLookup{base: a.JC[0], dense: dense}
-		}
+	if n == 0 {
+		return aColLookup{}
 	}
-	// Load factor <= 1/2, the same Fibonacci probe as hashScratch.
-	size := 2
-	for size < 2*n {
-		size <<= 1
+	span := uint64(a.JC[n-1] - a.JC[0])
+	shift := uint(0)
+	for span>>shift > uint64(n) {
+		shift++
 	}
-	l := aColLookup{
-		keys:  make([]Index, size),
-		slots: make([]int32, size),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
-	}
+	l := aColLookup{jc: a.JC, start: make([]int32, span>>shift+2), shift: shift}
+	b := 0
 	for c, col := range a.JC {
-		s := uint64(col) * fibMul >> l.shift
-		for l.slots[s] != 0 {
-			s = (s + 1) & uint64(size-1)
+		for end := int(uint64(col-a.JC[0]) >> shift); b <= end; b++ {
+			l.start[b] = int32(c)
 		}
-		l.keys[s], l.slots[s] = col, int32(c+1)
 	}
+	l.start[b] = int32(n) // b == len(l.start)-1: the end of the last bucket
 	return l
 }
 
 // get returns A's compressed slot for col.
 func (l *aColLookup) get(col Index) (int, bool) {
-	if l.dense != nil {
-		d := col - l.base
-		if d < 0 || d >= Index(len(l.dense)) {
-			return 0, false
-		}
-		s := l.dense[d]
-		return int(s) - 1, s > 0
+	if len(l.jc) == 0 || col < l.jc[0] || col > l.jc[len(l.jc)-1] {
+		return 0, false
 	}
-	for s := uint64(col) * fibMul >> l.shift; l.slots[s] != 0; s = (s + 1) & uint64(len(l.slots)-1) {
-		if l.keys[s] == col {
-			return int(l.slots[s]) - 1, true
+	b := uint64(col-l.jc[0]) >> l.shift
+	lo, hi := int(l.start[b]), int(l.start[b+1])
+	if hi-lo > 8 {
+		c, ok := slices.BinarySearch(l.jc[lo:hi], col)
+		return lo + c, ok
+	}
+	for c := lo; c < hi; c++ {
+		if l.jc[c] >= col {
+			return c, l.jc[c] == col
 		}
 	}
 	return 0, false

@@ -2,7 +2,9 @@ package spmat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -89,8 +91,9 @@ func spGEMMHashMap[A, B, C any](a *DCSC[A], b *DCSC[B], sr Semiring[A, B, C]) (*
 // the map-based reference kernel on random matrices: structure, values and
 // Stats.Flops must be identical on every trial. Shapes sweep from dense-ish
 // squares to hypersparse blocks (the DCSC regime where the k-mer dimension
-// dwarfs the nonzeros), which also exercises both sides of the aColLookup
-// dense/probe-table split.
+// dwarfs the nonzeros), which also exercises the column index at every
+// bucket width — one id per bucket on a dense span, wide buckets on a
+// hypersparse one, and one long bucket on a clustered one.
 func TestHashOpenMatchesMapFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	trials := 60
@@ -113,6 +116,12 @@ func TestHashOpenMatchesMapFuzz(t *testing.T) {
 		}
 		a, _ := FromTriples(n, k, randomTriples(rng, n, k, capNNZ(nnz, n, k)), nil)
 		b, _ := FromTriples(k, m, randomTriples(rng, k, m, capNNZ(nnz, k, m)), nil)
+		if trial%6 == 5 {
+			// Hypersparse and clustered: A's columns are 1000 consecutive
+			// ids and one far outlier, so they pile into one long bucket.
+			k = 1 << 40
+			a, b = clusteredPair(rng, n, k, m, nnz)
+		}
 
 		want, wantStats, err := spGEMMHashMap(a, b, Arithmetic)
 		if err != nil {
@@ -139,6 +148,80 @@ func TestHashOpenMatchesMapFuzz(t *testing.T) {
 		}
 		if heapStats.Flops != wantStats.Flops {
 			t.Fatalf("trial %d: heap flops %d != %d", trial, heapStats.Flops, wantStats.Flops)
+		}
+	}
+}
+
+// clusteredIDs is a clustered column set of a k-wide space (k >= 2^21): one
+// far outlier at 0 and 1000 consecutive ids from a random base past k/2, so
+// the long bucket starts past slot 0.
+func clusteredIDs(rng *rand.Rand, k Index) []Index {
+	base := k/2 + rng.Int63n(1<<20)
+	ids := []Index{0}
+	for c := base; c < base+1000; c++ {
+		ids = append(ids, c)
+	}
+	return ids
+}
+
+// clusteredPair is an n×k A holding one nonzero, at a random row, in each
+// column of clusteredIDs(k), and a k×m B with up to nnz nonzeros in those
+// rows.
+func clusteredPair(rng *rand.Rand, n, k, m Index, nnz int) (*DCSC[float64], *DCSC[float64]) {
+	ids := clusteredIDs(rng, k)
+	var as, bs []Triple[float64]
+	for _, id := range ids {
+		as = append(as, Triple[float64]{Row: rng.Int63n(n), Col: id, Val: float64(rng.Intn(9) + 1)})
+	}
+	for _, t := range randomTriples(rng, Index(len(ids)), m, capNNZ(nnz, Index(len(ids)), m)) {
+		t.Row = ids[t.Row]
+		bs = append(bs, t)
+	}
+	a, _ := FromTriples(n, k, as, nil)
+	b, _ := FromTriples(k, m, bs, nil)
+	return a, b
+}
+
+// TestAColLookupMatchesSearch holds the column index to a binary search of
+// JC on every column id, both neighbours of each, below the first, past the
+// last and at MaxInt64, over every bucket regime — and to its footprint
+// bound of 4·(len(JC)+2) bytes.
+func TestAColLookupMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	sortedIDs := func(span Index, n int) []Index {
+		seen := map[Index]bool{}
+		var ids []Index
+		for len(ids) < n {
+			if c := rng.Int63n(span); !seen[c] {
+				seen[c] = true
+				ids = append(ids, c)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	cases := map[string][]Index{
+		"dense":       sortedIDs(1500, 1000),
+		"hypersparse": sortedIDs(1<<40, 1000),
+		"clustered":   clusteredIDs(rng, 1<<40),
+		"single":      {42},
+		"empty":       nil,
+	}
+	for name, jc := range cases {
+		l := newAColLookup(&DCSC[float64]{JC: jc})
+		if bytes := 4 * len(l.start); bytes > 4*(len(jc)+2) {
+			t.Errorf("%s: index is %d bytes for %d columns, want <= %d", name, bytes, len(jc), 4*(len(jc)+2))
+		}
+		probes := []Index{0, -1, math.MaxInt64}
+		for _, c := range jc {
+			probes = append(probes, c-1, c, c+1)
+		}
+		for _, col := range probes {
+			want, wantOK := slices.BinarySearch(jc, col)
+			got, ok := l.get(col)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("%s: get(%d) = %d, %v; search says %d, %v", name, col, got, ok, want, wantOK)
+			}
 		}
 	}
 }

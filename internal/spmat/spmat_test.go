@@ -479,6 +479,56 @@ func kmerLikeTriples(seqs, perRow int) (Index, Index, []Triple[int32]) {
 	return Index(seqs), cols, ts
 }
 
+// kmerBlockTriples is the shape the all-vs-all product sees on the
+// benchmark's generator: seqs rows of perRow k-mers scattered over 24^6,
+// where almost every k-mer is its sequence's own — one in 25 is drawn from a
+// shared pool — so a nonempty column holds about one nonzero.
+func kmerBlockTriples(seqs, perRow int) (Index, Index, []Triple[int32]) {
+	rng := rand.New(rand.NewSource(54))
+	cols := pow24(6)
+	pool := make([]Index, seqs*perRow/100+1)
+	for i := range pool {
+		pool[i] = rng.Int63n(cols)
+	}
+	ts := make([]Triple[int32], 0, seqs*perRow)
+	for r := 0; r < seqs; r++ {
+		for p := 0; p < perRow; p++ {
+			col := rng.Int63n(cols)
+			if rng.Intn(25) == 0 {
+				col = pool[rng.Intn(len(pool))]
+			}
+			ts = append(ts, Triple[int32]{Row: Index(r), Col: col, Val: int32(p)})
+		}
+	}
+	return Index(seqs), cols, ts
+}
+
+// BenchmarkSpGEMMKmerBlock is A·Aᵀ on one 2000-row k-mer block of that shape,
+// whole and bounded to the upper triangle as a symmetric sweep forms it: the
+// column index over A's ~300 k columns is built on every call and serves
+// about one lookup per column.
+func BenchmarkSpGEMMKmerBlock(b *testing.B) {
+	rows, cols, ts := kmerBlockTriples(2000, 150)
+	a, err := FromTriples(rows, cols, ts, keepFirst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	at := a.Transpose()
+	for _, bc := range []struct {
+		name   string
+		rowMax func(Index) Index
+	}{{"whole", nil}, {"triangular", func(j Index) Index { return j }}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchSink, _, err = SpGEMM(a, at, Counting[int32, int32](), SpGEMMOpts{RowMax: bc.rowMax}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func keepFirst(x, _ int32) int32 { return x }
 
 // TestFromTriplesAllocationStable bounds FromTriples at a constant number

@@ -7,11 +7,15 @@
 package dmat
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"repro/internal/mpi"
@@ -385,15 +389,27 @@ func blockBytes[T any](ncols, nnz int) int64 {
 	return int64(ncols)*16 + 8 + int64(nnz)*(8+int64(unsafe.Sizeof(zero)))
 }
 
-// rowsBelow counts the nonzeros of b's compressed column c whose row is
-// below hi (IR ascends within a column).
-func rowsBelow[T any](b *spmat.DCSC[T], c int, hi spmat.Index) int {
-	ir := b.IR[b.CP[c]:b.CP[c+1]]
-	if len(ir) == 0 || ir[len(ir)-1] < hi {
-		return len(ir)
+// rowsBelow counts the nonzeros of compressed column c (pointers cp, rows
+// ir) whose row is below hi. The first row is tested without a branch, so a
+// column of one row — most of a k-mer block's — costs no mispredicted jump
+// however its rows fall; a longer column scans on from there, which costs
+// no more than the rows it keeps.
+func rowsBelow(cp []int, ir []spmat.Index, c int, hi spmat.Index) int {
+	lo, end := cp[c], cp[c+1]
+	n := lo + b2i(lo < end && ir[lo] < hi)
+	if end-lo > 1 {
+		for n < end && ir[n] < hi {
+			n++
+		}
 	}
-	n, _ := slices.BinarySearch(ir, hi)
-	return n
+	return n - lo
+}
+
+func b2i(x bool) int {
+	if x {
+		return 1
+	}
+	return 0
 }
 
 // rowPrefix counts the nonempty columns and nonzeros of b's rows [0, hi).
@@ -402,13 +418,30 @@ func rowPrefix[T any](b *spmat.DCSC[T], hi spmat.Index) (ncols, nnz int) {
 		return len(b.JC), b.NNZ()
 	}
 	for c := range b.JC {
-		if n := rowsBelow(b, c, hi); n > 0 {
-			ncols++
-			nnz += n
-		}
+		n := rowsBelow(b.CP, b.IR, c, hi)
+		ncols += b2i(n > 0)
+		nnz += n
 	}
 	return ncols, nnz
 }
+
+// cutRows is rowPrefix for the encoder, hi below b.NumRows: it cuts each
+// column once and lists, reusing cut, each kept column's slot in b and the
+// end of its kept run of nonzeros (the run starts at CP[slot]).
+func cutRows[T any](b *spmat.DCSC[T], hi spmat.Index, cut []int) (kept []int, nnz int) {
+	cut = slices.Grow(cut[:0], 2*len(b.JC))[:2*len(b.JC)]
+	k := 0
+	for c := range b.JC {
+		n := rowsBelow(b.CP, b.IR, c, hi)
+		cut[k], cut[k+1] = c, b.CP[c]+n
+		k += 2 * b2i(n > 0)
+		nnz += n
+	}
+	return cut[:k], nnz
+}
+
+// cuts recycles cutRows' lists between prefix encodes.
+var cuts = sync.Pool{New: func() any { return new([]int) }}
 
 // The block wire format: a 32-byte shape header (NumRows, NumCols, ncols,
 // nnz as LE u64), an 8-byte FNV-style checksum of the shape header and the
@@ -426,52 +459,184 @@ func blockChecksum(buf []byte) uint64 {
 	return wire.Checksum(wire.Checksum(wire.ChecksumInit, buf[:32]), buf[blockHeaderLen:])
 }
 
+// nativeWords reports that the frame's u64 arrays are this host's own
+// []int64 and []int memory: a little-endian host with a 64-bit int. Every
+// section of a frame starts a multiple of 8 bytes in, so on such a host a
+// frame that starts 8-byte aligned can be read as its arrays.
+var nativeWords = unsafe.Sizeof(int(0)) == 8 && binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// aligned8 reports whether b starts on an 8-byte boundary, as every
+// encoder output and tcp frame body does (the allocator aligns them).
+func aligned8(b []byte) bool { return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 }
+
+// asBytes is the memory of s.
+func asBytes[E any](s []E) []byte {
+	var zero E
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), uintptr(len(s))*unsafe.Sizeof(zero))
+}
+
+// view is b read as len(b)/size(E) values of E, sharing b's memory; b must
+// be aligned for E and E must hold no pointers.
+func view[E any](b []byte) []E {
+	var zero E
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(b))), uintptr(len(b))/unsafe.Sizeof(zero))
+}
+
+// putWords writes src as LE u64s at the front of dst: one copy when the
+// host's words are the frame's.
+func putWords[E ~int | ~int64](dst []byte, src []E) {
+	if nativeWords {
+		copy(dst, asBytes(src))
+		return
+	}
+	for i, v := range src {
+		wire.PutU64(dst[8*i:], uint64(v))
+	}
+}
+
+// words reads n u64s from r: a view of the frame when inPlace, else a copy.
+// DecodeBlock's count check has already bounded every read it makes.
+func words[E ~int | ~int64](r *wire.Reader, n int, inPlace bool) []E {
+	if inPlace {
+		return view[E](r.Take(8 * uint64(n)))
+	}
+	dst := make([]E, n)
+	wire.U64s(r, dst)
+	return dst
+}
+
+// probes are the byte patterns rawValues checks a codec against: every byte
+// of each differs from its neighbours, so only a codec that moves no byte
+// passes.
+var probes = func() (p [2][64]byte) {
+	for i := range p[0] {
+		p[0][i], p[1][i] = byte(i+1), byte(0xff-3*i)
+	}
+	return p
+}()
+
+// rawValues reports whether a codec's wire form of a value is the value's
+// own memory, so a frame's values can be read in place — and, given scratch
+// with room for one value, written as their memory: T is plain, Width is its
+// size, Decode returns each probe pattern's bytes as they are, and Append
+// writes them back. A codec of little-endian integer fields in declaration
+// order, with no padding, passes on a little-endian host (Int32Codec, and
+// core's PosDist and Overlap codecs); any other takes the per-value path.
+func rawValues[T any](codec Codec[T], scratch []byte) bool {
+	var v T
+	w := codec.Width
+	if uintptr(w) != unsafe.Sizeof(v) || w > len(probes[0]) || !plain(reflect.TypeFor[T]()) {
+		return false
+	}
+	for i := range probes {
+		p := probes[i][:w]
+		var n int
+		if v, n = codec.Decode(p); n != w || !bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&v)), w), p) {
+			return false
+		}
+		if scratch != nil && !bytes.Equal(codec.Append(scratch[:0], v), p) {
+			return false
+		}
+	}
+	return true
+}
+
+// plain reports whether every bit pattern of t's size is a value of t:
+// numbers, and arrays and structs of them — no pointer, no bool.
+func plain(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return true
+	case reflect.Array:
+		return plain(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !plain(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // EncodeBlock serializes a local DCSC — for broadcast within SUMMA, for the
 // transpose exchange and for the persistent index's sections — by writing
 // the compressed arrays directly (CombBLAS ships CSC arrays the same way);
 // no re-sorting is needed on the receiving side. The buffer is sized
-// exactly up front (BlockWireBytes) and the index arrays are written by
-// offset rather than element-at-a-time appends.
+// exactly up front (BlockWireBytes); on a little-endian host each array
+// goes in as one copy of its memory, and so do the values when their codec
+// writes their memory (rawValues).
 func EncodeBlock[T any](b *spmat.DCSC[T], codec Codec[T]) []byte {
 	return encodeRows(b, b.NumRows, codec)
 }
 
 // encodeRows is EncodeBlock of b's rows [0, hi) — the block a SUMMA stage
 // broadcasts when its panel needs only a row prefix — written straight from
-// b in one counting pass (rowPrefix) and one writing pass, with no copy of
-// the prefix. The image keeps b's shape, so it decodes to the block with
-// every row from hi on dropped; hi at or past b.NumRows encodes all of b.
+// b with no copy of the prefix: one pass (cutRows) cuts every column and
+// lists what it keeps, and the writer copies that. The image keeps b's
+// shape, so it decodes to the block with every row from hi on dropped; hi
+// at or past b.NumRows encodes all of b, each array as one copy.
 func encodeRows[T any](b *spmat.DCSC[T], hi spmat.Index, codec Codec[T]) []byte {
-	ncols, nnz := rowPrefix(b, hi)
-	fixed := blockHeaderLen + ncols*16 + 8 + nnz*8
-	buf := make([]byte, fixed, fixed+nnz*codec.Width)
+	ncols, nnz := len(b.JC), b.NNZ()
+	var cut *[]int
+	if hi < b.NumRows {
+		cut = cuts.Get().(*[]int)
+		defer cuts.Put(cut)
+		*cut, nnz = cutRows(b, hi, *cut)
+		ncols = len(*cut) / 2
+	}
+	jc := blockHeaderLen
+	cp := jc + ncols*8
+	ir := cp + ncols*8 + 8
+	vals := ir + nnz*8
+	total := vals + nnz*codec.Width
+	// Values are appended in order through the codec, or stored at their
+	// offsets as their memory when the codec writes that.
+	buf := make([]byte, vals, total)
+	raw := nnz > 0 && aligned8(buf) && rawValues(codec, buf[vals:total])
+	if raw {
+		buf = buf[:total]
+	}
 	wire.PutU64(buf[0:], uint64(b.NumRows))
 	wire.PutU64(buf[8:], uint64(b.NumCols))
 	wire.PutU64(buf[16:], uint64(ncols))
 	wire.PutU64(buf[24:], uint64(nnz))
-	jc := blockHeaderLen
-	cp := jc + ncols*8
-	ir := cp + ncols*8 + 8
-	n := 0
-	for c, col := range b.JC {
-		lo := b.CP[c]
-		end := lo + rowsBelow(b, c, hi)
-		if end == lo {
-			continue
+	if cut == nil {
+		putWords(buf[jc:], b.JC)
+		putWords(buf[cp:], b.CP[:ncols])
+		putWords(buf[ir:], b.IR)
+		if raw {
+			copy(buf[vals:], asBytes(b.Vals[:nnz]))
+		} else {
+			for _, v := range b.Vals[:nnz] {
+				buf = codec.Append(buf, v)
+			}
 		}
-		wire.PutU64(buf[jc:], uint64(col))
-		wire.PutU64(buf[cp:], uint64(n))
-		jc, cp = jc+8, cp+8
-		for _, r := range b.IR[lo:end] {
-			wire.PutU64(buf[ir:], uint64(r))
-			ir += 8
+	} else {
+		var out []T
+		if raw {
+			out = view[T](buf[vals:])
 		}
-		for _, v := range b.Vals[lo:end] {
-			buf = codec.Append(buf, v)
+		kept, n := *cut, 0
+		for i := 0; i < len(kept); i += 2 {
+			c, end := kept[i], kept[i+1]
+			wire.PutU64(buf[jc+4*i:], uint64(b.JC[c]))
+			wire.PutU64(buf[cp+4*i:], uint64(n))
+			for k := b.CP[c]; k < end; k++ {
+				wire.PutU64(buf[ir+8*n:], uint64(b.IR[k]))
+				if raw {
+					out[n] = b.Vals[k]
+				} else {
+					buf = codec.Append(buf, b.Vals[k])
+				}
+				n++
+			}
 		}
-		n += end - lo
 	}
-	wire.PutU64(buf[cp:], uint64(n))
+	wire.PutU64(buf[cp+8*ncols:], uint64(nnz))
 	wire.PutU64(buf[32:], blockChecksum(buf))
 	return buf
 }
@@ -479,6 +644,14 @@ func encodeRows[T any](b *spmat.DCSC[T], hi spmat.Index, codec Codec[T]) []byte 
 // DecodeBlock is EncodeBlock's inverse. The payload crossed a transport or a
 // disk: every count is checked against the bytes present before it sizes an
 // allocation, and anything but the encoder's exact image is an error.
+//
+// On a little-endian host a frame that starts 8-byte aligned is not copied:
+// the block's JC, CP and IR — and its values, when their codec writes their
+// memory (rawValues) — are views of buf, so buf becomes the block's backing
+// array and must not change while the block lives. Such a block is read-only
+// by the contract every received block keeps (a shared-backend block
+// aliases its sender's). Another byte order, or a misaligned buffer (an
+// index section behind a name of odd length), takes the copy path.
 func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	if err := codec.check(); err != nil {
 		return nil, err
@@ -501,16 +674,14 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 			ncols64, nnz64, r.Len())
 	}
 	ncols, nnz := int(ncols64), int(nnz64)
-	m.JC = make([]spmat.Index, ncols)
-	wire.U64s(r, m.JC)
-	m.CP = make([]int, ncols+1)
-	wire.U64s(r, m.CP)
+	inPlace := nativeWords && aligned8(buf)
+	m.JC = words[spmat.Index](r, ncols, inPlace)
+	m.CP = words[int](r, ncols+1, inPlace)
 	if m.CP[0] != 0 || m.CP[ncols] != nnz {
 		return nil, fmt.Errorf("dmat: block column pointers [%d..%d] inconsistent with %d nonzeros",
 			m.CP[0], m.CP[ncols], nnz)
 	}
-	m.IR = make([]spmat.Index, nnz)
-	wire.U64s(r, m.IR)
+	m.IR = words[spmat.Index](r, nnz, inPlace)
 	if err := checkDCSC(m); err != nil {
 		return nil, err
 	}
@@ -519,6 +690,10 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 	vals := r.Take(uint64(nnz) * uint64(codec.Width))
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("dmat: block values (%d nonzeros of width %d): %w", nnz, codec.Width, err)
+	}
+	if inPlace && rawValues(codec, nil) {
+		m.Vals = view[T](vals)
+		return m, nil
 	}
 	m.Vals = make([]T, nnz)
 	for i := range m.Vals {
@@ -531,19 +706,25 @@ func DecodeBlock[T any](buf []byte, codec Codec[T]) (*spmat.DCSC[T], error) {
 // encoder and the multiply rely on: columns ascending inside the shape, each
 // nonempty, rows ascending within a column inside the shape. A checksummed
 // payload can still carry such a block if its sender was faulty. CP[0] == 0
-// and CP[ncols] == nnz are checked already, so CP ascending bounds every
-// column inside IR.
+// and CP[ncols] == nnz are checked already; one pass over the columns checks
+// the rest, each column's pointers before its rows.
 func checkDCSC[T any](m *spmat.DCSC[T]) error {
+	prev := spmat.Index(-1)
 	for c, col := range m.JC {
-		if col < 0 || col >= m.NumCols || (c > 0 && col <= m.JC[c-1]) || m.CP[c] >= m.CP[c+1] {
+		lo, end := m.CP[c], m.CP[c+1]
+		if col <= prev || col >= m.NumCols || lo >= end || end > len(m.IR) {
 			return fmt.Errorf("dmat: block column %d (index %d) is out of order, out of range or empty", c, col)
 		}
-	}
-	for c := range m.JC {
-		for p := m.CP[c]; p < m.CP[c+1]; p++ {
-			if r := m.IR[p]; r < 0 || r >= m.NumRows || (p > m.CP[c] && r <= m.IR[p-1]) {
-				return fmt.Errorf("dmat: block row %d in column %d is out of order or out of range", r, m.JC[c])
+		prev = col
+		row := spmat.Index(-1)
+		for _, r := range m.IR[lo:end] {
+			if r <= row {
+				return fmt.Errorf("dmat: block row %d in column %d is out of order or out of range", r, col)
 			}
+			row = r
+		}
+		if row >= m.NumRows {
+			return fmt.Errorf("dmat: block row %d in column %d is out of order or out of range", row, col)
 		}
 	}
 	return nil
@@ -564,7 +745,8 @@ type sharedRows[T any] struct {
 // is the root's whole block — read-only by contract — billed the prefix's
 // wire size; a multiply over it must not reach past row hi. On the codec
 // backend receivers decode the prefix alone, which the root encodes straight
-// from its block. Clock charges are identical either way.
+// from its block, into a view of the payload where the host allows
+// (DecodeBlock) — read-only as well. Clock charges are identical either way.
 func bcastRows[T any](g *Grid, comm *mpi.Comm, root int, blk *spmat.DCSC[T], hi spmat.Index,
 	codec Codec[T]) (*spmat.DCSC[T], int64, error) {
 

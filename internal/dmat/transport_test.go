@@ -194,8 +194,8 @@ func TestSharedBlocksNotMutated(t *testing.T) {
 
 // TestBlockCodecAllocationStable mirrors spmat's
 // TestHashRangeAllocationStable for the wire codec: encode allocates one
-// exact-capacity buffer and decode one struct plus four arrays, so the
-// allocation count must not scale with block size.
+// exact-capacity buffer and decode one struct (plus four arrays on the copy
+// path), so the allocation count must not scale with block size.
 func TestBlockCodecAllocationStable(t *testing.T) {
 	build := func(nnz int) *spmat.DCSC[float64] {
 		rng := rand.New(rand.NewSource(int64(nnz)))

@@ -139,7 +139,11 @@ func DecodeTCPFrame(buf []byte) (body []byte, n int, err error) {
 }
 
 // readTCPFrame reads one frame from a stream, reassembling partial reads
-// (io.ReadFull) and applying the same validation as DecodeTCPFrame.
+// (io.ReadFull) and applying the same validation as DecodeTCPFrame. Every
+// frame gets a buffer of its own that the transport never touches again: a
+// message's payload aliases it, and so may whatever the receiver builds on
+// the payload without copying (dmat's decoded blocks are views of it), so
+// the buffer lives as long as they do and must stay unwritten.
 func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 	var hdr [tcpHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {

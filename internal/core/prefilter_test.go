@@ -3,8 +3,21 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dmat"
 	"repro/internal/fasta"
+	"repro/internal/spmat"
 )
+
+// prefilterA is the frequency pre-filter as buildTarget runs it: the census
+// of A's grid column, then the banned k-mers' columns dropped from A. It
+// returns the filtered A and the banned list.
+func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index, error) {
+	kmers, err := countKmers(a, cfg.MaxKmerFrequency)
+	if err != nil {
+		return nil, nil, err
+	}
+	return kmers.prefilter(a), kmers.banned, nil
+}
 
 // The k-mer frequency pre-filter (paper future work) must drop
 // over-represented k-mers, reduce candidate pairs, and stay process-count

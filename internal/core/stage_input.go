@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"repro/internal/alphabet"
@@ -55,10 +55,17 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 		return nil, err
 	}
 
-	// --- k-mer frequency pre-filter (paper future work) ---
+	// --- the grid column's k-mer census: the frequency pre-filter (paper
+	// future work) and the all-vs-all expansion's presence test read one ---
 	t.stats.NNZAFiltered = t.stats.NNZA
-	if cfg.MaxKmerFrequency > 0 {
-		clock.Section(SectionFormA, func() { t.a, t.banned, err = prefilterA(t.a, cfg) })
+	restrict := cfg.SubstituteKmers > 0 && !forIndex
+	var kmers columnKmers
+	if cfg.MaxKmerFrequency > 0 || restrict {
+		clock.Section(SectionFormA, func() {
+			if kmers, err = countKmers(t.a, cfg.MaxKmerFrequency); err == nil && cfg.MaxKmerFrequency > 0 {
+				t.a, t.banned = kmers.prefilter(t.a), kmers.banned
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +83,15 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	}
 
 	// --- substitute k-mer expansion: AS = A·S (paper Section IV-C) ---
-	if t.as, err = expandAS(r, t.a); err != nil {
+	// An index keeps the whole of AS: a query's exact k-mers meet rows of
+	// (AS)ᵀ the database lacks. An all-vs-all sweep contracts AS with Aᵀ, so
+	// it keeps only the k-mers A holds.
+	if restrict {
+		t.as, err = expandPresent(r, t.a, kmers.present)
+	} else {
+		t.as, err = expandAS(r, t.a)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if t.stats.NNZAS, err = t.as.TryNNZ(); err != nil {
@@ -254,35 +269,48 @@ func (s *seenSet) add(id kmer.ID) bool {
 	}
 }
 
-// prefilterA drops k-mers occurring in more than cfg.MaxKmerFrequency
-// sequences (paper future work: over-represented k-mers contribute
-// quadratically many candidates with little homology evidence). The second
-// result lists the banned k-mer ids within this rank's block-column range,
-// sorted — the persistent index stores them so query panels can apply the
-// same filter without recounting the database.
-func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index, error) {
-	counts, err := a.ColumnCounts()
-	if err != nil {
-		return nil, nil, err
+// columnKmers is the census of A's grid column, both lists sorted global
+// k-mer ids: present holds the k-mers some row of A still holds after the
+// frequency pre-filter, banned those it drops — k-mers occurring in more
+// than Config.MaxKmerFrequency sequences (paper future work: over-represented
+// k-mers contribute quadratically many candidates with little homology
+// evidence). The persistent index stores banned so query panels can apply
+// the same filter without recounting the database.
+type columnKmers struct{ present, banned []spmat.Index }
+
+// countKmers takes the census with one ColComm allgather
+// (dmat.ColumnCounts); maxFreq <= 0 bans nothing. Collective over the grid.
+func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
+	cols, counts, err := a.ColumnCounts()
+	if err != nil || maxFreq <= 0 {
+		return columnKmers{present: cols}, err
 	}
-	maxFreq := int64(cfg.MaxKmerFrequency)
-	var banned []spmat.Index
-	for c, n := range counts {
-		if n > maxFreq {
-			banned = append(banned, c)
+	var k columnKmers
+	k.present = cols[:0]
+	for i, c := range cols {
+		if counts[i] > int64(maxFreq) {
+			k.banned = append(k.banned, c)
+		} else {
+			k.present = append(k.present, c)
 		}
 	}
-	sort.Slice(banned, func(i, j int) bool { return banned[i] < banned[j] })
-	filtered := a.Prune(func(r, c spmat.Index, v int32) bool {
-		return counts[c] <= maxFreq
-	})
-	a.Release()
-	return filtered, banned, nil
+	return k, nil
 }
 
-// expandAS forms AS = A·S (paper Section IV-C) for a row operand — the
-// database's A or a query batch's Q, after the frequency prune, so a banned
-// k-mer is never searched. Row k of S is k itself at distance 0 plus its m
+// prefilter drops the banned k-mers' columns from a, which it releases.
+func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
+	filtered := a.Prune(func(_, c spmat.Index, _ int32) bool {
+		_, banned := slices.BinarySearch(k.banned, c)
+		return !banned
+	})
+	a.Release()
+	return filtered
+}
+
+// expandAS forms the whole of AS = A·S (paper Section IV-C) for a row
+// operand — an index's A or a query batch's Q, after the frequency prune, so
+// a banned k-mer is never searched; an all-vs-all run forms expandPresent's
+// restriction of it. Row k of S is k itself at distance 0 plus its m
 // nearest substitutes — what subkmer.Finder returns — so S is applied as an
 // operator, never assembled: every local nonzero (sequence, k-mer, position)
 // expands through its k-mer's list (one search per column of the block) into
@@ -293,29 +321,79 @@ func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index
 // "form S", the shuffle and assembly its "AS"; the triple list is on the
 // live-bytes ledger while it exists, as the product's stage transients were.
 func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
+	return expand(r, a, nil)
+}
+
+// expandPresent forms the AS an all-vs-all sweep multiplies: A·S restricted
+// to the columns of the k-mers A holds (present, the sorted census of this
+// rank's grid column). B = (AS)·Aᵀ contracts over k-mers, so a column of AS
+// whose k-mer no sequence holds meets an empty row of Aᵀ and adds nothing;
+// dropping it leaves B, its Flops and the graph as they were. The k-mer id
+// puts position 0 in its highest digit, so a nearest substitute mostly
+// stays in its root's column block: the search drops such a substitute when
+// it is absent, before any triple is formed, and the owner drops what
+// crossed into its grid column unchecked once AS is assembled — so AS is the
+// same matrix at every rank count (TestExpandASPrunedIsTheProduct). The
+// presence set is on the ledger while the expansion holds it.
+func expandPresent(r *run, a *dmat.Mat[int32], present []spmat.Index) (*dmat.Mat[PosDist], error) {
+	set := newKmerSet(present)
+	r.clock.AllocBytes(set.bytes())
+	defer r.clock.FreeBytes(set.bytes())
+	as, err := expand(r, a, set)
+	if err != nil {
+		return nil, err
+	}
+	r.clock.Section(SectionAS, func() { set.restrict(as) })
+	return as, nil
+}
+
+// expand is the one expansion under expandAS and expandPresent; a nil set
+// keeps every substitute. The searches run first, into one list of the
+// substitutes kept per local column, so the triple buffer is sized to what
+// survives them.
+func expand(r *run, a *dmat.Mat[int32], set *kmerSet) (*dmat.Mat[PosDist], error) {
 	finder, err := subkmer.NewFinder(r.cfg.K, scoring.NewExpense(scoring.BLOSUM62), r.cfg.SubstituteKmers)
 	if err != nil {
 		return nil, err
 	}
 	b, rowOff, colOff := a.Local, a.RowOffset(), a.ColOffset()
-	triples := make([]spmat.Triple[PosDist], 0, b.NNZ()*(r.cfg.SubstituteKmers+1))
+	_, colEnd := dmat.BlockRange(a.Cols, r.grid.Q, r.grid.MyCol)
 	var nbrs []subkmer.Neighbor
-	generated := 0
+	ends := make([]int, len(b.JC)) // column j's substitutes are nbrs[ends[j-1]:ends[j]]
+	generated, size := 0, 0
+	for j, col := range b.JC {
+		start := len(nbrs)
+		nbrs = finder.AppendFind(nbrs, kmer.ID(colOff+col))
+		generated += len(nbrs) - start
+		if set != nil {
+			kept := nbrs[:start]
+			for _, nb := range nbrs[start:] {
+				if id := spmat.Index(nb.ID); id < colOff || id >= colEnd || set.has(id) {
+					kept = append(kept, nb)
+				}
+			}
+			nbrs = kept
+		}
+		ends[j] = len(nbrs)
+		size += (b.CP[j+1] - b.CP[j]) * (1 + len(nbrs) - start)
+	}
+	r.clock.Section(SectionFormS, func() { r.clock.Ops(float64(len(b.JC)+generated) * opsPerSubNeighbor) })
+
+	triples := make([]spmat.Triple[PosDist], 0, size)
+	start := 0
 	for j, col := range b.JC {
 		c := colOff + col
-		nbrs = finder.AppendFind(nbrs[:0], kmer.ID(c))
-		generated += len(nbrs)
 		for i := b.CP[j]; i < b.CP[j+1]; i++ {
 			row, pos := rowOff+b.IR[i], b.Vals[i]
 			triples = append(triples, spmat.Triple[PosDist]{Row: row, Col: c, Val: PosDist{Pos: pos}})
-			for _, nb := range nbrs {
+			for _, nb := range nbrs[start:ends[j]] {
 				triples = append(triples, spmat.Triple[PosDist]{
 					Row: row, Col: spmat.Index(nb.ID), Val: PosDist{Pos: pos, Dist: int32(nb.Dist)},
 				})
 			}
 		}
+		start = ends[j]
 	}
-	r.clock.Section(SectionFormS, func() { r.clock.Ops(float64(len(b.JC)+generated) * opsPerSubNeighbor) })
 
 	buffered := int64(len(triples)) * int64(unsafe.Sizeof(spmat.Triple[PosDist]{}))
 	r.clock.AllocBytes(buffered)
@@ -324,4 +402,88 @@ func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
 	r.clock.EndSection()
 	r.clock.FreeBytes(buffered)
 	return as, err
+}
+
+// kmerSet is the census of a grid column's present k-mers, asked about
+// every substitute the search finds in that column — most of which are
+// absent. A bit filter, 16 bits per member with one hashed bit each, turns
+// away about 15 in 16 absent ids from 2 bytes per member; an
+// open-addressing table settles the rest. The filter and the table read the
+// high bits of the same Fibonacci hash.
+type kmerSet struct {
+	present        []spmat.Index // sorted
+	filter         []uint64
+	keys           []spmat.Index // -1 marks an empty slot
+	fshift, kshift uint
+}
+
+func newKmerSet(present []spmat.Index) *kmerSet {
+	fbits := bits.Len(uint(max(16*len(present), 64) - 1))
+	kbits := bits.Len(uint(max(2*len(present), 2) - 1))
+	s := &kmerSet{present: present, filter: make([]uint64, 1<<fbits/64), keys: make([]spmat.Index, 1<<kbits),
+		fshift: uint(64 - fbits), kshift: uint(64 - kbits)}
+	for i := range s.keys {
+		s.keys[i] = -1
+	}
+	mask := uint64(len(s.keys) - 1)
+	for _, id := range present {
+		h := uint64(id) * 0x9E3779B97F4A7C15
+		f := h >> s.fshift
+		s.filter[f/64] |= 1 << (f % 64)
+		i := h >> s.kshift
+		for s.keys[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		s.keys[i] = id
+	}
+	return s
+}
+
+// has reports whether id is present.
+func (s *kmerSet) has(id spmat.Index) bool {
+	h := uint64(id) * 0x9E3779B97F4A7C15
+	if f := h >> s.fshift; s.filter[f/64]&(1<<(f%64)) == 0 {
+		return false
+	}
+	mask := uint64(len(s.keys) - 1)
+	for i := h >> s.kshift; ; i = (i + 1) & mask {
+		switch s.keys[i] {
+		case id:
+			return true
+		case -1:
+			return false
+		}
+	}
+}
+
+// bytes is the set's footprint on the live-bytes ledger.
+func (s *kmerSet) bytes() int64 {
+	return 8 * int64(len(s.present)+len(s.filter)+len(s.keys))
+}
+
+// restrict drops, in place, the columns of m's block whose k-mer is absent:
+// a merge of its JC with the sorted census. It is charged as the
+// elementwise pass it is, and its dropped bytes leave the ledger.
+func (s *kmerSet) restrict(m *dmat.Mat[PosDist]) {
+	b, colOff := m.Local, m.ColOffset()
+	before, clock := m.LocalBytes(), m.Grid.Comm.Clock()
+	clock.ParOps(float64(b.NNZ()) * dmat.VisitOps)
+	cols, nnz, p := 0, 0, 0
+	for j, col := range b.JC {
+		c := col + colOff
+		for p < len(s.present) && s.present[p] < c {
+			p++
+		}
+		if p == len(s.present) || s.present[p] != c {
+			continue
+		}
+		lo, hi := b.CP[j], b.CP[j+1]
+		b.JC[cols], b.CP[cols] = col, nnz
+		copy(b.IR[nnz:], b.IR[lo:hi])
+		copy(b.Vals[nnz:], b.Vals[lo:hi])
+		cols, nnz = cols+1, nnz+hi-lo
+	}
+	b.CP[cols] = nnz
+	b.JC, b.CP, b.IR, b.Vals = b.JC[:cols], b.CP[:cols+1], b.IR[:nnz], b.Vals[:nnz]
+	clock.FreeBytes(before - m.LocalBytes())
 }

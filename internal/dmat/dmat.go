@@ -14,7 +14,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -1006,43 +1005,70 @@ func EWiseAdd[T any](a, b *Mat[T], add func(T, T) T) (*Mat[T], error) {
 	return out, nil
 }
 
-// ColumnCounts returns, for every nonempty global column of this rank's
-// block-column range, the total nonzero count across the whole grid column.
-// A global column is split across the q blocks of one grid column, so one
-// allgather over ColComm suffices. Collective over the grid.
-func (m *Mat[T]) ColumnCounts() (map[spmat.Index]int64, error) {
-	colOff := m.ColOffset()
-	local := make(map[spmat.Index]int64, m.Local.NonemptyCols())
-	for c, col := range m.Local.JC {
-		local[col+colOff] += int64(m.Local.CP[c+1] - m.Local.CP[c])
-	}
-	buf := make([]byte, 0, 16*len(local))
-	// Serialize deterministically (sorted by column id).
-	cols := make([]spmat.Index, 0, len(local))
-	for col := range local {
-		cols = append(cols, col)
-	}
-	sortIndices(cols)
-	for _, col := range cols {
-		buf = wire.AppendU64(buf, uint64(col))
-		buf = wire.AppendU64(buf, uint64(local[col]))
+// ColumnCounts returns the nonempty global columns of this rank's
+// block-column range in ascending order, with each one's nonzero count
+// across the whole grid column. A global column is split across the q blocks
+// of one grid column, so one allgather over ColComm of every block's
+// (column, count) list — in JC order, hence sorted — and a q-way merge of
+// the lists suffice. Collective over the grid.
+func (m *Mat[T]) ColumnCounts() (cols []spmat.Index, counts []int64, err error) {
+	b, colOff := m.Local, m.ColOffset()
+	buf := make([]byte, 0, 16*len(b.JC))
+	for c, col := range b.JC {
+		buf = wire.AppendU64(buf, uint64(col+colOff))
+		buf = wire.AppendU64(buf, uint64(b.CP[c+1]-b.CP[c]))
 	}
 	parts, err := m.Grid.ColComm.TryAllgather(buf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	total := make(map[spmat.Index]int64, len(local)*2)
-	for src, part := range parts {
-		if err := wire.Pairs(part, func(col, n uint64) { total[spmat.Index(col)] += int64(n) }); err != nil {
-			return nil, fmt.Errorf("dmat: column counts from rank %d: %w", src, err)
-		}
+	lo, hi := BlockRange(m.Cols, m.Grid.Q, m.Grid.MyCol)
+	if cols, counts, err = mergeColumnCounts(parts, lo, hi); err != nil {
+		return nil, nil, err
 	}
-	m.Grid.Comm.Clock().Ops(float64(len(total)) * 4)
-	return total, nil
+	m.Grid.Comm.Clock().Ops(float64(len(cols)) * 4)
+	return cols, counts, nil
 }
 
-func sortIndices(xs []spmat.Index) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+// mergeColumnCounts merges the grid column's (column, count) lists, each
+// ascending within [lo, hi), summing the counts of a column several lists
+// hold. A list that is not whole pairs, ascending and in range is rejected.
+func mergeColumnCounts(parts [][]byte, lo, hi spmat.Index) (cols []spmat.Index, counts []int64, err error) {
+	total := 0
+	for src, part := range parts {
+		if len(part)%16 != 0 {
+			return nil, nil, fmt.Errorf("dmat: column counts from rank %d: %d bytes", src, len(part))
+		}
+		for h := 0; h < len(part); h += 16 {
+			col := wire.U64(part[h:])
+			if col < uint64(lo) || col >= uint64(hi) || (h > 0 && col <= wire.U64(part[h-16:])) {
+				return nil, nil, fmt.Errorf("dmat: column counts from rank %d: column %d out of order or outside [%d, %d)",
+					src, col, lo, hi)
+			}
+		}
+		total += len(part) / 16
+	}
+	cols, counts = make([]spmat.Index, 0, total), make([]int64, 0, total)
+	heads := make([]int, len(parts)) // byte offset of each list's next pair
+	for {
+		next := uint64(hi) // past every column: the lists are exhausted
+		for src, part := range parts {
+			if h := heads[src]; h < len(part) {
+				next = min(next, wire.U64(part[h:]))
+			}
+		}
+		if next == uint64(hi) {
+			return cols, counts, nil
+		}
+		var n int64
+		for src, part := range parts {
+			if h := heads[src]; h < len(part) && wire.U64(part[h:]) == next {
+				n += int64(wire.U64(part[h+8:]))
+				heads[src] = h + 16
+			}
+		}
+		cols, counts = append(cols, spmat.Index(next)), append(counts, n)
+	}
 }
 
 // Prune filters nonzeros locally with the predicate on global indices: an

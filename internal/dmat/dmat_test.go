@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -457,23 +458,55 @@ func TestColumnCounts(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			counts, err := m.ColumnCounts()
+			cols, counts, err := m.ColumnCounts()
 			if err != nil {
 				return err
 			}
-			// Each rank must see the full count for columns in its block range.
+			// Each rank sees, in ascending order, exactly the nonempty columns
+			// of its block range, each with its full count.
 			cLo, cHi := BlockRange(10, g.Q, g.MyCol)
-			want := map[spmat.Index]int64{3: 3, 7: 1, 0: 2}
-			for col, n := range want {
-				if col < cLo || col >= cHi {
-					continue
+			var wantCols []spmat.Index
+			var wantCounts []int64
+			for _, c := range []struct {
+				col spmat.Index
+				n   int64
+			}{{0, 2}, {3, 3}, {7, 1}} {
+				if c.col >= cLo && c.col < cHi {
+					wantCols, wantCounts = append(wantCols, c.col), append(wantCounts, c.n)
 				}
-				if counts[col] != n {
-					return fmt.Errorf("p=%d col %d count = %d, want %d", p, col, counts[col], n)
-				}
+			}
+			if !slices.Equal(cols, wantCols) || !slices.Equal(counts, wantCounts) {
+				return fmt.Errorf("p=%d grid column %d: columns %v counts %v, want %v %v",
+					p, g.MyCol, cols, counts, wantCols, wantCounts)
 			}
 			return nil
 		})
+	}
+
+	// The lists arrive from other ranks: one that is not whole pairs,
+	// ascending and inside the grid column's range is refused, not merged.
+	pairs := func(kv ...uint64) []byte {
+		var buf []byte
+		for _, x := range kv {
+			buf = wire.AppendU64(buf, x)
+		}
+		return buf
+	}
+	good := pairs(4, 1, 6, 2)
+	if cols, counts, err := mergeColumnCounts([][]byte{good, pairs(5, 1, 6, 3)}, 4, 8); err != nil ||
+		!slices.Equal(cols, []spmat.Index{4, 5, 6}) || !slices.Equal(counts, []int64{1, 1, 5}) {
+		t.Errorf("merge: %v %v %v", cols, counts, err)
+	}
+	for name, bad := range map[string][]byte{
+		"torn":       good[:20],
+		"repeated":   pairs(4, 1, 4, 1),
+		"descending": pairs(6, 1, 4, 1),
+		"below":      pairs(3, 1),
+		"past":       pairs(8, 1),
+	} {
+		if _, _, err := mergeColumnCounts([][]byte{good, bad}, 4, 8); err == nil {
+			t.Errorf("%s list merged", name)
+		}
 	}
 }
 

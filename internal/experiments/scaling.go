@@ -104,6 +104,9 @@ func Fig15(sc Scale) (*Table, error) {
 			"fades for s>0; SpGEMM's share grows with node count",
 			"form S is each rank searching the k-mers of its block of A (S is not",
 			"assembled): at most sqrt(p) ranks search a k-mer, so its share shrinks",
+			"AS is A·S restricted to the k-mers A holds (pruned at the search and at",
+			"the owner), so its shuffle and assembly move only the triples B can",
+			"use; the census that tells a rank its grid column's k-mers is form A's",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)

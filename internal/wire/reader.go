@@ -105,19 +105,6 @@ func (r *Reader) Len() int { return len(r.buf) - r.off }
 // forever over a buffer that ends inside a record.
 func (r *Reader) More() bool { return r.err == nil && r.off < len(r.buf) }
 
-// Pairs calls f with each (u64, u64) record packed in b — the per-column
-// counts and sums the grid columns allgather — and rejects a buffer that is
-// not a whole number of records.
-func Pairs(b []byte, f func(k, v uint64)) error {
-	r := NewReader(b)
-	for r.More() {
-		if k, v := r.U64(), r.U64(); r.err == nil {
-			f(k, v)
-		}
-	}
-	return r.err
-}
-
 // Err is the first failed read, or nil.
 func (r *Reader) Err() error { return r.err }
 

@@ -114,14 +114,6 @@ func TestRecordLoopsEndOnTruncation(t *testing.T) {
 		enc = AppendU64(AppendU64(enc, i), 10*i)
 	}
 	for cut := 0; cut <= len(enc); cut++ {
-		var got []uint64
-		err := Pairs(enc[:cut:cut], func(k, v uint64) { got = append(got, k, v) })
-		if (err == nil) != (cut%16 == 0) {
-			t.Errorf("Pairs over %d bytes: err %v", cut, err)
-		}
-		if len(got) != 2*(cut/16) || (len(got) > 0 && got[len(got)-1] != 10*uint64(cut/16)) {
-			t.Errorf("Pairs over %d bytes delivered %v", cut, got)
-		}
 		r, reads := NewReader(enc[:cut:cut]), 0
 		for r.More() {
 			r.U64()

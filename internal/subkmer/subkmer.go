@@ -12,9 +12,10 @@
 // substituting one of its "free" positions; a child created by substituting
 // position i keeps only positions > i free, so every multi-substitution
 // k-mer is produced exactly once along its position-sorted path (the paper's
-// acyclic, branching-factor-(|Σ|-1) exploration). The current m best
-// candidates sit in a sorted array, which gives O(1) access to both the next
-// node to finalize (first) and the pruning bound (last).
+// acyclic, branching-factor-(|Σ|-1) exploration). The answers found so far
+// and the best candidates that can still join them sit in one sorted array of
+// at most m entries, which gives O(1) access to both the next node to
+// finalize (first pending) and the pruning bound (last).
 //
 // The pruning is exact when every substitution costs something, which holds
 // for every row of a standard residue (and of '*'). The B, Z and X rows have
@@ -24,8 +25,9 @@
 // pipeline never searches such a root: k-mers holding an ambiguity code are
 // skipped at extraction.
 //
-// One search costs a few microseconds and allocates nothing (Finder), so no
-// caller remembers results: not across ranks, not across runs, not on disk.
+// One search costs about a microsecond at m = 10 (two at m = 25) and
+// allocates nothing (Finder), so no caller remembers results: not across
+// ranks, not across runs, not on disk.
 package subkmer
 
 import (
@@ -69,7 +71,7 @@ func candLess(a, b candidate) bool {
 
 // Finder is the reusable state of the m-nearest search for one (k, expense
 // table, m): Algorithm 1 (FINDSUBKMERS) with Algorithms 2-3 inlined as
-// explore/offer. After its candidate array has grown to 2m entries — at
+// explore/offer. After its candidate array has grown to m entries — at
 // construction for m <= 64 — a search allocates nothing. Not safe for
 // concurrent use; give each goroutine its own.
 type Finder struct {
@@ -81,8 +83,9 @@ type Finder struct {
 	rows [kmer.MaxK][]scoring.Sub // expense row of the root's base at pos, cheapest first
 	own  [kmer.MaxK]uint64        // what the root's base at pos contributes to an id
 
-	// The bounded m-nearest set: cand[head:] sorted by (dist, id), at most m
-	// long. Finalizing the minimum advances head, so len(cand) <= 2m.
+	// The bounded m-nearest set: cand[:head] are the final answers,
+	// cand[head:] the pending candidates sorted by (dist, id), and only m of
+	// the two can ever be returned, so len(cand) <= m.
 	cand []candidate
 	head int
 }
@@ -94,7 +97,7 @@ func NewFinder(k int, e *scoring.Expense, m int) (*Finder, error) {
 		return nil, fmt.Errorf("subkmer: k=%d out of range [1,%d]", k, kmer.MaxK)
 	}
 	m = max(m, 0)
-	f := &Finder{k: k, m: m, e: e, cand: make([]candidate, 0, 2*min(m, 64))}
+	f := &Finder{k: k, m: m, e: e, cand: make([]candidate, 0, min(m, 64))}
 	w := uint64(1)
 	for pos := k - 1; pos >= 0; pos-- {
 		f.pow[pos] = w
@@ -120,10 +123,13 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 	}
 	f.cand, f.head = f.cand[:0], 0
 	f.explore(candidate{id: uint64(root)})
-	for n := 0; n < f.m && f.head < len(f.cand); n++ {
+	for f.head < len(f.cand) {
 		next := f.cand[f.head]
 		f.head++
 		dst = append(dst, Neighbor{ID: kmer.ID(next.id), Dist: int(next.dist)})
+		if f.head == f.m {
+			break // m answers: no child can be returned, and none is pending to evict
+		}
 		f.explore(next)
 	}
 	return dst
@@ -132,9 +138,20 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 // explore generates the children of node p in increasing cost and offers
 // them to the m-nearest set (Algorithm 2, EXPLORE, with Algorithm 3's
 // MAKENEWSUBK inlined). It stops as soon as the next cheapest child cannot
-// beat the current m-th nearest candidate. The set it leaves is the m
-// smallest of the old set and all children whatever order equal-cost streams
-// are taken in, so the frontier is a plain array scanned for its minimum.
+// beat the current m-th nearest k-mer. The set it leaves is the m smallest of
+// the old set and all children whatever order equal-cost streams are taken
+// in, so the frontier is a plain array scanned for its minimum.
+//
+// The set is full at m entries answers included, not at m pending ones: once
+// head answers are final only m-head more can be returned, so a pending
+// candidate ranked below m-head in (dist, id) order can only sink further (a
+// pop removes one entry ahead of it and one from the budget; an admitted
+// child only gets ahead of it) and is never returned. Bounding the pending
+// set at m-head therefore keeps, at every step, exactly the first m-head
+// entries of what an m-pending set would hold: every child the tighter bound
+// skips or evicts sorts after that prefix, and every pop takes the same
+// minimum. That holds for any expense row, ties and the B/Z/X rows included,
+// since it compares only (dist, id) orders.
 func (f *Finder) explore(p candidate) {
 	var fr [kmer.MaxK]frontier
 	n := 0
@@ -155,7 +172,7 @@ func (f *Finder) explore(p candidate) {
 		// Prune: accept only children that can still displace the current
 		// worst candidate; an equal-distance child is offered so ties
 		// resolve deterministically by ID.
-		if len(f.cand)-f.head >= f.m && next.cost > f.cand[len(f.cand)-1].dist {
+		if len(f.cand) >= f.m && next.cost > f.cand[len(f.cand)-1].dist {
 			return
 		}
 		pos := int(next.pos)
@@ -177,10 +194,10 @@ func (f *Finder) explore(p candidate) {
 }
 
 // offer admits a child into the bounded m-nearest set, evicting the current
-// worst when full. The position-sorted tree generates every substitute k-mer
-// exactly once, so no duplicate check is needed.
+// worst pending candidate when full. The position-sorted tree generates every
+// substitute k-mer exactly once, so no duplicate check is needed.
 func (f *Finder) offer(c candidate) {
-	if len(f.cand)-f.head >= f.m {
+	if len(f.cand) >= f.m {
 		if !candLess(c, f.cand[len(f.cand)-1]) {
 			return
 		}

@@ -118,11 +118,11 @@ type RankData struct {
 	Subs    int         // substitute k-mers the index was built with
 	MaxFreq int         // frequency pre-filter the index was built with
 
-	at     *postings[int32]         // this rank's block of Aᵀ, k-mer-major
-	ast    *postings[PosDist]       // this rank's block of (AS)ᵀ; nil when Subs == 0
-	Owned  []seqstore.Sequence      // this rank's owned database partition
-	Banned map[spmat.Index]struct{} // banned k-mers in this rank's column range
-	Bytes  int64                    // on-disk artifact size (cold-load IO charge)
+	at     *postings[int32]    // this rank's block of Aᵀ, k-mer-major
+	ast    *postings[PosDist]  // this rank's block of (AS)ᵀ; nil when Subs == 0
+	Owned  []seqstore.Sequence // this rank's owned database partition
+	Banned []spmat.Index       // banned k-mers in this rank's column range, ascending
+	Bytes  int64               // on-disk artifact size (cold-load IO charge)
 
 	targets *seqstore.Store // the column side of the database, once fetched
 }
@@ -347,15 +347,19 @@ func encodeBanned(banned []spmat.Index) []byte {
 	return buf
 }
 
-func decodeBanned(buf []byte) (map[spmat.Index]struct{}, error) {
+// decodeBanned reads the list encodeBanned wrote. The query prune
+// binary-searches it, so a list that is not strictly ascending is rejected.
+func decodeBanned(buf []byte) ([]spmat.Index, error) {
 	r := wire.NewReader(buf)
-	n := r.Count(8)
-	out := make(map[spmat.Index]struct{}, n)
-	for i := 0; i < n; i++ {
-		out[spmat.Index(r.U64())] = struct{}{}
-	}
+	out := make([]spmat.Index, r.Count(8))
+	wire.U64s(r, out)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: banned k-mers: %w", err)
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i] <= out[i-1] {
+			return nil, fmt.Errorf("core: banned k-mers: %d after %d, not ascending", out[i], out[i-1])
+		}
 	}
 	return out, nil
 }

@@ -64,3 +64,28 @@ func TestPostingsMatchBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeBannedRejects holds the banned-k-mer section to what the query
+// prune binary-searches: a strictly ascending list round-trips, and an
+// unsorted, duplicated or truncated one is an error, not a silent miss.
+func TestDecodeBannedRejects(t *testing.T) {
+	ok := []spmat.Index{3, 17, 1 << 40}
+	got, err := decodeBanned(encodeBanned(ok))
+	if err != nil || !slices.Equal(got, ok) {
+		t.Fatalf("round trip: %v, %v", got, err)
+	}
+	if got, err := decodeBanned(encodeBanned(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty list: %v, %v", got, err)
+	}
+	full := encodeBanned(ok)
+	for name, buf := range map[string][]byte{
+		"unsorted":  encodeBanned([]spmat.Index{17, 3}),
+		"duplicate": encodeBanned([]spmat.Index{3, 17, 17}),
+		"truncated": full[:len(full)-1],
+		"trailing":  append(full[:len(full):len(full)], 0),
+	} {
+		if _, err := decodeBanned(buf); err == nil {
+			t.Errorf("%s list decoded", name)
+		}
+	}
+}

@@ -320,6 +320,21 @@ func TestBlocksOblivious(t *testing.T) {
 	}
 }
 
+// oneFamilyDataset is a single large family of short, close sequences (290
+// of them): the candidate matrix B dwarfs every operand, so the wave's
+// merge and prune set the rank's peak.
+func oneFamilyDataset(t testing.TB) *synth.Labeled {
+	t.Helper()
+	data, err := synth.Generate(synth.Config{
+		Seed: 7, NumFamilies: 1, MembersMean: 400, MinLen: 60, MaxLen: 80,
+		Divergence: 0.05, IndelRate: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // More waves must mean a lower per-rank memory high-water mark: the whole
 // point of the blocked pipeline. Virtual runtime must stay close to the
 // single-wave run (the trade is memory for a little broadcast volume, and
@@ -439,6 +454,29 @@ func TestWaveMemoryBounded(t *testing.T) {
 				tc.blocks, window, prevPeak)
 		}
 		prevPeak = window
+	}
+
+	// B-dominated: on the one-family input the wave's merge and prune set
+	// the rank's peak. The merged block replaces the panel's B and Bᵀ halves
+	// before the prune's transients are charged beside it, so switching the
+	// prune on (CommonKmerThreshold 3) must not raise the peak a run without
+	// it reaches, whether the Bᵀ half is B transposed (Blocks 1) or the
+	// product A·(AS)ᵀ (Blocks 4).
+	one := oneFamilyDataset(t)
+	for _, subs := range []int{1, 5} {
+		for _, blocks := range []int{1, 4} {
+			var peaks [2]int64
+			for i, ck := range []int{0, 3} {
+				cfg := DefaultConfig()
+				cfg.Align, cfg.SubstituteKmers, cfg.Blocks, cfg.CommonKmerThreshold = AlignNone, subs, blocks, ck
+				_, _, sum := runPipeline(t, one.Records, 4, cfg)
+				peaks[i] = sum.PeakBytes
+			}
+			t.Logf("one family: subs=%d blocks=%d peak %d (threshold 0), %d (threshold 3)", subs, blocks, peaks[0], peaks[1])
+			if peaks[1] != peaks[0] {
+				t.Errorf("one family: subs=%d blocks=%d: the prune raised the peak from %d to %d", subs, blocks, peaks[0], peaks[1])
+			}
+		}
 	}
 }
 

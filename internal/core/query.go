@@ -91,14 +91,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 	// all-vs-all pipeline would have applied to these rows.
 	stats.NNZAFiltered = stats.NNZA
 	if cfg.MaxKmerFrequency > 0 {
-		clock.Section(SectionFormA, func() {
-			pruned := q.Prune(func(r, c spmat.Index, v int32) bool {
-				_, bad := rd.Banned[c]
-				return !bad
-			})
-			q.Release()
-			q = pruned
-		})
+		clock.Section(SectionFormA, func() { q = columnKmers{banned: rd.Banned}.prefilter(q) })
 		if stats.NNZAFiltered, err = q.TryNNZ(); err != nil {
 			return nil, err
 		}

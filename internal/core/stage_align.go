@@ -58,12 +58,13 @@ type panelResult struct {
 	nnzPruned int64              // after the common-k-mer prune
 	serialOps float64
 	parOps    float64
-	scratch   int64 // transient bytes the task materialized
+	merged    int64 // bytes of B ⊕ Bᵀ, which replaced the panel's two halves
+	scratch   int64 // the prune's transient bytes, live beside the merged block
 	err       error
 }
 
-// processPanel is the per-wave local stage: merge the transpose
-// contribution (all-vs-all dual-product substitute path), cut the panel to
+// processPanel is the per-wave local stage: symmetrize a substitute panel
+// (merge its B and Bᵀ halves, B ⊕ Bᵀ — the only place a sweep does), cut it to
 // the pairs this rank owns (p.cut, the Fig. 11 rule when the product was not
 // bounded by it; nil otherwise), apply the common-k-mer prune, and align the panel's
 // candidate pairs on the worker pool. It runs on a
@@ -76,13 +77,13 @@ func processPanel(p panel, src seqSource, f frame, cfg Config) panelResult {
 	var res panelResult
 	local, cut := p.b, p.cut
 	if p.bt != nil {
-		merged, err := spmat.EWiseAdd(local, p.bt, MergeOverlap)
+		merged, err := spmat.MergeAdd([]*spmat.DCSC[Overlap]{local, p.bt}, MergeOverlap)
 		if err != nil {
 			res.err = err
 			return res
 		}
 		res.serialOps += float64(merged.NNZ()) * opsPerMergedNNZ
-		res.scratch += merged.Bytes()
+		res.merged = merged.Bytes()
 		local = merged
 	}
 	// One pass applies the ownership cut and the common-k-mer prune; nnzB

@@ -41,10 +41,12 @@ func checkBudget(comm *mpi.Comm, budget int64) error {
 
 // panel is one wave of a sweep on this rank: its block-local share of the
 // candidate matrix B, with the global origin of its rows and columns. bt is
-// the matching column panel of Bᵀ on the all-vs-all dual-product path, nil
-// elsewhere; cut is the Fig. 11 rule (frame.rowMax) the panel still needs
-// applied, nil when it holds only owned pairs already. The panel's bytes are
-// on the live-bytes ledger until the wave that aligns it is collected.
+// the matching block-local panel of Bᵀ on the all-vs-all substitute path,
+// nil elsewhere: the wave merges the two (B ⊕ Bᵀ, Fig. 15 "sym."), the one
+// place a sweep symmetrizes. cut is the Fig. 11 rule (frame.rowMax) the
+// panel still needs applied, nil when it holds only owned pairs already.
+// The panel's bytes are on the live-bytes ledger until the wave that aligns
+// it is collected.
 type panel struct {
 	b, bt          *spmat.DCSC[Overlap]
 	rowOff, colOff spmat.Index
@@ -75,8 +77,8 @@ type panelSource interface {
 // operands are the distributed matrices an all-vs-all sweep multiplies: A
 // and AS = expandAS(A) against the column side Aᵀ and (AS)ᵀ of the target,
 // in the symmetric frame f. as and ast are nil in exact mode. ast may be nil
-// with as set: a single wave then takes the transpose-based symmetrization,
-// and a multi-wave split builds (AS)ᵀ on its first panels call.
+// with as set: a single wave then takes its Bᵀ as the transpose of B, and a
+// multi-wave split builds (AS)ᵀ on its first panels call.
 type operands struct {
 	r       *run
 	f       frame
@@ -106,10 +108,9 @@ func dmatPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) pa
 	return p
 }
 
-// panels streams the candidate matrix B = A·Aᵀ (exact) or the
-// symmetrization-ready pair for B = AS·Aᵀ (substitute) in `blocks` column
-// panels, invoking yield as each panel's SUMMA stages complete. On the
-// dual-product path the panel carries the matching column panel of Bᵀ.
+// panels streams the candidate matrix B = A·Aᵀ (exact) or the pair B =
+// AS·Aᵀ, Bᵀ (substitute) in `blocks` column panels, invoking yield as each
+// panel's SUMMA stages complete; the wave symmetrizes a substitute panel.
 // Every panel is cut to the pairs this rank owns where the product was
 // bounded.
 //
@@ -119,12 +120,14 @@ func dmatPanel(bp, btp *dmat.Mat[Overlap], cut func(spmat.Index) spmat.Index) pa
 // panel k's end: (blocks+1)/2 operand volumes per sweep instead of blocks
 // (the follow-up paper's memory-for-broadcast trade, made triangular). The
 // strawman assignment (naive, Config.NaiveTriangle) keeps rows past a
-// panel's end and forms whole panels. The single-wave substitute plan
-// (ast == nil) keeps the SC20 transpose-based symmetrization, which needs B's
-// lower triangle and so forms all of B; it is cheaper than the dual product
-// when the whole matrix is resident anyway. Every other substitute sweep
-// computes the Bᵀ panels directly as A·(AS)ᵀ, because a column panel of Bᵀ
-// is not a slice of B's column panels.
+// panel's end and forms whole panels. The two substitute plans differ only
+// in where the Bᵀ panel comes from. The single-wave plan (ast == nil) is
+// panel 0 of 1 and transposes B, as SC20 does; that needs B's lower
+// triangle, so its product is unbounded and the Fig. 11 rule is its cut in
+// the wave — cheaper than the dual product when the whole matrix is
+// resident anyway. Every other substitute split computes the Bᵀ panels
+// directly as A·(AS)ᵀ, because a column panel of Bᵀ is not a slice of B's
+// column panels.
 func (o *operands) panels(blocks, startPanel int, yield func(k int, p panel) error) error {
 	r, f := o.r, o.f
 	clock, naive := r.clock, r.cfg.NaiveTriangle
@@ -138,39 +141,9 @@ func (o *operands) panels(blocks, startPanel int, yield func(k int, p panel) err
 			return err
 		}
 	}
-	if startPanel >= blocks {
-		return nil // resumed past the final wave: nothing left to compute
-	}
-	if o.as != nil && o.ast == nil {
-		// Single wave: monolithic product plus the SC20 transpose-based
-		// symmetrization B ⊕ Bᵀ; B[j,i] is already in the frame of B[i,j].
-		var b *dmat.Mat[Overlap]
-		var err error
-		clock.Section(SectionB, func() {
-			b, err = dmat.SpGEMM(o.as, o.at, f.subRows(), OverlapCodec, r.gemm)
-		})
-		if err != nil {
-			return err
-		}
-		var sym *dmat.Mat[Overlap]
-		clock.Section(SectionSym, func() {
-			var bt *dmat.Mat[Overlap]
-			if bt, err = b.Transpose(); err != nil {
-				b.Release()
-				return
-			}
-			sym, err = dmat.EWiseAdd(b, bt, MergeOverlap)
-			bt.Release()
-			b.Release()
-		})
-		if err != nil {
-			return err
-		}
-		return yield(0, dmatPanel(sym, nil, f.rowMax(naive)))
-	}
-
+	transposeB := o.as != nil && o.ast == nil
 	bounded, cut := r.gemm, f.rowMax(naive)
-	if !naive {
+	if !naive && !transposeB {
 		bounded.RowMax, cut = cut, nil
 	}
 	for k := startPanel; k < blocks; k++ {
@@ -190,11 +163,16 @@ func (o *operands) panels(blocks, startPanel int, yield func(k int, p panel) err
 			return err
 		}
 		if o.as != nil {
-			// The transpose contribution is symmetrization work (Fig. 15
-			// "sym."). ast's blocks have the same local widths as at's, so
-			// panel k of A·(AS)ᵀ covers exactly bp's local columns.
+			// The Bᵀ panel is symmetrization work (Fig. 15 "sym."). B[j,i] is
+			// already in the frame of B[i,j]. ast's blocks have the same
+			// local widths as at's, so panel k of A·(AS)ᵀ covers exactly
+			// bp's local columns.
 			clock.Section(SectionSym, func() {
-				btp, err = dmat.SpGEMMPanel(o.a, o.ast, f.subCols(), OverlapCodec, bounded, blocks, k)
+				if transposeB {
+					btp, err = bp.Transpose()
+				} else {
+					btp, err = dmat.SpGEMMPanel(o.a, o.ast, f.subCols(), OverlapCodec, bounded, blocks, k)
+				}
 			})
 			if err != nil {
 				return err

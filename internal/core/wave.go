@@ -102,16 +102,26 @@ func (w *wave) collect() error {
 	if res.err != nil {
 		return res.err
 	}
-	// The task's transients lived alongside the panel: bump the ledger to
-	// the combined high-water mark, then retire the whole wave.
+	// The merged block replaced the panel's two halves; the prune's
+	// transients lived alongside what was left. Bump the ledger to each
+	// high-water mark in turn, then retire the whole wave.
+	held := f.p.bytes()
+	if res.merged > 0 {
+		w.clock.AllocBytes(res.merged)
+		w.clock.FreeBytes(held)
+		held = res.merged
+	}
 	w.clock.AllocBytes(res.scratch)
-	w.clock.FreeBytes(res.scratch + f.p.bytes())
+	w.clock.FreeBytes(res.scratch + held)
 
-	d := w.clock.OpsDuration(res.serialOps) + w.clock.ParOpsDuration(res.parOps)
+	// The serial merge runs before the thread-parallel prune and alignment,
+	// and the lane adds them in that order, so a single wave ends, to the
+	// last bit, where a merge on the main lane would (singlewave_test.go).
 	if f.start > w.laneT {
 		w.laneT = f.start
 	}
-	w.laneT += d
+	w.laneT += w.clock.OpsDuration(res.serialOps)
+	w.laneT += w.clock.ParOpsDuration(res.parOps)
 	if w.cfg.Align != AlignNone {
 		w.clock.CreditSection(SectionAlign, w.clock.ParOpsDuration(float64(res.cells)*opsPerDPCell))
 		// Cascade runs additionally attribute each stage's share of the

@@ -989,22 +989,6 @@ func (m *Mat[T]) Transpose() (*Mat[T], error) {
 	return out, nil
 }
 
-// EWiseAdd merges two identically-shaped distributed matrices block-wise.
-func EWiseAdd[T any](a, b *Mat[T], add func(T, T) T) (*Mat[T], error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.Grid != b.Grid {
-		return nil, fmt.Errorf("dmat: EWiseAdd mismatch")
-	}
-	local, err := spmat.EWiseAdd(a.Local, b.Local, add)
-	if err != nil {
-		return nil, err
-	}
-	clock := a.Grid.Comm.Clock()
-	clock.Ops(float64(local.NNZ()) * BuildOps)
-	out := &Mat[T]{Grid: a.Grid, Rows: a.Rows, Cols: a.Cols, Local: local, codec: a.codec}
-	clock.AllocBytes(out.LocalBytes())
-	return out, nil
-}
-
 // ColumnCounts returns the nonempty global columns of this rank's
 // block-column range in ascending order, with each one's nonzero count
 // across the whole grid column. A global column is split across the q blocks

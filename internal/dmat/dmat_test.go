@@ -316,15 +316,17 @@ func TestSymmetrize(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// A + Aᵀ the way core's sweep symmetrizes: Transpose, then EWiseAdd.
+		// A + Aᵀ the way core's single wave symmetrizes: Transpose, then
+		// merge the two blocks.
 		mt, err := m.Transpose()
 		if err != nil {
 			return err
 		}
-		sym, err := EWiseAdd(m, mt, func(a, b float64) float64 { return a + b })
+		local, err := spmat.MergeAdd([]*spmat.DCSC[float64]{m.Local, mt.Local}, func(a, b float64) float64 { return a + b })
 		if err != nil {
 			return err
 		}
+		sym := &Mat[float64]{Grid: g, Rows: 20, Cols: 20, Local: local, codec: Float64Codec}
 		got, err := sym.GatherTriples()
 		if err != nil {
 			return err

@@ -285,13 +285,6 @@ func Apply[T, U any](m *DCSC[T], f func(row, col Index, v T) U) *DCSC[U] {
 	return out
 }
 
-// EWiseAdd merges two equally-shaped matrices, combining coincident
-// nonzeros with add(a's, b's). It is the kernel of the distributed
-// symmetrization B + Bᵀ (paper Section VI-A "symmetricize").
-func EWiseAdd[T any](a, b *DCSC[T], add func(T, T) T) (*DCSC[T], error) {
-	return MergeAdd([]*DCSC[T]{a, b}, add)
-}
-
 // MergeAdd sums equally-shaped matrices by a multiway merge of their
 // column-major nonzero streams. The other half of the assembly rule: inputs
 // that are already ordered are merged, never re-sorted. Coincident nonzeros

@@ -307,38 +307,40 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestEWiseAdd(t *testing.T) {
+// The two-part merge is the wave's symmetrization B ⊕ Bᵀ.
+func TestMergeAddTwoParts(t *testing.T) {
+	add := func(x, y float64) float64 { return x + y }
 	a := mustFromTriples(t, 2, 2, []Triple[float64]{{0, 0, 1}, {0, 1, 2}}, nil)
 	b := mustFromTriples(t, 2, 2, []Triple[float64]{{0, 0, 10}, {1, 0, 3}}, nil)
-	c, err := EWiseAdd(a, b, func(x, y float64) float64 { return x + y })
+	c, err := MergeAdd([]*DCSC[float64]{a, b}, add)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := c.At(0, 0); v != 11 {
-		t.Errorf("EWiseAdd merge = %v", v)
+		t.Errorf("MergeAdd merge = %v", v)
 	}
 	if v, _ := c.At(0, 1); v != 2 {
-		t.Errorf("EWiseAdd left-only = %v", v)
+		t.Errorf("MergeAdd left-only = %v", v)
 	}
 	if v, _ := c.At(1, 0); v != 3 {
-		t.Errorf("EWiseAdd right-only = %v", v)
+		t.Errorf("MergeAdd right-only = %v", v)
 	}
 	if c.NNZ() != 3 {
-		t.Errorf("EWiseAdd nnz = %d", c.NNZ())
+		t.Errorf("MergeAdd nnz = %d", c.NNZ())
 	}
-	if _, err := EWiseAdd(a, Empty[float64](3, 3), nil); err == nil {
+	if _, err := MergeAdd([]*DCSC[float64]{a, Empty[float64](3, 3)}, nil); err == nil {
 		t.Error("shape mismatch should error")
 	}
 }
 
-// EWiseAdd of a matrix and its transpose symmetrizes structure.
+// Merging a matrix with its transpose symmetrizes structure.
 func TestSymmetrizeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := Index(r.Intn(15) + 1)
 		m := mustFromTriples(t, n, n, randomTriples(r, n, n, r.Intn(int(n*n)+1)), nil)
-		sym, err := EWiseAdd(m, m.Transpose(), func(x, y float64) float64 { return x + y })
+		sym, err := MergeAdd([]*DCSC[float64]{m, m.Transpose()}, func(x, y float64) float64 { return x + y })
 		if err != nil {
 			return false
 		}

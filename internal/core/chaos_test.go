@@ -381,10 +381,11 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 // shrink them. Both callers of the sweep are held to it, in exact and
 // substitute mode: the all-vs-all pipeline and a query batch.
 func TestMemBudgetDegrades(t *testing.T) {
-	// Large families so the candidate matrix B dominates memory in exact
-	// mode; in substitute mode the expansion's triple buffer, built before
-	// the sweep, is the peak. The query batch is the whole database for the
-	// same reason.
+	// Large families so the candidate matrix B dominates a query batch's
+	// memory in exact mode. In substitute mode the expansion's triple buffer,
+	// built before the sweep, is the peak; so is the exact all-vs-all A,
+	// formed whole before it keeps only the k-mers two sequences share. The
+	// query batch is the whole database for the same reason.
 	data := wavyDataset(t)
 	base := func(subs int) Config {
 		cfg := DefaultConfig()
@@ -400,25 +401,39 @@ func TestMemBudgetDegrades(t *testing.T) {
 	for _, sw := range []struct {
 		name string
 		run  func(cfg Config) (chaosRun, error)
+		// formed reports whether the stages before the sweep set the peak.
+		formed func(subs int) bool
 	}{
-		{"all-vs-all", func(cfg Config) (chaosRun, error) { return runChaosPipeline(data.Records, 4, cfg) }},
+		{"all-vs-all", func(cfg Config) (chaosRun, error) { return runChaosPipeline(data.Records, 4, cfg) },
+			func(int) bool { return true }},
 		{"query", func(cfg Config) (chaosRun, error) {
 			return runChaosQuery(indexDirs[cfg.SubstituteKmers], data.Records, 4, cfg, false)
-		}},
+		}, func(subs int) bool { return subs > 0 }},
 	} {
 		t.Run(sw.name, func(t *testing.T) {
 			for _, subs := range []int{0, 10} {
 				t.Run(fmt.Sprintf("subs%d", subs), func(t *testing.T) {
-					checkMemBudget(t, sw.run, base(subs))
+					checkMemBudget(t, sw.run, base(subs), sw.formed(subs))
 				})
 			}
 		})
 	}
+	// Exact all-vs-all on the one-family input, where B dominates the whole
+	// run: a budget below its peak must degrade. Its 42,000 candidate pairs
+	// go unaligned.
+	t.Run("one-family", func(t *testing.T) {
+		one := oneFamilyDataset(t).Records
+		cfg := base(0)
+		cfg.Align = AlignNone
+		checkMemBudget(t, func(cfg Config) (chaosRun, error) { return runChaosPipeline(one, 4, cfg) }, cfg, false)
+	})
 }
 
 // checkMemBudget runs TestMemBudgetDegrades' contract on one sweep caller
-// and mode. In exact mode at least one budget must degrade.
-func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config) {
+// and mode. formed says the stages before the sweep set the input's peak:
+// then every budget below it fails before the sweep; otherwise at least one
+// budget must degrade.
+func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config, formed bool) {
 	clean, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -442,17 +457,19 @@ func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config
 		name := fmt.Sprintf("budget %d (%.1f%% of peak %d)", budgeted.MemBudget, frac*100, peak)
 		got, err := run(budgeted)
 		if errors.Is(err, ErrMemBudget) {
-			// Exact mode may exhaust the ladder once the resident operands
-			// alone exceed the budget. The substitute peak is the expansion's
-			// triple buffer, built before the sweep.
+			// A sweep-dominated input may exhaust the ladder once the
+			// resident operands alone exceed the budget.
 			t.Logf("%s: %v", name, err)
-			if cfg.SubstituteKmers > 0 {
+			if formed {
 				preSweep(name, got)
 			}
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if formed {
+			t.Errorf("%s: admitted at %d waves, below the peak the stages before the sweep set", name, got.blocks)
 		}
 		degraded = degraded || got.blocks > 1
 		sameGraph(t, fmt.Sprintf("%s, %d waves", name, got.blocks), got, clean)
@@ -469,7 +486,7 @@ func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config
 				name, got.blocks, ref.sum.PeakBytes)
 		}
 	}
-	if cfg.SubstituteKmers == 0 && !degraded {
+	if !formed && !degraded {
 		t.Errorf("no budget below peak %d triggered degradation", peak)
 	}
 
@@ -483,7 +500,7 @@ func checkMemBudget(t *testing.T, run func(Config) (chaosRun, error), cfg Config
 }
 
 // wavyDataset is TestWaveMemoryBounded's shape: few, large families, so the
-// candidate matrix dominates the per-rank footprint.
+// candidate matrix dominates the sweep's footprint.
 func wavyDataset(t *testing.T) *synth.Labeled {
 	t.Helper()
 	data, err := synth.Generate(synth.Config{

@@ -291,20 +291,20 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					kmers, err := countKmers(a, cfg.MaxKmerFrequency)
+					kmers, err := countKmers(a, 1, cfg.MaxKmerFrequency)
 					if err != nil {
 						return err
 					}
-					a = kmers.prefilter(a)
+					restrict(a, kmers.kept)
 					full, err := expandAS(r, a)
 					if err != nil {
 						return err
 					}
-					unchecked, err := expand(r, a, newKmerSet(kmers.present)) // before the owner's prune
+					unchecked, err := expand(r, a, newKmerSet(kmers.kept)) // before the owner's prune
 					if err != nil {
 						return err
 					}
-					pruned, err := expandPresent(r, a, kmers.present)
+					pruned, err := expandPresent(r, a, kmers.kept)
 					if err != nil {
 						return err
 					}

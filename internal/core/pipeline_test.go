@@ -339,11 +339,11 @@ func oneFamilyDataset(t testing.TB) *synth.Labeled {
 // point of the blocked pipeline. Virtual runtime must stay close to the
 // single-wave run (the trade is memory for a little broadcast volume, and
 // waves win back time by hiding alignment under the next panel's SUMMA).
-// The dataset uses large families so the candidate matrix B dominates
-// memory, the paper's production regime (B is quadratic in similar pairs);
-// the substitute path is exercised for peaks not regressing — its panels
-// share the run with the constant-size AS/(AS)ᵀ operands, which dominate at
-// unit-test scale.
+// The first dataset uses large families so the candidate matrix B dominates
+// the sweep, the paper's production regime (B is quadratic in similar
+// pairs); the substitute path is exercised for peaks not regressing — its
+// panels share the run with the constant-size AS/(AS)ᵀ operands, which
+// dominate at unit-test scale.
 func TestWaveMemoryBounded(t *testing.T) {
 	data, err := synth.Generate(synth.Config{
 		Seed: 59, NumFamilies: 2, MembersMean: 45, Singletons: 8,
@@ -357,57 +357,11 @@ func TestWaveMemoryBounded(t *testing.T) {
 	// panel broadcast overhead would be magnified far beyond the paper's.
 	model := mpi.DefaultCostModel()
 	model.ComputeRate = 4e7
-	run := func(cfg Config) mpi.Summary {
-		cl := mpi.NewCluster(4, model)
-		err := cl.Run(func(c *mpi.Comm) error {
-			n := len(data.Records)
-			lo, hi := n*c.Rank()/4, n*(c.Rank()+1)/4
-			_, err := Run(c, data.Records[lo:hi], cfg)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, _ := cl.Summary()
-		return sum
-	}
-	cfg := DefaultConfig()
-	cfg.CommonKmerThreshold = 1
-	var prevPeak int64
-	var baseTime float64
-	for i, blocks := range []int{1, 2, 4, 8} {
-		cfg.Blocks = blocks
-		sum := run(cfg)
-		peak := sum.PeakBytes
-		if peak <= 0 {
-			t.Fatalf("blocks=%d: no peak recorded", blocks)
-		}
-		if i == 0 {
-			baseTime = sum.Time
-		} else if peak >= prevPeak {
-			t.Errorf("peak bytes did not decrease: blocks=%d peak=%d vs previous %d",
-				blocks, peak, prevPeak)
-		}
-		if tm := sum.Time; tm > baseTime*1.15 {
-			t.Errorf("blocks=%d: virtual time %g exceeds 1.15x single-wave %g",
-				blocks, tm, baseTime)
-		}
-		prevPeak = peak
-	}
-
-	// Substitute path. A multi-wave split runs the dual product, whose panel
-	// transients shrink with the wave count: the sweep's own ledger window —
-	// the high-water mark sweep's budget check reads through
-	// mpi.Clock.PeakSinceMark, opened once the target is built — must
-	// strictly decrease over Blocks 2 → 4 → 8. The whole run's peak need not:
-	// the stages before the sweep (the expansion) can set it. The single-wave
-	// plan is not the ceiling here — it never builds (AS)ᵀ, and on this
-	// operand-dominated input that operand outweighs the panels — so the bound
-	// every wave count's whole-run peak is held to is what the SUMMA A·S the
-	// expansion replaced peaked at on this input (S resident beside the
-	// product's stage transients). No budget that was reachable at some Blocks
-	// may stop being reachable there.
-	sweepPeaks := func(cfg Config) (whole, window int64) {
+	// sweepPeaks runs the all-vs-all pipeline on 4 ranks and reads out the
+	// whole run's Summary and the sweep's own ledger window: the high-water
+	// mark sweep's budget check reads through mpi.Clock.PeakSinceMark,
+	// opened once the target is built.
+	sweepPeaks := func(recs []fasta.Record, cfg Config, model mpi.CostModel) (sum mpi.Summary, window int64) {
 		cl := mpi.NewCluster(4, model)
 		err := cl.Run(func(c *mpi.Comm) error {
 			r, err := openRun(c, cfg)
@@ -415,8 +369,8 @@ func TestWaveMemoryBounded(t *testing.T) {
 				return err
 			}
 			defer r.close()
-			n := len(data.Records)
-			tg, err := buildTarget(r, data.Records[n*c.Rank()/4:n*(c.Rank()+1)/4], false)
+			n := len(recs)
+			tg, err := buildTarget(r, recs[n*c.Rank()/4:n*(c.Rank()+1)/4], false)
 			if err != nil {
 				return err
 			}
@@ -434,17 +388,79 @@ func TestWaveMemoryBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, _ := cl.Summary()
-		return sum.PeakBytes, window
+		sum, _ = cl.Summary()
+		return sum, window
 	}
+	// waves holds one input's sweep to the blocked pipeline's contract over
+	// Blocks 1, 2, 4, 8: each wave count's sweep window (or, with whole, its
+	// whole-run peak) strictly below the previous one's, every whole-run
+	// peak under its ceiling, and virtual time within 1.15× the single wave.
+	waves := func(name string, recs []fasta.Record, cfg Config, model mpi.CostModel, whole bool, ceilings [4]int64) {
+		var prev int64
+		var baseTime float64
+		for i, blocks := range []int{1, 2, 4, 8} {
+			cfg.Blocks = blocks
+			sum, window := sweepPeaks(recs, cfg, model)
+			t.Logf("%s: blocks=%d peak %d, sweep window %d", name, blocks, sum.PeakBytes, window)
+			if sum.PeakBytes <= 0 {
+				t.Fatalf("%s: blocks=%d: no peak recorded", name, blocks)
+			}
+			if sum.PeakBytes >= ceilings[i] {
+				t.Errorf("%s: blocks=%d: peak %d not under %d", name, blocks, sum.PeakBytes, ceilings[i])
+			}
+			if whole {
+				window = sum.PeakBytes
+			}
+			if i == 0 {
+				baseTime = sum.Time
+			} else if window >= prev {
+				t.Errorf("%s: peak bytes did not decrease: blocks=%d peak=%d vs previous %d",
+					name, blocks, window, prev)
+			}
+			if tm := sum.Time; tm > baseTime*1.15 {
+				t.Errorf("%s: blocks=%d: virtual time %g exceeds 1.15x single-wave %g",
+					name, blocks, tm, baseTime)
+			}
+			prev = window
+		}
+	}
+
+	// Exact path. The exact all-vs-all A keeps only the k-mers two sequences
+	// share, and on this input A formed whole, before that prune, sets the
+	// run's peak at every wave count; the sweep's own window must strictly
+	// decrease, and every whole-run peak stay under what the run peaked at
+	// while A kept every k-mer.
+	cfg := DefaultConfig()
+	cfg.CommonKmerThreshold = 1
+	waves("exact", data.Records, cfg, model, false, [4]int64{171392, 161340, 152844, 149084})
+	// On the one-family input B dominates the whole run, formation included:
+	// the whole-run peak itself must strictly decrease. Its 42,000 candidate
+	// pairs go unaligned: the sweep's B, not its graph, is what this holds.
+	one := oneFamilyDataset(t)
+	exactOne := DefaultConfig()
+	exactOne.Align = AlignNone
+	waves("one family, exact", one.Records, exactOne, mpi.DefaultCostModel(), true,
+		[4]int64{1605192, 1352912, 909912, 580536})
+
+	// Substitute path. A multi-wave split runs the dual product, whose panel
+	// transients shrink with the wave count: the sweep's own window must
+	// strictly decrease over Blocks 2 → 4 → 8. The whole run's peak need not:
+	// the stages before the sweep (the expansion) can set it. The single-wave
+	// plan is not the ceiling here — it never builds (AS)ᵀ, and on this
+	// operand-dominated input that operand outweighs the panels — so the bound
+	// every wave count's whole-run peak is held to is what the SUMMA A·S the
+	// expansion replaced peaked at on this input (S resident beside the
+	// product's stage transients). No budget that was reachable at some Blocks
+	// may stop being reachable there.
 	cfg.SubstituteKmers = 5
-	prevPeak = 0
+	var prevPeak int64
 	for _, tc := range []struct {
 		blocks  int
 		ceiling int64
 	}{{1, 1699308}, {2, 1498284}, {4, 1401100}, {8, 1305756}} {
 		cfg.Blocks = tc.blocks
-		peak, window := sweepPeaks(cfg)
+		sum, window := sweepPeaks(data.Records, cfg, model)
+		peak := sum.PeakBytes
 		t.Logf("substitute path: blocks=%d peak %d, sweep window %d", tc.blocks, peak, window)
 		if peak > tc.ceiling {
 			t.Errorf("substitute path: blocks=%d peak %d exceeds the A·S product's %d", tc.blocks, peak, tc.ceiling)
@@ -462,7 +478,6 @@ func TestWaveMemoryBounded(t *testing.T) {
 	// prune on (CommonKmerThreshold 3) must not raise the peak a run without
 	// it reaches, whether the Bᵀ half is B transposed (Blocks 1) or the
 	// product A·(AS)ᵀ (Blocks 4).
-	one := oneFamilyDataset(t)
 	for _, subs := range []int{1, 5} {
 		for _, blocks := range []int{1, 4} {
 			var peaks [2]int64

@@ -8,15 +8,16 @@ import (
 	"repro/internal/spmat"
 )
 
-// prefilterA is the frequency pre-filter as buildTarget runs it: the census
-// of A's grid column, then the banned k-mers' columns dropped from A. It
-// returns the filtered A and the banned list.
+// prefilterA is the frequency pre-filter as an index build runs it: the
+// census of A's grid column, then the banned k-mers' columns dropped from A
+// in place. It returns A and the banned list.
 func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index, error) {
-	kmers, err := countKmers(a, cfg.MaxKmerFrequency)
+	kmers, err := countKmers(a, 1, cfg.MaxKmerFrequency)
 	if err != nil {
 		return nil, nil, err
 	}
-	return kmers.prefilter(a), kmers.banned, nil
+	restrict(a, kmers.kept)
+	return a, kmers.banned, nil
 }
 
 // The k-mer frequency pre-filter (paper future work) must drop

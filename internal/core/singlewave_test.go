@@ -63,9 +63,15 @@ type sweepRun struct {
 	sum   mpi.Summary
 }
 
-// runSweep runs the all-vs-all pipeline on p ranks with the sweep fed by
-// wrap(ops) instead of the operands themselves.
-func runSweep(t *testing.T, recs []fasta.Record, p int, cfg Config, wrap func(*operands) panelSource) sweepRun {
+// allVsAllTarget is buildTarget as an all-vs-all run calls it.
+func allVsAllTarget(r *run, owned []fasta.Record) (*target, error) {
+	return buildTarget(r, owned, false)
+}
+
+// runSweep runs the all-vs-all pipeline on p ranks with the target built by
+// build and the sweep fed by wrap(ops) instead of the operands themselves.
+func runSweep(t *testing.T, recs []fasta.Record, p int, cfg Config,
+	build func(*run, []fasta.Record) (*target, error), wrap func(*operands) panelSource) sweepRun {
 	t.Helper()
 	var out sweepRun
 	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
@@ -76,7 +82,7 @@ func runSweep(t *testing.T, recs []fasta.Record, p int, cfg Config, wrap func(*o
 		}
 		defer r.close()
 		n := len(recs)
-		tg, err := buildTarget(r, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], false)
+		tg, err := build(r, recs[n*c.Rank()/p:n*(c.Rank()+1)/p])
 		if err != nil {
 			return err
 		}
@@ -133,8 +139,8 @@ func TestSingleWaveMatchesTwin(t *testing.T) {
 						cfg.SubstituteKmers, cfg.CommonKmerThreshold, cfg.NaiveTriangle = subs, ck, naive
 						cfg.Blocks, cfg.Align = 1, in.align
 						name := fmt.Sprintf("%s subs=%d ck=%d naive=%v p=%d", in.name, subs, ck, naive, p)
-						twin := runSweep(t, in.recs, p, cfg, func(o *operands) panelSource { return singleWaveTwin{o} })
-						got := runSweep(t, in.recs, p, cfg, func(o *operands) panelSource { return o })
+						twin := runSweep(t, in.recs, p, cfg, allVsAllTarget, func(o *operands) panelSource { return singleWaveTwin{o} })
+						got := runSweep(t, in.recs, p, cfg, allVsAllTarget, func(o *operands) panelSource { return o })
 						if !reflect.DeepEqual(got.edges, twin.edges) {
 							t.Fatalf("%s: %d edges, twin %d, or they differ", name, len(got.edges), len(twin.edges))
 						}

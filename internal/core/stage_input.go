@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -28,8 +29,8 @@ type target struct {
 	stats   Stats              // matrix-stage counters; KmersTotal is still rank-local
 }
 
-// buildTarget runs the target-side stages — input, A, the frequency
-// pre-filter, Aᵀ, AS — and returns the operands resident. forIndex builds
+// buildTarget runs the target-side stages — input, A, the k-mer census and
+// its prunes, Aᵀ, AS — and returns the operands resident. forIndex builds
 // what only a persisted index needs: (AS)ᵀ at any wave count (an all-vs-all
 // sweep builds it itself, and only for a multi-wave split). It does not wait
 // for the sequence exchange stageInput launched: the caller completes it
@@ -56,21 +57,48 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	}
 
 	// --- the grid column's k-mer census: the frequency pre-filter (paper
-	// future work) and the all-vs-all expansion's presence test read one ---
+	// future work), the exact all-vs-all prune and the expansion's presence
+	// test read one ---
+	// B = A·Aᵀ pairs two sequences through a k-mer both hold, and a sweep
+	// keeps no self pair, so an exact all-vs-all run keeps only the k-mers
+	// two or more sequences share: with the Fig. 11 row bound a column of A
+	// holding one nonzero never reaches a multiply, and dropping it before
+	// Aᵀ is formed leaves B, its Flops and the graph as they were while Aᵀ,
+	// every wave's broadcasts and the local product's column index shrink.
+	// An index and a substitute run keep every k-mer: a query's k-mer or
+	// another sequence's substitute can land on one only one sequence holds.
 	t.stats.NNZAFiltered = t.stats.NNZA
-	restrict := cfg.SubstituteKmers > 0 && !forIndex
+	minRows := 1
+	if cfg.SubstituteKmers == 0 && !forIndex {
+		minRows = 2
+	}
 	var kmers columnKmers
-	if cfg.MaxKmerFrequency > 0 || restrict {
+	if cfg.MaxKmerFrequency > 0 || !forIndex {
 		clock.Section(SectionFormA, func() {
-			if kmers, err = countKmers(t.a, cfg.MaxKmerFrequency); err == nil && cfg.MaxKmerFrequency > 0 {
-				t.a, t.banned = kmers.prefilter(t.a), kmers.banned
+			if kmers, err = countKmers(t.a, minRows, cfg.MaxKmerFrequency); err == nil &&
+				(cfg.MaxKmerFrequency > 0 || minRows > 1) {
+				restrict(t.a, kmers.kept)
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		if t.stats.NNZAFiltered, err = t.a.TryNNZ(); err != nil {
-			return nil, err
+		t.banned = kmers.banned
+		// NNZAFiltered counts what the frequency pre-filter kept, shared or
+		// not, in one allreduce: every rank of a grid column holds that
+		// column's banned total, so one rank per grid column reports it. An
+		// exact run with no frequency limit bans nothing and skips it; a
+		// substitute run pays it with or without one, as before the shared
+		// prune, so its bills stay where they were.
+		if cfg.MaxKmerFrequency > 0 || minRows == 1 {
+			var banned int64
+			if r.grid.MyRow == 0 {
+				banned = kmers.bannedNNZ
+			}
+			if banned, err = r.comm.TryAllreduceInt64("sum", banned); err != nil {
+				return nil, err
+			}
+			t.stats.NNZAFiltered = t.stats.NNZA - banned
 		}
 	}
 
@@ -86,8 +114,8 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	// An index keeps the whole of AS: a query's exact k-mers meet rows of
 	// (AS)ᵀ the database lacks. An all-vs-all sweep contracts AS with Aᵀ, so
 	// it keeps only the k-mers A holds.
-	if restrict {
-		t.as, err = expandPresent(r, t.a, kmers.present)
+	if !forIndex {
+		t.as, err = expandPresent(r, t.a, kmers.kept)
 	} else {
 		t.as, err = expandAS(r, t.a)
 	}
@@ -270,34 +298,46 @@ func (s *seenSet) add(id kmer.ID) bool {
 }
 
 // columnKmers is the census of A's grid column, both lists sorted global
-// k-mer ids: present holds the k-mers some row of A still holds after the
-// frequency pre-filter, banned those it drops — k-mers occurring in more
-// than Config.MaxKmerFrequency sequences (paper future work: over-represented
+// k-mer ids: kept holds the k-mers A keeps — those held by at least
+// countKmers' minRows sequences and not banned — and banned the k-mers the
+// frequency pre-filter drops, those occurring in more than
+// Config.MaxKmerFrequency sequences (paper future work: over-represented
 // k-mers contribute quadratically many candidates with little homology
-// evidence). The persistent index stores banned so query panels can apply
-// the same filter without recounting the database.
-type columnKmers struct{ present, banned []spmat.Index }
+// evidence). bannedNNZ is the banned k-mers' nonzeros in the grid column.
+// The persistent index stores banned so query panels can apply the same
+// filter without recounting the database.
+type columnKmers struct {
+	kept, banned []spmat.Index
+	bannedNNZ    int64
+}
 
 // countKmers takes the census with one ColComm allgather
-// (dmat.ColumnCounts); maxFreq <= 0 bans nothing. Collective over the grid.
-func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
+// (dmat.ColumnCounts) and keeps the k-mers held by at least minRows
+// sequences; maxFreq <= 0 bans nothing. Collective over the grid.
+func countKmers(a *dmat.Mat[int32], minRows, maxFreq int) (columnKmers, error) {
 	cols, counts, err := a.ColumnCounts()
-	if err != nil || maxFreq <= 0 {
-		return columnKmers{present: cols}, err
+	if err != nil || (minRows <= 1 && maxFreq <= 0) {
+		return columnKmers{kept: cols}, err
 	}
-	var k columnKmers
-	k.present = cols[:0]
+	limit := int64(maxFreq)
+	if maxFreq <= 0 {
+		limit = math.MaxInt64
+	}
+	k := columnKmers{kept: cols[:0]}
 	for i, c := range cols {
-		if counts[i] > int64(maxFreq) {
+		switch n := counts[i]; {
+		case n > limit:
 			k.banned = append(k.banned, c)
-		} else {
-			k.present = append(k.present, c)
+			k.bannedNNZ += n
+		case n >= int64(minRows):
+			k.kept = append(k.kept, c)
 		}
 	}
 	return k, nil
 }
 
-// prefilter drops the banned k-mers' columns from a, which it releases.
+// prefilter drops the banned k-mers' columns from a, which it releases: a
+// query batch's Q, whose banned list comes from the index.
 func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
 	filtered := a.Prune(func(_, c spmat.Index, _ int32) bool {
 		_, banned := slices.BinarySearch(k.banned, c)
@@ -343,7 +383,7 @@ func expandPresent(r *run, a *dmat.Mat[int32], present []spmat.Index) (*dmat.Mat
 	if err != nil {
 		return nil, err
 	}
-	r.clock.Section(SectionAS, func() { set.restrict(as) })
+	r.clock.Section(SectionAS, func() { restrict(as, present) })
 	return as, nil
 }
 
@@ -461,20 +501,21 @@ func (s *kmerSet) bytes() int64 {
 	return 8 * int64(len(s.present)+len(s.filter)+len(s.keys))
 }
 
-// restrict drops, in place, the columns of m's block whose k-mer is absent:
-// a merge of its JC with the sorted census. It is charged as the
-// elementwise pass it is, and its dropped bytes leave the ledger.
-func (s *kmerSet) restrict(m *dmat.Mat[PosDist]) {
+// restrict drops, in place, the columns of m's block whose k-mer keep (a
+// sorted census of the grid column) lacks: a merge of its JC with keep. It
+// is charged as the elementwise pass it is, and its dropped bytes leave the
+// ledger. m's block must be its own arrays, not a received frame's.
+func restrict[T any](m *dmat.Mat[T], keep []spmat.Index) {
 	b, colOff := m.Local, m.ColOffset()
 	before, clock := m.LocalBytes(), m.Grid.Comm.Clock()
 	clock.ParOps(float64(b.NNZ()) * dmat.VisitOps)
 	cols, nnz, p := 0, 0, 0
 	for j, col := range b.JC {
 		c := col + colOff
-		for p < len(s.present) && s.present[p] < c {
+		for p < len(keep) && keep[p] < c {
 			p++
 		}
-		if p == len(s.present) || s.present[p] != c {
+		if p == len(keep) || keep[p] != c {
 			continue
 		}
 		lo, hi := b.CP[j], b.CP[j+1]

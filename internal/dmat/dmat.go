@@ -1017,42 +1017,68 @@ func (m *Mat[T]) ColumnCounts() (cols []spmat.Index, counts []int64, err error) 
 // mergeColumnCounts merges the grid column's (column, count) lists, each
 // ascending within [lo, hi), summing the counts of a column several lists
 // hold. A list that is not whole pairs, ascending and in range is rejected.
+//
+// Which list holds the next column is a coin toss on a census, so the merge
+// takes no branch on it: every list's head is compared with the next column
+// and advanced by the outcome, and a list's cursor stops at its last pair,
+// whose head then reads as hi. A head is checked against the column before
+// it when it is read.
 func mergeColumnCounts(parts [][]byte, lo, hi spmat.Index) (cols []spmat.Index, counts []int64, err error) {
+	type list struct {
+		part           []byte
+		src, off, last int    // sender; byte offset of the head pair and of the last pair
+		col, n         uint64 // the head pair; hi and 0 once the list is taken
+	}
+	end := uint64(hi)
+	lists := make([]list, 0, len(parts))
 	total := 0
 	for src, part := range parts {
 		if len(part)%16 != 0 {
 			return nil, nil, fmt.Errorf("dmat: column counts from rank %d: %d bytes", src, len(part))
 		}
-		for h := 0; h < len(part); h += 16 {
-			col := wire.U64(part[h:])
-			if col < uint64(lo) || col >= uint64(hi) || (h > 0 && col <= wire.U64(part[h-16:])) {
-				return nil, nil, fmt.Errorf("dmat: column counts from rank %d: column %d out of order or outside [%d, %d)",
-					src, col, lo, hi)
-			}
+		if len(part) == 0 {
+			continue
 		}
+		if col := wire.U64(part); col < uint64(lo) || col >= end {
+			return nil, nil, fmt.Errorf("dmat: column counts from rank %d: column %d outside [%d, %d)", src, col, lo, hi)
+		}
+		lists = append(lists, list{part: part, src: src, last: len(part) - 16, col: wire.U64(part), n: wire.U64(part[8:])})
 		total += len(part) / 16
 	}
-	cols, counts = make([]spmat.Index, 0, total), make([]int64, 0, total)
-	heads := make([]int, len(parts)) // byte offset of each list's next pair
-	for {
-		next := uint64(hi) // past every column: the lists are exhausted
-		for src, part := range parts {
-			if h := heads[src]; h < len(part) {
-				next = min(next, wire.U64(part[h:]))
-			}
-		}
-		if next == uint64(hi) {
-			return cols, counts, nil
-		}
-		var n int64
-		for src, part := range parts {
-			if h := heads[src]; h < len(part) && wire.U64(part[h:]) == next {
-				n += int64(wire.U64(part[h+8:]))
-				heads[src] = h + 16
-			}
-		}
-		cols, counts = append(cols, spmat.Index(next)), append(counts, n)
+	cols, counts = make([]spmat.Index, total), make([]int64, total)
+	next := end
+	for i := range lists {
+		next = min(next, lists[i].col)
 	}
+	k := 0
+	for next != end {
+		var n uint64
+		following := end
+		for i := range lists {
+			l := &lists[i]
+			var took int
+			if l.col == next {
+				took = 1
+			}
+			n += l.n & -uint64(took)
+			off := l.off + 16*took
+			at := min(off, l.last)
+			col, cnt := wire.U64(l.part[at:]), wire.U64(l.part[at+8:])
+			if off <= l.last && (col <= next || col >= end) {
+				return nil, nil, fmt.Errorf("dmat: column counts from rank %d: column %d out of order or outside [%d, %d)",
+					l.src, col, lo, hi)
+			}
+			if off > l.last {
+				col, cnt = end, 0
+			}
+			l.off, l.col, l.n = off, col, cnt
+			following = min(following, col)
+		}
+		cols[k], counts[k] = spmat.Index(next), int64(n)
+		k++
+		next = following
+	}
+	return cols[:k], counts[:k], nil
 }
 
 // Prune filters nonzeros locally with the predicate on global indices: an

@@ -512,6 +512,32 @@ func TestColumnCounts(t *testing.T) {
 	}
 }
 
+// BenchmarkMergeColumnCounts merges the census lists of one grid column
+// shaped like the benchmark generator's A at 4 and 16 ranks: about 135 k
+// k-mer columns per block, most of them held by one block only.
+func BenchmarkMergeColumnCounts(b *testing.B) {
+	for _, q := range []int{2, 4} {
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(q)))
+			const hi = 1 << 26
+			parts := make([][]byte, q)
+			for col := uint64(0); col < hi; col += 1 + uint64(rng.Intn(2*hi/(135_000*q))) {
+				for src := range parts {
+					if src == rng.Intn(q) || rng.Intn(10) == 0 {
+						parts[src] = wire.AppendU64(parts[src], col)
+						parts[src] = wire.AppendU64(parts[src], 1+uint64(rng.Intn(2)))
+					}
+				}
+			}
+			for b.Loop() {
+				if _, _, err := mergeColumnCounts(parts, 0, hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Panels of the blocked SUMMA must concatenate — per rank, in panel order —
 // to exactly the monolithic product, for several grid sizes and block counts
 // (including blocks exceeding the block width). Each panel must also equal

@@ -107,6 +107,10 @@ func Fig15(sc Scale) (*Table, error) {
 			"AS is A·S restricted to the k-mers A holds (pruned at the search and at",
 			"the owner), so its shuffle and assembly move only the triples B can",
 			"use; the census that tells a rank its grid column's k-mers is form A's",
+			"s=0: A keeps only the k-mers two sequences share, so tr. A and (AS)AT",
+			"move only those; the census and the in-place prune are form A's, and",
+			"every rank of a grid column merges the whole column's census, so form",
+			"A's share rises and the modeled total with it at 16-256 nodes",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)
@@ -148,6 +152,8 @@ func Fig16(sc Scale) (*Table, error) {
 		Notes: []string{
 			"paper Fig. 16: SpGEMM ((AS)AT) is the least scalable component;",
 			"fasta/form A/wait shrink fast with node count",
+			"s=0: form A includes the census and the prune to shared k-mers, which",
+			"shrink tr. A and (AS)AT; the census is a grid column's, not a block's",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)

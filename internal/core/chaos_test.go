@@ -238,7 +238,7 @@ func TestChaosBitIdentical(t *testing.T) {
 			}{"delay", mpi.FaultPlan{Seed: 79, DelayProb: 0.2}},
 		)
 	}
-	var injected, queryInjected int64
+	var injected, queryInjected, exactInjected int64
 	for _, transport := range []string{"shared", "codec", "tcp"} {
 		// The tcp rows run on real multi-process-shaped clusters (one per
 		// rank, loopback sockets); faults stack on top of the TCP backend.
@@ -246,59 +246,76 @@ func TestChaosBitIdentical(t *testing.T) {
 		if transport == "tcp" {
 			runner = runChaosPipelineTCP
 		}
+		// Substitute rows at every wave and thread count, with a query batch;
+		// one exact all-vs-all row, whose A the owner census prunes before
+		// the shuffle, puts that census's collectives under the same faults.
+		type row struct{ subs, blocks, threads int }
+		var rows []row
 		for _, blocks := range []int{1, 3} {
 			for _, threads := range []int{1, 4} {
-				cfg := DefaultConfig()
-				cfg.SubstituteKmers = 5
-				cfg.Transport = transport
-				cfg.Blocks = blocks
-				cfg.Threads = threads
-				clean, err := runner(data.Records, 4, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cleanQuery, err := runChaosQuery(indexDir, queries, 4, cfg, transport == "tcp")
-				if err != nil {
+				rows = append(rows, row{5, blocks, threads})
+			}
+		}
+		rows = append(rows, row{0, 3, 1})
+		for _, rw := range rows {
+			cfg := DefaultConfig()
+			cfg.SubstituteKmers = rw.subs
+			cfg.Transport = transport
+			cfg.Blocks = rw.blocks
+			cfg.Threads = rw.threads
+			query := rw.subs > 0
+			clean, err := runner(data.Records, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cleanQuery chaosRun
+			if query {
+				if cleanQuery, err = runChaosQuery(indexDir, queries, 4, cfg, transport == "tcp"); err != nil {
 					t.Fatal(err)
 				}
 				if len(cleanQuery.edges) == 0 {
 					t.Fatal("query batch found no hits (weak test)")
 				}
-				for _, pl := range plans {
-					name := fmt.Sprintf("%s transport=%s blocks=%d threads=%d",
-						pl.name, transport, blocks, threads)
-					faulty := cfg
-					plan := pl.plan
-					faulty.Faults = &plan
-					got, err := runner(data.Records, 4, faulty)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sameGraph(t, name, got, clean)
-					if billed := got.sum.BytesOnWire - got.sum.RetryBytes; billed != clean.sum.BytesOnWire {
-						t.Errorf("%s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
-							name, billed, clean.sum.BytesOnWire, got.sum.RetryBytes)
-					}
-					fs := got.sum.Faults
-					injected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
-
-					gotQuery, err := runChaosQuery(indexDir, queries, 4, faulty, transport == "tcp")
-					if err != nil {
-						t.Fatalf("query %s: %v", name, err)
-					}
-					sameGraph(t, "query "+name, gotQuery, cleanQuery)
-					if billed := gotQuery.sum.BytesOnWire - gotQuery.sum.RetryBytes; billed != cleanQuery.sum.BytesOnWire {
-						t.Errorf("query %s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
-							name, billed, cleanQuery.sum.BytesOnWire, gotQuery.sum.RetryBytes)
-					}
-					fs = gotQuery.sum.Faults
-					queryInjected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
+			}
+			for _, pl := range plans {
+				name := fmt.Sprintf("%s transport=%s subs=%d blocks=%d threads=%d",
+					pl.name, transport, rw.subs, rw.blocks, rw.threads)
+				faulty := cfg
+				plan := pl.plan
+				faulty.Faults = &plan
+				got, err := runner(data.Records, 4, faulty)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				sameGraph(t, name, got, clean)
+				if billed := got.sum.BytesOnWire - got.sum.RetryBytes; billed != clean.sum.BytesOnWire {
+					t.Errorf("%s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
+						name, billed, clean.sum.BytesOnWire, got.sum.RetryBytes)
+				}
+				fs := got.sum.Faults
+				injected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
+				if !query {
+					exactInjected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
+					continue
+				}
+
+				gotQuery, err := runChaosQuery(indexDir, queries, 4, faulty, transport == "tcp")
+				if err != nil {
+					t.Fatalf("query %s: %v", name, err)
+				}
+				sameGraph(t, "query "+name, gotQuery, cleanQuery)
+				if billed := gotQuery.sum.BytesOnWire - gotQuery.sum.RetryBytes; billed != cleanQuery.sum.BytesOnWire {
+					t.Errorf("query %s: BytesOnWire-RetryBytes = %d, want clean %d (retry %d)",
+						name, billed, cleanQuery.sum.BytesOnWire, gotQuery.sum.RetryBytes)
+				}
+				fs = gotQuery.sum.Faults
+				queryInjected += fs.Drops + fs.Corrupts + fs.Delays + fs.P2PDrops
 			}
 		}
 	}
-	if injected == 0 || queryInjected == 0 {
-		t.Fatalf("faults injected: %d into the pipeline, %d into the query sweep (weak test)", injected, queryInjected)
+	if injected == 0 || queryInjected == 0 || exactInjected == 0 {
+		t.Fatalf("faults injected: %d into the pipeline (%d into its exact rows), %d into the query sweep (weak test)",
+			injected, exactInjected, queryInjected)
 	}
 }
 
@@ -383,9 +400,9 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 func TestMemBudgetDegrades(t *testing.T) {
 	// Large families so the candidate matrix B dominates a query batch's
 	// memory in exact mode. In substitute mode the expansion's triple buffer,
-	// built before the sweep, is the peak; so is the exact all-vs-all A,
-	// formed whole before it keeps only the k-mers two sequences share. The
-	// query batch is the whole database for the same reason.
+	// built before the sweep, is the peak; the exact all-vs-all A is formed
+	// with only the k-mers two sequences share, so there the sweep sets it.
+	// The query batch is the whole database for the same reason.
 	data := wavyDataset(t)
 	base := func(subs int) Config {
 		cfg := DefaultConfig()
@@ -405,7 +422,7 @@ func TestMemBudgetDegrades(t *testing.T) {
 		formed func(subs int) bool
 	}{
 		{"all-vs-all", func(cfg Config) (chaosRun, error) { return runChaosPipeline(data.Records, 4, cfg) },
-			func(int) bool { return true }},
+			func(subs int) bool { return subs > 0 }},
 		{"query", func(cfg Config) (chaosRun, error) {
 			return runChaosQuery(indexDirs[cfg.SubstituteKmers], data.Records, 4, cfg, false)
 		}, func(subs int) bool { return subs > 0 }},

@@ -291,7 +291,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					kmers, err := countKmers(a, 1, cfg.MaxKmerFrequency)
+					kmers, err := countKmers(a, cfg.MaxKmerFrequency)
 					if err != nil {
 						return err
 					}

@@ -12,7 +12,7 @@ import (
 // census of A's grid column, then the banned k-mers' columns dropped from A
 // in place. It returns A and the banned list.
 func prefilterA(a *dmat.Mat[int32], cfg Config) (*dmat.Mat[int32], []spmat.Index, error) {
-	kmers, err := countKmers(a, 1, cfg.MaxKmerFrequency)
+	kmers, err := countKmers(a, cfg.MaxKmerFrequency)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -46,37 +45,33 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	t.stats.NumSeqs = int64(store.Total)
 
 	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions ---
+	// An exact all-vs-all sweep forms it with the k-mers two sequences
+	// share, pruned before the shuffle by the owner census; an index and a
+	// substitute run keep every k-mer: a query's k-mer or another sequence's
+	// substitute can land on one only one sequence holds.
+	exact := cfg.SubstituteKmers == 0 && !forIndex
+	var nnz, banned int64
 	clock.StartSection(SectionFormA)
-	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats)
+	if exact {
+		t.a, nnz, banned, err = formSharedA(r.grid, store, cfg, r.kmerSpace, &t.stats)
+	} else if t.a, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats); err == nil {
+		nnz = int64(t.a.Local.NNZ())
+	}
 	clock.EndSection()
 	if err != nil {
 		return nil, err
 	}
-	if t.stats.NNZA, err = t.a.TryNNZ(); err != nil {
+	if t.stats.NNZA, err = r.comm.TryAllreduceInt64("sum", nnz); err != nil {
 		return nil, err
 	}
 
 	// --- the grid column's k-mer census: the frequency pre-filter (paper
-	// future work), the exact all-vs-all prune and the expansion's presence
-	// test read one ---
-	// B = A·Aᵀ pairs two sequences through a k-mer both hold, and a sweep
-	// keeps no self pair, so an exact all-vs-all run keeps only the k-mers
-	// two or more sequences share: with the Fig. 11 row bound a column of A
-	// holding one nonzero never reaches a multiply, and dropping it before
-	// Aᵀ is formed leaves B, its Flops and the graph as they were while Aᵀ,
-	// every wave's broadcasts and the local product's column index shrink.
-	// An index and a substitute run keep every k-mer: a query's k-mer or
-	// another sequence's substitute can land on one only one sequence holds.
-	t.stats.NNZAFiltered = t.stats.NNZA
-	minRows := 1
-	if cfg.SubstituteKmers == 0 && !forIndex {
-		minRows = 2
-	}
+	// future work) of an index or a substitute run, and the expansion's
+	// presence test, read one ---
 	var kmers columnKmers
-	if cfg.MaxKmerFrequency > 0 || !forIndex {
+	if !exact && (cfg.MaxKmerFrequency > 0 || !forIndex) {
 		clock.Section(SectionFormA, func() {
-			if kmers, err = countKmers(t.a, minRows, cfg.MaxKmerFrequency); err == nil &&
-				(cfg.MaxKmerFrequency > 0 || minRows > 1) {
+			if kmers, err = countKmers(t.a, cfg.MaxKmerFrequency); err == nil && cfg.MaxKmerFrequency > 0 {
 				restrict(t.a, kmers.kept)
 			}
 		})
@@ -84,22 +79,21 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 			return nil, err
 		}
 		t.banned = kmers.banned
-		// NNZAFiltered counts what the frequency pre-filter kept, shared or
-		// not, in one allreduce: every rank of a grid column holds that
-		// column's banned total, so one rank per grid column reports it. An
-		// exact run with no frequency limit bans nothing and skips it; a
-		// substitute run pays it with or without one, as before the shared
-		// prune, so its bills stay where they were.
-		if cfg.MaxKmerFrequency > 0 || minRows == 1 {
-			var banned int64
-			if r.grid.MyRow == 0 {
-				banned = kmers.bannedNNZ
-			}
-			if banned, err = r.comm.TryAllreduceInt64("sum", banned); err != nil {
-				return nil, err
-			}
-			t.stats.NNZAFiltered = t.stats.NNZA - banned
+		// Every rank of a grid column holds that column's banned total, so
+		// one rank per grid column reports it.
+		if r.grid.MyRow == 0 {
+			banned = kmers.bannedNNZ
 		}
+	}
+	// NNZAFiltered counts what the frequency pre-filter kept, shared or not,
+	// in one allreduce of the census owners' (exact) or the grid columns'
+	// banned nonzeros; with no frequency limit nothing is banned.
+	t.stats.NNZAFiltered = t.stats.NNZA
+	if cfg.MaxKmerFrequency > 0 {
+		if banned, err = r.comm.TryAllreduceInt64("sum", banned); err != nil {
+			return nil, err
+		}
+		t.stats.NNZAFiltered = t.stats.NNZA - banned
 	}
 
 	clock.Section(SectionTrA, func() { t.at, err = t.a.Transpose() })
@@ -193,19 +187,49 @@ func batchInput(g *dmat.Grid, queries []fasta.Record, cfg Config) (*seqstore.Sto
 }
 
 // formA extracts k-mers from the owned sequences and assembles the
-// distributed |seqs|×|k-mer space| position matrix (paper Section IV-A).
-//
-// Extraction is chunk-parallel over the owned sequences: chunk boundaries
-// depend only on the sequence count, each worker reuses one tagged seen-set
-// (a new generation per sequence, no clearing), a sequence's triples are
-// emitted in k-mer position order into a chunk list sized once from its
-// sequences' window counts, and the chunk lists are joined in chunk order
-// into one exactly-sized list — so the triple list itself, not just the
-// assembled matrix, is the same for every thread count and run.
-// The extraction cost is charged as thread-parallel work (Clock.ParOps).
+// distributed |seqs|×|k-mer space| position matrix (paper Section IV-A)
+// with every k-mer: the A of an index, a query batch and a substitute run.
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
 	stats *Stats) (*dmat.Mat[int32], error) {
 
+	return dmat.NewFromTriples(g, store.Total, kmerSpace, slices.Concat(extractKmers(g, store, cfg, stats)...),
+		dmat.Int32Codec, nil)
+}
+
+// formSharedA is formA for an exact all-vs-all sweep, which keeps only the
+// k-mers two or more sequences share and, with Config.MaxKmerFrequency set,
+// at most that many. B = A·Aᵀ pairs two sequences through a k-mer both
+// hold, and a sweep keeps no self pair: with the Fig. 11 row bound a column
+// of A holding one nonzero never reaches a multiply, so B, its Flops and the
+// graph are those of the whole A while A, Aᵀ, every wave's broadcasts and
+// the local product's column index shrink. The owner census
+// (dmat.NewShared) counts each k-mer's sequences before the shuffle, so
+// only the kept triples are shuffled, sorted and assembled. It returns A,
+// this rank's extracted nonzeros (A's before the prune; the triples are
+// distinct (sequence, k-mer) pairs) and the nonzeros of the frequency-banned
+// k-mers this rank counted as their census owner.
+func formSharedA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
+	stats *Stats) (a *dmat.Mat[int32], nnz, banned int64, err error) {
+
+	chunks := extractKmers(g, store, cfg, stats)
+	for _, ch := range chunks {
+		nnz += int64(len(ch))
+	}
+	a, banned, err = dmat.NewShared(g, store.Total, kmerSpace, chunks, dmat.Int32Codec, 2, int64(cfg.MaxKmerFrequency))
+	return a, nnz, banned, err
+}
+
+// extractKmers returns the owned sequences' (sequence, k-mer, first
+// position) triples as per-chunk lists, in sequence order.
+//
+// Extraction is chunk-parallel over the owned sequences: chunk boundaries
+// depend only on the sequence count, each worker reuses one k-mer buffer and
+// one tagged seen-set (a new generation per sequence, no clearing), and a
+// sequence's triples are emitted in k-mer position order into a chunk list
+// sized once from its sequences' window counts — so the lists, read in
+// chunk order, are the same for every thread count and run. The extraction
+// cost is charged as thread-parallel work (Clock.ParOps).
+func extractKmers(g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats) [][]spmat.Triple[int32] {
 	clock := g.Comm.Clock()
 	n := len(store.Owned)
 	threads := cfg.Threads
@@ -214,45 +238,37 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 	}
 	workers := parallel.Workers(threads)
 	nchunks := workers * 4 // oversubscribed for balance; output is chunk-order merged
-	type chunkOut struct {
-		triples []spmat.Triple[int32]
-		kmers   int64
-	}
-	outs := make([]chunkOut, nchunks)
+	chunks := make([][]spmat.Triple[int32], nchunks)
+	kmers := make([]int64, nchunks)
 	seenBy := make([]seenSet, workers)
+	kmsBy := make([][]kmer.Kmer, workers)
 	parallel.ForChunks(threads, n, nchunks, func(w, chunk, lo, hi int) {
 		seen := &seenBy[w]
-		out := &outs[chunk]
 		windows := 0
 		for _, seq := range store.Owned[lo:hi] {
 			windows += max(len(seq.Codes)-cfg.K+1, 0)
 		}
-		out.triples = make([]spmat.Triple[int32], 0, windows)
+		out := make([]spmat.Triple[int32], 0, windows)
 		for _, seq := range store.Owned[lo:hi] {
-			kms := kmer.ExtractCodes(seq.Codes, cfg.K, true)
-			out.kmers += int64(len(kms))
+			kms := kmer.AppendCodes(kmsBy[w][:0], seq.Codes, cfg.K, true)
+			kmsBy[w] = kms
+			kmers[chunk] += int64(len(kms))
 			seen.reset(len(kms))
 			for _, km := range kms { // first occurrence of each k-mer wins
 				if seen.add(km.ID) {
-					out.triples = append(out.triples, spmat.Triple[int32]{
+					out = append(out, spmat.Triple[int32]{
 						Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos),
 					})
 				}
 			}
 		}
+		chunks[chunk] = out
 	})
-
-	total := 0
-	for i := range outs {
-		stats.KmersTotal += outs[i].kmers
-		total += len(outs[i].triples)
-	}
-	triples := make([]spmat.Triple[int32], 0, total)
-	for i := range outs {
-		triples = append(triples, outs[i].triples...)
+	for _, k := range kmers {
+		stats.KmersTotal += k
 	}
 	clock.ParOps(float64(stats.KmersTotal) * opsPerKmer)
-	return dmat.NewFromTriples(g, store.Total, kmerSpace, triples, dmat.Int32Codec, nil)
+	return chunks
 }
 
 // seenSet is formA's per-worker first-occurrence filter: an open-addressing
@@ -298,38 +314,34 @@ func (s *seenSet) add(id kmer.ID) bool {
 }
 
 // columnKmers is the census of A's grid column, both lists sorted global
-// k-mer ids: kept holds the k-mers A keeps — those held by at least
-// countKmers' minRows sequences and not banned — and banned the k-mers the
-// frequency pre-filter drops, those occurring in more than
-// Config.MaxKmerFrequency sequences (paper future work: over-represented
-// k-mers contribute quadratically many candidates with little homology
-// evidence). bannedNNZ is the banned k-mers' nonzeros in the grid column.
-// The persistent index stores banned so query panels can apply the same
-// filter without recounting the database.
+// k-mer ids: kept holds the k-mers A keeps — every k-mer it holds that is
+// not banned — and banned the k-mers the frequency pre-filter drops, those
+// occurring in more than Config.MaxKmerFrequency sequences (paper future
+// work: over-represented k-mers contribute quadratically many candidates
+// with little homology evidence). bannedNNZ is the banned k-mers' nonzeros
+// in the grid column. The persistent index stores banned so query panels
+// can apply the same filter without recounting the database.
 type columnKmers struct {
 	kept, banned []spmat.Index
 	bannedNNZ    int64
 }
 
 // countKmers takes the census with one ColComm allgather
-// (dmat.ColumnCounts) and keeps the k-mers held by at least minRows
-// sequences; maxFreq <= 0 bans nothing. Collective over the grid.
-func countKmers(a *dmat.Mat[int32], minRows, maxFreq int) (columnKmers, error) {
+// (dmat.ColumnCounts); maxFreq <= 0 bans nothing. It serves the callers that
+// need the grid column's list itself — a substitute run's presence test and
+// an index's banned list — where an exact all-vs-all run asks the owner
+// census of formSharedA instead. Collective over the grid.
+func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
 	cols, counts, err := a.ColumnCounts()
-	if err != nil || (minRows <= 1 && maxFreq <= 0) {
+	if err != nil || maxFreq <= 0 {
 		return columnKmers{kept: cols}, err
-	}
-	limit := int64(maxFreq)
-	if maxFreq <= 0 {
-		limit = math.MaxInt64
 	}
 	k := columnKmers{kept: cols[:0]}
 	for i, c := range cols {
-		switch n := counts[i]; {
-		case n > limit:
+		if n := counts[i]; n > int64(maxFreq) {
 			k.banned = append(k.banned, c)
 			k.bannedNNZ += n
-		case n >= int64(minRows):
+		} else {
 			k.kept = append(k.kept, c)
 		}
 	}

@@ -3,7 +3,8 @@
 // process grid; SpGEMM uses the 2D Sparse SUMMA algorithm (Buluç & Gilbert
 // 2012) with semiring-generic local kernels from spmat; transpose is a
 // pairwise block exchange; construction shuffles triples to their owners
-// with a single all-to-all.
+// with a single all-to-all, or (NewShared) first counts each column's triples
+// at an owner and shuffles only the kept ones, along grid rows and columns.
 package dmat
 
 import (
@@ -206,33 +207,104 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 	if err := codec.check(); err != nil {
 		return nil, err
 	}
-	clock := g.Comm.Clock()
-	size := g.Comm.Size()
-	owners := make([]int, len(ts))
-	counts := make([]int, size)
+	owners := make([]int32, len(ts))
 	for i, t := range ts {
 		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			return nil, fmt.Errorf("dmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
 		}
-		owner := g.RankOf(BlockOf(t.Row, rows, g.Q), BlockOf(t.Col, cols, g.Q))
-		owners[i] = owner
-		counts[owner]++
+		owners[i] = int32(g.RankOf(BlockOf(t.Row, rows, g.Q), BlockOf(t.Col, cols, g.Q)))
 	}
-	clock.Ops(float64(len(ts)) * BuildOps)
+	parts, err := shuffle(g, g.Comm, [][]spmat.Triple[T]{ts}, owners, codec)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g, rows, cols, parts, codec, add)
+}
 
-	// The shuffle: each owner gets its bucket of triples, whose wire form is
-	// 16 bytes of indices + Width per triple.
-	rec := 16 + codec.Width
-	buckets := make([][]spmat.Triple[T], size)
-	for owner, n := range counts {
-		if n > 0 {
-			buckets[owner] = make([]spmat.Triple[T], 0, n)
+// NewShared builds the matrix of the triples in chunks (this rank's share,
+// distinct (row, column) pairs) whose column holds at least lo and at most
+// hi of them across the grid (hi <= 0: no upper limit), and returns it with
+// the triples this rank counted, as a census owner, in columns over hi. The
+// owner census (keepShared) drops the other triples where they were made, so
+// only the kept ones are shuffled and sorted; they reach their owner block
+// in two hops, along the grid row to its grid column and then along that
+// column, so that every exchange of the build is an all-to-all of q ranks.
+// Collective over the grid.
+func NewShared[T any](g *Grid, rows, cols spmat.Index, chunks [][]spmat.Triple[T], codec Codec[T],
+	lo, hi int64) (*Mat[T], int64, error) {
+
+	if err := codec.check(); err != nil {
+		return nil, 0, err
+	}
+	for _, ch := range chunks {
+		for _, t := range ch {
+			if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
+				return nil, 0, fmt.Errorf("dmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
+			}
 		}
 	}
-	for i, t := range ts {
-		buckets[owners[i]] = append(buckets[owners[i]], t)
+	kept, over, err := keepShared(g, cols, chunks, lo, hi)
+	if err != nil {
+		return nil, 0, err
 	}
-	parts, err := alltoall(g, g.Comm, buckets,
+	owners := make([]int32, len(kept))
+	for i, t := range kept {
+		owners[i] = int32(BlockOf(t.Col, cols, g.Q))
+	}
+	relayed, err := shuffle(g, g.RowComm, [][]spmat.Triple[T]{kept}, owners, codec)
+	if err != nil {
+		return nil, 0, err
+	}
+	// A relay forwards what its grid column holds, each triple to its row
+	// block's rank; what it was sent is checked first, as it crossed the
+	// transport.
+	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
+	owners = owners[:0]
+	for src, part := range relayed {
+		for _, t := range part {
+			if t.Row < 0 || t.Row >= rows || t.Col < cLo || t.Col >= cHi {
+				return nil, 0, fmt.Errorf("dmat: triple (%d,%d) from rank %d is not grid column %d's",
+					t.Row, t.Col, g.RankOf(g.MyRow, src), g.MyCol)
+			}
+			owners = append(owners, int32(BlockOf(t.Row, rows, g.Q)))
+		}
+	}
+	parts, err := shuffle(g, g.ColComm, relayed, owners, codec)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := assemble(g, rows, cols, parts, codec, nil)
+	return m, over, err
+}
+
+// shuffle routes the triples of the lists in ts, read in order, each to
+// rank owners[i] of comm, a communicator of g, and returns what every rank
+// sent here. The triples' wire form is 16 bytes of indices + codec.Width;
+// routing is charged BuildOps per triple.
+func shuffle[T any](g *Grid, comm *mpi.Comm, ts [][]spmat.Triple[T], owners []int32,
+	codec Codec[T]) ([][]spmat.Triple[T], error) {
+
+	counts := make([]int, comm.Size())
+	for _, o := range owners {
+		counts[o]++
+	}
+	g.Comm.Clock().Ops(float64(len(owners)) * BuildOps)
+
+	rec := 16 + codec.Width
+	buckets := make([][]spmat.Triple[T], len(counts))
+	for owner, k := range counts {
+		if k > 0 {
+			buckets[owner] = make([]spmat.Triple[T], 0, k)
+		}
+	}
+	i := 0
+	for _, l := range ts {
+		for _, t := range l {
+			buckets[owners[i]] = append(buckets[owners[i]], t)
+			i++
+		}
+	}
+	return alltoall(g, comm, buckets,
 		func(b []spmat.Triple[T]) int64 { return int64(len(b) * rec) },
 		func(b []spmat.Triple[T]) []byte {
 			buf := make([]byte, 0, len(b)*rec)
@@ -242,9 +314,13 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 			return buf
 		},
 		func(buf []byte) ([]spmat.Triple[T], error) { return decodeTriples(nil, buf, codec) })
-	if err != nil {
-		return nil, err
-	}
+}
+
+// assemble builds this rank's block from the triples the shuffle brought
+// it, charged BuildOps per triple.
+func assemble[T any](g *Grid, rows, cols spmat.Index, parts [][]spmat.Triple[T], codec Codec[T],
+	add func(T, T) T) (*Mat[T], error) {
+
 	// Received buckets may alias their senders'; the block-local copy is
 	// this rank's to reorder.
 	m := &Mat[T]{Grid: g, Rows: rows, Cols: cols, codec: codec}
@@ -259,6 +335,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 			local = append(local, spmat.Triple[T]{Row: t.Row - rowOff, Col: t.Col - colOff, Val: t.Val})
 		}
 	}
+	clock := g.Comm.Clock()
 	clock.Ops(float64(len(local)) * BuildOps)
 	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
 	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
@@ -281,7 +358,8 @@ func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) 
 
 // alltoall is dmat's one all-to-all: parts[j] goes to rank j of comm, a
 // communicator of the grid, and the result holds what every rank sent here
-// (the zero P where a rank sent nothing). On the shared backend parts move
+// (the zero P where a rank sent nothing). A part that fails to decode is
+// named by its sender's world rank. On the shared backend parts move
 // by reference, charged size(p) wire bytes each; on the codec backend they
 // travel as encode(p) — exactly size(p) bytes, so the two backends bill
 // alike — and come back through decode. A part of size 0 is absent, and a rank's part for itself is not
@@ -314,10 +392,25 @@ func alltoall[P any](g *Grid, comm *mpi.Comm, parts []P, size func(P) int64,
 			continue
 		}
 		if out[src], err = decode(buf); err != nil {
-			return nil, fmt.Errorf("dmat: part from rank %d: %w", src, err)
+			return nil, fmt.Errorf("dmat: part from rank %d: %w", g.worldRank(comm, src), err)
 		}
 	}
 	return out, nil
+}
+
+// worldRank names rank src of comm, one of g's communicators, by its rank in
+// g.Comm.
+func (g *Grid) worldRank(comm *mpi.Comm, src int) int {
+	switch comm {
+	case g.RowComm:
+		return g.RankOf(g.MyRow, src)
+	case g.ColComm:
+		return g.RankOf(src, g.MyCol)
+	case g.MirrorComm:
+		me, mirror := g.Comm.Rank(), g.RankOf(g.MyCol, g.MyRow)
+		return []int{min(me, mirror), max(me, mirror)}[src]
+	}
+	return src
 }
 
 // decodeTriples appends the appendTriple records of one part to dst. Every

@@ -32,16 +32,15 @@ func BlockedWaves(sc Scale) (*Table, error) {
 			"within a few percent (extra A broadcasts vs alignment hidden under",
 			"communication). The PSG is identical for every block count.",
 			"dataset: two large, close families, floored at 160 sequences, so B",
-			"outweighs A formed whole; per-wave broadcast latency is fixed, so",
+			"outweighs A's formation; per-wave broadcast latency is fixed, so",
 			"tinier inputs would measure latency, not the tradeoff",
 		},
 	}
 	// Two large, close families (10 % divergence) beside n/5 singletons,
 	// floored at 160 sequences: the tradeoff claim is about the production
 	// regime where the quadratically-growing candidate matrix dominates both
-	// memory and flops. A exists whole before it keeps only the k-mers two
-	// sequences share, so on a corpus of distant homologs B stays below it
-	// and the formation, not the sweep, sets the peak; on a tinier corpus the
+	// memory and flops. On a corpus of distant homologs B stays small and
+	// the stages before the sweep can set the peak; on a tinier corpus the
 	// fixed per-wave A broadcast would dwarf the work being blocked and the
 	// sweep would measure latency instead.
 	n := sc.DatasetA

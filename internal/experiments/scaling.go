@@ -108,9 +108,9 @@ func Fig15(sc Scale) (*Table, error) {
 			"the owner), so its shuffle and assembly move only the triples B can",
 			"use; the census that tells a rank its grid column's k-mers is form A's",
 			"s=0: A keeps only the k-mers two sequences share, so tr. A and (AS)AT",
-			"move only those; the census and the in-place prune are form A's, and",
-			"every rank of a grid column merges the whole column's census, so form",
-			"A's share rises and the modeled total with it at 16-256 nodes",
+			"move only those; form A's owner census counts each k-mer before the",
+			"shuffle, in all-to-alls along grid rows and columns, so only shared",
+			"k-mers are shuffled and form A's share falls with node count",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)
@@ -152,8 +152,9 @@ func Fig16(sc Scale) (*Table, error) {
 		Notes: []string{
 			"paper Fig. 16: SpGEMM ((AS)AT) is the least scalable component;",
 			"fasta/form A/wait shrink fast with node count",
-			"s=0: form A includes the census and the prune to shared k-mers, which",
-			"shrink tr. A and (AS)AT; the census is a grid column's, not a block's",
+			"s=0: form A includes the owner census and the prune to shared k-mers,",
+			"which shrink tr. A and (AS)AT; the census's work is the rank's own",
+			"k-mers, and its all-to-alls run along grid rows and columns",
 		},
 	}
 	data, err := metaclustLike(sc.ScalingDataset, 103)

@@ -105,7 +105,15 @@ func ExtractCodes(codes []alphabet.Code, k int, skipAmbiguous bool) []Kmer {
 	if len(codes) < k || k <= 0 || k > MaxK {
 		return nil
 	}
-	out := make([]Kmer, 0, len(codes)-k+1)
+	return AppendCodes(make([]Kmer, 0, len(codes)-k+1), codes, k, skipAmbiguous)
+}
+
+// AppendCodes is ExtractCodes appending to out, for a caller that reuses
+// one buffer across sequences.
+func AppendCodes(out []Kmer, codes []alphabet.Code, k int, skipAmbiguous bool) []Kmer {
+	if len(codes) < k || k <= 0 || k > MaxK {
+		return out
+	}
 	top := pow24(k - 1)
 	var id ID
 	ambiguous := 0 // count of non-standard codes in the current window

@@ -463,7 +463,9 @@ func BenchmarkXDrop(b *testing.B) {
 	// Shapes the homolog pairs average away: an unrelated pair, whose two
 	// extensions die where their random walk falls XDrop below the seed, so
 	// the per-call and per-row set-up weigh more; a tandem repeat, which
-	// leaves the band loop for a new best on every row; Align over two seeds.
+	// leaves the band loop for a new best on every row; Align over two seeds
+	// 150 apart, both extended, and over two consecutive k-mers of one exact
+	// run, the second of which ties the first and is not extended.
 	rng := rand.New(rand.NewSource(2))
 	ux, uy := randomSeq(rng, 300), randomSeq(rng, 300)
 	copy(uy[150:150+k], ux[150:150+k])
@@ -480,6 +482,12 @@ func BenchmarkXDrop(b *testing.B) {
 	copy(hy[150:150+k], hx[150:150+k])
 	b.Run("len300/id90/align-2seeds", func(b *testing.B) {
 		benchXDrop(b, hx, hy, []Seed{{K: k}, {PosA: 150, PosB: 150, K: k}}, p)
+	})
+	rx := randomSeq(rng, 300)
+	ry := mutateSeq(rng, rx, 0.10, 0)
+	copy(ry[:k+1], rx[:k+1])
+	b.Run("len300/id90/same-run-2seeds", func(b *testing.B) {
+		benchXDrop(b, rx, ry, []Seed{{K: k}, {PosA: 1, PosB: 1, K: k}}, p)
 	})
 }
 

@@ -46,12 +46,16 @@ func DefaultParams() Params { return Params{Scoring: DefaultScoring(), XDrop: 49
 // from the same factory must produce bit-identical Results.
 //
 // Align scores one candidate pair. seeds lists the shared k-mer occurrences
-// the overlap stage found (possibly empty); seeded kernels extend each seed
-// and return the best-scoring extension (strictly-greater comparison, first
-// seed wins ties), seedless kernels ignore the list. An error means the
-// pair could not be processed at all (xd: ErrSequenceTooLong, parameters out
-// of range) and fails the run; only seeds that fall outside the sequences
-// are skipped, matching the pipeline's historical behavior.
+// the overlap stage found (possibly empty); seeded kernels return the
+// best-scoring seed extension (strictly-greater comparison, first seed wins
+// ties), seedless kernels ignore the list. A seeded kernel extends each seed
+// once, except a seed that lies in one exact run of dominant residues with
+// an earlier in-bounds seed (seedRuns): both extensions provably reach the
+// same score, so the earlier seed already wins the tie and the later one
+// only costs cells. An error means the pair could not be processed at all
+// (xd: ErrSequenceTooLong, parameters out of range) and fails the run; only
+// seeds that fall outside the sequences are skipped, matching the
+// pipeline's historical behavior.
 //
 // CellsComputed is the per-kernel cost-accounting hook: the cumulative DP
 // cells this instance evaluated across all Align calls. "Cell" is one unit
@@ -156,12 +160,23 @@ func (sw *swKernel) CellsComputed() int64 { return sw.cells }
 // xdKernel is seed-and-extend with gapped x-drop termination (PASTIS-XD):
 // each seed extends toward both sequence ends, pruning cells that fall
 // XDrop below the running best. It owns the extension rows (see xdCell),
-// the seed-reversal scratch and the diagonal-step table of the scoring
-// matrix last used (xdPrepare); a warm instance aligns without allocating.
+// the seed-reversal scratch, the diagonal-step table of the scoring matrix
+// last used (xdPrepare) and that matrix's dominant residues (seedRuns); a
+// warm instance aligns without allocating.
+//
+// A seed in one exact run of dominant residues with an earlier seed is not
+// extended. Its extension would score the same as the earlier one's: a path
+// that leaves the run inside it aligns run residues against residues that
+// score at most their matches and pays gaps, so it never beats the path
+// along the run, and past both seeds the two extensions see the same cells
+// shifted by the run's score, with the same x-drop decisions
+// (docs/ARCHITECTURE.md, "Seeds of one run"). The tie goes to the earlier
+// seed, as it would had both been extended.
 type xdKernel struct {
 	xdPrev, xdCur []xdCell
 	revA, revB    []alphabet.Code
 	xdDiag        [alphabet.Size][alphabet.Size]int64
+	runs          seedRuns
 	xdMatrix      *scoring.Matrix
 	xdMatrixMax   int
 	cells         int64
@@ -171,9 +186,12 @@ func (xd *xdKernel) Name() string { return "xd" }
 
 func (xd *xdKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, error) {
 	var best Result
-	for _, s := range seeds {
+	for i, s := range seeds {
 		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
 			continue // seed fell off due to an inconsistent position
+		}
+		if xd.runs.repeats(a, b, seeds[:i], s, p) {
+			continue // ties an earlier seed's extension
 		}
 		res, err := xd.xDrop(a, b, s.PosA, s.PosB, s.K, p)
 		if err != nil {
@@ -192,8 +210,17 @@ func (xd *xdKernel) CellsComputed() int64 { return xd.cells }
 // ugKernel is ungapped diagonal extension around each seed (the MMseqs2
 // prefilter alignment): the cheapest kernel, linear in the extension length
 // with no gap handling, trading recall on gapped homologies for cost. The
-// scan needs no buffers, so the kernel is just its cell counter.
+// scan needs no buffers, so the kernel is its cell counter and the dominant
+// residues of the scoring matrix last used (seedRuns).
+//
+// A seed in one exact run of dominant residues with an earlier seed is not
+// extended: each scan from the earlier seed first crosses the run cells
+// between the two, every one a new best (their scores are positive), and
+// from there it is the later seed's scan shifted by their sum, so both reach
+// the same score and the tie goes to the earlier seed, as it would had both
+// been extended.
 type ugKernel struct {
+	runs  seedRuns
 	cells int64
 }
 
@@ -201,9 +228,12 @@ func (k *ugKernel) Name() string { return "ug" }
 
 func (k *ugKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, error) {
 	var best Result
-	for _, s := range seeds {
+	for i, s := range seeds {
 		if !seedWithin(s.PosA, s.PosB, s.K, len(a), len(b)) {
 			continue // seed fell off due to an inconsistent position
+		}
+		if k.runs.repeats(a, b, seeds[:i], s, p) {
+			continue // ties an earlier seed's extension
 		}
 		res := ungappedExtend(a, b, s.PosA, s.PosB, s.K, p)
 		k.cells += res.Cells
@@ -215,3 +245,49 @@ func (k *ugKernel) Align(a, b []alphabet.Code, seeds []Seed, p Params) (Result, 
 }
 
 func (k *ugKernel) CellsComputed() int64 { return k.cells }
+
+// seedRuns finds the seeds the extension kernels need not extend. Residue y
+// is dominant under a matrix S when S(y,y) > 0 and no pair holding y scores
+// more than its match: S(x,y) <= S(y,y) and S(y,x) <= S(y,y) for every x
+// (under BLOSUM62 every code but X). Two seeds on one diagonal whose span,
+// from the first start to the last end, is an exact run of dominant
+// residues extend to the same score under xd and ug alike.
+type seedRuns struct {
+	matrix   *scoring.Matrix
+	dominant [alphabet.Size]bool
+}
+
+// repeats reports whether seed s lies in one exact run of dominant residues
+// with one of the earlier seeds that lies inside the sequences; s is inside
+// them. A negative XDrop, which stops a scan after its first cell, or a
+// negative seed length voids the argument, so neither ever repeats.
+func (r *seedRuns) repeats(a, b []alphabet.Code, earlier []Seed, s Seed, p Params) bool {
+	if len(earlier) == 0 || p.XDrop < 0 || s.K < 0 {
+		return false
+	}
+	if m := p.Scoring.Matrix; r.matrix != m {
+		for y := range r.dominant {
+			self := m.Score(alphabet.Code(y), alphabet.Code(y))
+			ok := self > 0
+			for x := 0; ok && x < alphabet.Size; x++ {
+				ok = m.Score(alphabet.Code(x), alphabet.Code(y)) <= self &&
+					m.Score(alphabet.Code(y), alphabet.Code(x)) <= self
+			}
+			r.dominant[y] = ok
+		}
+		r.matrix = m
+	}
+	diag := s.PosA - s.PosB
+	for _, t := range earlier {
+		if t.PosA-t.PosB != diag || t.K < 0 || !seedWithin(t.PosA, t.PosB, t.K, len(a), len(b)) {
+			continue
+		}
+		i, end := min(s.PosA, t.PosA), max(s.PosA+s.K, t.PosA+t.K)
+		for ; i < end && a[i] == b[i-diag] && r.dominant[a[i]]; i++ {
+		}
+		if i == end {
+			return true
+		}
+	}
+	return false
+}

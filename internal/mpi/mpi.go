@@ -530,6 +530,7 @@ func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 	if t := c.cluster.tcp; t != nil && dst != c.rank {
 		err := t.sendP2P(c.worldOf(dst), c.id, c.rank, dst, tag, arrival, data)
 		if err != nil {
+			err = t.abortCause(err)
 			c.cluster.abort(err)
 		}
 		return err

@@ -250,9 +250,10 @@ type TCPOptions struct {
 }
 
 type tcpConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	mu sync.Mutex // serializes writes
+	c    net.Conn
+	br   *bufio.Reader
+	mu   sync.Mutex    // serializes writes
+	done chan struct{} // closed when the connection's reader exits
 }
 
 // tcpTransport is the per-process state behind a tcp-backed Cluster.
@@ -358,7 +359,7 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 			return nil, fmt.Errorf("mpi: tcp rank %d hello to rank %d: %w", o.Rank, peer, err)
 		}
 		conn.SetWriteDeadline(time.Time{})
-		t.conns[peer] = &tcpConn{c: conn, br: bufio.NewReader(conn)}
+		t.conns[peer] = &tcpConn{c: conn, br: bufio.NewReader(conn), done: make(chan struct{})}
 	}
 	for need := o.Size - 1 - o.Rank; need > 0; need-- {
 		if d, ok := o.Listener.(interface{ SetDeadline(time.Time) error }); ok {
@@ -384,7 +385,7 @@ func NewTCPCluster(o TCPOptions) (*Cluster, error) {
 			return nil, fmt.Errorf("mpi: tcp rank %d: unexpected hello from rank %d", o.Rank, peer)
 		}
 		conn.SetReadDeadline(time.Time{})
-		t.conns[peer] = &tcpConn{c: conn, br: br}
+		t.conns[peer] = &tcpConn{c: conn, br: br, done: make(chan struct{})}
 	}
 	for world, tc := range t.conns {
 		if tc != nil {
@@ -442,9 +443,42 @@ func (t *tcpTransport) writeFrame(world int, head, tail []byte) error {
 	t.framesOut.Add(1)
 	t.bytesOut.Add(n)
 	if err != nil {
-		return fmt.Errorf("mpi: tcp write to rank %d: %w", world, err)
+		return &tcpWriteError{world: world, err: err}
 	}
 	return nil
+}
+
+// tcpWriteError is a socket write to a peer that failed.
+type tcpWriteError struct {
+	world int
+	err   error
+}
+
+func (e *tcpWriteError) Error() string {
+	return fmt.Sprintf("mpi: tcp write to rank %d: %v", e.world, e.err)
+}
+func (e *tcpWriteError) Unwrap() error { return e.err }
+
+// abortCause picks the cause a failed send or collective aborts the cluster
+// with. A write usually fails because the peer has gone, and a peer that
+// goes because of an abort has relayed that abort to this rank first: its
+// frame may still wait in this rank's socket when the write error comes
+// back. So after a failed write the peer's reader, which reads up to the
+// break and dispatches what it finds, is given until it exits (at most
+// ReadTimeout); then an abort the cluster holds beats err, unless err
+// already carries it.
+func (t *tcpTransport) abortCause(err error) error {
+	var we *tcpWriteError
+	if errors.As(err, &we) {
+		select {
+		case <-t.conns[we.world].done:
+		case <-time.After(t.readTimeout):
+		}
+	}
+	if cause := t.cluster.Aborted(); cause != nil && !errors.Is(err, cause) {
+		return cause
+	}
+	return err
 }
 
 // readLoop drains one peer connection, dispatching frames until the peer
@@ -453,6 +487,7 @@ func (t *tcpTransport) writeFrame(world int, head, tail []byte) error {
 // hang it); failures during shutdown or after an abort are benign.
 func (t *tcpTransport) readLoop(world int, tc *tcpConn) {
 	defer t.readers.Done()
+	defer close(tc.done)
 	for {
 		body, err := readTCPFrame(tc.br)
 		if err != nil {
@@ -565,7 +600,8 @@ const (
 // raw message from the rank that holds it to each rank the route returns it
 // on, and a part the metadata sizes at zero is skipped on both sides. Raw
 // messages travel below sendE's clock charges and fault verdicts. Any
-// failure aborts the cluster under the collective's name.
+// failure aborts the cluster under the collective's name, or with the abort
+// that caused it (abortCause).
 func (c *Comm) tcpCollective(extra int64, parts []any, sizes []int64, via route) (st *collState, got []any, err error) {
 	t := c.cluster.tcp
 	if err := c.cluster.Aborted(); err != nil {
@@ -575,7 +611,7 @@ func (c *Comm) tcpCollective(extra int64, parts []any, sizes []int64, via route)
 	seq := *c.collSeq
 	defer func() {
 		if err != nil {
-			err = fmt.Errorf("mpi: collective %d on comm %d: %w", seq, c.id, err)
+			err = t.abortCause(fmt.Errorf("mpi: collective %d on comm %d: %w", seq, c.id, err))
 			c.cluster.abort(err)
 		}
 	}()

@@ -600,6 +600,46 @@ func TestTCPAbortPropagatesSentinel(t *testing.T) {
 	}
 }
 
+// A write to a peer that relayed an abort and left can fail before this
+// rank's reader has dispatched the relayed abort frame; the write error must
+// not win the cluster's abort cause over it. abortCause waits for the peer's
+// reader to exit, at most ReadTimeout, then prefers the cluster's cause; an
+// error that is no failed write waits for nothing.
+func TestTCPAbortCauseAwaitsPeerReader(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	relayed := fmt.Errorf("mpi: rank 0 aborted: %w", ErrInterrupted)
+	writeErr := &tcpWriteError{world: 0, err: errors.New("writev: broken pipe")}
+	setup := func(timeout time.Duration) (*Cluster, *tcpTransport) {
+		cl := NewCluster(1, DefaultCostModel())
+		return cl, &tcpTransport{conns: []*tcpConn{{done: make(chan struct{})}}, readTimeout: timeout, cluster: cl}
+	}
+
+	cl, tr := setup(time.Minute)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // the reader is still on the abort frame
+		cl.abort(relayed)
+		close(tr.conns[0].done)
+	}()
+	if got := tr.abortCause(writeErr); got != relayed {
+		t.Errorf("failed write, peer relayed an abort: cause %v, want %v", got, relayed)
+	}
+
+	_, tr = setup(20 * time.Millisecond) // the reader never exits
+	if got := tr.abortCause(writeErr); got != error(writeErr) {
+		t.Errorf("failed write, no abort within ReadTimeout: cause %v, want the write error", got)
+	}
+
+	cl, tr = setup(time.Minute) // the reader never exits, and nothing waits on it
+	cl.abort(relayed)
+	wrapped := fmt.Errorf("mpi: collective 3 on comm 0: part from rank 0: %w", relayed)
+	if got := tr.abortCause(wrapped); got != wrapped {
+		t.Errorf("error carrying the cluster's cause: %v, want it unchanged", got)
+	}
+	if got := tr.abortCause(errors.New("metadata from rank 0: it is for collective 4")); got != relayed {
+		t.Errorf("other error after an abort: cause %v, want %v", got, relayed)
+	}
+}
+
 // TCPStats must record the wall-clock side of a run: frames and bytes in
 // both directions, and time blocked on remote ranks.
 func TestTCPStatsRecorded(t *testing.T) {

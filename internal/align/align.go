@@ -40,11 +40,6 @@ type Scoring struct {
 	GapExtend int
 }
 
-// DefaultScoring is the paper's alignment configuration.
-func DefaultScoring() Scoring {
-	return Scoring{Matrix: scoring.BLOSUM62, GapOpen: 11, GapExtend: 1}
-}
-
 // Result describes one pairwise alignment.
 type Result struct {
 	Score    int

@@ -6,7 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/scoring"
 )
+
+// DefaultScoring is the paper's alignment configuration.
+func DefaultScoring() Scoring {
+	return Scoring{Matrix: scoring.BLOSUM62, GapOpen: 11, GapExtend: 1}
+}
+
+// DefaultParams mirrors the paper's alignment configuration (BLOSUM62,
+// gap open 11 / extend 1, x-drop 49).
+func DefaultParams() Params { return Params{Scoring: DefaultScoring(), XDrop: 49} }
 
 func codes(t testing.TB, s string) []alphabet.Code {
 	t.Helper()

@@ -36,10 +36,6 @@ type Params struct {
 	SharedKmers int
 }
 
-// DefaultParams mirrors the paper's alignment configuration (BLOSUM62,
-// gap open 11 / extend 1, x-drop 49).
-func DefaultParams() Params { return Params{Scoring: DefaultScoring(), XDrop: 49} }
-
 // Kernel is one pairwise-alignment kernel instance. The pipeline keeps one
 // instance per worker, so implementations own reusable scratch (DP rows,
 // wavefront arenas) and are NOT safe for concurrent use; a fresh instance

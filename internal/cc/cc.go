@@ -10,12 +10,11 @@ import "sort"
 type UnionFind struct {
 	parent []int32
 	size   []int32
-	count  int
 }
 
 // New creates n singleton sets.
 func New(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), size: make([]int32, n), count: n}
+	uf := &UnionFind{parent: make([]int32, n), size: make([]int32, n)}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 		uf.size[i] = 1
@@ -44,12 +43,8 @@ func (uf *UnionFind) Union(a, b int) bool {
 	}
 	uf.parent[rb] = int32(ra)
 	uf.size[ra] += uf.size[rb]
-	uf.count--
 	return true
 }
-
-// Count returns the number of components.
-func (uf *UnionFind) Count() int { return uf.count }
 
 // Components returns the clusters as slices of member indices; each cluster
 // is sorted and clusters are ordered by their smallest member, so the output

@@ -8,8 +8,8 @@ import (
 
 func TestBasicUnion(t *testing.T) {
 	uf := New(5)
-	if uf.Count() != 5 {
-		t.Fatalf("initial count %d", uf.Count())
+	if n := len(uf.Components()); n != 5 {
+		t.Fatalf("initial count %d", n)
 	}
 	if !uf.Union(0, 1) {
 		t.Error("first union should merge")
@@ -18,8 +18,8 @@ func TestBasicUnion(t *testing.T) {
 		t.Error("repeat union should not merge")
 	}
 	uf.Union(2, 3)
-	if uf.Count() != 3 {
-		t.Errorf("count = %d, want 3", uf.Count())
+	if n := len(uf.Components()); n != 3 {
+		t.Errorf("count = %d, want 3", n)
 	}
 	if uf.Find(0) != uf.Find(1) || uf.Find(2) != uf.Find(3) {
 		t.Error("find disagrees with unions")
@@ -76,7 +76,7 @@ func TestComponentInvariants(t *testing.T) {
 		for _, c := range comps {
 			total += len(c)
 		}
-		return uf.Count() == n-merges && len(comps) == n-merges && total == n
+		return len(comps) == n-merges && total == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -33,9 +33,6 @@ type (
 	Section = wire.Section
 )
 
-// Encode renders f as an index file.
-func Encode(f *File) []byte { return format.Encode(f) }
-
 // Decode parses and fully validates an encoded index file.
 func Decode(buf []byte) (*File, error) { return format.Decode(buf) }
 

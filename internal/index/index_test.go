@@ -30,7 +30,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Fingerprint: 1, Rank: ManifestRank, Ranks: 4},
 		{Rank: 0, Ranks: 1, Sections: []Section{{Name: "", Payload: nil}}},
 	} {
-		enc := Encode(f)
+		enc := format.Encode(f)
 		got, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("valid encoding rejected: %v", err)
@@ -57,7 +57,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 		// Deterministic: re-encoding the decoded file is byte-identical.
-		if re := Encode(got); !reflect.DeepEqual(re, enc) {
+		if re := format.Encode(got); !reflect.DeepEqual(re, enc) {
 			t.Fatalf("re-encoding differs: %d vs %d bytes", len(re), len(enc))
 		}
 	}
@@ -68,12 +68,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // whatever decodes re-encodes byte-identically.
 func TestDecodeHardening(t *testing.T) {
 	for _, f := range []*File{sampleFile(), {Rank: ManifestRank, Ranks: 9}} {
-		testutil.Hardening(t, Encode(f), func(buf []byte) ([]byte, error) {
+		testutil.Hardening(t, format.Encode(f), func(buf []byte) ([]byte, error) {
 			got, err := Decode(buf)
 			if err != nil {
 				return nil, err
 			}
-			return Encode(got), nil
+			return format.Encode(got), nil
 		})
 	}
 }
@@ -82,7 +82,7 @@ func TestDecodeHardening(t *testing.T) {
 // codec's image and must be rejected even when the checksum is forged over
 // the longer buffer (plain appends already fail the checksum).
 func TestDecodeTrailingBytes(t *testing.T) {
-	full := Encode(sampleFile())
+	full := format.Encode(sampleFile())
 	forged := append(append([]byte{}, full[:len(full)-8]...), 0xab)
 	forged = wire.AppendU64(forged, wire.Checksum(wire.ChecksumInit, forged))
 	if _, err := Decode(forged); err == nil {
@@ -144,14 +144,14 @@ func TestSaveOpen(t *testing.T) {
 func FuzzIndexCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
-	f.Add(Encode(sampleFile()))
-	f.Add(Encode(&File{Rank: ManifestRank, Ranks: 9}))
+	f.Add(format.Encode(sampleFile()))
+	f.Add(format.Encode(&File{Rank: ManifestRank, Ranks: 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := Decode(data)
 		if err != nil {
 			return // rejected cleanly: fine
 		}
-		re := Encode(file)
+		re := format.Encode(file)
 		if !reflect.DeepEqual(re, data) {
 			t.Fatalf("accepted payload does not round-trip: %d bytes in, %d bytes out", len(data), len(re))
 		}

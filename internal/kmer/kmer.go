@@ -138,12 +138,3 @@ func AppendCodes(out []Kmer, codes []alphabet.Code, k int, skipAmbiguous bool) [
 	}
 	return out
 }
-
-// CountDistinct returns the number of distinct k-mer IDs in kmers.
-func CountDistinct(kmers []Kmer) int {
-	seen := make(map[ID]struct{}, len(kmers))
-	for _, km := range kmers {
-		seen[km.ID] = struct{}{}
-	}
-	return len(seen)
-}

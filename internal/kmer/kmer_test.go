@@ -193,10 +193,3 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCountDistinct(t *testing.T) {
-	kmers, _ := Extract([]byte("AAAAA"), 3, false)
-	if got := CountDistinct(kmers); got != 1 {
-		t.Errorf("CountDistinct(AAA x3) = %d, want 1", got)
-	}
-}

@@ -89,11 +89,3 @@ func PrecisionRecall(clusters [][]int, families []int) (precision, recall float6
 	}
 	return precision, recall
 }
-
-// F1 is the harmonic mean of precision and recall.
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}

@@ -14,9 +14,6 @@ func TestPerfectClustering(t *testing.T) {
 	if !almost(p, 1) || !almost(r, 1) {
 		t.Errorf("perfect clustering: p=%f r=%f", p, r)
 	}
-	if !almost(F1(p, r), 1) {
-		t.Errorf("F1 = %f", F1(p, r))
-	}
 }
 
 func TestMixedClusterPenalizesPrecision(t *testing.T) {
@@ -94,12 +91,6 @@ func TestSingletonClustering(t *testing.T) {
 	want := (1.0 + 1.0) / 6.0
 	if !almost(r, want) {
 		t.Errorf("recall = %f, want %f", r, want)
-	}
-}
-
-func TestF1Zero(t *testing.T) {
-	if F1(0, 0) != 0 {
-		t.Error("F1(0,0) should be 0")
 	}
 }
 

@@ -93,7 +93,6 @@ type Stats struct {
 // virtual-cost constants (generic ops charged to the rank clock).
 const (
 	opsPerIndexedKmer = 15
-	opsPerSimilarKmer = 140
 	opsPerLookup      = 6
 	opsPerDPCell      = 4
 	// opsPerResult models the serial result-processing stage on rank 0

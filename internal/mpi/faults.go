@@ -206,11 +206,6 @@ func RetryBackoff(key uint64, attempt int, alpha float64) float64 {
 	return step + jitter
 }
 
-// CollFaultKey exposes the collective verdict-key derivation for tests.
-func CollFaultKey(seed int64, comm, seq uint64) uint64 {
-	return collKeyHash(seed, comm, seq)
-}
-
 // --- the decorator ---
 
 // withFaults wraps one collective operation (run performs exactly one
@@ -332,13 +327,6 @@ func (c *Comm) TrySend(dst, tag int, data []byte) error {
 			return c.sendE(dst, tag, data, 0)
 		}
 	}
-}
-
-// TryRecv is the error-returning receive: it fails with the abort cause
-// instead of blocking forever when the cluster aborts. Injected p2p faults
-// are sender-side, so no verdicts are drawn here.
-func (c *Comm) TryRecv(src, tag int) ([]byte, error) {
-	return c.recvE(src, tag)
 }
 
 // TryBarrier is barrierE through the fault decorator.

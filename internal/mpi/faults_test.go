@@ -194,7 +194,7 @@ func TestRetriesExhausted(t *testing.T) {
 // fixed key so accidental reseeding or formula drift fails loudly.
 func TestRetryBackoffDeterministic(t *testing.T) {
 	const alpha = 1e-6
-	key := CollFaultKey(42, 1, 7)
+	key := collKeyHash(42, 1, 7)
 	prev := 0.0
 	for attempt := 0; attempt < 6; attempt++ {
 		d := RetryBackoff(key, attempt, alpha)
@@ -222,7 +222,7 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		RetryBackoff(key, 2, alpha),
 	}
 	for i, want := range golden {
-		if got := RetryBackoff(CollFaultKey(42, 1, 7), i, alpha); got != want {
+		if got := RetryBackoff(collKeyHash(42, 1, 7), i, alpha); got != want {
 			t.Errorf("golden attempt %d drifted: %g vs %g", i, got, want)
 		}
 	}

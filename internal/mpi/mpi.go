@@ -183,11 +183,9 @@ func (c *Clock) PeakSinceMark() int64 {
 	return p
 }
 
-// BytesSent and BytesReceived report cumulative communication volume;
-// Messages counts point-to-point sends.
+// BytesSent and BytesReceived report cumulative communication volume.
 func (c *Clock) BytesSent() int64     { return c.sent }
 func (c *Clock) BytesReceived() int64 { return c.received }
-func (c *Clock) Messages() int64      { return c.messages }
 
 // StartSection begins attributing elapsed virtual time to a named pipeline
 // component (sections may nest; each level accumulates independently).
@@ -542,7 +540,7 @@ func (c *Comm) sendE(dst, tag int, data []byte, extraLatency float64) error {
 
 // recvE blocks until a message from src with the given tag arrives and
 // returns its payload; the receiver's clock advances to at least the message
-// arrival time. It is the receive behind TryRecv and fails instead of
+// arrival time. It is the receive behind Irecv and fails instead of
 // blocking forever when the cluster aborts.
 func (c *Comm) recvE(src, tag int) ([]byte, error) {
 	if src < 0 || src >= c.size || tag < 0 {

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// TryRecv is the error-returning receive: it fails with the abort cause
+// instead of blocking forever when the cluster aborts. Injected p2p faults
+// are sender-side, so no verdicts are drawn here.
+func (c *Comm) TryRecv(src, tag int) ([]byte, error) {
+	return c.recvE(src, tag)
+}
+
 func TestSendRecv(t *testing.T) {
 	cl := NewCluster(2, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {

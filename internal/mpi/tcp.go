@@ -54,8 +54,8 @@ import (
 // the magic moved because the bodies inside did (collective metadata and
 // parts are raw messages, the message head is 48 bytes), so a mesh of mixed
 // builds fails its handshake by name instead of misparsing a frame. The
-// encoding is canonical: any byte string DecodeTCPFrame accepts re-encodes
-// to exactly the bytes consumed (FuzzTCPFrameRoundTrip holds the codec to
+// encoding is canonical: any frame readTCPFrame accepts re-encodes to
+// exactly the bytes consumed (FuzzTCPFrameRoundTrip holds the codec to
 // this).
 const (
 	tcpFrameMagic   = "PTF3"
@@ -120,26 +120,8 @@ func tcpFrameBody(rest []byte, size int) ([]byte, error) {
 	return body, nil
 }
 
-// DecodeTCPFrame parses one frame from the front of buf, returning the body
-// and the bytes consumed. Truncated input, bad magic, an oversized length
-// prefix, and checksum mismatches are all rejected.
-func DecodeTCPFrame(buf []byte) (body []byte, n int, err error) {
-	size, err := tcpFrameSize(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	total := tcpHeaderLen + size + tcpTrailerLen
-	if len(buf) < total {
-		return nil, 0, fmt.Errorf("mpi: tcp frame truncated: %d bytes of %d", len(buf), total)
-	}
-	if body, err = tcpFrameBody(buf[tcpHeaderLen:total], size); err != nil {
-		return nil, 0, err
-	}
-	return body, total, nil
-}
-
 // readTCPFrame reads one frame from a stream, reassembling partial reads
-// (io.ReadFull) and applying the same validation as DecodeTCPFrame. Every
+// (io.ReadFull) and validating the header and the trailer. Every
 // frame gets a buffer of its own that the transport never touches again: a
 // message's payload aliases it, and so may whatever the receiver builds on
 // the payload without copying (dmat's decoded blocks are views of it), so
@@ -566,11 +548,17 @@ func (t *tcpTransport) poison(err error) {
 	if t.closing.Load() {
 		return
 	}
+	t.tellAll(abortFrame(err))
+}
+
+// abortFrame is the abort frame body for cause err: its sentinel's code and
+// its message, cut to 4 KiB.
+func abortFrame(err error) []byte {
 	msg := err.Error()
 	if len(msg) > 4096 {
 		msg = msg[:4096]
 	}
-	t.tellAll(append([]byte{tcpKindAbort, abortCodeOf(err)}, msg...))
+	return append([]byte{tcpKindAbort, abortCodeOf(err)}, msg...)
 }
 
 // tellAll sends body to every peer, best effort under a bounded write
@@ -797,9 +785,14 @@ func (cl *Cluster) runTCP(fn func(*Comm) error) error {
 }
 
 // Close tears a tcp-backed cluster's mesh down: a goodbye frame to every
-// peer (skipped after an abort — the abort frame already said why), then
-// connections and listener close and the readers drain. No-op on a
-// simulated cluster; idempotent.
+// peer, or after an abort the abort frame for its cause, then connections
+// and listener close and the readers drain. The abort frame goes again
+// because poison may not have sent it yet: the rank's main goroutine can see
+// Aborted and reach Close while the reader that took the abort is still in
+// poison, and a link closed with no frame reads as a broken link, which a
+// peer would record as the cluster's cause. A peer that has the abort
+// already ignores the second frame. No-op on a simulated cluster;
+// idempotent.
 func (cl *Cluster) Close() error {
 	t := cl.tcp
 	if t == nil {
@@ -808,7 +801,9 @@ func (cl *Cluster) Close() error {
 	if t.closing.Swap(true) {
 		return nil
 	}
-	if cl.Aborted() == nil {
+	if cause := cl.Aborted(); cause != nil {
+		t.tellAll(abortFrame(cause))
+	} else {
 		t.tellAll([]byte{tcpKindBye})
 	}
 	var err error

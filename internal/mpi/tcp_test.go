@@ -17,6 +17,28 @@ import (
 	"repro/internal/wire"
 )
 
+// DecodeTCPFrame parses one frame from the front of buf, returning the body
+// and the bytes consumed: the in-memory reference the frame fuzz holds the
+// stream reader readTCPFrame to. Truncated input, bad magic, an oversized
+// length prefix, and checksum mismatches are all rejected.
+func DecodeTCPFrame(buf []byte) (body []byte, n int, err error) {
+	size, err := tcpFrameSize(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := tcpHeaderLen + size + tcpTrailerLen
+	if len(buf) < total {
+		return nil, 0, fmt.Errorf("mpi: tcp frame truncated: %d bytes of %d", len(buf), total)
+	}
+	if body, err = tcpFrameBody(buf[tcpHeaderLen:total], size); err != nil {
+		return nil, 0, err
+	}
+	return body, total, nil
+}
+
+// Messages counts the clock's point-to-point sends.
+func (c *Clock) Messages() int64 { return c.messages }
+
 // TestMain doubles as the worker fixture of the self-exec launcher test:
 // when LaunchTCP re-runs this test binary with the worker environment set,
 // the process becomes one tcp rank instead of a test run.

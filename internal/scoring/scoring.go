@@ -33,16 +33,6 @@ func (m *Matrix) Score(a, b alphabet.Code) int {
 	return int(m.scores[a][b])
 }
 
-// ScoreBytes returns the substitution score between two letters.
-// Invalid letters score as the minimum penalty in the matrix.
-func (m *Matrix) ScoreBytes(a, b byte) int {
-	ca, cb := alphabet.Encode(a), alphabet.Encode(b)
-	if ca == alphabet.Invalid || cb == alphabet.Invalid {
-		return int(m.scores[alphabet.Size-1][0]) // the '*' vs anything penalty
-	}
-	return int(m.scores[ca][cb])
-}
-
 // SelfScore returns the exact-match score DIAG(C)[a].
 func (m *Matrix) SelfScore(a alphabet.Code) int { return int(m.scores[a][a]) }
 
@@ -58,29 +48,6 @@ func (m *Matrix) MaxScore() int {
 		}
 	}
 	return best
-}
-
-// MinScore returns the smallest entry in the matrix.
-func (m *Matrix) MinScore() int {
-	worst := int(m.scores[0][0])
-	for i := 0; i < alphabet.Size; i++ {
-		for j := 0; j < alphabet.Size; j++ {
-			if s := int(m.scores[i][j]); s < worst {
-				worst = s
-			}
-		}
-	}
-	return worst
-}
-
-// KmerSelfScore returns the exact-match score of a k-mer: the sum of the
-// diagonal entries of its bases (paper example: AAC scores 4+4+9=17).
-func (m *Matrix) KmerSelfScore(codes []alphabet.Code) int {
-	s := 0
-	for _, c := range codes {
-		s += m.SelfScore(c)
-	}
-	return s
 }
 
 // newMatrix builds a Matrix from a row-major literal over the full alphabet
@@ -130,9 +97,9 @@ var BLOSUM62 = newMatrix("BLOSUM62", [alphabet.Size][alphabet.Size]int8{
 	{-4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, 1}, // *
 })
 
-// Identity is a toy matrix (match +1, mismatch -1) used by tests and as a
-// degenerate scoring model: under it the m-nearest substitute k-mers are
-// exactly the single-substitution neighbors in index order.
+// Identity is a toy matrix (match +1, mismatch -1) for tests: under it the
+// m-nearest substitute k-mers are exactly the single-substitution neighbors
+// in index order, and nearly every distance is a tie.
 var Identity = func() *Matrix {
 	var rows [alphabet.Size][alphabet.Size]int8
 	for i := 0; i < alphabet.Size; i++ {
@@ -193,14 +160,3 @@ func NewExpense(m *Matrix) *Expense {
 // Cheapest returns the lowest-expense substitution for base a
 // (paper notation E[a][1]).
 func (e *Expense) Cheapest(a alphabet.Code) Sub { return e.Rows[a][0] }
-
-// ByName returns a bundled matrix by name.
-func ByName(name string) (*Matrix, error) {
-	switch name {
-	case "BLOSUM62", "blosum62":
-		return BLOSUM62, nil
-	case "Identity", "identity":
-		return Identity, nil
-	}
-	return nil, fmt.Errorf("scoring: unknown matrix %q", name)
-}

@@ -21,7 +21,7 @@ func code(t *testing.T, b byte) alphabet.Code {
 func TestPaperExampleScores(t *testing.T) {
 	a, c, s, m := code(t, 'A'), code(t, 'C'), code(t, 'S'), code(t, 'M')
 
-	if got := BLOSUM62.KmerSelfScore([]alphabet.Code{a, a, c}); got != 17 {
+	if got := BLOSUM62.SelfScore(a) + BLOSUM62.SelfScore(a) + BLOSUM62.SelfScore(c); got != 17 {
 		t.Errorf("self score of AAC = %d, want 17", got)
 	}
 	if got := BLOSUM62.Score(a, s); got != 1 {
@@ -52,24 +52,15 @@ func TestBLOSUM62KnownValues(t *testing.T) {
 		{'X', 'X', -1}, {'B', 'D', 4}, {'Z', 'E', 4},
 	}
 	for _, tc := range cases {
-		if got := BLOSUM62.ScoreBytes(tc.a, tc.b); got != tc.want {
+		if got := BLOSUM62.Score(code(t, tc.a), code(t, tc.b)); got != tc.want {
 			t.Errorf("BLOSUM62(%c,%c) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
-	}
-}
-
-func TestScoreBytesInvalid(t *testing.T) {
-	if got := BLOSUM62.ScoreBytes('A', '7'); got != -4 {
-		t.Errorf("invalid letter should score -4, got %d", got)
 	}
 }
 
 func TestMaxMinScore(t *testing.T) {
 	if got := BLOSUM62.MaxScore(); got != 11 {
 		t.Errorf("MaxScore = %d, want 11 (W/W)", got)
-	}
-	if got := BLOSUM62.MinScore(); got != -4 {
-		t.Errorf("MinScore = %d, want -4", got)
 	}
 }
 
@@ -149,15 +140,5 @@ func TestIdentityExpense(t *testing.T) {
 				t.Errorf("identity expense should be uniform 2, got %d", sub.Expense)
 			}
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	m, err := ByName("blosum62")
-	if err != nil || m != BLOSUM62 {
-		t.Errorf("ByName(blosum62) = %v, %v", m, err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
 	}
 }

@@ -74,9 +74,6 @@ type DCSC[T any] struct {
 // NNZ returns the number of stored nonzeros.
 func (m *DCSC[T]) NNZ() int { return len(m.IR) }
 
-// NonemptyCols returns the count of columns holding at least one nonzero.
-func (m *DCSC[T]) NonemptyCols() int { return len(m.JC) }
-
 // FromTriples builds a DCSC from an unordered triple list, accumulating
 // duplicates with add in input order (a duplicate with add == nil is an
 // error naming the entry). The one assembly rule: unordered input is

@@ -61,8 +61,8 @@ func denseMul(a, b [][]float64) [][]float64 {
 func TestFromTriplesBasic(t *testing.T) {
 	ts := []Triple[float64]{{2, 1, 3.0}, {0, 0, 1.0}, {1, 1, 2.0}}
 	m := mustFromTriples(t, 3, 2, ts, nil)
-	if m.NNZ() != 3 || m.NonemptyCols() != 2 {
-		t.Fatalf("nnz=%d cols=%d", m.NNZ(), m.NonemptyCols())
+	if m.NNZ() != 3 || len(m.JC) != 2 {
+		t.Fatalf("nnz=%d cols=%d", m.NNZ(), len(m.JC))
 	}
 	if v, ok := m.At(2, 1); !ok || v != 3.0 {
 		t.Errorf("At(2,1) = %v,%v", v, ok)
@@ -137,8 +137,8 @@ func TestHypersparseStorage(t *testing.T) {
 	huge := Index(1) << 40
 	ts := []Triple[int64]{{0, huge - 1, 1}, {5, 12345, 2}, {9, 0, 3}}
 	m := mustFromTriples(t, 10, huge, ts, nil)
-	if m.NonemptyCols() != 3 || len(m.CP) != 4 {
-		t.Errorf("DCSC stores %d col entries for 3 nonzeros", m.NonemptyCols())
+	if len(m.JC) != 3 || len(m.CP) != 4 {
+		t.Errorf("DCSC stores %d col entries for 3 nonzeros", len(m.JC))
 	}
 	if v, ok := m.At(0, huge-1); !ok || v != 1 {
 		t.Error("lookup in huge column space failed")

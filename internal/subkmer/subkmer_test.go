@@ -1,6 +1,7 @@
 package subkmer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,31 @@ import (
 	"repro/internal/kmer"
 	"repro/internal/scoring"
 )
+
+// Dist recomputes the substitution distance between a root k-mer and a
+// substitute under the expense table (for verification).
+func Dist(root, sub kmer.ID, k int, e *scoring.Expense) (int, error) {
+	rb, sb := kmer.Decode(root, k), kmer.Decode(sub, k)
+	total := 0
+	for i := 0; i < k; i++ {
+		if rb[i] == sb[i] {
+			continue
+		}
+		found := false
+		for _, s := range e.Rows[rb[i]] {
+			if s.Base == sb[i] {
+				total += s.Expense
+				found = true
+				break
+			}
+		}
+		if !found {
+			return 0, fmt.Errorf("subkmer: %c->%c is not a legal substitution",
+				alphabet.Decode(rb[i]), alphabet.Decode(sb[i]))
+		}
+	}
+	return total, nil
+}
 
 func mustID(t testing.TB, s string) kmer.ID {
 	t.Helper()

@@ -192,8 +192,13 @@ func batchInput(g *dmat.Grid, queries []fasta.Record, cfg Config) (*seqstore.Sto
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
 	stats *Stats) (*dmat.Mat[int32], error) {
 
-	return dmat.NewFromTriples(g, store.Total, kmerSpace, slices.Concat(extractKmers(g, store, cfg, stats)...),
-		dmat.Int32Codec, nil)
+	var ts []spmat.Triple[int32]
+	if narrowKmers(kmerSpace) {
+		ts = dmat.Triples(extractKmers[uint32](g, store, cfg, stats))
+	} else {
+		ts = dmat.Triples(extractKmers[uint64](g, store, cfg, stats))
+	}
+	return dmat.NewFromTriples(g, store.Total, kmerSpace, ts, dmat.Int32Codec, nil)
 }
 
 // formSharedA is formA for an exact all-vs-all sweep, which keeps only the
@@ -204,32 +209,47 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 // graph are those of the whole A while A, Aᵀ, every wave's broadcasts and
 // the local product's column index shrink. The owner census
 // (dmat.NewShared) counts each k-mer's sequences before the shuffle, so
-// only the kept triples are shuffled, sorted and assembled. It returns A,
-// this rank's extracted nonzeros (A's before the prune; the triples are
-// distinct (sequence, k-mer) pairs) and the nonzeros of the frequency-banned
-// k-mers this rank counted as their census owner.
+// only the kept k-mers become triples and are shuffled, sorted and
+// assembled. It returns A, this rank's extracted nonzeros (A's before the
+// prune; the k-mers are distinct (sequence, k-mer) pairs) and the nonzeros
+// of the frequency-banned k-mers this rank counted as their census owner.
 func formSharedA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
 	stats *Stats) (a *dmat.Mat[int32], nnz, banned int64, err error) {
 
-	chunks := extractKmers(g, store, cfg, stats)
-	for _, ch := range chunks {
-		nnz += int64(len(ch))
+	if narrowKmers(kmerSpace) {
+		return sharedA(g, store, kmerSpace, extractKmers[uint32](g, store, cfg, stats), cfg.MaxKmerFrequency)
 	}
-	a, banned, err = dmat.NewShared(g, store.Total, kmerSpace, chunks, dmat.Int32Codec, 2, int64(cfg.MaxKmerFrequency))
+	return sharedA(g, store, kmerSpace, extractKmers[uint64](g, store, cfg, stats), cfg.MaxKmerFrequency)
+}
+
+// sharedA is formSharedA over the extracted chunks, which it consumes.
+func sharedA[K dmat.ID](g *dmat.Grid, store *seqstore.Store, kmerSpace spmat.Index, chunks []dmat.Chunk[K, int32],
+	maxFreq int) (a *dmat.Mat[int32], nnz, banned int64, err error) {
+
+	for _, ch := range chunks {
+		nnz += int64(len(ch.Cols))
+	}
+	a, banned, err = dmat.NewShared(g, store.Total, kmerSpace, chunks, dmat.Int32Codec, 2, int64(maxFreq))
 	return a, nnz, banned, err
 }
 
+// narrowKmers reports whether every k-mer id of the space fits 4 bytes
+// (k <= 6 over the 24-letter alphabet), the width the census sends.
+func narrowKmers(kmerSpace spmat.Index) bool { return kmerSpace <= 1<<32 }
+
 // extractKmers returns the owned sequences' (sequence, k-mer, first
-// position) triples as per-chunk lists, in sequence order.
+// position) entries as per-chunk columns, in sequence order: each chunk's
+// k-mer ids (K, 4 or 8 bytes) and int32 positions, its rows the owned
+// sequences it covers, one run each.
 //
 // Extraction is chunk-parallel over the owned sequences: chunk boundaries
 // depend only on the sequence count, each worker reuses one k-mer buffer and
 // one tagged seen-set (a new generation per sequence, no clearing), and a
-// sequence's triples are emitted in k-mer position order into a chunk list
-// sized once from its sequences' window counts — so the lists, read in
-// chunk order, are the same for every thread count and run. The extraction
-// cost is charged as thread-parallel work (Clock.ParOps).
-func extractKmers(g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats) [][]spmat.Triple[int32] {
+// sequence's k-mers are emitted in position order into columns sized once
+// from its chunk's window counts — so the chunks, read in order, are the
+// same for every thread count and run. The extraction cost is charged as
+// thread-parallel work (Clock.ParOps).
+func extractKmers[K dmat.ID](g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats) []dmat.Chunk[K, int32] {
 	clock := g.Comm.Clock()
 	n := len(store.Owned)
 	threads := cfg.Threads
@@ -238,7 +258,7 @@ func extractKmers(g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats)
 	}
 	workers := parallel.Workers(threads)
 	nchunks := workers * 4 // oversubscribed for balance; output is chunk-order merged
-	chunks := make([][]spmat.Triple[int32], nchunks)
+	chunks := make([]dmat.Chunk[K, int32], nchunks)
 	kmers := make([]int64, nchunks)
 	seenBy := make([]seenSet, workers)
 	kmsBy := make([][]kmer.Kmer, workers)
@@ -248,7 +268,13 @@ func extractKmers(g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats)
 		for _, seq := range store.Owned[lo:hi] {
 			windows += max(len(seq.Codes)-cfg.K+1, 0)
 		}
-		out := make([]spmat.Triple[int32], 0, windows)
+		// Owned sequences have consecutive global indices.
+		out := dmat.Chunk[K, int32]{
+			Row:  store.OwnedStart + spmat.Index(lo),
+			Ends: make([]int, 0, hi-lo),
+			Cols: make([]K, 0, windows),
+			Vals: make([]int32, 0, windows),
+		}
 		for _, seq := range store.Owned[lo:hi] {
 			kms := kmer.AppendCodes(kmsBy[w][:0], seq.Codes, cfg.K, true)
 			kmsBy[w] = kms
@@ -256,11 +282,11 @@ func extractKmers(g *dmat.Grid, store *seqstore.Store, cfg Config, stats *Stats)
 			seen.reset(len(kms))
 			for _, km := range kms { // first occurrence of each k-mer wins
 				if seen.add(km.ID) {
-					out = append(out, spmat.Triple[int32]{
-						Row: seq.Global, Col: spmat.Index(km.ID), Val: int32(km.Pos),
-					})
+					out.Cols = append(out.Cols, K(km.ID))
+					out.Vals = append(out.Vals, int32(km.Pos))
 				}
 			}
+			out.Ends = append(out.Ends, len(out.Cols))
 		}
 		chunks[chunk] = out
 	})

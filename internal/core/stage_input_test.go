@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dmat"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
+	"repro/internal/synth"
 )
 
 // TestFormAMatchesMapDedup holds formA's tagged seen-set to a map-based
@@ -119,5 +122,73 @@ func TestSeenSetWraparound(t *testing.T) {
 		if s.add(id) {
 			t.Errorf("after wraparound id %d added twice", id)
 		}
+	}
+}
+
+// exactFormationBytes bounds what TestExactFormationBytes measures: 84.8
+// bytes per extracted k-mer, plus 25%. It lies below the 108.0 the
+// formation allocated while it extracted 24-byte triples and sent 8-byte
+// census ids, so a return to that form fails.
+const exactFormationBytes = 106
+
+// TestExactFormationBytes pins the bytes formSharedA — extraction, the owner
+// census, and the shuffle and assembly of the kept k-mers — allocates per
+// extracted k-mer, summed over the 4 ranks of one in-process run on the codec
+// transport (what a tcp rank runs) over a fixed Metaclust-like input. Rank 0
+// reads runtime.MemStats.TotalAlloc between barriers that hold every rank
+// outside the formation.
+func TestExactFormationBytes(t *testing.T) {
+	lab, err := synth.Generate(synth.DefaultMetaclustLike(600, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := lab.Records
+	const p = 4
+	cfg := DefaultConfig()
+	cfg.Transport = "codec"
+	var before, after runtime.MemStats
+	var kmers atomic.Int64
+	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
+	err = cl.Run(func(c *mpi.Comm) error {
+		r, err := openRun(c, cfg)
+		if err != nil {
+			return err
+		}
+		defer r.close()
+		n := len(recs)
+		store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+		if err == nil {
+			err = store.Wait()
+		}
+		if err != nil {
+			return err
+		}
+		var stats Stats
+		read := func(m *runtime.MemStats) error {
+			if err := c.TryBarrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(m)
+			}
+			return c.TryBarrier()
+		}
+		if err := read(&before); err != nil {
+			return err
+		}
+		_, nnz, _, err := formSharedA(r.grid, store, cfg, r.kmerSpace, &stats)
+		if err != nil {
+			return err
+		}
+		kmers.Add(nnz)
+		return read(&after)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKmer := float64(after.TotalAlloc-before.TotalAlloc) / float64(kmers.Load())
+	t.Logf("%d extracted k-mers, %.1f bytes allocated per k-mer", kmers.Load(), perKmer)
+	if perKmer > exactFormationBytes {
+		t.Errorf("the exact formation allocated %.1f bytes per extracted k-mer, bound %d", perKmer, exactFormationBytes)
 	}
 }

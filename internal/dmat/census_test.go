@@ -1,9 +1,11 @@
 package dmat
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,6 +34,43 @@ func censusTriples(rng *rand.Rand, rows, cols spmat.Index, ncols int) []spmat.Tr
 		}
 	}
 	return ts
+}
+
+// chunkOf lays the triples of one list out as a Chunk over rows [0, rows),
+// stably sorted by row.
+func chunkOf[K ID, T any](ts []spmat.Triple[T], rows spmat.Index) Chunk[K, T] {
+	ts = slices.Clone(ts)
+	slices.SortStableFunc(ts, func(a, b spmat.Triple[T]) int { return cmp.Compare(a.Row, b.Row) })
+	c := Chunk[K, T]{Ends: make([]int, rows)}
+	for _, t := range ts {
+		c.Cols = append(c.Cols, K(t.Col))
+		c.Vals = append(c.Vals, t.Val)
+		c.Ends[t.Row]++
+	}
+	for r := 1; r < len(c.Ends); r++ {
+		c.Ends[r] += c.Ends[r-1]
+	}
+	return c
+}
+
+// chunksOf is chunkOf over each list.
+func chunksOf[K ID, T any](lists [][]spmat.Triple[T], rows spmat.Index) []Chunk[K, T] {
+	out := make([]Chunk[K, T], len(lists))
+	for i, ts := range lists {
+		out[i] = chunkOf[K](ts, rows)
+	}
+	return out
+}
+
+// newShared is NewShared over the triple lists laid out as chunks, with ids
+// as wide as the census sends them.
+func newShared[T any](g *Grid, rows, cols spmat.Index, lists [][]spmat.Triple[T], codec Codec[T],
+	lo, hi int64) (*Mat[T], int64, error) {
+
+	if censusWidth(cols) == 4 {
+		return NewShared(g, rows, cols, chunksOf[uint32](lists, rows), codec, lo, hi)
+	}
+	return NewShared(g, rows, cols, chunksOf[uint64](lists, rows), codec, lo, hi)
 }
 
 // TestNewSharedIsTheCensusPrune holds NewShared to the matrix every triple
@@ -67,7 +106,7 @@ func TestNewSharedIsTheCensusPrune(t *testing.T) {
 						g.Backend = backend
 						mine := scatter(ts, g.Comm.Rank(), p)
 						chunks := [][]spmat.Triple[float64]{mine[:len(mine)/3], nil, mine[len(mine)/3:]}
-						got, o, err := NewShared(g, rows, cols, chunks, Float64Codec, lim.lo, lim.hi)
+						got, o, err := newShared(g, rows, cols, chunks, Float64Codec, lim.lo, lim.hi)
 						if err != nil {
 							return err
 						}
@@ -94,6 +133,44 @@ func TestNewSharedIsTheCensusPrune(t *testing.T) {
 	}
 }
 
+// TestChunkCheck: NewShared refuses a chunk whose runs do not cover its
+// entries in order, whose rows or columns leave the matrix, or whose ids
+// are too narrow for the column space, before any census traffic.
+func TestChunkCheck(t *testing.T) {
+	const rows, cols = 10, 1000
+	good := Chunk[uint32, int32]{Row: 7, Ends: []int{1, 1, 3}, Cols: []uint32{5, 6, 999}, Vals: []int32{0, 1, 2}}
+	if err := good.check(rows, cols); err != nil {
+		t.Fatalf("well-formed chunk refused: %v", err)
+	}
+	if err := (Chunk[uint32, int32]{}).check(rows, cols); err != nil {
+		t.Fatalf("empty chunk refused: %v", err)
+	}
+	for name, c := range map[string]Chunk[uint32, int32]{
+		"short values":   {Row: 0, Ends: []int{2}, Cols: []uint32{1, 2}, Vals: []int32{0}},
+		"runs backwards": {Row: 0, Ends: []int{2, 1}, Cols: []uint32{1, 2}, Vals: []int32{0, 0}},
+		"run past end":   {Row: 0, Ends: []int{3}, Cols: []uint32{1, 2}, Vals: []int32{0, 0}},
+		"uncovered":      {Row: 0, Ends: []int{1}, Cols: []uint32{1, 2}, Vals: []int32{0, 0}},
+		"no runs":        {Cols: []uint32{1}, Vals: []int32{0}},
+		"rows past end":  {Row: 8, Ends: []int{0, 0, 1}, Cols: []uint32{1}, Vals: []int32{0}},
+		"negative row":   {Row: -1, Ends: []int{1}, Cols: []uint32{1}, Vals: []int32{0}},
+		"column outside": {Row: 0, Ends: []int{1}, Cols: []uint32{cols}, Vals: []int32{0}},
+	} {
+		if err := c.check(rows, cols); err == nil {
+			t.Errorf("%s: chunk accepted", name)
+		}
+	}
+	runGrid(t, 1, func(g *Grid) error {
+		if _, _, err := NewShared(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, 2, 0); err == nil {
+			return fmt.Errorf("4-byte ids accepted for a 2^33-column space")
+		}
+		_, _, err := NewShared(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, 2, 0)
+		if err == nil {
+			return fmt.Errorf("a malformed chunk after a good one was accepted")
+		}
+		return nil
+	})
+}
+
 // TestCensusWireHardening: every part of the census crosses the transport,
 // so a part that is truncated, is not whole ids, names an id its receiver
 // does not count or relay, or answers with the wrong number of bits is
@@ -110,10 +187,10 @@ func TestCensusWireHardening(t *testing.T) {
 		}
 		return buf
 	}
-	if got, err := decodeIDs(ids(4, 7, 1<<32-1), 4); err != nil || !reflect.DeepEqual(got, []spmat.Index{7, 1<<32 - 1}) {
+	if got, err := decodeIDs[uint64](ids(4, 7, 1<<32-1), 4); err != nil || !reflect.DeepEqual(got, []uint64{7, 1<<32 - 1}) {
 		t.Errorf("decode: %v %v", got, err)
 	}
-	if got, err := decodeIDs(ids(8, 7, 1<<40), 8); err != nil || !reflect.DeepEqual(got, []spmat.Index{7, 1 << 40}) {
+	if got, err := decodeIDs[uint64](ids(8, 7, 1<<40), 8); err != nil || !reflect.DeepEqual(got, []uint64{7, 1 << 40}) {
 		t.Errorf("decode: %v %v", got, err)
 	}
 	for name, bad := range map[string]struct {
@@ -124,7 +201,7 @@ func TestCensusWireHardening(t *testing.T) {
 		"half id":  {ids(4, 7, 8, 9)[:10], 8},
 		"one byte": {[]byte{1}, 4},
 	} {
-		if _, err := decodeIDs(bad.buf, bad.width); err == nil {
+		if _, err := decodeIDs[uint64](bad.buf, bad.width); err == nil {
 			t.Errorf("%s part decoded", name)
 		}
 	}
@@ -136,7 +213,7 @@ func TestCensusWireHardening(t *testing.T) {
 		// owner. Each is refused with the world rank of its sender.
 		var foreign, elsewhere spmat.Index = -1, -1
 		for id := spmat.Index(0); id < cols && (foreign < 0 || elsewhere < 0); id++ {
-			o := censusOwner(id, 4)
+			o := censusOwner(uint64(id), 4)
 			if o%g.Q != g.MyCol && foreign < 0 {
 				foreign = id
 			}
@@ -146,15 +223,15 @@ func TestCensusWireHardening(t *testing.T) {
 		}
 		from := 1 - g.MyCol // the other rank of the grid row
 		for _, id := range []spmat.Index{foreign, cols, -5} {
-			relayed := make([][]spmat.Index, g.Q)
-			relayed[from] = []spmat.Index{id}
-			_, err := forwardIDs(relayed, g, cols)
+			relayed := make([][]uint64, g.Q)
+			relayed[from] = []uint64{uint64(id)}
+			_, _, err := forwardIDs(relayed, g, cols)
 			if want := fmt.Sprintf("from rank %d:", g.RankOf(g.MyRow, from)); err == nil || !strings.Contains(err.Error(), want) {
 				return fmt.Errorf("relay took id %d: %v", id, err)
 			}
 		}
-		got := make([][]spmat.Index, g.Q)
-		got[1-g.MyRow] = []spmat.Index{elsewhere}
+		got := make([][]uint64, g.Q)
+		got[1-g.MyRow] = []uint64{uint64(elsewhere)}
 		if _, _, err := tally(got, g, cols, 2, 0); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("from rank %d:", g.RankOf(1-g.MyRow, g.MyCol))) {
 			return fmt.Errorf("owner counted id %d: %v", elsewhere, err)
@@ -183,12 +260,12 @@ func TestCensusWireHardening(t *testing.T) {
 			return err
 		}
 		g.Backend = BackendCodec
-		parts := make([][]spmat.Index, g.Q)
-		parts[1-g.MyCol] = []spmat.Index{7}
+		parts := make([][]uint64, g.Q)
+		parts[1-g.MyCol] = []uint64{7}
 		_, err = alltoall(g, g.RowComm, parts,
-			func(ids []spmat.Index) int64 { return 3 },
-			func(ids []spmat.Index) []byte { return []byte{7, 0, 0} },
-			func(b []byte) ([]spmat.Index, error) { return decodeIDs(b, 4) })
+			func(ids []uint64) int64 { return 3 },
+			func(ids []uint64) []byte { return []byte{7, 0, 0} },
+			func(b []byte) ([]uint64, error) { return decodeIDs[uint64](b, 4) })
 		if want := fmt.Sprintf("dmat: part from rank %d:", g.RankOf(g.MyRow, 1-g.MyCol)); err == nil ||
 			!strings.Contains(err.Error(), want) {
 			return fmt.Errorf("torn part: %v, want %q", err, want)
@@ -202,7 +279,9 @@ func TestCensusWireHardening(t *testing.T) {
 
 // BenchmarkNewShared forms a matrix shaped like the benchmark generator's A
 // at 4 ranks (541 k triples, one in six in a column two or more rows hold)
-// through the owner census, on the in-process shared backend.
+// through the owner census, on the in-process shared backend. Each rank's
+// share is one chunk in row order, as extraction writes it, so the rows
+// holding one column reach its owner apart, not side by side.
 func BenchmarkNewShared(b *testing.B) {
 	const p, rows, cols = 4, 2000, 191102976 // 24^6 k-mer columns
 	rng := rand.New(rand.NewSource(6))
@@ -222,9 +301,9 @@ func BenchmarkNewShared(b *testing.B) {
 			}
 		}
 	}
-	shares := make([][][]spmat.Triple[int32], p)
+	shares := make([][]Chunk[uint32, int32], p)
 	for i := range p {
-		shares[i] = [][]spmat.Triple[int32]{ts[len(ts)*i/p : len(ts)*(i+1)/p]}
+		shares[i] = []Chunk[uint32, int32]{chunkOf[uint32](ts[len(ts)*i/p:len(ts)*(i+1)/p], rows)}
 	}
 	for b.Loop() {
 		runGrid(b, p, func(g *Grid) error {

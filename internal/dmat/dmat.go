@@ -221,26 +221,28 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 	return assemble(g, rows, cols, parts, codec, add)
 }
 
-// NewShared builds the matrix of the triples in chunks (this rank's share,
+// NewShared builds the matrix of the entries in chunks (this rank's share,
 // distinct (row, column) pairs) whose column holds at least lo and at most
 // hi of them across the grid (hi <= 0: no upper limit), and returns it with
-// the triples this rank counted, as a census owner, in columns over hi. The
-// owner census (keepShared) drops the other triples where they were made, so
-// only the kept ones are shuffled and sorted; they reach their owner block
-// in two hops, along the grid row to its grid column and then along that
-// column, so that every exchange of the build is an all-to-all of q ranks.
-// Collective over the grid.
-func NewShared[T any](g *Grid, rows, cols spmat.Index, chunks [][]spmat.Triple[T], codec Codec[T],
+// the entries this rank counted, as a census owner, in columns over hi. The
+// owner census (keepShared) drops the other entries where they were made,
+// so only the kept ones become triples and are shuffled and sorted; they
+// reach their owner block in two hops, along the grid row to its grid column
+// and then along that column, so that every exchange of the build is an
+// all-to-all of q ranks. K must hold every column index. Collective over
+// the grid.
+func NewShared[K ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
 	lo, hi int64) (*Mat[T], int64, error) {
 
 	if err := codec.check(); err != nil {
 		return nil, 0, err
 	}
+	if cols > 0 && uint64(cols-1) > uint64(^K(0)) {
+		return nil, 0, fmt.Errorf("dmat: %d-byte ids cannot name %d columns", unsafe.Sizeof(K(0)), cols)
+	}
 	for _, ch := range chunks {
-		for _, t := range ch {
-			if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
-				return nil, 0, fmt.Errorf("dmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
-			}
+		if err := ch.check(rows, cols); err != nil {
+			return nil, 0, err
 		}
 	}
 	kept, over, err := keepShared(g, cols, chunks, lo, hi)

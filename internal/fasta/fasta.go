@@ -69,38 +69,64 @@ func splitHeader(h []byte) (id, desc string) {
 // (width <= 0 writes each sequence on a single line).
 func Write(w io.Writer, recs []Record, width int) error {
 	bw := bufio.NewWriter(w)
+	var buf []byte
 	for _, rec := range recs {
-		if rec.Desc != "" {
-			fmt.Fprintf(bw, ">%s %s\n", rec.ID, rec.Desc)
-		} else {
-			fmt.Fprintf(bw, ">%s\n", rec.ID)
-		}
-		seq := rec.Seq
-		if width <= 0 {
-			bw.Write(seq)
-			bw.WriteByte('\n')
-			continue
-		}
-		for len(seq) > 0 {
-			n := width
-			if n > len(seq) {
-				n = len(seq)
-			}
-			bw.Write(seq[:n])
-			bw.WriteByte('\n')
-			seq = seq[n:]
-		}
+		buf = appendRecord(buf[:0], rec, width)
+		bw.Write(buf)
 	}
 	return bw.Flush()
 }
 
-// Bytes renders records to an in-memory FASTA file.
+// Bytes renders records to an in-memory FASTA file, in a buffer sized once.
 func Bytes(recs []Record, width int) []byte {
-	var buf bytes.Buffer
-	if err := Write(&buf, recs, width); err != nil {
-		panic(err) // bytes.Buffer writes cannot fail
+	n := 0
+	for _, rec := range recs {
+		n += recordSize(rec, width)
 	}
-	return buf.Bytes()
+	out := make([]byte, 0, n)
+	for _, rec := range recs {
+		out = appendRecord(out, rec, width)
+	}
+	return out
+}
+
+// appendRecord appends rec in FASTA format: the header line, then the
+// sequence in lines of width residues (one line when width <= 0).
+func appendRecord(dst []byte, rec Record, width int) []byte {
+	dst = append(dst, '>')
+	dst = append(dst, rec.ID...)
+	if rec.Desc != "" {
+		dst = append(dst, ' ')
+		dst = append(dst, rec.Desc...)
+	}
+	dst = append(dst, '\n')
+	seq := rec.Seq
+	if width <= 0 {
+		dst = append(dst, seq...)
+		return append(dst, '\n')
+	}
+	for len(seq) > 0 {
+		n := min(width, len(seq))
+		dst = append(dst, seq[:n]...)
+		dst = append(dst, '\n')
+		seq = seq[n:]
+	}
+	return dst
+}
+
+// recordSize is the length of appendRecord's output for rec.
+func recordSize(rec Record, width int) int {
+	n := len(rec.ID) + 2 + len(rec.Seq)
+	if rec.Desc != "" {
+		n += 1 + len(rec.Desc)
+	}
+	switch {
+	case width <= 0:
+		n++
+	case len(rec.Seq) > 0:
+		n += (len(rec.Seq) + width - 1) / width
+	}
+	return n
 }
 
 // Chunk describes the byte range a process reads: [Begin, End) is its owned

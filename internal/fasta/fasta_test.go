@@ -1,8 +1,10 @@
 package fasta
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,6 +86,77 @@ func TestWriteParseRoundTrip(t *testing.T) {
 				!bytes.Equal(back[i].Seq, recs[i].Seq) {
 				t.Errorf("width %d rec %d: %+v != %+v", width, i, back[i], recs[i])
 			}
+		}
+	}
+}
+
+// writeTwin is Write as it was before Bytes sized its buffer once and
+// headers stopped going through fmt.Fprintf, kept verbatim.
+func writeTwin(w io.Writer, recs []Record, width int) error {
+	bw := bufio.NewWriter(w)
+	for _, rec := range recs {
+		if rec.Desc != "" {
+			fmt.Fprintf(bw, ">%s %s\n", rec.ID, rec.Desc)
+		} else {
+			fmt.Fprintf(bw, ">%s\n", rec.ID)
+		}
+		seq := rec.Seq
+		if width <= 0 {
+			bw.Write(seq)
+			bw.WriteByte('\n')
+			continue
+		}
+		for len(seq) > 0 {
+			n := width
+			if n > len(seq) {
+				n = len(seq)
+			}
+			bw.Write(seq[:n])
+			bw.WriteByte('\n')
+			seq = seq[n:]
+		}
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesTwin holds Write and Bytes byte for byte to writeTwin, on
+// records with and without descriptions, empty and exactly one line long,
+// at widths 0 and 60 and around a line's edge; Bytes fills its buffer to
+// the capacity it sized.
+func TestWriteMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	recs := []Record{
+		{ID: "p1", Desc: "alpha", Seq: []byte("MKVLAWMKVLAWMKVLAW")},
+		{ID: "p2", Seq: []byte("AR")},
+		{ID: "p3", Desc: "gamma delta", Seq: []byte(strings.Repeat("HPLC", 40))},
+		{ID: "empty"},
+		{ID: "empty-desc", Desc: "nothing here"},
+		{ID: "line", Seq: []byte(strings.Repeat("W", 60))},
+	}
+	for i := range 40 {
+		rec := Record{ID: fmt.Sprintf("r%d", i), Seq: make([]byte, rng.Intn(200))}
+		if i%2 == 0 {
+			rec.Desc = fmt.Sprintf("family %d", rng.Intn(9))
+		}
+		for j := range rec.Seq {
+			rec.Seq[j] = "ACDEFGHIKLMNPQRSTVWY"[rng.Intn(20)]
+		}
+		recs = append(recs, rec)
+	}
+	for _, width := range []int{0, 60, -1, 1, 59, 61} {
+		var want, got bytes.Buffer
+		if err := writeTwin(&want, recs, width); err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&got, recs, width); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("width %d: Write differs from the twin", width)
+		}
+		b := Bytes(recs, width)
+		if !bytes.Equal(b, want.Bytes()) || len(b) != cap(b) {
+			t.Errorf("width %d: Bytes differs from the twin or is not sized once (len %d, cap %d)", width, len(b), cap(b))
 		}
 	}
 }

@@ -170,9 +170,6 @@ func (c *Clock) FreeBytes(n int64) {
 // LiveBytes returns the bytes currently charged as live.
 func (c *Clock) LiveBytes() int64 { return c.live }
 
-// PeakBytes returns the rank's live-bytes high-water mark.
-func (c *Clock) PeakBytes() int64 { return c.peak }
-
 // PeakSinceMark returns the live-bytes high-water mark since the previous
 // call (since the clock started, on the first), then restarts that window at
 // the bytes live now. A caller checking a memory budget at its own
@@ -183,9 +180,8 @@ func (c *Clock) PeakSinceMark() int64 {
 	return p
 }
 
-// BytesSent and BytesReceived report cumulative communication volume.
-func (c *Clock) BytesSent() int64     { return c.sent }
-func (c *Clock) BytesReceived() int64 { return c.received }
+// BytesSent reports cumulative communication volume sent.
+func (c *Clock) BytesSent() int64 { return c.sent }
 
 // StartSection begins attributing elapsed virtual time to a named pipeline
 // component (sections may nest; each level accumulates independently).
@@ -230,15 +226,6 @@ func (c *Clock) CreditSection(name string, d float64) {
 // should keep crediting the parent with the total, as the wave driver does
 // for SectionAlign.
 func SubSectionName(section, sub string) string { return section + ":" + sub }
-
-// Sections returns a copy of the per-component virtual-time ledger.
-func (c *Clock) Sections() map[string]float64 {
-	out := make(map[string]float64, len(c.sections))
-	for k, v := range c.sections {
-		out[k] = v
-	}
-	return out
-}
 
 // message is one point-to-point payload annotated with the virtual time at
 // which it becomes available to the receiver.

@@ -13,6 +13,21 @@ func (c *Comm) TryRecv(src, tag int) ([]byte, error) {
 	return c.recvE(src, tag)
 }
 
+// PeakBytes returns the rank's live-bytes high-water mark.
+func (c *Clock) PeakBytes() int64 { return c.peak }
+
+// BytesReceived reports cumulative communication volume received.
+func (c *Clock) BytesReceived() int64 { return c.received }
+
+// Sections returns a copy of the per-component virtual-time ledger.
+func (c *Clock) Sections() map[string]float64 {
+	out := make(map[string]float64, len(c.sections))
+	for k, v := range c.sections {
+		out[k] = v
+	}
+	return out
+}
+
 func TestSendRecv(t *testing.T) {
 	cl := NewCluster(2, DefaultCostModel())
 	err := cl.Run(func(c *Comm) error {

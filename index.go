@@ -45,13 +45,8 @@ func BuildIndexWithModel(records []Record, nodes int, cfg Config, dir string, mo
 	if err := CheckNodes(nodes); err != nil {
 		return nil, err
 	}
-	data := fasta.Bytes(records, 0)
 	stats, sum, err := mpi.RunLocal(context.TODO(), nodes, model, cfg.Faults, func(c *mpi.Comm) (*Stats, error) {
-		owned, err := fasta.Partition(data, c.Rank(), nodes)
-		if err != nil {
-			return nil, err
-		}
-		return core.BuildIndex(c, owned, cfg, dir)
+		return core.BuildIndex(c, fasta.Partition(records, c.Rank(), nodes), cfg, dir)
 	})
 	if err != nil {
 		return nil, err
@@ -225,8 +220,9 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 
 	out := &QueryBatch{}
 	keys := make([]string, len(queries))
-	missOf := make(map[string]int) // cleaned sequence -> index into missRecs
+	fresh := make(map[string][]Hit) // a miss's cleaned sequence -> its hits (hitless ones too)
 	var missRecs []Record
+	var missKeys []string // missKeys[i] is missRecs[i]'s cleaned sequence
 	for i, rec := range queries {
 		keys[i] = string(alphabet.Clean(rec.Seq))
 		if e.CacheCap > 0 {
@@ -235,20 +231,19 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 				continue
 			}
 		}
-		if _, dup := missOf[keys[i]]; dup {
+		if _, dup := fresh[keys[i]]; dup {
 			out.CacheHits++ // answered by this batch's own run, no extra work
 			continue
 		}
-		missOf[keys[i]] = len(missRecs)
+		fresh[keys[i]] = nil
 		missRecs = append(missRecs, rec)
+		missKeys = append(missKeys, keys[i])
 	}
 	out.CacheMisses = len(missRecs)
 
 	// Run the pipeline over the misses only; a fully-cached batch skips the
 	// cluster entirely.
-	fresh := make(map[string][]Hit, len(missRecs))
 	if len(missRecs) > 0 {
-		data := fasta.Bytes(missRecs, 0)
 		// A cold batch loads every rank's state into its own slot of rds; the
 		// engine keeps it only if the whole batch succeeds, so a failed cold
 		// batch leaves nothing half-built and the next one starts cold again.
@@ -264,11 +259,7 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 				coldBytes = rd.Bytes
 				rds[c.Rank()] = rd // each rank fills only its own slot
 			}
-			owned, err := fasta.Partition(data, c.Rank(), e.nodes)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Query(c, rd, owned, cfg, coldBytes)
+			res, err := core.Query(c, rd, fasta.Partition(missRecs, c.Rank(), e.nodes), cfg, coldBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -282,11 +273,8 @@ func (e *QueryEngine) Query(queries []Record, cfg Config) (*QueryBatch, error) {
 		}
 		e.warm = rds
 		out.Stats, out.Time = qr.Stats, sum.Time
-		for _, rec := range missRecs {
-			fresh[string(alphabet.Clean(rec.Seq))] = nil // record even hitless queries
-		}
 		for _, ed := range qr.Edges {
-			key := string(alphabet.Clean(missRecs[ed.R].Seq))
+			key := missKeys[ed.R]
 			tgt := int(ed.C)
 			fresh[key] = append(fresh[key], Hit{
 				Target: tgt, TargetID: e.names[tgt],

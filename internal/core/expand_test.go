@@ -88,7 +88,7 @@ func TestExpandASIsTheProduct(t *testing.T) {
 					}
 					defer r.close()
 					n := len(recs)
-					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
 					if err != nil {
 						return err
 					}
@@ -275,7 +275,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					}
 					defer r.close()
 					n := len(recs)
-					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
 					if err != nil {
 						return err
 					}

@@ -20,7 +20,7 @@ import (
 // column, then Aᵀ.
 func buildColumnCensusTwin(r *run, owned []fasta.Record) (*target, error) {
 	clock, cfg := r.clock, r.cfg
-	store, err := stageInput(r.grid, owned, cfg)
+	store, err := stageInput(r.grid, owned, true, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func (r *run) close() { r.clock.SetThreads(1) }
 
 // Run executes the PASTIS pipeline on this rank's share of the input.
 // owned must be the rank's consecutive run of records from the byte-balanced
-// FASTA partition (fasta.ParseChunk provides exactly that). Collective: all
+// FASTA partition (fasta.Partition cuts exactly that). Collective: all
 // ranks of comm must call Run with the same Config.
 //
 // All-vs-all is the many-against-many sweep with the query panel equal to
@@ -113,17 +113,14 @@ func Run(comm *mpi.Comm, owned []fasta.Record, cfg Config) (*Result, error) {
 	return sweep(r, ops, t.store, ops.f, ckpt, t.stats)
 }
 
-// AllVsAll is the all-vs-all rank body, shared by pastis.RunRank (and so by
-// BuildGraph and the tcp worker) and the experiments harness: parse this
-// rank's byte-balanced chunk of the FASTA file data, Run, and gather the
-// graph on rank 0 in (R, C) order. Off rank 0 the Result keeps its Stats and
-// EffectiveBlocks and carries no edges. Collective.
-func AllVsAll(comm *mpi.Comm, data []byte, cfg Config) (*Result, error) {
-	owned, err := fasta.Partition(data, comm.Rank(), comm.Size())
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(comm, owned, cfg)
+// AllVsAll is the all-vs-all rank body, shared by BuildGraph, pastis.RunRank
+// (the tcp worker) and the experiments harness: cut this rank's
+// byte-balanced share of the whole input recs (fasta.Partition), Run, and
+// gather the graph on rank 0 in (R, C) order. Off rank 0 the Result keeps
+// its Stats and EffectiveBlocks and carries no edges. Every rank reads recs
+// and none writes it, so in process the ranks share one slice. Collective.
+func AllVsAll(comm *mpi.Comm, recs []fasta.Record, cfg Config) (*Result, error) {
+	res, err := Run(comm, fasta.Partition(recs, comm.Rank(), comm.Size()), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 		}
 	}
 	// The batch's own sequences: the row side of its global space 0..nq.
-	qstore, err := batchInput(grid, queries, cfg)
+	qstore, err := stageInput(grid, queries, false, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // Config.MaxKmerFrequency is set, then Aᵀ.
 func buildExactTwin(r *run, owned []fasta.Record) (*target, error) {
 	clock, cfg := r.clock, r.cfg
-	store, err := stageInput(r.grid, owned, cfg)
+	store, err := stageInput(r.grid, owned, true, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
 
-	"repro/internal/alphabet"
 	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/kmer"
@@ -37,7 +35,7 @@ type target struct {
 // stages (paper Section V-C).
 func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	clock, cfg := r.clock, r.cfg
-	store, err := stageInput(r.grid, owned, cfg)
+	store, err := stageInput(r.grid, owned, true, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,48 +132,25 @@ func transposeAS(clock *mpi.Clock, as *dmat.Mat[PosDist]) (ast *dmat.Mat[PosDist
 	return ast, err
 }
 
-// stageInput reads this rank's FASTA share and launches the overlapped
-// sequence exchange (paper Section V-C). With BlockingExchange the exchange
+// stageInput encodes this rank's records — its share of a database or of a
+// query batch — and launches the overlapped sequence exchange (paper
+// Section V-C): the row side always, the column side only for a database
+// (cols), since a batch is the row side of a rectangular sweep and the
+// database supplies its columns. With BlockingExchange the exchange
 // completes here; otherwise the wave driver waits right before the first
 // panel's alignment launches, keeping the transfer hidden under matrix
 // formation and the first wave's SUMMA stages.
-func stageInput(g *dmat.Grid, owned []fasta.Record, cfg Config) (*seqstore.Store, error) {
-	clock := g.Comm.Clock()
-	var store *seqstore.Store
-	var err error
-	clock.StartSection(SectionFasta)
-	clock.IOBytes(fasta.TotalSeqBytes(owned))
-	store, err = seqstore.Exchange(g, owned)
-	clock.EndSection()
+func stageInput(g *dmat.Grid, recs []fasta.Record, cols bool, cfg Config) (*seqstore.Store, error) {
+	owned, err := seqstore.Encode(recs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BlockingExchange {
-		clock.Section(SectionWait, func() { err = store.Wait() })
-	}
-	return store, err
-}
-
-// batchInput is stageInput for a query batch: the same parse charge, and a
-// fetch of the batch's row side only — the one side of the batch a
-// rectangular sweep reads (the database supplies the columns).
-func batchInput(g *dmat.Grid, queries []fasta.Record, cfg Config) (*seqstore.Store, error) {
-	owned := make([]seqstore.Sequence, len(queries))
-	for i, rec := range queries {
-		codes, err := alphabet.EncodeSeq(alphabet.Clean(rec.Seq))
-		if err != nil {
-			return nil, fmt.Errorf("core: query %s: %w", rec.ID, err)
-		}
-		owned[i] = seqstore.Sequence{Name: rec.ID, Codes: codes}
-	}
 	clock := g.Comm.Clock()
-	var store *seqstore.Store
-	var err error
 	clock.StartSection(SectionFasta)
-	n := fasta.TotalSeqBytes(queries)
+	n := fasta.TotalSeqBytes(recs)
 	clock.IOBytes(n)
 	clock.Ops(float64(n) * 2)
-	store, err = seqstore.FromOwned(g, owned, true, false)
+	store, err := seqstore.FromOwned(g, owned, true, cols)
 	clock.EndSection()
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func TestFormAMatchesMapDedup(t *testing.T) {
 					}
 					defer r.close()
 					n := len(recs)
-					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+					store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
 					if err != nil {
 						return err
 					}
@@ -156,7 +156,7 @@ func TestExactFormationBytes(t *testing.T) {
 		}
 		defer r.close()
 		n := len(recs)
-		store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], cfg)
+		store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
 		if err == nil {
 			err = store.Wait()
 		}

@@ -70,9 +70,8 @@ func scalingModel() mpi.CostModel {
 // runPastisModel is runPastis with explicit virtual-time constants: the
 // shared all-vs-all rank body (core.AllVsAll) on the one launcher.
 func runPastisModel(recs []fasta.Record, nodes int, cfg core.Config, model mpi.CostModel) (*core.Result, mpi.Summary, error) {
-	data := fasta.Bytes(recs, 0)
 	return mpi.RunLocal(context.Background(), nodes, model, nil, func(c *mpi.Comm) (*core.Result, error) {
-		return core.AllVsAll(c, data, cfg)
+		return core.AllVsAll(c, recs, cfg)
 	})
 }
 

@@ -3,7 +3,8 @@
 // into byte-balanced chunks, each reader skips the partial record at the
 // start of its chunk and reads past its end to finish the last record it
 // owns. Balancing bytes rather than sequence counts is what balances parse
-// time across processes.
+// time across processes. Partition makes the same cut over records already
+// in memory, from their sizes alone.
 package fasta
 
 import (
@@ -53,9 +54,6 @@ func Parse(r io.Reader) ([]Record, error) {
 		}
 	}
 }
-
-// ParseBytes parses an in-memory FASTA file.
-func ParseBytes(data []byte) ([]Record, error) { return Parse(bytes.NewReader(data)) }
 
 func splitHeader(h []byte) (id, desc string) {
 	s := string(bytes.TrimSpace(h))
@@ -192,16 +190,36 @@ func ParseChunk(data []byte, begin, end int64) ([]Record, error) {
 			stop = end - 1 + int64(j) + 1
 		}
 	}
-	return ParseBytes(data[start:stop])
+	return Parse(bytes.NewReader(data[start:stop]))
 }
 
-// Partition parses the records rank owns of the p byte-balanced chunks of
-// the in-memory FASTA file data: ParseChunk of the one chunk SplitBytes
-// gives that rank. It is the input stage of every entry point's rank body,
-// so all of them cut a file the same way.
-func Partition(data []byte, rank, p int) ([]Record, error) {
-	chunk := chunkOf(int64(len(data)), rank, p)
-	return ParseChunk(data, chunk.Begin, chunk.End)
+// Partition returns the records rank owns of the p byte-balanced chunks of
+// the single-line FASTA rendering of recs: those whose '>' byte lies in the
+// chunk SplitBytes gives that rank, as ParseChunk would read them from
+// Bytes(recs, 0). The offsets come from the records' sizes; nothing is
+// rendered, and the result is a subslice of recs, shared with the caller
+// and read-only. A record is handed over as given, so one a FASTA round
+// trip would alter (an ID holding whitespace, a newline inside Seq) reaches
+// the rank unaltered. It is the input stage of every entry point's rank
+// body, so all of them cut the input the same way.
+func Partition(recs []Record, rank, p int) []Record {
+	var total int64
+	for _, rec := range recs {
+		total += int64(recordSize(rec, 0))
+	}
+	chunk := chunkOf(total, rank, p)
+	lo := len(recs)
+	var at int64 // the offset of recs[i]'s '>'
+	for i, rec := range recs {
+		if at >= chunk.Begin {
+			lo = min(lo, i)
+		}
+		if at >= chunk.End {
+			return recs[lo:i:i]
+		}
+		at += int64(recordSize(rec, 0))
+	}
+	return recs[lo:]
 }
 
 // TotalSeqBytes sums sequence lengths, the quantity the byte-balanced

@@ -20,6 +20,9 @@ ILKMFPSTW
 YV
 `
 
+// ParseBytes parses an in-memory FASTA file.
+func ParseBytes(data []byte) ([]Record, error) { return Parse(bytes.NewReader(data)) }
+
 func TestParseBasic(t *testing.T) {
 	recs, err := ParseBytes([]byte(sample))
 	if err != nil {
@@ -192,34 +195,92 @@ func randomRecords(rng *rand.Rand, n int) []Record {
 
 // The union of per-chunk parses must equal the sequential parse, in order,
 // with no duplicates or gaps — the paper's guarantee that chunked parallel
-// reading partitions the sequence set.
+// reading partitions the sequence set. At width 0 each chunk's parse is,
+// record for record, what Partition cuts from the records without
+// rendering them, as a subslice of the caller's records.
 func TestChunkedParsePartitions(t *testing.T) {
+	type input struct {
+		name  string
+		recs  []Record
+		width int
+		p     int
+	}
 	rng := rand.New(rand.NewSource(3))
+	var inputs []input
 	for trial := 0; trial < 25; trial++ {
-		recs := randomRecords(rng, 1+rng.Intn(60))
-		width := []int{0, 11, 60}[rng.Intn(3)]
-		data := Bytes(recs, width)
-		p := 1 + rng.Intn(12)
-
+		inputs = append(inputs, input{
+			name:  fmt.Sprintf("trial %d", trial),
+			recs:  randomRecords(rng, 1+rng.Intn(60)),
+			width: []int{0, 11, 60}[rng.Intn(3)],
+			p:     1 + rng.Intn(12),
+		})
+	}
+	described := randomRecords(rng, 30)
+	for i := range described {
+		if i%3 != 0 {
+			described[i].Desc = fmt.Sprintf("family %d", i%4)
+		}
+		if i%5 == 0 {
+			described[i].Seq = nil
+		}
+	}
+	// Four records of 7 bytes each (">sN\nMK\n"): every chunk boundary
+	// of p = 2 and 4 falls on a '>'.
+	even := []Record{{ID: "s0", Seq: []byte("MK")}, {ID: "s1", Seq: []byte("VL")},
+		{ID: "s2", Seq: []byte("AW")}, {ID: "s3", Seq: []byte("RN")}}
+	for _, p := range []int{1, 2, 3, 4, 5, 9, 40} {
+		for _, width := range []int{0, 11} {
+			inputs = append(inputs,
+				input{"zero records", nil, width, p},
+				input{"empty sequences", []Record{{ID: "a"}, {ID: "b", Desc: "x"}, {ID: "c", Seq: []byte("M")}}, width, p},
+				input{"descriptions", described, width, p},
+				input{"boundaries on headers", even, width, p},
+				input{"p above the record count", randomRecords(rng, (p+1)/2), width, p})
+		}
+	}
+	for _, in := range inputs {
+		data := Bytes(in.recs, in.width)
 		var merged []Record
-		for _, c := range SplitBytes(int64(len(data)), p) {
+		for _, c := range SplitBytes(int64(len(data)), in.p) {
 			part, err := ParseChunk(data, c.Begin, c.End)
 			if err != nil {
-				t.Fatalf("trial %d chunk %d: %v", trial, c.Rank, err)
+				t.Fatalf("%s chunk %d: %v", in.name, c.Rank, err)
 			}
 			merged = append(merged, part...)
+			if in.width != 0 {
+				continue
+			}
+			cut := Partition(in.recs, c.Rank, in.p)
+			if len(cut) != len(part) {
+				t.Fatalf("%s (p=%d) rank %d: Partition cut %d records, the chunk parses %d",
+					in.name, in.p, c.Rank, len(cut), len(part))
+			}
+			for i := range cut {
+				if !sameRecord(cut[i], part[i]) {
+					t.Fatalf("%s (p=%d) rank %d record %d: Partition %+v, the chunk parses %+v",
+						in.name, in.p, c.Rank, i, cut[i], part[i])
+				}
+			}
+			if len(cut) > 0 {
+				if &cut[0] != &in.recs[len(merged)-len(cut)] || cap(cut) != len(cut) {
+					t.Fatalf("%s (p=%d) rank %d: Partition copied the records or left them appendable", in.name, in.p, c.Rank)
+				}
+			}
 		}
-		if len(merged) != len(recs) {
-			t.Fatalf("trial %d (p=%d, width=%d): merged %d records, want %d",
-				trial, p, width, len(merged), len(recs))
+		if len(merged) != len(in.recs) {
+			t.Fatalf("%s (p=%d, width=%d): merged %d records, want %d",
+				in.name, in.p, in.width, len(merged), len(in.recs))
 		}
-		for i := range recs {
-			if merged[i].ID != recs[i].ID || !bytes.Equal(merged[i].Seq, recs[i].Seq) {
-				t.Fatalf("trial %d: record %d mismatch: %s vs %s",
-					trial, i, merged[i].ID, recs[i].ID)
+		for i := range in.recs {
+			if !sameRecord(merged[i], in.recs[i]) {
+				t.Fatalf("%s: record %d mismatch: %+v vs %+v", in.name, i, merged[i], in.recs[i])
 			}
 		}
 	}
+}
+
+func sameRecord(a, b Record) bool {
+	return a.ID == b.ID && a.Desc == b.Desc && bytes.Equal(a.Seq, b.Seq)
 }
 
 // Property: chunked parsing never loses or duplicates records for any p.

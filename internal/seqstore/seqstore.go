@@ -82,6 +82,17 @@ func (o ownership) rangeOf(rank int) (lo, hi spmat.Index) {
 // It returns immediately; call Wait before reading row/col sequences.
 // Collective over the grid.
 func Exchange(g *dmat.Grid, recs []fasta.Record) (*Store, error) {
+	owned, err := Encode(recs)
+	if err != nil {
+		return nil, err
+	}
+	g.Comm.Clock().Ops(float64(fasta.TotalSeqBytes(recs)) * 2)
+	return FromOwned(g, owned, true, true)
+}
+
+// Encode cleans and encodes records into an owned partition for FromOwned;
+// the sequences' global indices are FromOwned's to assign.
+func Encode(recs []fasta.Record) ([]Sequence, error) {
 	owned := make([]Sequence, len(recs))
 	for i, rec := range recs {
 		codes, err := alphabet.EncodeSeq(alphabet.Clean(rec.Seq))
@@ -90,8 +101,7 @@ func Exchange(g *dmat.Grid, recs []fasta.Record) (*Store, error) {
 		}
 		owned[i] = Sequence{Name: rec.ID, Codes: codes}
 	}
-	g.Comm.Clock().Ops(float64(fasta.TotalSeqBytes(recs)) * 2)
-	return FromOwned(g, owned, true, true)
+	return owned, nil
 }
 
 // FromOwned builds a store from an already-encoded owned partition and

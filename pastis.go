@@ -206,9 +206,8 @@ func BuildGraphContext(ctx context.Context, records []Record, nodes int, cfg Con
 	if err := CheckNodes(nodes); err != nil {
 		return nil, err
 	}
-	data := fasta.Bytes(records, 0)
 	res, sum, err := mpi.RunLocal(ctx, nodes, model, cfg.Faults, func(c *mpi.Comm) (*core.Result, error) {
-		return core.AllVsAll(c, data, cfg)
+		return core.AllVsAll(c, records, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -228,7 +227,7 @@ func RunRank(c *mpi.Comm, records []Record, cfg Config) (*Result, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("pastis: empty input")
 	}
-	res, err := core.AllVsAll(c, fasta.Bytes(records, 0), cfg)
+	res, err := core.AllVsAll(c, records, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,9 @@ import (
 var benchmarkOnly = map[string]string{
 	"dmat.SpGEMM":         "benchmark/layers.go probes the distributed product; the sweep multiplies with dmat.SpGEMMPanel",
 	"fasta.SplitBytes":    "benchmark/layers.go probes the input split; the run driver cuts with fasta.Partition",
+	"fasta.Bytes":         "benchmark/layers.go renders the records its parse probe reads; ranks are handed records",
+	"fasta.ParseChunk":    "benchmark/layers.go times the chunked parse; fasta.Partition cuts records without one",
+	"seqstore.Exchange":   "benchmark/layers.go times the exchange; core encodes with seqstore.Encode and launches with FromOwned",
 	"parallel.For":        "benchmark/layers.go times the worker loop; production runs parallel.ForChunks",
 	"mpi.RunTCPLocal":     "benchmark/workload.go and layers.go run tcp in one process; the mpi, dmat and core tests do too",
 	"mpi.Comm.TryBarrier": "benchmark/layers.go times the barrier collective",

@@ -96,7 +96,7 @@ func TestExpandASIsTheProduct(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					a, err := formA(r.grid, store, cfg, r.kmerSpace, &stats)
+					a, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}
@@ -283,7 +283,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					a, err := formA(r.grid, store, cfg, r.kmerSpace, &stats)
+					a, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}

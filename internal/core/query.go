@@ -76,7 +76,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 
 	// --- form Q: |batch| × |k-mer space|, exactly formA over the batch ---
 	clock.StartSection(SectionFormA)
-	q, err := formA(grid, qstore, cfg, r.kmerSpace, &stats)
+	q, _, err := formA(grid, qstore, cfg, r.kmerSpace, false, &stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err

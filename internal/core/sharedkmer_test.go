@@ -26,7 +26,7 @@ func buildExactTwin(r *run, owned []fasta.Record) (*target, error) {
 	t.stats.NumSeqs = int64(store.Total)
 
 	clock.StartSection(SectionFormA)
-	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats)
+	t.a, _, err = formA(r.grid, store, cfg, r.kmerSpace, false, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err

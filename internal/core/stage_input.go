@@ -42,24 +42,17 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	t := &target{store: store}
 	t.stats.NumSeqs = int64(store.Total)
 
-	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions ---
-	// An exact all-vs-all sweep forms it with the k-mers two sequences
-	// share, pruned before the shuffle by the owner census; an index and a
-	// substitute run keep every k-mer: a query's k-mer or another sequence's
-	// substitute can land on one only one sequence holds.
+	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions;
+	// an exact all-vs-all sweep's holds only the k-mers two sequences share ---
 	exact := cfg.SubstituteKmers == 0 && !forIndex
-	var nnz, banned int64
+	var banned int64
 	clock.StartSection(SectionFormA)
-	if exact {
-		t.a, nnz, banned, err = formSharedA(r.grid, store, cfg, r.kmerSpace, &t.stats)
-	} else if t.a, err = formA(r.grid, store, cfg, r.kmerSpace, &t.stats); err == nil {
-		nnz = int64(t.a.Local.NNZ())
-	}
+	t.a, banned, err = formA(r.grid, store, cfg, r.kmerSpace, exact, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
 	}
-	if t.stats.NNZA, err = r.comm.TryAllreduceInt64("sum", nnz); err != nil {
+	if t.stats.NNZA, err = r.comm.TryAllreduceInt64("sum", t.stats.NNZA); err != nil {
 		return nil, err
 	}
 
@@ -162,58 +155,39 @@ func stageInput(g *dmat.Grid, recs []fasta.Record, cols bool, cfg Config) (*seqs
 }
 
 // formA extracts k-mers from the owned sequences and assembles the
-// distributed |seqs|×|k-mer space| position matrix (paper Section IV-A)
-// with every k-mer: the A of an index, a query batch and a substitute run.
-func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
-	stats *Stats) (*dmat.Mat[int32], error) {
+// distributed |seqs|×|k-mer space| position matrix (paper Section IV-A).
+// shared forms an exact all-vs-all sweep's A, which keeps only the k-mers
+// two or more sequences share and, with Config.MaxKmerFrequency set, at most
+// that many: B = A·Aᵀ pairs two sequences through a k-mer both hold and a
+// sweep keeps no self pair, so under the Fig. 11 row bound B, its Flops and
+// the graph are the whole A's while A, Aᵀ, the broadcasts and the product's
+// column index shrink. The builder's owner census (lo = 2) counts each
+// k-mer's sequences before the entries move. Otherwise A keeps every k-mer:
+// an index's, a query batch's or a substitute run's k-mer held once can meet
+// a query's k-mer or a substitute. It returns A and the nonzeros of the
+// banned k-mers this rank counted as their census owner.
+func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index, shared bool,
+	stats *Stats) (*dmat.Mat[int32], int64, error) {
 
-	var ts []spmat.Triple[int32]
+	var lo, hi int64
+	if shared {
+		lo, hi = 2, int64(cfg.MaxKmerFrequency)
+	}
 	if narrowKmers(kmerSpace) {
-		ts = dmat.Triples(extractKmers[uint32](g, store, cfg, stats))
-	} else {
-		ts = dmat.Triples(extractKmers[uint64](g, store, cfg, stats))
+		return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint32](g, store, cfg, stats),
+			dmat.Int32Codec, nil, lo, hi)
 	}
-	return dmat.NewFromTriples(g, store.Total, kmerSpace, ts, dmat.Int32Codec, nil)
-}
-
-// formSharedA is formA for an exact all-vs-all sweep, which keeps only the
-// k-mers two or more sequences share and, with Config.MaxKmerFrequency set,
-// at most that many. B = A·Aᵀ pairs two sequences through a k-mer both
-// hold, and a sweep keeps no self pair: with the Fig. 11 row bound a column
-// of A holding one nonzero never reaches a multiply, so B, its Flops and the
-// graph are those of the whole A while A, Aᵀ, every wave's broadcasts and
-// the local product's column index shrink. The owner census
-// (dmat.NewShared) counts each k-mer's sequences before the shuffle, so
-// only the kept k-mers become triples and are shuffled, sorted and
-// assembled. It returns A, this rank's extracted nonzeros (A's before the
-// prune; the k-mers are distinct (sequence, k-mer) pairs) and the nonzeros
-// of the frequency-banned k-mers this rank counted as their census owner.
-func formSharedA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index,
-	stats *Stats) (a *dmat.Mat[int32], nnz, banned int64, err error) {
-
-	if narrowKmers(kmerSpace) {
-		return sharedA(g, store, kmerSpace, extractKmers[uint32](g, store, cfg, stats), cfg.MaxKmerFrequency)
-	}
-	return sharedA(g, store, kmerSpace, extractKmers[uint64](g, store, cfg, stats), cfg.MaxKmerFrequency)
-}
-
-// sharedA is formSharedA over the extracted chunks, which it consumes.
-func sharedA[K dmat.ID](g *dmat.Grid, store *seqstore.Store, kmerSpace spmat.Index, chunks []dmat.Chunk[K, int32],
-	maxFreq int) (a *dmat.Mat[int32], nnz, banned int64, err error) {
-
-	for _, ch := range chunks {
-		nnz += int64(len(ch.Cols))
-	}
-	a, banned, err = dmat.NewShared(g, store.Total, kmerSpace, chunks, dmat.Int32Codec, 2, int64(maxFreq))
-	return a, nnz, banned, err
+	return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint64](g, store, cfg, stats),
+		dmat.Int32Codec, nil, lo, hi)
 }
 
 // narrowKmers reports whether every k-mer id of the space fits 4 bytes
-// (k <= 6 over the 24-letter alphabet), the width the census sends.
+// (k <= 6 over the 24-letter alphabet), the width a build sends.
 func narrowKmers(kmerSpace spmat.Index) bool { return kmerSpace <= 1<<32 }
 
 // extractKmers returns the owned sequences' (sequence, k-mer, first
-// position) entries as per-chunk columns, in sequence order: each chunk's
+// position) entries as per-chunk columns, in sequence order, counted into
+// stats.NNZA (the k-mers extracted into stats.KmersTotal): each chunk's
 // k-mer ids (K, 4 or 8 bytes) and int32 positions, its rows the owned
 // sequences it covers, one run each.
 //
@@ -265,14 +239,15 @@ func extractKmers[K dmat.ID](g *dmat.Grid, store *seqstore.Store, cfg Config, st
 		}
 		chunks[chunk] = out
 	})
-	for _, k := range kmers {
+	for c, k := range kmers {
 		stats.KmersTotal += k
+		stats.NNZA += int64(len(chunks[c].Cols))
 	}
 	clock.ParOps(float64(stats.KmersTotal) * opsPerKmer)
 	return chunks
 }
 
-// seenSet is formA's per-worker first-occurrence filter: an open-addressing
+// seenSet is extractKmers' per-worker first-occurrence filter: an open-addressing
 // set of k-mer ids with spmat.hashScratch's generation tags, so a new
 // sequence empties it in O(1). It grows monotonically to the longest
 // sequence; on uint32 wraparound the tags are cleared.
@@ -331,7 +306,7 @@ type columnKmers struct {
 // (dmat.ColumnCounts); maxFreq <= 0 bans nothing. It serves the callers that
 // need the grid column's list itself — a substitute run's presence test and
 // an index's banned list — where an exact all-vs-all run asks the owner
-// census of formSharedA instead. Collective over the grid.
+// census of formA's build instead. Collective over the grid.
 func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
 	cols, counts, err := a.ColumnCounts()
 	if err != nil || maxFreq <= 0 {
@@ -367,12 +342,11 @@ func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
 // nearest substitutes — what subkmer.Finder returns — so S is applied as an
 // operator, never assembled: every local nonzero (sequence, k-mer, position)
 // expands through its k-mer's list (one search per column of the block) into
-// the products SpGEMM(A, S) would form, and NewFromTriples routes them to
-// their owners and merges them with the closest-k-mer rule, which is
+// the products SpGEMM(A, S) would form, and dmat.NewFromChunks routes them
+// to their owners and merges them with the closest-k-mer rule, which is
 // order-free: AS is bitwise the product at any rank count
 // (TestExpandASIsTheProduct multiplies it out). The searches are Fig. 15's
-// "form S", the shuffle and assembly its "AS"; the triple list is on the
-// live-bytes ledger while it exists, as the product's stage transients were.
+// "form S", the routing and assembly its "AS".
 func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
 	return expand(r, a, nil)
 }
@@ -384,7 +358,7 @@ func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
 // dropping it leaves B, its Flops and the graph as they were. The k-mer id
 // puts position 0 in its highest digit, so a nearest substitute mostly
 // stays in its root's column block: the search drops such a substitute when
-// it is absent, before any triple is formed, and the owner drops what
+// it is absent, before any entry is formed, and the owner drops what
 // crossed into its grid column unchecked once AS is assembled — so AS is the
 // same matrix at every rank count (TestExpandASPrunedIsTheProduct). The
 // presence set is on the ledger while the expansion holds it.
@@ -402,17 +376,17 @@ func expandPresent(r *run, a *dmat.Mat[int32], present []spmat.Index) (*dmat.Mat
 
 // expand is the one expansion under expandAS and expandPresent; a nil set
 // keeps every substitute. The searches run first, into one list of the
-// substitutes kept per local column, so the triple buffer is sized to what
-// survives them.
+// substitutes kept per local column, so the chunk of AS's entries is sized
+// to what survives them.
 func expand(r *run, a *dmat.Mat[int32], set *kmerSet) (*dmat.Mat[PosDist], error) {
 	finder, err := subkmer.NewFinder(r.cfg.K, scoring.NewExpense(scoring.BLOSUM62), r.cfg.SubstituteKmers)
 	if err != nil {
 		return nil, err
 	}
-	b, rowOff, colOff := a.Local, a.RowOffset(), a.ColOffset()
+	b, colOff := a.Local, a.ColOffset()
 	_, colEnd := dmat.BlockRange(a.Cols, r.grid.Q, r.grid.MyCol)
 	var nbrs []subkmer.Neighbor
-	ends := make([]int, len(b.JC)) // column j's substitutes are nbrs[ends[j-1]:ends[j]]
+	ends := make([]int, len(b.JC)+1) // column j's substitutes are nbrs[ends[j]:ends[j+1]]
 	generated, size := 0, 0
 	for j, col := range b.JC {
 		start := len(nbrs)
@@ -427,31 +401,55 @@ func expand(r *run, a *dmat.Mat[int32], set *kmerSet) (*dmat.Mat[PosDist], error
 			}
 			nbrs = kept
 		}
-		ends[j] = len(nbrs)
+		ends[j+1] = len(nbrs)
 		size += (b.CP[j+1] - b.CP[j]) * (1 + len(nbrs) - start)
 	}
 	r.clock.Section(SectionFormS, func() { r.clock.Ops(float64(len(b.JC)+generated) * opsPerSubNeighbor) })
 
-	triples := make([]spmat.Triple[PosDist], 0, size)
-	start := 0
-	for j, col := range b.JC {
-		c := colOff + col
-		for i := b.CP[j]; i < b.CP[j+1]; i++ {
-			row, pos := rowOff+b.IR[i], b.Vals[i]
-			triples = append(triples, spmat.Triple[PosDist]{Row: row, Col: c, Val: PosDist{Pos: pos}})
-			for _, nb := range nbrs[start:ends[j]] {
-				triples = append(triples, spmat.Triple[PosDist]{
-					Row: row, Col: spmat.Index(nb.ID), Val: PosDist{Pos: pos, Dist: int32(nb.Dist)},
-				})
+	if narrowKmers(r.kmerSpace) {
+		return buildAS[uint32](r, a, nbrs, ends, size)
+	}
+	return buildAS[uint64](r, a, nbrs, ends, size)
+}
+
+// buildAS lays the products of A's block out as one chunk of size AS
+// entries, row by row — each nonzero (sequence, k-mer, position), then its
+// k-mer's substitutes, nbrs[ends[j]:ends[j+1]] for column j — and builds AS
+// from it, one sequence's k-mers that share a substitute meeting closerKmer.
+// A counting sort of the nonzeros by row (8 bytes each) gives the chunk its
+// row runs. The chunk is on the live-bytes ledger while it exists.
+func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, ends []int, size int) (*dmat.Mat[PosDist], error) {
+	b, colOff := a.Local, a.ColOffset()
+	type nonzero struct{ col, pos int32 } // col: b's column slot
+	start := make([]int, b.NumRows+2)     // row i's nonzeros start at start[i+1] while they are placed
+	for _, i := range b.IR {
+		start[i+2]++
+	}
+	for i := range b.NumRows {
+		start[i+2] += start[i+1]
+	}
+	byRow := make([]nonzero, b.NNZ())
+	for j := range b.JC {
+		for k := b.CP[j]; k < b.CP[j+1]; k++ {
+			byRow[start[b.IR[k]+1]] = nonzero{int32(j), b.Vals[k]}
+			start[b.IR[k]+1]++
+		}
+	}
+	ch := dmat.Chunk[K, PosDist]{Row: a.RowOffset(), Ends: make([]int, b.NumRows),
+		Cols: make([]K, 0, size), Vals: make([]PosDist, 0, size)}
+	for i := range ch.Ends {
+		for _, nz := range byRow[start[i]:start[i+1]] {
+			ch.Cols, ch.Vals = append(ch.Cols, K(colOff+b.JC[nz.col])), append(ch.Vals, PosDist{Pos: nz.pos})
+			for _, nb := range nbrs[ends[nz.col]:ends[nz.col+1]] {
+				ch.Cols, ch.Vals = append(ch.Cols, K(nb.ID)), append(ch.Vals, PosDist{Pos: nz.pos, Dist: int32(nb.Dist)})
 			}
 		}
-		start = ends[j]
+		ch.Ends[i] = len(ch.Cols)
 	}
-
-	buffered := int64(len(triples)) * int64(unsafe.Sizeof(spmat.Triple[PosDist]{}))
+	buffered := int64(len(ch.Cols))*int64(unsafe.Sizeof(K(0))+unsafe.Sizeof(PosDist{})) + 8*int64(len(ch.Ends))
 	r.clock.AllocBytes(buffered)
 	r.clock.StartSection(SectionAS)
-	as, err := dmat.NewFromTriples(r.grid, a.Rows, r.kmerSpace, triples, PosDistCodec, closerKmer)
+	as, _, err := dmat.NewFromChunks(r.grid, a.Rows, r.kmerSpace, []dmat.Chunk[K, PosDist]{ch}, PosDistCodec, closerKmer, 0, 0)
 	r.clock.EndSection()
 	r.clock.FreeBytes(buffered)
 	return as, err

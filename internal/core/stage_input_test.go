@@ -61,7 +61,7 @@ func TestFormAMatchesMapDedup(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					got, err := formA(r.grid, store, cfg, r.kmerSpace, &stats)
+					got, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}
@@ -125,18 +125,20 @@ func TestSeenSetWraparound(t *testing.T) {
 	}
 }
 
-// exactFormationBytes bounds what TestExactFormationBytes measures: 84.8
-// bytes per extracted k-mer, plus 25%. It lies below the 108.0 the
-// formation allocated while it extracted 24-byte triples and sent 8-byte
-// census ids, so a return to that form fails.
-const exactFormationBytes = 106
-
-// TestExactFormationBytes pins the bytes formSharedA — extraction, the owner
-// census, and the shuffle and assembly of the kept k-mers — allocates per
-// extracted k-mer, summed over the 4 ranks of one in-process run on the codec
-// transport (what a tcp rank runs) over a fixed Metaclust-like input. Rank 0
-// reads runtime.MemStats.TotalAlloc between barriers that hold every rank
-// outside the formation.
+// TestExactFormationBytes pins the bytes a formation allocates, summed over
+// the 4 ranks of one in-process run on the codec transport (what a tcp rank
+// runs) over a fixed Metaclust-like input. Rank 0 reads
+// runtime.MemStats.TotalAlloc between barriers that hold every rank outside
+// the measured stage. Each bound is the figure measured when it was set
+// plus 25 %.
+//
+//   - exact: formA with the owner census — extraction, the census, and the
+//     routing and assembly of the kept k-mers' columns — per extracted
+//     k-mer: 71.8. It was 84.8 while the kept k-mers crossed the grid as
+//     24-byte triples, and 108.0 while extraction made triples too.
+//   - substitute: formA keeping every k-mer, per extracted k-mer (114.6; 159.8
+//     while it crossed one world all-to-all as triples), then expandAS, per
+//     AS nonzero (195.3; 207.8 while it emitted and routed triples).
 func TestExactFormationBytes(t *testing.T) {
 	lab, err := synth.Generate(synth.DefaultMetaclustLike(600, 3))
 	if err != nil {
@@ -144,51 +146,86 @@ func TestExactFormationBytes(t *testing.T) {
 	}
 	recs := lab.Records
 	const p = 4
-	cfg := DefaultConfig()
-	cfg.Transport = "codec"
-	var before, after runtime.MemStats
-	var kmers atomic.Int64
-	cl := mpi.NewCluster(p, mpi.DefaultCostModel())
-	err = cl.Run(func(c *mpi.Comm) error {
-		r, err := openRun(c, cfg)
-		if err != nil {
-			return err
-		}
-		defer r.close()
-		n := len(recs)
-		store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
-		if err == nil {
-			err = store.Wait()
-		}
-		if err != nil {
-			return err
-		}
-		var stats Stats
-		read := func(m *runtime.MemStats) error {
-			if err := c.TryBarrier(); err != nil {
-				return err
+	for _, row := range []struct {
+		name           string
+		subs           int
+		perKmer, perAS float64
+	}{
+		{"exact", 0, exactFormationBytes, 0},
+		{"substitute", 10, substituteFormationBytes, substituteExpansionBytes},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Transport, cfg.SubstituteKmers = "codec", row.subs
+			var before, formed, expanded runtime.MemStats
+			var kmers, nnzAS atomic.Int64
+			cl := mpi.NewCluster(p, mpi.DefaultCostModel())
+			err := cl.Run(func(c *mpi.Comm) error {
+				r, err := openRun(c, cfg)
+				if err != nil {
+					return err
+				}
+				defer r.close()
+				n := len(recs)
+				store, err := stageInput(r.grid, recs[n*c.Rank()/p:n*(c.Rank()+1)/p], true, cfg)
+				if err == nil {
+					err = store.Wait()
+				}
+				if err != nil {
+					return err
+				}
+				var stats Stats
+				read := func(m *runtime.MemStats) error {
+					if err := c.TryBarrier(); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						runtime.ReadMemStats(m)
+					}
+					return c.TryBarrier()
+				}
+				if err := read(&before); err != nil {
+					return err
+				}
+				a, _, err := formA(r.grid, store, cfg, r.kmerSpace, row.subs == 0, &stats)
+				if err != nil {
+					return err
+				}
+				kmers.Add(stats.NNZA)
+				if err := read(&formed); err != nil || row.subs == 0 {
+					return err
+				}
+				as, err := expandAS(r, a)
+				if err != nil {
+					return err
+				}
+				nnzAS.Add(int64(as.Local.NNZ()))
+				return read(&expanded)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(m)
+			perKmer := float64(formed.TotalAlloc-before.TotalAlloc) / float64(kmers.Load())
+			t.Logf("%d extracted k-mers, %.1f bytes allocated per k-mer", kmers.Load(), perKmer)
+			if perKmer > row.perKmer {
+				t.Errorf("formA allocated %.1f bytes per extracted k-mer, bound %.0f", perKmer, row.perKmer)
 			}
-			return c.TryBarrier()
-		}
-		if err := read(&before); err != nil {
-			return err
-		}
-		_, nnz, _, err := formSharedA(r.grid, store, cfg, r.kmerSpace, &stats)
-		if err != nil {
-			return err
-		}
-		kmers.Add(nnz)
-		return read(&after)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perKmer := float64(after.TotalAlloc-before.TotalAlloc) / float64(kmers.Load())
-	t.Logf("%d extracted k-mers, %.1f bytes allocated per k-mer", kmers.Load(), perKmer)
-	if perKmer > exactFormationBytes {
-		t.Errorf("the exact formation allocated %.1f bytes per extracted k-mer, bound %d", perKmer, exactFormationBytes)
+			if row.subs == 0 {
+				return
+			}
+			perAS := float64(expanded.TotalAlloc-formed.TotalAlloc) / float64(nnzAS.Load())
+			t.Logf("%d AS nonzeros, %.1f bytes allocated per nonzero", nnzAS.Load(), perAS)
+			if perAS > row.perAS {
+				t.Errorf("expandAS allocated %.1f bytes per AS nonzero, bound %.0f", perAS, row.perAS)
+			}
+		})
 	}
 }
+
+// The bounds of TestExactFormationBytes, in bytes per extracted k-mer or per
+// AS nonzero.
+const (
+	exactFormationBytes      = 90
+	substituteFormationBytes = 143
+	substituteExpansionBytes = 244
+)

@@ -177,8 +177,10 @@ func (w *wave) drain() error {
 	if err := w.collect(); err != nil {
 		return err
 	}
-	if exposed := w.laneT - w.clock.Now(); exposed > 0 {
-		w.clock.Section(SectionWait, func() { w.clock.Advance(exposed) })
+	// The clock moves to the lane's end itself: now + (laneT − now) rounds
+	// once the lane runs past twice now.
+	if w.laneT > w.clock.Now() {
+		w.clock.Section(SectionWait, func() { w.clock.Reach(w.laneT) })
 	}
 	return checkBudget(w.grid.Comm, w.cfg.MemBudget)
 }

@@ -13,14 +13,15 @@ import (
 // probe when the id arrives and one read when its answer bit is written.
 const censusOps = 4
 
-// ID is a census id: a column index as wide as its column space needs.
+// ID is an index as a build holds and sends it: a column id or a row, as
+// wide as its space needs.
 type ID interface{ uint32 | uint64 }
 
 // Chunk is one list of a rank's share of a matrix not yet built, held as
 // columns rather than triples: entry i is (row, Cols[i], Vals[i]), and the
 // rows come in runs — row Row+s holds the entries from Ends[s-1] (0 for
 // s = 0) up to Ends[s]. At 4-byte ids and values an entry takes 8 bytes
-// against a Triple's 24.
+// against a triple's 24.
 type Chunk[K ID, T any] struct {
 	Row  spmat.Index
 	Ends []int
@@ -55,27 +56,6 @@ func (c Chunk[K, T]) check(rows, cols spmat.Index) error {
 	return nil
 }
 
-// Triples lays chunks out as one list of triples, in chunk order: the A of
-// a build that keeps every k-mer.
-func Triples[K ID, T any](chunks []Chunk[K, T]) []spmat.Triple[T] {
-	n := 0
-	for _, ch := range chunks {
-		n += len(ch.Cols)
-	}
-	out := make([]spmat.Triple[T], 0, n)
-	for _, ch := range chunks {
-		start := 0
-		for s, end := range ch.Ends {
-			row := ch.Row + spmat.Index(s)
-			for i := start; i < end; i++ {
-				out = append(out, spmat.Triple[T]{Row: row, Col: spmat.Index(ch.Cols[i]), Val: ch.Vals[i]})
-			}
-			start = end
-		}
-	}
-	return out
-}
-
 // censusHash places column id: its owner, the world rank that counts it —
 // the high word of id's Fibonacci hash scaled to p — and the rest of that
 // product, the hash bits the choice of owner left uniform, which place id in
@@ -95,56 +75,34 @@ func censusOwner(id uint64, p int) int {
 	return o
 }
 
-// keepShared is NewShared's owner census of the columns of a matrix not yet
-// built: of the entries in chunks (this rank's share, any order), it returns
-// as triples in one list, in chunk order, those whose column is held by at
-// least lo and at most hi entries across the whole grid (hi <= 0: no upper
-// limit), and the entries this rank counted, as a census owner, in columns
-// over hi.
-//
-// Each column has one owner (censusOwner), which holds 1/p of the column
-// space. An id travels to it through the grid — along the grid row to the
-// owner's grid column, then along that column to the owner's row — so each
-// of the four exchanges is an all-to-all of q ranks, not of p: a world
-// all-to-all is charged p−1 latencies, which at 1024 ranks is most of a
-// matrix's formation. The owner counts what it received with a hash table
-// and answers one bit per id, in the order received; the relay hands each
-// sender its bits back the same way. Each id's route is hashed once: the
-// sender keeps every entry's grid column and the relay every id's grid
-// row, 2 bytes each (q < 2¹⁶), to read the answers back by. Ids cross the
-// wire in 4 bytes where the column space fits 32 bits, else 8; answers cost
-// one bit per id and hop. Collective over the grid.
-func keepShared[K ID, T any](g *Grid, cols spmat.Index, chunks []Chunk[K, T], lo, hi int64) ([]spmat.Triple[T], int64, error) {
+// census is NewFromChunks' owner census: for this rank's entries' column
+// ids it returns, in list order, the grid column of each id's owner, or drop
+// where the column does not hold at least lo and at most hi entries across
+// the grid (hi <= 0: no upper limit), and the entries this rank counted, as
+// owner, in columns over hi. An id reaches its owner (censusOwner, 1/p of the
+// column space) along the grid row and then the grid column, so each of the
+// four exchanges is among q ranks; the owner counts with a hash table and
+// answers one bit per id in arrival order, handed back the same way. Sender
+// and relay keep each id's hop as 2 bytes (q < 2¹⁶) to read the answers by.
+// Ids cross in censusWidth bytes, answers in one bit per id and hop.
+func census[K ID](g *Grid, cols spmat.Index, ids [][]K, lo, hi int64) ([]uint16, int64, error) {
+	if lo <= 1 && hi <= 0 {
+		return make([]uint16, total(ids)), 0, nil // nothing can drop: no census
+	}
 	clock := g.Comm.Clock()
 	p, q := g.Comm.Size(), g.Q
 	width := censusWidth(cols)
 
 	// Hop 1: each id to its owner's grid column.
-	n := 0
-	for _, ch := range chunks {
-		n += len(ch.Cols)
-	}
-	route := make([]uint16, 0, n)
-	sizes := make([]int, q)
-	for _, ch := range chunks {
-		for _, id := range ch.Cols {
-			c := censusOwner(uint64(id), p) % q
-			route = append(route, uint16(c))
-			sizes[c]++
+	route := make([]uint16, 0, total(ids))
+	for _, l := range ids {
+		for _, id := range l {
+			route = append(route, uint16(censusOwner(uint64(id), p)%q))
 		}
 	}
-	sent := make([][]K, q)
-	for c, k := range sizes {
-		sent[c] = make([]K, 0, k)
-	}
-	i := 0
-	for _, ch := range chunks {
-		for _, id := range ch.Cols {
-			sent[route[i]] = append(sent[route[i]], id)
-			i++
-		}
-	}
-	clock.Ops(float64(n) * VisitOps)
+	sent := bucket(ids, route, q)
+	asked := lens(sent)
+	clock.Ops(float64(len(route)) * VisitOps)
 	relayed, err := exchangeIDs(g, g.RowComm, sent, width)
 	if err != nil {
 		return nil, 0, err
@@ -166,51 +124,24 @@ func keepShared[K ID, T any](g *Grid, cols spmat.Index, chunks []Chunk[K, T], lo
 	if err != nil {
 		return nil, 0, err
 	}
-	back, err := exchangeBits(g, g.ColComm, answers)
+	back, err := exchangeBits(g, g.ColComm, answers, lens(fwd))
 	if err != nil {
 		return nil, 0, err
 	}
-	for r, b := range back {
-		if err := checkBits(b, len(fwd[r]), g.RankOf(r, g.MyCol)); err != nil {
-			return nil, 0, err
-		}
-	}
-	mine, err := exchangeBits(g, g.RowComm, relayBits(heard, rows, back, g))
+	mine, err := exchangeBits(g, g.RowComm, relayBits(heard, rows, back, g), asked)
 	if err != nil {
 		return nil, 0, err
 	}
-	kept := 0
-	for c, b := range mine {
-		if err := checkBits(b, sizes[c], g.RankOf(g.MyRow, c)); err != nil {
-			return nil, 0, err
-		}
-		for _, x := range b {
-			kept += bits.OnesCount8(x)
-		}
-	}
-
-	// The drop: the bits come back in the order the ids were sent, and only
-	// the kept entries become triples.
-	out := make([]spmat.Triple[T], 0, kept)
+	// The drop: the bits come back in the order the ids were sent.
 	next := make([]int, q)
-	i = 0
-	for _, ch := range chunks {
-		start := 0
-		for s, end := range ch.Ends {
-			row := ch.Row + spmat.Index(s)
-			for j := start; j < end; j++ {
-				c := route[i]
-				if k := next[c]; mine[c][k>>3]>>(k&7)&1 != 0 {
-					out = append(out, spmat.Triple[T]{Row: row, Col: spmat.Index(ch.Cols[j]), Val: ch.Vals[j]})
-				}
-				next[c]++
-				i++
-			}
-			start = end
+	for i, c := range route {
+		if k := next[c]; mine[c][k>>3]>>(k&7)&1 == 0 {
+			route[i] = drop
 		}
+		next[c]++
 	}
-	clock.Ops(float64(n) * VisitOps)
-	return out, over, nil
+	clock.Ops(float64(len(route)) * VisitOps)
+	return route, over, nil
 }
 
 // censusWidth is the wire width of an id of a cols-wide space.
@@ -221,15 +152,6 @@ func censusWidth(cols spmat.Index) int {
 	return 8
 }
 
-// lens returns the length of each part.
-func lens[K ID](parts [][]K) []int {
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		out[i] = len(p)
-	}
-	return out
-}
-
 // exchangeIDs is one census hop: parts[j] goes to rank j of comm.
 func exchangeIDs[K ID](g *Grid, comm *mpi.Comm, parts [][]K, width int) ([][]K, error) {
 	return alltoall(g, comm, parts,
@@ -238,12 +160,20 @@ func exchangeIDs[K ID](g *Grid, comm *mpi.Comm, parts [][]K, width int) ([][]K, 
 		func(buf []byte) ([]K, error) { return decodeIDs[K](buf, width) })
 }
 
-// exchangeBits is one answer hop: parts[j], a bitmap, goes to rank j of comm.
-func exchangeBits(g *Grid, comm *mpi.Comm, parts [][]byte) ([][]byte, error) {
-	return alltoall(g, comm, parts,
+// exchangeBits is one answer hop: parts[j], a bitmap, goes to rank j of
+// comm, and the answer from rank j must hold one bit for each of asked[j]
+// ids.
+func exchangeBits(g *Grid, comm *mpi.Comm, parts [][]byte, asked []int) ([][]byte, error) {
+	got, err := alltoall(g, comm, parts,
 		func(b []byte) int64 { return int64(len(b)) },
 		func(b []byte) []byte { return b },
 		func(buf []byte) ([]byte, error) { return buf, nil })
+	for j := range got {
+		if err == nil {
+			err = checkBits(got[j], asked[j], g.worldRank(comm, j))
+		}
+	}
+	return got, err
 }
 
 // appendIDs appends ids, each in width little-endian bytes.
@@ -261,10 +191,9 @@ func appendIDs[K ID](dst []byte, ids []K, width int) []byte {
 }
 
 // decodeIDs is appendIDs' inverse; a part that is not whole ids is refused.
-// Whether each id belongs where it arrived is its receiver's check.
 func decodeIDs[K ID](buf []byte, width int) ([]K, error) {
 	if len(buf)%width != 0 {
-		return nil, fmt.Errorf("census part of %d bytes is not whole %d-byte ids", len(buf), width)
+		return nil, fmt.Errorf("part of %d bytes is not whole %d-byte ids", len(buf), width)
 	}
 	ids := make([]K, len(buf)/width)
 	if width == 4 {
@@ -279,45 +208,67 @@ func decodeIDs[K ID](buf []byte, width int) ([]K, error) {
 	return ids, nil
 }
 
-// forwardIDs buckets the ids a relay received — each must be owned in its
-// grid column — by their owner's grid row, in arrival order: senders in
-// rank order, each sender's ids in the order sent. It returns the buckets
-// and that grid row of every id received, in arrival order.
+// forwardIDs buckets the ids a relay received, each owned in its grid
+// column, by their owner's grid row in arrival order, and returns that row
+// of every id too.
 func forwardIDs[K ID](relayed [][]K, g *Grid, cols spmat.Index) ([][]K, []uint16, error) {
 	p, q := g.Comm.Size(), g.Q
-	n := 0
-	for _, ids := range relayed {
-		n += len(ids)
-	}
-	sizes := make([]int, q)
-	rows := make([]uint16, 0, n)
+	rows := make([]uint16, 0, total(relayed))
 	for src, ids := range relayed {
 		for _, id := range ids {
-			o := -1
-			if uint64(id) < uint64(cols) {
-				o = censusOwner(uint64(id), p)
-			}
-			if o < 0 || o%q != g.MyCol {
+			o := censusOwner(uint64(id), p)
+			if uint64(id) >= uint64(cols) || o%q != g.MyCol {
 				return nil, nil, fmt.Errorf("dmat: census ids from rank %d: id %d is not counted in grid column %d",
 					g.RankOf(g.MyRow, src), uint64(id), g.MyCol)
 			}
 			rows = append(rows, uint16(o/q))
-			sizes[o/q]++
 		}
 	}
-	fwd := make([][]K, q)
-	for r, k := range sizes {
-		fwd[r] = make([]K, 0, k)
+	g.Comm.Clock().Ops(float64(len(rows)) * VisitOps)
+	return bucket(relayed, rows, q), rows, nil
+}
+
+// lens returns the length of each list.
+func lens[X any](lists [][]X) []int {
+	out := make([]int, len(lists))
+	for i, l := range lists {
+		out[i] = len(l)
+	}
+	return out
+}
+
+// total is the number of items in lists.
+func total[X any](lists [][]X) int {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return n
+}
+
+// bucket lays the items of lists, read in order, out as q parts by dest
+// (drop: none), each part sized once.
+func bucket[X any](lists [][]X, dest []uint16, q int) [][]X {
+	sizes := make([]int, q)
+	for _, d := range dest {
+		if d != drop {
+			sizes[d]++
+		}
+	}
+	out := make([][]X, q)
+	for j, k := range sizes {
+		out[j] = make([]X, 0, k)
 	}
 	i := 0
-	for _, ids := range relayed {
-		for _, id := range ids {
-			fwd[rows[i]] = append(fwd[rows[i]], id)
+	for _, l := range lists {
+		for _, x := range l {
+			if d := dest[i]; d != drop {
+				out[d] = append(out[d], x)
+			}
 			i++
 		}
 	}
-	g.Comm.Clock().Ops(float64(n) * VisitOps)
-	return fwd, rows, nil
+	return out
 }
 
 // tally is the owner's count: got[r] holds the ids grid row r relayed, each
@@ -326,16 +277,13 @@ func forwardIDs[K ID](relayed [][]K, g *Grid, cols spmat.Index) ([][]K, []uint16
 // the sum of the counts over hi. The table is sized to what arrived, not to
 // the owner's range of the column space (48 M ids at k = 6 and p = 4).
 func tally[K ID](got [][]K, g *Grid, cols spmat.Index, lo, hi int64) ([][]byte, int64, error) {
-	total := 0
-	for _, ids := range got {
-		total += len(ids)
-	}
-	table, slots, err := countIDs(got, g, cols, total)
+	n := total(got)
+	table, slots, err := countIDs(got, g, cols, n)
 	if err != nil {
 		return nil, 0, err
 	}
 	if hi <= 0 {
-		hi = int64(total)
+		hi = int64(n)
 	}
 	var over int64
 	for _, e := range table {
@@ -343,22 +291,11 @@ func tally[K ID](got [][]K, g *Grid, cols spmat.Index, lo, hi int64) ([][]byte, 
 			over += int64(e.count)
 		}
 	}
-	answers := make([][]byte, len(got))
-	k := 0
-	for r, ids := range got {
-		if len(ids) == 0 {
-			continue
-		}
-		b := make([]byte, (len(ids)+7)/8)
-		for i := range ids {
-			if n := int64(table[slots[k]].count); n >= lo && n <= hi {
-				b[i>>3] |= 1 << (i & 7)
-			}
-			k++
-		}
-		answers[r] = b
-	}
-	g.Comm.Clock().Ops(float64(total) * censusOps)
+	answers := answer(lens(got), func(k int) bool {
+		c := int64(table[slots[k]].count)
+		return c >= lo && c <= hi
+	})
+	g.Comm.Clock().Ops(float64(n) * censusOps)
 	return answers, over, nil
 }
 
@@ -371,16 +308,16 @@ type tallySlot[K ID] struct {
 
 // countIDs is tally's table: open addressing, at most two thirds full. It
 // returns the table and each arriving id's slot, in arrival order.
-func countIDs[K ID](got [][]K, g *Grid, cols spmat.Index, total int) ([]tallySlot[K], []int32, error) {
+func countIDs[K ID](got [][]K, g *Grid, cols spmat.Index, n int) ([]tallySlot[K], []int32, error) {
 	p, me := g.Comm.Size(), g.Comm.Rank()
 	size := 16
-	for size < total+total/2 {
+	for size < n+n/2 {
 		size <<= 1
 	}
 	shift := uint(64 - bits.TrailingZeros(uint(size)))
 	mask := uint64(size - 1)
 	table := make([]tallySlot[K], size)
-	slots := make([]int32, 0, total)
+	slots := make([]int32, 0, n)
 	for r, ids := range got {
 		for _, id := range ids {
 			o, h := censusHash(uint64(id), p)
@@ -400,30 +337,35 @@ func countIDs[K ID](got [][]K, g *Grid, cols spmat.Index, total int) ([]tallySlo
 	return table, slots, nil
 }
 
-// relayBits hands the owners' answers back to the relay's senders: sender
-// j, which relayed heard[j] ids here, gets bit i as the answer to its i-th,
-// read from the bitmap of the id's owner row (rows, in arrival order) in the
-// order forwardIDs bucketed it.
+// relayBits hands the owners' answers back to the relay's senders, reading
+// each id's from its owner row's bitmap (rows, in arrival order).
 func relayBits(heard []int, rows []uint16, back [][]byte, g *Grid) [][]byte {
 	next := make([]int, g.Q)
-	out := make([][]byte, len(heard))
+	g.Comm.Clock().Ops(float64(len(rows)) * VisitOps)
+	return answer(heard, func(k int) bool {
+		r := rows[k]
+		j := next[r]
+		next[r]++
+		return back[r][j>>3]>>(j&7)&1 != 0
+	})
+}
+
+// answer packs one bit per id of parts of counts[j] ids, in order: the
+// k-th id overall is answered keep(k).
+func answer(counts []int, keep func(k int) bool) [][]byte {
+	out := make([][]byte, len(counts))
 	k := 0
-	for src, n := range heard {
-		if n == 0 {
-			continue
+	for j, n := range counts {
+		if n > 0 {
+			out[j] = make([]byte, (n+7)/8)
 		}
-		b := make([]byte, (n+7)/8)
 		for i := range n {
-			r := rows[k]
-			if j := next[r]; back[r][j>>3]>>(j&7)&1 != 0 {
-				b[i>>3] |= 1 << (i & 7)
+			if keep(k) {
+				out[j][i>>3] |= 1 << (i & 7)
 			}
-			next[r]++
 			k++
 		}
-		out[src] = b
 	}
-	g.Comm.Clock().Ops(float64(k) * VisitOps)
 	return out
 }
 

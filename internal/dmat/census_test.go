@@ -3,6 +3,7 @@ package dmat
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -36,87 +37,108 @@ func censusTriples(rng *rand.Rand, rows, cols spmat.Index, ncols int) []spmat.Tr
 	return ts
 }
 
-// chunkOf lays the triples of one list out as a Chunk over rows [0, rows),
-// stably sorted by row.
-func chunkOf[K ID, T any](ts []spmat.Triple[T], rows spmat.Index) Chunk[K, T] {
-	ts = slices.Clone(ts)
-	slices.SortStableFunc(ts, func(a, b spmat.Triple[T]) int { return cmp.Compare(a.Row, b.Row) })
-	c := Chunk[K, T]{Ends: make([]int, rows)}
-	for _, t := range ts {
-		c.Cols = append(c.Cols, K(t.Col))
-		c.Vals = append(c.Vals, t.Val)
-		c.Ends[t.Row]++
-	}
-	for r := 1; r < len(c.Ends); r++ {
-		c.Ends[r] += c.Ends[r-1]
-	}
-	return c
-}
-
-// chunksOf is chunkOf over each list.
-func chunksOf[K ID, T any](lists [][]spmat.Triple[T], rows spmat.Index) []Chunk[K, T] {
-	out := make([]Chunk[K, T], len(lists))
-	for i, ts := range lists {
-		out[i] = chunkOf[K](ts, rows)
+// chunksOf lays each list out as chunks, stably sorted by row, one chunk
+// per row that holds entries, with ids as wide as K.
+func chunksOf[K ID, T any](lists [][]spmat.Triple[T]) []Chunk[K, T] {
+	var out []Chunk[K, T]
+	for _, ts := range lists {
+		ts = slices.Clone(ts)
+		slices.SortStableFunc(ts, func(a, b spmat.Triple[T]) int { return cmp.Compare(a.Row, b.Row) })
+		for i, t := range ts {
+			if i == 0 || t.Row != ts[i-1].Row {
+				out = append(out, Chunk[K, T]{Row: t.Row, Ends: []int{0}})
+			}
+			ch := &out[len(out)-1]
+			ch.Cols, ch.Vals = append(ch.Cols, K(t.Col)), append(ch.Vals, t.Val)
+			ch.Ends[0]++
+		}
 	}
 	return out
 }
 
-// newShared is NewShared over the triple lists laid out as chunks, with ids
-// as wide as the census sends them.
-func newShared[T any](g *Grid, rows, cols spmat.Index, lists [][]spmat.Triple[T], codec Codec[T],
-	lo, hi int64) (*Mat[T], int64, error) {
+// newFromLists is NewFromChunks over the triple lists laid out as chunks,
+// with ids as wide as a build sends them.
+func newFromLists[T any](g *Grid, rows, cols spmat.Index, lists [][]spmat.Triple[T], codec Codec[T],
+	add func(T, T) T, lo, hi int64) (*Mat[T], int64, error) {
 
 	if censusWidth(cols) == 4 {
-		return NewShared(g, rows, cols, chunksOf[uint32](lists, rows), codec, lo, hi)
+		return NewFromChunks(g, rows, cols, chunksOf[uint32](lists), codec, add, lo, hi)
 	}
-	return NewShared(g, rows, cols, chunksOf[uint64](lists, rows), codec, lo, hi)
+	return NewFromChunks(g, rows, cols, chunksOf[uint64](lists), codec, add, lo, hi)
 }
 
-// TestNewSharedIsTheCensusPrune holds NewShared to the matrix every triple
-// forms, with the columns whose grid-wide count lies outside [lo, hi]
-// dropped, and to the over-limit total counted serially: at every rank
-// count, on both block transports, with the triples split across ranks in
-// chunks, and in a column space wider than 32 bits (8-byte ids).
-func TestNewSharedIsTheCensusPrune(t *testing.T) {
+// referenceBlock is grid rank g's block of the matrix ts forms, built
+// serially: the triples in the block, in block-local indices, through
+// spmat.FromTriples.
+func referenceBlock[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T], add func(T, T) T) (*spmat.DCSC[T], error) {
+	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
+	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
+	var local []spmat.Triple[T]
+	for _, t := range ts {
+		if t.Row >= rLo && t.Row < rHi && t.Col >= cLo && t.Col < cHi {
+			local = append(local, spmat.Triple[T]{Row: t.Row - rLo, Col: t.Col - cLo, Val: t.Val})
+		}
+	}
+	return spmat.FromTriples(rHi-rLo, cHi-cLo, local, add)
+}
+
+// TestNewFromChunksIsTheCensusPrune holds NewFromChunks, block by block, to
+// spmat.FromTriples over the whole triple list with the columns whose
+// grid-wide count lies outside [lo, hi] dropped, and the over-limit total
+// to the one counted serially: at every rank count, on both block
+// transports, with the triples split across ranks in chunks, in a column
+// space wider than 32 bits (8-byte ids) and in a row space wider than 32
+// bits (8-byte rows). Without a census, duplicates fold with an order-free
+// add to the reference's values, and a duplicate with nil add is an error.
+func TestNewFromChunksIsTheCensusPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	const rows = 40
-	for _, cols := range []spmat.Index{1000, 1 << 40} {
-		ts := censusTriples(rng, rows, cols, 150)
+	for _, shape := range []struct{ rows, cols spmat.Index }{{40, 1000}, {40, 1 << 40}, {1 << 33, 1000}} {
+		ts := censusTriples(rng, shape.rows, shape.cols, 150)
 		count := map[spmat.Index]int64{}
 		for _, tr := range ts {
 			count[tr.Col]++
 		}
-		for _, lim := range []struct{ lo, hi int64 }{{2, 0}, {2, 3}, {1, 2}, {0, 0}} {
+		// Every third triple again, valued apart: duplicates a build with
+		// no census folds.
+		dups := slices.Clone(ts)
+		for i := 0; i < len(ts); i += 3 {
+			dups = append(dups, spmat.Triple[float64]{Row: ts[i].Row, Col: ts[i].Col, Val: float64(1000 + i)})
+		}
+		for _, c := range []struct {
+			lo, hi int64
+			ts     []spmat.Triple[float64]
+			add    func(x, y float64) float64
+		}{{2, 0, ts, nil}, {2, 3, ts, nil}, {1, 2, ts, nil}, {0, 0, ts, nil}, {0, 0, dups, math.Max}} {
 			var want []spmat.Triple[float64]
 			var over int64
-			for _, tr := range ts {
-				if n := count[tr.Col]; n >= lim.lo && (lim.hi <= 0 || n <= lim.hi) {
+			for _, tr := range c.ts {
+				if n := count[tr.Col]; n >= c.lo && (c.hi <= 0 || n <= c.hi) {
 					want = append(want, tr)
 				}
-				if lim.hi > 0 && count[tr.Col] > lim.hi {
+				if c.hi > 0 && count[tr.Col] > c.hi {
 					over++
 				}
 			}
 			for _, p := range []int{1, 4, 9, 16} {
 				for _, backend := range []Backend{BackendShared, BackendCodec} {
-					name := fmt.Sprintf("cols=%d lo=%d hi=%d p=%d backend=%d", cols, lim.lo, lim.hi, p, backend)
+					name := fmt.Sprintf("%dx%d lo=%d hi=%d dups=%v p=%d backend=%d",
+						shape.rows, shape.cols, c.lo, c.hi, len(c.ts) > len(ts), p, backend)
 					overs := make([]int64, p)
 					runGrid(t, p, func(g *Grid) error {
 						g.Backend = backend
-						mine := scatter(ts, g.Comm.Rank(), p)
-						chunks := [][]spmat.Triple[float64]{mine[:len(mine)/3], nil, mine[len(mine)/3:]}
-						got, o, err := newShared(g, rows, cols, chunks, Float64Codec, lim.lo, lim.hi)
+						mine := scatter(c.ts, g.Comm.Rank(), p)
+						lists := [][]spmat.Triple[float64]{mine[:len(mine)/3], nil, mine[len(mine)/3:]}
+						got, o, err := newFromLists(g, shape.rows, shape.cols, lists, Float64Codec, c.add, c.lo, c.hi)
 						if err != nil {
-							return err
+							return fmt.Errorf("%s: %w", name, err)
 						}
 						overs[g.Comm.Rank()] = o
-						ref, err := NewFromTriples(g, rows, cols, scatter(want, g.Comm.Rank(), p), Float64Codec, nil)
+						ref, err := referenceBlock(g, shape.rows, shape.cols, want, c.add)
 						if err != nil {
 							return err
 						}
-						if !reflect.DeepEqual(got.Local, ref.Local) {
-							return fmt.Errorf("%s: rank %d block differs from the pruned reference", name, g.Comm.Rank())
+						if !reflect.DeepEqual(got.Local, ref) {
+							return fmt.Errorf("%s: rank %d block differs from the reference", name, g.Comm.Rank())
 						}
 						return nil
 					})
@@ -127,15 +149,33 @@ func TestNewSharedIsTheCensusPrune(t *testing.T) {
 					if sum != over {
 						t.Errorf("%s: owners counted %d over the limit, want %d", name, sum, over)
 					}
+					if len(c.ts) == len(ts) {
+						continue
+					}
+					// The duplicates again, with nil add: refused by the
+					// rank whose block holds one.
+					err := mpi.NewCluster(p, mpi.DefaultCostModel()).Run(func(comm *mpi.Comm) error {
+						g, err := NewGrid(comm)
+						if err != nil {
+							return err
+						}
+						g.Backend = backend
+						_, _, err = newFromLists(g, shape.rows, shape.cols,
+							[][]spmat.Triple[float64]{scatter(c.ts, comm.Rank(), p)}, Float64Codec, nil, 0, 0)
+						return err
+					})
+					if err == nil || !strings.Contains(err.Error(), "duplicate entry") {
+						t.Errorf("%s: duplicates with nil add: %v", name, err)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestChunkCheck: NewShared refuses a chunk whose runs do not cover its
+// TestChunkCheck: NewFromChunks refuses a chunk whose runs do not cover its
 // entries in order, whose rows or columns leave the matrix, or whose ids
-// are too narrow for the column space, before any census traffic.
+// are too narrow for the column space, before any traffic.
 func TestChunkCheck(t *testing.T) {
 	const rows, cols = 10, 1000
 	good := Chunk[uint32, int32]{Row: 7, Ends: []int{1, 1, 3}, Cols: []uint32{5, 6, 999}, Vals: []int32{0, 1, 2}}
@@ -160,10 +200,10 @@ func TestChunkCheck(t *testing.T) {
 		}
 	}
 	runGrid(t, 1, func(g *Grid) error {
-		if _, _, err := NewShared(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, 2, 0); err == nil {
+		if _, _, err := NewFromChunks(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, nil, 2, 0); err == nil {
 			return fmt.Errorf("4-byte ids accepted for a 2^33-column space")
 		}
-		_, _, err := NewShared(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, 2, 0)
+		_, _, err := NewFromChunks(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, nil, 2, 0)
 		if err == nil {
 			return fmt.Errorf("a malformed chunk after a good one was accepted")
 		}
@@ -171,10 +211,11 @@ func TestChunkCheck(t *testing.T) {
 	})
 }
 
-// TestCensusWireHardening: every part of the census crosses the transport,
-// so a part that is truncated, is not whole ids, names an id its receiver
-// does not count or relay, or answers with the wrong number of bits is
-// refused with an error naming the sender — never a panic.
+// TestCensusWireHardening: every part of the census and of a build crosses
+// the transport, so a part that is truncated, is not whole ids, disagrees
+// with its own count, names an id or entry its receiver does not count,
+// relay or hold, or answers with the wrong number of bits is refused with
+// an error naming the sender — never a panic.
 func TestCensusWireHardening(t *testing.T) {
 	ids := func(width int, xs ...uint64) []byte {
 		var buf []byte
@@ -275,14 +316,89 @@ func TestCensusWireHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A build's entry parts cross the same way: a part torn inside its
+	// columns, or whose id, row and value sections disagree with its count
+	// and each other, is refused by its receiver; an entry a relay's grid
+	// column does not hold, or one outside the receiving block's rows, is
+	// refused after it crossed. Each error names the sender's world rank.
+	const rows = 10
+	good := wire.AppendU64(nil, 2)
+	good = append(good, ids(4, 5, 6)...)   // ids
+	good = append(good, ids(4, 1, 2)...)   // rows
+	good = append(good, ids(4, 70, 71)...) // values
+	short := wire.AppendU64(nil, 2)
+	short = append(short, ids(4, 5, 6)...)
+	short = append(short, ids(4, 1)...)      // one row for two ids
+	short = append(short, ids(4, 70, 71)...) // and the values
+	long := append(slices.Clone(good), ids(4, 3)...)
+	if got, err := decodeEntries[uint32, uint32](good, 4, 4, Int32Codec); err != nil ||
+		!reflect.DeepEqual(got, entries[uint32, uint32, int32]{[]uint32{5, 6}, []uint32{1, 2}, []int32{70, 71}}) {
+		t.Errorf("decode entries: %+v %v", got, err)
+	}
+	cl = mpi.NewCluster(4, mpi.DefaultCostModel())
+	err = cl.Run(func(c *mpi.Comm) error {
+		g, err := NewGrid(c)
+		if err != nil {
+			return err
+		}
+		g.Backend = BackendCodec
+		for name, buf := range map[string][]byte{"torn": good[:len(good)-3], "short rows": short, "long values": long} {
+			parts := make([]entries[uint32, uint32, int32], g.Q)
+			parts[1-g.MyCol] = entries[uint32, uint32, int32]{[]uint32{5}, []uint32{1}, []int32{70}}
+			_, err := alltoall(g, g.RowComm, parts,
+				func(e entries[uint32, uint32, int32]) int64 { return int64(len(buf)) },
+				func(entries[uint32, uint32, int32]) []byte { return buf },
+				func(b []byte) (entries[uint32, uint32, int32], error) {
+					return decodeEntries[uint32, uint32](b, 4, 4, Int32Codec)
+				})
+			if want := fmt.Sprintf("dmat: part from rank %d:", g.RankOf(g.MyRow, 1-g.MyCol)); err == nil ||
+				!strings.Contains(err.Error(), want) {
+				return fmt.Errorf("%s entry part: %v, want %q", name, err, want)
+			}
+		}
+
+		// Each rank sends the other rank of its grid row an entry of its own
+		// grid column, and the other rank of its grid column an entry of its
+		// own row block.
+		cLo, _ := BlockRange(cols, g.Q, g.MyCol)
+		rLo, _ := BlockRange(rows, g.Q, g.MyRow)
+		parts := make([]entries[uint32, uint32, int32], g.Q)
+		parts[1-g.MyCol] = entries[uint32, uint32, int32]{[]uint32{uint32(cLo)}, []uint32{0}, []int32{1}}
+		relayed, err := exchangeEntries(g, g.RowComm, parts, rows, cols, Int32Codec)
+		if err != nil {
+			return err
+		}
+		_, err = forwardEntries(relayed, g, rows, cols)
+		if want := fmt.Sprintf("from rank %d is not grid column %d's", g.RankOf(g.MyRow, 1-g.MyCol), g.MyCol); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			return fmt.Errorf("relay took a foreign entry: %v, want %q", err, want)
+		}
+		parts = make([]entries[uint32, uint32, int32], g.Q)
+		parts[1-g.MyRow] = entries[uint32, uint32, int32]{[]uint32{uint32(cLo)}, []uint32{uint32(rLo)}, []int32{1}}
+		got, err := exchangeEntries(g, g.ColComm, parts, rows, cols, Int32Codec)
+		if err != nil {
+			return err
+		}
+		_, err = assembleEntries(g, rows, cols, got, Int32Codec, nil)
+		if want := fmt.Sprintf("from rank %d is not block (%d,%d)'s", g.RankOf(1-g.MyRow, g.MyCol), g.MyRow, g.MyCol); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			return fmt.Errorf("owner took an entry outside its rows: %v, want %q", err, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
-// BenchmarkNewShared forms a matrix shaped like the benchmark generator's A
-// at 4 ranks (541 k triples, one in six in a column two or more rows hold)
-// through the owner census, on the in-process shared backend. Each rank's
-// share is one chunk in row order, as extraction writes it, so the rows
-// holding one column reach its owner apart, not side by side.
-func BenchmarkNewShared(b *testing.B) {
+// BenchmarkNewFromChunks forms a matrix shaped like the benchmark
+// generator's A at 4 ranks (541 k triples, one in six in a column two or
+// more rows hold) through the owner census, on the in-process shared
+// backend. Each rank's share is one chunk in row order, as extraction writes
+// it, so the rows holding one column reach its owner apart, not side by
+// side.
+func BenchmarkNewFromChunks(b *testing.B) {
 	const p, rows, cols = 4, 2000, 191102976 // 24^6 k-mer columns
 	rng := rand.New(rand.NewSource(6))
 	var ts []spmat.Triple[int32]
@@ -303,11 +419,11 @@ func BenchmarkNewShared(b *testing.B) {
 	}
 	shares := make([][]Chunk[uint32, int32], p)
 	for i := range p {
-		shares[i] = []Chunk[uint32, int32]{chunkOf[uint32](ts[len(ts)*i/p:len(ts)*(i+1)/p], rows)}
+		shares[i] = chunksOf[uint32]([][]spmat.Triple[int32]{ts[len(ts)*i/p : len(ts)*(i+1)/p]})
 	}
 	for b.Loop() {
 		runGrid(b, p, func(g *Grid) error {
-			_, _, err := NewShared(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, 2, 0)
+			_, _, err := NewFromChunks(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, nil, 2, 0)
 			return err
 		})
 	}

@@ -2,9 +2,9 @@
 // substrate: the CombBLAS layer of the paper. Matrices live on a √p×√p
 // process grid; SpGEMM uses the 2D Sparse SUMMA algorithm (Buluç & Gilbert
 // 2012) with semiring-generic local kernels from spmat; transpose is a
-// pairwise block exchange; construction shuffles triples to their owners
-// with a single all-to-all, or (NewShared) first counts each column's triples
-// at an owner and shuffles only the kept ones, along grid rows and columns.
+// pairwise block exchange; construction (NewFromChunks) moves entries as
+// columns along a grid row, then a grid column, after an owner census of
+// each column's entries where the build keeps only some columns.
 package dmat
 
 import (
@@ -196,176 +196,15 @@ const (
 	FlopOps  = 8
 )
 
-// NewFromTriples builds a distributed matrix from triples scattered across
-// ranks with arbitrary global indices: one Alltoallv routes each triple to
-// its owner block, which assembles its local DCSC. Duplicates accumulate
-// via add (a duplicate with nil add is an error). Collective: every grid
-// rank must call it.
-func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T],
-	codec Codec[T], add func(T, T) T) (*Mat[T], error) {
-
-	if err := codec.check(); err != nil {
-		return nil, err
-	}
-	owners := make([]int32, len(ts))
-	for i, t := range ts {
-		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
-			return nil, fmt.Errorf("dmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
-		}
-		owners[i] = int32(g.RankOf(BlockOf(t.Row, rows, g.Q), BlockOf(t.Col, cols, g.Q)))
-	}
-	parts, err := shuffle(g, g.Comm, [][]spmat.Triple[T]{ts}, owners, codec)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(g, rows, cols, parts, codec, add)
-}
-
-// NewShared builds the matrix of the entries in chunks (this rank's share,
-// distinct (row, column) pairs) whose column holds at least lo and at most
-// hi of them across the grid (hi <= 0: no upper limit), and returns it with
-// the entries this rank counted, as a census owner, in columns over hi. The
-// owner census (keepShared) drops the other entries where they were made,
-// so only the kept ones become triples and are shuffled and sorted; they
-// reach their owner block in two hops, along the grid row to its grid column
-// and then along that column, so that every exchange of the build is an
-// all-to-all of q ranks. K must hold every column index. Collective over
-// the grid.
-func NewShared[K ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
-	lo, hi int64) (*Mat[T], int64, error) {
-
-	if err := codec.check(); err != nil {
-		return nil, 0, err
-	}
-	if cols > 0 && uint64(cols-1) > uint64(^K(0)) {
-		return nil, 0, fmt.Errorf("dmat: %d-byte ids cannot name %d columns", unsafe.Sizeof(K(0)), cols)
-	}
-	for _, ch := range chunks {
-		if err := ch.check(rows, cols); err != nil {
-			return nil, 0, err
-		}
-	}
-	kept, over, err := keepShared(g, cols, chunks, lo, hi)
-	if err != nil {
-		return nil, 0, err
-	}
-	owners := make([]int32, len(kept))
-	for i, t := range kept {
-		owners[i] = int32(BlockOf(t.Col, cols, g.Q))
-	}
-	relayed, err := shuffle(g, g.RowComm, [][]spmat.Triple[T]{kept}, owners, codec)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A relay forwards what its grid column holds, each triple to its row
-	// block's rank; what it was sent is checked first, as it crossed the
-	// transport.
-	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
-	owners = owners[:0]
-	for src, part := range relayed {
-		for _, t := range part {
-			if t.Row < 0 || t.Row >= rows || t.Col < cLo || t.Col >= cHi {
-				return nil, 0, fmt.Errorf("dmat: triple (%d,%d) from rank %d is not grid column %d's",
-					t.Row, t.Col, g.RankOf(g.MyRow, src), g.MyCol)
-			}
-			owners = append(owners, int32(BlockOf(t.Row, rows, g.Q)))
-		}
-	}
-	parts, err := shuffle(g, g.ColComm, relayed, owners, codec)
-	if err != nil {
-		return nil, 0, err
-	}
-	m, err := assemble(g, rows, cols, parts, codec, nil)
-	return m, over, err
-}
-
-// shuffle routes the triples of the lists in ts, read in order, each to
-// rank owners[i] of comm, a communicator of g, and returns what every rank
-// sent here. The triples' wire form is 16 bytes of indices + codec.Width;
-// routing is charged BuildOps per triple.
-func shuffle[T any](g *Grid, comm *mpi.Comm, ts [][]spmat.Triple[T], owners []int32,
-	codec Codec[T]) ([][]spmat.Triple[T], error) {
-
-	counts := make([]int, comm.Size())
-	for _, o := range owners {
-		counts[o]++
-	}
-	g.Comm.Clock().Ops(float64(len(owners)) * BuildOps)
-
-	rec := 16 + codec.Width
-	buckets := make([][]spmat.Triple[T], len(counts))
-	for owner, k := range counts {
-		if k > 0 {
-			buckets[owner] = make([]spmat.Triple[T], 0, k)
-		}
-	}
-	i := 0
-	for _, l := range ts {
-		for _, t := range l {
-			buckets[owners[i]] = append(buckets[owners[i]], t)
-			i++
-		}
-	}
-	return alltoall(g, comm, buckets,
-		func(b []spmat.Triple[T]) int64 { return int64(len(b) * rec) },
-		func(b []spmat.Triple[T]) []byte {
-			buf := make([]byte, 0, len(b)*rec)
-			for _, t := range b {
-				buf = appendTriple(buf, t.Row, t.Col, t.Val, codec)
-			}
-			return buf
-		},
-		func(buf []byte) ([]spmat.Triple[T], error) { return decodeTriples(nil, buf, codec) })
-}
-
-// assemble builds this rank's block from the triples the shuffle brought
-// it, charged BuildOps per triple.
-func assemble[T any](g *Grid, rows, cols spmat.Index, parts [][]spmat.Triple[T], codec Codec[T],
-	add func(T, T) T) (*Mat[T], error) {
-
-	// Received buckets may alias their senders'; the block-local copy is
-	// this rank's to reorder.
-	m := &Mat[T]{Grid: g, Rows: rows, Cols: cols, codec: codec}
-	rowOff, colOff := m.RowOffset(), m.ColOffset()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	local := make([]spmat.Triple[T], 0, total)
-	for _, part := range parts {
-		for _, t := range part {
-			local = append(local, spmat.Triple[T]{Row: t.Row - rowOff, Col: t.Col - colOff, Val: t.Val})
-		}
-	}
-	clock := g.Comm.Clock()
-	clock.Ops(float64(len(local)) * BuildOps)
-	rLo, rHi := BlockRange(rows, g.Q, g.MyRow)
-	cLo, cHi := BlockRange(cols, g.Q, g.MyCol)
-	loc, err := spmat.FromTriples(rHi-rLo, cHi-cLo, local, add)
-	if err != nil {
-		return nil, err
-	}
-	m.Local = loc
-	clock.AllocBytes(m.LocalBytes())
-	return m, nil
-}
-
-// appendTriple appends one (row, col, value) record: two u64 indices and the
-// value under codec.
-func appendTriple[T any](dst []byte, row, col spmat.Index, v T, codec Codec[T]) []byte {
-	dst = wire.AppendU64(dst, uint64(row))
-	dst = wire.AppendU64(dst, uint64(col))
-	return codec.Append(dst, v)
-}
-
 // alltoall is dmat's one all-to-all: parts[j] goes to rank j of comm, a
 // communicator of the grid, and the result holds what every rank sent here
 // (the zero P where a rank sent nothing). A part that fails to decode is
-// named by its sender's world rank. On the shared backend parts move
-// by reference, charged size(p) wire bytes each; on the codec backend they
+// named by its sender's world rank. On the shared backend parts move by
+// reference, charged size(p) wire bytes each; on the codec backend they
 // travel as encode(p) — exactly size(p) bytes, so the two backends bill
-// alike — and come back through decode. A part of size 0 is absent, and a rank's part for itself is not
-// traffic: it is handed back as is on either backend.
+// alike — and come back through decode. A part of size 0 is absent, and a
+// rank's part for itself is not traffic: it is handed back as is on either
+// backend.
 func alltoall[P any](g *Grid, comm *mpi.Comm, parts []P, size func(P) int64,
 	encode func(P) []byte, decode func([]byte) (P, error)) ([]P, error) {
 
@@ -415,23 +254,6 @@ func (g *Grid) worldRank(comm *mpi.Comm, src int) int {
 	return src
 }
 
-// decodeTriples appends the appendTriple records of one part to dst. Every
-// record is bounds-checked; malformed input returns an error naming the
-// byte offset instead of panicking — these buffers cross the transport, so
-// a corrupted or truncated payload must surface as a retryable error.
-func decodeTriples[T any](dst []spmat.Triple[T], part []byte, codec Codec[T]) ([]spmat.Triple[T], error) {
-	dst = slices.Grow(dst, len(part)/(16+codec.Width))
-	r := wire.NewReader(part)
-	for r.More() {
-		row, col := spmat.Index(r.U64()), spmat.Index(r.U64())
-		if val := r.Take(uint64(codec.Width)); val != nil {
-			v, _ := codec.Decode(val)
-			dst = append(dst, spmat.Triple[T]{Row: row, Col: col, Val: v})
-		}
-	}
-	return dst, r.Err()
-}
-
 // TryNNZ returns the global nonzero count (collective); it fails with the
 // abort cause when the cluster aborts mid-reduce.
 func (m *Mat[T]) TryNNZ() (int64, error) {
@@ -439,22 +261,26 @@ func (m *Mat[T]) TryNNZ() (int64, error) {
 }
 
 // GatherTriples collects the full matrix as global-index triples on grid
-// rank 0 (nil elsewhere). Collective; for tests, output and small data.
+// rank 0 (nil elsewhere): each rank's block crosses as one entry part, ids
+// and rows at 8 bytes. Collective; for tests, output and small data.
 func (m *Mat[T]) GatherTriples() ([]spmat.Triple[T], error) {
 	ts := m.Local.ToTriples()
-	buf := make([]byte, 0, len(ts)*(16+m.codec.Width))
+	e := entries[uint64, uint64, T]{make([]uint64, len(ts)), make([]uint64, len(ts)), make([]T, len(ts))}
 	rowOff, colOff := m.RowOffset(), m.ColOffset()
-	for _, t := range ts {
-		buf = appendTriple(buf, t.Row+rowOff, t.Col+colOff, t.Val, m.codec)
+	for i, t := range ts {
+		e.ids[i], e.rows[i], e.vals[i] = uint64(t.Col+colOff), uint64(t.Row+rowOff), t.Val
 	}
-	parts, err := m.Grid.Comm.TryGatherv(0, buf)
+	parts, err := m.Grid.Comm.TryGatherv(0, appendEntries(nil, e, 8, 8, m.codec))
 	if err != nil || parts == nil {
 		return nil, err
 	}
 	var out []spmat.Triple[T]
 	for src, part := range parts {
-		if out, err = decodeTriples(out, part, m.codec); err != nil {
+		if e, err = decodeEntries[uint64, uint64](part, 8, 8, m.codec); err != nil {
 			return nil, fmt.Errorf("dmat: triples from rank %d: %w", src, err)
+		}
+		for i, id := range e.ids {
+			out = append(out, spmat.Triple[T]{Row: spmat.Index(e.rows[i]), Col: spmat.Index(id), Val: e.vals[i]})
 		}
 	}
 	return out, nil

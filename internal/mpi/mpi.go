@@ -94,9 +94,9 @@ func (c *Clock) Advance(d float64) {
 	}
 }
 
-// reach moves virtual time forward to t if it is not already past it: the
-// completion time of a collective or the arrival of a message.
-func (c *Clock) reach(t float64) {
+// Reach moves virtual time forward to t if it is not already past it: a
+// collective's completion, a message's arrival or an off-clock lane's end.
+func (c *Clock) Reach(t float64) {
 	if t > c.now {
 		c.now = t
 	}
@@ -543,7 +543,7 @@ func (c *Comm) recvE(src, tag int) ([]byte, error) {
 		}
 		return nil, err
 	}
-	c.clock.reach(msg.arrival)
+	c.clock.Reach(msg.arrival)
 	c.clock.received += int64(len(msg.data))
 	return msg.data, nil
 }
@@ -759,7 +759,7 @@ func (c *Comm) barrierE() error {
 	if err != nil {
 		return err
 	}
-	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*c.cluster.model.Alpha)
+	c.clock.Reach(maxOf(st.clocks) + log2Ceil(c.size)*c.cluster.model.Alpha)
 	return nil
 }
 
@@ -778,7 +778,7 @@ func (c *Comm) bcastE(root int, part any, size int64) (any, error) {
 	}
 	n := st.sizes[root][0]
 	m := c.cluster.model
-	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+float64(n)*m.Beta))
+	c.clock.Reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+float64(n)*m.Beta))
 	if c.rank != root {
 		c.clock.received += n
 	} else {
@@ -799,7 +799,7 @@ func (c *Comm) allgatherE(part any, size int64) ([]any, error) {
 		total += s[0]
 	}
 	m := c.cluster.model
-	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha + float64(total-size)*m.Beta)
+	c.clock.Reach(maxOf(st.clocks) + log2Ceil(c.size)*m.Alpha + float64(total-size)*m.Beta)
 	c.clock.sent += size * int64(c.size-1)
 	c.clock.received += total - size
 	return got, nil
@@ -827,7 +827,7 @@ func (c *Comm) alltoallvE(parts []any, sizes []int64) ([]any, error) {
 		}
 	}
 	m := c.cluster.model
-	c.clock.reach(maxOf(st.clocks) + float64(c.size-1)*m.Alpha + float64(sent+recv)*m.Beta)
+	c.clock.Reach(maxOf(st.clocks) + float64(c.size-1)*m.Alpha + float64(sent+recv)*m.Beta)
 	c.clock.sent += sent
 	c.clock.received += recv
 	c.clock.messages += int64(c.size - 1)
@@ -859,7 +859,7 @@ func (c *Comm) allreduceInt64E(op string, v int64) (int64, error) {
 		}
 	}
 	m := c.cluster.model
-	c.clock.reach(maxOf(st.clocks) + 2*log2Ceil(c.size)*(m.Alpha+8*m.Beta))
+	c.clock.Reach(maxOf(st.clocks) + 2*log2Ceil(c.size)*(m.Alpha+8*m.Beta))
 	return out, nil
 }
 
@@ -875,7 +875,7 @@ func (c *Comm) exscanInt64E(v int64) (int64, error) {
 		sum += st.extra[r]
 	}
 	m := c.cluster.model
-	c.clock.reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+8*m.Beta))
+	c.clock.Reach(maxOf(st.clocks) + log2Ceil(c.size)*(m.Alpha+8*m.Beta))
 	return sum, nil
 }
 
@@ -897,7 +897,7 @@ func (c *Comm) gathervE(root int, part any, size int64) ([]any, error) {
 	} else {
 		c.clock.sent += size
 	}
-	c.clock.reach(t)
+	c.clock.Reach(t)
 	if c.rank != root {
 		return nil, nil
 	}

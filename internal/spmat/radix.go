@@ -1,83 +1,119 @@
 package spmat
 
-import "math/bits"
-
-// This file holds the one sort behind matrix assembly: a stable LSD radix
-// sort of a triple list into column-major order. Stability is what makes
-// duplicates fold in input order, so order-sensitive adds (seed lists) give
-// the same value as the comparison sort this replaced.
+import (
+	"fmt"
+	"math/bits"
+)
 
 // insertionCutoff is the length up to which a stable insertion sort beats
-// clearing and scanning the radix counters: the few-row panels of a query
-// batch stay on this path.
+// clearing and scanning the radix counters: a query batch's few-row panels.
 const insertionCutoff = 96
 
 // radixBits is the widest digit; 2^11 counters stay L1-resident.
 const radixBits = 11
 
-// sortTriples stably orders ts by (Col, Row) and returns the slice holding
-// the result: ts itself or the one scratch buffer the passes alternate with.
-// rowVar and colVar have a bit set wherever the Row (Col) of two triples
-// differs; only those bits are sorted on, row digits first and column digits
-// after, so the passes are bounded by the indices present and no packed
-// (col, row) key is formed — it would overflow 64 bits at |Σ|^k × |Σ|^k. A
-// caller whose input is already ordered by Row among equal Cols passes
-// rowVar = 0.
-func sortTriples[T any](ts []Triple[T], rowVar, colVar uint64) []Triple[T] {
-	if len(ts) <= insertionCutoff {
-		for i := 1; i < len(ts); i++ {
-			t := ts[i]
+// Key is an index type entries are held in: Index, or a build's unsigned.
+type Key interface{ ~int64 | ~uint32 | ~uint64 }
+
+// FromColumns is the one assembly of a matrix from entries: a rows×cols DCSC
+// of entries held as columns, entry x being (lr[x], lc[x], val(x)), with
+// duplicates folded by add in entry order (with nil add, an error). A stable
+// LSD radix sort of the entry numbers on the varying row digits (none when
+// the rows come ordered), then column digits, needs no packed (col, row) key,
+// which would overflow 64 bits at |Σ|^k × |Σ|^k. The columns are only read.
+func FromColumns[C, R Key, T any](rows, cols Index, lc []C, lr []R, val func(x uint32) T,
+	add func(T, T) T) (*DCSC[T], error) {
+
+	if uint64(len(lc)) > 1<<32 {
+		return nil, fmt.Errorf("spmat: %d entries overflow the sort's 32-bit entry numbers", len(lc))
+	}
+	rowsSorted := true
+	for x := range lc {
+		if uint64(lr[x]) >= uint64(rows) || uint64(lc[x]) >= uint64(cols) {
+			return nil, fmt.Errorf("spmat: triple (%d,%d) outside %dx%d", int64(lr[x]), int64(lc[x]), rows, cols)
+		}
+		rowsSorted = rowsSorted && (x == 0 || lr[x] >= lr[x-1])
+	}
+	// The entry numbers, stably ordered by (lc[x], lr[x]).
+	n := len(lc)
+	buf := make([]uint32, n, 2*n)
+	perm := buf[:n]
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	if n <= insertionCutoff {
+		for i := 1; i < n; i++ {
+			x := perm[i]
 			j := i
-			for ; j > 0 && (ts[j-1].Col > t.Col || ts[j-1].Col == t.Col && ts[j-1].Row > t.Row); j-- {
-				ts[j] = ts[j-1]
+			for ; j > 0 && (lc[perm[j-1]] > lc[x] || lc[perm[j-1]] == lc[x] && lr[perm[j-1]] > lr[x]); j-- {
+				perm[j] = perm[j-1]
 			}
-			ts[j] = t
+			perm[j] = x
 		}
-		return ts
+	} else {
+		tmp, keys := buf[n:2*n], make([]uint64, 2*n)
+		if !rowsSorted {
+			perm, tmp = radix(perm, tmp, lr, keys)
+		}
+		perm, _ = radix(perm, tmp, lc, keys)
 	}
-	src, dst := ts, []Triple[T](nil)
-	for _, key := range [2]struct {
-		col     bool
-		varying uint64
-	}{{false, rowVar}, {true, colVar}} {
-		n := bits.Len64(key.varying)
-		if n == 0 {
-			continue
-		}
-		passes := (n + radixBits - 1) / radixBits
-		width := (n + passes - 1) / passes
-		for shift := 0; shift < n; shift += width {
-			mask := uint64(1)<<width - 1
-			if key.varying>>shift&mask == 0 {
-				continue
-			}
-			if dst == nil {
-				dst = make([]Triple[T], len(ts))
-			}
-			var count [1 << radixBits]int
-			for i := range src {
-				count[digit(&src[i], key.col, shift, mask)]++
-			}
-			sum := 0
-			for d, c := range count[:mask+1] {
-				count[d] = sum
-				sum += c
-			}
-			for i := range src {
-				d := digit(&src[i], key.col, shift, mask)
-				dst[count[d]] = src[i]
-				count[d]++
-			}
-			src, dst = dst, src
+	ncols, nnz := 0, 0
+	for i, x := range perm {
+		if y := perm[max(i, 1)-1]; i == 0 || lc[x] != lc[y] {
+			ncols++
+			nnz++
+		} else if lr[x] != lr[y] {
+			nnz++
 		}
 	}
-	return src
+	m := sized[T](rows, cols, ncols, nnz)
+	for _, x := range perm {
+		if err := m.push(Index(lr[x]), Index(lc[x]), val(x), add); err != nil {
+			return nil, err
+		}
+	}
+	m.CP = append(m.CP, len(m.IR))
+	return m, nil
 }
 
-func digit[T any](t *Triple[T], col bool, shift int, mask uint64) uint64 {
-	k := t.Row
-	if col {
-		k = t.Col
+// radix stably sorts perm by key[perm[i]] on the bits where the keys differ,
+// alternating with tmp; each key is read once into keys (2·len(perm)).
+func radix[X Key](perm, tmp []uint32, key []X, keys []uint64) ([]uint32, []uint32) {
+	var varying uint64
+	for _, k := range key {
+		varying |= uint64(k ^ key[0])
 	}
-	return uint64(k) >> shift & mask
+	n := bits.Len64(varying)
+	if n == 0 {
+		return perm, tmp
+	}
+	cur, next := keys[:len(perm)], keys[len(perm):]
+	for i, x := range perm {
+		cur[i] = uint64(key[x])
+	}
+	passes := (n + radixBits - 1) / radixBits
+	width := (n + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	for shift := 0; shift < n; shift += width {
+		if varying>>shift&mask == 0 {
+			continue
+		}
+		var count [1 << radixBits]int
+		for _, k := range cur {
+			count[k>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range count[:mask+1] {
+			count[d] = sum
+			sum += c
+		}
+		for i, k := range cur {
+			d := k >> shift & mask
+			tmp[count[d]], next[count[d]] = perm[i], k
+			count[d]++
+		}
+		perm, tmp = tmp, perm
+		cur, next = next, cur
+	}
+	return perm, tmp
 }

@@ -74,29 +74,14 @@ type DCSC[T any] struct {
 // NNZ returns the number of stored nonzeros.
 func (m *DCSC[T]) NNZ() int { return len(m.IR) }
 
-// FromTriples builds a DCSC from an unordered triple list, accumulating
-// duplicates with add in input order (a duplicate with add == nil is an
-// error naming the entry). The one assembly rule: unordered input is
-// radix-sorted once, here; input already in column-major order is not sorted
-// at all. ts is reordered in place — the caller hands the slice over and
-// must not rely on its order, or reuse it, afterwards.
+// FromTriples is FromColumns over a triple list, which it does not modify.
 func FromTriples[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[T], error) {
-	var rowVar, colVar uint64
-	sorted := true
+	keys := make([]Index, 2*len(ts))
+	lc, lr := keys[:len(ts)], keys[len(ts):]
 	for i, t := range ts {
-		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
-			return nil, fmt.Errorf("spmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols)
-		}
-		rowVar |= uint64(t.Row ^ ts[0].Row)
-		colVar |= uint64(t.Col ^ ts[0].Col)
-		if i > 0 && (t.Col < ts[i-1].Col || t.Col == ts[i-1].Col && t.Row < ts[i-1].Row) {
-			sorted = false
-		}
+		lc[i], lr[i] = t.Col, t.Row
 	}
-	if !sorted {
-		ts = sortTriples(ts, rowVar, colVar)
-	}
-	return compress(rows, cols, ts, add)
+	return FromColumns(rows, cols, lc, lr, func(x uint32) T { return ts[x].Val }, add)
 }
 
 // Empty returns a DCSC with no nonzeros.
@@ -135,29 +120,6 @@ func (m *DCSC[T]) push(row, col Index, v T, add func(T, T) T) error {
 	m.IR = append(m.IR, row)
 	m.Vals = append(m.Vals, v)
 	return nil
-}
-
-// compress folds a (Col, Row)-ordered triple list into a DCSC whose arrays
-// are sized once, combining runs of equal position with add in list order.
-// A duplicate with add == nil is the only error.
-func compress[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[T], error) {
-	ncols, nnz := 0, 0
-	for i := range ts {
-		if i == 0 || ts[i].Col != ts[i-1].Col {
-			ncols++
-			nnz++
-		} else if ts[i].Row != ts[i-1].Row {
-			nnz++
-		}
-	}
-	m := sized[T](rows, cols, ncols, nnz)
-	for i := range ts {
-		if err := m.push(ts[i].Row, ts[i].Col, ts[i].Val, add); err != nil {
-			return nil, err
-		}
-	}
-	m.CP = append(m.CP, len(m.IR))
-	return m, nil
 }
 
 // ToTriples lists the nonzeros in column-major order.
@@ -228,20 +190,17 @@ func (m *DCSC[T]) At(row, col Index) (T, bool) {
 	return zero, false
 }
 
-// Transpose returns the transposed matrix. The swapped triples come out
-// ordered by their new row, so a stable sort on the new column alone
-// (rowVar = 0) puts them in column-major order.
+// Transpose returns the transposed matrix: FromColumns over the rows as
+// columns, which come out ordered by their new row.
 func (m *DCSC[T]) Transpose() *DCSC[T] {
-	ts := make([]Triple[T], 0, m.NNZ())
-	var colVar uint64
+	lr := make([]Index, 0, m.NNZ())
 	for c, col := range m.JC {
-		for k := m.CP[c]; k < m.CP[c+1]; k++ {
-			ts = append(ts, Triple[T]{Row: col, Col: m.IR[k], Val: m.Vals[k]})
-			colVar |= uint64(m.IR[k] ^ m.IR[0])
+		for range m.CP[c+1] - m.CP[c] {
+			lr = append(lr, col)
 		}
 	}
-	// compress fails only on a duplicate position, which a DCSC cannot hold.
-	out, _ := compress(m.NumCols, m.NumRows, sortTriples(ts, 0, colVar), nil)
+	// FromColumns fails only on a duplicate position, which a DCSC cannot hold.
+	out, _ := FromColumns(m.NumCols, m.NumRows, m.IR, lr, func(x uint32) T { return m.Vals[x] }, nil)
 	return out
 }
 

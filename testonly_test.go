@@ -20,6 +20,7 @@ import (
 // batch and empties this group.
 var benchmarkOnly = map[string]string{
 	"dmat.SpGEMM":         "benchmark/layers.go probes the distributed product; the sweep multiplies with dmat.SpGEMMPanel",
+	"dmat.NewFromTriples": "benchmark/layers.go builds its A from triples by name; production builds every matrix from chunks with dmat.NewFromChunks",
 	"fasta.SplitBytes":    "benchmark/layers.go probes the input split; the run driver cuts with fasta.Partition",
 	"fasta.Bytes":         "benchmark/layers.go renders the records its parse probe reads; ranks are handed records",
 	"fasta.ParseChunk":    "benchmark/layers.go times the chunked parse; fasta.Partition cuts records without one",

@@ -76,12 +76,12 @@ func (m *DCSC[T]) NNZ() int { return len(m.IR) }
 
 // FromTriples is FromColumns over a triple list, which it does not modify.
 func FromTriples[T any](rows, cols Index, ts []Triple[T], add func(T, T) T) (*DCSC[T], error) {
-	keys := make([]Index, 2*len(ts))
+	keys, vals := make([]Index, 2*len(ts)), make([]T, len(ts))
 	lc, lr := keys[:len(ts)], keys[len(ts):]
 	for i, t := range ts {
-		lc[i], lr[i] = t.Col, t.Row
+		lc[i], lr[i], vals[i] = t.Col, t.Row, t.Val
 	}
-	return FromColumns(rows, cols, lc, lr, func(x uint32) T { return ts[x].Val }, add)
+	return FromColumns(rows, cols, lc, lr, vals, add)
 }
 
 // Empty returns a DCSC with no nonzeros.
@@ -200,7 +200,7 @@ func (m *DCSC[T]) Transpose() *DCSC[T] {
 		}
 	}
 	// FromColumns fails only on a duplicate position, which a DCSC cannot hold.
-	out, _ := FromColumns(m.NumCols, m.NumRows, m.IR, lr, func(x uint32) T { return m.Vals[x] }, nil)
+	out, _ := FromColumns(m.NumCols, m.NumRows, m.IR, lr, m.Vals, nil)
 	return out
 }
 

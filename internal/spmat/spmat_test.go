@@ -534,9 +534,9 @@ func BenchmarkSpGEMMKmerBlock(b *testing.B) {
 func keepFirst(x, _ int32) int32 { return x }
 
 // TestFromTriplesAllocationStable bounds FromTriples at a constant number
-// of allocations — the sort scratch, the DCSC and its four arrays, each
-// sized once, with slack for a stray runtime allocation — however many
-// triples it is handed.
+// of allocations — its entry columns, the sort scratch, the DCSC and its
+// arrays (JC and IR share one), each sized once — however many triples it
+// is handed.
 func TestFromTriplesAllocationStable(t *testing.T) {
 	for _, seqs := range []int{20, 400} {
 		rows, cols, ts := kmerLikeTriples(seqs, 50)

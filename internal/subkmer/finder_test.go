@@ -1,9 +1,11 @@
 package subkmer
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -41,37 +43,39 @@ func mustFinder(t testing.TB, k int, e *scoring.Expense, m int) *Finder {
 	return f
 }
 
+// positiveCodes are the codes whose every substitution costs something under
+// e: the 20 standard residues and '*' under BLOSUM62, every code under
+// scoring.Identity.
+func positiveCodes(e *scoring.Expense) []alphabet.Code {
+	var codes []alphabet.Code
+	for _, c := range allCodes {
+		if e.Cheapest(c).Expense > 0 {
+			codes = append(codes, c)
+		}
+	}
+	return codes
+}
+
 // The search must agree exactly with brute-force enumeration, tie order
-// included, for m from 1 to more than the candidate space holds, on every
-// root it is exact for: those over codes whose substitutions all cost
-// something (the 20 standard residues and '*' under BLOSUM62; see the package
-// comment for B, Z and X, which TestFindDigestPinned covers instead).
+// included, for m from 1 to more than the candidate space holds, on roots
+// over all 24 codes: the B, Z and X rows' zero and negative expenses too.
 func TestFinderMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, mtx := range []*scoring.Matrix{scoring.BLOSUM62, scoring.Identity} {
 		e := scoring.NewExpense(mtx)
-		var codes []alphabet.Code
-		for _, c := range allCodes {
-			if e.Cheapest(c).Expense > 0 {
-				codes = append(codes, c)
-			}
-		}
-		if len(codes) < scoring.StandardAACount {
-			t.Fatalf("%s: only %d codes have all-positive expense rows", mtx.Name, len(codes))
-		}
 		for k := 1; k <= 4; k++ {
 			ms := []int{1, 10, 25}
 			trials := 12
 			if k < 4 {
 				ms = append(ms, 10000) // more than the 21^3-1 candidates there are
 			} else {
-				trials = 2 // the naive side sorts some 20^4 candidates per root
+				trials = 2 // the naive side sorts some 21^4 candidates per root
 			}
 			for _, m := range ms {
 				f := mustFinder(t, k, e, m)
 				var got []Neighbor
 				for trial := 0; trial < trials; trial++ {
-					root := randomRoot(rng, k, codes)
+					root := randomRoot(rng, k, allCodes)
 					got = f.AppendFind(got[:0], root)
 					want, err := FindNaive(root, k, e, m)
 					if err != nil {
@@ -81,6 +85,108 @@ func TestFinderMatchesNaive(t *testing.T) {
 						t.Fatalf("%s root %s m=%d: %d neighbors, naive has %d; first difference at %d",
 							mtx.Name, kmer.String(root, k), m, len(got), len(want), firstDiff(got, want))
 					}
+				}
+			}
+		}
+	}
+}
+
+// Any root of up to 3 positions, any m (beyond the 21^3-1 candidates there
+// are too) and both matrices: the search is the brute-force enumeration.
+func FuzzFinderMatchesNaive(f *testing.F) {
+	f.Add(uint8(3), uint16(60), uint64(0), false)
+	f.Add(uint8(2), uint16(10), uint64(22*24+22), false) // XX: negative expenses
+	f.Add(uint8(3), uint16(9999), uint64(13823), true)
+	f.Fuzz(func(t *testing.T, k uint8, m uint16, root uint64, identity bool) {
+		n := 1 + int(k)%3
+		id := kmer.ID(root % kmer.SpaceSize(n))
+		mtx := scoring.BLOSUM62
+		if identity {
+			mtx = scoring.Identity
+		}
+		e := scoring.NewExpense(mtx)
+		got, err := Find(id, n, e, int(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FindNaive(id, n, e, int(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s root %s m=%d: %d neighbors, naive has %d; first difference at %d",
+				mtx.Name, kmer.String(id, n), m, len(got), len(want), firstDiff(got, want))
+		}
+	})
+}
+
+// boundedNearest is the m nearest substitutes of root by enumeration: every
+// k-mer within distance d, for the least d that has m of them. Its walk
+// prunes a prefix by the least the positions after it can add — negative on
+// the X row — so it is exact whatever the signs of the expenses, and it
+// visits only prefixes of k-mers within d, which keeps k up to 8 cheap.
+func boundedNearest(root kmer.ID, k int, e *scoring.Expense, m int) []Neighbor {
+	bases := kmer.Decode(root, k)
+	floor := make([]int, k+1) // floor[p]: the least positions p.. can add
+	for p := k - 1; p >= 0; p-- {
+		floor[p] = floor[p+1] + min(0, e.Cheapest(bases[p]).Expense)
+	}
+	var out []Neighbor
+	var walk func(pos int, id kmer.ID, dist, d, limit int, changed bool) bool
+	walk = func(pos int, id kmer.ID, dist, d, limit int, changed bool) bool {
+		if dist+floor[pos] > d {
+			return true
+		}
+		if pos == k {
+			if changed {
+				out = append(out, Neighbor{ID: id, Dist: dist})
+			}
+			return len(out) < limit
+		}
+		if !walk(pos+1, id, dist, d, limit, changed) {
+			return false
+		}
+		for _, s := range e.Rows[bases[pos]] {
+			if !walk(pos+1, kmer.SetBase(id, k, pos, s.Base), dist+s.Expense, d, limit, true) {
+				return false
+			}
+		}
+		return true
+	}
+	d := floor[0]
+	for ; ; d++ {
+		out = out[:0]
+		walk(0, root, 0, d, m, false)
+		if len(out) >= m {
+			break
+		}
+	}
+	out = out[:0]
+	walk(0, root, 0, d, math.MaxInt, false)
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+	return out[:m]
+}
+
+// On roots that hold a B, Z or X at k 5 to 8, where the enumeration of
+// FindNaive is out of reach, the search is the bounded enumeration.
+func TestFinderMatchesBoundedEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	e := scoring.NewExpense(scoring.BLOSUM62)
+	ambiguous := []alphabet.Code{alphabet.Encode('B'), alphabet.Encode('Z'), alphabet.Encode('X')}
+	for k := 5; k <= 8; k++ {
+		for _, m := range []int{1, 10, 25, 100} {
+			f := mustFinder(t, k, e, m)
+			var got []Neighbor
+			for trial := 0; trial < 8; trial++ {
+				codes := kmer.Decode(randomRoot(rng, k, allCodes), k)
+				codes[rng.Intn(k)] = ambiguous[rng.Intn(len(ambiguous))]
+				root := kmer.Encode(codes)
+				got = f.AppendFind(got[:0], root)
+				if want := boundedNearest(root, k, e, m); !slices.Equal(got, want) {
+					t.Fatalf("root %s m=%d: %d neighbors, the enumeration has %d; first difference at %d",
+						kmer.String(root, k), m, len(got), len(want), firstDiff(got, want))
 				}
 			}
 		}
@@ -97,15 +203,17 @@ func firstDiff(a, b []Neighbor) int {
 }
 
 // findDigest is the FNV-1a hash of Find's (id, distance) lists over n seeded
-// roots of length k drawn over all 24 codes.
+// roots of length k drawn over the codes whose substitutions all cost
+// something under BLOSUM62.
 func findDigest(t *testing.T, k, m, n int) uint64 {
 	t.Helper()
 	e := scoring.NewExpense(scoring.BLOSUM62)
+	codes := positiveCodes(e)
 	rng := rand.New(rand.NewSource(2020))
 	h := fnv.New64a()
 	var word [8]byte
 	for i := 0; i < n; i++ {
-		nbrs, err := Find(randomRoot(rng, k, allCodes), k, e, m)
+		nbrs, err := Find(randomRoot(rng, k, codes), k, e, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,16 +227,17 @@ func findDigest(t *testing.T, k, m, n int) uint64 {
 	return h.Sum64()
 }
 
-// The digests were recorded at commit 5da923a, from the min-max-heap search
-// this package had before Finder: every list, tie order included, is what
-// that search returned.
+// The digests were recorded at commit 671463f, from the substitution-tree
+// search this package had before it split k-mers into halves: every list, tie
+// order included, is what that search returned. The roots hold no B, Z or X,
+// on which the tree's lists were not the m nearest.
 func TestFindDigestPinned(t *testing.T) {
 	for _, tc := range []struct {
 		m    int
 		want uint64
 	}{
-		{10, 0xccd9c143a06a55f8},
-		{25, 0xb16b5ce31a7dac07},
+		{10, 0xe9b59df5525ae07b},
+		{25, 0xab86cffd3217a23c},
 	} {
 		if got := findDigest(t, 6, tc.m, 20000); got != tc.want {
 			t.Errorf("k=6 m=%d: digest %#x, pinned %#x", tc.m, got, tc.want)
@@ -136,22 +245,25 @@ func TestFindDigestPinned(t *testing.T) {
 	}
 }
 
+// Once the Finder has met a root's halves and dst has room, a search
+// allocates nothing: a warm memo only reads.
 func TestFinderAllocationFree(t *testing.T) {
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	f := mustFinder(t, 6, e, 25)
 	rng := rand.New(rand.NewSource(3))
 	roots := make([]kmer.ID, 64)
+	var buf []Neighbor
 	for i := range roots {
 		roots[i] = randomRoot(rng, 6, allCodes)
+		buf = f.AppendFind(buf[:0], roots[i]) // warm: the memo meets every half here
 	}
-	buf := f.AppendFind(nil, roots[0]) // warm: buf reaches its m entries here
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = f.AppendFind(buf[:0], roots[i%len(roots)])
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("AppendFind into a warm buffer allocates %v times per call, want 0", allocs)
+		t.Errorf("AppendFind with a warm memo allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -192,38 +304,60 @@ func TestFinderAppends(t *testing.T) {
 	}
 }
 
-// The set holds the final answers and the pending candidates together, and
-// only m of them can ever be returned: it never grows past m.
-func TestFinderHoldsAtMostM(t *testing.T) {
+// The memo holds at most m+1 entries per half it was asked for: the halves of
+// 2 and 3 positions of the roots searched, and nothing else.
+func TestFinderMemoBounded(t *testing.T) {
 	e := scoring.NewExpense(scoring.BLOSUM62)
 	rng := rand.New(rand.NewSource(13))
-	for _, m := range []int{1, 10, 100} {
-		f := mustFinder(t, 6, e, m)
-		var buf []Neighbor
-		for trial := 0; trial < 300; trial++ {
-			root := randomRoot(rng, 6, allCodes)
-			buf = f.AppendFind(buf[:0], root)
-			if len(f.cand) > m {
-				t.Fatalf("m=%d root %s: the set holds %d candidates", m, kmer.String(root, 6), len(f.cand))
+	// halves adds the remembered halves of the n-mer x: those a search of x
+	// can reach.
+	var halves func(seen map[[2]uint64]bool, n int, x uint64)
+	halves = func(seen map[[2]uint64]bool, n int, x uint64) {
+		if n == 1 {
+			return
+		}
+		if n <= memoLen {
+			seen[[2]uint64{uint64(n), x}] = true
+		}
+		w := kmer.SpaceSize(n / 2)
+		halves(seen, n-n/2, x/w)
+		halves(seen, n/2, x%w)
+	}
+	for _, k := range []int{3, 6, 8} {
+		for _, m := range []int{1, 10, 100} {
+			f := mustFinder(t, k, e, m)
+			seen := map[[2]uint64]bool{}
+			var buf []Neighbor
+			for trial := 0; trial < 300; trial++ {
+				root := randomRoot(rng, k, allCodes)
+				buf = f.AppendFind(buf[:0], root)
+				halves(seen, k, uint64(root))
+				if len(f.spans) > len(seen) || len(f.memo) > len(seen)*(m+1) {
+					t.Fatalf("k=%d m=%d after %d roots: %d lists of %d entries in the memo, %d halves searched",
+						k, m, trial+1, len(f.spans), len(f.memo), len(seen))
+				}
 			}
 		}
 	}
 }
 
 // Finder must return, list for list, what twinFinder returns: every k from 1
-// to 8, m from 1 to more than a short root's space holds, roots over all 24
-// codes (the B/Z/X rows' zero and negative expenses included) and
+// to 8, m from 1 to more than a short root's space holds, and
 // scoring.Identity, whose equal expenses make nearly every distance a tie.
+// The roots hold only codes whose every substitution costs something, where
+// the twin's tree search is exact (TestFinderMatchesBoundedEnumeration covers
+// the others).
 func TestFinderMatchesFrozenTwin(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for _, mtx := range []*scoring.Matrix{scoring.BLOSUM62, scoring.Identity} {
 		e := scoring.NewExpense(mtx)
+		codes := positiveCodes(e)
 		for k := 1; k <= 8; k++ {
 			for _, m := range []int{1, 2, 3, 10, 25, 100, 500} {
 				f, twin := mustFinder(t, k, e, m), newTwinFinder(k, e, m)
 				var got, want []Neighbor
 				for trial := 0; trial < 300; trial++ {
-					root := randomRoot(rng, k, allCodes)
+					root := randomRoot(rng, k, codes)
 					got, want = f.AppendFind(got[:0], root), twin.AppendFind(want[:0], root)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s root %s m=%d: %d neighbors, the twin has %d; first difference at %d",

@@ -1,5 +1,6 @@
 // Package subkmer computes the m nearest substitute k-mers of a k-mer under
-// a substitution matrix — the paper's Algorithms 1-3 (Section IV-B).
+// a substitution matrix — the rows of the paper's S (Section IV-B, which
+// finds them with Algorithms 1-3).
 //
 // The distance of a substitute k-mer q from the root r is the total score
 // expense sum_i (C[r_i][r_i] - C[r_i][q_i]) over substituted positions: the
@@ -8,33 +9,48 @@
 // single-substitution k-mers (the paper's AAC example: TTC at distance 8
 // beats every AA* single substitution).
 //
-// The search explores an implicit tree: every node generates children by
-// substituting one of its "free" positions; a child created by substituting
-// position i keeps only positions > i free, so every multi-substitution
-// k-mer is produced exactly once along its position-sorted path (the paper's
-// acyclic, branching-factor-(|Σ|-1) exploration). The answers found so far
-// and the best candidates that can still join them sit in one sorted array of
-// at most m entries, which gives O(1) access to both the next node to
-// finalize (first pending) and the pruning bound (last).
+// The distance is a sum over positions, so the search splits the k-mer
+// instead of walking the paper's substitution tree. Let M = m+1 and let
+// near(n, x) be the M nearest n-mers of x, x itself (at distance 0)
+// included, sorted by (distance, id) — all of them when fewer exist. A
+// 1-mer's list is its base merged into its expense row. A longer x splits
+// into its high h = ⌈n/2⌉ positions a and its low l = ⌊n/2⌋ positions b: an
+// n-mer is a pair (a', b') of an h-mer and an l-mer, at distance
+// d(a') + d(b') with id a'·24^l + b', so near(n, x) is the M smallest pairs
+// of near(h, a) × near(l, b) under (d(a') + d(b'), a'·24^l + b') — selection
+// in X+Y (Frederickson & Johnson, 1982).
 //
-// The pruning is exact when every substitution costs something, which holds
-// for every row of a standard residue (and of '*'). The B, Z and X rows have
-// zero or negative expenses (B->D, Z->E cost 0; X->anything gains): a child
-// can then tie with or undercut its parent after the parent was finalized, and
-// the list is the search's answer rather than the true m nearest. The
-// pipeline never searches such a root: k-mers holding an ambiguity code are
-// skipped at extraction.
+// The two lists suffice. Suppose (a', b') is among the M nearest n-mers but
+// a' is missing from near(h, a). Then that list holds M h-mers c that each
+// precede a' in (distance, id) order, and each pair (c, b') then precedes
+// (a', b'): a smaller sum, or an equal sum and a smaller id. That is M pairs
+// ahead of (a', b'), which is a contradiction; the same holds for b'. The
+// argument compares sums only, so it needs no sign on the expenses: the B, Z
+// and X rows' zero and negative expenses are searched as exactly as the
+// standard rows. AppendFind takes near(k, root), drops the root and keeps the
+// first m: the m nearest other k-mers are among the M nearest of all.
 //
-// One search costs about a microsecond at m = 10 (two at m = 25) and
-// allocates nothing (Finder), so no caller remembers results: not across
-// ranks, not across runs, not on disk.
+// merge walks the pairs in that order. Pair (i, j) of the two sorted lists
+// is preceded by every (i', j') <= (i, j) componentwise, so it can be among
+// the first M only if (i+1)(j+1) <= M. The rows not yet begun wait in order
+// (row i's first pair precedes row i+1's), a heap holds each begun row's next
+// pair, one per row, and a row's pairs at one distance leave together: a list
+// costs O(M log M).
+//
+// A Finder remembers the lists of the halves of 2 and 3 positions it has met
+// (memoLen): a 6-mer root splits into two of them, so a warm 6-mer search is
+// one merge. The memo holds 4-byte entries, at most M per distinct half; it
+// is filled as roots need it, never sized to the 24^3 halves there are, and
+// it dies with the Finder — one per rank's expansion in core, one per mmseqs
+// rank. Nothing else remembers a search: not across Finders, ranks or runs,
+// not on disk. A warm search allocates nothing.
 package subkmer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/alphabet"
 	"repro/internal/kmer"
 	"repro/internal/scoring"
 )
@@ -45,49 +61,66 @@ type Neighbor struct {
 	Dist int
 }
 
-// candidate is a generated substitute k-mer. Positions from..k-1 are still
-// free for further substitution: only positions to the right of the last
-// substituted one stay free, which makes the generation a tree.
-type candidate struct {
-	id   uint64
-	dist int32
-	from uint8
+// A list entry packs a distance, biased by 2^31, above an id of at most 6
+// positions (24^6 < 2^32), so entries order as their (distance, id) do. Every
+// half of a k <= MaxK = 12 root fits; only the root's own list does not, and
+// AppendFind turns it into Neighbors as it reads it.
+const (
+	idMask = 1<<32 - 1
+	bias   = 1 << 31
+)
+
+func entry(dist int, id uint64) uint64 { return uint64(dist+bias)<<32 | id }
+
+func distOf(e uint64) int { return int(e>>32) - bias }
+
+// join is the entry of the n-mer made of the high half x and the low half y,
+// w = 24^(y's length).
+func join(x, y, w uint64) uint64 {
+	return (x&^idMask + y&^idMask - bias<<32) | ((x&idMask)*w + y&idMask)
 }
 
-// frontier is one lazily-advanced substitution stream in explore:
-// "substitute position pos of the node with its sid-th cheapest replacement".
-type frontier struct {
-	cost int32 // dist(node) + expense of this substitution
-	pos  uint8
-	sid  uint8
-}
+// memoLen is the longest half a Finder remembers. A memo entry packs the
+// distance into its high 18 bits and an id below 24^3 into its low 14: three
+// positions of int8 scores are at most 3·255 apart.
+const (
+	memoLen = 3
+	idBits  = 14
+)
 
-func candLess(a, b candidate) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.id < b.id
+func pack(e uint64) uint32 { return uint32(distOf(e))<<idBits | uint32(e&idMask) }
+
+func unpack(p uint32) uint64 { return entry(int(int32(p)>>idBits), uint64(p&(1<<idBits-1))) }
+
+// span is where a remembered half's list sits in the memo.
+type span struct{ off, n uint32 }
+
+// pair is merge's heap entry: entry i of the high list with entry j of the
+// low one. The heap holds one pair per row i at most, and rows differ in
+// their high half, so (distance sum, high id) orders its pairs as their
+// (distance, id) does; key packs the two like an entry.
+type pair struct {
+	key  uint64
+	i, j uint32
 }
 
 // Finder is the reusable state of the m-nearest search for one (k, expense
-// table, m): Algorithm 1 (FINDSUBKMERS) with Algorithms 2-3 inlined as
-// explore/offer. After its candidate array has grown to m entries — at
-// construction for m <= 64 — a search allocates nothing. Not safe for
-// concurrent use; give each goroutine its own.
+// table, m). A search whose halves it has met allocates nothing. Not safe
+// for concurrent use; give each goroutine its own.
 type Finder struct {
 	k, m int
 	e    *scoring.Expense
-	pow  [kmer.MaxK]uint64 // pow[pos] = 24^(k-1-pos), the id weight of position pos
 
-	// Per root, decoded once.
-	rows [kmer.MaxK][]scoring.Sub // expense row of the root's base at pos, cheapest first
-	own  [kmer.MaxK]uint64        // what the root's base at pos contributes to an id
+	memo  []uint32        // the remembered lists, packed
+	spans map[uint32]span // half<<2 | its length -> its list in memo
 
-	// The bounded m-nearest set: cand[:head] are the final answers,
-	// cand[head:] the pending candidates sorted by (dist, id), and only m of
-	// the two can ever be returned, so len(cand) <= m.
-	cand []candidate
-	head int
+	// halves[d] holds the two halves' lists of a split d merges below the
+	// root's (at most ⌈log2 MaxK⌉ = 4 levels), top the root's merge and heap
+	// merge's heap, each with room for the longest it can hold: the searches
+	// fill them and never store them back.
+	halves [4][2][]uint64
+	top    []uint64
+	heap   []pair
 }
 
 // NewFinder returns a Finder of the m nearest substitutes of k-mers of
@@ -96,13 +129,25 @@ func NewFinder(k int, e *scoring.Expense, m int) (*Finder, error) {
 	if k <= 0 || k > kmer.MaxK {
 		return nil, fmt.Errorf("subkmer: k=%d out of range [1,%d]", k, kmer.MaxK)
 	}
-	m = max(m, 0)
-	f := &Finder{k: k, m: m, e: e, cand: make([]candidate, 0, min(m, 64))}
-	w := uint64(1)
-	for pos := k - 1; pos >= 0; pos-- {
-		f.pow[pos] = w
-		w *= alphabet.Size
+	f := &Finder{k: k, m: max(m, 0), e: e, spans: map[uint32]span{}}
+	// Every list buffer, sized for the longest list it can hold, comes out
+	// of one array: the root's pairs, and each level's two halves, as long
+	// as the level's longer half (a 1-mer root splits too, into 1 and 0).
+	size := func(n int) int { return min(f.m+1, int(kmer.SpaceSize(n))) }
+	var lens [len(f.halves)]int
+	total := size(k)
+	for d, n := 0, k; d == 0 || n > 1; d, n = d+1, (n+1)/2 {
+		lens[d] = size((n + 1) / 2)
+		total += 2 * lens[d]
 	}
+	buf := make([]uint64, total)
+	f.top, buf = buf[:0:size(k)], buf[size(k):]
+	for d, l := range lens {
+		f.halves[d] = [2][]uint64{buf[:0:l], buf[l : l : 2*l]}
+		buf = buf[2*l:]
+	}
+	f.memo = make([]uint32, 0, 4*size(memoLen))
+	f.heap = make([]pair, 0, size((k+1)/2)) // one pair per row of a high half
 	return f, nil
 }
 
@@ -114,101 +159,167 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 	if f.m == 0 {
 		return dst
 	}
-	rest := uint64(root)
-	for pos := f.k - 1; pos >= 0; pos-- {
-		base := rest % alphabet.Size
-		rest /= alphabet.Size
-		f.rows[pos] = f.e.Rows[base]
-		f.own[pos] = base * f.pow[pos]
-	}
-	f.cand, f.head = f.cand[:0], 0
-	f.explore(candidate{id: uint64(root)})
-	for f.head < len(f.cand) {
-		next := f.cand[f.head]
-		f.head++
-		dst = append(dst, Neighbor{ID: kmer.ID(next.id), Dist: int(next.dist)})
-		if f.head == f.m {
-			break // m answers: no child can be returned, and none is pending to evict
+	a, b, w := f.split(f.k, uint64(root), 0)
+	n := 0
+	for _, ij := range f.merge(f.top, a, b) {
+		x, y := a[ij>>32], b[ij&idMask]
+		nb := Neighbor{ID: kmer.ID((x&idMask)*w + y&idMask), Dist: distOf(x) + distOf(y)}
+		if nb.ID == root {
+			continue
 		}
-		f.explore(next)
+		if n == f.m {
+			break
+		}
+		dst = append(dst, nb)
+		n++
 	}
 	return dst
 }
 
-// explore generates the children of node p in increasing cost and offers
-// them to the m-nearest set (Algorithm 2, EXPLORE, with Algorithm 3's
-// MAKENEWSUBK inlined). It stops as soon as the next cheapest child cannot
-// beat the current m-th nearest k-mer. The set it leaves is the m smallest of
-// the old set and all children whatever order equal-cost streams are taken
-// in, so the frontier is a plain array scanned for its minimum.
-//
-// The set is full at m entries answers included, not at m pending ones: once
-// head answers are final only m-head more can be returned, so a pending
-// candidate ranked below m-head in (dist, id) order can only sink further (a
-// pop removes one entry ahead of it and one from the budget; an admitted
-// child only gets ahead of it) and is never returned. Bounding the pending
-// set at m-head therefore keeps, at every step, exactly the first m-head
-// entries of what an m-pending set would hold: every child the tighter bound
-// skips or evicts sorts after that prefix, and every pop takes the same
-// minimum. That holds for any expense row, ties and the B/Z/X rows included,
-// since it compares only (dist, id) orders.
-func (f *Finder) explore(p candidate) {
-	var fr [kmer.MaxK]frontier
-	n := 0
-	for pos := int(p.from); pos < f.k; pos++ {
-		if row := f.rows[pos]; len(row) > 0 {
-			fr[n] = frontier{cost: p.dist + int32(row[0].Expense), pos: uint8(pos)}
-			n++
-		}
-	}
-	for n > 0 {
-		best := 0
-		for i := 1; i < n; i++ {
-			if fr[i].cost < fr[best].cost {
-				best = i
-			}
-		}
-		next := &fr[best]
-		// Prune: accept only children that can still displace the current
-		// worst candidate; an equal-distance child is offered so ties
-		// resolve deterministically by ID.
-		if len(f.cand) >= f.m && next.cost > f.cand[len(f.cand)-1].dist {
-			return
-		}
-		pos := int(next.pos)
-		row := f.rows[pos]
-		// pos is free in p, so it still holds the root's base there. Keeping
-		// only positions right of pos free gives one path per substitute.
-		f.offer(candidate{
-			id:   p.id - f.own[pos] + uint64(row[next.sid].Base)*f.pow[pos],
-			dist: next.cost,
-			from: next.pos + 1,
-		})
-		if next.sid++; int(next.sid) < len(row) {
-			next.cost = p.dist + int32(row[next.sid].Expense)
-		} else {
-			n--
-			fr[best] = fr[n]
-		}
-	}
+// split fills the buffers of level depth with near of x's high ⌈n/2⌉ and low
+// ⌊n/2⌋ positions and returns them with w = 24^⌊n/2⌋. The low half of a
+// 1-mer is the empty 0-mer, whose list is itself at distance 0.
+func (f *Finder) split(n int, x uint64, depth int) (hi, lo []uint64, w uint64) {
+	l := n / 2
+	w = kmer.SpaceSize(l)
+	h := &f.halves[depth]
+	return f.near(h[0], n-l, x/w, depth+1), f.near(h[1], l, x%w, depth+1), w
 }
 
-// offer admits a child into the bounded m-nearest set, evicting the current
-// worst pending candidate when full. The position-sorted tree generates every
-// substitute k-mer exactly once, so no duplicate check is needed.
-func (f *Finder) offer(c candidate) {
-	if len(f.cand) >= f.m {
-		if !candLess(c, f.cand[len(f.cand)-1]) {
-			return
+// near returns near(n, x), n <= 6, in buf's array.
+func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
+	switch {
+	case n == 0:
+		return append(buf[:0], entry(0, 0))
+	case n == 1:
+		return f.single(buf[:0], x)
+	}
+	key := uint32(x)<<2 | uint32(n)
+	if n <= memoLen {
+		if s, ok := f.spans[key]; ok {
+			buf = buf[:0]
+			for _, p := range f.memo[s.off : s.off+s.n] {
+				buf = append(buf, unpack(p))
+			}
+			return buf
 		}
-		f.cand = f.cand[:len(f.cand)-1]
 	}
-	f.cand = append(f.cand, c)
-	i := len(f.cand) - 1
-	for ; i > f.head && candLess(c, f.cand[i-1]); i-- {
-		f.cand[i] = f.cand[i-1]
+	a, b, w := f.split(n, x, depth)
+	buf = f.merge(buf, a, b)
+	for t, ij := range buf {
+		buf[t] = join(a[ij>>32], b[ij&idMask], w)
 	}
-	f.cand[i] = c
+	if n <= memoLen {
+		f.spans[key] = span{uint32(len(f.memo)), uint32(len(buf))}
+		memo := slices.Grow(f.memo, len(buf))
+		for _, e := range buf {
+			memo = append(memo, pack(e))
+		}
+		f.memo = memo
+	}
+	return buf
+}
+
+// single appends near(1, base): the base at distance 0 merged into its
+// expense row, which is sorted by (expense, base) already.
+func (f *Finder) single(dst []uint64, base uint64) []uint64 {
+	row := f.e.Rows[base]
+	at := 0 // the base's place in the row
+	for at < len(row) && (row[at].Expense < 0 || row[at].Expense == 0 && uint64(row[at].Base) < base) {
+		at++
+	}
+	for i := 0; i <= len(row) && len(dst) <= f.m; i++ {
+		switch {
+		case i < at:
+			dst = append(dst, entry(row[i].Expense, uint64(row[i].Base)))
+		case i == at:
+			dst = append(dst, entry(0, base))
+		default:
+			dst = append(dst, entry(row[i-1].Expense, uint64(row[i-1].Base)))
+		}
+	}
+	return dst
+}
+
+// merge returns in out's array the first min(m+1, len(a)·len(b)) pairs of
+// a × b in the order of their n-mers' (distance, id), pair (i, j) as
+// i<<32 | j.
+func (f *Finder) merge(out, a, b []uint64) []uint64 {
+	bound := f.m + 1
+	n := min(bound, len(a)*len(b))
+	out = slices.Grow(out[:0], n)[:n]
+	key := func(i, j int) uint64 { return a[i] + b[j]&^idMask - bias<<32 }
+	// The rows not yet begun wait in a's order, next first: row i's first
+	// pair precedes row i+1's. The heap holds the begun rows' next pairs.
+	h, next, rows := f.heap[:0], 0, min(len(a), bound)
+	for o := 0; o < n; {
+		var i, j int
+		if next < rows && (len(h) == 0 || key(next, 0) < h[0].key) {
+			i, next = next, next+1
+		} else {
+			i, j = int(h[0].i), int(h[0].j)
+		}
+		// The row's pairs at this sum come next, in id order: every other
+		// pair left is of a larger sum or a larger high id. Pair (i, j) can
+		// be among the first bound only if (i+1)(j+1) <= bound.
+		d, at := b[j]>>32, j
+		for ; j < len(b) && (i+1)*(j+1) <= bound && b[j]>>32 == d && o < n; j++ {
+			out[o] = uint64(i)<<32 | uint64(j)
+			o++
+		}
+		more := j < len(b) && (i+1)*(j+1) <= bound
+		switch {
+		case at > 0 && more: // the row's next pair replaces its last
+			h[0] = pair{key(i, j), uint32(i), uint32(j)}
+			siftDown(h)
+		case at > 0: // the row is done
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h)
+		case more: // the row is begun
+			h = append(h, pair{key(i, j), uint32(i), uint32(j)})
+			siftUp(h)
+		}
+	}
+	return out
+}
+
+// siftDown moves h[0] down to its place.
+func siftDown(h []pair) {
+	if len(h) < 2 {
+		return
+	}
+	p, i := h[0], 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
+		}
+		if p.key <= h[c].key {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = p
+}
+
+// siftUp moves the last pair of h up to its place.
+func siftUp(h []pair) {
+	i := len(h) - 1
+	p := h[i]
+	for i > 0 {
+		up := (i - 1) / 2
+		if h[up].key <= p.key {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = p
 }
 
 // Find returns the m nearest substitute k-mers of root (a k-mer of length k)

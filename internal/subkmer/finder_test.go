@@ -341,6 +341,31 @@ func TestFinderMemoBounded(t *testing.T) {
 	}
 }
 
+// A Finder remembers from its second root on: one that searches once builds
+// no memo, so a one-shot Find allocates only its list buffers, its heap and
+// the list it returns, its Finder staying on the stack.
+func TestFinderRemembersFromSecondRoot(t *testing.T) {
+	e := scoring.NewExpense(scoring.BLOSUM62)
+	f := mustFinder(t, 6, e, 25)
+	f.AppendFind(nil, mustID(t, "MKVLAW"))
+	if f.spans != nil || len(f.memo) != 0 {
+		t.Fatalf("after one root: %d lists, %d entries in the memo, want none", len(f.spans), len(f.memo))
+	}
+	f.AppendFind(nil, mustID(t, "HLGFNM"))
+	if len(f.spans) == 0 {
+		t.Fatal("after two roots: the memo is empty")
+	}
+	root := mustID(t, "MKVLAW")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Find(root, 6, e, 25); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("a one-shot Find allocates %v times, want at most 3", allocs)
+	}
+}
+
 // Finder must return, list for list, what twinFinder returns: every k from 1
 // to 8, m from 1 to more than a short root's space holds, and
 // scoring.Identity, whose equal expenses make nearly every distance a tie.

@@ -41,9 +41,11 @@
 // (memoLen): a 6-mer root splits into two of them, so a warm 6-mer search is
 // one merge. The memo holds 4-byte entries, at most M per distinct half; it
 // is filled as roots need it, never sized to the 24^3 halves there are, and
-// it dies with the Finder — one per rank's expansion in core, one per mmseqs
-// rank. Nothing else remembers a search: not across Finders, ranks or runs,
-// not on disk. A warm search allocates nothing.
+// it dies with the Finder — one per rank's expansion in core (an index's, or
+// a query batch's), one per mmseqs rank. A Finder starts remembering at its
+// second root, so one that searches once, as Find does, builds no memo.
+// Nothing else remembers a search: not across Finders, ranks or runs, not on
+// disk. A warm search allocates nothing.
 package subkmer
 
 import (
@@ -111,44 +113,59 @@ type Finder struct {
 	k, m int
 	e    *scoring.Expense
 
-	memo  []uint32        // the remembered lists, packed
-	spans map[uint32]span // half<<2 | its length -> its list in memo
+	memo     []uint32        // the remembered lists, packed
+	spans    map[uint32]span // half<<2 | its length -> its list in memo
+	searched bool            // a root was searched: remember from the next
 
-	// halves[d] holds the two halves' lists of a split d merges below the
-	// root's (at most ⌈log2 MaxK⌉ = 4 levels), top the root's merge and heap
-	// merge's heap, each with room for the longest it can hold: the searches
-	// fill them and never store them back.
-	halves [4][2][]uint64
-	top    []uint64
-	heap   []pair
+	// lists holds every list a search builds. level[d] = {offset, high room,
+	// low room} places the two halves' lists of a split d merges below the
+	// root's (at most ⌈log2 MaxK⌉ = 4 levels), each with room for the
+	// longest list a half of that level can have; the root's pairs, built
+	// last, go after level 0's, over the deeper levels' rooms. heap is
+	// merge's, with room for every row that can be begun with a pair left
+	// over. The searches fill them and never store them back.
+	lists []uint64
+	level [4][3]uint32
+	heap  []pair
 }
 
 // NewFinder returns a Finder of the m nearest substitutes of k-mers of
 // length k under the expense table e.
 func NewFinder(k int, e *scoring.Expense, m int) (*Finder, error) {
-	if k <= 0 || k > kmer.MaxK {
-		return nil, fmt.Errorf("subkmer: k=%d out of range [1,%d]", k, kmer.MaxK)
+	f := new(Finder)
+	if err := f.init(k, e, m); err != nil {
+		return nil, err
 	}
-	f := &Finder{k: k, m: max(m, 0), e: e, spans: map[uint32]span{}}
-	// Every list buffer, sized for the longest list it can hold, comes out
-	// of one array: the root's pairs, and each level's two halves, as long
-	// as the level's longer half (a 1-mer root splits too, into 1 and 0).
-	size := func(n int) int { return min(f.m+1, int(kmer.SpaceSize(n))) }
-	var lens [len(f.halves)]int
-	total := size(k)
-	for d, n := 0, k; d == 0 || n > 1; d, n = d+1, (n+1)/2 {
-		lens[d] = size((n + 1) / 2)
-		total += 2 * lens[d]
-	}
-	buf := make([]uint64, total)
-	f.top, buf = buf[:0:size(k)], buf[size(k):]
-	for d, l := range lens {
-		f.halves[d] = [2][]uint64{buf[:0:l], buf[l : l : 2*l]}
-		buf = buf[2*l:]
-	}
-	f.memo = make([]uint32, 0, 4*size(memoLen))
-	f.heap = make([]pair, 0, size((k+1)/2)) // one pair per row of a high half
 	return f, nil
+}
+
+// init readies f as NewFinder(k, e, m). Find calls it on a Finder of its
+// own, which then stays off the heap.
+func (f *Finder) init(k int, e *scoring.Expense, m int) error {
+	if k <= 0 || k > kmer.MaxK {
+		return fmt.Errorf("subkmer: k=%d out of range [1,%d]", k, kmer.MaxK)
+	}
+	*f = Finder{k: k, m: max(m, 0), e: e}
+	// An n-mer's list is at most m+1 long and at most 21^n: each position
+	// holds its own code or one of the 20 standard ones.
+	size := func(n int) int {
+		l := 1
+		for ; n > 0 && l <= f.m; n-- {
+			l *= scoring.StandardAACount + 1
+		}
+		return min(l, f.m+1)
+	}
+	total := 0
+	for d, n := 0, k; d == 0 || n > 1; d, n = d+1, (n+1)/2 {
+		hi, lo := size((n+1)/2), size(n/2) // a 1-mer root splits too, into 1 and 0
+		f.level[d] = [3]uint32{uint32(total), uint32(hi), uint32(lo)}
+		total += hi + lo
+	}
+	top := int(f.level[0][1] + f.level[0][2])
+	f.lists = make([]uint64, max(total, top+size(k)))
+	// Row i has a pair left after its first only if (i+1)·2 <= m+1.
+	f.heap = make([]pair, 0, min(size((k+1)/2), (f.m+1)/2))
+	return nil
 }
 
 // AppendFind appends to dst the m nearest substitute k-mers of root, sorted
@@ -159,9 +176,14 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 	if f.m == 0 {
 		return dst
 	}
+	if f.searched && f.spans == nil {
+		f.spans = map[uint32]span{}
+	}
+	f.searched = true
 	a, b, w := f.split(f.k, uint64(root), 0)
 	n := 0
-	for _, ij := range f.merge(f.top, a, b) {
+	top := f.level[0][1] + f.level[0][2]
+	for _, ij := range f.merge(f.lists[top:top], a, b, 0) {
 		x, y := a[ij>>32], b[ij&idMask]
 		nb := Neighbor{ID: kmer.ID((x&idMask)*w + y&idMask), Dist: distOf(x) + distOf(y)}
 		if nb.ID == root {
@@ -182,8 +204,9 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 func (f *Finder) split(n int, x uint64, depth int) (hi, lo []uint64, w uint64) {
 	l := n / 2
 	w = kmer.SpaceSize(l)
-	h := &f.halves[depth]
-	return f.near(h[0], n-l, x/w, depth+1), f.near(h[1], l, x%w, depth+1), w
+	at, rh, rl := f.level[depth][0], f.level[depth][1], f.level[depth][2]
+	h := f.lists[at : at+rh+rl]
+	return f.near(h[:0:rh], n-l, x/w, depth+1), f.near(h[rh:rh:rh+rl], l, x%w, depth+1), w
 }
 
 // near returns near(n, x), n <= 6, in buf's array.
@@ -195,7 +218,8 @@ func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
 		return f.single(buf[:0], x)
 	}
 	key := uint32(x)<<2 | uint32(n)
-	if n <= memoLen {
+	remember := n <= memoLen && f.spans != nil
+	if remember {
 		if s, ok := f.spans[key]; ok {
 			buf = buf[:0]
 			for _, p := range f.memo[s.off : s.off+s.n] {
@@ -205,11 +229,8 @@ func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
 		}
 	}
 	a, b, w := f.split(n, x, depth)
-	buf = f.merge(buf, a, b)
-	for t, ij := range buf {
-		buf[t] = join(a[ij>>32], b[ij&idMask], w)
-	}
-	if n <= memoLen {
+	buf = f.merge(buf, a, b, w)
+	if remember {
 		f.spans[key] = span{uint32(len(f.memo)), uint32(len(buf))}
 		memo := slices.Grow(f.memo, len(buf))
 		for _, e := range buf {
@@ -224,27 +245,28 @@ func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
 // expense row, which is sorted by (expense, base) already.
 func (f *Finder) single(dst []uint64, base uint64) []uint64 {
 	row := f.e.Rows[base]
+	n := min(f.m+1, len(row)+1)
 	at := 0 // the base's place in the row
 	for at < len(row) && (row[at].Expense < 0 || row[at].Expense == 0 && uint64(row[at].Base) < base) {
 		at++
 	}
-	for i := 0; i <= len(row) && len(dst) <= f.m; i++ {
-		switch {
-		case i < at:
-			dst = append(dst, entry(row[i].Expense, uint64(row[i].Base)))
-		case i == at:
-			dst = append(dst, entry(0, base))
-		default:
-			dst = append(dst, entry(row[i-1].Expense, uint64(row[i-1].Base)))
+	for _, s := range row[:min(at, n)] {
+		dst = append(dst, entry(s.Expense, uint64(s.Base)))
+	}
+	if at < n {
+		dst = append(dst, entry(0, base))
+		for _, s := range row[at : n-1] {
+			dst = append(dst, entry(s.Expense, uint64(s.Base)))
 		}
 	}
 	return dst
 }
 
 // merge returns in out's array the first min(m+1, len(a)·len(b)) pairs of
-// a × b in the order of their n-mers' (distance, id), pair (i, j) as
-// i<<32 | j.
-func (f *Finder) merge(out, a, b []uint64) []uint64 {
+// a × b in the order of their n-mers' (distance, id), pair (i, j) as the
+// entry join(a[i], b[j], w), or as i<<32 | j when w is 0: the root's, whose
+// ids need not fit an entry.
+func (f *Finder) merge(out, a, b []uint64, w uint64) []uint64 {
 	bound := f.m + 1
 	n := min(bound, len(a)*len(b))
 	out = slices.Grow(out[:0], n)[:n]
@@ -264,32 +286,33 @@ func (f *Finder) merge(out, a, b []uint64) []uint64 {
 		// be among the first bound only if (i+1)(j+1) <= bound.
 		d, at := b[j]>>32, j
 		for ; j < len(b) && (i+1)*(j+1) <= bound && b[j]>>32 == d && o < n; j++ {
-			out[o] = uint64(i)<<32 | uint64(j)
+			if w == 0 {
+				out[o] = uint64(i)<<32 | uint64(j)
+			} else {
+				out[o] = join(a[i], b[j], w)
+			}
 			o++
 		}
 		more := j < len(b) && (i+1)*(j+1) <= bound
 		switch {
 		case at > 0 && more: // the row's next pair replaces its last
-			h[0] = pair{key(i, j), uint32(i), uint32(j)}
-			siftDown(h)
+			siftDown(h, pair{key(i, j), uint32(i), uint32(j)})
 		case at > 0: // the row is done
-			h[0] = h[len(h)-1]
+			last := h[len(h)-1]
 			h = h[:len(h)-1]
-			siftDown(h)
+			siftDown(h, last)
 		case more: // the row is begun
-			h = append(h, pair{key(i, j), uint32(i), uint32(j)})
-			siftUp(h)
+			h = push(h, pair{key(i, j), uint32(i), uint32(j)})
 		}
 	}
 	return out
 }
 
-// siftDown moves h[0] down to its place.
-func siftDown(h []pair) {
-	if len(h) < 2 {
-		return
-	}
-	p, i := h[0], 0
+// siftDown puts p in h[0]'s place and moves it down to its own. The pair
+// comes as a value, not read back from the heap: a read of a pair just
+// stored stalls.
+func siftDown(h []pair, p pair) {
+	i := 0
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
@@ -304,13 +327,15 @@ func siftDown(h []pair) {
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = p
+	if len(h) > 0 {
+		h[i] = p
+	}
 }
 
-// siftUp moves the last pair of h up to its place.
-func siftUp(h []pair) {
+// push adds p to the heap h and moves it up to its place.
+func push(h []pair, p pair) []pair {
+	h = append(h, p)
 	i := len(h) - 1
-	p := h[i]
 	for i > 0 {
 		up := (i - 1) / 2
 		if h[up].key <= p.key {
@@ -320,14 +345,15 @@ func siftUp(h []pair) {
 		i = up
 	}
 	h[i] = p
+	return h
 }
 
 // Find returns the m nearest substitute k-mers of root (a k-mer of length k)
 // under the expense table e, sorted by (distance, id): one AppendFind on a
 // fresh Finder. A loop over many roots should hold a Finder instead.
 func Find(root kmer.ID, k int, e *scoring.Expense, m int) ([]Neighbor, error) {
-	f, err := NewFinder(k, e, m)
-	if err != nil || m <= 0 {
+	var f Finder
+	if err := f.init(k, e, m); err != nil || m <= 0 {
 		return nil, err
 	}
 	return f.AppendFind(make([]Neighbor, 0, m), root), nil

@@ -185,16 +185,21 @@ func TestExpandASIsTheProduct(t *testing.T) {
 }
 
 // TestExpandASPrunedIsTheProduct holds the AS an all-vs-all sweep multiplies
-// to the same algebra: expandPresent must produce SpGEMM(A, S) restricted to
-// the columns of the k-mers A holds after the frequency prune, entry for
-// entry at every rank count, with no banned k-mer left; and B = (AS)·Aᵀ
-// formed from it must equal B formed from the full AS — the same entries,
-// values and Flops. The input is TestExpandASIsTheProduct's, with the twin
-// records rebuilt so they straddle a block boundary at p = 9: their root
-// lies in the first column block, its nearest substitute in the second. A
-// record holding the root alone makes that substitute an entry of AS which
-// is present (the twins hold it) and crosses to another owner unchecked, so
-// only the owner's prune can decide it.
+// to the same algebra: expandPresent must produce SpGEMM(A, S′) restricted
+// to the columns of the k-mers A holds after the frequency prune, entry for
+// entry at every rank count, with no banned k-mer left, where S′ is S
+// without the diagonal entry of each k-mer one sequence holds — so AS holds
+// no exact entry of such a k-mer, while the full AS does. B = (AS)·Aᵀ formed
+// from it must equal B formed from the full AS off the diagonal — the same
+// entries, counts and seeds — at fewer Flops. The input is
+// TestExpandASIsTheProduct's, with the twin records rebuilt so they straddle
+// a block boundary at p = 9: their root lies in the first column block, its
+// nearest substitute in the second. A record holding the root alone makes
+// that substitute an entry of AS which is present (the twins hold it) and
+// crosses to another owner unjudged by its sender. The expansion without
+// the owner's filter shows that the owner dropped absent arrivals before
+// assembly whenever the grid has several columns: nothing after the build
+// restricts AS.
 func TestExpandASPrunedIsTheProduct(t *testing.T) {
 	const k, maxSubs, maxFreq = 3, 10, 4
 	e := scoring.NewExpense(scoring.BLOSUM62)
@@ -300,19 +305,21 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					unchecked, err := expand(r, a, newKmerSet(kmers.kept)) // before the owner's prune
+					unchecked, err := expand(r, a, newKmerSet(kmers), nil) // no owner's filter
 					if err != nil {
 						return err
 					}
-					pruned, err := expandPresent(r, a, kmers.kept)
+					pruned, err := expandPresent(r, a, kmers)
 					if err != nil {
 						return err
 					}
 
-					var ts []spmat.Triple[int32]
+					var ts []spmat.Triple[int32] // S′
 					for _, col := range a.Local.JC {
 						id := a.ColOffset() + col
-						ts = append(ts, spmat.Triple[int32]{Row: id, Col: id})
+						if at, ok := slices.BinarySearch(kmers.kept, id); !ok || kmers.counts[at] > 1 {
+							ts = append(ts, spmat.Triple[int32]{Row: id, Col: id})
+						}
 						for _, nb := range rowsOfS[kmer.ID(id)][:m] {
 							ts = append(ts, spmat.Triple[int32]{Row: id, Col: spmat.Index(nb.ID), Val: int32(nb.Dist)})
 						}
@@ -382,11 +389,30 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 						}
 					}
 					if len(prunedT) == 0 || !reflect.DeepEqual(prunedT, restricted) {
-						t.Errorf("pruned AS differs from SpGEMM(A, S) on A's k-mers: %d vs %d nonzeros",
+						t.Errorf("pruned AS differs from SpGEMM(A, S′) on A's k-mers: %d vs %d nonzeros",
 							len(prunedT), len(restricted))
 					}
 					if len(prunedT) >= len(fullT) {
 						t.Errorf("the restriction dropped nothing: %d of %d nonzeros", len(prunedT), len(fullT))
+					}
+					// An exact entry is its row's own position at distance 0:
+					// another k-mer of the row starts elsewhere.
+					pos := map[[2]spmat.Index]int32{}
+					for _, tr := range aT {
+						pos[[2]spmat.Index{tr.Row, tr.Col}] = tr.Val
+					}
+					loneExact := func(asT []spmat.Triple[PosDist]) int {
+						n := 0
+						for _, tr := range asT {
+							at, ok := pos[[2]spmat.Index{tr.Row, tr.Col}]
+							if ok && counts[tr.Col] == 1 && tr.Val == (PosDist{Pos: at}) {
+								n++
+							}
+						}
+						return n
+					}
+					if lf, lp := loneExact(fullT), loneExact(prunedT); lf == 0 || lp != 0 {
+						t.Errorf("exact entries of k-mers one sequence holds: %d in the full AS, %d in the pruned", lf, lp)
 					}
 					bannedInFull := 0
 					for _, tr := range fullT {
@@ -410,11 +436,15 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 						t.Error("the root's substitute across the block boundary is missing")
 					}
 					if dropped := nnzUnchecked - int64(len(prunedT)); (dropped > 0) != (p > 1) {
-						t.Errorf("the owner's prune dropped %d nonzeros at p=%d", dropped, p)
+						t.Errorf("the owner's filter dropped %d absent arrivals at p=%d", dropped, p)
 					}
 
-					if len(bPrunedT) == 0 || !reflect.DeepEqual(bPrunedT, bFullT) {
-						t.Errorf("B from the pruned AS differs from B from the full AS: %d vs %d nonzeros",
+					offDiagonal := func(bT []spmat.Triple[Overlap]) []spmat.Triple[Overlap] {
+						return slices.DeleteFunc(bT, func(tr spmat.Triple[Overlap]) bool { return tr.Row == tr.Col })
+					}
+					if bPrunedT, bFullT = offDiagonal(bPrunedT), offDiagonal(bFullT); len(bPrunedT) == 0 ||
+						!reflect.DeepEqual(bPrunedT, bFullT) {
+						t.Errorf("B from the pruned AS differs off the diagonal from B from the full AS: %d vs %d nonzeros",
 							len(bPrunedT), len(bFullT))
 					}
 					flops := func(asT []spmat.Triple[PosDist]) int64 {
@@ -436,7 +466,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 						}
 						return st.Flops
 					}
-					if pf, ff := flops(prunedT), flops(fullT); pf != ff || pf == 0 {
+					if pf, ff := flops(prunedT), flops(fullT); pf >= ff || pf == 0 {
 						t.Errorf("Flops of (AS)·Aᵀ: %d pruned, %d full", pf, ff)
 					}
 					return nil

@@ -98,9 +98,9 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	// --- substitute k-mer expansion: AS = A·S (paper Section IV-C) ---
 	// An index keeps the whole of AS: a query's exact k-mers meet rows of
 	// (AS)ᵀ the database lacks. An all-vs-all sweep contracts AS with Aᵀ, so
-	// it keeps only the k-mers A holds.
+	// it keeps only the entries that product reads.
 	if !forIndex {
-		t.as, err = expandPresent(r, t.a, kmers.kept)
+		t.as, err = expandPresent(r, t.a, kmers)
 	} else {
 		t.as, err = expandAS(r, t.a)
 	}
@@ -175,10 +175,10 @@ func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Inde
 	}
 	if narrowKmers(kmerSpace) {
 		return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint32](g, store, cfg, stats),
-			dmat.Int32Codec, nil, lo, hi)
+			dmat.Int32Codec, nil, lo, hi, nil)
 	}
 	return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint64](g, store, cfg, stats),
-		dmat.Int32Codec, nil, lo, hi)
+		dmat.Int32Codec, nil, lo, hi, nil)
 }
 
 // narrowKmers reports whether every k-mer id of the space fits 4 bytes
@@ -291,34 +291,37 @@ func (s *seenSet) add(id kmer.ID) bool {
 
 // columnKmers is the census of A's grid column, both lists sorted global
 // k-mer ids: kept holds the k-mers A keeps — every k-mer it holds that is
-// not banned — and banned the k-mers the frequency pre-filter drops, those
-// occurring in more than Config.MaxKmerFrequency sequences (paper future
-// work: over-represented k-mers contribute quadratically many candidates
-// with little homology evidence). bannedNNZ is the banned k-mers' nonzeros
-// in the grid column. The persistent index stores banned so query panels
-// can apply the same filter without recounting the database.
+// not banned — with counts[i] the sequences holding kept[i], and banned the
+// k-mers the frequency pre-filter drops, those occurring in more than
+// Config.MaxKmerFrequency sequences (paper future work: over-represented
+// k-mers contribute quadratically many candidates with little homology
+// evidence). bannedNNZ is the banned k-mers' nonzeros in the grid column.
+// The persistent index stores banned so query panels can apply the same
+// filter without recounting the database.
 type columnKmers struct {
 	kept, banned []spmat.Index
+	counts       []int64
 	bannedNNZ    int64
 }
 
 // countKmers takes the census with one ColComm allgather
 // (dmat.ColumnCounts); maxFreq <= 0 bans nothing. It serves the callers that
-// need the grid column's list itself — a substitute run's presence test and
-// an index's banned list — where an exact all-vs-all run asks the owner
-// census of formA's build instead. Collective over the grid.
+// need the grid column's list itself — a substitute run's presence and
+// one-holder tests and an index's banned list — where an exact all-vs-all
+// run asks the owner census of formA's build instead. Collective over the
+// grid.
 func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
 	cols, counts, err := a.ColumnCounts()
 	if err != nil || maxFreq <= 0 {
-		return columnKmers{kept: cols}, err
+		return columnKmers{kept: cols, counts: counts}, err
 	}
-	k := columnKmers{kept: cols[:0]}
+	k := columnKmers{kept: cols[:0], counts: counts[:0]}
 	for i, c := range cols {
 		if n := counts[i]; n > int64(maxFreq) {
 			k.banned = append(k.banned, c)
 			k.bannedNNZ += n
 		} else {
-			k.kept = append(k.kept, c)
+			k.kept, k.counts = append(k.kept, c), append(k.counts, n)
 		}
 	}
 	return k, nil
@@ -338,7 +341,7 @@ func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
 // expandAS forms the whole of AS = A·S (paper Section IV-C) for a row
 // operand — an index's A or a query batch's Q, after the frequency prune, so
 // a banned k-mer is never searched; an all-vs-all run forms expandPresent's
-// restriction of it. Row k of S is k itself at distance 0 plus its m
+// part of it. Row k of S is k itself at distance 0 plus its m
 // nearest substitutes — what subkmer.Finder returns — so S is applied as an
 // operator, never assembled: every local nonzero (sequence, k-mer, position)
 // expands through its k-mer's list (one search per column of the block) into
@@ -348,78 +351,91 @@ func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
 // (TestExpandASIsTheProduct multiplies it out). The searches are Fig. 15's
 // "form S", the routing and assembly its "AS".
 func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
-	return expand(r, a, nil)
+	return expand(r, a, nil, nil)
 }
 
-// expandPresent forms the AS an all-vs-all sweep multiplies: A·S restricted
-// to the columns of the k-mers A holds (present, the sorted census of this
-// rank's grid column). B = (AS)·Aᵀ contracts over k-mers, so a column of AS
-// whose k-mer no sequence holds meets an empty row of Aᵀ and adds nothing;
-// dropping it leaves B, its Flops and the graph as they were. The k-mer id
-// puts position 0 in its highest digit, so a nearest substitute mostly
-// stays in its root's column block: the search drops such a substitute when
-// it is absent, before any entry is formed, and the owner drops what
-// crossed into its grid column unchecked once AS is assembled — so AS is the
-// same matrix at every rank count (TestExpandASPrunedIsTheProduct). The
-// presence set is on the ledger while the expansion holds it.
-func expandPresent(r *run, a *dmat.Mat[int32], present []spmat.Index) (*dmat.Mat[PosDist], error) {
-	set := newKmerSet(present)
+// expandPresent forms the AS an all-vs-all sweep multiplies: the entries of
+// A·S that B = (AS)·Aᵀ reads off its diagonal, from kmers, the census of
+// this rank's grid column. B(s,t) = ⊕_c AS(s,c) ⊗ A(t,c) contracts over
+// k-mers, so an entry in the column of a k-mer no sequence holds meets an
+// empty row of Aᵀ, and the exact entry AS(s,c) of a k-mer s alone holds
+// meets only s, forming B(s,s), which no sweep keeps: dropping both leaves B
+// off its diagonal and the graph as they were, and Flops falls. A lone
+// k-mer is still searched: its substitutes pair other sequences with s. The
+// k-mer id puts position 0 in its highest digit, so a nearest substitute
+// mostly stays in its root's column block: the search drops such a
+// substitute when it is absent, and the column's owner drops one that
+// crossed into its grid column absent as it arrives, before it is forwarded
+// or assembled — so AS is the same matrix at every rank count
+// (TestExpandASPrunedIsTheProduct). The census set is on the ledger while
+// the expansion holds it.
+func expandPresent(r *run, a *dmat.Mat[int32], kmers columnKmers) (*dmat.Mat[PosDist], error) {
+	set := newKmerSet(kmers)
 	r.clock.AllocBytes(set.bytes())
 	defer r.clock.FreeBytes(set.bytes())
-	as, err := expand(r, a, set)
-	if err != nil {
-		return nil, err
-	}
-	r.clock.Section(SectionAS, func() { restrict(as, present) })
-	return as, nil
+	return expand(r, a, set, set.has)
 }
 
-// expand is the one expansion under expandAS and expandPresent; a nil set
-// keeps every substitute. The searches run first, into one list of the
-// substitutes kept per local column, so the chunk of AS's entries is sized
-// to what survives them.
-func expand(r *run, a *dmat.Mat[int32], set *kmerSet) (*dmat.Mat[PosDist], error) {
+// expand is the one expansion under expandAS and expandPresent. A nil set
+// keeps every entry; otherwise the exact entries of the k-mers one sequence
+// holds and the absent substitutes in this column block are not formed, and
+// keep is the owner's filter of the substitutes that cross into another
+// (nil: none). Each root is searched into one scratch list and only what is
+// kept is appended: column j's entries, its k-mer at distance 0 first when
+// formed, are nbrs[ends[j]:ends[j+1]], so the chunk of AS's entries is
+// sized to what survives.
+func expand(r *run, a *dmat.Mat[int32], set *kmerSet, keep func(spmat.Index) bool) (*dmat.Mat[PosDist], error) {
 	finder, err := subkmer.NewFinder(r.cfg.K, scoring.NewExpense(scoring.BLOSUM62), r.cfg.SubstituteKmers)
 	if err != nil {
 		return nil, err
 	}
 	b, colOff := a.Local, a.ColOffset()
 	_, colEnd := dmat.BlockRange(a.Cols, r.grid.Q, r.grid.MyCol)
-	var nbrs []subkmer.Neighbor
-	ends := make([]int, len(b.JC)+1) // column j's substitutes are nbrs[ends[j]:ends[j+1]]
-	generated, size := 0, 0
+	var nbrs, found []subkmer.Neighbor
+	ends := make([]int, len(b.JC)+1)
+	generated, size, p := 0, 0, 0
 	for j, col := range b.JC {
-		start := len(nbrs)
-		nbrs = finder.AppendFind(nbrs, kmer.ID(colOff+col))
-		generated += len(nbrs) - start
+		id := colOff + col
+		lone := false // one sequence of the grid column holds the root
 		if set != nil {
-			kept := nbrs[:start]
-			for _, nb := range nbrs[start:] {
-				if id := spmat.Index(nb.ID); id < colOff || id >= colEnd || set.has(id) {
-					kept = append(kept, nb)
-				}
+			// The census holds every k-mer of A's block.
+			for set.present[p] < id {
+				p++
 			}
-			nbrs = kept
+			lone = set.counts[p] == 1
+		}
+		if !lone {
+			nbrs = append(nbrs, subkmer.Neighbor{ID: kmer.ID(id)})
+		}
+		found = finder.AppendFind(found[:0], kmer.ID(id))
+		generated += len(found)
+		for _, nb := range found {
+			if sub := spmat.Index(nb.ID); set == nil || sub < colOff || sub >= colEnd || set.has(sub) {
+				nbrs = append(nbrs, nb)
+			}
 		}
 		ends[j+1] = len(nbrs)
-		size += (b.CP[j+1] - b.CP[j]) * (1 + len(nbrs) - start)
+		size += (b.CP[j+1] - b.CP[j]) * (ends[j+1] - ends[j])
 	}
 	r.clock.Section(SectionFormS, func() { r.clock.Ops(float64(len(b.JC)+generated) * opsPerSubNeighbor) })
 
 	if narrowKmers(r.kmerSpace) {
-		return buildAS[uint32](r, a, nbrs, ends, size)
+		return buildAS[uint32](r, a, nbrs, ends, size, keep)
 	}
-	return buildAS[uint64](r, a, nbrs, ends, size)
+	return buildAS[uint64](r, a, nbrs, ends, size, keep)
 }
 
 // buildAS lays the products of A's block out as one chunk of size AS
-// entries, row by row — each nonzero (sequence, k-mer, position), then its
-// k-mer's substitutes, nbrs[ends[j]:ends[j+1]] for column j — and builds AS
-// from it, one sequence's k-mers that share a substitute meeting closerKmer.
-// A counting sort of the nonzeros by row (8 bytes each) gives the chunk its
-// row runs. The chunk is on the live-bytes ledger while it exists.
-func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, ends []int, size int) (*dmat.Mat[PosDist], error) {
-	b, colOff := a.Local, a.ColOffset()
+// entries, row by row — for each nonzero (sequence, k-mer, position) its
+// column's entries, nbrs[ends[j]:ends[j+1]] for column j — and builds AS
+// from it, under the owner's filter keep, one sequence's k-mers that share a
+// substitute meeting closerKmer. A counting sort of the nonzeros by row (8
+// bytes each) gives the chunk its row runs. The chunk is on the live-bytes
+// ledger while it exists.
+func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, ends []int, size int,
+	keep func(spmat.Index) bool) (*dmat.Mat[PosDist], error) {
+
+	b := a.Local
 	type nonzero struct{ col, pos int32 } // col: b's column slot
 	start := make([]int, b.NumRows+2)     // row i's nonzeros start at start[i+1] while they are placed
 	for _, i := range b.IR {
@@ -439,7 +455,6 @@ func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, end
 		Cols: make([]K, 0, size), Vals: make([]PosDist, 0, size)}
 	for i := range ch.Ends {
 		for _, nz := range byRow[start[i]:start[i+1]] {
-			ch.Cols, ch.Vals = append(ch.Cols, K(colOff+b.JC[nz.col])), append(ch.Vals, PosDist{Pos: nz.pos})
 			for _, nb := range nbrs[ends[nz.col]:ends[nz.col+1]] {
 				ch.Cols, ch.Vals = append(ch.Cols, K(nb.ID)), append(ch.Vals, PosDist{Pos: nz.pos, Dist: int32(nb.Dist)})
 			}
@@ -449,29 +464,32 @@ func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, end
 	buffered := int64(len(ch.Cols))*int64(unsafe.Sizeof(K(0))+unsafe.Sizeof(PosDist{})) + 8*int64(len(ch.Ends))
 	r.clock.AllocBytes(buffered)
 	r.clock.StartSection(SectionAS)
-	as, _, err := dmat.NewFromChunks(r.grid, a.Rows, r.kmerSpace, []dmat.Chunk[K, PosDist]{ch}, PosDistCodec, closerKmer, 0, 0)
+	as, _, err := dmat.NewFromChunks(r.grid, a.Rows, r.kmerSpace, []dmat.Chunk[K, PosDist]{ch}, PosDistCodec, closerKmer, 0, 0, keep)
 	r.clock.EndSection()
 	r.clock.FreeBytes(buffered)
 	return as, err
 }
 
-// kmerSet is the census of a grid column's present k-mers, asked about
-// every substitute the search finds in that column — most of which are
-// absent. A bit filter, 16 bits per member with one hashed bit each, turns
-// away about 15 in 16 absent ids from 2 bytes per member; an
-// open-addressing table settles the rest. The filter and the table read the
+// kmerSet is the census of a grid column's present k-mers, with the
+// sequences holding each, asked about every substitute the search finds in
+// that column or its owner receives — most of which are absent. A bit
+// filter, 16 bits per member with one hashed bit each, turns away about 15
+// in 16 absent ids from 2 bytes per member; an open-addressing table
+// settles the rest. The filter and the table read the
 // high bits of the same Fibonacci hash.
 type kmerSet struct {
 	present        []spmat.Index // sorted
+	counts         []int64       // counts[i]: the sequences holding present[i]
 	filter         []uint64
 	keys           []spmat.Index // -1 marks an empty slot
 	fshift, kshift uint
 }
 
-func newKmerSet(present []spmat.Index) *kmerSet {
+func newKmerSet(k columnKmers) *kmerSet {
+	present := k.kept
 	fbits := bits.Len(uint(max(16*len(present), 64) - 1))
 	kbits := bits.Len(uint(max(2*len(present), 2) - 1))
-	s := &kmerSet{present: present, filter: make([]uint64, 1<<fbits/64), keys: make([]spmat.Index, 1<<kbits),
+	s := &kmerSet{present: present, counts: k.counts, filter: make([]uint64, 1<<fbits/64), keys: make([]spmat.Index, 1<<kbits),
 		fshift: uint(64 - fbits), kshift: uint(64 - kbits)}
 	for i := range s.keys {
 		s.keys[i] = -1
@@ -509,7 +527,7 @@ func (s *kmerSet) has(id spmat.Index) bool {
 
 // bytes is the set's footprint on the live-bytes ledger.
 func (s *kmerSet) bytes() int64 {
-	return 8 * int64(len(s.present)+len(s.filter)+len(s.keys))
+	return 8 * int64(len(s.present)+len(s.counts)+len(s.filter)+len(s.keys))
 }
 
 // restrict drops, in place, the columns of m's block whose k-mer keep (a

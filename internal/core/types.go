@@ -466,7 +466,10 @@ type Stats struct {
 	KmersTotal   int64 // k-mer occurrences extracted
 	NNZA         int64
 	NNZAFiltered int64 // after the k-mer frequency pre-filter
-	NNZAS        int64
+	// NNZAS counts the AS the wave multiplies: an all-vs-all run's holds
+	// only the entries its product reads off the diagonal, an index's and
+	// a query batch's the whole of A·S.
+	NNZAS int64
 	// NNZB counts the candidate pairs of B this run owns — each unordered
 	// pair sharing a k-mer once, no self pairs (a query sweep: every
 	// (query, target) nonzero) — before the common-k-mer prune; NNZBPruned

@@ -9,7 +9,8 @@ import (
 	"repro/internal/wire"
 )
 
-// drop marks an entry the census dropped in a build's route list (q < 2¹⁶−1).
+// drop marks an entry a build drops — by the census or the owner's column
+// filter — in a route list (q < 2¹⁶−1).
 const drop = ^uint16(0)
 
 // NewFromChunks is the one build of a distributed matrix from scattered
@@ -23,9 +24,14 @@ const drop = ^uint16(0)
 // block; a world all-to-all would be charged p−1 latencies — and are
 // assembled straight from the columns received, duplicates folding with add
 // in arrival order: by sending world rank, then chunk order (with nil add a
-// duplicate is an error). Collective over the grid.
+// duplicate is an error). A non-nil keep is the owner's column filter: a
+// column block's grid column drops, on arrival from the other ranks of its
+// grid row, each entry whose column keep rejects, before it forwards or
+// assembles anything. A rank's entries of its own column block are its own
+// to judge and pass unchecked, so no entry is checked twice and at q = 1
+// keep is never called. Collective over the grid.
 func NewFromChunks[K ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
-	add func(T, T) T, lo, hi int64) (*Mat[T], int64, error) {
+	add func(T, T) T, lo, hi int64, keep func(spmat.Index) bool) (*Mat[T], int64, error) {
 
 	if err := codec.check(); err != nil {
 		return nil, 0, err
@@ -39,9 +45,9 @@ func NewFromChunks[K ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[
 		}
 	}
 	if censusWidth(rows) == 4 {
-		return build[K, uint32](g, rows, cols, chunks, codec, add, lo, hi)
+		return build[K, uint32](g, rows, cols, chunks, codec, add, lo, hi, keep)
 	}
-	return build[K, uint64](g, rows, cols, chunks, codec, add, lo, hi)
+	return build[K, uint64](g, rows, cols, chunks, codec, add, lo, hi, keep)
 }
 
 // NewFromTriples is NewFromChunks over triples, with no census: one chunk
@@ -57,7 +63,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 		ch := &chunks[len(chunks)-1]
 		ch.Cols, ch.Vals, ch.Ends[0] = append(ch.Cols, uint64(t.Col)), append(ch.Vals, t.Val), ch.Ends[0]+1
 	}
-	m, _, err := NewFromChunks(g, rows, cols, chunks, codec, add, 0, 0)
+	m, _, err := NewFromChunks(g, rows, cols, chunks, codec, add, 0, 0, nil)
 	return m, err
 }
 
@@ -71,7 +77,7 @@ type entries[K, R ID, T any] struct {
 
 // build is NewFromChunks with rows held as R, as wide as the row space.
 func build[K, R ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
-	add func(T, T) T, lo, hi int64) (*Mat[T], int64, error) {
+	add func(T, T) T, lo, hi int64, keep func(spmat.Index) bool) (*Mat[T], int64, error) {
 
 	ids, vals := make([][]K, len(chunks)), make([][]T, len(chunks))
 	for c, ch := range chunks {
@@ -114,7 +120,7 @@ func build[K, R ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T]
 	if err != nil {
 		return nil, 0, err
 	}
-	fwd, err := forwardEntries(relayed, g, rows, cols)
+	fwd, err := forwardEntries(relayed, g, rows, cols, keep)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -127,10 +133,13 @@ func build[K, R ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T]
 }
 
 // forwardEntries is a build's relay: each entry its grid row sent, which
-// must lie in this grid column, goes on to its row block in arrival order.
-// On a 1×1 grid both hops are the rank's own part, which passes through
-// untouched: assembleEntries checks every entry against the block.
-func forwardEntries[K, R ID, T any](relayed []entries[K, R, T], g *Grid, rows, cols spmat.Index) ([]entries[K, R, T], error) {
+// must lie in this grid column, goes on to its row block in arrival order,
+// unless it came from another grid column and keep (non-nil) rejects its
+// column. On a 1×1 grid both hops are the rank's own part, which passes
+// through untouched: assembleEntries checks every entry against the block.
+func forwardEntries[K, R ID, T any](relayed []entries[K, R, T], g *Grid, rows, cols spmat.Index,
+	keep func(spmat.Index) bool) ([]entries[K, R, T], error) {
+
 	if g.Q == 1 {
 		return relayed, nil
 	}
@@ -140,17 +149,27 @@ func forwardEntries[K, R ID, T any](relayed []entries[K, R, T], g *Grid, rows, c
 		ids[src], rs[src], vals[src] = e.ids, e.rows, e.vals
 	}
 	dest := make([]uint16, 0, total(ids))
+	checked, kept := 0, 0
 	for src, e := range relayed {
+		judge := keep != nil && src != g.MyCol
 		for x, id := range e.ids {
 			row := e.rows[x]
 			if uint64(id) < uint64(cLo) || uint64(id) >= uint64(cHi) || uint64(row) >= uint64(rows) {
 				return nil, fmt.Errorf("dmat: entry (%d,%d) from rank %d is not grid column %d's",
 					uint64(row), uint64(id), g.RankOf(g.MyRow, src), g.MyCol)
 			}
+			if judge {
+				checked++
+				if !keep(spmat.Index(id)) {
+					dest = append(dest, drop)
+					continue
+				}
+			}
 			dest = append(dest, uint16(BlockOf(spmat.Index(row), rows, g.Q)))
+			kept++
 		}
 	}
-	g.Comm.Clock().Ops(float64(len(dest)) * BuildOps)
+	g.Comm.Clock().Ops(float64(kept)*BuildOps + float64(checked)*VisitOps)
 	pi, pr, pv := bucket(ids, dest, g.Q), bucket(rs, dest, g.Q), bucket(vals, dest, g.Q)
 	fwd := make([]entries[K, R, T], g.Q)
 	for d := range fwd {

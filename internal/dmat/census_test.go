@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mpi"
@@ -62,9 +63,9 @@ func newFromLists[T any](g *Grid, rows, cols spmat.Index, lists [][]spmat.Triple
 	add func(T, T) T, lo, hi int64) (*Mat[T], int64, error) {
 
 	if censusWidth(cols) == 4 {
-		return NewFromChunks(g, rows, cols, chunksOf[uint32](lists), codec, add, lo, hi)
+		return NewFromChunks(g, rows, cols, chunksOf[uint32](lists), codec, add, lo, hi, nil)
 	}
-	return NewFromChunks(g, rows, cols, chunksOf[uint64](lists), codec, add, lo, hi)
+	return NewFromChunks(g, rows, cols, chunksOf[uint64](lists), codec, add, lo, hi, nil)
 }
 
 // referenceBlock is grid rank g's block of the matrix ts forms, built
@@ -173,6 +174,78 @@ func TestNewFromChunksIsTheCensusPrune(t *testing.T) {
 	}
 }
 
+// TestNewFromChunksColumnFilter holds the owner's column filter to its rule
+// at q ∈ {1, 2, 3}: an entry that a rank sends into another grid column's
+// block reaches that block only if keep accepts its column, and keep is
+// asked about those entries alone; an entry of its sender's own column block
+// passes unjudged, so at q = 1 keep is never called. Duplicates still fold
+// with add. A nil filter builds the block of every entry, as does a filter
+// that keeps all, on the same wire bytes; the rejecting filter's drops leave
+// hop 2's traffic.
+func TestNewFromChunksColumnFilter(t *testing.T) {
+	const rows, cols = 40, 1000
+	rng := rand.New(rand.NewSource(43))
+	ts := censusTriples(rng, rows, cols, 200)
+	for i, n := 0, len(ts); i < n; i += 3 { // duplicates, valued apart
+		ts = append(ts, spmat.Triple[float64]{Row: ts[i].Row, Col: ts[i].Col, Val: float64(1000 + i)})
+	}
+	filters := []struct {
+		name string
+		keep func(spmat.Index) bool
+	}{{"nil", nil}, {"all", func(spmat.Index) bool { return true }}, {"odd", func(c spmat.Index) bool { return c%2 == 1 }}}
+	for _, p := range []int{1, 4, 9} {
+		q := map[int]int{1: 1, 4: 2, 9: 3}[p]
+		var wire [3]int64
+		for f, filter := range filters {
+			// Triple i is sent by rank i%p (scatter); the owner judges it
+			// when that rank's grid column is not the column's block.
+			var want []spmat.Triple[float64]
+			crossing := int64(0)
+			for i, tr := range ts {
+				own := (i%p)%q == BlockOf(tr.Col, cols, q)
+				if !own {
+					crossing++
+				}
+				if own || filter.keep == nil || filter.keep(tr.Col) {
+					want = append(want, tr)
+				}
+			}
+			var calls atomic.Int64
+			keep := filter.keep
+			if keep != nil {
+				keep = func(c spmat.Index) bool { calls.Add(1); return filter.keep(c) }
+			}
+			sum := runGrid(t, p, func(g *Grid) error {
+				mine := scatter(ts, g.Comm.Rank(), p)
+				got, _, err := NewFromChunks(g, rows, cols, chunksOf[uint32]([][]spmat.Triple[float64]{mine}),
+					Float64Codec, math.Max, 0, 0, keep)
+				if err != nil {
+					return err
+				}
+				ref, err := referenceBlock(g, rows, cols, want, math.Max)
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got.Local, ref) {
+					return fmt.Errorf("p=%d %s: rank %d block differs from the reference", p, filter.name, g.Comm.Rank())
+				}
+				return nil
+			})
+			wire[f] = sum.BytesOnWire
+			if keep != nil && calls.Load() != crossing {
+				t.Errorf("p=%d %s: keep asked %d times, want %d (the entries crossing grid columns)",
+					p, filter.name, calls.Load(), crossing)
+			}
+			if filter.name == "odd" && (len(want) < len(ts)) != (p > 1) {
+				t.Errorf("p=%d: the filter dropped %d of %d entries", p, len(ts)-len(want), len(ts))
+			}
+		}
+		if wire[1] != wire[0] || (wire[2] < wire[0]) != (p > 1) {
+			t.Errorf("p=%d: bytes on wire nil %d, all %d, odd %d", p, wire[0], wire[1], wire[2])
+		}
+	}
+}
+
 // TestChunkCheck: NewFromChunks refuses a chunk whose runs do not cover its
 // entries in order, whose rows or columns leave the matrix, or whose ids
 // are too narrow for the column space, before any traffic.
@@ -200,10 +273,10 @@ func TestChunkCheck(t *testing.T) {
 		}
 	}
 	runGrid(t, 1, func(g *Grid) error {
-		if _, _, err := NewFromChunks(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, nil, 2, 0); err == nil {
+		if _, _, err := NewFromChunks(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, nil, 2, 0, nil); err == nil {
 			return fmt.Errorf("4-byte ids accepted for a 2^33-column space")
 		}
-		_, _, err := NewFromChunks(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, nil, 2, 0)
+		_, _, err := NewFromChunks(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, nil, 2, 0, nil)
 		if err == nil {
 			return fmt.Errorf("a malformed chunk after a good one was accepted")
 		}
@@ -369,7 +442,7 @@ func TestCensusWireHardening(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = forwardEntries(relayed, g, rows, cols)
+		_, err = forwardEntries(relayed, g, rows, cols, nil)
 		if want := fmt.Sprintf("from rank %d is not grid column %d's", g.RankOf(g.MyRow, 1-g.MyCol), g.MyCol); err == nil ||
 			!strings.Contains(err.Error(), want) {
 			return fmt.Errorf("relay took a foreign entry: %v, want %q", err, want)
@@ -423,7 +496,7 @@ func BenchmarkNewFromChunks(b *testing.B) {
 	}
 	for b.Loop() {
 		runGrid(b, p, func(g *Grid) error {
-			_, _, err := NewFromChunks(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, nil, 2, 0)
+			_, _, err := NewFromChunks(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, nil, 2, 0, nil)
 			return err
 		})
 	}

@@ -41,7 +41,8 @@
 // (memoLen): a 6-mer root splits into two of them, so a warm 6-mer search is
 // one merge. The memo holds 4-byte entries, at most M per distinct half; it
 // is filled as roots need it, never sized to the 24^3 halves there are, and
-// it dies with the Finder — one per rank's expansion in core (an index's, or
+// is found through a table of one 8-byte span per 2- and 3-mer (115 KB). It
+// dies with the Finder — one per rank's expansion in core (an index's, or
 // a query batch's), one per mmseqs rank. A Finder starts remembering at its
 // second root, so one that searches once, as Find does, builds no memo.
 // Nothing else remembers a search: not across Finders, ranks or runs, not on
@@ -53,6 +54,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/alphabet"
 	"repro/internal/kmer"
 	"repro/internal/scoring"
 )
@@ -84,17 +86,19 @@ func join(x, y, w uint64) uint64 {
 
 // memoLen is the longest half a Finder remembers. A memo entry packs the
 // distance into its high 18 bits and an id below 24^3 into its low 14: three
-// positions of int8 scores are at most 3·255 apart.
+// positions of int8 scores are at most 3·255 apart. The span of 2-mer x is
+// spans[x], of 3-mer x spans[twoMers+x].
 const (
 	memoLen = 3
 	idBits  = 14
+	twoMers = alphabet.Size * alphabet.Size
 )
 
 func pack(e uint64) uint32 { return uint32(distOf(e))<<idBits | uint32(e&idMask) }
 
 func unpack(p uint32) uint64 { return entry(int(int32(p)>>idBits), uint64(p&(1<<idBits-1))) }
 
-// span is where a remembered half's list sits in the memo.
+// span is where a remembered half's list sits in the memo; n = 0: not met.
 type span struct{ off, n uint32 }
 
 // pair is merge's heap entry: entry i of the high list with entry j of the
@@ -113,9 +117,9 @@ type Finder struct {
 	k, m int
 	e    *scoring.Expense
 
-	memo     []uint32        // the remembered lists, packed
-	spans    map[uint32]span // half<<2 | its length -> its list in memo
-	searched bool            // a root was searched: remember from the next
+	memo     []uint32 // the remembered lists, packed
+	spans    []span   // each 2- and 3-mer's list in memo (memoLen)
+	searched bool     // a root was searched: remember from the next
 
 	// lists holds every list a search builds. level[d] = {offset, high room,
 	// low room} places the two halves' lists of a split d merges below the
@@ -177,7 +181,7 @@ func (f *Finder) AppendFind(dst []Neighbor, root kmer.ID) []Neighbor {
 		return dst
 	}
 	if f.searched && f.spans == nil {
-		f.spans = map[uint32]span{}
+		f.spans = make([]span, twoMers+twoMers*alphabet.Size)
 	}
 	f.searched = true
 	a, b, w := f.split(f.k, uint64(root), 0)
@@ -217,10 +221,13 @@ func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
 	case n == 1:
 		return f.single(buf[:0], x)
 	}
-	key := uint32(x)<<2 | uint32(n)
+	slot := x
+	if n == memoLen {
+		slot += twoMers
+	}
 	remember := n <= memoLen && f.spans != nil
 	if remember {
-		if s, ok := f.spans[key]; ok {
+		if s := f.spans[slot]; s.n > 0 {
 			buf = buf[:0]
 			for _, p := range f.memo[s.off : s.off+s.n] {
 				buf = append(buf, unpack(p))
@@ -231,7 +238,7 @@ func (f *Finder) near(buf []uint64, n int, x uint64, depth int) []uint64 {
 	a, b, w := f.split(n, x, depth)
 	buf = f.merge(buf, a, b, w)
 	if remember {
-		f.spans[key] = span{uint32(len(f.memo)), uint32(len(buf))}
+		f.spans[slot] = span{uint32(len(f.memo)), uint32(len(buf))}
 		memo := slices.Grow(f.memo, len(buf))
 		for _, e := range buf {
 			memo = append(memo, pack(e))

@@ -96,7 +96,7 @@ func TestExpandASIsTheProduct(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					a, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
+					a, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}
@@ -288,7 +288,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					a, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
+					a, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}
@@ -296,20 +296,21 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					kmers, err := countKmers(a, cfg.MaxKmerFrequency)
+					census, err := countKmers(a, cfg.MaxKmerFrequency)
 					if err != nil {
 						return err
 					}
-					restrict(a, kmers.kept)
+					restrict(a, census.banned)
 					full, err := expandAS(r, a)
 					if err != nil {
 						return err
 					}
-					unchecked, err := expand(r, a, newKmerSet(kmers), nil) // no owner's filter
+					census.index()
+					unchecked, err := expand(r, a, census, nil) // no owner's filter
 					if err != nil {
 						return err
 					}
-					pruned, err := expandPresent(r, a, kmers)
+					pruned, err := expandPresent(r, a, census)
 					if err != nil {
 						return err
 					}
@@ -317,7 +318,7 @@ func TestExpandASPrunedIsTheProduct(t *testing.T) {
 					var ts []spmat.Triple[int32] // S′
 					for _, col := range a.Local.JC {
 						id := a.ColOffset() + col
-						if at, ok := slices.BinarySearch(kmers.kept, id); !ok || kmers.counts[at] > 1 {
+						if at, ok := slices.BinarySearch(census.present, id); !ok || census.counts[at] > 1 {
 							ts = append(ts, spmat.Triple[int32]{Row: id, Col: id})
 						}
 						for _, nb := range rowsOfS[kmer.ID(id)][:m] {

@@ -16,8 +16,8 @@ import (
 // while the census followed the shuffle, kept verbatim: A formed with every
 // k-mer, the grid column's census (one ColComm allgather and a q-way merge,
 // dmat.ColumnCounts), the one-sequence and frequency-banned columns dropped
-// in place (restrict), the banned total reported by one rank per grid
-// column, then Aᵀ.
+// in place (restrict, handed a drop list the twin builds itself), the
+// banned total reported by one rank per grid column, then Aᵀ.
 func buildColumnCensusTwin(r *run, owned []fasta.Record) (*target, error) {
 	clock, cfg := r.clock, r.cfg
 	store, err := stageInput(r.grid, owned, true, cfg)
@@ -28,7 +28,7 @@ func buildColumnCensusTwin(r *run, owned []fasta.Record) (*target, error) {
 	t.stats.NumSeqs = int64(store.Total)
 
 	clock.StartSection(SectionFormA)
-	t.a, _, err = formA(r.grid, store, cfg, r.kmerSpace, false, &t.stats)
+	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, false, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -44,17 +44,18 @@ func buildColumnCensusTwin(r *run, owned []fasta.Record) (*target, error) {
 		if cols, counts, err = t.a.ColumnCounts(); err != nil {
 			return
 		}
-		var kept []spmat.Index
+		var drop []spmat.Index
 		for i, c := range cols {
 			switch n := counts[i]; {
 			case cfg.MaxKmerFrequency > 0 && n > int64(cfg.MaxKmerFrequency):
 				t.banned = append(t.banned, c)
 				bannedNNZ += n
-			case n >= 2:
-				kept = append(kept, c)
+				drop = append(drop, c)
+			case n < 2:
+				drop = append(drop, c)
 			}
 		}
-		restrict(t.a, kept)
+		restrict(t.a, drop)
 	})
 	if err != nil {
 		return nil, err

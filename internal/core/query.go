@@ -76,7 +76,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 
 	// --- form Q: |batch| × |k-mer space|, exactly formA over the batch ---
 	clock.StartSection(SectionFormA)
-	q, _, err := formA(grid, qstore, cfg, r.kmerSpace, false, &stats)
+	q, err := formA(grid, qstore, cfg, r.kmerSpace, false, &stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -91,7 +91,7 @@ func Query(comm *mpi.Comm, rd *RankData, queries []fasta.Record, cfg Config, col
 	// all-vs-all pipeline would have applied to these rows.
 	stats.NNZAFiltered = stats.NNZA
 	if cfg.MaxKmerFrequency > 0 {
-		clock.Section(SectionFormA, func() { q = columnKmers{banned: rd.Banned}.prefilter(q) })
+		clock.Section(SectionFormA, func() { restrict(q, rd.Banned) })
 		if stats.NNZAFiltered, err = q.TryNNZ(); err != nil {
 			return nil, err
 		}

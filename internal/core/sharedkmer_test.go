@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dmat"
 	"repro/internal/fasta"
 	"repro/internal/spmat"
 	"repro/internal/synth"
@@ -14,8 +15,9 @@ import (
 
 // buildExactTwin is buildTarget's exact all-vs-all path as it was while A
 // kept every k-mer, kept verbatim: A formed, the frequency pre-filter's
-// census and its copying prune (a binary search per nonzero) only when
-// Config.MaxKmerFrequency is set, then Aᵀ.
+// census and its copying prune (a binary search per nonzero, through
+// spmat.(*DCSC).Prune, charged and on the ledger as dmat's copying prune
+// was) only when Config.MaxKmerFrequency is set, then Aᵀ.
 func buildExactTwin(r *run, owned []fasta.Record) (*target, error) {
 	clock, cfg := r.clock, r.cfg
 	store, err := stageInput(r.grid, owned, true, cfg)
@@ -26,7 +28,7 @@ func buildExactTwin(r *run, owned []fasta.Record) (*target, error) {
 	t.stats.NumSeqs = int64(store.Total)
 
 	clock.StartSection(SectionFormA)
-	t.a, _, err = formA(r.grid, store, cfg, r.kmerSpace, false, &t.stats)
+	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, false, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -48,12 +50,14 @@ func buildExactTwin(r *run, owned []fasta.Record) (*target, error) {
 					t.banned = append(t.banned, c)
 				}
 			}
-			filtered := t.a.Prune(func(_, c spmat.Index, _ int32) bool {
-				_, banned := slices.BinarySearch(t.banned, c)
+			colOff, before := t.a.ColOffset(), t.a.LocalBytes()
+			clock.ParOps(float64(t.a.Local.NNZ()) * dmat.VisitOps)
+			t.a.Local = t.a.Local.Prune(func(_, c spmat.Index, _ int32) bool {
+				_, banned := slices.BinarySearch(t.banned, c+colOff)
 				return !banned
 			})
-			t.a.Release()
-			t.a = filtered
+			clock.AllocBytes(t.a.LocalBytes())
+			clock.FreeBytes(before)
 		})
 		if err != nil {
 			return nil, err

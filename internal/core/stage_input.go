@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 	"unsafe"
 
 	"repro/internal/dmat"
@@ -45,9 +44,8 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	// --- form A: |seqs| x |k-mer space|, values = k-mer start positions;
 	// an exact all-vs-all sweep's holds only the k-mers two sequences share ---
 	exact := cfg.SubstituteKmers == 0 && !forIndex
-	var banned int64
 	clock.StartSection(SectionFormA)
-	t.a, banned, err = formA(r.grid, store, cfg, r.kmerSpace, exact, &t.stats)
+	t.a, err = formA(r.grid, store, cfg, r.kmerSpace, exact, &t.stats)
 	clock.EndSection()
 	if err != nil {
 		return nil, err
@@ -57,30 +55,29 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	}
 
 	// --- the grid column's k-mer census: the frequency pre-filter (paper
-	// future work) of an index or a substitute run, and the expansion's
-	// presence test, read one ---
-	var kmers columnKmers
-	if !exact && (cfg.MaxKmerFrequency > 0 || !forIndex) {
+	// future work), the one place a banned k-mer leaves A, and a substitute
+	// all-vs-all run's presence test read one ---
+	var census *kmerCensus
+	if cfg.MaxKmerFrequency > 0 || (cfg.SubstituteKmers > 0 && !forIndex) {
 		clock.Section(SectionFormA, func() {
-			if kmers, err = countKmers(t.a, cfg.MaxKmerFrequency); err == nil && cfg.MaxKmerFrequency > 0 {
-				restrict(t.a, kmers.kept)
+			if census, err = countKmers(t.a, cfg.MaxKmerFrequency); err == nil && cfg.MaxKmerFrequency > 0 {
+				restrict(t.a, census.banned)
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.banned = kmers.banned
-		// Every rank of a grid column holds that column's banned total, so
-		// one rank per grid column reports it.
-		if r.grid.MyRow == 0 {
-			banned = kmers.bannedNNZ
-		}
+		t.banned = census.banned
 	}
-	// NNZAFiltered counts what the frequency pre-filter kept, shared or not,
-	// in one allreduce of the census owners' (exact) or the grid columns'
-	// banned nonzeros; with no frequency limit nothing is banned.
+	// NNZAFiltered counts what the frequency pre-filter kept: every rank of
+	// a grid column holds that column's banned total, so grid row 0 reports
+	// it in one allreduce; with no frequency limit nothing is banned.
 	t.stats.NNZAFiltered = t.stats.NNZA
 	if cfg.MaxKmerFrequency > 0 {
+		var banned int64
+		if r.grid.MyRow == 0 {
+			banned = census.bannedNNZ
+		}
 		if banned, err = r.comm.TryAllreduceInt64("sum", banned); err != nil {
 			return nil, err
 		}
@@ -100,7 +97,7 @@ func buildTarget(r *run, owned []fasta.Record, forIndex bool) (*target, error) {
 	// (AS)ᵀ the database lacks. An all-vs-all sweep contracts AS with Aᵀ, so
 	// it keeps only the entries that product reads.
 	if !forIndex {
-		t.as, err = expandPresent(r, t.a, kmers)
+		t.as, err = expandPresent(r, t.a, census)
 	} else {
 		t.as, err = expandAS(r, t.a)
 	}
@@ -157,28 +154,28 @@ func stageInput(g *dmat.Grid, recs []fasta.Record, cols bool, cfg Config) (*seqs
 // formA extracts k-mers from the owned sequences and assembles the
 // distributed |seqs|×|k-mer space| position matrix (paper Section IV-A).
 // shared forms an exact all-vs-all sweep's A, which keeps only the k-mers
-// two or more sequences share and, with Config.MaxKmerFrequency set, at most
-// that many: B = A·Aᵀ pairs two sequences through a k-mer both hold and a
-// sweep keeps no self pair, so under the Fig. 11 row bound B, its Flops and
-// the graph are the whole A's while A, Aᵀ, the broadcasts and the product's
-// column index shrink. The builder's owner census (lo = 2) counts each
-// k-mer's sequences before the entries move. Otherwise A keeps every k-mer:
-// an index's, a query batch's or a substitute run's k-mer held once can meet
-// a query's k-mer or a substitute. It returns A and the nonzeros of the
-// banned k-mers this rank counted as their census owner.
+// two or more sequences share: B = A·Aᵀ pairs two sequences through a k-mer
+// both hold and a sweep keeps no self pair, so under the Fig. 11 row bound
+// B, its Flops and the graph are the whole A's while A, Aᵀ, the broadcasts
+// and the product's column index shrink. The builder's owner census (lo = 2)
+// counts each k-mer's sequences before the entries move. Otherwise A keeps
+// every k-mer: an index's, a query batch's or a substitute run's k-mer held
+// once can meet a query's k-mer or a substitute. The frequency pre-filter is
+// not formA's: a banned k-mer is held by more than Config.MaxKmerFrequency
+// >= 1 sequences, so it arrives in A whole, and buildTarget drops it.
 func formA(g *dmat.Grid, store *seqstore.Store, cfg Config, kmerSpace spmat.Index, shared bool,
-	stats *Stats) (*dmat.Mat[int32], int64, error) {
+	stats *Stats) (*dmat.Mat[int32], error) {
 
-	var lo, hi int64
+	var lo int64
 	if shared {
-		lo, hi = 2, int64(cfg.MaxKmerFrequency)
+		lo = 2
 	}
 	if narrowKmers(kmerSpace) {
 		return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint32](g, store, cfg, stats),
-			dmat.Int32Codec, nil, lo, hi, nil)
+			dmat.Int32Codec, nil, lo, nil)
 	}
 	return dmat.NewFromChunks(g, store.Total, kmerSpace, extractKmers[uint64](g, store, cfg, stats),
-		dmat.Int32Codec, nil, lo, hi, nil)
+		dmat.Int32Codec, nil, lo, nil)
 }
 
 // narrowKmers reports whether every k-mer id of the space fits 4 bytes
@@ -289,53 +286,92 @@ func (s *seenSet) add(id kmer.ID) bool {
 	}
 }
 
-// columnKmers is the census of A's grid column, both lists sorted global
-// k-mer ids: kept holds the k-mers A keeps — every k-mer it holds that is
-// not banned — with counts[i] the sequences holding kept[i], and banned the
-// k-mers the frequency pre-filter drops, those occurring in more than
+// kmerCensus is the census of A's grid column, its lists sorted global
+// k-mer ids: present holds the k-mers A keeps — every k-mer it holds that is
+// not banned — with counts[i] the sequences holding present[i], and banned
+// the k-mers the frequency pre-filter drops, those occurring in more than
 // Config.MaxKmerFrequency sequences (paper future work: over-represented
 // k-mers contribute quadratically many candidates with little homology
 // evidence). bannedNNZ is the banned k-mers' nonzeros in the grid column.
-// The persistent index stores banned so query panels can apply the same
-// filter without recounting the database.
-type columnKmers struct {
-	kept, banned []spmat.Index
-	counts       []int64
-	bannedNNZ    int64
+// The persistent index stores banned so a query batch drops the same
+// columns without recounting the database.
+//
+// A substitute all-vs-all expansion asks the census about every substitute
+// the search finds in its column or its owner receives — most of which are
+// absent — once index has laid present out for it: a bit filter, 16 bits
+// per member with one hashed bit each, turns away about 15 in 16 absent ids
+// from 2 bytes per member; an open-addressing table settles the rest. The
+// filter and the table read the high bits of the same Fibonacci hash.
+type kmerCensus struct {
+	present, banned []spmat.Index
+	counts          []int64
+	bannedNNZ       int64
+	filter          []uint64
+	keys            []spmat.Index // -1 marks an empty slot
+	fshift, kshift  uint
 }
 
 // countKmers takes the census with one ColComm allgather
-// (dmat.ColumnCounts); maxFreq <= 0 bans nothing. It serves the callers that
-// need the grid column's list itself — a substitute run's presence and
-// one-holder tests and an index's banned list — where an exact all-vs-all
-// run asks the owner census of formA's build instead. Collective over the
-// grid.
-func countKmers(a *dmat.Mat[int32], maxFreq int) (columnKmers, error) {
+// (dmat.ColumnCounts); maxFreq <= 0 bans nothing. Collective over the grid.
+func countKmers(a *dmat.Mat[int32], maxFreq int) (*kmerCensus, error) {
 	cols, counts, err := a.ColumnCounts()
 	if err != nil || maxFreq <= 0 {
-		return columnKmers{kept: cols, counts: counts}, err
+		return &kmerCensus{present: cols, counts: counts}, err
 	}
-	k := columnKmers{kept: cols[:0], counts: counts[:0]}
+	k := &kmerCensus{present: cols[:0], counts: counts[:0]}
 	for i, c := range cols {
 		if n := counts[i]; n > int64(maxFreq) {
 			k.banned = append(k.banned, c)
 			k.bannedNNZ += n
 		} else {
-			k.kept, k.counts = append(k.kept, c), append(k.counts, n)
+			k.present, k.counts = append(k.present, c), append(k.counts, n)
 		}
 	}
 	return k, nil
 }
 
-// prefilter drops the banned k-mers' columns from a, which it releases: a
-// query batch's Q, whose banned list comes from the index.
-func (k columnKmers) prefilter(a *dmat.Mat[int32]) *dmat.Mat[int32] {
-	filtered := a.Prune(func(_, c spmat.Index, _ int32) bool {
-		_, banned := slices.BinarySearch(k.banned, c)
-		return !banned
-	})
-	a.Release()
-	return filtered
+// index builds the presence test's filter and table over present.
+func (k *kmerCensus) index() {
+	fbits := bits.Len(uint(max(16*len(k.present), 64) - 1))
+	kbits := bits.Len(uint(max(2*len(k.present), 2) - 1))
+	k.filter, k.keys = make([]uint64, 1<<fbits/64), make([]spmat.Index, 1<<kbits)
+	k.fshift, k.kshift = uint(64-fbits), uint(64-kbits)
+	for i := range k.keys {
+		k.keys[i] = -1
+	}
+	mask := uint64(len(k.keys) - 1)
+	for _, id := range k.present {
+		h := uint64(id) * 0x9E3779B97F4A7C15
+		f := h >> k.fshift
+		k.filter[f/64] |= 1 << (f % 64)
+		i := h >> k.kshift
+		for k.keys[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		k.keys[i] = id
+	}
+}
+
+// has reports whether id is present; index must have run.
+func (k *kmerCensus) has(id spmat.Index) bool {
+	h := uint64(id) * 0x9E3779B97F4A7C15
+	if f := h >> k.fshift; k.filter[f/64]&(1<<(f%64)) == 0 {
+		return false
+	}
+	mask := uint64(len(k.keys) - 1)
+	for i := h >> k.kshift; ; i = (i + 1) & mask {
+		switch k.keys[i] {
+		case id:
+			return true
+		case -1:
+			return false
+		}
+	}
+}
+
+// bytes is the indexed census's footprint on the live-bytes ledger.
+func (k *kmerCensus) bytes() int64 {
+	return 8 * int64(len(k.present)+len(k.counts)+len(k.filter)+len(k.keys))
 }
 
 // expandAS forms the whole of AS = A·S (paper Section IV-C) for a row
@@ -355,8 +391,8 @@ func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
 }
 
 // expandPresent forms the AS an all-vs-all sweep multiplies: the entries of
-// A·S that B = (AS)·Aᵀ reads off its diagonal, from kmers, the census of
-// this rank's grid column. B(s,t) = ⊕_c AS(s,c) ⊗ A(t,c) contracts over
+// A·S that B = (AS)·Aᵀ reads off its diagonal, from census, that of this
+// rank's grid column. B(s,t) = ⊕_c AS(s,c) ⊗ A(t,c) contracts over
 // k-mers, so an entry in the column of a k-mer no sequence holds meets an
 // empty row of Aᵀ, and the exact entry AS(s,c) of a k-mer s alone holds
 // meets only s, forming B(s,s), which no sweep keeps: dropping both leaves B
@@ -367,24 +403,24 @@ func expandAS(r *run, a *dmat.Mat[int32]) (*dmat.Mat[PosDist], error) {
 // substitute when it is absent, and the column's owner drops one that
 // crossed into its grid column absent as it arrives, before it is forwarded
 // or assembled — so AS is the same matrix at every rank count
-// (TestExpandASPrunedIsTheProduct). The census set is on the ledger while
-// the expansion holds it.
-func expandPresent(r *run, a *dmat.Mat[int32], kmers columnKmers) (*dmat.Mat[PosDist], error) {
-	set := newKmerSet(kmers)
-	r.clock.AllocBytes(set.bytes())
-	defer r.clock.FreeBytes(set.bytes())
-	return expand(r, a, set, set.has)
+// (TestExpandASPrunedIsTheProduct). The indexed census is on the ledger
+// while the expansion holds it.
+func expandPresent(r *run, a *dmat.Mat[int32], census *kmerCensus) (*dmat.Mat[PosDist], error) {
+	census.index()
+	r.clock.AllocBytes(census.bytes())
+	defer r.clock.FreeBytes(census.bytes())
+	return expand(r, a, census, census.has)
 }
 
-// expand is the one expansion under expandAS and expandPresent. A nil set
-// keeps every entry; otherwise the exact entries of the k-mers one sequence
+// expand is the one expansion under expandAS and expandPresent. A nil
+// census keeps every entry; otherwise the exact entries of the k-mers one sequence
 // holds and the absent substitutes in this column block are not formed, and
 // keep is the owner's filter of the substitutes that cross into another
 // (nil: none). Each root is searched into one scratch list and only what is
 // kept is appended: column j's entries, its k-mer at distance 0 first when
 // formed, are nbrs[ends[j]:ends[j+1]], so the chunk of AS's entries is
 // sized to what survives.
-func expand(r *run, a *dmat.Mat[int32], set *kmerSet, keep func(spmat.Index) bool) (*dmat.Mat[PosDist], error) {
+func expand(r *run, a *dmat.Mat[int32], census *kmerCensus, keep func(spmat.Index) bool) (*dmat.Mat[PosDist], error) {
 	finder, err := subkmer.NewFinder(r.cfg.K, scoring.NewExpense(scoring.BLOSUM62), r.cfg.SubstituteKmers)
 	if err != nil {
 		return nil, err
@@ -397,12 +433,12 @@ func expand(r *run, a *dmat.Mat[int32], set *kmerSet, keep func(spmat.Index) boo
 	for j, col := range b.JC {
 		id := colOff + col
 		lone := false // one sequence of the grid column holds the root
-		if set != nil {
+		if census != nil {
 			// The census holds every k-mer of A's block.
-			for set.present[p] < id {
+			for census.present[p] < id {
 				p++
 			}
-			lone = set.counts[p] == 1
+			lone = census.counts[p] == 1
 		}
 		if !lone {
 			nbrs = append(nbrs, subkmer.Neighbor{ID: kmer.ID(id)})
@@ -410,7 +446,7 @@ func expand(r *run, a *dmat.Mat[int32], set *kmerSet, keep func(spmat.Index) boo
 		found = finder.AppendFind(found[:0], kmer.ID(id))
 		generated += len(found)
 		for _, nb := range found {
-			if sub := spmat.Index(nb.ID); set == nil || sub < colOff || sub >= colEnd || set.has(sub) {
+			if sub := spmat.Index(nb.ID); census == nil || sub < colOff || sub >= colEnd || census.has(sub) {
 				nbrs = append(nbrs, nb)
 			}
 		}
@@ -464,87 +500,27 @@ func buildAS[K dmat.ID](r *run, a *dmat.Mat[int32], nbrs []subkmer.Neighbor, end
 	buffered := int64(len(ch.Cols))*int64(unsafe.Sizeof(K(0))+unsafe.Sizeof(PosDist{})) + 8*int64(len(ch.Ends))
 	r.clock.AllocBytes(buffered)
 	r.clock.StartSection(SectionAS)
-	as, _, err := dmat.NewFromChunks(r.grid, a.Rows, r.kmerSpace, []dmat.Chunk[K, PosDist]{ch}, PosDistCodec, closerKmer, 0, 0, keep)
+	as, err := dmat.NewFromChunks(r.grid, a.Rows, r.kmerSpace, []dmat.Chunk[K, PosDist]{ch}, PosDistCodec, closerKmer, 0, keep)
 	r.clock.EndSection()
 	r.clock.FreeBytes(buffered)
 	return as, err
 }
 
-// kmerSet is the census of a grid column's present k-mers, with the
-// sequences holding each, asked about every substitute the search finds in
-// that column or its owner receives — most of which are absent. A bit
-// filter, 16 bits per member with one hashed bit each, turns away about 15
-// in 16 absent ids from 2 bytes per member; an open-addressing table
-// settles the rest. The filter and the table read the
-// high bits of the same Fibonacci hash.
-type kmerSet struct {
-	present        []spmat.Index // sorted
-	counts         []int64       // counts[i]: the sequences holding present[i]
-	filter         []uint64
-	keys           []spmat.Index // -1 marks an empty slot
-	fshift, kshift uint
-}
-
-func newKmerSet(k columnKmers) *kmerSet {
-	present := k.kept
-	fbits := bits.Len(uint(max(16*len(present), 64) - 1))
-	kbits := bits.Len(uint(max(2*len(present), 2) - 1))
-	s := &kmerSet{present: present, counts: k.counts, filter: make([]uint64, 1<<fbits/64), keys: make([]spmat.Index, 1<<kbits),
-		fshift: uint(64 - fbits), kshift: uint(64 - kbits)}
-	for i := range s.keys {
-		s.keys[i] = -1
-	}
-	mask := uint64(len(s.keys) - 1)
-	for _, id := range present {
-		h := uint64(id) * 0x9E3779B97F4A7C15
-		f := h >> s.fshift
-		s.filter[f/64] |= 1 << (f % 64)
-		i := h >> s.kshift
-		for s.keys[i] >= 0 {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = id
-	}
-	return s
-}
-
-// has reports whether id is present.
-func (s *kmerSet) has(id spmat.Index) bool {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	if f := h >> s.fshift; s.filter[f/64]&(1<<(f%64)) == 0 {
-		return false
-	}
-	mask := uint64(len(s.keys) - 1)
-	for i := h >> s.kshift; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case id:
-			return true
-		case -1:
-			return false
-		}
-	}
-}
-
-// bytes is the set's footprint on the live-bytes ledger.
-func (s *kmerSet) bytes() int64 {
-	return 8 * int64(len(s.present)+len(s.counts)+len(s.filter)+len(s.keys))
-}
-
-// restrict drops, in place, the columns of m's block whose k-mer keep (a
-// sorted census of the grid column) lacks: a merge of its JC with keep. It
-// is charged as the elementwise pass it is, and its dropped bytes leave the
-// ledger. m's block must be its own arrays, not a received frame's.
-func restrict[T any](m *dmat.Mat[T], keep []spmat.Index) {
+// restrict drops, in place, the columns of m's block whose k-mer the
+// sorted list drop names: a merge of its JC with drop. It is charged as the
+// elementwise pass it is, and its dropped bytes leave the ledger. m's block
+// must be its own arrays, not a received frame's.
+func restrict(m *dmat.Mat[int32], drop []spmat.Index) {
 	b, colOff := m.Local, m.ColOffset()
 	before, clock := m.LocalBytes(), m.Grid.Comm.Clock()
 	clock.ParOps(float64(b.NNZ()) * dmat.VisitOps)
 	cols, nnz, p := 0, 0, 0
 	for j, col := range b.JC {
 		c := col + colOff
-		for p < len(keep) && keep[p] < c {
+		for p < len(drop) && drop[p] < c {
 			p++
 		}
-		if p == len(keep) || keep[p] != c {
+		if p < len(drop) && drop[p] == c {
 			continue
 		}
 		lo, hi := b.CP[j], b.CP[j+1]

@@ -61,7 +61,7 @@ func TestFormAMatchesMapDedup(t *testing.T) {
 						return err
 					}
 					var stats Stats
-					got, _, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
+					got, err := formA(r.grid, store, cfg, r.kmerSpace, false, &stats)
 					if err != nil {
 						return err
 					}
@@ -187,7 +187,7 @@ func TestExactFormationBytes(t *testing.T) {
 				if err := read(&before); err != nil {
 					return err
 				}
-				a, _, err := formA(r.grid, store, cfg, r.kmerSpace, row.subs == 0, &stats)
+				a, err := formA(r.grid, store, cfg, r.kmerSpace, row.subs == 0, &stats)
 				if err != nil {
 					return err
 				}

@@ -15,39 +15,37 @@ const drop = ^uint16(0)
 
 // NewFromChunks is the one build of a distributed matrix from scattered
 // entries: the rows×cols matrix of the entries in chunks, this rank's share
-// in any order (K must hold every column index). With lo > 1 or hi > 0 the
-// owner census (census.go) keeps only the entries whose column holds at
-// least lo and at most hi entries across the grid (hi <= 0: no upper limit),
-// and the entries this rank counted as its owner in columns over hi are
-// returned. Kept entries cross as columns in two hops of q ranks — along the
-// grid row to their column block, then along the grid column to their row
-// block; a world all-to-all would be charged p−1 latencies — and are
-// assembled straight from the columns received, duplicates folding with add
-// in arrival order: by sending world rank, then chunk order (with nil add a
-// duplicate is an error). A non-nil keep is the owner's column filter: a
-// column block's grid column drops, on arrival from the other ranks of its
-// grid row, each entry whose column keep rejects, before it forwards or
-// assembles anything. A rank's entries of its own column block are its own
-// to judge and pass unchecked, so no entry is checked twice and at q = 1
-// keep is never called. Collective over the grid.
+// in any order (K must hold every column index). With lo > 1 the owner
+// census (census.go) keeps only the entries whose column holds at least lo
+// entries across the grid. Kept entries cross as columns in two hops of q
+// ranks — along the grid row to their column block, then along the grid
+// column to their row block; a world all-to-all would be charged p−1
+// latencies — and are assembled straight from the columns received,
+// duplicates folding with add in arrival order: by sending world rank, then
+// chunk order (with nil add a duplicate is an error). A non-nil keep is the
+// owner's column filter: a column block's grid column drops, on arrival from
+// the other ranks of its grid row, each entry whose column keep rejects,
+// before it forwards or assembles anything. A rank's entries of its own
+// column block are its own to judge and pass unchecked, so no entry is
+// checked twice and at q = 1 keep is never called. Collective over the grid.
 func NewFromChunks[K ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
-	add func(T, T) T, lo, hi int64, keep func(spmat.Index) bool) (*Mat[T], int64, error) {
+	add func(T, T) T, lo int64, keep func(spmat.Index) bool) (*Mat[T], error) {
 
 	if err := codec.check(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if cols > 0 && uint64(cols-1) > uint64(^K(0)) {
-		return nil, 0, fmt.Errorf("dmat: %d-byte ids cannot name %d columns", unsafe.Sizeof(K(0)), cols)
+		return nil, fmt.Errorf("dmat: %d-byte ids cannot name %d columns", unsafe.Sizeof(K(0)), cols)
 	}
 	for _, ch := range chunks {
 		if err := ch.check(rows, cols); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	if censusWidth(rows) == 4 {
-		return build[K, uint32](g, rows, cols, chunks, codec, add, lo, hi, keep)
+		return build[K, uint32](g, rows, cols, chunks, codec, add, lo, keep)
 	}
-	return build[K, uint64](g, rows, cols, chunks, codec, add, lo, hi, keep)
+	return build[K, uint64](g, rows, cols, chunks, codec, add, lo, keep)
 }
 
 // NewFromTriples is NewFromChunks over triples, with no census: one chunk
@@ -63,8 +61,7 @@ func NewFromTriples[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 		ch := &chunks[len(chunks)-1]
 		ch.Cols, ch.Vals, ch.Ends[0] = append(ch.Cols, uint64(t.Col)), append(ch.Vals, t.Val), ch.Ends[0]+1
 	}
-	m, _, err := NewFromChunks(g, rows, cols, chunks, codec, add, 0, 0, nil)
-	return m, err
+	return NewFromChunks(g, rows, cols, chunks, codec, add, 0, nil)
 }
 
 // entries is one part of a build in flight, as columns: entry i is
@@ -77,15 +74,15 @@ type entries[K, R ID, T any] struct {
 
 // build is NewFromChunks with rows held as R, as wide as the row space.
 func build[K, R ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T], codec Codec[T],
-	add func(T, T) T, lo, hi int64, keep func(spmat.Index) bool) (*Mat[T], int64, error) {
+	add func(T, T) T, lo int64, keep func(spmat.Index) bool) (*Mat[T], error) {
 
 	ids, vals := make([][]K, len(chunks)), make([][]T, len(chunks))
 	for c, ch := range chunks {
 		ids[c], vals[c] = ch.Cols, ch.Vals
 	}
-	dest, over, err := census(g, cols, ids, lo, hi)
+	dest, err := census(g, cols, ids, lo)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	i, kept := 0, 0
 	for _, l := range ids {
@@ -118,18 +115,17 @@ func build[K, R ID, T any](g *Grid, rows, cols spmat.Index, chunks []Chunk[K, T]
 	}
 	relayed, err := exchangeEntries(g, g.RowComm, parts, rows, cols, codec)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	fwd, err := forwardEntries(relayed, g, rows, cols, keep)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	got, err := exchangeEntries(g, g.ColComm, fwd, rows, cols, codec)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	m, err := assembleEntries(g, rows, cols, got, codec, add)
-	return m, over, err
+	return assembleEntries(g, rows, cols, got, codec, add)
 }
 
 // forwardEntries is a build's relay: each entry its grid row sent, which

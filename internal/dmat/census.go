@@ -77,17 +77,16 @@ func censusOwner(id uint64, p int) int {
 
 // census is NewFromChunks' owner census: for this rank's entries' column
 // ids it returns, in list order, the grid column of each id's owner, or drop
-// where the column does not hold at least lo and at most hi entries across
-// the grid (hi <= 0: no upper limit), and the entries this rank counted, as
-// owner, in columns over hi. An id reaches its owner (censusOwner, 1/p of the
-// column space) along the grid row and then the grid column, so each of the
-// four exchanges is among q ranks; the owner counts with a hash table and
-// answers one bit per id in arrival order, handed back the same way. Sender
-// and relay keep each id's hop as 2 bytes (q < 2¹⁶) to read the answers by.
-// Ids cross in censusWidth bytes, answers in one bit per id and hop.
-func census[K ID](g *Grid, cols spmat.Index, ids [][]K, lo, hi int64) ([]uint16, int64, error) {
-	if lo <= 1 && hi <= 0 {
-		return make([]uint16, total(ids)), 0, nil // nothing can drop: no census
+// where the column holds fewer than lo entries across the grid. An id
+// reaches its owner (censusOwner, 1/p of the column space) along the grid
+// row and then the grid column, so each of the four exchanges is among q
+// ranks; the owner counts with a hash table and answers one bit per id in
+// arrival order, handed back the same way. Sender and relay keep each id's
+// hop as 2 bytes (q < 2¹⁶) to read the answers by. Ids cross in censusWidth
+// bytes, answers in one bit per id and hop.
+func census[K ID](g *Grid, cols spmat.Index, ids [][]K, lo int64) ([]uint16, error) {
+	if lo <= 1 {
+		return make([]uint16, total(ids)), nil // nothing can drop: no census
 	}
 	clock := g.Comm.Clock()
 	p, q := g.Comm.Size(), g.Q
@@ -105,32 +104,32 @@ func census[K ID](g *Grid, cols spmat.Index, ids [][]K, lo, hi int64) ([]uint16,
 	clock.Ops(float64(len(route)) * VisitOps)
 	relayed, err := exchangeIDs(g, g.RowComm, sent, width)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	// Hop 2, at the relay: each id on to its owner's grid row.
 	fwd, rows, err := forwardIDs(relayed, g, cols)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	heard := lens(relayed)
 	got, err := exchangeIDs(g, g.ColComm, fwd, width)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	// The owner counts and answers.
-	answers, over, err := tally(got, g, cols, lo, hi)
+	answers, err := tally(got, g, cols, lo)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	back, err := exchangeBits(g, g.ColComm, answers, lens(fwd))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	mine, err := exchangeBits(g, g.RowComm, relayBits(heard, rows, back, g), asked)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// The drop: the bits come back in the order the ids were sent.
 	next := make([]int, q)
@@ -141,7 +140,7 @@ func census[K ID](g *Grid, cols spmat.Index, ids [][]K, lo, hi int64) ([]uint16,
 		next[c]++
 	}
 	clock.Ops(float64(len(route)) * VisitOps)
-	return route, over, nil
+	return route, nil
 }
 
 // censusWidth is the wire width of an id of a cols-wide space.
@@ -272,31 +271,19 @@ func bucket[X any](lists [][]X, dest []uint16, q int) [][]X {
 }
 
 // tally is the owner's count: got[r] holds the ids grid row r relayed, each
-// of which this rank must own. It returns one bitmap per sender — bit i set
-// when the i-th id's count lies in [lo, hi] (hi <= 0: no upper limit) — and
-// the sum of the counts over hi. The table is sized to what arrived, not to
-// the owner's range of the column space (48 M ids at k = 6 and p = 4).
-func tally[K ID](got [][]K, g *Grid, cols spmat.Index, lo, hi int64) ([][]byte, int64, error) {
+// of which this rank must own. It returns one bitmap per sender, bit i set
+// when the i-th id's count is at least lo. The table is sized to what
+// arrived, not to the owner's range of the column space (48 M ids at k = 6
+// and p = 4).
+func tally[K ID](got [][]K, g *Grid, cols spmat.Index, lo int64) ([][]byte, error) {
 	n := total(got)
 	table, slots, err := countIDs(got, g, cols, n)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if hi <= 0 {
-		hi = int64(n)
-	}
-	var over int64
-	for _, e := range table {
-		if int64(e.count) > hi {
-			over += int64(e.count)
-		}
-	}
-	answers := answer(lens(got), func(k int) bool {
-		c := int64(table[slots[k]].count)
-		return c >= lo && c <= hi
-	})
+	answers := answer(lens(got), func(k int) bool { return int64(table[slots[k]].count) >= lo })
 	g.Comm.Clock().Ops(float64(n) * censusOps)
-	return answers, over, nil
+	return answers, nil
 }
 
 // tallySlot is one entry of the owner's table: an id and its count (0:

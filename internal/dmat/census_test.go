@@ -60,12 +60,12 @@ func chunksOf[K ID, T any](lists [][]spmat.Triple[T]) []Chunk[K, T] {
 // newFromLists is NewFromChunks over the triple lists laid out as chunks,
 // with ids as wide as a build sends them.
 func newFromLists[T any](g *Grid, rows, cols spmat.Index, lists [][]spmat.Triple[T], codec Codec[T],
-	add func(T, T) T, lo, hi int64) (*Mat[T], int64, error) {
+	add func(T, T) T, lo int64) (*Mat[T], error) {
 
 	if censusWidth(cols) == 4 {
-		return NewFromChunks(g, rows, cols, chunksOf[uint32](lists), codec, add, lo, hi, nil)
+		return NewFromChunks(g, rows, cols, chunksOf[uint32](lists), codec, add, lo, nil)
 	}
-	return NewFromChunks(g, rows, cols, chunksOf[uint64](lists), codec, add, lo, hi, nil)
+	return NewFromChunks(g, rows, cols, chunksOf[uint64](lists), codec, add, lo, nil)
 }
 
 // referenceBlock is grid rank g's block of the matrix ts forms, built
@@ -85,8 +85,7 @@ func referenceBlock[T any](g *Grid, rows, cols spmat.Index, ts []spmat.Triple[T]
 
 // TestNewFromChunksIsTheCensusPrune holds NewFromChunks, block by block, to
 // spmat.FromTriples over the whole triple list with the columns whose
-// grid-wide count lies outside [lo, hi] dropped, and the over-limit total
-// to the one counted serially: at every rank count, on both block
+// grid-wide count is under lo dropped: at every rank count, on both block
 // transports, with the triples split across ranks in chunks, in a column
 // space wider than 32 bits (8-byte ids) and in a row space wider than 32
 // bits (8-byte rows). Without a census, duplicates fold with an order-free
@@ -106,34 +105,28 @@ func TestNewFromChunksIsTheCensusPrune(t *testing.T) {
 			dups = append(dups, spmat.Triple[float64]{Row: ts[i].Row, Col: ts[i].Col, Val: float64(1000 + i)})
 		}
 		for _, c := range []struct {
-			lo, hi int64
-			ts     []spmat.Triple[float64]
-			add    func(x, y float64) float64
-		}{{2, 0, ts, nil}, {2, 3, ts, nil}, {1, 2, ts, nil}, {0, 0, ts, nil}, {0, 0, dups, math.Max}} {
+			lo  int64
+			ts  []spmat.Triple[float64]
+			add func(x, y float64) float64
+		}{{2, ts, nil}, {0, ts, nil}, {0, dups, math.Max}} {
 			var want []spmat.Triple[float64]
-			var over int64
 			for _, tr := range c.ts {
-				if n := count[tr.Col]; n >= c.lo && (c.hi <= 0 || n <= c.hi) {
+				if count[tr.Col] >= c.lo {
 					want = append(want, tr)
-				}
-				if c.hi > 0 && count[tr.Col] > c.hi {
-					over++
 				}
 			}
 			for _, p := range []int{1, 4, 9, 16} {
 				for _, backend := range []Backend{BackendShared, BackendCodec} {
-					name := fmt.Sprintf("%dx%d lo=%d hi=%d dups=%v p=%d backend=%d",
-						shape.rows, shape.cols, c.lo, c.hi, len(c.ts) > len(ts), p, backend)
-					overs := make([]int64, p)
+					name := fmt.Sprintf("%dx%d lo=%d dups=%v p=%d backend=%d",
+						shape.rows, shape.cols, c.lo, len(c.ts) > len(ts), p, backend)
 					runGrid(t, p, func(g *Grid) error {
 						g.Backend = backend
 						mine := scatter(c.ts, g.Comm.Rank(), p)
 						lists := [][]spmat.Triple[float64]{mine[:len(mine)/3], nil, mine[len(mine)/3:]}
-						got, o, err := newFromLists(g, shape.rows, shape.cols, lists, Float64Codec, c.add, c.lo, c.hi)
+						got, err := newFromLists(g, shape.rows, shape.cols, lists, Float64Codec, c.add, c.lo)
 						if err != nil {
 							return fmt.Errorf("%s: %w", name, err)
 						}
-						overs[g.Comm.Rank()] = o
 						ref, err := referenceBlock(g, shape.rows, shape.cols, want, c.add)
 						if err != nil {
 							return err
@@ -143,13 +136,6 @@ func TestNewFromChunksIsTheCensusPrune(t *testing.T) {
 						}
 						return nil
 					})
-					var sum int64
-					for _, o := range overs {
-						sum += o
-					}
-					if sum != over {
-						t.Errorf("%s: owners counted %d over the limit, want %d", name, sum, over)
-					}
 					if len(c.ts) == len(ts) {
 						continue
 					}
@@ -161,8 +147,8 @@ func TestNewFromChunksIsTheCensusPrune(t *testing.T) {
 							return err
 						}
 						g.Backend = backend
-						_, _, err = newFromLists(g, shape.rows, shape.cols,
-							[][]spmat.Triple[float64]{scatter(c.ts, comm.Rank(), p)}, Float64Codec, nil, 0, 0)
+						_, err = newFromLists(g, shape.rows, shape.cols,
+							[][]spmat.Triple[float64]{scatter(c.ts, comm.Rank(), p)}, Float64Codec, nil, 0)
 						return err
 					})
 					if err == nil || !strings.Contains(err.Error(), "duplicate entry") {
@@ -217,8 +203,8 @@ func TestNewFromChunksColumnFilter(t *testing.T) {
 			}
 			sum := runGrid(t, p, func(g *Grid) error {
 				mine := scatter(ts, g.Comm.Rank(), p)
-				got, _, err := NewFromChunks(g, rows, cols, chunksOf[uint32]([][]spmat.Triple[float64]{mine}),
-					Float64Codec, math.Max, 0, 0, keep)
+				got, err := NewFromChunks(g, rows, cols, chunksOf[uint32]([][]spmat.Triple[float64]{mine}),
+					Float64Codec, math.Max, 0, keep)
 				if err != nil {
 					return err
 				}
@@ -273,10 +259,10 @@ func TestChunkCheck(t *testing.T) {
 		}
 	}
 	runGrid(t, 1, func(g *Grid) error {
-		if _, _, err := NewFromChunks(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, nil, 2, 0, nil); err == nil {
+		if _, err := NewFromChunks(g, rows, 1<<33, []Chunk[uint32, int32]{good}, Int32Codec, nil, 2, nil); err == nil {
 			return fmt.Errorf("4-byte ids accepted for a 2^33-column space")
 		}
-		_, _, err := NewFromChunks(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, nil, 2, 0, nil)
+		_, err := NewFromChunks(g, rows, cols, []Chunk[uint32, int32]{good, {Row: 0, Ends: []int{2}, Cols: []uint32{1}, Vals: []int32{0}}}, Int32Codec, nil, 2, nil)
 		if err == nil {
 			return fmt.Errorf("a malformed chunk after a good one was accepted")
 		}
@@ -346,7 +332,7 @@ func TestCensusWireHardening(t *testing.T) {
 		}
 		got := make([][]uint64, g.Q)
 		got[1-g.MyRow] = []uint64{uint64(elsewhere)}
-		if _, _, err := tally(got, g, cols, 2, 0); err == nil ||
+		if _, err := tally(got, g, cols, 2); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("from rank %d:", g.RankOf(1-g.MyRow, g.MyCol))) {
 			return fmt.Errorf("owner counted id %d: %v", elsewhere, err)
 		}
@@ -496,7 +482,7 @@ func BenchmarkNewFromChunks(b *testing.B) {
 	}
 	for b.Loop() {
 		runGrid(b, p, func(g *Grid) error {
-			_, _, err := NewFromChunks(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, nil, 2, 0, nil)
+			_, err := NewFromChunks(g, rows, cols, shares[g.Comm.Rank()], Int32Codec, nil, 2, nil)
 			return err
 		})
 	}

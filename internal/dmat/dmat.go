@@ -1001,19 +1001,3 @@ func mergeColumnCounts(parts [][]byte, lo, hi spmat.Index) (cols []spmat.Index, 
 	}
 	return cols[:k], counts[:k], nil
 }
-
-// Prune filters nonzeros locally with the predicate on global indices: an
-// elementwise pass, ParOps-charged per source nonzero (it parallelizes with
-// the rank's declared threads, the convention SpGEMM and alignment use) and
-// alloc-tracked like every constructor.
-func (m *Mat[T]) Prune(keep func(row, col spmat.Index, v T) bool) *Mat[T] {
-	rowOff, colOff := m.RowOffset(), m.ColOffset()
-	local := m.Local.Prune(func(r, c spmat.Index, v T) bool {
-		return keep(r+rowOff, c+colOff, v)
-	})
-	clock := m.Grid.Comm.Clock()
-	clock.ParOps(float64(m.Local.NNZ()) * VisitOps)
-	out := &Mat[T]{Grid: m.Grid, Rows: m.Rows, Cols: m.Cols, Local: local, codec: m.codec}
-	clock.AllocBytes(out.LocalBytes())
-	return out
-}

@@ -347,32 +347,6 @@ func TestSymmetrize(t *testing.T) {
 	})
 }
 
-func TestPruneGlobalIndices(t *testing.T) {
-	ts := []spmat.Triple[float64]{
-		{Row: 0, Col: 0, Val: 1}, {Row: 9, Col: 9, Val: 2},
-		{Row: 3, Col: 7, Val: 3}, {Row: 7, Col: 3, Val: 4},
-	}
-	runGrid(t, 4, func(g *Grid) error {
-		m, err := NewFromTriples(g, 10, 10, scatter(ts, g.Comm.Rank(), 4), Float64Codec, nil)
-		if err != nil {
-			return err
-		}
-		// Keep strictly-upper-triangular entries (global indices!).
-		up := m.Prune(func(r, c spmat.Index, v float64) bool { return r < c })
-		got, err := up.GatherTriples()
-		if err != nil {
-			return err
-		}
-		if g.Comm.Rank() != 0 {
-			return nil
-		}
-		if len(got) != 1 || got[0].Row != 3 || got[0].Col != 7 {
-			return fmt.Errorf("prune kept %+v", got)
-		}
-		return nil
-	})
-}
-
 // The distributed result must be identical for every process count:
 // the paper's reproducibility property (Section V).
 func TestProcessCountOblivious(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kmer"
@@ -63,29 +64,15 @@ func Ablations(sc Scale) (*Table, error) {
 			fmt.Sprintf("%.4g / %.4g", sum.Time, sum.SectionMax[core.SectionWait]))
 	}
 
-	// 3. Substitute k-mer search: bounded search vs naive enumeration on
-	// k=3 where the naive 20^k enumeration is feasible.
-	e := scoring.NewExpense(scoring.BLOSUM62)
-	rng := rand.New(rand.NewSource(9))
-	var searchWork, naiveWork int64
-	const trials = 20
-	for i := 0; i < trials; i++ {
-		id := randomKmerID(rng, 3)
-		if _, err := subkmer.Find(id, 3, e, 25); err != nil {
-			return nil, err
-		}
-		searchWork += 25 // m results explored with pruning; see bench for time
-		all, err := subkmer.FindNaive(id, 3, e, 25)
-		if err != nil {
-			return nil, err
-		}
-		naiveWork += int64(20 * 20 * 20)
-		_ = all
+	// 3. Substitute k-mer search: the bounded search against the naive
+	// enumeration, root by root.
+	const roots = 20
+	agree, naive, err := searchAblation(roots)
+	if err != nil {
+		return nil, err
 	}
 	t.Add("substitute k-mer search", "bounded search vs naive (k=3, m=25)",
-		"candidates touched per k-mer",
-		fmt.Sprintf("~%d vs %d (see BenchmarkFindVsNaiveK3: ~200x faster)",
-			searchWork/trials*8, naiveWork/trials))
+		"roots agreeing / naive candidates per root", fmt.Sprintf("%d/%d / %d", agree, roots, naive))
 
 	// 4. Computation-to-data upper-triangle trick vs naive idle processes:
 	// alignment-phase makespan.
@@ -104,6 +91,40 @@ func Ablations(sc Scale) (*Table, error) {
 			fmt.Sprintf("%.4g", sum.SectionMax[core.SectionAlign]))
 	}
 	return t, nil
+}
+
+// searchAblation compares subkmer.Find with subkmer.FindNaive on random
+// k = 3 roots, where the naive 20^k enumeration is feasible, and fails on
+// the first root whose m = 25 nearest lists differ. It reports the roots
+// that agree and the candidates the naive enumeration visits per root —
+// every k-mer that keeps or substitutes each position, computed from the
+// expense rows — and no wall time, so the table is the same on every run.
+func searchAblation(roots int) (agree int, perRoot int64, err error) {
+	const k, m = 3, 25
+	e := scoring.NewExpense(scoring.BLOSUM62)
+	rng := rand.New(rand.NewSource(9))
+	var naive int64
+	for range roots {
+		id := randomKmerID(rng, k)
+		got, err := subkmer.Find(id, k, e, m)
+		if err != nil {
+			return 0, 0, err
+		}
+		want, err := subkmer.FindNaive(id, k, e, m)
+		if err != nil {
+			return 0, 0, err
+		}
+		if !slices.Equal(got, want) {
+			return 0, 0, fmt.Errorf("ablations: the bounded search and the naive enumeration differ on k-mer %d", id)
+		}
+		leaves := int64(1)
+		for _, b := range kmer.Decode(id, k) {
+			leaves *= int64(1 + len(e.Rows[b]))
+		}
+		naive += leaves - 1 // the root itself is no candidate
+		agree++
+	}
+	return agree, naive / int64(roots), nil
 }
 
 func randomKmerID(rng *rand.Rand, k int) kmer.ID {

@@ -331,3 +331,17 @@ func TestCascadeExperimentShape(t *testing.T) {
 func fmtSscan(s string, v any) (int, error) {
 	return fmt.Sscan(s, v)
 }
+
+// The ablations table's substitute-search row is measured: the bounded
+// search agrees with the naive enumeration on every one of its 20 roots,
+// and the naive side visits the 20³−1 k-mers that differ from a standard
+// root.
+func TestAblationSearchRowMeasured(t *testing.T) {
+	agree, naive, err := searchAblation(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agree != 20 || naive != 20*20*20-1 {
+		t.Errorf("%d/20 roots agree, naive candidates per root %d; want 20/20 and %d", agree, naive, 20*20*20-1)
+	}
+}
